@@ -1,6 +1,6 @@
 # Convenience targets for the NVMalloc reproduction.
 
-.PHONY: install test test-faults test-lifecycle test-obs test-cache test-slo cache-ablation slo-curve bench bench-wallclock bench-floor bench-shards profile profile-layers trace experiments experiments-par examples clean
+.PHONY: install test test-faults test-lifecycle test-obs test-cache test-slo cache-ablation slo-curve bench bench-wallclock bench-floor bench-shards bench-selfcheck profile profile-layers trace experiments experiments-par examples clean
 
 install:
 	pip install -e .
@@ -37,6 +37,19 @@ bench-floor:
 bench-shards:
 	PYTHONPATH=src python tools/bench_wallclock.py --shards-bench \
 		--workloads --output BENCH_shards.json
+
+# The benchmark's own checks, then a short svc_open run that must be
+# correct (no "load changed", no failed op, repeats agree — the last
+# output line says so) and stay under a peak-RSS ceiling: benefactors
+# hold written bytes, not reserved chunks (about 100 MiB; a buffer per
+# materialized chunk was about 600).
+bench-selfcheck:
+	python -m pytest bench -q
+	python3 bench/run.py --workload svc_open --seconds 2 --trace 0 \
+		| tee /dev/stderr | tail -n 1 | python3 -c "import json, sys; \
+		r = json.load(sys.stdin); rss = r['metrics']['peak_rss_mib']['value']; \
+		print('correct', r['correct'], ' peak_rss_mib %.1f (limit 256)' % rss); \
+		sys.exit(not r['correct'] or rss > 256)"
 
 profile:
 	PYTHONPATH=src python tools/profile_stack.py --limit 25

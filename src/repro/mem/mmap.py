@@ -53,6 +53,9 @@ class MmapRegion:
         self.path = path
         self.length = length
         self.prot = prot
+        # Decided once: a Flag ``&`` per access is three interpreter calls.
+        self._readable = bool(prot & Protection.PROT_READ)
+        self._writable = bool(prot & Protection.PROT_WRITE)
         self.shared = shared
         self.offset = offset
         self.metrics = pagecache.metrics
@@ -69,9 +72,9 @@ class MmapRegion:
     def _check(self, offset: int, length: int, *, write: bool) -> None:
         if not self._mapped:
             raise MmapError(f"region over {self.path!r} has been unmapped")
-        if write and not (self.prot & Protection.PROT_WRITE):
+        if write and not self._writable:
             raise MmapError("write to PROT_READ-only mapping")
-        if not write and not (self.prot & Protection.PROT_READ):
+        if not write and not self._readable:
             raise MmapError("read from PROT_WRITE-only mapping")
         if offset < 0 or length < 0 or offset + length > self.length:
             raise MmapError(

@@ -4,20 +4,152 @@ A benefactor owns a slice of its node's SSD, stores chunks as individual
 extents (the paper stores them as individual files), and serves direct
 client connections for chunk data.  All payload bytes are real — reads
 return exactly what was written — while device and network time is charged
-through the simulation substrate.
+through the simulation substrate.  Host memory follows the bytes written,
+not the bytes reserved (see :class:`ChunkPayload`).
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from collections.abc import Generator
 
 from repro.cluster.node import Node
 from repro.errors import BenefactorDownError, CapacityError, StoreError
 from repro.sim.events import Event
-from repro.store.chunk import CHUNK_SIZE
+from repro.store.chunk import CHUNK_SIZE, PAGE_SIZE
 from repro.util.intervals import IntervalSet
 from repro.util.recorder import MetricsRecorder
+
+
+class ChunkPayload:
+    """The real bytes of one materialized chunk, in one of two states.
+
+    *Sparse*: sorted, disjoint, page-aligned extents of written bytes;
+    everything between them reads as zeroes, as an unwritten range of a
+    chunk file would.  *Dense*: one ``bytearray(size)``.  A payload turns
+    dense — for good — once its extents hold more than half the chunk or
+    a write covers the whole chunk.  The state is host-side only: the
+    model sees a materialized chunk either way, and every device and
+    network charge is computed from logical lengths by the benefactor.
+    """
+
+    __slots__ = ("size", "dense", "_starts", "_bufs", "_held")
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.dense: bytearray | None = None
+        self._starts: list[int] = []  # extent offsets, ascending
+        self._bufs: list[bytearray] = []  # extent bytes, parallel to _starts
+        self._held = 0  # bytes in extents
+
+    def write(self, offset: int, data: bytes) -> None:
+        """Store ``data`` at ``offset`` (bounds are the caller's job)."""
+        end = offset + len(data)
+        if end == offset:
+            return
+        dense = self.dense
+        if dense is not None:
+            # A full-chunk read loans ``dense`` itself (see :meth:`read`),
+            # so copy-on-write while a loan is out: the borrower keeps its
+            # read-time snapshot.  Unborrowed, exactly three references
+            # exist — the ``dense`` slot, this frame's local, and
+            # ``getrefcount``'s argument.  This is the only place a dense
+            # buffer is mutated; nothing else may hold one across a write.
+            if sys.getrefcount(dense) > 3:
+                dense = self.dense = bytearray(dense)
+            dense[offset:end] = data
+            return
+        size = self.size
+        if end - offset == size:
+            self._become_dense(bytearray(data))
+            return
+        # Extents are page-aligned: a dirty-page write-back lands whole.
+        lo = offset - offset % PAGE_SIZE
+        hi = end + -end % PAGE_SIZE
+        if hi > size:
+            hi = size
+        starts = self._starts
+        bufs = self._bufs
+        # Extents i..j-1 overlap [lo, hi).
+        i = bisect_right(starts, lo)
+        if i and starts[i - 1] + len(bufs[i - 1]) > lo:
+            i -= 1
+        j = bisect_left(starts, hi, i)
+        if i < j:
+            first = starts[i]
+            last = starts[j - 1] + len(bufs[j - 1])
+            if first <= lo and hi <= last and j - i == 1:
+                bufs[i][offset - first : end - first] = data  # in place
+                return
+            if first < lo:
+                lo = first
+            if last > hi:
+                hi = last
+        # One extent over [lo, hi) replaces those it overlaps (maybe none).
+        merged = bytearray(hi - lo)
+        for k in range(i, j):
+            old = bufs[k]
+            at = starts[k] - lo
+            merged[at : at + len(old)] = old
+            self._held -= len(old)
+        merged[offset - lo : end - lo] = data
+        starts[i:j] = [lo]
+        bufs[i:j] = [merged]
+        self._held += hi - lo
+        if 2 * self._held > size:
+            self._become_dense(self.read(0, size))
+
+    def _become_dense(self, dense: bytearray) -> None:
+        self.dense = dense
+        self._starts = []
+        self._bufs = []
+        self._held = 0
+
+    def read(self, offset: int, length: int) -> bytearray:
+        """The bytes of ``[offset, offset + length)`` as of now.
+
+        A whole dense chunk is returned as a zero-copy loan of the live
+        buffer, which :meth:`write` protects copy-on-write; everything
+        else is a fresh buffer the caller owns.
+        """
+        dense = self.dense
+        if dense is not None:
+            if offset == 0 and length == self.size:
+                return dense
+            return bytearray(memoryview(dense)[offset : offset + length])
+        out = bytearray(length)
+        end = offset + length
+        starts = self._starts
+        bufs = self._bufs
+        first = bisect_right(starts, offset)
+        if first:
+            first -= 1  # the extent starting at or before ``offset``
+        for k in range(first, len(starts)):
+            start = starts[k]
+            if start >= end:
+                break
+            buf = bufs[k]
+            lo = offset if offset > start else start
+            hi = start + len(buf)
+            if hi > end:
+                hi = end
+            if lo < hi:
+                out[lo - offset : hi - offset] = memoryview(buf)[
+                    lo - start : hi - start
+                ]
+        return out
+
+    def copy(self) -> "ChunkPayload":
+        """An independent payload in the same state (sparse stays sparse)."""
+        twin = ChunkPayload(self.size)
+        if self.dense is not None:
+            twin.dense = bytearray(self.dense)
+        else:
+            twin._starts = self._starts.copy()
+            twin._bufs = [bytearray(buf) for buf in self._bufs]
+            twin._held = self._held
+        return twin
 
 
 class Benefactor:
@@ -34,6 +166,7 @@ class Benefactor:
         if node.ssd is None:
             raise StoreError(f"{node.name} has no SSD to contribute")
         self.node = node
+        self.name = node.name
         self.ssd = node.ssd
         self.chunk_size = chunk_size
         self.metrics = metrics if metrics is not None else node.metrics
@@ -48,7 +181,7 @@ class Benefactor:
             )
         self._reserved = 0  # bytes promised to the manager
         # Chunk payloads (real bytes) and their SSD extents.
-        self._data: dict[int, bytearray] = {}
+        self._data: dict[int, ChunkPayload] = {}
         self._extents: dict[int, int] = {}  # chunk_id -> ssd byte offset
         self._free_extents: list[int] = list(
             range(0, self.contribution - chunk_size + 1, chunk_size)
@@ -68,11 +201,6 @@ class Benefactor:
         # the copy is in flight record their intervals so the completed
         # fill only patches the gaps (same merge rule as the chunk cache).
         self._fill_shadow: dict[int, IntervalSet] = {}
-
-    @property
-    def name(self) -> str:
-        """The benefactor's (node) name."""
-        return self.node.name
 
     @property
     def reserved(self) -> int:
@@ -149,33 +277,13 @@ class Benefactor:
                 f"{self.name}: chunk {chunk_id} has no extent"
             ) from None
 
-    def _materialize(self, chunk_id: int) -> bytearray:
-        """Ensure the chunk has an extent and a (zero-filled) payload."""
+    def _materialize(self, chunk_id: int, payload: ChunkPayload) -> None:
+        """Give the chunk an extent (if it has none) and ``payload``."""
         if chunk_id not in self._data:
             if not self._free_extents:
                 raise CapacityError(f"{self.name}: no free extents")
             self._extents[chunk_id] = self._free_extents.pop()
-            self._data[chunk_id] = bytearray(self.chunk_size)
-        return self._data[chunk_id]
-
-    def _exclusive(self, chunk_id: int) -> bytearray:
-        """The chunk payload, made safe to mutate in place.
-
-        Full-chunk fetches loan the live payload buffer to the caller
-        (see :meth:`_fetch_chunk_impl`), so before mutating we check
-        whether any loan is still outstanding and copy-on-write if so —
-        the borrower keeps its fetch-time snapshot, we keep a private
-        buffer.  Sharing is detected by refcount: exactly three
-        references exist when nobody borrowed the buffer (``_data`` dict,
-        this frame's local, ``getrefcount``'s argument).  Callers must
-        not hold their own reference to the payload across this call —
-        it would read as a loan and force a spurious copy.
-        """
-        payload = self._data[chunk_id]
-        if sys.getrefcount(payload) > 3:
-            payload = bytearray(payload)
-            self._data[chunk_id] = payload
-        return payload
+        self._data[chunk_id] = payload
 
     def has_chunk(self, chunk_id: int) -> bool:
         """True when the chunk's payload is materialized here."""
@@ -205,14 +313,15 @@ class Benefactor:
         optimization reaches the device: only modified pages travel.
         """
         self._check_online()
-        if offset < 0 or offset + len(data) > self.chunk_size:
+        nbytes = len(data)
+        if offset < 0 or offset + nbytes > self.chunk_size:
             raise StoreError(
-                f"{self.name}: write [{offset}, {offset + len(data)}) outside "
+                f"{self.name}: write [{offset}, {offset + nbytes}) outside "
                 f"chunk of {self.chunk_size}"
             )
         if self._slow_until > self.node.engine.now:  # inlined _slowdown
             yield self.node.engine.timeout(self._slow_extra)
-        yield from self.node.network.transfer(client, self.name, len(data))
+        yield from self.node.network.transfer(client, self.name, nbytes)
         if self.crashed or not self.online:
             # Crash-during-writeback: the payload travelled but was never
             # applied or acknowledged.  The client must treat the write as
@@ -222,27 +331,20 @@ class Benefactor:
             )
         shadow = self._fill_shadow.get(chunk_id)
         if shadow is not None:
-            shadow.add(offset, offset + len(data))
+            shadow.add(offset, offset + nbytes)
         if chunk_id in self._data:
-            payload = self._exclusive(chunk_id)
-            payload[offset : offset + len(data)] = data
-        elif len(data) == self.chunk_size:
-            # First write covering the whole chunk: adopt one copy of the
-            # payload instead of zero-filling a buffer and overwriting it.
-            if not self._free_extents:
-                raise CapacityError(f"{self.name}: no free extents")
-            self._extents[chunk_id] = self._free_extents.pop()
-            self._data[chunk_id] = bytearray(data)
+            payload = self._data[chunk_id]
         else:
-            payload = self._materialize(chunk_id)
-            payload[offset : offset + len(data)] = data
-        yield from self.ssd.write_extent(self._extent_of(chunk_id) + offset, len(data))
+            payload = ChunkPayload(self.chunk_size)
+            self._materialize(chunk_id, payload)
+        payload.write(offset, data)
+        yield from self.ssd.write_extent(self._extent_of(chunk_id) + offset, nbytes)
         counter = self._in_counter
         if counter is None:
             counter = self._in_counter = self.metrics.counter(
                 "store.benefactor.bytes_in"
             )
-        counter.total += len(data)
+        counter.total += nbytes
         counter.count += 1
 
     def fetch_chunk(
@@ -258,17 +360,41 @@ class Benefactor:
             benefactor=self.name, chunk=chunk_id,
         )
 
+    def fetch_replica(
+        self, client: str, chunk_id: int
+    ) -> Generator[Event, object, ChunkPayload]:
+        """Ship a whole materialized chunk to ``client`` as a payload copy.
+
+        The re-replication source side: the same charges and span as a
+        full-chunk :meth:`fetch_chunk`, but the result keeps the
+        payload's state (a sparse chunk's replica stays sparse) and is
+        owned by the caller, who hands it to :meth:`complete_fill`.
+        """
+        gen = self._fetch_chunk_impl(client, chunk_id, 0, None, True)
+        tracer = self.node.engine.tracer
+        if tracer is None:
+            return gen
+        return tracer.wrap(
+            "benefactor", "fetch_chunk", gen,
+            benefactor=self.name, chunk=chunk_id,
+        )
+
     def _fetch_chunk_impl(
-        self, client: str, chunk_id: int, offset: int = 0, length: int | None = None
-    ) -> Generator[Event, object, bytearray]:
+        self,
+        client: str,
+        chunk_id: int,
+        offset: int = 0,
+        length: int | None = None,
+        replica: bool = False,
+    ) -> Generator[Event, object, bytearray | ChunkPayload]:
         """Read chunk bytes and ship them to ``client``.
 
         Unmaterialized chunks read as zeroes (space reservation creates no
         data, matching ``posix_fallocate`` semantics).  The returned
-        buffer behaves as a fetch-time snapshot: partial reads get a
-        fresh copy, full-chunk reads get a zero-copy loan of the live
-        payload that copy-on-write protects on both sides (see
-        :meth:`_exclusive`).
+        buffer behaves as a fetch-time snapshot: a fresh copy, or — for a
+        whole dense chunk — a zero-copy loan of the live payload that
+        copy-on-write protects on both sides (see
+        :meth:`ChunkPayload.read`).  ``replica`` is :meth:`fetch_replica`.
         """
         self._check_online()
         if length is None:
@@ -283,19 +409,13 @@ class Benefactor:
         stored = self._data.get(chunk_id)
         if stored is not None:
             yield from self.ssd.read_extent(self._extent_of(chunk_id) + offset, length)
-            if offset == 0 and length == len(stored):
-                # Loan the live payload buffer instead of copying a
-                # quarter-megabyte per fetch.  Snapshot semantics are
-                # preserved copy-on-write: every mutation on this side
-                # goes through _exclusive (which copies while a loan is
-                # outstanding), and the chunk cache unshares its entry
-                # before the first write on its side.
-                data = stored
-            else:
-                data = bytearray(memoryview(stored)[offset : offset + length])
+            # A whole dense chunk comes back as a loan of the live buffer
+            # instead of a quarter-megabyte copy per fetch; the chunk
+            # cache unshares its entry before the first write on its side.
+            data = stored.copy() if replica else stored.read(offset, length)
         else:
             data = bytearray(length)  # reserved-but-unwritten: zeroes, no device read
-        yield from self.node.network.transfer(self.name, client, len(data))
+        yield from self.node.network.transfer(self.name, client, length)
         if self.crashed or not self.online:
             # Crash mid-transfer: bytes on the wire never arrived whole.
             raise BenefactorDownError(
@@ -306,7 +426,7 @@ class Benefactor:
             counter = self._out_counter = self.metrics.counter(
                 "store.benefactor.bytes_out"
             )
-        counter.total += len(data)
+        counter.total += length
         counter.count += 1
         return data
 
@@ -319,13 +439,9 @@ class Benefactor:
             yield from self.ssd.read_extent(
                 self._extent_of(src_chunk_id), self.chunk_size
             )
-            if dst_chunk_id not in self._data:
-                if not self._free_extents:
-                    raise CapacityError(f"{self.name}: no free extents")
-                self._extents[dst_chunk_id] = self._free_extents.pop()
             # Install a fresh copy wholesale: an outstanding loan of the
             # old destination payload keeps its snapshot untouched.
-            self._data[dst_chunk_id] = bytearray(self._data[src_chunk_id])
+            self._materialize(dst_chunk_id, self._data[src_chunk_id].copy())
             yield from self.ssd.write_extent(
                 self._extent_of(dst_chunk_id), self.chunk_size
             )
@@ -350,28 +466,33 @@ class Benefactor:
         return chunk_id in self._fill_shadow
 
     def complete_fill(
-        self, chunk_id: int, data: bytes | None
+        self, chunk_id: int, data: ChunkPayload | None
     ) -> Generator[Event, object, None]:
         """Land the bulk-copy snapshot taken from the surviving replica.
 
-        ``data=None`` means the source chunk was reserved but never
-        materialized — nothing to write; the replica stays unmaterialized
-        too (unless a write-through already materialized it here).
-        Charges the SSD write for every snapshot byte actually applied.
+        ``data`` is what the source's :meth:`fetch_replica` returned; this
+        benefactor adopts it.  ``data=None`` means the source chunk was
+        reserved but never materialized — nothing to write; the replica
+        stays unmaterialized too (unless a write-through already
+        materialized it here).  Charges the SSD write for every snapshot
+        byte actually applied: the chunk minus the write-throughs.
         """
         self._check_online()
         shadow = self._fill_shadow.pop(chunk_id)
         if data is None:
             return
-        self._materialize(chunk_id)
-        payload = self._exclusive(chunk_id)
-        extent = self._extent_of(chunk_id)
-        written = 0
-        for start, stop in shadow.gaps(0, self.chunk_size):
-            payload[start:stop] = data[start:stop]
-            written += stop - start
+        # The snapshot owns the gaps, the write-throughs that raced ahead
+        # of it own the shadow: overlay those on the snapshot and install
+        # the result wholesale (a loan of the old payload is untouched).
+        local = self._data.get(chunk_id)
+        if local is None:
+            local = ChunkPayload(self.chunk_size)  # reads as zeroes
+        for start, stop in shadow:
+            data.write(start, local.read(start, stop - start))
+        self._materialize(chunk_id, data)
+        written = self.chunk_size - shadow.total()
         if written:
-            yield from self.ssd.write_extent(extent, written)
+            yield from self.ssd.write_extent(self._extent_of(chunk_id), written)
 
     def abort_fill(self, chunk_id: int) -> None:
         """Drop fill state after a failed re-replication copy."""
@@ -392,7 +513,7 @@ class Benefactor:
     def peek(self, chunk_id: int) -> bytes | None:
         """The raw stored payload, for invariant checks in tests."""
         data = self._data.get(chunk_id)
-        return bytes(data) if data is not None else None
+        return bytes(data.read(0, self.chunk_size)) if data is not None else None
 
     def __repr__(self) -> str:
         return (

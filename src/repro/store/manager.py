@@ -452,7 +452,7 @@ class Manager:
         self._bump_files(chunk_id)
         try:
             if source.has_chunk(chunk_id):
-                data = yield from source.fetch_chunk(target.name, chunk_id)
+                data = yield from source.fetch_replica(target.name, chunk_id)
             else:
                 data = None  # reserved-but-unwritten: nothing to copy
             yield from target.complete_fill(chunk_id, data)
@@ -489,7 +489,7 @@ class Manager:
             return 0
         self.metrics.add("store.manager.chunks_rereplicated")
         if data is not None:
-            self.metrics.add("store.manager.rereplication_bytes", len(data))
+            self.metrics.add("store.manager.rereplication_bytes", self.chunk_size)
         return 1
 
     def _finish_deferred_release(self, chunk_id: int) -> None:

@@ -11,6 +11,7 @@ from repro.errors import (
 )
 from repro.faults import BenefactorCrash, FaultPlan, TransientSlowdown
 from repro.store import CHUNK_SIZE, Benefactor, Manager, StoreClient
+from repro.store.benefactor import ChunkPayload
 from repro.util.units import MiB
 from tests.conftest import run
 
@@ -210,7 +211,8 @@ class TestRereplication:
 
     def test_write_during_fill_not_clobbered(self, engine, small_cluster):
         b = Benefactor(small_cluster.node(0), contribution=1 * MiB)
-        snapshot = bytes([7]) * CHUNK_SIZE
+        snapshot = ChunkPayload(CHUNK_SIZE)
+        snapshot.write(0, bytes([7]) * CHUNK_SIZE)
 
         def proc():
             b.begin_fill(1)

@@ -138,8 +138,13 @@ class TestMmapRegion:
         region = self.make_region(
             engine, mount, pagecache, prot=Protection.PROT_READ
         )
-        with pytest.raises(MmapError):
+        with pytest.raises(MmapError, match="write to PROT_READ-only mapping"):
             run(engine, region.write(0, b"x"))
+        assert run(engine, region.read(0, 1)) == bytes(1)
+        write_only = MmapRegion(pagecache, "/m", 8192, prot=Protection.PROT_WRITE)
+        with pytest.raises(MmapError, match="read from PROT_WRITE-only mapping"):
+            run(engine, write_only.read(0, 1))
+        run(engine, write_only.write(0, b"x"))
 
     def test_shared_propagates_to_file(self, engine, mount, pagecache):
         region = self.make_region(engine, mount, pagecache)
