@@ -38,18 +38,27 @@ bench-shards:
 	PYTHONPATH=src python tools/bench_wallclock.py --shards-bench \
 		--workloads --output BENCH_shards.json
 
-# The benchmark's own checks, then a short svc_open run that must be
-# correct (no "load changed", no failed op, repeats agree — the last
-# output line says so) and stay under a peak-RSS ceiling: benefactors
-# hold written bytes, not reserved chunks (about 100 MiB; a buffer per
-# materialized chunk was about 600).
+# The benchmark's own checks, then two short runs that must be correct
+# (no "load changed", no failed op, repeats agree — the last output line
+# says so) and stay under a peak-RSS ceiling.  svc_open: benefactors hold
+# written bytes, not reserved chunks (about 100 MiB; a buffer per
+# materialized chunk was about 600).  ckpt_restart: checkpoint links,
+# replicas and write-backs share host bytes instead of copying them
+# (about 235 MiB; a copy at every hand-off was about 290).
+
+# $(call bench_rss_ceiling,WORKLOAD,MIB): a 2 s run, correct and under MIB.
+define bench_rss_ceiling
+python3 bench/run.py --workload $(1) --seconds 2 --trace 0 \
+	| tee /dev/stderr | tail -n 1 | python3 -c "import json, sys; \
+	r = json.load(sys.stdin); rss = r['metrics']['peak_rss_mib']['value']; \
+	print('$(1) correct', r['correct'], ' peak_rss_mib %.1f (limit $(2))' % rss); \
+	sys.exit(not r['correct'] or rss > $(2))"
+endef
+
 bench-selfcheck:
 	python -m pytest bench -q
-	python3 bench/run.py --workload svc_open --seconds 2 --trace 0 \
-		| tee /dev/stderr | tail -n 1 | python3 -c "import json, sys; \
-		r = json.load(sys.stdin); rss = r['metrics']['peak_rss_mib']['value']; \
-		print('correct', r['correct'], ' peak_rss_mib %.1f (limit 256)' % rss); \
-		sys.exit(not r['correct'] or rss > 256)"
+	$(call bench_rss_ceiling,svc_open,256)
+	$(call bench_rss_ceiling,ckpt_restart,260)
 
 profile:
 	PYTHONPATH=src python tools/profile_stack.py --limit 25

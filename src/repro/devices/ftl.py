@@ -15,12 +15,6 @@ from dataclasses import dataclass
 
 from repro.errors import CapacityError, EnduranceExceededError
 
-#: Gate for the frontier bulk-write fast path in :meth:`FTL.write_pages`.
-#: The fast path is taken only when garbage collection provably cannot
-#: trigger, so flipping this off must not change any mapping, count, or
-#: returned GC work; tests fuzz that identity (tests/test_bulk_runs_fuzz.py).
-BULK_WRITE_RUNS = True
-
 
 @dataclass
 class FTLStats:
@@ -129,64 +123,62 @@ class FlashTranslationLayer:
         collection during this write burst, so the device model can charge
         the corresponding time.
         """
-        # Bulk-run fast path: when the frontier block has room for the
-        # whole run, every page lands at consecutive slots of that block
-        # and garbage collection cannot trigger (GC only runs when a new
-        # frontier must be picked).  Same mapping updates as the generic
-        # loop, minus the per-page allocator/GC bookkeeping.
-        n = len(lpns)
+        # One inlined loop: a page lands on the next slot of the frontier
+        # block, and only a full (or absent) frontier goes through the
+        # allocator, where garbage collection may run.  The old mapping is
+        # dropped first so GC never relocates the page being overwritten.
+        logical = self.logical_pages
+        per_block = self.pages_per_block
+        l2p = self._l2p
+        p2l = self._p2l
+        valid = self._valid_counts
+        write_ptr = self._write_ptr
+        stats = self.stats
+        relocated_before = stats.pages_relocated
+        erases_before = stats.blocks_erased
         frontier = self._frontier
-        if (
-            n
-            and BULK_WRITE_RUNS
-            and frontier is not None
-            and self._write_ptr[frontier] + n <= self.pages_per_block
-        ):
-            logical = self.logical_pages
-            per_block = self.pages_per_block
-            l2p = self._l2p
-            p2l = self._p2l
-            valid = self._valid_counts
-            ppn = frontier * per_block + self._write_ptr[frontier]
+        written = 0
+        try:
             for lpn in lpns:
                 if not 0 <= lpn < logical:
-                    raise CapacityError(
-                        f"logical page {lpn} out of range "
-                        f"(0..{logical - 1})"
-                    )
+                    self._check_lpn(lpn)  # raises
                 old = l2p.pop(lpn, None)
                 if old is not None:
                     del p2l[old]
                     valid[old // per_block] -= 1
+                if frontier is None or write_ptr[frontier] >= per_block:
+                    ppn = self._allocate_page()
+                    frontier = self._frontier
+                else:
+                    ppn = frontier * per_block + write_ptr[frontier]
+                    write_ptr[frontier] += 1
                 l2p[lpn] = ppn
                 p2l[ppn] = lpn
-                ppn += 1
-            self._write_ptr[frontier] += n
-            valid[frontier] += n
-            self.stats.host_pages_written += n
-            self.stats.flash_pages_written += n
-            return (0, 0)
-        relocated_before = self.stats.pages_relocated
-        erases_before = self.stats.blocks_erased
-        for lpn in lpns:
-            self._check_lpn(lpn)
-            self._invalidate(lpn)
-            ppn = self._allocate_page()
-            self._l2p[lpn] = ppn
-            self._p2l[ppn] = lpn
-            self._valid_counts[self._block_of(ppn)] += 1
-            self.stats.host_pages_written += 1
-            self.stats.flash_pages_written += 1
+                valid[frontier] += 1
+                written += 1
+        finally:
+            # Pages before a failing one stay written, and counted.
+            stats.host_pages_written += written
+            stats.flash_pages_written += written
         return (
-            self.stats.pages_relocated - relocated_before,
-            self.stats.blocks_erased - erases_before,
+            stats.pages_relocated - relocated_before,
+            stats.blocks_erased - erases_before,
         )
 
     def trim_pages(self, lpns: "list[int] | range") -> None:
         """Discard logical pages (TRIM): frees flash without rewriting."""
+        logical = self.logical_pages
+        per_block = self.pages_per_block
+        l2p = self._l2p
+        p2l = self._p2l
+        valid = self._valid_counts
         for lpn in lpns:
-            self._check_lpn(lpn)
-            self._invalidate(lpn)
+            if not 0 <= lpn < logical:
+                self._check_lpn(lpn)  # raises
+            old = l2p.pop(lpn, None)
+            if old is not None:
+                del p2l[old]
+                valid[old // per_block] -= 1
 
     # ------------------------------------------------------------------
     # Internals
@@ -196,12 +188,6 @@ class FlashTranslationLayer:
             raise CapacityError(
                 f"logical page {lpn} out of range (0..{self.logical_pages - 1})"
             )
-
-    def _invalidate(self, lpn: int) -> None:
-        ppn = self._l2p.pop(lpn, None)
-        if ppn is not None:
-            del self._p2l[ppn]
-            self._valid_counts[self._block_of(ppn)] -= 1
 
     def _free_block(self, block: int) -> None:
         key = self._erase_counts[block] if self.wear_leveling else self._free_seq

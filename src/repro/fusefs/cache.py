@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.devices.base import AccessKind
-from repro.errors import FuseError
+from repro.errors import FuseError, ReproError, SimulationError
 from repro.fusefs.localtier import LocalCacheTier
 from repro.fusefs.policy import make_policy
 from repro.fusefs.prefetch import PatternPrefetcher
@@ -129,7 +129,7 @@ class _Entry:
         # (write-allocate semantics: unwritten bytes read as zeroes).
         # Skipping the eager zero-fill avoids one chunk-size memset per
         # entry on the fetch-dominated path.
-        self.data: bytearray | None = None
+        self.data: bytes | bytearray | None = None
         self.dirty = IntervalSet()
         # False until the backing chunk has been fetched; a fully
         # overwritten chunk never needs fetching (write-allocate without
@@ -156,10 +156,11 @@ class _Entry:
         # True from a prefetch fill until the first demand hit consumes
         # it — that hit is what makes the prefetch "useful".
         self.prefetched = False
-        # True while ``data`` is a zero-copy loan of the benefactor's
-        # live payload buffer (full-chunk fetch).  The first write must
-        # unshare (copy) — mutating a loan in place would silently edit
-        # the stored bytes.
+        # True while the store may hold ``data`` itself: a zero-copy loan
+        # of a benefactor's live payload buffer (full-chunk fetch), or
+        # this entry's own buffer handed over by a whole-chunk write-back.
+        # The first write must unshare (copy) — mutating it in place
+        # would silently edit the stored bytes.
         self.shared = False
         # With the local tier on: byte ranges written since this entry
         # was created, i.e. how far the tier's shadow copy (if any) lags
@@ -400,6 +401,41 @@ class ChunkCache:
         last[-1] = n - 1
         return list(zip(a[idx].tolist(), b[last].tolist()))
 
+    def _payloads(
+        self, entry: _Entry, dirty: IntervalSet, whole: bool = False
+    ) -> tuple[list[tuple[int, bytes]], int]:
+        """``(offset, bytes)`` payloads for the page-aligned ranges of
+        ``dirty`` in ``entry``, and their total length.
+
+        ``whole`` is the unoptimized mode (Table VII "w/o Optimization"):
+        ship the entire chunk whenever anything in it is dirty.  A range
+        that covers the chunk hands the entry's buffer itself over
+        instead of a copy: the entry turns ``shared`` here, before the
+        caller's first yield, so a cache write that lands later unshares
+        and the receiver keeps these bytes.
+        """
+        size = self.chunk_size
+        ranges = [(0, size)] if whole else self._page_align(dirty)
+        if ranges[0][1] - ranges[0][0] == size:
+            entry.shared = True
+            return [(0, entry.data)], size
+        view = memoryview(entry.data)
+        nbytes = 0
+        for start, stop in ranges:
+            nbytes += stop - start
+        return [(start, bytes(view[start:stop])) for start, stop in ranges], nbytes
+
+    def _wrote_back(self, nbytes: int) -> None:
+        """Count one write-back the store has acknowledged."""
+        self.stats.writeback_bytes += nbytes
+        counter = self._writeback_counter
+        if counter is None:
+            counter = self._writeback_counter = self.metrics.counter(
+                "fuse.writeback.bytes"
+            )
+        counter.total += nbytes
+        counter.count += 1
+
     def _make_room(self) -> Generator[Event, object, None]:
         policy = self._policy
         l2 = self._l2
@@ -476,16 +512,10 @@ class ChunkCache:
                     yield entry.filling
                 if entry.dirty:
                     entry.writeback = Event(self._engine)
-                    if self.dirty_page_writeback:
-                        view = memoryview(entry.data)
-                        ranges = [
-                            (start, bytes(view[start:stop]))
-                            for start, stop in self._page_align(entry.dirty)
-                        ]
-                    else:
-                        ranges = [(0, bytes(entry.data))]
+                    ranges, nbytes = self._payloads(
+                        entry, entry.dirty, not self.dirty_page_writeback
+                    )
                     entry.dirty.clear()
-                    nbytes = sum(len(payload) for _, payload in ranges)
                     try:
                         req = self.daemon.acquire_now()
                         if req is None:
@@ -501,14 +531,7 @@ class ChunkCache:
                         event, entry.writeback = entry.writeback, None
                         if event is not None:
                             event.succeed(None)
-                    self.stats.writeback_bytes += nbytes
-                    counter = self._writeback_counter
-                    if counter is None:
-                        counter = self._writeback_counter = self.metrics.counter(
-                            "fuse.writeback.bytes"
-                        )
-                    counter.total += nbytes
-                    counter.count += 1
+                    self._wrote_back(nbytes)
             finally:
                 del self._inflight[victim_key]
                 del ibucket[vindex]
@@ -558,16 +581,10 @@ class ChunkCache:
             while entry.filling is not None:
                 yield entry.filling
             if entry.dirty:
-                if self.dirty_page_writeback:
-                    view = memoryview(entry.data)
-                    ranges = [
-                        (start, bytes(view[start:stop]))
-                        for start, stop in self._page_align(entry.dirty)
-                    ]
-                else:
-                    ranges = [(0, bytes(entry.data))]
+                ranges, nbytes = self._payloads(
+                    entry, entry.dirty, not self.dirty_page_writeback
+                )
                 entry.dirty.clear()
-                nbytes = sum(len(payload) for _, payload in ranges)
                 if entry.valid and self._inval_gen.get(path, 0) == gen_at:
                     ok = yield from self._spill(key, entry, staged=True)
                     if not ok:
@@ -585,14 +602,7 @@ class ChunkCache:
                     )
                 finally:
                     self.daemon.release(req)
-                self.stats.writeback_bytes += nbytes
-                counter = self._writeback_counter
-                if counter is None:
-                    counter = self._writeback_counter = self.metrics.counter(
-                        "fuse.writeback.bytes"
-                    )
-                counter.total += nbytes
-                counter.count += 1
+                self._wrote_back(nbytes)
                 l2.mark_drained(key)
             elif (
                 entry.valid
@@ -631,15 +641,10 @@ class ChunkCache:
             if stale is None or not stale:
                 l2.touch(key)
                 return True
-            view = memoryview(entry.data)
-            ranges = [
-                (start, bytes(view[start:stop]))
-                for start, stop in self._page_align(stale)
-            ]
+            ranges, nbytes = self._payloads(entry, stale)
             yield from l2.patch(key, ranges, staged=staged)
-            nbytes = sum(len(payload) for _, payload in ranges)
         else:
-            ok = yield from l2.put(key, bytes(entry.data), staged=staged)
+            ok = yield from l2.put(key, entry.data, staged=staged)
             if not ok:
                 return False
             nbytes = self.chunk_size
@@ -674,20 +679,12 @@ class ChunkCache:
             return
         path, index = key
         entry.writeback = Event(self._engine)
-        if self.dirty_page_writeback:
-            view = memoryview(entry.data)
-            ranges = [
-                (start, bytes(view[start:stop]))
-                for start, stop in self._page_align(entry.dirty)
-            ]
-        else:
-            # Unoptimized mode (Table VII "w/o Optimization"): ship the
-            # entire chunk whenever anything in it is dirty.
-            ranges = [(0, bytes(entry.data))]
+        ranges, nbytes = self._payloads(
+            entry, entry.dirty, not self.dirty_page_writeback
+        )
         # Clear dirtiness before yielding: writes landing while the
         # payload is in flight re-dirty the entry and flush later.
         entry.dirty.clear()
-        nbytes = sum(len(payload) for _, payload in ranges)
         try:
             req = self.daemon.acquire_now()
             if req is None:
@@ -701,14 +698,7 @@ class ChunkCache:
             event, entry.writeback = entry.writeback, None
             if event is not None:
                 event.succeed(None)
-        self.stats.writeback_bytes += nbytes
-        counter = self._writeback_counter
-        if counter is None:
-            counter = self._writeback_counter = self.metrics.counter(
-                "fuse.writeback.bytes"
-            )
-        counter.total += nbytes
-        counter.count += 1
+        self._wrote_back(nbytes)
 
     def _load(
         self,
@@ -928,35 +918,27 @@ class ChunkCache:
             event.succeed(None)
         # Preserve bytes written before the fill (write-allocate case).
         nbytes = len(data)
-        if type(data) is bytearray and nbytes == self.chunk_size:
+        if nbytes == self.chunk_size and type(data) in (bytes, bytearray):
             # The store handed us a full-size buffer: adopt it as the
             # entry payload instead of copying it once more.  When it is
-            # a benefactor loan (the live stored payload still holds a
-            # reference: refcount above local+argument), remember that —
-            # the first write must copy before mutating.
-            shared = sys.getrefcount(data) > 2
-            if entry.dirty:
-                if shared:
-                    data = bytearray(data)
-                    shared = False
-                old = memoryview(entry.data)
-                for start, stop in entry.dirty:
-                    data[start:stop] = old[start:stop]
-            entry.data = data
-            entry.shared = shared
-        elif entry.dirty:
-            merged = bytearray(self.chunk_size)
-            merged[:nbytes] = data
+            # immutable or a benefactor loan (the live stored payload
+            # still holds a reference: refcount above local+argument),
+            # remember that — the first write must copy before mutating.
+            shared = type(data) is bytes or sys.getrefcount(data) > 2
+        else:
+            buf = bytearray(self.chunk_size)  # a short tail chunk
+            buf[:nbytes] = data
+            data = buf
+            shared = False
+        if entry.dirty:
+            if shared:
+                data = bytearray(data)
+                shared = False
             old = memoryview(entry.data)
             for start, stop in entry.dirty:
-                merged[start:stop] = old[start:stop]
-            entry.data = merged
-            entry.shared = False
-        else:
-            buf = bytearray(self.chunk_size)
-            buf[:nbytes] = data
-            entry.data = buf
-            entry.shared = False
+                data[start:stop] = old[start:stop]
+        entry.data = data
+        entry.shared = shared
         entry.valid = True
         if from_l2:
             self.stats.l2_promote_bytes += nbytes
@@ -1177,8 +1159,10 @@ class ChunkCache:
             if counter is not None:
                 counter.total += 1.0
                 counter.count += 1
-        except Exception:  # noqa: BLE001 - prefetch is best-effort
-            pass
+        except SimulationError:
+            raise
+        except ReproError:
+            pass  # only what the model can raise; a bug fails this process
 
     def write(
         self, path: str, index: int, offset: int, data: bytes
@@ -1207,7 +1191,7 @@ class ChunkCache:
             if buf is None:
                 buf = entry.data = bytearray(self.chunk_size)
             elif entry.shared:
-                # Unshare a fetch loan before the first mutation.
+                # Unshare a buffer the store holds before mutating it.
                 buf = entry.data = bytearray(buf)
                 entry.shared = False
             buf[offset : offset + length] = data
@@ -1287,7 +1271,7 @@ class ChunkCache:
                 if buf is None:
                     buf = entry.data = bytearray(self.chunk_size)
                 elif entry.shared:
-                    # Unshare a fetch loan before the first mutation.
+                    # Unshare a buffer the store holds before mutating it.
                     buf = entry.data = bytearray(buf)
                     entry.shared = False
                 buf[offset : offset + length] = data

@@ -22,47 +22,69 @@ from repro.util.intervals import IntervalSet
 from repro.util.recorder import MetricsRecorder
 
 
+def _private(buf: bytes | bytearray) -> bytearray:
+    """``buf`` itself if a change to it can be seen by nobody else, else a copy.
+
+    The ownership rule of the chunk data path, stated once: a chunk's
+    bytes are copied by whoever is about to change them, never by whoever
+    passes them on.  A whole-chunk store adopts the caller's buffer (so
+    both replicas of an ``r=2`` write hold one object), a whole-chunk
+    read loans the live buffer, and :meth:`ChunkPayload.copy` shares
+    every buffer with its twin; the two mutation sites in
+    :meth:`ChunkPayload.write` come through here first.  Sole ownership
+    is exactly three references — the owner's slot (``dense`` or a
+    ``_bufs`` item), this parameter, and ``getrefcount``'s argument — so
+    call it on the slot expression, not on a local.
+    """
+    if type(buf) is bytes or sys.getrefcount(buf) > 3:
+        return bytearray(buf)
+    return buf
+
+
 class ChunkPayload:
     """The real bytes of one materialized chunk, in one of two states.
 
     *Sparse*: sorted, disjoint, page-aligned extents of written bytes;
     everything between them reads as zeroes, as an unwritten range of a
-    chunk file would.  *Dense*: one ``bytearray(size)``.  A payload turns
-    dense — for good — once its extents hold more than half the chunk or
-    a write covers the whole chunk.  The state is host-side only: the
-    model sees a materialized chunk either way, and every device and
-    network charge is computed from logical lengths by the benefactor.
+    chunk file would.  *Dense*: one buffer of ``size`` bytes — the
+    ``bytes`` or ``bytearray`` a whole-chunk store handed over, or a
+    ``bytearray`` built here.  A payload turns dense — for good — once
+    its extents hold more than half the chunk or a write covers the whole
+    chunk.  Buffers may be shared with other holders (see
+    :func:`_private`).  State and sharing are host-side only: the model
+    sees a materialized chunk either way, and every device and network
+    charge is computed from logical lengths by the benefactor.
     """
 
     __slots__ = ("size", "dense", "_starts", "_bufs", "_held")
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self.dense: bytearray | None = None
+        self.dense: bytes | bytearray | None = None
         self._starts: list[int] = []  # extent offsets, ascending
         self._bufs: list[bytearray] = []  # extent bytes, parallel to _starts
         self._held = 0  # bytes in extents
 
-    def write(self, offset: int, data: bytes) -> None:
-        """Store ``data`` at ``offset`` (bounds are the caller's job)."""
+    def write(self, offset: int, data: bytes | bytearray) -> None:
+        """Store ``data`` at ``offset`` (bounds are the caller's job).
+
+        A whole-chunk ``bytes`` or ``bytearray`` is adopted, not copied:
+        the caller has given it away, or copies before it next changes it.
+        """
         end = offset + len(data)
         if end == offset:
             return
-        dense = self.dense
-        if dense is not None:
-            # A full-chunk read loans ``dense`` itself (see :meth:`read`),
-            # so copy-on-write while a loan is out: the borrower keeps its
-            # read-time snapshot.  Unborrowed, exactly three references
-            # exist — the ``dense`` slot, this frame's local, and
-            # ``getrefcount``'s argument.  This is the only place a dense
-            # buffer is mutated; nothing else may hold one across a write.
-            if sys.getrefcount(dense) > 3:
-                dense = self.dense = bytearray(dense)
-            dense[offset:end] = data
-            return
         size = self.size
         if end - offset == size:
-            self._become_dense(bytearray(data))
+            # Replace, never overwrite: holders of the old buffer keep it.
+            # A view of somebody's buffer cannot be adopted.
+            self._become_dense(
+                data if type(data) in (bytes, bytearray) else bytes(data)
+            )
+            return
+        if self.dense is not None:
+            dense = self.dense = _private(self.dense)
+            dense[offset:end] = data
             return
         # Extents are page-aligned: a dirty-page write-back lands whole.
         lo = offset - offset % PAGE_SIZE
@@ -80,7 +102,8 @@ class ChunkPayload:
             first = starts[i]
             last = starts[j - 1] + len(bufs[j - 1])
             if first <= lo and hi <= last and j - i == 1:
-                bufs[i][offset - first : end - first] = data  # in place
+                buf = bufs[i] = _private(bufs[i])
+                buf[offset - first : end - first] = data  # in place
                 return
             if first < lo:
                 lo = first
@@ -100,18 +123,18 @@ class ChunkPayload:
         if 2 * self._held > size:
             self._become_dense(self.read(0, size))
 
-    def _become_dense(self, dense: bytearray) -> None:
+    def _become_dense(self, dense: bytes | bytearray) -> None:
         self.dense = dense
         self._starts = []
         self._bufs = []
         self._held = 0
 
-    def read(self, offset: int, length: int) -> bytearray:
+    def read(self, offset: int, length: int) -> bytes | bytearray:
         """The bytes of ``[offset, offset + length)`` as of now.
 
         A whole dense chunk is returned as a zero-copy loan of the live
-        buffer, which :meth:`write` protects copy-on-write; everything
-        else is a fresh buffer the caller owns.
+        buffer (possibly an immutable ``bytes``); everything else is a
+        fresh ``bytearray`` the caller owns.
         """
         dense = self.dense
         if dense is not None:
@@ -141,14 +164,13 @@ class ChunkPayload:
         return out
 
     def copy(self) -> "ChunkPayload":
-        """An independent payload in the same state (sparse stays sparse)."""
+        """A payload in the same state that shares every buffer with this
+        one until either is written (sparse stays sparse)."""
         twin = ChunkPayload(self.size)
-        if self.dense is not None:
-            twin.dense = bytearray(self.dense)
-        else:
-            twin._starts = self._starts.copy()
-            twin._bufs = [bytearray(buf) for buf in self._bufs]
-            twin._held = self._held
+        twin.dense = self.dense
+        twin._starts = self._starts.copy()
+        twin._bufs = self._bufs.copy()
+        twin._held = self._held
         return twin
 
 
@@ -261,21 +283,9 @@ class Benefactor:
         self._slow_until = until
         self._slow_extra = extra_seconds
 
-    def _slowdown(self) -> Generator[Event, object, None]:
-        if self._slow_until > self.node.engine.now:
-            yield self.node.engine.timeout(self._slow_extra)
-
     def _check_online(self) -> None:
         if self.crashed or not self.online:
             raise BenefactorDownError(f"benefactor {self.name} is offline")
-
-    def _extent_of(self, chunk_id: int) -> int:
-        try:
-            return self._extents[chunk_id]
-        except KeyError:
-            raise StoreError(
-                f"{self.name}: chunk {chunk_id} has no extent"
-            ) from None
 
     def _materialize(self, chunk_id: int, payload: ChunkPayload) -> None:
         """Give the chunk an extent (if it has none) and ``payload``."""
@@ -310,7 +320,8 @@ class Benefactor:
 
         Charges one network transfer (client -> benefactor) of the payload
         plus the SSD write.  Partial writes are how NVMalloc's dirty-page
-        optimization reaches the device: only modified pages travel.
+        optimization reaches the device: only modified pages travel.  A
+        whole-chunk ``data`` is kept, not copied (see :func:`_private`).
         """
         self._check_online()
         nbytes = len(data)
@@ -319,7 +330,7 @@ class Benefactor:
                 f"{self.name}: write [{offset}, {offset + nbytes}) outside "
                 f"chunk of {self.chunk_size}"
             )
-        if self._slow_until > self.node.engine.now:  # inlined _slowdown
+        if self._slow_until > self.node.engine.now:  # see slow_down
             yield self.node.engine.timeout(self._slow_extra)
         yield from self.node.network.transfer(client, self.name, nbytes)
         if self.crashed or not self.online:
@@ -338,7 +349,7 @@ class Benefactor:
             payload = ChunkPayload(self.chunk_size)
             self._materialize(chunk_id, payload)
         payload.write(offset, data)
-        yield from self.ssd.write_extent(self._extent_of(chunk_id) + offset, nbytes)
+        yield from self.ssd.write_extent(self._extents[chunk_id] + offset, nbytes)
         counter = self._in_counter
         if counter is None:
             counter = self._in_counter = self.metrics.counter(
@@ -349,7 +360,7 @@ class Benefactor:
 
     def fetch_chunk(
         self, client: str, chunk_id: int, offset: int = 0, length: int | None = None
-    ) -> Generator[Event, object, bytearray]:
+    ) -> Generator[Event, object, bytes | bytearray]:
         """Dispatch :meth:`_fetch_chunk_impl`, spanned when tracing is on."""
         gen = self._fetch_chunk_impl(client, chunk_id, offset, length)
         tracer = self.node.engine.tracer
@@ -363,12 +374,13 @@ class Benefactor:
     def fetch_replica(
         self, client: str, chunk_id: int
     ) -> Generator[Event, object, ChunkPayload]:
-        """Ship a whole materialized chunk to ``client`` as a payload copy.
+        """Ship a whole materialized chunk to ``client`` as a payload twin.
 
         The re-replication source side: the same charges and span as a
         full-chunk :meth:`fetch_chunk`, but the result keeps the
-        payload's state (a sparse chunk's replica stays sparse) and is
-        owned by the caller, who hands it to :meth:`complete_fill`.
+        payload's state (a sparse chunk's replica stays sparse) and
+        shares its buffers with the source until either is written; the
+        caller hands it to :meth:`complete_fill`.
         """
         gen = self._fetch_chunk_impl(client, chunk_id, 0, None, True)
         tracer = self.node.engine.tracer
@@ -386,15 +398,15 @@ class Benefactor:
         offset: int = 0,
         length: int | None = None,
         replica: bool = False,
-    ) -> Generator[Event, object, bytearray | ChunkPayload]:
+    ) -> Generator[Event, object, bytes | bytearray | ChunkPayload]:
         """Read chunk bytes and ship them to ``client``.
 
         Unmaterialized chunks read as zeroes (space reservation creates no
         data, matching ``posix_fallocate`` semantics).  The returned
         buffer behaves as a fetch-time snapshot: a fresh copy, or — for a
-        whole dense chunk — a zero-copy loan of the live payload that
-        copy-on-write protects on both sides (see
-        :meth:`ChunkPayload.read`).  ``replica`` is :meth:`fetch_replica`.
+        whole dense chunk — a zero-copy loan of the live payload, maybe
+        an immutable ``bytes``, that copy-on-write protects on both sides
+        (see :func:`_private`).  ``replica`` is :meth:`fetch_replica`.
         """
         self._check_online()
         if length is None:
@@ -404,11 +416,11 @@ class Benefactor:
                 f"{self.name}: read [{offset}, {offset + length}) outside "
                 f"chunk of {self.chunk_size}"
             )
-        if self._slow_until > self.node.engine.now:  # inlined _slowdown
+        if self._slow_until > self.node.engine.now:  # see slow_down
             yield self.node.engine.timeout(self._slow_extra)
         stored = self._data.get(chunk_id)
         if stored is not None:
-            yield from self.ssd.read_extent(self._extent_of(chunk_id) + offset, length)
+            yield from self.ssd.read_extent(self._extents[chunk_id] + offset, length)
             # A whole dense chunk comes back as a loan of the live buffer
             # instead of a quarter-megabyte copy per fetch; the chunk
             # cache unshares its entry before the first write on its side.
@@ -437,13 +449,14 @@ class Benefactor:
         self._check_online()
         if src_chunk_id in self._data:
             yield from self.ssd.read_extent(
-                self._extent_of(src_chunk_id), self.chunk_size
+                self._extents[src_chunk_id], self.chunk_size
             )
-            # Install a fresh copy wholesale: an outstanding loan of the
-            # old destination payload keeps its snapshot untouched.
+            # Link, as ``ssdcheckpoint`` does: the twin shares the source's
+            # bytes until one of them is written.  Installed wholesale, so
+            # a loan of the old destination payload keeps its snapshot.
             self._materialize(dst_chunk_id, self._data[src_chunk_id].copy())
             yield from self.ssd.write_extent(
-                self._extent_of(dst_chunk_id), self.chunk_size
+                self._extents[dst_chunk_id], self.chunk_size
             )
         # Copying a reserved-but-unwritten chunk leaves the copy unwritten.
 
@@ -492,7 +505,7 @@ class Benefactor:
         self._materialize(chunk_id, data)
         written = self.chunk_size - shadow.total()
         if written:
-            yield from self.ssd.write_extent(self._extent_of(chunk_id), written)
+            yield from self.ssd.write_extent(self._extents[chunk_id], written)
 
     def abort_fill(self, chunk_id: int) -> None:
         """Drop fill state after a failed re-replication copy."""

@@ -205,7 +205,7 @@ class StoreClient:
     def _fetch_failover(
         self, name: str, index: int, chunk_off: int, length: int,
         purpose: str = "demand",
-    ) -> Generator[Event, object, bytearray]:
+    ) -> Generator[Event, object, bytes | bytearray]:
         """Dispatch :meth:`_fetch_failover_impl`, spanned when tracing is on."""
         gen = self._fetch_failover_impl(name, index, chunk_off, length)
         tracer = self.node.engine.tracer
@@ -225,7 +225,7 @@ class StoreClient:
 
     def _fetch_failover_impl(
         self, name: str, index: int, chunk_off: int, length: int
-    ) -> Generator[Event, object, bytearray]:
+    ) -> Generator[Event, object, bytes | bytearray]:
         """Fetch chunk bytes, failing over to surviving replicas.
 
         On the fault-free path this is exactly resolve + fetch (no added
@@ -274,13 +274,15 @@ class StoreClient:
 
     def read_chunk(
         self, name: str, index: int, *, purpose: str = "demand"
-    ) -> Generator[Event, object, bytearray]:
+    ) -> Generator[Event, object, bytes | bytearray]:
         """Read one whole chunk (the FUSE layer's fetch granularity).
 
-        Returns a fresh buffer the caller owns outright (the chunk cache
-        adopts it as an entry payload without another copy).  ``purpose``
-        labels the fetch span when tracing is on ("demand"/"prefetch");
-        it changes no simulated behaviour.
+        Returns a fetch-time snapshot the caller must not change while
+        anybody else holds it: a fresh buffer, or the benefactor's live
+        one on loan (the chunk cache adopts either as an entry payload
+        without another copy).  ``purpose`` labels the fetch span when
+        tracing is on ("demand"/"prefetch"); it changes no simulated
+        behaviour.
         """
         meta = self.manager.lookup(name)
         length = min(self.chunk_size, meta.size - index * self.chunk_size)
@@ -325,7 +327,9 @@ class StoreClient:
     ) -> Generator[Event, object, None]:
         """Write byte ranges within one chunk (dirty-page flush granularity).
 
-        ``ranges`` is a list of ``(offset_in_chunk, payload)``.  If the
+        ``ranges`` is a list of ``(offset_in_chunk, payload)``; every
+        replica is sent the same payload object, and keeps a whole-chunk
+        one (see :func:`repro.store.benefactor._private`).  If the
         chunk is shared with a checkpoint file, a COW replacement is
         created first so the checkpoint's view stays frozen.  The payload
         is propagated to every live replica; a replica dying mid-write

@@ -7,6 +7,12 @@ a copy — lives here as :class:`DenseBenefactor`, the slow reference.
 Hypothesis drives both through the same operations in two identical
 worlds and compares everything the model can see after every step.  The
 footprint tests pin what the model cannot see: host bytes retained.
+
+Buffers are shared, not copied, wherever bytes are only passed on (a
+whole-chunk store, a CoW copy, a replica, a whole-chunk fetch), so each
+world has two benefactors and the machine checks the ownership rule in
+both directions after every store: by value, no holder ever sees another
+holder's write; by ``id()``, a buffer nobody else holds is never copied.
 """
 
 import tracemalloc
@@ -16,6 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
+    precondition,
     rule,
 )
 
@@ -28,8 +35,9 @@ from repro.store import benefactor as benefactor_module
 from repro.util.units import KiB, MiB
 from tests.conftest import run
 
-CLIENT = "node001"
+CLIENT = "node002"
 CHUNK_IDS = range(4)
+SIDES = st.sampled_from([0, 1])
 
 
 class DenseBenefactor(Benefactor):
@@ -39,6 +47,10 @@ class DenseBenefactor(Benefactor):
     is compared with; no sparse state, no loans (every fetch copies, so a
     fetched buffer is trivially a snapshot).
     """
+
+    def _slowdown(self):
+        if self._slow_until > self.node.engine.now:
+            yield self.node.engine.timeout(self._slow_extra)
 
     def _flat(self, chunk_id):
         if chunk_id not in self._data:
@@ -106,22 +118,26 @@ class DenseBenefactor(Benefactor):
 
 
 class _World:
-    """One engine, one two-node cluster, one benefactor of ``kind``."""
+    """One engine, one three-node cluster, two benefactors of ``kind``
+    (the replicas of an ``r=2`` store) and a client on the third node."""
 
     def __init__(self, kind, chunk_size):
         self.engine = Engine()
         cluster = make_hal_cluster(
             self.engine,
-            HalConfig(num_nodes=2, cores_per_node=2, dram_per_node=8 * MiB,
+            HalConfig(num_nodes=3, cores_per_node=2, dram_per_node=8 * MiB,
                       ssd_per_node=32 * MiB),
         )  # fmt: skip
         self.metrics = cluster.metrics
         # Room for three of the four chunk ids: running out of extents
         # is part of the contract too.
-        self.b = kind(cluster.node(0), contribution=3 * chunk_size, chunk_size=chunk_size)
+        self.bs = [
+            kind(cluster.node(n), contribution=3 * chunk_size, chunk_size=chunk_size)
+            for n in (0, 1)
+        ]
 
     def do(self, call):
-        """``("ok", value)`` or ``("raised", type)`` of one operation.
+        """``("ok", value)`` or ``("raised", type)`` of ``call(benefactors)``.
 
         The value comes back through ``yield from``, as it does to the
         store client: a finished ``Process`` is reclaimed by the cycle
@@ -130,11 +146,17 @@ class _World:
         box = []
 
         def proc():
-            box.append((yield from call(self.b)))
+            box.append((yield from call(self.bs)))
 
         try:
             run(self.engine, proc())
         except (BenefactorDownError, CapacityError) as error:
+            # The failed process keeps its exception, whose traceback
+            # keeps the frames it unwound through, which may hold a
+            # buffer or a payload twin: let go of them, or the buffers
+            # stay borrowed (a spurious copy later) until the cycle
+            # collector happens to run.
+            error.__traceback__ = None
             return "raised", type(error)
         return "ok", box.pop()
 
@@ -148,8 +170,11 @@ class PayloadMachine(RuleBasedStateMachine):
         super().__init__()
         self.real = _World(Benefactor, self.chunk_size)
         self.oracle = _World(DenseBenefactor, self.chunk_size)
-        #: ``(real buffer, oracle buffer)`` of every fetch, kept alive.
+        #: ``(real buffer, reference bytes)`` of every fetch and of every
+        #: stored bytearray its sender still holds, kept alive.
         self.kept = []
+        #: Steps taken; a crash is for good, so crashes come late.
+        self.steps = 0
 
     def both(self, call):
         got = self.real.do(call)
@@ -160,14 +185,40 @@ class PayloadMachine(RuleBasedStateMachine):
             assert got == want
         return got, want
 
-    def _dense_id(self, chunk_id):
-        payload = self.real.b._data.get(chunk_id)
-        if payload is None or payload.dense is None:
+    def _holders(self, buf):
+        """How many payload slots and kept buffers are this very object."""
+        count = sum(mine is buf for mine, _ in self.kept)
+        for b in self.real.bs:
+            for payload in b._data.values():
+                count += payload.dense is buf
+                count += sum(extent is buf for extent in payload._bufs)
+        return count
+
+    def _edited(self, side, chunk_id, offset, length):
+        """``(id, must_copy)`` of the buffer a partial store of
+        ``[offset, offset + length)`` edits, None if it builds a new one.
+
+        Ids and booleans only: a reference held across the store would
+        itself be a holder.
+        """
+        payload = self.real.bs[side]._data.get(chunk_id)
+        if payload is None or not length or length == self.chunk_size:
             return None
-        return id(payload.dense)
+        buf = payload.dense
+        if buf is None:
+            lo = offset - offset % PAGE_SIZE
+            hi = min(offset + length + -(offset + length) % PAGE_SIZE, self.chunk_size)
+            for start, extent in zip(payload._starts, payload._bufs):
+                if start <= lo and hi <= start + len(extent):
+                    buf = extent
+                    break
+            else:
+                return None
+        return id(buf), type(buf) is bytes or self._holders(buf) > 1
 
     # ------------------------------------------------------------------
     @rule(
+        side=SIDES,
         chunk_id=st.sampled_from(CHUNK_IDS),
         page=st.integers(0, 15),
         skew=st.integers(0, 300),
@@ -178,87 +229,137 @@ class PayloadMachine(RuleBasedStateMachine):
         ),
         aligned=st.booleans(),
     )
-    def store_partial(self, chunk_id, page, skew, fill, length, aligned):
+    def store_partial(self, side, chunk_id, page, skew, fill, length, aligned):
         offset = min(page * PAGE_SIZE + (0 if aligned else skew), self.chunk_size)
         data = bytes([fill]) * min(length, self.chunk_size - offset)
-        self._store(chunk_id, offset, data)
+        self._store_partial(side, chunk_id, offset, data)
 
-    @rule(chunk_id=st.sampled_from(CHUNK_IDS), fill=st.integers(1, 255))
-    def store_full(self, chunk_id, fill):
-        self._store(chunk_id, 0, bytes([fill]) * self.chunk_size)
-
-    def _store(self, chunk_id, offset, data):
-        before = self._dense_id(chunk_id)
-        loaned = any(id(mine) == before for mine, _ in self.kept)
-        got, _ = self.both(lambda b: b.store_chunk(CLIENT, chunk_id, data, offset))
-        if before is not None and got[0] == "ok" and data:
-            # Both directions of the loan rule: a borrowed buffer is never
-            # edited in place, an unborrowed one is never copied.
-            assert (self._dense_id(chunk_id) != before) == loaned
+    def _store_partial(self, side, chunk_id, offset, data):
+        before = self._edited(side, chunk_id, offset, len(data))
+        got, _ = self.both(lambda bs: bs[side].store_chunk(CLIENT, chunk_id, data, offset))
+        if before is not None and got[0] == "ok":
+            # Both directions: a buffer somebody else holds (or nobody
+            # may change) is never edited in place, any other is never
+            # copied.
+            after = self._edited(side, chunk_id, offset, len(data))
+            assert (after[0] != before[0]) == before[1]
+            assert not after[1]
 
     @rule(
+        sides=st.sampled_from([(0,), (1,), (0, 1)]),
+        chunk_id=st.sampled_from(CHUNK_IDS),
+        fill=st.integers(1, 255),
+        kind=st.sampled_from([bytes, bytearray]),
+        keep=st.booleans(),
+    )
+    def store_full(self, sides, chunk_id, fill, kind, keep):
+        """One buffer object to every replica, as the store client sends
+        it; a ``bytearray`` is given away, or kept by a sender who will
+        not change it (a flushed chunk-cache entry)."""
+        data = kind([fill]) * self.chunk_size
+        reference = bytes(data)
+        for side in sides:
+            got = self.real.do(lambda bs: bs[side].store_chunk(CLIENT, chunk_id, data))
+            want = self.oracle.do(
+                lambda bs: bs[side].store_chunk(CLIENT, chunk_id, reference)
+            )
+            assert got == want
+            if got[0] == "ok":  # adopted: replaced, not copied
+                assert self.real.bs[side]._data[chunk_id].dense is data
+        if keep:
+            self.kept.append((data, reference))
+
+    @rule(
+        side=SIDES,
         chunk_id=st.sampled_from(CHUNK_IDS),
         offset=st.integers(0, 16 * PAGE_SIZE),
         length=st.integers(0, 16 * PAGE_SIZE),
         whole=st.booleans(),
     )
-    def fetch(self, chunk_id, offset, length, whole):
+    def fetch(self, side, chunk_id, offset, length, whole):
         if whole:
             offset, length = 0, self.chunk_size
         offset = min(offset, self.chunk_size)
         length = min(length, self.chunk_size - offset)
-        got, want = self.both(lambda b: b.fetch_chunk(CLIENT, chunk_id, offset, length))
+        got, want = self.both(
+            lambda bs: bs[side].fetch_chunk(CLIENT, chunk_id, offset, length)
+        )
         if got[0] == "ok":
-            assert type(got[1]) is bytearray  # what the chunk cache adopts
-            self.kept.append((got[1], want[1]))
+            if length < self.chunk_size:
+                assert type(got[1]) is bytearray  # the caller's own
+            self.kept.append((got[1], bytes(want[1])))
 
     @rule()
     def drop_fetched(self):
         self.kept.clear()
 
-    @rule(src=st.sampled_from(CHUNK_IDS), dst=st.sampled_from(CHUNK_IDS))
-    def copy_local(self, src, dst):
-        self.both(lambda b: b.copy_chunk_local(src, dst))
+    @rule(side=SIDES, src=st.sampled_from(CHUNK_IDS), dst=st.sampled_from(CHUNK_IDS))
+    def copy_local(self, side, src, dst):
+        self.both(lambda bs: bs[side].copy_chunk_local(src, dst))
 
-    @rule(chunk_id=st.sampled_from(CHUNK_IDS))
-    def begin_fill(self, chunk_id):
+    @rule(side=SIDES, chunk_id=st.sampled_from(CHUNK_IDS))
+    def begin_fill(self, side, chunk_id):
         for world in (self.real, self.oracle):
-            if not world.b.filling(chunk_id):
-                world.b.begin_fill(chunk_id)
+            if not world.bs[side].filling(chunk_id):
+                world.bs[side].begin_fill(chunk_id)
 
-    @rule(dst=st.sampled_from(CHUNK_IDS), src=st.sampled_from(CHUNK_IDS))
-    def complete_fill(self, dst, src):
-        """The manager's repair step, with chunk ``src`` as the source."""
-        if not self.real.b.filling(dst) or src == dst:
+    def _filling(self, pick):
+        """One of the chunks mid-fill, as ``(side, chunk_id)``, or None."""
+        filling = [
+            (side, chunk_id)
+            for side, b in enumerate(self.real.bs)
+            for chunk_id in CHUNK_IDS
+            if b.filling(chunk_id)
+        ]
+        return filling[pick % len(filling)] if filling else None
+
+    @rule(pick=st.integers(0, 7), page=st.integers(0, 15), fill=st.integers(1, 255))
+    def write_through(self, pick, page, fill):
+        """A client write landing on a replica while its fill is in flight."""
+        if self._filling(pick) is not None:
+            offset = min(page * PAGE_SIZE, self.chunk_size)
+            data = bytes([fill]) * min(PAGE_SIZE + 9, self.chunk_size - offset)
+            self._store_partial(*self._filling(pick), offset, data)
+
+    @rule(pick=st.integers(0, 7), src_side=SIDES, src=st.sampled_from(CHUNK_IDS))
+    def complete_fill(self, pick, src_side, src):
+        """The manager's repair step, from chunk ``src`` of one benefactor
+        (the other replica, or the same one) into a chunk mid-fill."""
+        if self._filling(pick) in (None, (src_side, src)):
             return
+        dst_side, dst = self._filling(pick)
 
-        def repair(b):
+        def repair(bs):
+            source, target = bs[src_side], bs[dst_side]
             data = None
-            if b.has_chunk(src):
-                data = yield from b.fetch_replica(CLIENT, src)
-            yield from b.complete_fill(dst, data)
+            if source.has_chunk(src):
+                data = yield from source.fetch_replica(target.name, src)
+            yield from target.complete_fill(dst, data)
 
         got, want = self.both(repair)
         if got[0] == "raised":  # the manager's rollback
-            self.real.b.abort_fill(dst)
-            self.oracle.b.abort_fill(dst)
+            self.real.bs[dst_side].abort_fill(dst)
+            self.oracle.bs[dst_side].abort_fill(dst)
 
-    @rule(chunk_id=st.sampled_from(CHUNK_IDS))
-    def delete(self, chunk_id):
-        self.real.b.delete_chunk(chunk_id)
-        self.oracle.b.delete_chunk(chunk_id)
+    @rule(side=SIDES, chunk_id=st.sampled_from(CHUNK_IDS))
+    def delete(self, side, chunk_id):
+        self.real.bs[side].delete_chunk(chunk_id)
+        self.oracle.bs[side].delete_chunk(chunk_id)
 
-    @rule()
-    def crash(self):
-        self.real.b.crash()
-        self.oracle.b.crash()
+    @precondition(lambda self: self.steps > 30)
+    @rule(side=SIDES)
+    def crash(self, side):
+        self.real.bs[side].crash()
+        self.oracle.bs[side].crash()
 
-    @rule(chunk_id=st.sampled_from(CHUNK_IDS), fill=st.integers(1, 255))
-    def crash_mid_store(self, chunk_id, fill):
+    @precondition(lambda self: self.steps > 30)
+    @rule(side=SIDES, chunk_id=st.sampled_from(CHUNK_IDS), fill=st.integers(1, 255))
+    def crash_mid_store(self, side, chunk_id, fill):
         """The node dies while a payload is on the wire: nothing lands."""
         data = bytes([fill]) * (2 * PAGE_SIZE)
 
-        def doomed(b):
+        def doomed(bs):
+            b = bs[side]
             engine = b.node.engine
             store = engine.process(b.store_chunk(CLIENT, chunk_id, data, PAGE_SIZE))
             yield engine.timeout(1e-9)
@@ -271,23 +372,26 @@ class PayloadMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     @invariant()
     def worlds_agree(self):
-        real, oracle = self.real.b, self.oracle.b
-        for chunk_id in CHUNK_IDS:
-            assert real.has_chunk(chunk_id) == oracle.has_chunk(chunk_id)
-            assert real.peek(chunk_id) == oracle.peek(chunk_id)
-            assert real.filling(chunk_id) == oracle.filling(chunk_id)
-        assert real.stored_chunks == oracle.stored_chunks
-        assert real._extents == oracle._extents
-        assert real._free_extents == oracle._free_extents
+        self.steps += 1
+        for real, oracle in zip(self.real.bs, self.oracle.bs):
+            for chunk_id in CHUNK_IDS:
+                assert real.has_chunk(chunk_id) == oracle.has_chunk(chunk_id)
+                assert real.peek(chunk_id) == oracle.peek(chunk_id)
+                assert real.filling(chunk_id) == oracle.filling(chunk_id)
+            assert real.stored_chunks == oracle.stored_chunks
+            assert real._extents == oracle._extents
+            assert real._free_extents == oracle._free_extents
         assert self.real.engine.now == self.oracle.engine.now
         assert self.real.metrics.snapshot() == self.oracle.metrics.snapshot()
-        # Every buffer ever fetched still reads as it did when fetched.
+        # Every buffer ever fetched, and every stored buffer its sender
+        # kept, still reads as it did then.
         for mine, reference in self.kept:
             assert mine == reference
 
     @invariant()
     def payload_is_well_formed(self):
-        for payload in self.real.b._data.values():
+        payloads = [p for b in self.real.bs for p in b._data.values()]
+        for payload in payloads:
             if payload.dense is not None:
                 assert len(payload.dense) == self.chunk_size
                 assert not payload._starts and not payload._bufs
@@ -331,24 +435,60 @@ def _payload_bytes():
     return sum(stat.size for stat in snapshot.statistics("filename"))
 
 
-def test_loan_rule_both_directions(engine, small_cluster):
-    """A borrowed dense buffer is never edited in place; an unborrowed one
-    is never copied (a spurious copy is invisible to every virtual gate)."""
+def test_ownership_rule_both_directions(engine, small_cluster):
+    """Whoever passes bytes on shares them; whoever changes them copies
+    first, and only if somebody else could see the change (a spurious
+    copy is invisible to every virtual gate)."""
     b = Benefactor(small_cluster.node(0), contribution=16 * MiB)
-    run(engine, b.store_chunk(CLIENT, 1, b"a" * CHUNK_SIZE))
+    stored = b"a" * CHUNK_SIZE
+    run(engine, b.store_chunk(CLIENT, 1, stored))
     payload = b._data[1]
+    assert payload.dense is stored  # adopted
     loan = run(engine, b.fetch_chunk(CLIENT, 1))
-    assert loan is payload.dense
+    assert loan is stored
     run(engine, b.store_chunk(CLIENT, 1, b"b" * PAGE_SIZE, PAGE_SIZE))
-    assert loan == b"a" * CHUNK_SIZE  # the borrower keeps its snapshot
-    assert payload.dense is not loan
+    assert loan == b"a" * CHUNK_SIZE  # immutable: the borrower's snapshot
+    assert type(payload.dense) is bytearray
     assert b.peek(1)[PAGE_SIZE : 2 * PAGE_SIZE] == b"b" * PAGE_SIZE
-    del loan
     private = id(payload.dense)
     run(engine, b.store_chunk(CLIENT, 1, b"c" * PAGE_SIZE, 0))
-    run(engine, b.store_chunk(CLIENT, 1, b"d" * CHUNK_SIZE))
-    assert id(payload.dense) == private  # no loan out: written in place
-    assert b.peek(1) == b"d" * CHUNK_SIZE
+    assert id(payload.dense) == private  # nobody else holds it: in place
+    loan = run(engine, b.fetch_chunk(CLIENT, 1))
+    assert id(loan) == private
+    run(engine, b.store_chunk(CLIENT, 1, b"d" * PAGE_SIZE, 0))
+    assert id(payload.dense) != private and loan[:1] == b"c"  # a loan is out
+    # A whole-chunk store replaces: the loan keeps the old buffer, the
+    # sender's bytearray is now the payload, and stays as sent while the
+    # sender holds it.
+    sent = bytearray(b"e" * CHUNK_SIZE)
+    run(engine, b.store_chunk(CLIENT, 1, sent))
+    assert payload.dense is sent and loan[:1] == b"c"
+    run(engine, b.store_chunk(CLIENT, 1, b"f", 0))
+    assert payload.dense is not sent and sent == b"e" * CHUNK_SIZE
+    assert b.peek(1)[:2] == b"fe"
+    # ... but a view of somebody's buffer is never adopted.
+    run(engine, b.store_chunk(CLIENT, 1, memoryview(sent)))
+    sent[0] = 0
+    assert b.peek(1) == b"e" * CHUNK_SIZE
+
+
+def test_replicas_hold_one_buffer_until_one_is_written(engine, small_cluster):
+    manager = Manager(small_cluster.node(0), replication=2)
+    for node in small_cluster.nodes:
+        manager.register_benefactor(Benefactor(node, contribution=16 * MiB))
+    client = StoreClient(small_cluster.node(1), manager)
+
+    def write():
+        yield from client.create("/f", CHUNK_SIZE)
+        yield from client.write("/f", 0, b"r" * CHUNK_SIZE)
+
+    run(engine, write())
+    (chunk_id,) = manager.lookup("/f").chunk_ids
+    first, second = (r._data[chunk_id] for r in manager.chunk_replicas(chunk_id))
+    assert first.dense is second.dense
+    run(engine, client.write("/f", 5, b"w"))
+    assert first.dense is not second.dense
+    assert bytes(first.dense) == bytes(second.dense) == b"r" * 5 + b"w" + b"r" * (CHUNK_SIZE - 6)
 
 
 class TestFootprint:
@@ -396,12 +536,29 @@ class TestFootprint:
         assert fetched is payload.dense  # a loan, not a copy
         assert fetched == b"w" * CHUNK_SIZE
 
+    def test_cow_copies_of_dense_chunk_share_its_bytes(self, engine, small_cluster):
+        b = Benefactor(small_cluster.node(0), contribution=16 * MiB)
+        run(engine, b.store_chunk(CLIENT, 1, b"k" * CHUNK_SIZE))
+        run(engine, b.store_chunk(CLIENT, 1, b"l", 9))  # a bytearray now
+        before = tracemalloc.get_traced_memory()[0]
+
+        def link():
+            for dst in range(2, 8):
+                yield from b.copy_chunk_local(1, dst)
+
+        run(engine, link())
+        assert tracemalloc.get_traced_memory()[0] - before < 1.5 * CHUNK_SIZE
+        run(engine, b.store_chunk(CLIENT, 4, b"m", 9))  # one copy unshares
+        assert b.peek(4)[9:10] == b"m"
+        assert all(b.peek(c)[9:10] == b"l" for c in (1, 2, 3, 5, 6, 7))
+        assert tracemalloc.get_traced_memory()[0] - before < 2.5 * CHUNK_SIZE
+
     def test_cow_copy_of_sparse_chunk_stays_sparse(self, engine, small_cluster):
         b = Benefactor(small_cluster.node(0), contribution=16 * MiB)
-        run(engine, b.store_chunk(CLIENT, 1, b"c" * PAGE_SIZE, 7 * PAGE_SIZE))
+        run(engine, b.store_chunk(CLIENT, 1, b"c" * 8 * PAGE_SIZE, 7 * PAGE_SIZE))
         base = _payload_bytes()
         run(engine, b.copy_chunk_local(1, 2))
-        assert _payload_bytes() - base < SPARSE_BUDGET
+        assert _payload_bytes() - base < SPARSE_BUDGET  # the extent is shared
         assert b.peek(2) == b.peek(1)
         run(engine, b.store_chunk(CLIENT, 2, b"d" * PAGE_SIZE, 7 * PAGE_SIZE))
         assert b.peek(1)[7 * PAGE_SIZE] == ord("c")  # the copy is independent

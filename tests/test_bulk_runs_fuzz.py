@@ -1,24 +1,29 @@
 """Fuzzed identity of the bulk page-run fast paths vs per-page routes.
 
-The model layers carry three gated fast paths — the page cache's
-no-yield bulk fault/write runs (``pagecache.BULK_PAGE_RUNS``), the FTL's
-frontier bulk-write run (``ftl.BULK_WRITE_RUNS``), and the resource
+The model layers carry two gated fast paths — the page cache's no-yield
+bulk fault/write runs (``pagecache.BULK_PAGE_RUNS``) and the resource
 layer's synchronous grants (``resources.SYNC_GRANTS``).  Each is
 eligible only where the general path would have behaved identically, so
 the whole stack must produce byte-identical data and a bit-identical
 virtual timeline with every gate flipped off.  These tests replay random
 read/write/msync schedules both ways and compare everything observable.
+
+The FTL has one write path and no gate: its retired per-page loops live
+here as :class:`PerPageFTL`, the differential oracle.
 """
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.devices.ftl as ftl_mod
 import repro.mem.pagecache as pagecache_mod
 import repro.sim.resources as resources_mod
 from repro.cluster import make_hal_cluster
 from repro.cluster.hal import HalConfig
 from repro.core import NVMalloc
+from repro.devices.ftl import FlashTranslationLayer
+from repro.errors import CapacityError, EnduranceExceededError
 from repro.sim import Engine
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.intervals import IntervalSet
@@ -80,12 +85,10 @@ def test_bulk_runs_match_per_page_paths(ops):
     fast = _run_schedule(ops, bulk=True)
     try:
         pagecache_mod.BULK_PAGE_RUNS = False
-        ftl_mod.BULK_WRITE_RUNS = False
         resources_mod.SYNC_GRANTS = False
         slow = _run_schedule(ops, bulk=False)
     finally:
         pagecache_mod.BULK_PAGE_RUNS = True
-        ftl_mod.BULK_WRITE_RUNS = True
         resources_mod.SYNC_GRANTS = True
     assert fast[1] == slow[1], "bulk and per-page paths returned different bytes"
     assert fast[0] == slow[0], (
@@ -96,6 +99,96 @@ def test_bulk_runs_match_per_page_paths(ops):
         for k in set(fast[2]) | set(slow[2])
         if fast[2].get(k) != slow[2].get(k)
     }
+
+
+# ----------------------------------------------------------------------
+# The FTL's inlined write/trim loops vs the retired per-page method calls
+# ----------------------------------------------------------------------
+
+
+class PerPageFTL(FlashTranslationLayer):
+    """The retired loops: four method calls per page written."""
+
+    def _invalidate(self, lpn):
+        ppn = self._l2p.pop(lpn, None)
+        if ppn is not None:
+            del self._p2l[ppn]
+            self._valid_counts[self._block_of(ppn)] -= 1
+
+    def write_pages(self, lpns):
+        relocated_before = self.stats.pages_relocated
+        erases_before = self.stats.blocks_erased
+        for lpn in lpns:
+            self._check_lpn(lpn)
+            self._invalidate(lpn)
+            ppn = self._allocate_page()
+            self._l2p[lpn] = ppn
+            self._p2l[ppn] = lpn
+            self._valid_counts[self._block_of(ppn)] += 1
+            self.stats.host_pages_written += 1
+            self.stats.flash_pages_written += 1
+        return (
+            self.stats.pages_relocated - relocated_before,
+            self.stats.blocks_erased - erases_before,
+        )
+
+    def trim_pages(self, lpns):
+        for lpn in lpns:
+            self._check_lpn(lpn)
+            self._invalidate(lpn)
+
+
+def _ftl_state(ftl):
+    return (
+        ftl._l2p, ftl._p2l, ftl._valid_counts, ftl._write_ptr,
+        ftl._erase_counts, ftl._frontier, ftl._free_set,
+        sorted(ftl._free_heap), ftl.stats,
+    )  # fmt: skip
+
+
+# 12 blocks of 8 pages, 72 logical: bursts cross block boundaries, GC
+# runs, and page numbers up to 75 fall off the end mid-burst.
+ftl_burst = st.tuples(
+    st.sampled_from(["write", "write", "trim"]),
+    st.one_of(
+        st.builds(range, st.integers(0, 75), st.integers(0, 90)),
+        st.lists(st.integers(0, 75), max_size=20),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bursts=st.lists(ftl_burst, min_size=1, max_size=40),
+    wear_leveling=st.booleans(),
+    endurance=st.sampled_from([3, 100_000]),
+)
+def test_ftl_matches_per_page_reference(bursts, wear_leveling, endurance):
+    geometry = dict(
+        capacity=12 * 8 * 4096, pages_per_block=8, overprovision=0.25,
+        wear_leveling=wear_leveling, endurance_cycles=endurance,
+    )  # fmt: skip
+    ftl, oracle = FlashTranslationLayer(**geometry), PerPageFTL(**geometry)
+    for kind, lpns in bursts:
+        results = []
+        for side in (ftl, oracle):
+            call = side.write_pages if kind == "write" else side.trim_pages
+            try:
+                results.append(("ok", call(lpns)))
+            except (CapacityError, EnduranceExceededError) as error:
+                results.append(("raised", type(error), str(error)))
+        assert results[0] == results[1]
+        # Also after a burst that failed part-way: same partial effect.
+        assert _ftl_state(ftl) == _ftl_state(oracle)
+
+
+def test_ftl_out_of_range_page_keeps_earlier_pages_written():
+    ftl = FlashTranslationLayer(capacity=12 * 8 * 4096, pages_per_block=8)
+    with pytest.raises(CapacityError, match="out of range"):
+        ftl.write_pages([3, 4, ftl.logical_pages, 5])
+    assert ftl.mapped_pages() == 2
+    assert ftl.stats.host_pages_written == ftl.stats.flash_pages_written == 2
+    assert ftl._write_ptr[ftl._frontier] == ftl._valid_counts[ftl._frontier] == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Tests for the FUSE-like layer: mount, chunk cache, dirty tracking."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BadFileDescriptorError, FuseError
+from repro.errors import BadFileDescriptorError, FuseError, SimulationError, StoreError
 from repro.fusefs import FuseMount, OpenFlags
-from repro.store import CHUNK_SIZE, PAGE_SIZE
+from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.units import KiB, MiB
 from tests.conftest import run
 
@@ -264,6 +266,155 @@ class TestChunkCacheBehaviour:
             return mount.cache.stats.fetched_bytes - before
 
         assert run(engine, proc()) == CHUNK_SIZE
+
+
+class TestBufferOwnership:
+    """A chunk's bytes are copied by whoever is about to change them: a
+    whole-chunk write-back hands the entry's buffer to the store."""
+
+    @pytest.fixture
+    def replicated(self, small_cluster):
+        manager = Manager(small_cluster.node(0), replication=2)
+        for node in small_cluster.nodes:
+            manager.register_benefactor(Benefactor(node, contribution=16 * MiB))
+        return manager
+
+    @staticmethod
+    def _stored(manager, path, index=0):
+        chunk_id = manager.lookup(path).chunk_ids[index]
+        return [r.peek(chunk_id) for r in manager.chunk_replicas(chunk_id)]
+
+    def test_flush_keeps_its_snapshot_under_later_writes(
+        self, engine, small_cluster, replicated
+    ):
+        mount = FuseMount(small_cluster.node(1), replicated, cache_bytes=1 * MiB)
+        cache = mount.cache
+        old = b"a" * CHUNK_SIZE
+
+        def proc():
+            fd = yield from mount.open(
+                "/f", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=CHUNK_SIZE
+            )
+            yield from mount.pwrite(fd, 0, old)
+            flush = engine.process(mount.fsync(fd))
+            yield engine.timeout(1e-6)
+            entry = cache._entries[("/f", 0)]
+            assert entry.writeback is not None  # the payload is on the wire
+            yield from mount.pwrite(fd, 0, b"b" * PAGE_SIZE)
+            yield flush
+            assert self._stored(replicated, "/f") == [old, old]
+            yield from mount.pwrite(fd, PAGE_SIZE, b"c" * PAGE_SIZE)
+            assert self._stored(replicated, "/f") == [old, old]
+            new = b"b" * PAGE_SIZE + b"c" * PAGE_SIZE + old[2 * PAGE_SIZE :]
+            assert (yield from mount.pread(fd, 0, CHUNK_SIZE)) == new
+            yield from mount.fsync(fd)
+            assert self._stored(replicated, "/f") == [new, new]
+            # Only the two re-dirtied pages travelled the second time.
+            return cache.stats.writeback_bytes
+
+        assert run(engine, proc()) == CHUNK_SIZE + 2 * PAGE_SIZE
+
+    def test_fetched_chunk_is_unshared_before_the_first_write(
+        self, engine, small_cluster, replicated
+    ):
+        """The store may lend the very buffer it holds, mutable or not."""
+        mount = FuseMount(small_cluster.node(1), replicated, cache_bytes=CHUNK_SIZE)
+        old = b"a" * CHUNK_SIZE
+
+        def proc():
+            fd = yield from mount.open(
+                "/f", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=2 * CHUNK_SIZE
+            )
+            yield from mount.client.write("/f", 0, old)  # an immutable payload
+            assert (yield from mount.pread(fd, 7, 3)) == b"aaa"
+            yield from mount.pwrite(fd, 8, b"z")
+            assert self._stored(replicated, "/f") == [old, old]
+            yield from mount.pread(fd, CHUNK_SIZE, 1)  # evicts chunk 0
+            new = old[:8] + b"z" + old[9:]
+            assert self._stored(replicated, "/f") == [new, new]
+            # Each replica now holds its own bytearray, and lends that.
+            yield from mount.pwrite(fd, 9, b"y")
+            assert self._stored(replicated, "/f") == [new, new]
+            yield from mount.pread(fd, CHUNK_SIZE, 1)
+            new = new[:9] + b"y" + new[10:]
+            assert self._stored(replicated, "/f") == [new, new]
+            # A fill that must overlay bytes written before it copies too.
+            yield from mount.pwrite(fd, 0, b"p" * PAGE_SIZE)  # no fetch
+            assert (yield from mount.pread(fd, PAGE_SIZE - 1, 2)) == b"pa"
+            assert self._stored(replicated, "/f") == [new, new]
+
+        run(engine, proc())
+
+    def test_immutable_chunk_nobody_else_holds_is_still_unshared(
+        self, engine, mount, monkeypatch
+    ):
+        """A lent ``bytes`` whose payload was replaced while it travelled
+        arrives with no other holder — and still cannot be written."""
+
+        def lone(name, index, **kwargs):
+            return b"q" * CHUNK_SIZE
+            yield
+
+        def proc():
+            fd = yield from mount.open(
+                "/f", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=CHUNK_SIZE
+            )
+            monkeypatch.setattr(mount.client, "read_chunk", lone)
+            yield from mount.pwrite(fd, 3, b"w")
+            return (yield from mount.pread(fd, 2, 3))
+
+        assert run(engine, proc()) == b"qwq"
+
+    def test_evicting_a_fully_dirty_chunk_copies_nothing(
+        self, engine, small_cluster, replicated
+    ):
+        mount = FuseMount(small_cluster.node(1), replicated, cache_bytes=CHUNK_SIZE)
+
+        def proc():
+            fd = yield from mount.open(
+                "/f", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=2 * CHUNK_SIZE
+            )
+            yield from mount.pwrite(fd, CHUNK_SIZE, b"1" * CHUNK_SIZE)
+            yield from mount.pwrite(fd, 0, b"0" * CHUNK_SIZE)  # evicts chunk 1
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                # Evicts chunk 0 to both replicas, borrows chunk 1 back.
+                assert (yield from mount.pread(fd, CHUNK_SIZE, 1)) == b"1"
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        assert run(engine, proc()) < CHUNK_SIZE
+        assert self._stored(replicated, "/f") == [b"0" * CHUNK_SIZE] * 2
+
+    @pytest.mark.parametrize(
+        "error, surfaces",
+        [(TypeError, True), (SimulationError, True), (StoreError, False)],
+    )
+    def test_prefetch_swallows_only_store_failures(
+        self, engine, mount, monkeypatch, error, surfaces
+    ):
+        """A background prefetch is best-effort against the store going
+        away, not against a programming error in the fill path."""
+
+        def broken(name, index, **kwargs):
+            raise error("injected into the prefetch fill")
+            yield
+
+        def proc():
+            yield from mount.open(
+                "/f", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=2 * CHUNK_SIZE
+            )
+            monkeypatch.setattr(mount.client, "read_chunk", broken)
+            yield from mount.cache._prefetch("/f", 1)
+
+        if surfaces:
+            with pytest.raises(error, match="injected"):
+                run(engine, proc())
+        else:
+            run(engine, proc())
+        assert mount.cache.stats.prefetches == 0
 
 
 class TestConcurrentCacheIntegrity:
