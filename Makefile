@@ -1,6 +1,6 @@
 # Convenience targets for the NVMalloc reproduction.
 
-.PHONY: install test test-faults test-lifecycle test-obs test-cache test-slo cache-ablation slo-curve bench bench-wallclock bench-floor bench-shards bench-selfcheck profile profile-layers trace experiments experiments-par examples clean
+.PHONY: install test test-faults test-lifecycle test-obs test-cache test-slo determinism cache-ablation slo-curve bench bench-wallclock bench-floor bench-selfcheck profile profile-layers trace experiments experiments-par examples clean
 
 install:
 	pip install -e .
@@ -31,12 +31,6 @@ bench-wallclock:
 bench-floor:
 	PYTHONPATH=src python tools/bench_wallclock.py --output /tmp/bench_fresh.json
 	python tools/check_bench_floor.py /tmp/bench_fresh.json --require-all
-
-# Record the sharded-run scaling curve: the scaleout scenario at workers
-# {1,2,4}, failing unless every worker count digests bit-identically.
-bench-shards:
-	PYTHONPATH=src python tools/bench_wallclock.py --shards-bench \
-		--workloads --output BENCH_shards.json
 
 # The benchmark's own checks, then two short runs that must be correct
 # (no "load changed", no failed op, repeats agree — the last output line
@@ -88,6 +82,12 @@ cache-ablation:
 # by the "not slo" marker expression; CI runs it in a dedicated job).
 test-slo:
 	PYTHONPATH=src pytest -m slo
+
+# One experiment at TINY under two hash seeds: both runs must verify,
+# digest identically and equal the committed pin (what CI runs after each
+# marker suite).  `make determinism EXP=slo_traffic`
+determinism:
+	python tools/check_determinism.py $(EXP)
 
 # Render the load-latency curve, its knee, and the SLO-under-failure
 # verdicts at benchmark scale.

@@ -88,12 +88,6 @@ class StorageDevice:
         self._degrade_factor = factor
 
     # ------------------------------------------------------------------
-    def service_time(self, kind: AccessKind, nbytes: int) -> float:
-        """Raw service time for a single access, before queueing."""
-        if kind is AccessKind.READ:
-            return self.spec.read_time(nbytes)
-        return self.spec.write_time(nbytes)
-
     def _pre_access(self, kind: AccessKind, nbytes: int) -> None:
         """Hook for subclasses (FTL accounting etc.); runs at grant time."""
 

@@ -92,13 +92,6 @@ class FlashTranslationLayer:
     def _block_of(self, ppn: int) -> int:
         return ppn // self.pages_per_block
 
-    def free_physical_pages(self) -> int:
-        """Physical pages available for new writes (free blocks + frontier)."""
-        total = len(self._free_set) * self.pages_per_block
-        if self._frontier is not None:
-            total += self.pages_per_block - self._write_ptr[self._frontier]
-        return total
-
     def erase_count_spread(self) -> tuple[int, int]:
         """(min, max) per-block erase counts — wear-leveling quality metric."""
         return min(self._erase_counts), max(self._erase_counts)

@@ -26,7 +26,6 @@ from repro.experiments.faults import faults
 from repro.experiments.lifecycle import ckpt_lifecycle
 from repro.experiments.parallel import Orchestrator, RunOutcome, check_identity
 from repro.experiments.resultcache import ResultCache
-from repro.experiments.scaleout import scaleout
 from repro.experiments.slo_traffic import slo_traffic
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "fig4",
     "fig5",
     "fig6",
-    "scaleout",
     "slo_traffic",
     "table1",
     "table3",

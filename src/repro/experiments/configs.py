@@ -61,14 +61,6 @@ class ExperimentScale:
     # (defaulted so older scale literals stay valid; the tier itself is
     # only instantiated when a job passes local_cache_bytes).
     local_cache: int = 8 * MiB
-    # Sharded scale-out scenario (repro.experiments.scaleout): model
-    # partitions and per-partition checkpoint traffic.  The partition
-    # count is part of the scenario — worker count (--shards) is not.
-    scaleout_shards: int = 4
-    scaleout_nodes_per_shard: int = 2
-    scaleout_timesteps: int = 3
-    scaleout_chunks_per_step: int = 4
-    scaleout_chunk_bytes: int = 256 * KiB
     # Checkpoint-lifecycle experiment (repro.experiments.lifecycle):
     # chain length, epoch sizes, and the async drain's staging budget
     # (defaulted so older scale literals stay valid).
@@ -145,12 +137,6 @@ SMALL = ExperimentScale(
     # 48x the DRAM chunk cache — a thin slice of the 512 MiB local SSD,
     # sized to the randwrite working set like a real deployment would.
     local_cache=48 * MiB,
-    # Scale-out: 8 groups x 4 nodes, four checkpoint bursts of 8 chunks.
-    scaleout_shards=8,
-    scaleout_nodes_per_shard=4,
-    scaleout_timesteps=4,
-    scaleout_chunks_per_step=8,
-    scaleout_chunk_bytes=256 * KiB,
     # Lifecycle: a 16-chunk variable over 4 epochs, 2 chunks of staging.
     lifecycle_variable=4 * MiB,
     lifecycle_dram_state=256 * KiB,
@@ -193,11 +179,6 @@ TINY = ExperimentScale(
     pfs_servers=2,
     cpu_slowdown=512.0,
     local_cache=8 * MiB,
-    scaleout_shards=4,
-    scaleout_nodes_per_shard=2,
-    scaleout_timesteps=2,
-    scaleout_chunks_per_step=3,
-    scaleout_chunk_bytes=128 * KiB,
     lifecycle_variable=1 * MiB,
     lifecycle_dram_state=64 * KiB,
     lifecycle_timesteps=3,

@@ -22,6 +22,7 @@ from collections.abc import Generator
 import numpy as np
 
 from repro.core.variable import Array
+from repro.errors import CapacityError
 from repro.experiments.configs import SMALL, ExperimentScale
 from repro.experiments.report import ExperimentReport
 from repro.experiments.runner import Testbed
@@ -239,7 +240,7 @@ def explicit_vs_swap(scale: ExperimentScale = SMALL) -> ExperimentReport:
         )
         try:
             SwappedArray(swap, (big_elements,), np.dtype(np.float64))
-        except Exception as exc:  # noqa: BLE001 - reported, not raised
+        except CapacityError as exc:
             return f"fails ({type(exc).__name__})"
         return "unexpectedly fit"
 

@@ -36,7 +36,6 @@ from repro.experiments.lifecycle import ckpt_lifecycle
 from repro.experiments.report import ExperimentReport
 from repro.experiments.resultcache import ResultCache, code_fingerprint, result_key
 from repro.experiments.runner import Testbed, track_testbeds
-from repro.experiments.scaleout import scaleout
 from repro.experiments.slo_traffic import slo_traffic
 from repro.experiments.tables import (
     checkpoint_experiment,
@@ -68,10 +67,6 @@ EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentReport], str]] = {
     "cache_tiering": (
         cache_tiering,
         "Client cache hierarchy ablation: lru-vs-arc, tier on/off, prefetch",
-    ),
-    "scaleout": (
-        scaleout,
-        "Sharded checkpoint ingest under conservative lookahead-window sync",
     ),
     "ckpt_lifecycle": (
         ckpt_lifecycle,

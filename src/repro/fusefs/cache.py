@@ -336,15 +336,6 @@ class ChunkCache:
         """The adaptive pattern detector (None in fixed mode)."""
         return self._prefetcher
 
-    def dirty_bytes(self) -> int:
-        """Bytes currently dirty across all cached chunks (page-aligned)."""
-        total = 0
-        for entry in self._entries.values():
-            total += sum(
-                stop - start for start, stop in self._page_align(entry.dirty)
-            )
-        return total
-
     def dirty_chunk_indices(self, path: str) -> set[int]:
         """Chunk indices of ``path`` with unflushed dirty ranges.
 
@@ -362,15 +353,6 @@ class ChunkCache:
     # ------------------------------------------------------------------
     # Core access
     # ------------------------------------------------------------------
-    def _touch(self, key: tuple[str, int]) -> _Entry:
-        entry = self._entries[key]
-        self._entries.move_to_end(key)
-        self._tick += 1
-        entry.lru = self._tick
-        if self._policy is not None:
-            self._policy.record_hit(key)
-        return entry
-
     def _page_align(self, dirty: IntervalSet) -> list[tuple[int, int]]:
         """Expand dirty byte ranges to page boundaries and re-coalesce.
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.devices.base import AccessKind
 from repro.errors import MmapError
 from repro.fusefs.mount import FuseMount
 from repro.sim.events import Event
@@ -132,11 +131,6 @@ class PageCache:
         return len(self._pages)
 
     # ------------------------------------------------------------------
-    def _dram_access(self, kind: AccessKind, nbytes: int) -> Generator[Event, object, None]:
-        """Charge DRAM time for bytes served from resident pages."""
-        if nbytes:
-            yield from self._dram.access(kind, nbytes)
-
     def _fuse_cache(self):
         return self.mount.cache
 

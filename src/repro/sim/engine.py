@@ -33,23 +33,15 @@ every single event; on grant/handoff-heavy workloads the ring carries
 
 from __future__ import annotations
 
-import sys
 import typing
 from collections import deque
 from collections.abc import Generator, Iterable, Sequence
 from heapq import heappop, heappush
+from math import inf
 
 from repro.errors import SimulationError
 from repro.sim.events import _PROCESSED, Event, Timeout
 from repro.sim.process import Process
-
-#: CPython's refcount probe gates free-list reuse: a pooled object is
-#: recycled only when the pool held the last reference.  On runtimes
-#: without refcounts the pools stay cold and every object is fresh.
-_getrefcount = getattr(sys, "getrefcount", None) or (lambda obj: -1)
-
-#: Free lists never grow beyond this many parked objects.
-_POOL_LIMIT = 512
 
 
 class Engine:
@@ -62,7 +54,7 @@ class Engine:
 
     __slots__ = (
         "_now", "_heap", "_ring", "_seq", "_events",
-        "_timeout_pool", "_request_pool", "_active_processes", "tracer",
+        "_active_processes", "tracer",
     )
 
     def __init__(self) -> None:
@@ -71,8 +63,6 @@ class Engine:
         self._ring: deque[Event] = deque()
         self._seq = 0
         self._events = 0
-        self._timeout_pool: list[Timeout] = []
-        self._request_pool: list[Event] = []
         self._active_processes = 0
         # Optional repro.obs.Tracer.  None (the default) keeps every
         # instrumented call site on its raw fast path; spans only read
@@ -113,8 +103,8 @@ class Engine:
         Timestamps are computed with one vectorized numpy add over the
         whole cohort, then events are binned (ring vs heap) in input
         order — bit-identical to calling :meth:`schedule` once per
-        event.  This is the bulk path the sharded runner uses to deliver
-        a lookahead window's worth of cross-shard messages.
+        event.  The open-loop client swarm schedules a whole arrival
+        plan through it.
         """
         import numpy as np
 
@@ -147,81 +137,8 @@ class Engine:
         return Event(self)
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
-        """An event that fires ``delay`` seconds from now.
-
-        Recycles processed timeouts from a free list when nothing else
-        still references them, so steady-state simulation loops allocate
-        no timeout objects at all.
-        """
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            # Reusable only if the pool held the last reference: the local
-            # binding plus getrefcount's argument make exactly two.
-            if _getrefcount(timeout) == 2:
-                if delay < 0:
-                    pool.append(timeout)
-                    raise SimulationError(f"negative timeout delay: {delay}")
-                timeout.callbacks = None
-                timeout._value = value
-                timeout._ok = True
-                timeout._scheduled = True
-                timeout.delay = delay
-                if delay == 0.0:
-                    self._ring.append(timeout)
-                else:
-                    now = self._now
-                    time = now + delay
-                    if time <= now:
-                        self._ring.append(timeout)
-                    else:
-                        self._seq += 1
-                        heappush(self._heap, (time, self._seq, timeout))
-                return timeout
+        """An event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
-
-    def timeouts(self, delays: Iterable[float]) -> list[Timeout]:
-        """A cohort of timeouts, one per delay, timestamped in one pass.
-
-        Equivalent to ``[self.timeout(d) for d in delays]`` — same events
-        in the same schedule order, bit-identical — but with the
-        timestamp arithmetic vectorized over the whole cohort and the
-        free-list recycling inlined.
-        """
-        import numpy as np
-
-        darr = np.asarray(
-            delays if isinstance(delays, np.ndarray) else list(delays),
-            dtype=np.float64,
-        )
-        if darr.size and float(darr.min()) < 0:
-            raise SimulationError("negative timeout delay in batch")
-        now = self._now
-        pool = self._timeout_pool
-        ring_append = self._ring.append
-        heap = self._heap
-        out: list[Timeout] = []
-        append = out.append
-        for delay, time in zip(darr.tolist(), (now + darr).tolist()):
-            timeout = None
-            if pool:
-                candidate = pool.pop()
-                if _getrefcount(candidate) == 2:
-                    timeout = candidate
-                    timeout.callbacks = None
-                    timeout._value = None
-                    timeout._ok = True
-                    timeout._scheduled = True
-                    timeout.delay = delay
-                    if time <= now:
-                        ring_append(timeout)
-                    else:
-                        self._seq += 1
-                        heappush(heap, (time, self._seq, timeout))
-            if timeout is None:
-                timeout = Timeout(self, delay)
-            append(timeout)
-        return out
 
     def process(self, generator: Generator[Event, object, object]) -> Process:
         """Register ``generator`` as a simulation process and start it."""
@@ -252,16 +169,14 @@ class Engine:
         - ``until`` is an :class:`Event` (e.g. a :class:`Process`): run until
           that event fires, then return its value (re-raising a failure).
 
-        The dispatch body is inlined into each branch; the ``None`` and
-        horizon branches drain each queue in uninterrupted runs (module
-        docstring): the heap's run at the new instant first, then the
-        ring with no per-event heap probe, then one heap pop to advance.
+        The dispatch body is inlined into both loops; the ``None``/horizon
+        loop drains each queue in uninterrupted runs (module docstring):
+        the heap's run at the current instant first, then the ring with
+        no per-event heap probe, then the clock moves to the heap's head.
         """
         heap = self._heap
         ring = self._ring
         ring_popleft = ring.popleft
-        tpool = self._timeout_pool
-        tpool_append = tpool.append
         n = 0
         if isinstance(until, Event):
             # Same run-drain structure as below, with the stop condition
@@ -282,8 +197,6 @@ class Engine:
                                 callback(event)
                         elif callbacks is not None:
                             callbacks(event)
-                        if event.__class__ is Timeout and len(tpool) < _POOL_LIMIT:
-                            tpool_append(event)
                         continue
                     if ring:
                         # Pure ring run: only the stop check interleaves.
@@ -297,8 +210,6 @@ class Engine:
                                     callback(event)
                             elif callbacks is not None:
                                 callbacks(event)
-                            if event.__class__ is Timeout and len(tpool) < _POOL_LIMIT:
-                                tpool_append(event)
                             if stop.callbacks is _PROCESSED or not ring:
                                 break
                         continue
@@ -313,8 +224,6 @@ class Engine:
                                 callback(event)
                         elif callbacks is not None:
                             callbacks(event)
-                        if event.__class__ is Timeout and len(tpool) < _POOL_LIMIT:
-                            tpool_append(event)
                         continue
                     raise SimulationError(
                         "simulation ran out of events before the awaited "
@@ -328,58 +237,35 @@ class Engine:
                 assert isinstance(value, BaseException)
                 raise value
             return stop_event.value
-        if until is None:
-            try:
-                while True:
-                    # Pure ring run: no heap probe per event — the
-                    # ordering invariant guarantees the heap holds nothing
-                    # for the current instant once the at-``now`` run
-                    # below has drained.
-                    while ring:
-                        event = ring_popleft()
-                        n += 1
-                        callbacks = event.callbacks
-                        event.callbacks = _PROCESSED
-                        if callbacks.__class__ is list:
-                            for callback in callbacks:
-                                callback(event)
-                        elif callbacks is not None:
-                            callbacks(event)
-                        if event.__class__ is Timeout and len(tpool) < _POOL_LIMIT:
-                            tpool_append(event)
-                    if not heap:
-                        break
-                    # Advance to the next instant and drain the heap's run
-                    # of events at exactly that instant.  Their dispatch
-                    # can only append to the ring (a positive delay lands
-                    # strictly in the future), never ahead of this run.
-                    time, _, event = heappop(heap)
-                    self._now = now = time
-                    while True:
-                        n += 1
-                        callbacks = event.callbacks
-                        event.callbacks = _PROCESSED
-                        if callbacks.__class__ is list:
-                            for callback in callbacks:
-                                callback(event)
-                        elif callbacks is not None:
-                            callbacks(event)
-                        if event.__class__ is Timeout and len(tpool) < _POOL_LIMIT:
-                            tpool_append(event)
-                        if heap and heap[0][0] <= now:
-                            _, _, event = heappop(heap)
-                        else:
-                            break
-            finally:
-                self._events += n
-            return None
-        horizon = float(until)
+        # ``None`` is the horizon loop with no horizon, minus the final
+        # clock bump: the clock stays at the last event.
+        horizon = inf if until is None else float(until)
         if horizon < self._now:
             raise SimulationError(
                 f"until={horizon} is in the past (now={self._now})"
             )
+        now = self._now
         try:
             while True:
+                # The heap's run of events at exactly this instant (also
+                # what a ``run(event)`` that stopped mid-instant left
+                # behind: scheduled before the instant began, so ahead of
+                # anything on the ring).  Their dispatch can only append
+                # to the ring — a positive delay lands strictly in the
+                # future — never ahead of this run.
+                while heap and heap[0][0] <= now:
+                    _, _, event = heappop(heap)
+                    n += 1
+                    callbacks = event.callbacks
+                    event.callbacks = _PROCESSED
+                    if callbacks.__class__ is list:
+                        for callback in callbacks:
+                            callback(event)
+                    elif callbacks is not None:
+                        callbacks(event)
+                # Pure ring run: no heap probe per event — the ordering
+                # invariant guarantees the heap holds nothing more for
+                # the current instant.
                 while ring:
                     event = ring_popleft()
                     n += 1
@@ -390,30 +276,13 @@ class Engine:
                             callback(event)
                     elif callbacks is not None:
                         callbacks(event)
-                    if event.__class__ is Timeout and len(tpool) < _POOL_LIMIT:
-                        tpool_append(event)
                 if not heap or heap[0][0] > horizon:
                     break
-                time, _, event = heappop(heap)
-                self._now = now = time
-                while True:
-                    n += 1
-                    callbacks = event.callbacks
-                    event.callbacks = _PROCESSED
-                    if callbacks.__class__ is list:
-                        for callback in callbacks:
-                            callback(event)
-                    elif callbacks is not None:
-                        callbacks(event)
-                    if event.__class__ is Timeout and len(tpool) < _POOL_LIMIT:
-                        tpool_append(event)
-                    if heap and heap[0][0] <= now:
-                        _, _, event = heappop(heap)
-                    else:
-                        break
+                self._now = now = heap[0][0]
         finally:
             self._events += n
-        self._now = max(self._now, horizon)
+        if until is not None:
+            self._now = max(self._now, horizon)
         return None
 
     def run_all(self, processes: typing.Sequence[Process]) -> list[object]:

@@ -174,9 +174,7 @@ class Timeout(Event):
             raise SimulationError(f"negative timeout delay: {delay}")
         # Timeouts are the hottest event type (every device access, FUSE
         # crossing, and compute step creates one): construct pre-triggered
-        # in one go instead of going through __init__ + succeed().  Prefer
-        # ``engine.timeout()``, which additionally recycles processed
-        # timeouts from a free list.
+        # in one go instead of going through __init__ + succeed().
         self.engine = engine
         self.callbacks = None
         self._value = value

@@ -64,11 +64,6 @@ class Process(Event):
         bootstrap.callbacks = resume
         engine._ring.append(bootstrap)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self._scheduled
-
     def interrupt(self, cause: object = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield."""
         if self._scheduled:

@@ -7,14 +7,11 @@ provides the common pattern.
 
 Grant events ride the engine's zero-delay now ring: a grant always fires
 at the instant of the request or release that produced it, so it never
-needs the heap.  Released requests are parked on an engine-wide free list
-and recycled (refcount-gated) by later requests, making the steady-state
-request/release cycle allocation-free.
+needs the heap.
 """
 
 from __future__ import annotations
 
-import sys
 import typing
 from collections import deque
 from collections.abc import Generator
@@ -24,17 +21,6 @@ from repro.sim.events import _PENDING, _PROCESSED, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
-
-_getrefcount = getattr(sys, "getrefcount", None) or (lambda obj: -1)
-
-_POOL_LIMIT = 512
-
-#: Gate for :meth:`Resource.acquire_now` synchronous grants.  The fast
-#: path fires only when skipping the ring round trip is provably
-#: order-identical, so flipping this off must not change virtual time,
-#: counters, or bytes anywhere; tests fuzz that identity
-#: (tests/test_bulk_runs_fuzz.py).
-SYNC_GRANTS = True
 
 
 class Request(Event):
@@ -102,25 +88,7 @@ class Resource:
     def request(self) -> Request:
         """Claim a slot; the returned event fires when the claim is granted."""
         engine = self.engine
-        pool = engine._request_pool
-        req: Request | None = None
-        if pool:
-            candidate = pool.pop()
-            # Recycle only if the pool held the last reference.  A granted
-            # request's value is the request itself, so the self-reference
-            # adds one to the expected count (local binding + getrefcount
-            # argument + self-ref); a cancelled-then-parked request has no
-            # grant value and expects two.
-            expected = 3 if candidate._value is candidate else 2
-            if _getrefcount(candidate) == expected:
-                req = candidate
-                req.callbacks = None
-                req._value = _PENDING
-                req._ok = True
-                req._scheduled = False
-                req.resource = self
-        if req is None:
-            req = Request(self)
+        req = Request(self)
         users = self._users
         if len(users) < self.capacity:
             now = engine._now
@@ -130,8 +98,10 @@ class Resource:
             users.add(req)
             self._last_users += 1
             # Inline Event.succeed without its already-triggered/delay
-            # checks: a freshly built Request cannot have fired yet.
-            req._value = req
+            # checks: a freshly built Request cannot have fired yet.  A
+            # grant carries no value: the request itself would be a
+            # reference cycle only the garbage collector can free.
+            req._value = None
             req._scheduled = True
             engine._ring.append(req)
         else:
@@ -153,7 +123,7 @@ class Resource:
         work); callers must then fall back to ``request()`` + ``yield``.
         """
         users = self._users
-        if len(users) >= self.capacity or not SYNC_GRANTS:
+        if len(users) >= self.capacity:
             return None
         engine = self.engine
         if engine._ring:
@@ -162,26 +132,14 @@ class Resource:
         now = engine._now
         if heap and heap[0][0] <= now:
             return None
-        pool = engine._request_pool
-        req: Request | None = None
-        if pool:
-            candidate = pool.pop()
-            expected = 3 if candidate._value is candidate else 2
-            if _getrefcount(candidate) == expected:
-                req = candidate
-                req._ok = True
-                req.resource = self
-        if req is None:
-            req = Request(self)
+        req = Request(self)
         if now != self._last_change:
             self._busy_time += self._last_users * (now - self._last_change)
             self._last_change = now
         users.add(req)
         self._last_users += 1
-        # The grant never needs dispatching: mark it already processed so
-        # release() can park it for reuse, and self-referenced so the
-        # pool's refcount gate treats it like any dispatched grant.
-        req._value = req
+        # The grant never needs dispatching: mark it already processed.
+        req._value = None
         req._scheduled = True
         req.callbacks = _PROCESSED
         return req
@@ -208,18 +166,12 @@ class Resource:
                 nxt = queue.popleft()
                 users.add(nxt)
                 # Inline succeed: a still-queued request cannot have fired.
-                nxt._value = nxt
+                nxt._value = None
                 nxt._scheduled = True
                 ring_append(nxt)
             self._last_users = len(users)
         else:
             self._last_users -= 1
-        # Park the released request for reuse.  Only once its grant has
-        # been dispatched: a request released before its grant left the
-        # ring (cancel of an unawaited grant) must keep its identity.
-        pool = engine._request_pool
-        if request.callbacks is _PROCESSED and len(pool) < _POOL_LIMIT:
-            pool.append(request)
 
     def cancel(self, request: Request) -> None:
         """Withdraw a request: releases it if granted, dequeues it if not."""
@@ -251,29 +203,6 @@ class Resource:
             # Happy path: the grant fired, so the slot is held — release
             # directly instead of re-deriving that through cancel().
             self.release(req)
-
-    def use_run(
-        self, durations: "Sequence[float] | np.ndarray"
-    ) -> Generator[Event, object, None]:
-        """Hold one slot once for a whole cohort of segment durations.
-
-        The cohort is served as a single grant/timeout/release whose
-        duration is the vectorized sum of ``durations`` — one
-        busy-interval update and one queue round trip for an N-segment
-        run, instead of N.  This is for runs the model *defines* as one
-        access (an N-page DRAM run, a multi-page device transfer), not
-        for merging independent accesses: collapsing separately-queued
-        accesses would change grant interleaving under contention and
-        with it the virtual timeline.
-        """
-        import numpy as np
-
-        darr = np.asarray(
-            durations if isinstance(durations, np.ndarray) else list(durations),
-            dtype=np.float64,
-        )
-        total = float(np.add.reduce(darr)) if darr.size else 0.0
-        yield from self.use(total)
 
     def __repr__(self) -> str:
         return (

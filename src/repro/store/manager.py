@@ -672,10 +672,6 @@ class Manager:
         except KeyError:
             raise ChunkNotFoundError(f"unknown chunk {chunk_id}") from None
 
-    def chunk_owner(self, chunk_id: int) -> Benefactor:
-        """The primary (placement-preferred) benefactor of this chunk."""
-        return self.chunk_replicas(chunk_id)[0]
-
     def chunk_replicas(self, chunk_id: int) -> list[Benefactor]:
         """All benefactors holding (or filling) a replica of this chunk."""
         try:

@@ -166,10 +166,10 @@ class ClientSwarm:
         """Run ``schedule`` open-loop; returns per-request records.
 
         Each request is materialized as a pre-triggered event inserted
-        via ``Engine.schedule_batch`` (the same bulk path the sharded
-        runner uses), whose firing spawns the request process.  The
-        engine runs until every request completed — including ones that
-        completed by *failing* with a typed store error.
+        via ``Engine.schedule_batch``, whose firing spawns the request
+        process.  The engine runs until every request completed —
+        including ones that completed by *failing* with a typed store
+        error.
         """
         self._ensure_setup()
         engine = self.engine

@@ -1,12 +1,15 @@
 """Fuzzed identity of the bulk page-run fast paths vs per-page routes.
 
-The model layers carry two gated fast paths — the page cache's no-yield
-bulk fault/write runs (``pagecache.BULK_PAGE_RUNS``) and the resource
-layer's synchronous grants (``resources.SYNC_GRANTS``).  Each is
-eligible only where the general path would have behaved identically, so
-the whole stack must produce byte-identical data and a bit-identical
-virtual timeline with every gate flipped off.  These tests replay random
-read/write/msync schedules both ways and compare everything observable.
+The model layers carry two fast paths — the page cache's no-yield bulk
+fault/write runs (gated by ``pagecache.BULK_PAGE_RUNS``, whose per-page
+twin ``_insert`` the page cache needs anyway) and the resource layer's
+synchronous grants (``Resource.acquire_now``, no gate: the reference run
+patches it to always decline, before its world is built, so every grant
+rides the now ring).  Each is eligible only where the general path would
+have behaved identically, so the whole stack must produce byte-identical
+data and a bit-identical virtual timeline with both switched off.  These
+tests replay random read/write/msync schedules both ways and compare
+everything observable.
 
 The FTL has one write path and no gate: its retired per-page loops live
 here as :class:`PerPageFTL`, the differential oracle.
@@ -18,13 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.mem.pagecache as pagecache_mod
-import repro.sim.resources as resources_mod
 from repro.cluster import make_hal_cluster
 from repro.cluster.hal import HalConfig
 from repro.core import NVMalloc
 from repro.devices.ftl import FlashTranslationLayer
 from repro.errors import CapacityError, EnduranceExceededError
-from repro.sim import Engine
+from repro.sim import Engine, Resource
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.intervals import IntervalSet
 from repro.util.units import KiB, MiB
@@ -83,13 +85,14 @@ def _run_schedule(ops, *, bulk: bool):
 @given(ops=st.lists(op, min_size=3, max_size=16))
 def test_bulk_runs_match_per_page_paths(ops):
     fast = _run_schedule(ops, bulk=True)
+    acquire_now = Resource.acquire_now
     try:
         pagecache_mod.BULK_PAGE_RUNS = False
-        resources_mod.SYNC_GRANTS = False
+        Resource.acquire_now = lambda self: None
         slow = _run_schedule(ops, bulk=False)
     finally:
         pagecache_mod.BULK_PAGE_RUNS = True
-        resources_mod.SYNC_GRANTS = True
+        Resource.acquire_now = acquire_now
     assert fast[1] == slow[1], "bulk and per-page paths returned different bytes"
     assert fast[0] == slow[0], (
         f"virtual time drifted: bulk {fast[0]!r} vs per-page {slow[0]!r}"
@@ -233,7 +236,7 @@ def test_page_align_matches_reference(spans):
 
 
 def test_access_run_is_one_summed_access():
-    """``access_run``/``use_run`` equal one access of the summed size."""
+    """``access_run`` equals one access of the summed size."""
     from repro.devices.base import AccessKind
 
     sizes = [4096, 4096, 123, 8192]

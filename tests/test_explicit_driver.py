@@ -30,3 +30,20 @@ class TestExplicitVsSwap:
     def test_claims_present(self, report):
         assert report.paper_claims and report.measured_claims
         assert "explicit control" in report.paper_claims[0]
+
+
+def test_programming_error_in_swap_is_not_reported_as_the_result(monkeypatch):
+    """Only the oversized array's CapacityError is the paper's §I row;
+    anything else raised while building it is a bug and must surface."""
+    import repro.experiments.explicit as explicit
+
+    real = explicit.SwappedArray
+
+    def misused(swap, shape, dtype):
+        if shape[0] * dtype.itemsize > swap.swap_bytes:  # the oversized one
+            raise TypeError("SwappedArray misused")
+        return real(swap, shape, dtype)
+
+    monkeypatch.setattr(explicit, "SwappedArray", misused)
+    with pytest.raises(TypeError, match="SwappedArray misused"):
+        explicit_vs_swap(SMALL)

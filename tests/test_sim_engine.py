@@ -1,6 +1,8 @@
 """Tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import AllOf, AnyOf, Engine, Event, Interrupt, Timeout
@@ -63,6 +65,8 @@ class TestClock:
     def test_negative_timeout_rejected(self, engine):
         with pytest.raises(SimulationError):
             Timeout(engine, -1.0)
+        with pytest.raises(SimulationError):
+            engine.timeout(-1)
 
     def test_run_until_time(self, engine):
         engine.timeout(1.0)
@@ -255,3 +259,55 @@ class TestConditions:
         other = Engine()
         with pytest.raises(SimulationError):
             AllOf(engine, [other.timeout(1.0)])
+
+
+class TestTimeoutChurn:
+    """Every ``engine.timeout`` is its own object: nothing a caller still
+    holds, and nothing registered on an earlier timeout, is touched by
+    the timeouts created after it."""
+
+    def test_earlier_callbacks_never_run_on_later_timeouts(self, engine):
+        fired = []
+
+        def proc():
+            t1 = engine.timeout(1.0)
+            t1.add_callback(lambda _e: fired.append("extra"))
+            yield t1
+            del t1
+            for _ in range(6):
+                yield engine.timeout(1.0)
+
+        engine.run(engine.process(proc()))
+        assert fired == ["extra"]
+
+    # One step: (delay, hold?) — zero delays exercise the ring path, ties
+    # exercise same-instant interleaving of many processes' timeouts.
+    _step = st.tuples(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]), st.booleans())
+
+    @settings(max_examples=30, deadline=None)
+    @given(scripts=st.lists(
+        st.lists(_step, min_size=1, max_size=25), min_size=1, max_size=6,
+    ))
+    def test_held_timeouts_keep_value_and_ok_across_churn(self, scripts):
+        """Concurrent processes churning timeouts: every received value
+        is the one scheduled, and held timeouts stay frozen."""
+        engine = Engine()
+        held = []
+
+        def proc(pid, script):
+            for step, (delay, hold) in enumerate(script):
+                token = (pid, step)
+                t = engine.timeout(delay, value=token)
+                assert (yield t) == token
+                if hold:
+                    held.append((t, token))
+
+        processes = [
+            engine.process(proc(pid, script))
+            for pid, script in enumerate(scripts)
+        ]
+        engine.run()
+        assert all(p.processed for p in processes)
+        for timeout, token in held:
+            assert timeout.value == token
+            assert timeout.ok

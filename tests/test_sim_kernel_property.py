@@ -26,7 +26,7 @@ from repro.sim.events import Event
 DELAY_POOL = [0.0, 0.0, 0.0, 0.25, 0.25, 0.5, 1.0, 1.0, 1.5, 3.0]
 
 
-def _random_graph(rng: random.Random, n_events: int):
+def _random_graph(rng: random.Random, n_events: int, delays=DELAY_POOL):
     """A random event DAG: event i, when fired, schedules its children.
 
     Returns (roots, children, failed) where roots is a list of
@@ -38,8 +38,8 @@ def _random_graph(rng: random.Random, n_events: int):
     n_roots = max(1, n_events // 8)
     for i in range(n_roots, n_events):
         parent = rng.randrange(i)  # parents precede children: acyclic
-        children[parent].append((rng.choice(DELAY_POOL), i))
-    roots = [(rng.choice(DELAY_POOL), i) for i in range(n_roots)]
+        children[parent].append((rng.choice(delays), i))
+    roots = [(rng.choice(delays), i) for i in range(n_roots)]
     failed = {i for i in range(n_events) if rng.random() < 0.15}
     return roots, children, failed
 
@@ -67,14 +67,14 @@ def _reference_order(roots, children):
     return trace
 
 
-def _engine_order(roots, children, failed):
-    """The same graph through the real ring+heap kernel."""
+def _engine_graph(roots, children, failed):
+    """The same graph on the real ring+heap kernel, roots scheduled, not
+    yet run.  Returns (engine, trace, events)."""
     engine = Engine()
     trace: list[tuple[float, int]] = []
 
     def schedule(event_id: int, delay: float) -> None:
-        event = Event(engine)
-        event.add_callback(lambda _ev, eid=event_id: fire(eid))
+        event = events[event_id]
         if event_id in failed:
             event.fail(RuntimeError(f"event {event_id}"), delay=delay)
         else:
@@ -85,19 +85,77 @@ def _engine_order(roots, children, failed):
         for delay, child in children[event_id]:
             schedule(child, delay)
 
+    events = [Event(engine) for _ in children]
+    for event_id, event in enumerate(events):
+        event.add_callback(lambda _ev, eid=event_id: fire(eid))
     for delay, event_id in roots:
         schedule(event_id, delay)
-    engine.run()
-    return trace
+    return engine, trace, events
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_event_graph_order_matches_reference(seed: int) -> None:
+    """``run()``: the whole graph, clock left at the last event."""
     rng = random.Random(seed)
     roots, children, failed = _random_graph(rng, n_events=200 + seed * 37)
     expected = _reference_order(roots, children)
-    actual = _engine_order(roots, children, failed)
-    assert actual == expected
+    engine, trace, _ = _engine_graph(roots, children, failed)
+    engine.run()
+    assert trace == expected
+    assert engine.now == expected[-1][0]
+
+
+def test_run_drains_a_ring_with_an_empty_heap() -> None:
+    """All-zero delays: nothing ever reaches the heap, ``run()`` must
+    still drain the ring in schedule order and leave the clock alone."""
+    rng = random.Random(77)
+    roots, children, failed = _random_graph(rng, n_events=120, delays=[0.0])
+    expected = _reference_order(roots, children)
+    engine, trace, _ = _engine_graph(roots, children, failed)
+    assert engine._ring and not engine._heap
+    engine.run()
+    assert trace == expected
+    assert engine.now == 0.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_run_until_time_fires_the_reference_prefix(seed: int) -> None:
+    """``run(until=t)`` in slices: exactly the events at or before ``t``
+    have fired, and the clock sits at ``t`` — not at the last event."""
+    rng = random.Random(3000 + seed)
+    roots, children, failed = _random_graph(rng, n_events=150 + seed * 29)
+    expected = _reference_order(roots, children)
+    engine, trace, _ = _engine_graph(roots, children, failed)
+    last = expected[-1][0]
+    horizons = [rng.uniform(0.0, last) for _ in range(4)]
+    horizons += [expected[rng.randrange(len(expected))][0] for _ in range(3)]
+    for horizon in sorted(horizons) + [last + 2.0]:
+        engine.run(until=horizon)
+        assert engine.now == horizon
+        assert trace == [entry for entry in expected if entry[0] <= horizon]
+    assert trace == expected
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_run_until_event_stops_right_after_it(seed: int) -> None:
+    """``run(event)``: the reference prefix through that event, its value
+    returned (or its failure raised); a later ``run()`` fires the rest."""
+    rng = random.Random(4000 + seed)
+    roots, children, failed = _random_graph(rng, n_events=150 + seed * 29)
+    expected = _reference_order(roots, children)
+    engine, trace, events = _engine_graph(roots, children, failed)
+    cut = rng.randrange(len(expected))
+    stop_time, stop_id = expected[cut]
+    if stop_id in failed:
+        with pytest.raises(RuntimeError, match=f"event {stop_id}$"):
+            engine.run(events[stop_id])
+    else:
+        assert engine.run(events[stop_id]) == stop_id
+    assert trace == expected[: cut + 1]
+    assert engine.now == stop_time
+    engine.run()
+    assert trace == expected
+    assert engine.now == expected[-1][0]
 
 
 def _reference_process_run(scripts):
@@ -233,34 +291,6 @@ def test_schedule_batch_matches_serial_schedule(seed: int) -> None:
     assert vectorized == serial
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 16, 64])
-def test_timeouts_cohort_matches_timeout_loop(size: int) -> None:
-    """engine.timeouts(delays) == [engine.timeout(d) for d in delays]."""
-    rng = random.Random(size)
-    delays = [rng.choice(DELAY_POOL) for _ in range(size)]
-
-    def run(bulk: bool):
-        engine = Engine()
-        trace: list[tuple[float, int]] = []
-
-        def driver():
-            yield engine.timeout(0.5)  # non-zero now: exercises now+delay
-            if bulk:
-                timeouts = engine.timeouts(delays)
-            else:
-                timeouts = [engine.timeout(d) for d in delays]
-            for i, timeout in enumerate(timeouts):
-                timeout.add_callback(
-                    lambda _e, i=i: trace.append((engine.now, i))
-                )
-            yield engine.timeout(10.0)  # outlive every cohort member
-
-        engine.run(engine.process(driver()))
-        return trace, engine.events_processed
-
-    assert run(bulk=True) == run(bulk=False)
-
-
 def test_schedule_batch_rejects_bad_input() -> None:
     from repro.errors import SimulationError
 
@@ -273,8 +303,6 @@ def test_schedule_batch_rejects_bad_input() -> None:
         engine.schedule_batch(events, [0.0])  # length mismatch
     with pytest.raises(SimulationError):
         engine.schedule_batch(events, [0.0, -1.0])  # into the past
-    with pytest.raises(SimulationError):
-        engine.timeouts([0.5, -0.5])
 
 
 def test_tiny_delay_rounds_onto_the_ring_in_seq_order() -> None:
