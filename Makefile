@@ -1,6 +1,6 @@
 # Convenience targets for the NVMalloc reproduction.
 
-.PHONY: install test test-faults test-lifecycle test-obs test-cache test-slo determinism cache-ablation slo-curve bench bench-wallclock bench-floor bench-selfcheck profile profile-layers trace experiments experiments-par examples clean
+.PHONY: install test test-faults test-lifecycle test-obs test-cache test-slo determinism cache-ablation slo-curve bench bench-wallclock bench-floor bench-selfcheck bench-pairs profile profile-layers trace experiments experiments-par examples clean
 
 install:
 	pip install -e .
@@ -53,6 +53,14 @@ bench-selfcheck:
 	python -m pytest bench -q
 	$(call bench_rss_ceiling,svc_open,256)
 	$(call bench_rss_ceiling,ckpt_restart,260)
+
+# Interleaved parent/change pairs of one workload from two *exported*
+# trees, every run printed as parent>change, a verdict per host metric:
+#   make bench-pairs PARENT=/root/scratch/parent CHANGE=/root/scratch/change \
+#       W=mpi_scan N=10 [S=12]
+bench-pairs:
+	python3 tools/bench_pairs.py $(PARENT) $(CHANGE) --workload $(W) \
+		--pairs $(N) $(if $(S),--seconds $(S))
 
 profile:
 	PYTHONPATH=src python tools/profile_stack.py --limit 25

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.devices.base import AccessKind
 from repro.errors import FuseError, ReproError, SimulationError
 from repro.fusefs.localtier import LocalCacheTier
 from repro.fusefs.policy import make_policy
@@ -428,19 +427,14 @@ class ChunkCache:
             victim_key = None
             if policy is not None:
                 victim_key = policy.victim(self._entries, self._inflight)
-            elif l2 is not None:
-                # Default LRU scan, but also skip keys whose previous
-                # incarnation's background spill/drain is still in
-                # flight: re-registering them would collide in
-                # ``_inflight``.  (Impossible in the flat default: a key
-                # re-enters ``_entries`` only after its drain lands.)
+            else:
+                # Also skip keys whose previous incarnation's background
+                # spill/drain is still in flight (local tier on):
+                # re-registering them would collide in ``_inflight``.
+                # (Vacuous in the flat default: a key re-enters
+                # ``_entries`` only after its write-back lands.)
                 for key, entry in self._entries.items():
                     if entry.pins == 0 and key not in self._inflight:
-                        victim_key = key
-                        break
-            else:
-                for key, entry in self._entries.items():
-                    if entry.pins == 0:
                         victim_key = key
                         break
             if victim_key is None:
@@ -486,34 +480,9 @@ class ChunkCache:
                 else None
             )
             try:
-                # Inlined _writeback (which flush_path/flush_all still
-                # use): every event of every eviction write-back resumes
-                # through this frame, so skipping the extra ``yield
-                # from`` hop is paid back on each of them.
-                while entry.filling is not None:
-                    yield entry.filling
-                if entry.dirty:
-                    entry.writeback = Event(self._engine)
-                    ranges, nbytes = self._payloads(
-                        entry, entry.dirty, not self.dirty_page_writeback
-                    )
-                    entry.dirty.clear()
-                    try:
-                        req = self.daemon.acquire_now()
-                        if req is None:
-                            req = self.daemon.request()
-                            yield req
-                        try:
-                            yield from self.client.write_chunk_ranges(
-                                vpath, vindex, ranges
-                            )
-                        finally:
-                            self.daemon.release(req)
-                    finally:
-                        event, entry.writeback = entry.writeback, None
-                        if event is not None:
-                            event.succeed(None)
-                    self._wrote_back(nbytes)
+                # The impl, not the traced ``_writeback`` dispatcher: the
+                # span above already names this write-back.
+                yield from self._writeback_impl(victim_key, entry)
             finally:
                 del self._inflight[victim_key]
                 del ibucket[vindex]
@@ -736,7 +705,17 @@ class ChunkCache:
                         entry.pins -= 1
                         yield event
                         continue
-                    yield from self._fill(path, index, entry, prefetch=prefetch)
+                    try:
+                        yield from self._fill(
+                            path, index, entry, prefetch=prefetch
+                        )
+                    except BaseException:
+                        # Nobody will unpin for us: callers enter their
+                        # ``finally: entry.pins -= 1`` only once _load
+                        # has returned, and a pinned entry is never a
+                        # victim.  Unpinned, the empty entry ages out.
+                        entry.pins -= 1
+                        raise
                 if first_attempt:
                     self.stats.hits += 1
                     counter = self._hits_counter
@@ -827,7 +806,11 @@ class ChunkCache:
             if policy is not None:
                 policy.record_insert(key)
             if fetch:
-                yield from self._fill(path, index, entry, prefetch=prefetch)
+                try:
+                    yield from self._fill(path, index, entry, prefetch=prefetch)
+                except BaseException:
+                    entry.pins -= 1  # as above: a failed fill pins nothing
+                    raise
             return entry
 
     def _promotable(self, key: tuple[str, int], entry: _Entry) -> bool:
@@ -982,10 +965,22 @@ class ChunkCache:
     # ------------------------------------------------------------------
     # Public read/write (byte ranges within one chunk)
     # ------------------------------------------------------------------
-    def read(
-        self, path: str, index: int, offset: int, length: int
-    ) -> Generator[Event, object, bytes]:
-        """Read bytes from chunk ``index`` of ``path`` (fetch on miss)."""
+    def read_into(
+        self,
+        path: str,
+        index: int,
+        offset: int,
+        length: int,
+        out: bytearray | memoryview,
+        out_offset: int = 0,
+    ) -> Generator[Event, object, int]:
+        """Read bytes from chunk ``index`` of ``path`` (fetch on miss).
+
+        The payload lands in the caller's buffer at ``out_offset``
+        rather than in a fresh ``bytes`` per call: the page cache faults
+        whole runs of pages, and ``pread`` fills one result buffer,
+        without an intermediate copy per piece.
+        """
         self._check(offset, length)
         key = (path, index)
         entry = self._entries.get(key)
@@ -1025,65 +1020,8 @@ class ChunkCache:
                 yield self._engine.timeout(duration)
             finally:
                 dram._release(req)
-            return bytes(memoryview(entry.data)[offset : offset + length])
-        finally:
-            entry.pins -= 1
-
-    def read_into(
-        self,
-        path: str,
-        index: int,
-        offset: int,
-        length: int,
-        out: bytearray | memoryview,
-        out_offset: int = 0,
-    ) -> Generator[Event, object, int]:
-        """Read bytes from chunk ``index`` directly into ``out``.
-
-        Event-for-event identical to :meth:`read`, but the payload lands
-        in the caller's buffer at ``out_offset`` instead of materializing
-        an intermediate ``bytes`` — the page cache faults whole runs of
-        pages through this without one copy per page.
-        """
-        self._check(offset, length)
-        key = (path, index)
-        entry = self._entries.get(key)
-        if entry is not None and entry.valid:
-            self._hit(key, entry)
-        else:
-            entry = yield from self._load(path, index, fetch=True)
-        try:
-            counter = self._read_counter
-            if counter is None:
-                counter = self._read_counter = self.metrics.counter(
-                    "fuse.read.bytes"
-                )
-            counter.total += length
-            counter.count += 1
-            if self.readahead_chunks:
-                self._maybe_readahead(path, index)
-            elif self._prefetcher is not None:
-                self._issue_prefetches(path, index)
-            # Inlined StorageDevice.access (event-for-event identical):
-            # the page cache resumes through this frame for every page
-            # run it faults, so the extra generator hop is worth skipping.
-            dram = self._dram
-            req = dram._acquire_now()
-            if req is None:
-                req = dram._acquire()
-                yield req
-            try:
-                bytes_counter, time_counter, time_fn = dram._read_stats
-                duration = time_fn(length)
-                bytes_counter.total += length
-                bytes_counter.count += 1
-                time_counter.total += duration
-                time_counter.count += 1
-                yield self._engine.timeout(duration)
-            finally:
-                dram._release(req)
-            # Copy after the DRAM wait, like read(): a write landing
-            # while we waited must be visible in the returned bytes.
+            # Copy after the DRAM wait: a write landing while we waited
+            # must be visible in the returned bytes.
             out[out_offset : out_offset + length] = memoryview(entry.data)[
                 offset : offset + length
             ]
@@ -1149,66 +1087,9 @@ class ChunkCache:
     def write(
         self, path: str, index: int, offset: int, data: bytes
     ) -> Generator[Event, object, None]:
-        """Write bytes into chunk ``index`` of ``path``.
-
-        A write that does not cover whole pages of a not-yet-cached chunk
-        triggers a read-modify-write fetch, exactly as the paper describes
-        ("the corresponding chunk ... is read from the benefactor to the
-        FUSE client's cache in case of a miss").
-        """
-        length = len(data)
-        self._check(offset, length)
-        page_size = self.page_size
-        covers_whole_pages = not (
-            offset % page_size or (offset + length) % page_size
-        )
-        key = (path, index)
-        entry = self._entries.get(key)
-        if entry is not None and (covers_whole_pages or entry.valid):
-            self._hit(key, entry)
-        else:
-            entry = yield from self._load(path, index, fetch=not covers_whole_pages)
-        try:
-            buf = entry.data
-            if buf is None:
-                buf = entry.data = bytearray(self.chunk_size)
-            elif entry.shared:
-                # Unshare a buffer the store holds before mutating it.
-                buf = entry.data = bytearray(buf)
-                entry.shared = False
-            buf[offset : offset + length] = data
-            entry.dirty.add(offset, offset + length)
-            if self._l2 is not None:
-                stale = entry.l2_stale
-                if stale is None:
-                    stale = entry.l2_stale = IntervalSet()
-                stale.add(offset, offset + length)
-            counter = self._write_counter
-            if counter is None:
-                counter = self._write_counter = self.metrics.counter(
-                    "fuse.write.bytes"
-                )
-            counter.total += length
-            counter.count += 1
-            # Inlined StorageDevice.access (DRAM has no _pre_access hook;
-            # event-for-event identical, one generator hop less).
-            dram = self._dram
-            req = dram._acquire_now()
-            if req is None:
-                req = dram._acquire()
-                yield req
-            try:
-                bytes_counter, time_counter, time_fn = dram._write_stats
-                duration = time_fn(length)
-                bytes_counter.total += length
-                bytes_counter.count += 1
-                time_counter.total += duration
-                time_counter.count += 1
-                yield self._engine.timeout(duration)
-            finally:
-                dram._release(req)
-        finally:
-            entry.pins -= 1
+        """Write bytes into chunk ``index`` of ``path``: the one-range
+        form of :meth:`write_ranges`."""
+        return self.write_ranges(path, index, ((offset, data),))
 
     def write_ranges(
         self,
@@ -1218,15 +1099,18 @@ class ChunkCache:
         *,
         pre_range_delay: float | None = None,
     ) -> Generator[Event, object, None]:
-        """Write several byte ranges into chunk ``index`` in one call.
+        """Write byte ranges into chunk ``index`` of ``path``, in order.
 
-        Event-for-event equivalent to one :meth:`write` per range; when
-        ``pre_range_delay`` is given, that timeout is charged before each
-        range, so a batched flush replays its caller's per-page
-        [overhead][write] sequence exactly.  The entry is re-looked-up
-        per range (and unpinned between ranges), so eviction pressure
-        from concurrent ranks interleaves just as it would with separate
-        write() calls.
+        A range that does not cover whole pages of a not-yet-cached chunk
+        triggers a read-modify-write fetch, exactly as the paper describes
+        ("the corresponding chunk ... is read from the benefactor to the
+        FUSE client's cache in case of a miss").  When ``pre_range_delay``
+        is given, that timeout is charged before each range, so a batched
+        flush replays its caller's per-page [overhead][write] sequence
+        exactly.  ``ranges`` is consumed lazily and the entry is
+        re-looked-up per range (and unpinned between ranges), so eviction
+        pressure from concurrent ranks interleaves just as it would with
+        one call per range.
         """
         engine = self._engine
         dram = self._dram

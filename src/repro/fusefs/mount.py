@@ -141,17 +141,24 @@ class FuseMount:
     # ------------------------------------------------------------------
     def pread(
         self, fd: int, offset: int, length: int
-    ) -> Generator[Event, object, bytes]:
-        """Positional read through the chunk cache."""
+    ) -> Generator[Event, object, bytes | bytearray]:
+        """Positional read through the chunk cache.
+
+        The returned buffer is the caller's own: no cache entry aliases
+        it.
+        """
         state = self._state(fd)
         if not state.flags.readable:
             raise FuseError(f"fd {fd} not open for reading")
         self._check_range(state.path, offset, length)
-        parts: list[bytes] = []
+        out = bytearray(length)
+        cursor = 0
         for index, chunk_off, piece in self._pieces(offset, length):
-            data = yield from self.cache.read(state.path, index, chunk_off, piece)
-            parts.append(data)
-        return b"".join(parts)
+            yield from self.cache.read_into(
+                state.path, index, chunk_off, piece, out, cursor
+            )
+            cursor += piece
+        return out
 
     def pwrite(
         self, fd: int, offset: int, data: bytes
@@ -169,7 +176,9 @@ class FuseMount:
             cursor += piece
         return len(data)
 
-    def read(self, fd: int, length: int) -> Generator[Event, object, bytes]:
+    def read(
+        self, fd: int, length: int
+    ) -> Generator[Event, object, bytes | bytearray]:
         """Sequential read at the descriptor's position."""
         state = self._state(fd)
         length = min(length, self.stat_size(state.path) - state.position)

@@ -30,13 +30,6 @@ from repro.sim.events import Event
 from repro.store.chunk import PAGE_SIZE
 from repro.util.recorder import MetricsRecorder
 
-#: Gate for the no-yield bulk page-run fast paths in fault and write.
-#: They are eligible only where the general per-page route (``_insert``)
-#: would not have yielded — no eviction, no in-flight flush — so
-#: flipping this off must be byte- and virtual-time-invisible; tests
-#: fuzz that identity on random schedules (tests/test_bulk_runs_fuzz.py).
-BULK_PAGE_RUNS = True
-
 
 @dataclass
 class PageCacheStats:
@@ -148,58 +141,6 @@ class PageCache:
         bucket.add(page_idx)
         return page
 
-    def _evict_clean_run(self) -> bool:
-        """Pop clean LRU victims until a slot is free, without yielding.
-
-        Mirrors the eviction arm of :meth:`_insert` for victims whose
-        flush would be a no-op.  Stops short at the first dirty victim
-        (its flush yields) and returns False; the caller must then fall
-        back to ``_insert``, which evicts that very victim through the
-        flushing path — in the same LRU order, since nothing was popped
-        past it here.
-        """
-        pages = self._pages
-        capacity = self.capacity_pages
-        by_path = self._by_path
-        while len(pages) >= capacity:
-            vkey = next(iter(pages))
-            if pages[vkey].dirty:
-                return False
-            del pages[vkey]
-            vpath, vidx = vkey
-            vbucket = by_path[vpath]
-            vbucket.discard(vidx)
-            if not vbucket:
-                del by_path[vpath]
-        return True
-
-    def _flush_page(
-        self, path: str, page_idx: int, page: _Page
-    ) -> Generator[Event, object, None]:
-        offset = page_idx * self.page_size
-        length = min(self.page_size, self.mount.stat_size(path) - offset)
-        chunk_index = offset // self.mount.chunk_size
-        chunk_off = offset - chunk_index * self.mount.chunk_size
-        # Un-dirty before yielding: writes landing while the payload is
-        # in flight re-dirty the page and flush later.
-        data = page.data
-        payload = (
-            bytes(data) if length == len(data)
-            else bytes(memoryview(data)[:length])
-        )
-        page.dirty = False
-        if self.fuse_op_overhead:
-            yield self._engine.timeout(self.fuse_op_overhead)
-        yield from self._fuse_cache().write(path, chunk_index, chunk_off, payload)
-        self.stats.writeback_bytes += length
-        counter = self._writeback_counter
-        if counter is None:
-            counter = self._writeback_counter = self.metrics.counter(
-                "pagecache.writeback.bytes"
-            )
-        counter.total += length
-        counter.count += 1
-
     def _insert(
         self, path: str, page_idx: int, data: bytearray | None = None
     ) -> Generator[Event, object, tuple[_Page, bool]]:
@@ -214,15 +155,9 @@ class PageCache:
         """
         key = (path, page_idx)
         pages = self._pages
-        mount = self.mount
         inflight = self._inflight
         capacity = self.capacity_pages
         by_path = self._by_path
-        page_size = self.page_size
-        chunk_size = mount.chunk_size
-        stat_size = mount.stat_size
-        cache_write = mount.cache.write
-        engine = self._engine
         while True:
             # Wait out an in-flight eviction flush of this very page.
             while key in inflight:
@@ -235,13 +170,13 @@ class PageCache:
                 page.lru = self._tick
                 return page, False
             while len(pages) >= capacity:
-                # Evict the LRU page, flushing dirty victims through
-                # FUSE first.  The eviction and the flush body (kept in
-                # sync with _flush_page, which sync_path still uses) are
-                # inlined rather than delegated to helper generators:
-                # every event of every flush resumes through this frame,
-                # so each avoided ``yield from`` hop is paid back
-                # hundreds of thousands of times per run.
+                # Evict the LRU page, flushing a dirty victim through
+                # FUSE first.  This is the one-page flush (msync batches
+                # its pages through ``write_ranges`` instead); it sits
+                # in this frame rather than in a helper generator because
+                # every event of every flush resumes through here, so a
+                # ``yield from`` hop would be paid hundreds of thousands
+                # of times per run.
                 vkey, victim = pages.popitem(last=False)
                 vpath, vidx = vkey
                 bucket = by_path[vpath]
@@ -249,6 +184,10 @@ class PageCache:
                 if not bucket:
                     del by_path[vpath]
                 if victim.dirty:
+                    mount = self.mount
+                    engine = self._engine
+                    page_size = self.page_size
+                    chunk_size = mount.chunk_size
                     done = Event(engine)
                     inflight[vkey] = done
                     ibucket = self._inflight_by_path.get(vpath)
@@ -257,7 +196,7 @@ class PageCache:
                     ibucket[vidx] = done
                     try:
                         offset = vidx * page_size
-                        length = min(page_size, stat_size(vpath) - offset)
+                        length = min(page_size, mount.stat_size(vpath) - offset)
                         chunk_index = offset // chunk_size
                         chunk_off = offset - chunk_index * chunk_size
                         # Un-dirty before yielding: writes landing while
@@ -270,7 +209,7 @@ class PageCache:
                         victim.dirty = False
                         if self.fuse_op_overhead:
                             yield engine.timeout(self.fuse_op_overhead)
-                        yield from cache_write(
+                        yield from mount.cache.write(
                             vpath, chunk_index, chunk_off, payload
                         )
                         self.stats.writeback_bytes += length
@@ -332,11 +271,8 @@ class PageCache:
             yield self._engine.timeout(npages * self.fuse_op_overhead)
         pages = self._pages
         pages_get = pages.get
-        move_to_end = pages.move_to_end
         page_size = self.page_size
-        capacity = self.capacity_pages
         chunk_size = self.mount.chunk_size
-        by_path = self._by_path
         cursor = offset
         end = offset + length
         # ``cursor`` stays page-aligned throughout: it starts at a page
@@ -353,60 +289,29 @@ class PageCache:
             yield from cache.read_into(path, chunk_index, chunk_off, piece, buf)
             page_idx = cursor // page_size
             inner = 0
-            # Local mirrors for the no-yield run over this piece's pages:
-            # ``tick`` is written back before any yield (and at piece
-            # end); ``bucket`` is re-fetched after any yield because an
-            # eviction inside _insert may drop and recreate this path's
-            # bucket set.
-            tick = self._tick
-            bucket = by_path.get(path)
-            bulk = BULK_PAGE_RUNS
             while inner < piece:
-                remaining = piece - inner
-                seg_len = page_size if remaining >= page_size else remaining
+                seg_len = piece - inner
                 key = (path, page_idx)
                 page = pages_get(key)
                 if page is not None:
                     # Concurrently faulted back in: only touch the LRU
                     # position, never overwrite (it may hold newer bytes).
-                    move_to_end(key)
-                    tick += 1
-                    page.lru = tick
-                elif bulk and key not in inflight and (
-                    len(pages) < capacity or self._evict_clean_run()
-                ):
-                    # Fast path: no eviction flush and no in-flight wait
-                    # — _insert would have returned without yielding
-                    # (clean LRU victims are popped inline; a dirty one
-                    # falls through to _insert).  Re-mirror the bucket:
-                    # the evict run may have dropped this path's entry.
-                    # (_new_page inlined: this stretch cannot yield, so
-                    # the mirrors stay coherent across the whole run.)
-                    bucket = by_path.get(path)
-                    page = _Page.__new__(_Page)
-                    if seg_len == page_size:
-                        page.data = buf[inner : inner + page_size]
-                    else:
-                        data = bytearray(page_size)
-                        data[:seg_len] = buf[inner : inner + seg_len]
-                        page.data = data
-                    page.dirty = False
-                    tick += 1
-                    page.lru = tick
-                    pages[key] = page
-                    if bucket is None:
-                        bucket = by_path[path] = set()
-                    bucket.add(page_idx)
+                    pages.move_to_end(key)
+                    self._tick += 1
+                    page.lru = self._tick
+                elif seg_len >= page_size:
+                    # _insert drops the slice if the page turns up
+                    # resident after an eviction wait.
+                    yield from self._insert(
+                        path, page_idx, buf[inner : inner + page_size]
+                    )
                 else:
-                    self._tick = tick
+                    # The file's tail: a zero-padded partial page.
                     page, created = yield from self._insert(path, page_idx)
-                    tick = self._tick
-                    bucket = by_path.get(path)
                     if created:
-                        page.data[:seg_len] = buf[inner : inner + seg_len]
+                        page.data[:seg_len] = buf[inner:]
                 inner += page_size
                 page_idx += 1
-            self._tick = tick
             cursor += piece
         self.stats.faulted_bytes += length
         counter = self._fault_counter
@@ -550,9 +455,7 @@ class PageCache:
         pages = self._pages
         pages_get = pages.get
         move_to_end = pages.move_to_end
-        inflight = self._inflight
         page_size = self.page_size
-        capacity = self.capacity_pages
         length = len(data)
         src = memoryview(data)
         written_resident = 0
@@ -561,16 +464,12 @@ class PageCache:
         # Only the first page can start mid-page: advance the page index
         # instead of re-dividing the cursor each iteration.  ``start``
         # is the position within ``data`` (== cursor - offset).  ``tick``
-        # and ``bucket`` mirror self._tick / this path's index across the
-        # no-yield stretches (written back before any yield, re-fetched
-        # after — evictions inside _insert may recreate the bucket).
+        # mirrors self._tick across the no-yield stretches (written back
+        # before any yield, reloaded after: other processes stamp too).
         page_idx = offset // page_size
         in_page = offset - page_idx * page_size
         start = 0
-        by_path = self._by_path
-        bucket = by_path.get(path)
         tick = self._tick
-        bulk = BULK_PAGE_RUNS
         while start < length:
             piece = page_size - in_page
             rest = length - start
@@ -580,36 +479,15 @@ class PageCache:
             page = pages_get(key)
             if page is None:
                 misses += 1
+                self._tick = tick
                 if piece == page_size:
                     # Full-page overwrite: allocate without fetching,
                     # handing the payload straight to the new page (no
                     # zero-fill, no second copy).
-                    if bulk and key not in inflight and (
-                        len(pages) < capacity or self._evict_clean_run()
-                    ):
-                        # Re-mirror the bucket: the clean-evict run may
-                        # have dropped this path's entry.
-                        bucket = by_path.get(path)
-                        # _new_page inlined: this stretch cannot yield.
-                        page = _Page.__new__(_Page)
-                        page.data = bytearray(src[start : start + page_size])
-                        page.dirty = True
-                        tick += 1
-                        page.lru = tick
-                        pages[key] = page
-                        if bucket is None:
-                            bucket = by_path[path] = set()
-                        bucket.add(page_idx)
-                        written_resident += page_size
-                        start += page_size
-                        page_idx += 1
-                        continue
-                    self._tick = tick
                     page, created = yield from self._insert(
                         path, page_idx, bytearray(src[start : start + page_size])
                     )
                     tick = self._tick
-                    bucket = by_path.get(path)
                     if created:
                         page.dirty = True
                         written_resident += page_size
@@ -617,10 +495,8 @@ class PageCache:
                         page_idx += 1
                         continue
                 else:
-                    self._tick = tick
                     yield from self._fault_range(path, page_idx, page_idx)
                     tick = self._tick
-                    bucket = by_path.get(path)
                     page = pages[key]
             else:
                 hits += 1
@@ -720,14 +596,13 @@ class PageCache:
     def _sync_path_impl(self, path: str) -> Generator[Event, object, None]:
         """Flush all dirty pages of ``path`` to FUSE (msync).
 
-        Runs of LRU-consecutive, file-contiguous full dirty pages inside
-        one chunk are shipped with a single ``write_ranges`` call whose
-        ``pre_range_delay`` charges the same per-page FUSE crossing the
-        page-by-page path pays; each page's payload is snapshotted (and
-        its dirty bit cleared) lazily right before its range goes out, so
+        Runs of LRU-consecutive, file-contiguous dirty pages inside one
+        chunk are shipped with a single ``write_ranges`` call whose
+        ``pre_range_delay`` charges the per-page FUSE crossing an
+        eviction flush pays; each page's payload is snapshotted (and its
+        dirty bit cleared) lazily right before its range goes out, so
         writes racing the sync re-dirty exactly the pages they would
-        have.  The file's tail page, being a partial write, still flushes
-        through :meth:`_flush_page`.
+        have.  The file's tail page ships only its bytes below EOF.
         """
         yield from self.drain_path(path)
         bucket = self._by_path.get(path)
@@ -764,56 +639,55 @@ class PageCache:
                     j += 1
                     continue
                 offset = page_idx * page_size
-                if size - offset < page_size:
-                    # Tail page: partial write, flush alone.
-                    yield from self._flush_page(path, page_idx, page)
-                    j += 1
-                    continue
                 chunk_index = offset // chunk_size
                 chunk_base = chunk_index * chunk_size
-                # Extend over LRU-consecutive, index-contiguous full
-                # dirty pages of the same chunk.
+                # Extend over LRU-consecutive, index-contiguous dirty
+                # pages of the same chunk.
                 batch = [(page_idx, page)]
                 k = j + 1
                 while k < total:
                     nxt_idx, nxt_page = snapshot[k]
-                    nxt_off = nxt_idx * page_size
                     if (
                         nxt_idx != batch[-1][0] + 1
                         or not nxt_page.dirty
-                        or nxt_off // chunk_size != chunk_index
-                        or size - nxt_off < page_size
+                        or nxt_idx * page_size // chunk_size != chunk_index
                     ):
                         break
                     batch.append((nxt_idx, nxt_page))
                     k += 1
                 flushed = 0
+                flushed_bytes = 0
 
                 def _ranges() -> Generator[tuple[int, bytes], None, None]:
                     # Consumed lazily by write_ranges: page m's payload
                     # is snapshotted (and un-dirtied) only after page
-                    # m-1's write completed — the same instant the
+                    # m-1's write completed — the same instant a
                     # page-by-page loop would have snapshotted it.
-                    nonlocal flushed
+                    nonlocal flushed, flushed_bytes
                     for idx2, pg in batch:
                         if not pg.dirty:
                             continue  # flushed meanwhile (e.g. evicted)
-                        payload = bytes(pg.data)
+                        start = idx2 * page_size
+                        payload = (
+                            bytes(pg.data) if size - start >= page_size
+                            else bytes(memoryview(pg.data)[: size - start])
+                        )
                         pg.dirty = False
                         flushed += 1
-                        yield (idx2 * page_size - chunk_base, payload)
+                        flushed_bytes += len(payload)
+                        yield (start - chunk_base, payload)
 
                 yield from cache.write_ranges(
                     path, chunk_index, _ranges(), pre_range_delay=overhead
                 )
                 if flushed:
-                    self.stats.writeback_bytes += flushed * page_size
+                    self.stats.writeback_bytes += flushed_bytes
                     counter = self._writeback_counter
                     if counter is None:
                         counter = self._writeback_counter = self.metrics.counter(
                             "pagecache.writeback.bytes"
                         )
-                    counter.total += flushed * page_size
+                    counter.total += flushed_bytes
                     counter.count += flushed
                 j = k
         yield from self.drain_path(path)

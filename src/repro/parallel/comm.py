@@ -8,7 +8,6 @@ from collections.abc import Generator
 import numpy as np
 
 from repro.cluster.node import Node
-from repro.devices.base import AccessKind
 from repro.errors import CommError
 from repro.sim.channel import Channel
 from repro.sim.engine import Engine

@@ -1,15 +1,14 @@
-"""Fuzzed identity of the bulk page-run fast paths vs per-page routes.
+"""Fuzzed identity of the stack's batched fast paths vs their references.
 
-The model layers carry two fast paths — the page cache's no-yield bulk
-fault/write runs (gated by ``pagecache.BULK_PAGE_RUNS``, whose per-page
-twin ``_insert`` the page cache needs anyway) and the resource layer's
-synchronous grants (``Resource.acquire_now``, no gate: the reference run
-patches it to always decline, before its world is built, so every grant
-rides the now ring).  Each is eligible only where the general path would
-have behaved identically, so the whole stack must produce byte-identical
-data and a bit-identical virtual timeline with both switched off.  These
-tests replay random read/write/msync schedules both ways and compare
-everything observable.
+The resource layer grants a free resource synchronously
+(``Resource.acquire_now``, no gate); the reference run patches it to
+always decline, before its world is built, so every grant rides the now
+ring.  A synchronous grant is taken only where the queued one would have
+behaved identically, so the whole stack must produce byte-identical data
+and a bit-identical virtual timeline either way.  The first test replays
+random read/write/msync schedules both ways — through a page cache small
+enough that pages are evicted, flushed and refaulted on the way — and
+compares everything observable.
 
 The FTL has one write path and no gate: its retired per-page loops live
 here as :class:`PerPageFTL`, the differential oracle.
@@ -20,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.mem.pagecache as pagecache_mod
 from repro.cluster import make_hal_cluster
 from repro.cluster.hal import HalConfig
 from repro.core import NVMalloc
@@ -42,7 +40,7 @@ op = st.tuples(
 )
 
 
-def _run_schedule(ops, *, bulk: bool):
+def _run_schedule(ops):
     """One full stack run; returns (virtual_now, final_bytes, counters)."""
     engine = Engine()
     cluster = make_hal_cluster(
@@ -53,15 +51,15 @@ def _run_schedule(ops, *, bulk: bool):
     store = Manager(cluster.node(0))
     for node in cluster.nodes:
         store.register_benefactor(Benefactor(node, contribution=16 * MiB))
-    # A page cache far smaller than the region forces evictions, so the
-    # per-page fallback (``_insert`` with flush waits) really runs.
+    # A page cache far smaller than the region forces evictions, so
+    # ``_insert``'s flush waits (and the daemon's contended grants) run.
     lib = NVMalloc(
         cluster.node(1), store,
         fuse_cache_bytes=2 * CHUNK_SIZE, page_cache_bytes=16 * KiB,
     )
 
     def driver():
-        var = yield from lib.ssdmalloc(REGION, owner="bulkfuzz")
+        var = yield from lib.ssdmalloc(REGION, owner="grantfuzz")
         region = var.region
         for kind, off_frac, len_frac, fill in ops:
             offset = int(off_frac * (REGION - 1))
@@ -83,19 +81,17 @@ def _run_schedule(ops, *, bulk: bool):
 
 @settings(max_examples=10, deadline=None)
 @given(ops=st.lists(op, min_size=3, max_size=16))
-def test_bulk_runs_match_per_page_paths(ops):
-    fast = _run_schedule(ops, bulk=True)
+def test_sync_grants_match_queued_grants(ops):
+    fast = _run_schedule(ops)
     acquire_now = Resource.acquire_now
     try:
-        pagecache_mod.BULK_PAGE_RUNS = False
         Resource.acquire_now = lambda self: None
-        slow = _run_schedule(ops, bulk=False)
+        slow = _run_schedule(ops)
     finally:
-        pagecache_mod.BULK_PAGE_RUNS = True
         Resource.acquire_now = acquire_now
-    assert fast[1] == slow[1], "bulk and per-page paths returned different bytes"
+    assert fast[1] == slow[1], "sync and queued grants returned different bytes"
     assert fast[0] == slow[0], (
-        f"virtual time drifted: bulk {fast[0]!r} vs per-page {slow[0]!r}"
+        f"virtual time drifted: sync {fast[0]!r} vs queued {slow[0]!r}"
     )
     assert fast[2] == slow[2], {
         k: (fast[2].get(k), slow[2].get(k))

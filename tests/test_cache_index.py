@@ -224,9 +224,10 @@ class TestFlushAllDrainsInflight:
         mount.cache.invalidate_path("/drain")
 
         def check():
+            got = bytearray(PAGE_SIZE)
             for chunk in range(3):
-                got = yield from mount.cache.read(
-                    "/drain", chunk, 0, PAGE_SIZE
+                yield from mount.cache.read_into(
+                    "/drain", chunk, 0, PAGE_SIZE, got
                 )
                 assert got == payload[chunk], f"chunk {chunk} lost"
 
@@ -275,7 +276,9 @@ class TestPrefetchAccounting:
         make_file(engine, mount, "/ra", 4 * CHUNK_SIZE)
 
         def proc():
-            yield from mount.cache.read("/ra", 0, 0, PAGE_SIZE)
+            yield from mount.cache.read_into(
+                "/ra", 0, 0, PAGE_SIZE, bytearray(PAGE_SIZE)
+            )
 
         run(engine, proc())
         engine.run_all([])  # let the background prefetch complete

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BadFileDescriptorError, FuseError, SimulationError, StoreError
+from repro.errors import (
+    BadFileDescriptorError, BenefactorDownError, FuseError, SimulationError,
+    StoreError,
+)
 from repro.fusefs import FuseMount, OpenFlags
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.units import KiB, MiB
@@ -444,6 +447,96 @@ class TestConcurrentCacheIntegrity:
             [engine.process(worker(tag)) for tag in range(1, 9)]
         )
         assert all(results)
+
+    def test_write_during_eviction_writeback_of_same_chunk(
+        self, engine, small_cluster, store
+    ):
+        """A partial-page write to a chunk whose eviction write-back is
+        still in flight waits for it, so its read-modify-write fetch
+        sees the evicted bytes and both writes survive."""
+        mount = FuseMount(
+            small_cluster.node(1), store, cache_bytes=2 * CHUNK_SIZE
+        )
+        cache = mount.cache
+        landed = []
+
+        def evictor(fd):
+            yield from mount.pwrite(fd, 0, b"a" * PAGE_SIZE)
+            yield from mount.pwrite(fd, CHUNK_SIZE, b"b" * PAGE_SIZE)
+            # Third chunk: evicts chunk 0 and ships its dirty page.
+            yield from mount.pwrite(fd, 2 * CHUNK_SIZE, b"c" * PAGE_SIZE)
+
+        def late_writer(fd):
+            while ("/evw", 0) not in cache._inflight:
+                yield engine.timeout(1e-7)
+            yield from mount.pwrite(fd, 10, b"BBB")
+            landed.append(("/evw", 0) in cache._inflight)
+
+        def opened():
+            return (yield from mount.open(
+                "/evw", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=3 * CHUNK_SIZE
+            ))
+
+        def check(fd):
+            yield from mount.fsync(fd)
+            cache.invalidate_path("/evw")
+            return (yield from mount.pread(fd, 0, PAGE_SIZE))
+
+        fd = run(engine, opened())
+        engine.run_all(
+            [engine.process(evictor(fd)), engine.process(late_writer(fd))]
+        )
+        got = run(engine, check(fd))
+        assert landed == [False], "the write overtook the write-back"
+        assert got == b"a" * 10 + b"BBB" + b"a" * (PAGE_SIZE - 13)
+        assert not cache._inflight and not cache._inflight_by_path
+
+
+class TestFailedFillUnpins:
+    def test_failed_reads_leave_nothing_pinned(self, engine, small_cluster, store):
+        """A fill that raises (every replica gone) must unpin its entry:
+        a pinned entry is never a victim, so each failed read used to
+        grow the cache by one chunk for ever."""
+        mount = FuseMount(
+            small_cluster.node(1), store, cache_bytes=2 * CHUNK_SIZE
+        )
+        cache = mount.cache
+        assert cache.capacity_chunks == 2
+
+        def proc():
+            alive = yield from mount.open(
+                "/alive", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=CHUNK_SIZE
+            )
+            doomed = yield from mount.open(
+                "/doomed", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=8 * CHUNK_SIZE
+            )
+            yield from mount.pwrite(alive, 0, b"alive")
+            yield from mount.fsync(alive)
+            for index in range(8):
+                yield from mount.pwrite(doomed, index * CHUNK_SIZE, b"doomed")
+                yield from mount.fsync(doomed)
+            for path in ("/alive", "/doomed"):
+                cache.invalidate_path(path)
+            _, survivor = store.resolve_chunk("/alive", 0)
+            lost = [
+                index for index in range(8)
+                if store.resolve_chunk("/doomed", index)[1] is not survivor
+            ]
+            assert len(lost) > cache.capacity_chunks
+            for benefactor in store.benefactors():
+                if benefactor is not survivor:
+                    benefactor.crash()
+            for index in lost:
+                with pytest.raises(BenefactorDownError):
+                    yield from mount.pread(doomed, index * CHUNK_SIZE, 6)
+            assert len(cache) <= cache.capacity_chunks
+            assert all(entry.pins == 0 for entry in cache._entries.values())
+            # The empty leftovers are ordinary LRU victims.
+            assert (yield from mount.pread(alive, 0, 5)) == b"alive"
+            assert ("/alive", 0) in cache.cached_keys()
+            assert len(cache) <= cache.capacity_chunks
+
+        run(engine, proc())
 
 
 # ----------------------------------------------------------------------

@@ -115,6 +115,51 @@ class TestUnalignedMappings:
 
         assert run(engine, proc()) == b"z" * 100
 
+    def test_msync_batches_the_tail_page_with_its_neighbours(
+        self, engine, mount
+    ):
+        """The file's last (partial) page is one more range of the same
+        ``write_ranges`` batch as the full pages before it, cut to EOF."""
+        pagecache = PageCache(mount, capacity_bytes=64 * KiB)
+        size = 5 * PAGE_SIZE + 100
+        start = 3 * PAGE_SIZE
+        payload = bytes((i * 11 + 1) % 251 for i in range(size - start))
+        calls = []
+        write_ranges = mount.cache.write_ranges
+
+        def spy(path, index, ranges, **kwargs):
+            seen = []
+            calls.append(seen)
+
+            def tee():  # stay lazy: the snapshot instant is part of the model
+                for offset, data in ranges:
+                    seen.append((offset, len(data)))
+                    yield offset, data
+
+            return write_ranges(path, index, tee(), **kwargs)
+
+        mount.cache.write_ranges = spy
+
+        def proc():
+            fd = yield from mount.open(
+                "/tail3", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=size
+            )
+            # Dirties pages 3, 4 and the 100-byte tail, LRU-consecutive.
+            yield from pagecache.write("/tail3", start, payload)
+            yield from pagecache.sync_path("/tail3")
+            yield from mount.fsync(fd)
+            mount.cache.invalidate_path("/tail3")
+            return (yield from mount.pread(fd, 0, size))
+
+        back = run(engine, proc())
+        assert calls == [
+            [(start, PAGE_SIZE), (start + PAGE_SIZE, PAGE_SIZE), (size - 100, 100)]
+        ]
+        assert pagecache.stats.writeback_bytes == size - start
+        assert mount.metrics.value("pagecache.writeback.bytes") == size - start
+        assert mount.metrics.count("pagecache.writeback.bytes") == 3
+        assert back == bytes(start) + payload
+
 
 class TestBatchedReadBoundaries:
     """Batched (ranged) page-cache reads across chunk seams and tails.

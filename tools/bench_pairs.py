@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Interleaved parent/change pairs of one benchmark workload.
+
+    python tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --pairs N
+
+Runs ``bench/run.py --workload W --trace 0`` in two *exported* trees
+(``git archive`` / ``git checkout-index``, never the working tree),
+alternating which side goes first, and prints every run.  The verdict on
+each host metric follows the simplicity guide: with gap = change median -
+parent median and IQR = the parent's own q3 - q1, a gap outside the IQR is
+``better`` / ``worse`` when that side also took nine tenths of the pairs
+(ties count for neither) and ``unresolved`` when the pairs disagree; a gap
+inside it is ``level`` — or ``unresolved`` when the IQR is wider than the
+benchmark's bound, since a regression of that size could hide in it.
+``worse`` is not "regression": that is a median beyond the printed bound.
+
+Exit status is non-zero only on a failed op or a virtual metric that
+differs between the two sides; the host verdict never fails the run.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+from statistics import median, quantiles
+
+HOST = ("host_s", "setup_s", "peak_rss_mib")  # noisy: compared by median
+COUNT = "host_calls_per_op"  # exact per side, expected to differ across sides
+
+
+def run_once(tree: Path, extra: list[str]) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--trace", "0", *extra],
+        cwd=tree, stdout=subprocess.PIPE, text=True,
+    )
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    record["values"] = {k: m["value"] for k, m in record.pop("metrics").items()}
+    return record
+
+
+def verdict(gap: float, iqr: float, won: int, lost: int, pairs: int, bound: float) -> str:
+    if abs(gap) > iqr:
+        if gap < 0 and won >= 0.9 * pairs:
+            return "better"
+        if gap > 0 and lost >= 0.9 * pairs:
+            return "worse"
+        return "unresolved"
+    return "unresolved" if iqr > bound else "level"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="exported tree of the parent commit")
+    parser.add_argument("change", type=Path, help="exported tree of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", help="passed to bench/run.py (default: its own)")
+    parser.add_argument("--seed", help="passed to bench/run.py (default: its own)")
+    args = parser.parse_args()
+    extra = ["--workload", args.workload]
+    for flag in ("seconds", "seed"):
+        if getattr(args, flag) is not None:
+            extra += [f"--{flag}", getattr(args, flag)]
+    bounds = {
+        m["name"]: m["bound"]
+        for m in json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    }
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for i in range(args.pairs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(run_once(trees[side], extra))
+        p, c = runs["parent"][-1]["values"], runs["change"][-1]["values"]
+        print(f"pair {i + 1:2d} ({'parent' if i % 2 == 0 else 'change'} first)  host_s "
+              f"{p['host_s']:.3f}>{c['host_s']:.3f}  setup_s {p['setup_s']:.3f}>{c['setup_s']:.3f}"
+              f"  peak_rss_mib {p['peak_rss_mib']:.1f}>{c['peak_rss_mib']:.1f}", flush=True)
+    reference = runs["parent"][0]["values"]
+    drift = sorted({
+        name
+        for records in runs.values() for r in records
+        for name, value in r["values"].items()
+        if name not in HOST and name != COUNT and value != reference[name]
+    })
+    for name in HOST:
+        ps = [r["values"][name] for r in runs["parent"]]
+        cs = [r["values"][name] for r in runs["change"]]
+        q1, _, q3 = quantiles(ps, n=4, method="inclusive") if len(ps) > 1 else (ps[0],) * 3
+        pm, cm = median(ps), median(cs)
+        won = sum(c < p for p, c in zip(ps, cs))
+        lost = sum(c > p for p, c in zip(ps, cs))
+        word = verdict(cm - pm, q3 - q1, won, lost, len(ps), bounds[name] * pm)
+        print(f"{name}: median {pm:.4g}>{cm:.4g} ({(cm - pm) / pm:+.1%}; bound "
+              f"{bounds[name]:+.0%}), parent quartiles {q1:.4g}..{q3:.4g}, "
+              f"change won {won}/{len(ps)} lost {lost}: {word}")
+    calls = {side: sorted({r["values"][COUNT] for r in runs[side]}) for side in runs}
+    print(f"{COUNT} (a count): parent {calls['parent']} change {calls['change']}")
+    failed = {s: sum(r["failed"] or not r["correct"] for r in runs[s]) for s in runs}
+    print(f"failed: parent {failed['parent']} change {failed['change']} "
+          f"of {runs['parent'][0]['attempted']} attempted per run")
+    print("virtual metrics: " + (f"DIFFER {drift}" if drift else "bit-equal"))
+    return 1 if drift or any(failed.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
