@@ -1,6 +1,6 @@
 # Convenience targets for the NVMalloc reproduction.
 
-.PHONY: install test test-faults test-lifecycle test-obs test-cache test-slo determinism cache-ablation slo-curve bench bench-wallclock bench-floor bench-selfcheck bench-pairs profile profile-layers trace experiments experiments-par examples clean
+.PHONY: install test test-faults test-lifecycle test-obs test-cache test-slo determinism cache-ablation slo-curve bench bench-selfcheck bench-pairs trace experiments experiments-par examples clean
 
 install:
 	pip install -e .
@@ -20,17 +20,6 @@ test-lifecycle:
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-bench-wallclock:
-	PYTHONPATH=src python tools/bench_wallclock.py \
-		--baseline benchmarks/BENCH_wallclock_seed.json --repeat 3
-	PYTHONPATH=src pytest benchmarks/test_wallclock_stack.py -m wallclock
-
-# Gate a fresh run's kernel throughput against the committed benchmark
-# (floors derive from BENCH_wallclock.json's events_per_second figures).
-bench-floor:
-	PYTHONPATH=src python tools/bench_wallclock.py --output /tmp/bench_fresh.json
-	python tools/check_bench_floor.py /tmp/bench_fresh.json --require-all
 
 # The benchmark's own checks, then two short runs that must be correct
 # (no "load changed", no failed op, repeats agree — the last output line
@@ -61,15 +50,6 @@ bench-selfcheck:
 bench-pairs:
 	python3 tools/bench_pairs.py $(PARENT) $(CHANGE) --workload $(W) \
 		--pairs $(N) $(if $(S),--seconds $(S))
-
-profile:
-	PYTHONPATH=src python tools/profile_stack.py --limit 25
-
-# Per-(layer, op) virtual-time attribution from traced spans; diff two
-# dumps with `tools/profile_stack.py --layers --diff old.json`.
-profile-layers:
-	PYTHONPATH=src python tools/profile_stack.py --layers --scale tiny \
-		--layers-out /tmp/profile_layers.json
 
 # The tracing-identity gate (excluded from `make test` by the "not obs"
 # marker expression; CI runs it in the dedicated tracing job).

@@ -166,7 +166,7 @@ TINY = ExperimentScale(
     stream_iterations=2,
     stream_block=32 * KiB,
     sort_elements=1 << 15,
-    sort_dram_per_rank=1 << 10,
+    sort_dram_per_rank=128,
     randwrite_region=4 * MiB,
     randwrite_count=2 * 1024,
     checkpoint_variable=1 * MiB,

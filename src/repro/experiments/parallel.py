@@ -81,8 +81,7 @@ EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentReport], str]] = {
 #: Drivers that take no scale argument.
 SCALELESS = frozenset({"table1"})
 
-#: Counter prefixes that pin the virtual byte flows of the memory stack
-#: (shared with ``tools/bench_wallclock.py``).
+#: Counter prefixes that pin the virtual byte flows of the memory stack.
 COUNTER_PREFIXES = ("pagecache.", "fuse.", "store.client.")
 
 

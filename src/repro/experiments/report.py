@@ -168,7 +168,7 @@ class ExperimentReport:
 
         Two runs of the same experiment are *the same result* iff their
         digests match; the result cache, the parallel-vs-serial identity
-        check, and ``tools/bench_wallclock.py`` matrix entries all compare
+        check, and the pins ``tools/check_digests.py`` reads all compare
         this value.  JSON canonicalization (sorted keys, no whitespace)
         makes the hash independent of dict ordering, and Python's
         float-repr round-trip guarantee keeps it exact across a

@@ -532,10 +532,6 @@ class ChunkCache:
             while entry.filling is not None:
                 yield entry.filling
             if entry.dirty:
-                ranges, nbytes = self._payloads(
-                    entry, entry.dirty, not self.dirty_page_writeback
-                )
-                entry.dirty.clear()
                 if entry.valid and self._inval_gen.get(path, 0) == gen_at:
                     ok = yield from self._spill(key, entry, staged=True)
                     if not ok:
@@ -543,17 +539,10 @@ class ChunkCache:
                 else:
                     l2.drop(key)
                 self._l2_unsettled.discard(key)
-                req = self.daemon.acquire_now()
-                if req is None:
-                    req = self.daemon.request()
-                    yield req
-                try:
-                    yield from self.client.write_chunk_ranges(
-                        path, index, ranges
-                    )
-                finally:
-                    self.daemon.release(req)
-                self._wrote_back(nbytes)
+                # The victim is out of ``_entries`` with ``pins == 0``:
+                # nothing can write it between the spill above and the
+                # payload snapshot the write-back takes.
+                yield from self._writeback_impl(key, entry)
                 l2.mark_drained(key)
             elif (
                 entry.valid

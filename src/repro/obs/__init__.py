@@ -1,12 +1,12 @@
 """Virtual-time distributed tracing for the simulated memory stack.
 
 Enable with the ``REPRO_TRACE=1`` environment variable or the
-``--trace`` flag of ``python -m repro.experiments`` /
-``tools/bench_wallclock.py``; every :class:`~repro.experiments.runner.Testbed`
-built while tracing is on attaches a :class:`~repro.obs.tracer.Tracer`
-to its engine.  Spans read the virtual clock and never schedule events,
-so traced runs stay bit-identical (virtual times, counters, report
-digests) to untraced ones — see ``docs/INTERNALS.md``, "Tracing".
+``--trace`` flag of ``python -m repro.experiments``; every
+:class:`~repro.experiments.runner.Testbed` built while tracing is on
+attaches a :class:`~repro.obs.tracer.Tracer` to its engine.  Spans read
+the virtual clock and never schedule events, so traced runs stay
+bit-identical (virtual times, counters, report digests) to untraced
+ones — see ``docs/INTERNALS.md``, "Tracing".
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import typing
 
 from repro.obs.critical import CriticalPath, critical_path
 from repro.obs.export import (
-    LATENCY_SCHEMA,
     chrome_trace,
-    latency_json,
     latency_lines,
     latency_summary,
     span_tree,
@@ -95,7 +93,6 @@ def report_lines(label: str, tracer: Tracer) -> list[str]:
 
 __all__ = [
     "CriticalPath",
-    "LATENCY_SCHEMA",
     "Span",
     "Tracer",
     "chrome_trace",
@@ -105,7 +102,6 @@ __all__ = [
     "critical_path",
     "enable",
     "enabled",
-    "latency_json",
     "latency_lines",
     "latency_summary",
     "new_tracer_if_enabled",

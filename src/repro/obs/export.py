@@ -6,28 +6,13 @@
   each layer one "thread".
 - :func:`span_tree` — plain-text indented span tree for terminals/tests.
 - :func:`latency_summary` — per-(layer, op) virtual-latency percentiles.
-- :func:`latency_json` — the same percentiles plus log-spaced histogram
-  buckets as a schema-versioned JSON-safe payload, for dashboards and
-  cross-run tooling (``tools/profile_stack.py --layers-out`` embeds it).
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 
 from repro.obs.tracer import Span, Tracer
-
-#: Bump when the :func:`latency_json` payload layout changes.  Consumers
-#: must check this before interpreting the ``ops`` table.
-LATENCY_SCHEMA = 1
-
-#: Default histogram bucket upper bounds (virtual seconds): powers of two
-#: from 1 us to ~8 s.  Durations above the last bound land in a final
-#: overflow bucket, so every payload has ``len(bounds) + 1`` counts.
-LATENCY_BUCKET_BOUNDS: tuple[float, ...] = tuple(
-    1e-6 * 2.0**i for i in range(24)
-)
 
 
 def _percentile(durations: list[float], q: float) -> float:
@@ -57,52 +42,6 @@ def latency_summary(
             "total": sum(durations),
         }
     return summary
-
-
-def latency_json(
-    spans: list[Span],
-    *,
-    bucket_bounds: tuple[float, ...] = LATENCY_BUCKET_BOUNDS,
-) -> dict[str, object]:
-    """Machine-readable per-``layer.op`` latency payload.
-
-    Returns a JSON-safe dict: ``schema`` (see :data:`LATENCY_SCHEMA`),
-    the ``bucket_bounds`` used (upper bounds, virtual seconds), and an
-    ``ops`` table keyed by ``"layer.op"`` with the same count/p50/p95/
-    p99/max/total fields as :func:`latency_summary` plus ``buckets`` —
-    ``len(bucket_bounds) + 1`` counts, the last an overflow bucket.
-    Everything derives from virtual durations, so the payload is
-    bit-deterministic across runs of the same simulation.
-    """
-    bounds = [float(b) for b in bucket_bounds]
-    if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
-        raise ValueError("bucket_bounds must be strictly increasing")
-    durations_by_key: dict[tuple[str, str], list[float]] = {}
-    for span in spans:
-        durations_by_key.setdefault(
-            (span.layer, span.name), []
-        ).append(span.duration)
-    ops: dict[str, dict[str, object]] = {}
-    for layer, name in sorted(durations_by_key):
-        durations = sorted(durations_by_key[(layer, name)])
-        counts = [0] * (len(bounds) + 1)
-        for duration in durations:
-            counts[bisect.bisect_left(bounds, duration)] += 1
-        ops[f"{layer}.{name}"] = {
-            "count": len(durations),
-            "p50": _percentile(durations, 0.50),
-            "p95": _percentile(durations, 0.95),
-            "p99": _percentile(durations, 0.99),
-            "max": durations[-1],
-            "total": sum(durations),
-            "buckets": counts,
-        }
-    return {
-        "schema": LATENCY_SCHEMA,
-        "unit": "virtual_seconds",
-        "bucket_bounds": bounds,
-        "ops": ops,
-    }
 
 
 def latency_lines(spans: list[Span], *, max_rows: int = 20) -> list[str]:

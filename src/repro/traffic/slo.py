@@ -20,7 +20,7 @@ For *where* the tail time goes, runs executed with tracing on reuse the
 obs machinery unchanged: the per-(layer, op) percentile tables and the
 critical-path analyzer already attribute virtual time across the
 mmap → page-cache → chunk-cache → store stack (see
-:func:`repro.obs.report_lines` and :func:`repro.obs.export.latency_json`).
+:func:`repro.obs.report_lines`).
 """
 
 from __future__ import annotations

@@ -1,15 +1,25 @@
 """Tests for the experiment CLI (`python -m repro.experiments`)."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.__main__ import EXPERIMENTS, main
 
-DIGEST_PINS = (
-    Path(__file__).resolve().parent.parent
-    / "benchmarks" / "EXPERIMENT_digests_tiny.json"
+ROOT = Path(__file__).resolve().parent.parent
+DIGEST_PINS = ROOT / "benchmarks" / "EXPERIMENT_digests_tiny.json"
+
+#: Files that tell a contributor (or CI) which tool to run.
+TOOL_REFERRERS = (
+    "Makefile",
+    ".github/workflows/ci.yml",
+    "README.md",
+    "CONTRIBUTING.md",
+    "docs/INTERNALS.md",
+    "pyproject.toml",
+    ".claude/skills/verify/SKILL.md",
 )
 
 
@@ -41,6 +51,20 @@ class TestCli:
         usage = " ".join(capsys.readouterr().out.split())
         listed = usage.split("default: all of ")[1].split(")")[0]
         assert listed.split(", ") == list(EXPERIMENTS)
+
+    @pytest.mark.parametrize("referrer", TOOL_REFERRERS)
+    def test_named_tools_and_pins_exist(self, referrer):
+        text = (ROOT / referrer).read_text()
+        named = set(
+            re.findall(r"\b(?:tools/\w+\.py|benchmarks/\w+\.json)\b", text)
+        )
+        assert [path for path in sorted(named) if not (ROOT / path).exists()] == []
+
+    def test_every_deselected_marker_is_declared(self, pytestconfig):
+        declared = {line.split(":")[0] for line in pytestconfig.getini("markers")}
+        addopts = " ".join(pytestconfig.getini("addopts"))
+        deselected = set(re.findall(r"not (\w+)", addopts))
+        assert deselected and deselected <= declared
 
     def test_run_one_tiny(self, capsys):
         assert main(["checkpoint", "--scale", "tiny", "--no-cache"]) == 0

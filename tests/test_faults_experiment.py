@@ -1,9 +1,9 @@
 """The fault-injection experiment: verified outcomes, digest determinism.
 
-Marked ``faults`` (excluded from the default tier-1 run, like
-``wallclock``): each leg simulates full STREAM/checkpoint workloads, so
-this file costs noticeably more wall time than the unit tests.  CI runs
-it in a dedicated job alongside a two-process digest comparison.
+Marked ``faults`` (excluded from the default tier-1 run): each leg
+simulates full STREAM/checkpoint workloads, so this file costs
+noticeably more wall time than the unit tests.  CI runs it in a
+dedicated job alongside a two-process digest comparison.
 """
 
 import pytest

@@ -13,7 +13,7 @@ from repro.experiments.resultcache import (
     result_key,
     scale_fingerprint,
 )
-from repro.experiments.runner import Testbed
+from repro.experiments.runner import Testbed, track_testbeds
 
 
 class TestKeys:
@@ -157,6 +157,17 @@ class TestCounters:
         assert testbeds > 0
         assert any(k.startswith("fuse.") for k in report.counters)
         assert any(k.startswith("store.client.") for k in report.counters)
+
+    def test_table6_pin_covers_the_hybrid_sort(self):
+        # A rank's share of the TINY sort must exceed its DRAM budget, or
+        # the hybrid legs never touch NVM and the pin digests no byte flow.
+        with track_testbeds() as tracker:
+            report, testbeds = execute_experiment("table6", TINY)
+        assert testbeds == 3
+        for key in ("fuse.fetch.bytes", "pagecache.writeback.bytes"):
+            assert report.counters[key] > 0, key
+            for testbed in tracker.testbeds[1:]:  # L-SSD and R-SSD hybrid
+                assert testbed.cluster.metrics.snapshot(key)[key] > 0, key
 
     def test_digest_covers_counters(self):
         report, _ = execute_experiment("table1", TINY)
