@@ -160,7 +160,7 @@ class SnapshotGuard:
                 self.cow_captures += 1
         finally:
             del self._capturing[index]
-            done.succeed()
+            done.conclude()
 
     def _wake_room(self) -> None:
         waiters, self._room = self._room, []
@@ -235,7 +235,7 @@ class AsyncCheckpoint:
     def _finish(self, error: BaseException | None) -> None:
         self.finished = True
         self.error = error
-        self._done.succeed()
+        self._done.conclude()
 
     def wait(self) -> Generator[Event, object, "CheckpointRecord"]:
         """Join the drain; returns the record or re-raises its failure."""

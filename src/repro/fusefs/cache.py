@@ -448,12 +448,16 @@ class ChunkCache:
             if policy is not None:
                 policy.record_evict(victim_key)
             was_dirty = bool(entry.dirty)
-            done = Event(self._engine)
-            self._inflight[victim_key] = done
-            ibucket = self._inflight_by_path.get(vpath)
-            if ibucket is None:
-                ibucket = self._inflight_by_path[vpath] = {}
-            ibucket[vindex] = done
+            if was_dirty or l2 is not None:
+                # The marker exists only around work that can yield: an
+                # unpinned victim is not filling, so a clean one in the
+                # flat cache is dropped with nothing to wait for.
+                done = Event(self._engine)
+                self._inflight[victim_key] = done
+                ibucket = self._inflight_by_path.get(vpath)
+                if ibucket is None:
+                    ibucket = self._inflight_by_path[vpath] = {}
+                ibucket[vindex] = done
             if l2 is not None:
                 # Tiered eviction is fully asynchronous: the spill into
                 # the local tier and the store drain run as their own
@@ -480,15 +484,17 @@ class ChunkCache:
                 else None
             )
             try:
-                # The impl, not the traced ``_writeback`` dispatcher: the
-                # span above already names this write-back.
-                yield from self._writeback_impl(victim_key, entry)
+                if was_dirty:
+                    # The impl, not the traced ``_writeback`` dispatcher:
+                    # the span above already names this write-back.
+                    yield from self._writeback_impl(victim_key, entry)
             finally:
-                del self._inflight[victim_key]
-                del ibucket[vindex]
-                if not ibucket:
-                    del self._inflight_by_path[vpath]
-                done.succeed(None)
+                if was_dirty:
+                    del self._inflight[victim_key]
+                    del ibucket[vindex]
+                    if not ibucket:
+                        del self._inflight_by_path[vpath]
+                    done.conclude()
                 if span is not None:
                     tracer.end(span)
             self.stats.evictions += 1
@@ -561,7 +567,7 @@ class ChunkCache:
             del ibucket[index]
             if not ibucket:
                 del self._inflight_by_path[path]
-            done.succeed(None)
+            done.conclude()
 
     def _spill(
         self, key: tuple[str, int], entry: _Entry, *, staged: bool
@@ -637,7 +643,7 @@ class ChunkCache:
         finally:
             event, entry.writeback = entry.writeback, None
             if event is not None:
-                event.succeed(None)
+                event.conclude()
         self._wrote_back(nbytes)
 
     def _load(
@@ -869,7 +875,7 @@ class ChunkCache:
                 self.daemon.release(req)
         finally:
             event, entry.filling = entry.filling, None
-            event.succeed(None)
+            event.conclude()
         # Preserve bytes written before the fill (write-allocate case).
         nbytes = len(data)
         if nbytes == self.chunk_size and type(data) in (bytes, bytearray):

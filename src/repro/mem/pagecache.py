@@ -89,6 +89,10 @@ class PageCache:
         # hops each otherwise).
         self._engine = mount.node.engine
         self._dram = mount.node.dram
+        # The manager's live file table: a file grows in place and a
+        # re-created one is a new entry, so a bounds check against it is
+        # never stale, and a hit makes no call below the page cache.
+        self._files = mount.client.manager.files
         self.page_size = page_size
         self.fuse_op_overhead = fuse_op_overhead
         self.capacity_pages = capacity_bytes // page_size
@@ -196,7 +200,7 @@ class PageCache:
                     ibucket[vidx] = done
                     try:
                         offset = vidx * page_size
-                        length = min(page_size, mount.stat_size(vpath) - offset)
+                        length = min(page_size, self._size(vpath) - offset)
                         chunk_index = offset // chunk_size
                         chunk_off = offset - chunk_index * chunk_size
                         # Un-dirty before yielding: writes landing while
@@ -225,7 +229,7 @@ class PageCache:
                         del ibucket[vidx]
                         if not ibucket:
                             del self._inflight_by_path[vpath]
-                        done.succeed(None)
+                        done.conclude()
             if key in pages or key in inflight:
                 continue  # appeared (or re-entered eviction) while evicting
             return self._new_page(path, page_idx, data), True
@@ -261,7 +265,7 @@ class PageCache:
                 while key in inflight:
                     yield inflight[key]
         offset = first_page * self.page_size
-        size = self.mount.stat_size(path)
+        size = self._size(path)
         length = min((last_page + 1) * self.page_size, size) - offset
         cache = self._fuse_cache()
         # Each faulted page is one mmap fault serviced through the FUSE
@@ -609,7 +613,7 @@ class PageCache:
         if bucket:
             pages = self._pages
             page_size = self.page_size
-            size = self.mount.stat_size(path)
+            size = self._size(path)
             chunk_size = self.mount.chunk_size
             cache = self._fuse_cache()
             overhead = self.fuse_op_overhead or None
@@ -704,8 +708,14 @@ class PageCache:
             for page_idx in bucket:
                 del pages[(path, page_idx)]
 
+    def _size(self, path: str) -> int:
+        """The file's size now; a missing file raises the store's error."""
+        meta = self._files.get(path)
+        return meta.size if meta is not None else self.mount.stat_size(path)
+
     def _check(self, path: str, offset: int, length: int) -> None:
-        size = self.mount.stat_size(path)
+        meta = self._files.get(path)  # ``_size`` inlined: every hit passes here
+        size = meta.size if meta is not None else self.mount.stat_size(path)
         if offset < 0 or length < 0 or offset + length > size:
             raise MmapError(
                 f"page-cache access [{offset}, {offset + length}) outside "

@@ -133,6 +133,23 @@ class Event:
                 heappush(engine._heap, (time, engine._seq, self))
         return self
 
+    def conclude(self, value: object = None) -> "Event":
+        """Complete an event its owner has already *unpublished*.
+
+        For single-flight completion markers: the owner first removes
+        every reference a new waiter could find the event through.  With
+        a waiter registered this is ``succeed(value)``.  With none, no
+        process can ever observe the dispatch: the event is processed on
+        the spot instead of riding the ring, where it would make the next
+        ``Resource.acquire_now`` decline (INTERNALS, "Event kernel").
+        """
+        if self.callbacks is not None or self._scheduled:
+            return self.succeed(value)  # also raises when already triggered
+        self._value = value
+        self._scheduled = True
+        self.callbacks = _PROCESSED
+        return self
+
     # Called when the event fires outside the engine's inlined dispatch.
     def _process(self) -> None:
         callbacks = self.callbacks

@@ -15,6 +15,7 @@ import itertools
 from collections import deque
 from collections.abc import Generator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.cluster.node import Node
 from repro.errors import (
@@ -98,6 +99,8 @@ class Manager:
         self.replication = replication
         self._benefactors: dict[str, Benefactor] = {}
         self._files: dict[str, FileMeta] = {}
+        #: Live read-only view of the file table: ``lookup`` without a call.
+        self.files = MappingProxyType(self._files)
         self._chunk_ids = itertools.count(1)
         # Replica lists per chunk, policy-preferred benefactor first.  At
         # replication=1 every list is a singleton and behaviour is

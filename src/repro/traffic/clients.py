@@ -180,10 +180,14 @@ class ClientSwarm:
         done = engine.event()
         remaining = n
 
-        def finished(_proc: Event) -> None:
+        def finished(proc: Event) -> None:
             nonlocal remaining
             remaining -= 1
-            if remaining == 0:
+            if not proc._ok and not done.triggered:
+                # Died of what ``_execute`` does not record (a bug, a
+                # ``SimulationError``): ``engine.run(done)`` raises it.
+                done.fail(proc.value)
+            elif remaining == 0 and not done.triggered:
                 done.succeed()
 
         def launch(event: Event) -> None:

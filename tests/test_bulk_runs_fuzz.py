@@ -1,18 +1,47 @@
 """Fuzzed identity of the stack's batched fast paths vs their references.
 
-The resource layer grants a free resource synchronously
-(``Resource.acquire_now``, no gate); the reference run patches it to
-always decline, before its world is built, so every grant rides the now
-ring.  A synchronous grant is taken only where the queued one would have
-behaved identically, so the whole stack must produce byte-identical data
-and a bit-identical virtual timeline either way.  The first test replays
-random read/write/msync schedules both ways — through a page cache small
-enough that pages are evicted, flushed and refaulted on the way — and
-compares everything observable.
+Two kernel shortcuts remove events no process can observe, and neither
+has a gate: ``Resource.acquire_now`` grants a free resource inline when
+nothing else is queued at the instant, and ``Event.conclude`` processes
+a completion marker in place when its owner has unpublished it and
+nobody waits on it.  The reference run patches the first to always
+decline and the second to plain ``succeed()``, before its world is
+built, so every grant and every completion rides the now ring.  Both
+shortcuts are taken only where the queued form would have behaved
+identically, so the whole stack must produce byte-identical data, a
+bit-identical virtual timeline and identical counters either way — and
+strictly fewer dispatched events.  The first tests replay random
+read/write/msync schedules both ways: two or three ranks sharing one
+node's page and chunk caches (so fills, write-backs and evictions do
+find waiters), caches small enough that pages and chunks are evicted,
+flushed and refaulted on the way, flat and with the local tier on, with
+and without a benefactor crash at ``r=2``.
+
+Hand mutations of ``src/`` this file was run against, each applied alone:
+
+- ``conclude`` processes in place even with a waiter registered (the
+  ``callbacks is not None`` test dropped): killed — the waiter never
+  resumes and the engine raises its deadlock ``SimulationError``.
+- ``_make_room`` drops a *dirty* victim as it drops a clean one (no
+  marker, no write-back): killed — with ``private_pages`` a rank reads
+  stale bytes, and the final image is not what the ranks wrote.
+- a site concludes its marker *before* unpublishing it, the statements
+  still adjacent (``done.conclude()``, then ``del self._inflight[key]``;
+  tried in ``_make_room``, ``_fill_impl`` and ``PageCache._insert``):
+  survives, and has to — no process runs between two statements with no
+  yield between them, so it is the same program.  "Unpublish, then
+  conclude" is the order that makes the in-place arm safe *by reading
+  the site alone*; it becomes observable only if a yield ever lands
+  between the two, where a waiter that found the concluded marker would
+  resume inline instead of behind the instant's queue.
 
 The FTL has one write path and no gate: its retired per-page loops live
 here as :class:`PerPageFTL`, the differential oracle.
 """
+
+import random
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -24,80 +53,188 @@ from repro.cluster.hal import HalConfig
 from repro.core import NVMalloc
 from repro.devices.ftl import FlashTranslationLayer
 from repro.errors import CapacityError, EnduranceExceededError
-from repro.sim import Engine, Resource
+from repro.sim import AllOf, Engine, Event, Resource
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.intervals import IntervalSet
 from repro.util.units import KiB, MiB
 
-REGION = 48 * KiB  # spans 12 pages across chunk boundaries at offset
+# Two and a half chunks: three chunk-cache keys contending for two slots,
+# the last chunk a partial tail.
+REGION = 5 * CHUNK_SIZE // 2
+MAX_OP = 6 * PAGE_SIZE
 
 # One op: (kind, offset_frac, length_frac, fill byte)
 op = st.tuples(
-    st.sampled_from(["write", "read", "msync"]),
+    st.sampled_from(["write", "write", "read", "msync"]),
     st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=0.01, max_value=0.5),
+    st.floats(min_value=0.01, max_value=1.0),
     st.integers(min_value=1, max_value=255),
 )
+scripts = st.lists(st.lists(op, min_size=2, max_size=16), min_size=2, max_size=3)
 
 
-def _run_schedule(ops):
-    """One full stack run; returns (virtual_now, final_bytes, counters)."""
+# With ``private_pages`` a rank touches only its own lanes — page-aligned,
+# so ranks share chunks but never a page — and whatever the interleaving
+# every byte it reads, and the final image, is its own writes in program
+# order: an absolute oracle beside the differential one, which is what
+# catches a mutation of the cache code that both kernels would run alike.
+# Without it every rank touches everything, pages included, and only the
+# two runs are compared.  (The split exists because ranks that fault and
+# dirty one *page* concurrently under eviction pressure lose an update
+# today — ROADMAP item 4, "a fault installs bytes it fetched before
+# somebody else's flush" — identically under both kernels.)
+LANE = 2 * PAGE_SIZE
+
+
+def _own(rank, nranks, offset, length):
+    """The pieces of ``[offset, offset + length)`` in ``rank``'s lanes."""
+    end = offset + length
+    while offset < end:
+        lane = offset // LANE
+        stop = min(end, (lane + 1) * LANE)
+        if lane % nranks == rank:
+            yield offset, stop
+        offset = stop
+
+
+def _run_schedule(scripts, *, tiered=False, crash_after=None, private_pages=False):
+    """One full stack run: ``len(scripts)`` concurrent ranks on one node,
+    sharing its caches and one region.  Returns ``(virtual_now,
+    final_bytes, counters, events_processed)``.  With ``crash_after``,
+    the store replicates twice and rank 0 kills a benefactor before its
+    op of that index."""
     engine = Engine()
     cluster = make_hal_cluster(
         engine,
-        HalConfig(num_nodes=2, cores_per_node=2, dram_per_node=16 * MiB,
+        HalConfig(num_nodes=4, cores_per_node=4, dram_per_node=16 * MiB,
                   ssd_per_node=64 * MiB),
-    )
-    store = Manager(cluster.node(0))
-    for node in cluster.nodes:
-        store.register_benefactor(Benefactor(node, contribution=16 * MiB))
-    # A page cache far smaller than the region forces evictions, so
-    # ``_insert``'s flush waits (and the daemon's contended grants) run.
+    )  # fmt: skip
+    store = Manager(cluster.node(0), replication=1 if crash_after is None else 2)
+    benefactors = [Benefactor(node, contribution=16 * MiB) for node in cluster.nodes]
+    for benefactor in benefactors:
+        store.register_benefactor(benefactor)
+    # Caches far smaller than the region force evictions at both levels,
+    # so ``_insert``'s flush waits, chunk write-backs and refetches (and
+    # the daemon's contended grants) all run.
     lib = NVMalloc(
         cluster.node(1), store,
         fuse_cache_bytes=2 * CHUNK_SIZE, page_cache_bytes=16 * KiB,
-    )
+        local_cache_bytes=4 * CHUNK_SIZE if tiered else 0,
+    )  # fmt: skip
+    shadow = bytearray(REGION)
+    nranks = len(scripts)
+
+    def rank(region, me, ops):
+        for i, (kind, off_frac, len_frac, fill) in enumerate(ops):
+            if me == 0 and i == crash_after:
+                benefactors[2].crash()  # neither the manager's node nor ours
+            if kind == "msync":
+                yield from region.msync()
+                continue
+            length = max(1, int(len_frac * MAX_OP))
+            offset = int(off_frac * (REGION - length))
+            pieces = [(offset, offset + length)]
+            if private_pages:
+                pieces = list(_own(me, nranks, offset, length))
+            for start, stop in pieces:
+                if kind == "write":
+                    shadow[start:stop] = bytes([fill]) * (stop - start)
+                    yield from region.write(start, bytes([fill]) * (stop - start))
+                else:
+                    got = yield from region.read(start, stop - start)
+                    assert not private_pages or got == shadow[start:stop], (
+                        f"rank {me} read stale bytes at [{start}, {stop})"
+                    )
 
     def driver():
         var = yield from lib.ssdmalloc(REGION, owner="grantfuzz")
-        region = var.region
-        for kind, off_frac, len_frac, fill in ops:
-            offset = int(off_frac * (REGION - 1))
-            length = max(1, min(int(len_frac * REGION), REGION - offset))
-            if kind == "write":
-                yield from region.write(offset, bytes([fill]) * length)
-            elif kind == "read":
-                yield from region.read(offset, length)
-            else:
-                yield from region.msync()
-        final = yield from region.read(0, REGION)
+        yield AllOf(engine, [
+            engine.process(rank(var.region, me, ops)) for me, ops in enumerate(scripts)
+        ])  # fmt: skip
+        final = yield from var.region.read(0, REGION)
         yield from lib.ssdfree(var)
         return bytes(final)
 
     final = engine.run(engine.process(driver()))
+    assert not private_pages or final == shadow, (
+        "the region does not hold what its ranks wrote"
+    )
     counters = dict(cluster.metrics.snapshot(""))
-    return engine.now, final, counters
+    return engine.now, final, counters, engine.events_processed
 
 
-@settings(max_examples=10, deadline=None)
-@given(ops=st.lists(op, min_size=3, max_size=16))
-def test_sync_grants_match_queued_grants(ops):
-    fast = _run_schedule(ops)
-    acquire_now = Resource.acquire_now
+@contextmanager
+def _every_grant_and_completion_queued():
+    """The reference kernel: nothing granted inline, nothing concluded in
+    place."""
+    acquire_now, conclude = Resource.acquire_now, Event.conclude
+    Resource.acquire_now = lambda self: None
+    Event.conclude = lambda self, value=None: self.succeed(value)
     try:
-        Resource.acquire_now = lambda self: None
-        slow = _run_schedule(ops)
+        yield
     finally:
-        Resource.acquire_now = acquire_now
-    assert fast[1] == slow[1], "sync and queued grants returned different bytes"
+        Resource.acquire_now, Event.conclude = acquire_now, conclude
+
+
+def _assert_identical(fast, slow):
+    assert fast[1] == slow[1], "inline and queued kernels returned different bytes"
     assert fast[0] == slow[0], (
-        f"virtual time drifted: sync {fast[0]!r} vs queued {slow[0]!r}"
+        f"virtual time drifted: inline {fast[0]!r} vs queued {slow[0]!r}"
     )
     assert fast[2] == slow[2], {
         k: (fast[2].get(k), slow[2].get(k))
         for k in set(fast[2]) | set(slow[2])
         if fast[2].get(k) != slow[2].get(k)
     }
+    assert fast[3] <= slow[3]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    scripts=scripts,
+    tiered=st.booleans(),
+    crash_after=st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+    private_pages=st.booleans(),
+)
+def test_sync_grants_match_queued_grants(scripts, **world):
+    fast = _run_schedule(scripts, **world)
+    with _every_grant_and_completion_queued():
+        slow = _run_schedule(scripts, **world)
+    _assert_identical(fast, slow)
+
+
+@pytest.mark.parametrize("private_pages", [False, True], ids=["shared", "private"])
+@pytest.mark.parametrize("crash_after", [None, 3], ids=["healthy", "crash"])
+@pytest.mark.parametrize("tiered", [False, True], ids=["flat", "tiered"])
+def test_conclude_takes_both_arms_and_saves_events(tiered, crash_after, private_pages):
+    """A fixed three-rank schedule on which the shortcut provably fires:
+    markers concluded with a waiter *and* without one, and strictly fewer
+    events dispatched than by the reference — at identical everything
+    else."""
+    rng = random.Random(4)
+    ranks = [
+        [(rng.choice(["write", "write", "read", "msync"]), rng.random(),
+          rng.random(), rng.randrange(1, 256)) for _ in range(24)]
+        for _ in range(3)
+    ]  # fmt: skip
+    arms = Counter()
+    conclude = Event.conclude
+
+    def counting(self, value=None):
+        arms["waiter" if self.callbacks is not None else "alone"] += 1
+        return conclude(self, value)
+
+    world = dict(tiered=tiered, crash_after=crash_after, private_pages=private_pages)
+    Event.conclude = counting
+    try:
+        fast = _run_schedule(ranks, **world)
+    finally:
+        Event.conclude = conclude
+    with _every_grant_and_completion_queued():
+        slow = _run_schedule(ranks, **world)
+    _assert_identical(fast, slow)
+    assert fast[3] < slow[3]
+    assert arms["waiter"] and arms["alone"], arms
 
 
 # ----------------------------------------------------------------------

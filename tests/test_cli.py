@@ -129,3 +129,74 @@ class TestCli:
         ) == 0
         out = capsys.readouterr().out
         assert "bit-identical" in out
+
+
+# ----------------------------------------------------------------------
+# tools/bench_pairs.py: the ledger row, and a side that printed nothing
+# ----------------------------------------------------------------------
+FAKE_RUN = """\
+import json, sys
+print("fake  seed=7  repeats=1")
+names = [m["name"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]]
+print(json.dumps({{"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {{n: {{"value": {value}, "unit": "x"}} for n in names}}}}))
+"""
+
+
+class TestBenchPairs:
+    @pytest.fixture
+    def tool(self, tmp_path, monkeypatch):
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_pairs", ROOT / "tools" / "bench_pairs.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(module, "HISTORY", tmp_path / "history.jsonl")
+        return module
+
+    @staticmethod
+    def tree(tmp_path, name, run_py):
+        tree = tmp_path / name
+        (tree / "bench").mkdir(parents=True)
+        (tree / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        (tree / "bench" / "run.py").write_text(run_py)
+        return tree
+
+    def test_a_campaign_appends_one_row(self, tool, tmp_path, monkeypatch):
+        parent = self.tree(tmp_path, "parent", FAKE_RUN.format(value=2.0))
+        change = self.tree(tmp_path, "change", FAKE_RUN.format(value=1.0))
+        argv = ["bench_pairs.py", str(parent), str(change), "--workload", "fake", "--pairs", "2"]
+        for _ in range(2):  # append-only: the second campaign adds a second row
+            monkeypatch.setattr("sys.argv", argv)
+            # Every "virtual" metric differs too (1.0 vs 2.0): exit status 1.
+            assert tool.main() == 1
+        first, second = map(json.loads, tool.HISTORY.read_text().splitlines())
+        assert {k: v for k, v in first.items() if k != "utc"} == {
+            k: v for k, v in second.items() if k != "utc"
+        }
+        assert (first["workload"], first["seed"], first["seconds"], first["pairs"]) == (
+            "fake", 7, 12.0, 2,
+        )  # fmt: skip
+        assert (first["parent"], first["change"]) == (str(parent), str(change))
+        assert first["host_s"] == {
+            "parent_median": 2.0, "change_median": 1.0, "parent_q1": 2.0,
+            "parent_q3": 2.0, "won": 2, "lost": 0, "verdict": "better",
+        }  # fmt: skip
+        assert set(first) >= {"setup_s", "peak_rss_mib", "host", "cpus", "attempted"}
+        assert first["host_calls_per_op"] == {"parent": [2.0], "change": [1.0]}
+        assert first["failed"] == {"parent": 0, "change": 0}
+        assert "virt_makespan_s" in first["virtual"]  # the differing names
+
+    def test_a_side_that_prints_no_json_is_named(self, tool, tmp_path, monkeypatch):
+        parent = self.tree(tmp_path, "parent", FAKE_RUN.format(value=2.0))
+        change = self.tree(tmp_path, "change", "import sys\nsys.exit(3)\n")
+        monkeypatch.setattr(
+            "sys.argv",
+            ["bench_pairs.py", str(parent), str(change), "--workload", "fake", "--pairs", "1"],
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            tool.main()
+        assert f"{change} exited 3 and printed no JSON record" in str(exit_info.value)
+        assert not tool.HISTORY.exists()

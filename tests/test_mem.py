@@ -4,9 +4,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MmapError
+from repro.errors import FileNotFoundInStoreError, MmapError
 from repro.fusefs import FuseMount, OpenFlags
 from repro.mem import MmapRegion, PageCache, Protection
+from repro.sim import AllOf
 from repro.store import CHUNK_SIZE, PAGE_SIZE
 from repro.util.units import KiB, MiB
 from tests.conftest import run
@@ -108,6 +109,126 @@ class TestPageCache:
 
         elapsed = run(engine, proc())
         assert elapsed >= 4e-3  # 4 pages x 1ms
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="latent defect (ROADMAP item 4): a fault installs the bytes it "
+    "fetched before another rank's flush of the same page",
+)
+def test_concurrent_half_page_writes_survive_eviction(engine, mount):
+    """Found by the multi-rank differential fuzz, present since the seed.
+    Two ranks each write half of page 2 through a one-page cache holding
+    a dirty victim.  Both fault the page.  B's ``_insert`` yields to
+    flush the victim; meanwhile A installs the page, writes its half and
+    finishes; B's eviction loop then flushes *that* page — A's bytes
+    reach the chunk cache — finds the key neither resident nor in flight,
+    and installs the buffer it fetched before A wrote.  B's half is
+    written over stale bytes and the page's next flush erases A's."""
+    pagecache = PageCache(mount, capacity_bytes=PAGE_SIZE)
+    half = PAGE_SIZE // 2
+
+    def main():
+        yield from mount.client.create("/f", 4 * PAGE_SIZE)
+        yield from pagecache.write("/f", 0, b"v" * 100)  # the dirty victim
+        yield AllOf(engine, [
+            engine.process(pagecache.write("/f", 2 * PAGE_SIZE, b"a" * half)),
+            engine.process(pagecache.write("/f", 2 * PAGE_SIZE + half, b"b" * half)),
+        ])  # fmt: skip
+        return (yield from pagecache.read("/f", 2 * PAGE_SIZE, PAGE_SIZE))
+
+    assert run(engine, main()) == b"a" * half + b"b" * half
+
+
+class TestPageCacheChecksTheCurrentSize:
+    """Every access is bounds-checked against the file's size *now*: a
+    page-cache hit asks nobody (see ``test_hit_makes_no_call_below``), so
+    nothing it remembers may outlive an unlink, a re-create or a grow."""
+
+    def test_out_of_range_message(self, engine, mount, pagecache):
+        make_file(engine, mount, "/f", 1000)
+        run(engine, pagecache.read("/f", 0, 1000))  # resident from here on
+        for access in (
+            lambda: pagecache.read("/f", 900, 200),
+            lambda: pagecache.write("/f", 900, b"x" * 200),
+        ):
+            with pytest.raises(MmapError) as caught:
+                run(engine, access())
+            assert str(caught.value) == (
+                "page-cache access [900, 1100) outside '/f' of size 1000"
+            )
+        with pytest.raises(MmapError, match=r"\[-1, 0\) outside '/f' of size 1000"):
+            run(engine, pagecache.read("/f", -1, 1))
+
+    def test_unknown_path_keeps_the_stores_error(self, engine, pagecache):
+        with pytest.raises(FileNotFoundInStoreError, match="no such file '/nope'"):
+            run(engine, pagecache.read("/nope", 0, 1))
+
+    @pytest.mark.parametrize("new_pages", [2, 8], ids=["smaller", "larger"])
+    def test_recreated_at_another_size(
+        self, engine, small_cluster, store, mount, pagecache, new_pages
+    ):
+        """Unlink + re-create at a different size: this node (which
+        unmapped first, as ``ssdfree`` does) and another node's page
+        cache (which nobody told) both check against the new size."""
+        other = PageCache(
+            FuseMount(small_cluster.node(2), store, cache_bytes=1 * MiB),
+            capacity_bytes=256 * KiB,
+        )
+
+        def recreate():
+            yield from mount.client.create("/f", 4 * PAGE_SIZE)
+            for cache in (pagecache, other):
+                yield from cache.read("/f", 0, PAGE_SIZE)  # size seen: 4 pages
+            yield from pagecache.drop_path("/f", sync=False)
+            yield from mount.unlink("/f")
+            yield from mount.client.create("/f", new_pages * PAGE_SIZE)
+
+        run(engine, recreate())
+        for cache in (pagecache, other):
+            if new_pages == 8:  # beyond the old end, inside the new one
+                got = run(engine, cache.read("/f", 6 * PAGE_SIZE, PAGE_SIZE))
+                assert got == bytes(PAGE_SIZE)
+            with pytest.raises(MmapError, match=f"of size {new_pages * PAGE_SIZE}"):
+                run(engine, cache.read("/f", (new_pages - 1) * PAGE_SIZE, PAGE_SIZE + 1))
+            with pytest.raises(MmapError, match=f"of size {new_pages * PAGE_SIZE}"):
+                run(engine, cache.write("/f", 3 * PAGE_SIZE, b"x" * (5 * PAGE_SIZE + 1)))
+
+    def test_growth_is_seen_at_once(self, engine, store, mount, pagecache):
+        """``extend_file`` and the checkpoint files that grow by linking
+        (``link_chunk`` / ``link_chunks``) change the size in place."""
+        make_file(engine, mount, "/src", CHUNK_SIZE + 100)
+        make_file(engine, mount, "/f", 1000)
+        run(engine, pagecache.read("/f", 0, 1000))  # resident: hits from here on
+
+        def end_is(size):
+            run(engine, pagecache.read("/f", size - 1, 1))
+            with pytest.raises(MmapError, match=f"of size {size}"):
+                run(engine, pagecache.read("/f", size, 1))
+
+        end_is(1000)
+        assert store.extend_file("/f", 500, client=mount.client.client_name) == CHUNK_SIZE
+        end_is(CHUNK_SIZE + 500)
+        chunk_id = store.lookup("/src").chunk_ids[0]
+        assert store.link_chunk("/f", chunk_id, 77) == 2 * CHUNK_SIZE
+        end_is(2 * CHUNK_SIZE + 77)
+        store.link_chunks("/f", "/src")
+        end_is(3 * CHUNK_SIZE + CHUNK_SIZE + 100)
+
+    def test_hit_makes_no_call_below(self, engine, mount, pagecache, monkeypatch):
+        """ROADMAP 3(a): a page-cache hit stays in the page cache — no
+        call into the mount, the store client or the manager."""
+        make_file(engine, mount, "/f", 4 * PAGE_SIZE)
+        run(engine, pagecache.write("/f", 0, b"w" * (4 * PAGE_SIZE)))
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a page-cache hit called below the page cache")
+
+        monkeypatch.setattr(mount, "stat_size", forbidden)
+        monkeypatch.setattr(mount.client, "file_size", forbidden)
+        monkeypatch.setattr(mount.client.manager, "lookup", forbidden)
+        assert run(engine, pagecache.read("/f", PAGE_SIZE, 2 * PAGE_SIZE)) == b"w" * (2 * PAGE_SIZE)
+        run(engine, pagecache.write("/f", 100, b"again"))
 
 
 class TestMmapRegion:

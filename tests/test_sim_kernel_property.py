@@ -9,6 +9,11 @@ in schedule order — i.e. same-time events fire FIFO in schedule order.
 These tests drive randomized schedules through the real kernel and through
 a deliberately naive heapq-only reference kernel written here, and require
 bit-identical firing orders, times, and process values.
+
+``Event.conclude`` — completion of an event its owner has unpublished —
+rides the same graphs and scripts: with a waiter it is ``succeed``, event
+for event; without one the reference simply never schedules it, because
+an event nobody waits for is not an event.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import random
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 
@@ -44,8 +50,9 @@ def _random_graph(rng: random.Random, n_events: int, delays=DELAY_POOL):
     return roots, children, failed
 
 
-def _reference_order(roots, children):
-    """Naive kernel: one heap, one global seq, nothing else."""
+def _reference_order(roots, children, unobserved=frozenset()):
+    """Naive kernel: one heap, one global seq, nothing else.  Events in
+    ``unobserved`` (no waiter, no children) are never scheduled."""
     heap: list[tuple[float, int, int]] = []
     seq = 0
     now = 0.0
@@ -53,6 +60,8 @@ def _reference_order(roots, children):
 
     def schedule(event_id: int, delay: float) -> None:
         nonlocal seq
+        if event_id in unobserved:
+            return
         seq += 1
         heapq.heappush(heap, (now + delay, seq, event_id))
 
@@ -67,9 +76,11 @@ def _reference_order(roots, children):
     return trace
 
 
-def _engine_graph(roots, children, failed):
+def _engine_graph(roots, children, failed, concluded=frozenset(), unobserved=frozenset()):
     """The same graph on the real ring+heap kernel, roots scheduled, not
-    yet run.  Returns (engine, trace, events)."""
+    yet run.  Returns (engine, trace, events).  Events in ``concluded``
+    (all triggered with zero delay) complete through ``conclude``; those
+    also in ``unobserved`` have no waiter registered."""
     engine = Engine()
     trace: list[tuple[float, int]] = []
 
@@ -77,6 +88,13 @@ def _engine_graph(roots, children, failed):
         event = events[event_id]
         if event_id in failed:
             event.fail(RuntimeError(f"event {event_id}"), delay=delay)
+        elif event_id in concluded:
+            assert delay == 0.0
+            event.conclude(event_id)
+            # With a waiter it rides the ring like any zero-delay
+            # succeed; without one it is over before conclude returns.
+            assert event.triggered
+            assert event.processed == (event_id in unobserved)
         else:
             event.succeed(event_id, delay=delay)
 
@@ -87,7 +105,8 @@ def _engine_graph(roots, children, failed):
 
     events = [Event(engine) for _ in children]
     for event_id, event in enumerate(events):
-        event.add_callback(lambda _ev, eid=event_id: fire(eid))
+        if event_id not in unobserved:
+            event.add_callback(lambda _ev, eid=event_id: fire(eid))
     for delay, event_id in roots:
         schedule(event_id, delay)
     return engine, trace, events
@@ -158,13 +177,68 @@ def test_run_until_event_stops_right_after_it(seed: int) -> None:
     assert engine.now == expected[-1][0]
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_conclude_in_event_graphs_matches_reference(seed: int) -> None:
+    """Zero-delay triggers through ``conclude``: waited-on ones fire in
+    ``(time, seq)`` order exactly as ``succeed``; the ones nobody waits
+    for are processed in place, carry their value, refuse a second
+    trigger and are never dispatched."""
+    rng = random.Random(5000 + seed)
+    roots, children, failed = _random_graph(rng, n_events=200 + seed * 37)
+    delay_of = {event_id: delay for delay, event_id in roots}
+    for edges in children:
+        delay_of.update((child, delay) for delay, child in edges)
+    concluded = {
+        i for i, delay in sorted(delay_of.items())
+        if delay == 0.0 and i not in failed and rng.random() < 0.7
+    }
+    unobserved = {i for i in sorted(concluded) if not children[i] and rng.random() < 0.6}
+    assert unobserved and concluded - unobserved  # both arms are exercised
+    expected = _reference_order(roots, children, unobserved)
+    engine, trace, events = _engine_graph(roots, children, failed, concluded, unobserved)
+    engine.run()
+    assert trace == expected
+    assert engine.events_processed == len(expected)
+    for event_id in unobserved:
+        assert events[event_id].processed and events[event_id].value == event_id
+    for event_id in concluded:
+        for trigger in (events[event_id].conclude, events[event_id].succeed):
+            with pytest.raises(SimulationError, match="already been triggered"):
+                trigger(None)
+
+
+def test_conclude_with_a_waiter_queues_behind_the_instant() -> None:
+    """The waiter arm is ``succeed``: the waiter resumes after what was
+    already queued at this instant, not inside ``conclude``."""
+    engine = Engine()
+    order: list[object] = []
+    marker = Event(engine)
+
+    def waiter():
+        value = yield marker
+        order.append(("waiter", value, engine.now))
+
+    def owner():
+        yield engine.timeout(1.0)
+        engine.timeout(0.0).add_callback(lambda _e: order.append("queued first"))
+        marker.conclude("done")
+        assert marker.triggered and not marker.processed
+        order.append("owner goes on")
+
+    engine.process(waiter())
+    engine.process(owner())
+    engine.run()
+    assert order == ["owner goes on", "queued first", ("waiter", "done", 1.0)]
+
+
 def _reference_process_run(scripts):
     """Reference for N concurrent timeout-looping processes.
 
     Process p is born as a zero-delay bootstrap (in creation order, like
     Engine.process), then schedules its next timeout the instant it
     resumes — one heap entry alive per process, global seq in schedule
-    order.
+    order.  A ``None`` step is a marker the process concludes with nobody
+    waiting and then yields: no entry at all, the process just goes on.
     """
     heap: list[tuple[float, int, int, int]] = []
     seq = 0
@@ -183,10 +257,18 @@ def _reference_process_run(scripts):
         now = time
         trace.append((now, pid, step))
         nxt = step + 1
+        while nxt < len(scripts[pid]) and scripts[pid][nxt] is None:
+            trace.append((now, pid, nxt))
+            nxt += 1
         if nxt < len(scripts[pid]):
             schedule(pid, nxt, scripts[pid][nxt])
     values = [sum(range(len(script))) for script in scripts]
-    return trace, values
+    # What a kernel dispatches: every entry popped above (the trace minus
+    # the inline marker steps) plus one completion event per process.
+    dispatched = sum(
+        1 + sum(delay is not None for delay in script) + 1 for script in scripts
+    )
+    return trace, values, dispatched
 
 
 def _engine_process_run(scripts):
@@ -197,14 +279,20 @@ def _engine_process_run(scripts):
         trace.append((engine.now, pid, -1))
         total = 0
         for step, delay in enumerate(scripts[pid]):
-            value = yield engine.timeout(delay, value=step)
+            if delay is None:
+                marker = Event(engine)
+                marker.conclude(step)
+                assert marker.processed
+                value = yield marker  # resumes inline, with its value
+            else:
+                value = yield engine.timeout(delay, value=step)
             total += value
             trace.append((engine.now, pid, step))
         return total
 
     processes = [engine.process(proc(pid)) for pid in range(len(scripts))]
     engine.run()
-    return trace, [p.value for p in processes]
+    return trace, [p.value for p in processes], engine.events_processed
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -214,10 +302,20 @@ def test_process_timing_and_values_match_reference(seed: int) -> None:
         [rng.choice(DELAY_POOL) for _ in range(rng.randrange(5, 40))]
         for _ in range(rng.randrange(2, 12))
     ]
-    expected_trace, expected_values = _reference_process_run(scripts)
-    actual_trace, actual_values = _engine_process_run(scripts)
-    assert actual_trace == expected_trace
-    assert actual_values == expected_values
+    assert _engine_process_run(scripts) == _reference_process_run(scripts)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_process_scripts_with_concluded_markers_match_reference(seed: int) -> None:
+    """Unwaited markers between the timeouts: same trace, same values,
+    and not one event more than the timeouts, bootstraps and completions."""
+    rng = random.Random(6000 + seed)
+    scripts = [
+        [rng.choice(DELAY_POOL + [None] * 5) for _ in range(rng.randrange(5, 40))]
+        for _ in range(rng.randrange(2, 12))
+    ]
+    assert any(delay is None for script in scripts for delay in script)
+    assert _engine_process_run(scripts) == _reference_process_run(scripts)
 
 
 def _cohort_rounds(rng: random.Random):
@@ -324,3 +422,62 @@ def test_tiny_delay_rounds_onto_the_ring_in_seq_order() -> None:
 
     engine.run(engine.process(driver()))
     assert order == ["tiny", "zero"]
+
+
+def test_every_dispatched_event_had_a_waiter(monkeypatch) -> None:
+    """Through the public API, on the miss path: one rank, 1 MiB caches,
+    random 4 KiB reads and writes over 8 MiB, closing ``msync`` and
+    ``flush_all``.  With nobody to contend with, the only things worth an
+    event are the timeouts (device, fabric and FUSE-crossing time) and
+    the driver's own bootstrap and completion: a completion marker nobody
+    waits for, and the parked grant it would force on the next
+    ``acquire_now``, are not events (they used to be half the total)."""
+    from repro.cluster import make_hal_cluster
+    from repro.cluster.hal import HalConfig
+    from repro.core import NVMalloc
+    from repro.sim.events import Timeout
+    from repro.store import Benefactor, Manager
+    from repro.util.units import KiB, MiB
+
+    timeouts = 0
+    timeout_init = Timeout.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal timeouts
+        timeouts += 1
+        timeout_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Timeout, "__init__", counting_init)
+    engine = Engine()
+    cluster = make_hal_cluster(
+        engine,
+        HalConfig(num_nodes=2, cores_per_node=2, dram_per_node=64 * MiB,
+                  ssd_per_node=64 * MiB),
+    )  # fmt: skip
+    store = Manager(cluster.node(0))
+    for node in cluster.nodes:
+        store.register_benefactor(Benefactor(node, contribution=16 * MiB))
+    lib = NVMalloc(
+        cluster.node(1), store, fuse_cache_bytes=1 * MiB, page_cache_bytes=1 * MiB
+    )
+    rng = random.Random(17)
+    region_bytes = 8 * MiB
+    shadow = bytearray(region_bytes)
+
+    def driver():
+        var = yield from lib.ssdmalloc(region_bytes, owner="pin")
+        for _ in range(400):
+            offset = rng.randrange(region_bytes // (4 * KiB)) * 4 * KiB
+            if rng.random() < 0.5:
+                payload = bytes([rng.randrange(1, 256)]) * (4 * KiB)
+                shadow[offset : offset + 4 * KiB] = payload
+                yield from var.region.write(offset, payload)
+            else:
+                got = yield from var.region.read(offset, 4 * KiB)
+                assert got == shadow[offset : offset + 4 * KiB]
+        yield from var.region.msync()
+        yield from lib.mount.cache.flush_all()
+
+    engine.run(engine.process(driver()))
+    assert lib.mount.cache.stats.dirty_evictions and lib.pagecache.stats.writeback_bytes
+    assert engine.events_processed == timeouts + 2  # bootstrap + completion

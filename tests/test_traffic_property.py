@@ -23,11 +23,13 @@ from hypothesis import strategies as st
 
 from repro.errors import NVMallocError
 from repro.traffic import (
+    ClientSwarm,
     DeterministicProcess,
     MMPPProcess,
     ParetoSizes,
     PoissonProcess,
     RequestRecord,
+    SwarmConfig,
     ZipfKeys,
     build_schedule,
     summarize,
@@ -258,3 +260,48 @@ def test_rate_and_attainment_cells_guard_low_samples():
     assert attainment_cell(0, 0) == "-"
     assert attainment_cell(2, MIN_RATE_SAMPLES - 1) == f"2/{MIN_RATE_SAMPLES - 1}"
     assert attainment_cell(9, 10) == "90.0"
+
+
+# ----------------------------------------------------------------------
+# Open loop: a typed failure is a record, a crash is raised
+# ----------------------------------------------------------------------
+def _tiny_swarm():
+    from repro.experiments import TINY
+    from repro.experiments.runner import Testbed
+
+    job = Testbed(TINY).job(1, 2, 4, remote_ssd=True)
+    return ClientSwarm(job, SwarmConfig(region_bytes=TINY.slo_region_bytes))
+
+
+def _fail_third_read(monkeypatch, error):
+    """Make the third ``NVMVariable.read`` of the run raise ``error``."""
+    from repro.core.nvmalloc import NVMVariable
+
+    read, calls = NVMVariable.read, []
+
+    def patched(self, offset, length):
+        calls.append(offset)
+        if len(calls) == 3:
+            raise error
+        return read(self, offset, length)
+
+    monkeypatch.setattr(NVMVariable, "read", patched)
+
+
+def test_open_loop_records_a_typed_failure(monkeypatch):
+    schedule = build_schedule(5, 10, 5, read_fraction=1.0)
+    _fail_third_read(monkeypatch, NVMallocError("chunk lost at every replica"))
+    result = _tiny_swarm().open_loop(schedule)
+    assert result.issued == len(result.records) == 50
+    (failed,) = [r for r in result.records if not r.ok]
+    assert failed.error == "NVMallocError"
+
+
+def test_open_loop_raises_a_crashed_request(monkeypatch):
+    """A request process that dies of anything but a typed model error is
+    an interpreter error, not a failed request: it used to decrement the
+    countdown like a completion, and ``open_loop`` returned 49 records."""
+    schedule = build_schedule(5, 10, 5, read_fraction=1.0)
+    _fail_third_read(monkeypatch, TypeError("injected bug"))
+    with pytest.raises(TypeError, match="injected bug"):
+        _tiny_swarm().open_loop(schedule)

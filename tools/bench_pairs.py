@@ -16,17 +16,30 @@ benchmark's bound, since a regression of that size could hide in it.
 
 Exit status is non-zero only on a failed op or a virtual metric that
 differs between the two sides; the host verdict never fails the run.
+
+Every campaign also appends one JSON line to the repo's top-level
+``BENCH_history.jsonl`` — the ledger CHANGES.md cites instead of
+reprinting runs: workload, seed, seconds, pairs, per host metric both
+medians, the parent's quartiles, pairs won and lost and the verdict,
+``host_calls_per_op`` per side, failures, the virtual verdict, what each
+tree is (``git rev-parse HEAD`` for a checkout, else its path) and the
+host it ran on.  Append-only: a row is never edited or removed.
 """
 
 import argparse
 import json
+import os
+import platform
+import re
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 from statistics import median, quantiles
 
 HOST = ("host_s", "setup_s", "peak_rss_mib")  # noisy: compared by median
 COUNT = "host_calls_per_op"  # exact per side, expected to differ across sides
+HISTORY = Path(__file__).resolve().parent.parent / "BENCH_history.jsonl"
 
 
 def run_once(tree: Path, extra: list[str]) -> dict:
@@ -34,9 +47,24 @@ def run_once(tree: Path, extra: list[str]) -> dict:
         [sys.executable, "bench/run.py", "--trace", "0", *extra],
         cwd=tree, stdout=subprocess.PIPE, text=True,
     )
-    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    try:
+        record = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        sys.exit(f"bench_pairs: bench/run.py in {tree} exited {proc.returncode} "
+                 f"and printed no JSON record (ran: {' '.join(extra)})")
     record["values"] = {k: m["value"] for k, m in record.pop("metrics").items()}
+    record["seed"] = int(re.search(r"seed=(\d+)", proc.stdout).group(1))
     return record
+
+
+def identity(tree: Path) -> str:
+    """What a tree is: its commit when it is a checkout, else its path."""
+    if (tree / ".git").exists():
+        head = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
+                              stdout=subprocess.PIPE, text=True)
+        if head.returncode == 0:
+            return head.stdout.strip()
+    return str(tree)
 
 
 def verdict(gap: float, iqr: float, won: int, lost: int, pairs: int, bound: float) -> str:
@@ -62,10 +90,8 @@ def main() -> int:
     for flag in ("seconds", "seed"):
         if getattr(args, flag) is not None:
             extra += [f"--{flag}", getattr(args, flag)]
-    bounds = {
-        m["name"]: m["bound"]
-        for m in json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
-    }
+    manifest = json.loads((args.parent / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in manifest["end_to_end"]}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for i in range(args.pairs):
@@ -82,6 +108,7 @@ def main() -> int:
         for name, value in r["values"].items()
         if name not in HOST and name != COUNT and value != reference[name]
     })
+    host = {}
     for name in HOST:
         ps = [r["values"][name] for r in runs["parent"]]
         cs = [r["values"][name] for r in runs["change"]]
@@ -90,6 +117,8 @@ def main() -> int:
         won = sum(c < p for p, c in zip(ps, cs))
         lost = sum(c > p for p, c in zip(ps, cs))
         word = verdict(cm - pm, q3 - q1, won, lost, len(ps), bounds[name] * pm)
+        host[name] = {"parent_median": pm, "change_median": cm, "parent_q1": q1,
+                      "parent_q3": q3, "won": won, "lost": lost, "verdict": word}
         print(f"{name}: median {pm:.4g}>{cm:.4g} ({(cm - pm) / pm:+.1%}; bound "
               f"{bounds[name]:+.0%}), parent quartiles {q1:.4g}..{q3:.4g}, "
               f"change won {won}/{len(ps)} lost {lost}: {word}")
@@ -99,6 +128,18 @@ def main() -> int:
     print(f"failed: parent {failed['parent']} change {failed['change']} "
           f"of {runs['parent'][0]['attempted']} attempted per run")
     print("virtual metrics: " + (f"DIFFER {drift}" if drift else "bit-equal"))
+    row = {
+        "utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "workload": args.workload, "seed": runs["parent"][0]["seed"],
+        "seconds": float(args.seconds or manifest["run_seconds"]), "pairs": args.pairs,
+        "parent": identity(trees["parent"]), "change": identity(trees["change"]),
+        **host, COUNT: calls, "failed": failed,
+        "attempted": runs["parent"][0]["attempted"], "virtual": drift or "bit-equal",
+        "host": platform.node(), "cpus": os.cpu_count(),
+    }
+    with HISTORY.open("a") as ledger:
+        ledger.write(json.dumps(row) + "\n")
+    print(f"appended to {HISTORY}")
     return 1 if drift or any(failed.values()) else 0
 
 
