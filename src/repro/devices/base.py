@@ -114,7 +114,8 @@ class StorageDevice:
             bytes_counter.count += 1
             time_counter.total += duration
             time_counter.count += 1
-            yield self.engine.timeout(duration)
+            if not self.engine.advance(duration):
+                yield self.engine.timeout(duration)
         finally:
             self._release(req)
 

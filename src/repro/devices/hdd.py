@@ -83,7 +83,8 @@ class HDD(StorageDevice):
                 self._stream_tails.popitem(last=False)
             self.metrics.add(f"device.{self.name}.{kind.value}.bytes", nbytes)
             self.metrics.add(f"device.{self.name}.{kind.value}.time", duration)
-            yield self.engine.timeout(duration)
+            if not self.engine.advance(duration):
+                yield self.engine.timeout(duration)
         finally:
             self._channel.release(req)
 

@@ -121,7 +121,8 @@ class SSD(StorageDevice):
             bytes_counter.count += 1
             time_counter.total += duration
             time_counter.count += 1
-            yield self.engine.timeout(duration)
+            if not self.engine.advance(duration):
+                yield self.engine.timeout(duration)
         finally:
             self._release(req)
 

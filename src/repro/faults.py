@@ -209,7 +209,7 @@ class FaultPlan:
                 )
         for event in self.scheduled():
             delay = event.at - engine.now
-            if delay > 0:
+            if delay > 0 and not engine.advance(delay):
                 yield engine.timeout(delay)
             benefactor = by_name[event.benefactor]
             if isinstance(event, BenefactorCrash):

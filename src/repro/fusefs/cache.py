@@ -1012,7 +1012,8 @@ class ChunkCache:
                 bytes_counter.count += 1
                 time_counter.total += duration
                 time_counter.count += 1
-                yield self._engine.timeout(duration)
+                if not self._engine.advance(duration):
+                    yield self._engine.timeout(duration)
             finally:
                 dram._release(req)
             # Copy after the DRAM wait: a write landing while we waited
@@ -1115,7 +1116,7 @@ class ChunkCache:
         for offset, data in ranges:
             length = len(data)
             self._check(offset, length)
-            if pre_range_delay is not None:
+            if pre_range_delay is not None and not engine.advance(pre_range_delay):
                 yield engine.timeout(pre_range_delay)
             covers_whole_pages = (
                 offset % page_size == 0 and (offset + length) % page_size == 0
@@ -1162,7 +1163,8 @@ class ChunkCache:
                     bytes_counter.count += 1
                     time_counter.total += duration
                     time_counter.count += 1
-                    yield engine.timeout(duration)
+                    if not engine.advance(duration):
+                        yield engine.timeout(duration)
                 finally:
                     dram._release(req)
             finally:

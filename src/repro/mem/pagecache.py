@@ -211,8 +211,9 @@ class PageCache:
                             else bytes(memoryview(vdata)[:length])
                         )
                         victim.dirty = False
-                        if self.fuse_op_overhead:
-                            yield engine.timeout(self.fuse_op_overhead)
+                        overhead = self.fuse_op_overhead
+                        if overhead and not engine.advance(overhead):
+                            yield engine.timeout(overhead)
                         yield from mount.cache.write(
                             vpath, chunk_index, chunk_off, payload
                         )
@@ -271,8 +272,9 @@ class PageCache:
         # Each faulted page is one mmap fault serviced through the FUSE
         # daemon: charge the kernel-crossing overhead per page.
         npages = last_page - first_page + 1
-        if self.fuse_op_overhead:
-            yield self._engine.timeout(npages * self.fuse_op_overhead)
+        overhead = npages * self.fuse_op_overhead
+        if overhead and not self._engine.advance(overhead):
+            yield self._engine.timeout(overhead)
         pages = self._pages
         pages_get = pages.get
         page_size = self.page_size
@@ -391,7 +393,8 @@ class PageCache:
                 bytes_counter.count += 1
                 time_counter.total += duration
                 time_counter.count += 1
-                yield self._engine.timeout(duration)
+                if not self._engine.advance(duration):
+                    yield self._engine.timeout(duration)
             finally:
                 dram._release(req)
         # Assemble the requested bytes from resident pages.  Only the
@@ -531,7 +534,8 @@ class PageCache:
                 bytes_counter.count += 1
                 time_counter.total += duration
                 time_counter.count += 1
-                yield self._engine.timeout(duration)
+                if not self._engine.advance(duration):
+                    yield self._engine.timeout(duration)
             finally:
                 dram._release(req)
         counter = self._write_counter

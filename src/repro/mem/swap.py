@@ -118,8 +118,9 @@ class SwapSpace:
         self.swapins += len(cluster)
         offset = (array.swap_base + cluster[0]) * self.page_size
         yield from self.ssd.read_extent(offset, len(cluster) * self.page_size)
-        if self.fault_overhead:
-            yield self.node.engine.timeout(self.fault_overhead)
+        overhead = self.fault_overhead
+        if overhead and not self.node.engine.advance(overhead):
+            yield self.node.engine.timeout(overhead)
         for p in cluster:
             while len(self._resident) >= self.capacity_pages:
                 yield from self._evict_one()

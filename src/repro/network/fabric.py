@@ -113,7 +113,9 @@ class Network:
                 c_tx.count += 1
                 c_rx.total += nbytes
                 c_rx.count += 1
-                yield self._timeout(self._transfer_time(nbytes))
+                duration = self._transfer_time(nbytes)
+                if not self.engine.advance(duration):
+                    yield self._timeout(duration)
             finally:
                 rx.release(rx_req)
         finally:

@@ -116,7 +116,8 @@ class Communicator:
                 bytes_counter.count += 1
                 time_counter.total += duration
                 time_counter.count += 1
-                yield self.engine.timeout(duration)
+                if not self.engine.advance(duration):
+                    yield self.engine.timeout(duration)
             finally:
                 dram._release(req)
         else:

@@ -54,7 +54,7 @@ class Engine:
 
     __slots__ = (
         "_now", "_heap", "_ring", "_seq", "_events",
-        "_active_processes", "tracer",
+        "_active_processes", "tracer", "_horizon", "_stop", "_fanout",
     )
 
     def __init__(self) -> None:
@@ -64,6 +64,12 @@ class Engine:
         self._seq = 0
         self._events = 0
         self._active_processes = 0
+        # For ``advance`` and ``Resource.acquire_now``: how far the running
+        # ``run()`` may move the clock (``-inf``: none is running), the event
+        # it stops at, and whether the event in dispatch has waiters left.
+        self._horizon = -inf
+        self._stop: Event | None = None
+        self._fanout = False
         # Optional repro.obs.Tracer.  None (the default) keeps every
         # instrumented call site on its raw fast path; spans only read
         # the clock, so attaching one never perturbs virtual results.
@@ -140,6 +146,33 @@ class Engine:
         """An event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
+    def advance(self, delay: float) -> bool:
+        """Sleep ``delay`` in place when nobody could tell the difference:
+        ``if not engine.advance(d): yield engine.timeout(d)``.
+
+        Moves the clock to the same ``now + delay`` and returns ``True``
+        only when that timeout would have been the next event dispatched
+        with nothing running in between (INTERNALS, "Events nobody can
+        observe").  Declines on a queued ring event, a heap entry due at
+        or before the target (a tie is older and fires first), waiters
+        still owed the event in dispatch, a target past the horizon of
+        the ``run()`` in progress (or none in progress), and a
+        ``run(event)`` whose event is processed and about to end it.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        time = self._now + delay
+        heap = self._heap
+        stop = self._stop
+        if (
+            self._ring or self._fanout or time > self._horizon
+            or (heap and heap[0][0] <= time)
+            or (stop is not None and stop.callbacks is _PROCESSED)
+        ):
+            return False
+        self._now = time
+        return True
+
     def process(self, generator: Generator[Event, object, object]) -> Process:
         """Register ``generator`` as a simulation process and start it."""
         return Process(self, generator)
@@ -173,6 +206,9 @@ class Engine:
         loop drains each queue in uninterrupted runs (module docstring):
         the heap's run at the current instant first, then the ring with
         no per-event heap probe, then the clock moves to the heap's head.
+        A callback that ``advance``s the clock leaves the ``now`` local
+        stale, harmlessly: its one use is ``heap[0][0] <= now``, and the
+        heap's head is then strictly after the new clock — "no" either way.
         """
         heap = self._heap
         ring = self._ring
@@ -185,6 +221,7 @@ class Engine:
             stop_event = until
             stop = stop_event
             now = self._now
+            self._horizon, self._stop = inf, stop
             try:
                 while stop.callbacks is not _PROCESSED:
                     if heap and heap[0][0] <= now:
@@ -193,8 +230,10 @@ class Engine:
                         callbacks = event.callbacks
                         event.callbacks = _PROCESSED
                         if callbacks.__class__ is list:
+                            self._fanout = True
                             for callback in callbacks:
                                 callback(event)
+                            self._fanout = False
                         elif callbacks is not None:
                             callbacks(event)
                         continue
@@ -206,8 +245,10 @@ class Engine:
                             callbacks = event.callbacks
                             event.callbacks = _PROCESSED
                             if callbacks.__class__ is list:
+                                self._fanout = True
                                 for callback in callbacks:
                                     callback(event)
+                                self._fanout = False
                             elif callbacks is not None:
                                 callbacks(event)
                             if stop.callbacks is _PROCESSED or not ring:
@@ -220,8 +261,10 @@ class Engine:
                         callbacks = event.callbacks
                         event.callbacks = _PROCESSED
                         if callbacks.__class__ is list:
+                            self._fanout = True
                             for callback in callbacks:
                                 callback(event)
+                            self._fanout = False
                         elif callbacks is not None:
                             callbacks(event)
                         continue
@@ -232,6 +275,7 @@ class Engine:
                     )
             finally:
                 self._events += n
+                self._horizon, self._stop, self._fanout = -inf, None, False
             if not stop_event.ok:
                 value = stop_event.value
                 assert isinstance(value, BaseException)
@@ -245,6 +289,7 @@ class Engine:
                 f"until={horizon} is in the past (now={self._now})"
             )
         now = self._now
+        self._horizon = horizon
         try:
             while True:
                 # The heap's run of events at exactly this instant (also
@@ -259,8 +304,10 @@ class Engine:
                     callbacks = event.callbacks
                     event.callbacks = _PROCESSED
                     if callbacks.__class__ is list:
+                        self._fanout = True
                         for callback in callbacks:
                             callback(event)
+                        self._fanout = False
                     elif callbacks is not None:
                         callbacks(event)
                 # Pure ring run: no heap probe per event — the ordering
@@ -272,8 +319,10 @@ class Engine:
                     callbacks = event.callbacks
                     event.callbacks = _PROCESSED
                     if callbacks.__class__ is list:
+                        self._fanout = True
                         for callback in callbacks:
                             callback(event)
+                        self._fanout = False
                     elif callbacks is not None:
                         callbacks(event)
                 if not heap or heap[0][0] > horizon:
@@ -281,6 +330,7 @@ class Engine:
                 self._now = now = heap[0][0]
         finally:
             self._events += n
+            self._horizon, self._fanout = -inf, False
         if until is not None:
             self._now = max(self._now, horizon)
         return None

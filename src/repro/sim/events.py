@@ -157,8 +157,10 @@ class Event:
         if callbacks is None:
             return
         if callbacks.__class__ is list:
+            self.engine._fanout = True  # as the run loops do, for acquire_now
             for callback in callbacks:
                 callback(self)
+            self.engine._fanout = False
         else:
             callbacks(self)
 

@@ -113,8 +113,9 @@ class Resource:
 
         A ``request()`` whose grant rides the now-ring parks the caller
         and resumes it after everything already queued at this instant
-        has run.  When nothing is queued — the ring is empty and no heap
-        event is due at ``now`` — the caller would have been the sole
+        has run.  When nothing is queued — the ring is empty, no heap
+        event is due at ``now`` and the event being dispatched has no
+        further waiter to resume — the caller would have been the sole
         ring entry and resumed immediately with nothing running in
         between, so continuing inline is order-identical to the parked
         path and merely skips one event dispatch plus a full
@@ -126,7 +127,7 @@ class Resource:
         if len(users) >= self.capacity:
             return None
         engine = self.engine
-        if engine._ring:
+        if engine._ring or engine._fanout:
             return None
         heap = engine._heap
         now = engine._now
@@ -195,7 +196,8 @@ class Resource:
             if req is None:
                 req = self.request()
                 yield req
-            yield self.engine.timeout(duration)
+            if not self.engine.advance(duration):
+                yield self.engine.timeout(duration)
         except BaseException:
             self.cancel(req)
             raise

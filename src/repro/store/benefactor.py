@@ -330,8 +330,9 @@ class Benefactor:
                 f"{self.name}: write [{offset}, {offset + nbytes}) outside "
                 f"chunk of {self.chunk_size}"
             )
-        if self._slow_until > self.node.engine.now:  # see slow_down
-            yield self.node.engine.timeout(self._slow_extra)
+        engine = self.node.engine
+        if self._slow_until > engine.now and not engine.advance(self._slow_extra):
+            yield engine.timeout(self._slow_extra)  # see slow_down
         yield from self.node.network.transfer(client, self.name, nbytes)
         if self.crashed or not self.online:
             # Crash-during-writeback: the payload travelled but was never
@@ -416,8 +417,9 @@ class Benefactor:
                 f"{self.name}: read [{offset}, {offset + length}) outside "
                 f"chunk of {self.chunk_size}"
             )
-        if self._slow_until > self.node.engine.now:  # see slow_down
-            yield self.node.engine.timeout(self._slow_extra)
+        engine = self.node.engine
+        if self._slow_until > engine.now and not engine.advance(self._slow_extra):
+            yield engine.timeout(self._slow_extra)  # see slow_down
         stored = self._data.get(chunk_id)
         if stored is not None:
             yield from self.ssd.read_extent(self._extents[chunk_id] + offset, length)

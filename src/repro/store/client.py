@@ -181,9 +181,9 @@ class StoreClient:
             or self.node.engine.now - started >= RETRY_DEADLINE_SECONDS
         ):
             raise error
-        yield self.node.engine.timeout(
-            RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
-        )
+        backoff = RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
+        if not self.node.engine.advance(backoff):
+            yield self.node.engine.timeout(backoff)
 
     def _pieces(self, offset: int, length: int) -> list[tuple[int, int, int]]:
         """Split ``[offset, offset+length)`` into (chunk_index, chunk_offset,

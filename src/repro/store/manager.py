@@ -200,7 +200,8 @@ class Manager:
         marked = 0
         count = 0
         while rounds is None or count < rounds:
-            yield self.node.engine.timeout(interval)
+            if not self.node.engine.advance(interval):
+                yield self.node.engine.timeout(interval)
             count += 1
             for benefactor in list(self._benefactors.values()):
                 if not benefactor.online:

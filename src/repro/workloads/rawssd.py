@@ -85,8 +85,9 @@ class RawSSDArray(Array):
         if not pages:
             return
         yield from self.ssd.read_extent(self.base_offset + start * self._page, length)
-        if self.fault_overhead:
-            yield self.node.engine.timeout(len(pages) * self.fault_overhead)
+        overhead = len(pages) * self.fault_overhead
+        if overhead and not self.node.engine.advance(overhead):
+            yield self.node.engine.timeout(overhead)
         for page in pages:
             yield from self._evict()
             self._resident[page] = False
@@ -125,8 +126,9 @@ class RawSSDArray(Array):
                 yield from self._evict()
                 faults += 1
             self._resident[page] = True  # dirty
-        if faults and self.fault_overhead:
-            yield self.node.engine.timeout(faults * self.fault_overhead)
+        overhead = faults * self.fault_overhead
+        if overhead and not self.node.engine.advance(overhead):
+            yield self.node.engine.timeout(overhead)
         yield from self.node.dram.access(AccessKind.WRITE, len(data))
         self._buffer[offset : offset + len(data)] = np.frombuffer(data, dtype=np.uint8)
 

@@ -1,5 +1,8 @@
 """Shared fixtures: a small simulated testbed with an aggregate store."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import make_hal_cluster
@@ -8,6 +11,20 @@ from repro.core import NVMalloc
 from repro.sim import Engine
 from repro.store import Benefactor, Manager, StoreClient
 from repro.util.units import KiB, MiB
+
+
+def load_tool(name):
+    """``tools/<name>.py`` as a module (``tools/`` is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: Context manager: the kernel with its three shortcuts for unobservable
+#: events patched out — the reference side of every differential test.
+reference_kernel = load_tool("reference_kernel").reference_kernel
 
 
 @pytest.fixture

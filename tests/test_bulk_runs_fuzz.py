@@ -1,21 +1,24 @@
 """Fuzzed identity of the stack's batched fast paths vs their references.
 
-Two kernel shortcuts remove events no process can observe, and neither
+Three kernel shortcuts remove events no process can observe, and none
 has a gate: ``Resource.acquire_now`` grants a free resource inline when
-nothing else is queued at the instant, and ``Event.conclude`` processes
-a completion marker in place when its owner has unpublished it and
-nobody waits on it.  The reference run patches the first to always
-decline and the second to plain ``succeed()``, before its world is
-built, so every grant and every completion rides the now ring.  Both
-shortcuts are taken only where the queued form would have behaved
-identically, so the whole stack must produce byte-identical data, a
-bit-identical virtual timeline and identical counters either way — and
-strictly fewer dispatched events.  The first tests replay random
-read/write/msync schedules both ways: two or three ranks sharing one
-node's page and chunk caches (so fills, write-backs and evictions do
-find waiters), caches small enough that pages and chunks are evicted,
-flushed and refaulted on the way, flat and with the local tier on, with
-and without a benefactor crash at ``r=2``.
+nothing else is queued at the instant, ``Event.conclude`` processes a
+completion marker in place when its owner has unpublished it and nobody
+waits on it, and ``Engine.advance`` moves the clock in place when the
+timeout it stands for would have been dispatched next with nothing
+running in between.  The reference run patches all three out
+(``tools/reference_kernel.py``: the first declines, the second is plain
+``succeed()``, the third returns ``False``) before its world is built,
+so every grant, completion and sleep rides the queues.  Each shortcut is
+taken only where the queued form would have behaved identically, so the
+whole stack must produce byte-identical data, a bit-identical virtual
+timeline and identical counters either way — and strictly fewer
+dispatched events.  The first tests replay random read/write/msync
+schedules both ways: two or three ranks sharing one node's page and
+chunk caches (so fills, write-backs and evictions do find waiters),
+caches small enough that pages and chunks are evicted, flushed and
+refaulted on the way, flat and with the local tier on, with and without
+a benefactor crash at ``r=2``.
 
 Hand mutations of ``src/`` this file was run against, each applied alone:
 
@@ -34,6 +37,31 @@ Hand mutations of ``src/`` this file was run against, each applied alone:
   the site alone*; it becomes observable only if a yield ever lands
   between the two, where a waiter that found the concluded marker would
   resume inline instead of behind the instant's queue.
+- ``advance`` takes an exact heap tie (``<`` for ``<=``): killed by all
+  eight ``test_conclude_takes_both_arms_and_saves_events`` worlds and
+  both of ``test_a_rank_woken_beside_another_sleeps_on_a_real_timeout`` —
+  lockstep ranks tie constantly, the younger timeout overtakes the older
+  and virtual time drifts; three of them return different bytes.
+- ``advance`` ignores a non-empty ring: killed by the same ten — a
+  queued grant or completion is dispatched after the clock has moved;
+  four of them return different bytes.  (Under these two the hypothesis
+  test does not fail, it fails to return: some schedule grows memory
+  without bound.  Run a mutant of ``advance`` on the fixed worlds first,
+  and under ``ulimit -v``.)
+- ``advance`` ignores the fan-out flag: killed by both worlds of
+  ``test_a_rank_woken_beside_another_sleeps_on_a_real_timeout`` (virtual
+  time drifts), whose schedule was searched for and whose docstring says
+  why it had to be: the other fixed schedule and the hypothesis test's 25
+  examples do not reach the condition bare (about one random schedule in
+  fifty does), and survive.
+- ``acquire_now`` ignores the fan-out flag: survives here and on all 18
+  digests — its reorders commute in this stack today — and is killed by
+  the two-process reproducer in ``tests/test_sim_kernel_property.py``.
+- ``advance`` ignores the horizon, or the stop event: survive, and have
+  to — every run here is ``run(until=driver)``, whose horizon is
+  infinite and whose process completes through the ring, never through
+  ``conclude``: on these inputs they are the same program.
+  ``tests/test_sim_kernel_property.py`` kills both.
 
 The FTL has one write path and no gate: its retired per-page loops live
 here as :class:`PerPageFTL`, the differential oracle.
@@ -41,7 +69,6 @@ here as :class:`PerPageFTL`, the differential oracle.
 
 import random
 from collections import Counter
-from contextlib import contextmanager
 
 import pytest
 
@@ -53,10 +80,11 @@ from repro.cluster.hal import HalConfig
 from repro.core import NVMalloc
 from repro.devices.ftl import FlashTranslationLayer
 from repro.errors import CapacityError, EnduranceExceededError
-from repro.sim import AllOf, Engine, Event, Resource
+from repro.sim import AllOf, Engine, Event
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.intervals import IntervalSet
 from repro.util.units import KiB, MiB
+from tests.conftest import reference_kernel
 
 # Two and a half chunks: three chunk-cache keys contending for two slots,
 # the last chunk a partial tail.
@@ -163,19 +191,6 @@ def _run_schedule(scripts, *, tiered=False, crash_after=None, private_pages=Fals
     return engine.now, final, counters, engine.events_processed
 
 
-@contextmanager
-def _every_grant_and_completion_queued():
-    """The reference kernel: nothing granted inline, nothing concluded in
-    place."""
-    acquire_now, conclude = Resource.acquire_now, Event.conclude
-    Resource.acquire_now = lambda self: None
-    Event.conclude = lambda self, value=None: self.succeed(value)
-    try:
-        yield
-    finally:
-        Resource.acquire_now, Event.conclude = acquire_now, conclude
-
-
 def _assert_identical(fast, slow):
     assert fast[1] == slow[1], "inline and queued kernels returned different bytes"
     assert fast[0] == slow[0], (
@@ -186,7 +201,7 @@ def _assert_identical(fast, slow):
         for k in set(fast[2]) | set(slow[2])
         if fast[2].get(k) != slow[2].get(k)
     }
-    assert fast[3] <= slow[3]
+    assert fast[3] < slow[3]
 
 
 @settings(max_examples=25, deadline=None)
@@ -198,25 +213,30 @@ def _assert_identical(fast, slow):
 )
 def test_sync_grants_match_queued_grants(scripts, **world):
     fast = _run_schedule(scripts, **world)
-    with _every_grant_and_completion_queued():
+    with reference_kernel():
         slow = _run_schedule(scripts, **world)
     _assert_identical(fast, slow)
+
+
+def _fixed_schedule(seed):
+    """Three ranks, 24 random ops each."""
+    rng = random.Random(seed)
+    return [
+        [(rng.choice(["write", "write", "read", "msync"]), rng.random(),
+          rng.random(), rng.randrange(1, 256)) for _ in range(24)]
+        for _ in range(3)
+    ]  # fmt: skip
 
 
 @pytest.mark.parametrize("private_pages", [False, True], ids=["shared", "private"])
 @pytest.mark.parametrize("crash_after", [None, 3], ids=["healthy", "crash"])
 @pytest.mark.parametrize("tiered", [False, True], ids=["flat", "tiered"])
 def test_conclude_takes_both_arms_and_saves_events(tiered, crash_after, private_pages):
-    """A fixed three-rank schedule on which the shortcut provably fires:
+    """A fixed three-rank schedule on which the shortcuts provably fire:
     markers concluded with a waiter *and* without one, and strictly fewer
     events dispatched than by the reference — at identical everything
     else."""
-    rng = random.Random(4)
-    ranks = [
-        [(rng.choice(["write", "write", "read", "msync"]), rng.random(),
-          rng.random(), rng.randrange(1, 256)) for _ in range(24)]
-        for _ in range(3)
-    ]  # fmt: skip
+    ranks = _fixed_schedule(4)
     arms = Counter()
     conclude = Event.conclude
 
@@ -230,11 +250,43 @@ def test_conclude_takes_both_arms_and_saves_events(tiered, crash_after, private_
         fast = _run_schedule(ranks, **world)
     finally:
         Event.conclude = conclude
-    with _every_grant_and_completion_queued():
+    with reference_kernel():
         slow = _run_schedule(ranks, **world)
     _assert_identical(fast, slow)
-    assert fast[3] < slow[3]
     assert arms["waiter"] and arms["alone"], arms
+
+
+@pytest.mark.parametrize("crash_after", [None, 3], ids=["healthy", "crash"])
+def test_a_rank_woken_beside_another_sleeps_on_a_real_timeout(crash_after):
+    """A schedule picked for one thing it does flat and on shared pages:
+    two ranks wait on one page's in-flight flush and the first to wake
+    sleeps on at once (``_fault_range_impl``'s FUSE crossing).  That is
+    the only place this stack meets ``advance``'s fan-out condition bare
+    — everywhere else a woken rank reaches an ``acquire_now`` first, which
+    declines on the same flag and queues a grant — and the spy shows the
+    schedule gets there: some sleep is declined by that flag alone."""
+    ranks = _fixed_schedule(128)
+    bare = 0
+    advance = Engine.advance
+
+    def spying(self, delay):
+        nonlocal bare
+        took = advance(self, delay)
+        if not took and self._fanout:  # ask again with the flag down; undo
+            now, self._fanout = self._now, False
+            bare += advance(self, delay)
+            self._now, self._fanout = now, True
+        return took
+
+    Engine.advance = spying
+    try:
+        fast = _run_schedule(ranks, crash_after=crash_after)
+    finally:
+        Engine.advance = advance
+    with reference_kernel():
+        slow = _run_schedule(ranks, crash_after=crash_after)
+    _assert_identical(fast, slow)
+    assert bare
 
 
 # ----------------------------------------------------------------------

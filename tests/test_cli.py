@@ -2,6 +2,8 @@
 
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,13 +148,9 @@ print(json.dumps({{"correct": True, "attempted": 10, "failed": 0,
 class TestBenchPairs:
     @pytest.fixture
     def tool(self, tmp_path, monkeypatch):
-        import importlib.util
+        from tests.conftest import load_tool
 
-        spec = importlib.util.spec_from_file_location(
-            "bench_pairs", ROOT / "tools" / "bench_pairs.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = load_tool("bench_pairs")
         monkeypatch.setattr(module, "HISTORY", tmp_path / "history.jsonl")
         return module
 
@@ -189,6 +187,28 @@ class TestBenchPairs:
         assert first["failed"] == {"parent": 0, "change": 0}
         assert "virt_makespan_s" in first["virtual"]  # the differing names
 
+    def test_the_row_says_which_source_each_side_ran(self, tool, tmp_path, monkeypatch):
+        """An exported tree is recorded by a hash of its ``src/`` as well:
+        its path means nothing once the scratch directory is emptied."""
+        parent = self.tree(tmp_path, "parent", FAKE_RUN.format(value=1.0))
+        change = self.tree(tmp_path, "change", FAKE_RUN.format(value=1.0))
+        for tree in (parent, change):
+            (tree / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+            (tree / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+        # Not source: the interpreter writes these while the pairs run.
+        (change / "src" / "pkg" / "__pycache__" / "mod.pyc").write_bytes(b"\0")
+        assert tool.src_hash(parent) == tool.src_hash(change)
+        argv = ["bench_pairs.py", str(parent), str(change), "--workload", "fake", "--pairs", "1"]
+        monkeypatch.setattr("sys.argv", argv)
+        assert tool.main() == 0
+        (change / "src" / "pkg" / "mod.py").write_text("x = 2\n")  # one byte
+        assert tool.main() == 0
+        same, differ = (json.loads(row)["src"] for row in tool.HISTORY.read_text().splitlines())
+        assert same["parent"] == same["change"] == differ["parent"] != differ["change"]
+        assert re.fullmatch(r"[0-9a-f]{12}", differ["change"])
+        (change / "src" / "pkg" / "mod.py").rename(change / "src" / "pkg" / "nod.py")
+        assert tool.src_hash(change) != differ["change"]  # paths count too
+
     def test_a_side_that_prints_no_json_is_named(self, tool, tmp_path, monkeypatch):
         parent = self.tree(tmp_path, "parent", FAKE_RUN.format(value=2.0))
         change = self.tree(tmp_path, "change", "import sys\nsys.exit(3)\n")
@@ -200,3 +220,19 @@ class TestBenchPairs:
             tool.main()
         assert f"{change} exited 3 and printed no JSON record" in str(exit_info.value)
         assert not tool.HISTORY.exists()
+
+
+def test_reference_kernel_runs_an_experiment_to_its_pin(tmp_path):
+    """``tools/reference_kernel.py`` is the experiment CLI with the three
+    kernel shortcuts patched out: same arguments, same digest, and never
+    a cached report (the cache key does not know about the patch)."""
+    out = tmp_path / "ref.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "reference_kernel.py"),
+         "checkpoint", "--scale", "tiny", "--json", str(out)],
+        cwd=tmp_path, capture_output=True, text=True,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    (entry,) = json.loads(out.read_text())["results"]
+    assert entry["digest"] == json.loads(DIGEST_PINS.read_text())["digests"]["checkpoint"]
+    assert entry["cache_hit"] is False and not (tmp_path / ".repro_result_cache").exists()

@@ -20,12 +20,17 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import Event
+from repro.sim.events import Event, Interrupt, Timeout
+from repro.sim.resources import Resource
+from tests.conftest import reference_kernel
 
 # Lots of duplicates and zeros on purpose: ties and zero-delay chains are
 # exactly where the ring/heap split could diverge from the reference.
@@ -271,11 +276,16 @@ def _reference_process_run(scripts):
     return trace, values, dispatched
 
 
-def _engine_process_run(scripts):
+def _engine_process_run(scripts, slept=None):
+    """Given a list ``slept``, every timeout step tries ``Engine.advance``
+    first, and each sleep taken in place appends how many processes were
+    alive at the time."""
     engine = Engine()
     trace: list[tuple[float, int, int]] = []
+    alive = len(scripts)
 
     def proc(pid: int):
+        nonlocal alive
         trace.append((engine.now, pid, -1))
         total = 0
         for step, delay in enumerate(scripts[pid]):
@@ -284,10 +294,14 @@ def _engine_process_run(scripts):
                 marker.conclude(step)
                 assert marker.processed
                 value = yield marker  # resumes inline, with its value
+            elif slept is not None and engine.advance(delay):
+                slept.append(alive)
+                value = step
             else:
                 value = yield engine.timeout(delay, value=step)
             total += value
             trace.append((engine.now, pid, step))
+        alive -= 1
         return total
 
     processes = [engine.process(proc(pid)) for pid in range(len(scripts))]
@@ -316,6 +330,238 @@ def test_process_scripts_with_concluded_markers_match_reference(seed: int) -> No
     ]
     assert any(delay is None for script in scripts for delay in script)
     assert _engine_process_run(scripts) == _reference_process_run(scripts)
+
+
+# ----------------------------------------------------------------------
+# Engine.advance: a sleep nobody can overtake is taken in place
+# ----------------------------------------------------------------------
+# More distinct delays than DELAY_POOL, so that a process is often the
+# strict next-to-wake among several live ones (ties and zeros remain).
+SPREAD_POOL = DELAY_POOL + [0.125, 0.375, 0.75, 2.0, 2.5, 7.0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_process_scripts_with_advance_match_reference(seed: int) -> None:
+    """Same ``(time, pid, step)`` trace and values as the naive kernel,
+    and exactly one event fewer per sleep taken in place — also with
+    three and more processes alive, not only once a process is alone."""
+    rng = random.Random(7000 + seed)
+    scripts = [
+        [rng.choice(SPREAD_POOL + [None]) for _ in range(rng.randrange(5, 40))]
+        for _ in range(rng.randrange(3, 12))
+    ]
+    trace, values, dispatched = _reference_process_run(scripts)
+    slept: list[int] = []
+    assert _engine_process_run(scripts, slept) == (
+        trace, values, dispatched - len(slept),
+    )  # fmt: skip
+    assert any(alive >= 3 for alive in slept), slept
+
+
+def _sleep(engine: Engine, delay: float):
+    """The idiom under test, as every model layer writes it."""
+    if not engine.advance(delay):
+        yield engine.timeout(delay)
+
+
+def test_advance_declines_an_exact_heap_tie() -> None:
+    """Two processes sleep 1.0 from one instant.  The second finds the
+    ring empty and the first's timeout due exactly at its own target: an
+    older ``seq``, so it fires first.  (``<`` for ``<=`` in the heap test:
+    the second process logs ahead of the first.)"""
+    engine = Engine()
+    order: list[tuple[float, int]] = []
+
+    def proc(pid: int):
+        yield from _sleep(engine, 1.0)
+        order.append((engine.now, pid))
+
+    engine.run_all([engine.process(proc(pid)) for pid in range(2)])
+    assert order == [(1.0, 0), (1.0, 1)]
+
+
+def test_advance_declines_behind_a_queued_ring_event() -> None:
+    """A ``succeed()`` earlier in the same slice: its waiter is owed this
+    instant.  (Ring ignored: the waiter wakes at 1.0.)"""
+    engine = Engine()
+    ready = Event(engine)
+    woke: list[float] = []
+
+    def waiter():
+        yield ready
+        woke.append(engine.now)
+
+    def owner():
+        ready.succeed()
+        yield from _sleep(engine, 1.0)
+
+    engine.process(waiter())
+    engine.process(owner())
+    engine.run()
+    assert woke == [0.0] and engine.now == 1.0
+
+
+def test_advance_stops_at_the_horizon_of_run_until() -> None:
+    """``run(until=1.0)`` over a lone 2.0 sleep: the clock ends at 1.0 with
+    the rank parked, and a following ``run()`` finishes it at 2.0.
+    (Horizon ignored: the first run returns with the clock at 2.0.)"""
+    engine = Engine()
+
+    def proc():
+        yield from _sleep(engine, 1.0)  # inside the horizon: in place
+        yield from _sleep(engine, 1.0)  # would end at 2.0: parked
+        return engine.now
+
+    process = engine.process(proc())
+    engine.run(until=1.5)
+    assert engine.now == 1.5 and not process.triggered
+    assert engine.events_processed == 1  # the bootstrap; one timeout waits
+    engine.run()
+    assert process.value == 2.0 and engine.now == 2.0
+
+
+def test_advance_never_fires_outside_a_run_loop() -> None:
+    """``step()`` and a generator driven by hand have no loop that would
+    have dispatched the timeout next: the timeout is built."""
+    engine = Engine()
+    assert engine.advance(1.0) is False and engine.now == 0.0
+    assert isinstance(next(_sleep(engine, 1.0)), Timeout)
+    engine.step()  # that timeout, nobody waiting
+    assert engine.now == 1.0
+
+    def proc():
+        yield from _sleep(engine, 1.0)
+        return engine.now
+
+    process = engine.process(proc())
+    engine.step()  # bootstrap: the process parks on a real timeout
+    assert engine.now == 1.0 and not process.triggered
+    engine.step()
+    assert process.value == 2.0
+    engine.run()
+    assert engine.advance(1.0) is False  # and not after a run has ended
+
+
+def test_advance_declines_while_another_waiter_is_owed_the_event() -> None:
+    """Two processes wake from one shared timeout; the first to resume
+    sleeps on.  The second is owed its wake-up at 0.5.  (Fan-out flag
+    ignored: the first moves the clock and the second wakes at 1.5.)"""
+    engine = Engine()
+    shared = engine.timeout(0.5)
+    woke: list[tuple[int, float]] = []
+
+    def proc(pid: int):
+        yield shared
+        woke.append((pid, engine.now))
+        yield from _sleep(engine, 1.0)
+        return engine.now
+
+    assert engine.run_all([engine.process(proc(pid)) for pid in (1, 2)]) == [1.5, 1.5]
+    assert woke == [(1, 0.5), (2, 0.5)]
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["shipped", "reference"])
+def test_acquire_now_declines_while_another_waiter_is_owed_the_event(inline) -> None:
+    """The same hole in ``acquire_now``'s proof (there since it was
+    written): granted inline under a two-waiter event, P1 ran both its
+    halves before P2 ran its first — ``P1a P1b P2a P2b`` in 7 events where
+    the parked form runs ``P1a P2a P1b P2b`` in 8."""
+
+    def run():
+        engine = Engine()
+        shared = engine.timeout(0.5)
+        resource = Resource(engine, capacity=2)
+        order: list[str] = []
+
+        def proc(name: str):
+            yield shared
+            order.append(name + "a")
+            if resource.acquire_now() is None:
+                yield resource.request()
+            order.append(name + "b")
+
+        engine.run_all([engine.process(proc(name)) for name in ("P1", "P2")])
+        return order, engine.events_processed
+
+    if inline:
+        result = run()
+    else:
+        with reference_kernel():
+            result = run()
+    assert result == (["P1a", "P2a", "P1b", "P2b"], 8)
+
+
+def test_advance_declines_once_the_awaited_event_is_processed() -> None:
+    """``run(until=marker)`` polls its marker.  A process concludes it in
+    place and sleeps on: the run returns at the conclude instant.  (Stop
+    event ignored: it returns with the clock at 6.0.)"""
+    engine = Engine()
+    marker = Event(engine)
+
+    def proc():
+        yield from _sleep(engine, 1.0)
+        marker.conclude("done")
+        assert marker.processed
+        yield from _sleep(engine, 5.0)
+
+    process = engine.process(proc())
+    assert engine.run(until=marker) == "done"
+    assert engine.now == 1.0 and not process.triggered
+    engine.run()
+    assert engine.now == 6.0 and process.processed
+
+
+def test_interrupt_lands_at_the_same_instant_either_way() -> None:
+    """A sleeper is only ever in place across an interval nobody else can
+    run in, so an interrupt finds it parked on a real timeout."""
+
+    def run():
+        engine = Engine()
+        log: list[object] = []
+        slept = 0
+
+        def sleeper():
+            nonlocal slept
+            try:
+                for _ in range(10):
+                    if engine.advance(1.0):
+                        slept += 1
+                    else:
+                        yield engine.timeout(1.0)
+                    log.append(engine.now)
+            except Interrupt as interrupt:
+                log.append((interrupt.cause, engine.now))
+
+        def interrupter(victim):
+            yield engine.timeout(2.5)
+            victim.interrupt("stop")
+
+        engine.process(interrupter(engine.process(sleeper())))
+        engine.run()
+        return log, engine.now, slept
+
+    log, now, slept = run()
+    with reference_kernel():
+        assert run() == (log, now, 0)
+    assert log == [1.0, 2.0, ("stop", 2.5)] and slept == 1
+
+
+def test_advance_rejects_a_negative_delay_like_timeout() -> None:
+    """In both arms: where it would have declined (no loop running) and
+    where it would have moved the clock — backwards."""
+    engine = Engine()
+    for build in (engine.advance, engine.timeout):
+        with pytest.raises(SimulationError, match="negative timeout delay: -1.0"):
+            build(-1.0)
+
+    def proc():
+        assert engine.advance(0.0) and engine.now == 0.0  # a no-op succeeds
+        yield from _sleep(engine, 1.0)
+        yield from _sleep(engine, -0.5)
+
+    with pytest.raises(SimulationError, match="negative timeout delay: -0.5"):
+        engine.run(engine.process(proc()))
+    assert engine.now == 1.0
 
 
 def _cohort_rounds(rng: random.Random):
@@ -424,18 +670,14 @@ def test_tiny_delay_rounds_onto_the_ring_in_seq_order() -> None:
     assert order == ["tiny", "zero"]
 
 
-def test_every_dispatched_event_had_a_waiter(monkeypatch) -> None:
-    """Through the public API, on the miss path: one rank, 1 MiB caches,
-    random 4 KiB reads and writes over 8 MiB, closing ``msync`` and
-    ``flush_all``.  With nobody to contend with, the only things worth an
-    event are the timeouts (device, fabric and FUSE-crossing time) and
-    the driver's own bootstrap and completion: a completion marker nobody
-    waits for, and the parked grant it would force on the next
-    ``acquire_now``, are not events (they used to be half the total)."""
+def _lone_rank_on_the_miss_path():
+    """Through the public API: one rank, 1 MiB caches, random 4 KiB reads
+    and writes over 8 MiB, closing ``msync`` and ``flush_all``.  Returns
+    ``(timeouts built, events dispatched)`` and ``(engine.now, every byte
+    read, the shadow image, all counters)``."""
     from repro.cluster import make_hal_cluster
     from repro.cluster.hal import HalConfig
     from repro.core import NVMalloc
-    from repro.sim.events import Timeout
     from repro.store import Benefactor, Manager
     from repro.util.units import KiB, MiB
 
@@ -447,7 +689,6 @@ def test_every_dispatched_event_had_a_waiter(monkeypatch) -> None:
         timeouts += 1
         timeout_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Timeout, "__init__", counting_init)
     engine = Engine()
     cluster = make_hal_cluster(
         engine,
@@ -463,6 +704,7 @@ def test_every_dispatched_event_had_a_waiter(monkeypatch) -> None:
     rng = random.Random(17)
     region_bytes = 8 * MiB
     shadow = bytearray(region_bytes)
+    reads: list[bytes] = []
 
     def driver():
         var = yield from lib.ssdmalloc(region_bytes, owner="pin")
@@ -475,9 +717,51 @@ def test_every_dispatched_event_had_a_waiter(monkeypatch) -> None:
             else:
                 got = yield from var.region.read(offset, 4 * KiB)
                 assert got == shadow[offset : offset + 4 * KiB]
+                reads.append(bytes(got))
         yield from var.region.msync()
         yield from lib.mount.cache.flush_all()
 
-    engine.run(engine.process(driver()))
+    Timeout.__init__ = counting_init
+    try:
+        engine.run(engine.process(driver()))
+    finally:
+        Timeout.__init__ = timeout_init
     assert lib.mount.cache.stats.dirty_evictions and lib.pagecache.stats.writeback_bytes
-    assert engine.events_processed == timeouts + 2  # bootstrap + completion
+    return (timeouts, engine.events_processed), (
+        engine.now, reads, bytes(shadow), cluster.metrics.snapshot(),
+    )  # fmt: skip
+
+
+def test_every_dispatched_event_had_a_waiter() -> None:
+    """With nobody to contend with, nothing on the miss path is worth an
+    event: no completion marker (nobody waits), no grant (nobody
+    contends), no timeout (nobody can overtake the sleep) — the driver's
+    bootstrap and its completion are the two there are, at the clock,
+    bytes and counters of the kernel that queues all three (markers and
+    the grants they forced used to be half the total, timeouts the rest).
+    A new ``yield engine.timeout(d)`` site that forgets
+    ``Engine.advance``, or a marker site that calls ``succeed()``, shows
+    up here as a non-zero count."""
+    (timeouts, events), outcome = _lone_rank_on_the_miss_path()
+    with reference_kernel():
+        (ref_timeouts, ref_events), ref_outcome = _lone_rank_on_the_miss_path()
+    assert (timeouts, events) == (0, 2)
+    assert ref_events > ref_timeouts > 1000  # the reference does sleep
+    assert outcome == ref_outcome
+
+
+def test_every_wait_in_src_tries_advance_first() -> None:
+    """The lone-rank pin sees only the sites a page fault runs.  By
+    reading: every statement under ``src/repro`` that yields a timeout it
+    has just built and discards the value is the second line of ``if not
+    engine.advance(d): yield engine.timeout(d)``."""
+    src = Path(repro.__file__).parent
+    waits, bare = 0, []
+    for path in sorted(src.rglob("*.py")):
+        lines = path.read_text().splitlines()
+        for number, line in enumerate(lines):
+            if re.match(r"\s*yield \S*timeout\(", line):
+                waits += 1
+                if "advance(" not in lines[number - 1]:
+                    bare.append(f"{path.relative_to(src)}:{number + 1}")
+    assert waits and bare == []

@@ -22,11 +22,14 @@ Every campaign also appends one JSON line to the repo's top-level
 reprinting runs: workload, seed, seconds, pairs, per host metric both
 medians, the parent's quartiles, pairs won and lost and the verdict,
 ``host_calls_per_op`` per side, failures, the virtual verdict, what each
-tree is (``git rev-parse HEAD`` for a checkout, else its path) and the
-host it ran on.  Append-only: a row is never edited or removed.
+tree is (``git rev-parse HEAD`` for a checkout, else its path — and,
+because an exported tree's path says nothing once the scratch directory
+is emptied, a content hash of its ``src/``) and the host it ran on.
+Append-only: a row is never edited or removed.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -67,6 +70,18 @@ def identity(tree: Path) -> str:
     return str(tree)
 
 
+def src_hash(tree: Path) -> str:
+    """What was measured: sha256 over the sorted relative paths and bytes
+    of the tree's ``src/`` (bytecode caches aside), first 12 hex digits."""
+    digest = hashlib.sha256()
+    src = tree / "src"
+    for path in sorted(src.rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            data = path.read_bytes()
+            digest.update(f"{path.relative_to(src)}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()[:12]
+
+
 def verdict(gap: float, iqr: float, won: int, lost: int, pairs: int, bound: float) -> str:
     if abs(gap) > iqr:
         if gap < 0 and won >= 0.9 * pairs:
@@ -94,6 +109,8 @@ def main() -> int:
     bounds = {m["name"]: m["bound"] for m in manifest["end_to_end"]}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    sources = {side: src_hash(tree) for side, tree in trees.items()}
+    print(f"src/: parent {sources['parent']} change {sources['change']}")
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             runs[side].append(run_once(trees[side], extra))
@@ -133,6 +150,7 @@ def main() -> int:
         "workload": args.workload, "seed": runs["parent"][0]["seed"],
         "seconds": float(args.seconds or manifest["run_seconds"]), "pairs": args.pairs,
         "parent": identity(trees["parent"]), "change": identity(trees["change"]),
+        "src": sources,
         **host, COUNT: calls, "failed": failed,
         "attempted": runs["parent"][0]["attempted"], "virtual": drift or "bit-equal",
         "host": platform.node(), "cpus": os.cpu_count(),
