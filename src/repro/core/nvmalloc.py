@@ -23,21 +23,10 @@ from collections.abc import Generator, Sequence
 import numpy as np
 
 from repro.cluster.node import Node
-from repro.core.async_ckpt import AsyncCheckpoint, MutationTracker, SnapshotGuard
-from repro.core.checkpoint import CheckpointRecord, CheckpointSection
+from repro.core.async_ckpt import AsyncCheckpoint
+from repro.core.checkpoint import Checkpointer, CheckpointRecord
 from repro.core.variable import DRAMArray, NVMArray, NVMVariable
-from repro.devices.base import AccessKind
-from repro.errors import (
-    AllocationError,
-    CheckpointError,
-    ChunkUnavailableError,
-    FileExistsInStoreError,
-    FileNotFoundInStoreError,
-    LostChunk,
-    NVMallocError,
-    RestoreError,
-    StoreError,
-)
+from repro.errors import AllocationError, FileExistsInStoreError, NVMallocError
 from repro.fusefs.flags import OpenFlags
 from repro.fusefs.mount import FuseMount
 from repro.mem.mmap import MmapRegion, Protection
@@ -47,9 +36,6 @@ from repro.store.chunk import CHUNK_SIZE, PAGE_SIZE
 from repro.store.manager import Manager
 from repro.util.recorder import MetricsRecorder
 from repro.util.units import MiB
-
-#: Checkpoint modes accepted by :meth:`NVMalloc.ssdcheckpoint`.
-CHECKPOINT_MODES = ("incremental", "full")
 
 MOUNT_POINT = "/mnt/aggregatenvm"
 
@@ -108,34 +94,36 @@ class NVMalloc:
         self._mapping_refs: dict[str, int] = {}
         # Paths whose lifetime outlives their mappings (§III-C sharing).
         self._persistent_paths: set[str] = set()
-        self._checkpoints: dict[tuple[str, int], CheckpointRecord] = {}
-        # (tag, section label) -> the chunk ids frozen into the last
-        # epoch of the chain (None marks a chunk whose snapshot went to a
-        # fresh checkpoint chunk, i.e. always dirty next time).  Drives
-        # the dirty-chunk diff of incremental/async checkpoints.
-        self._last_epoch_chunks: dict[tuple[str, str], list[int | None]] = {}
-        # Async chain state: per backing path, a write hook recording the
-        # chunks touched since the last async epoch's initiation; per
-        # (tag, section label), the chunk ids of the last async epoch
-        # *file* (the link targets for the next epoch's clean chunks).
-        self._async_trackers: dict[str, MutationTracker] = {}
-        self._epoch_file_chunks: dict[tuple[str, str], list[int]] = {}
-        # Introspection for the last restore: which epoch it resolved to
-        # and whether that resolution was a truncated-epoch fallback.
-        self.last_restore_epoch: int | None = None
-        self.last_restore_fallback: bool = False
+        self._checkpointer = Checkpointer(self)
 
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
     def _backing_path(
-        self, shared_key: str | None, owner: str, persistent_name: str | None
+        self, persistent_name: str | None, shared_key: str | None = None, owner: str = ""
     ) -> str:
         if persistent_name is not None:
             return f"{MOUNT_POINT}/persistent/{persistent_name}"
         if shared_key is not None:
             return f"{MOUNT_POINT}/nvmalloc/shared/{shared_key}"
         return f"{MOUNT_POINT}/nvmalloc/{self.node.name}/{owner}/{next(self._seq)}"
+
+    def _map(
+        self, path: str, nbytes: int, *, owner: str, shared: bool, persistent: bool
+    ) -> NVMVariable:
+        """Memory-map ``path`` and count the mapping (the caller still
+        holds, and closes, the descriptor it opened)."""
+        region = MmapRegion(
+            self.pagecache,
+            path,
+            nbytes,
+            prot=Protection.PROT_READ | Protection.PROT_WRITE,
+            shared=shared,
+        )
+        self._mapping_refs[path] = self._mapping_refs.get(path, 0) + 1
+        if persistent:
+            self._persistent_paths.add(path)
+        return NVMVariable(region, owner=owner, backing_path=path)
 
     def ssdmalloc(
         self,
@@ -148,11 +136,7 @@ class NVMalloc:
     ) -> Generator[Event, object, NVMVariable]:
         """Dispatch :meth:`_ssdmalloc_impl`, spanned when tracing is on."""
         gen = self._ssdmalloc_impl(
-            nbytes,
-            owner=owner,
-            shared_key=shared_key,
-            private=private,
-            persistent_name=persistent_name,
+            nbytes, owner, shared_key, private, persistent_name
         )
         tracer = self.node.engine.tracer
         if tracer is None:
@@ -162,11 +146,10 @@ class NVMalloc:
     def _ssdmalloc_impl(
         self,
         nbytes: int,
-        *,
-        owner: str = "app",
-        shared_key: str | None = None,
-        private: bool = False,
-        persistent_name: str | None = None,
+        owner: str,
+        shared_key: str | None,
+        private: bool,
+        persistent_name: str | None,
     ) -> Generator[Event, object, NVMVariable]:
         """Allocate ``nbytes`` from the aggregate NVM store.
 
@@ -189,9 +172,8 @@ class NVMalloc:
             raise AllocationError(
                 "persistent_name and shared_key are mutually exclusive"
             )
-        path = self._backing_path(shared_key, owner, persistent_name)
-        existing = self.manager.exists(path)
-        if existing:
+        path = self._backing_path(persistent_name, shared_key, owner)
+        if self.manager.exists(path):
             if shared_key is None and persistent_name is None:
                 raise AllocationError(f"internal name collision on {path!r}")
             if persistent_name is not None:
@@ -220,51 +202,39 @@ class NVMalloc:
                 # The paper intimates the buffer size to the store with
                 # posix_fallocate(); creation reserved it, this validates.
                 yield from self.mount.fallocate(fd, nbytes)
-        region = MmapRegion(
-            self.pagecache,
-            path,
-            nbytes,
-            prot=Protection.PROT_READ | Protection.PROT_WRITE,
-            shared=not private,
+        variable = self._map(
+            path, nbytes, owner=owner, shared=not private,
+            persistent=persistent_name is not None,
         )
-        self._mapping_refs[path] = self._mapping_refs.get(path, 0) + 1
-        if persistent_name is not None:
-            self._persistent_paths.add(path)
         yield from self.mount.close(fd)
         self.metrics.add("nvmalloc.ssdmalloc.bytes", nbytes)
         self.metrics.add("nvmalloc.ssdmalloc.calls")
-        return NVMVariable(region, owner=owner, backing_path=path)
+        return variable
 
     def open_persistent(
         self, persistent_name: str, *, owner: str = "app"
     ) -> Generator[Event, object, NVMVariable]:
         """Map an existing persistent variable (possibly created by a
         previous job or on another node) into this process."""
-        path = f"{MOUNT_POINT}/persistent/{persistent_name}"
+        path = self._backing_path(persistent_name)
         if not self.manager.exists(path):
             raise AllocationError(
                 f"no persistent variable {persistent_name!r} on the store"
             )
         fd = yield from self.mount.open(path, OpenFlags.O_RDWR)
-        nbytes = self.mount.stat_size(path)
-        region = MmapRegion(
-            self.pagecache,
-            path,
-            nbytes,
-            prot=Protection.PROT_READ | Protection.PROT_WRITE,
-            shared=True,
+        variable = self._map(
+            path, self.mount.stat_size(path),
+            owner=owner, shared=True, persistent=True,
         )
-        self._mapping_refs[path] = self._mapping_refs.get(path, 0) + 1
-        self._persistent_paths.add(path)
         yield from self.mount.close(fd)
-        return NVMVariable(region, owner=owner, backing_path=path)
+        return variable
 
     def unlink_persistent(self, persistent_name: str) -> Generator[Event, object, None]:
         """Remove a persistent variable's backing file from the store.
 
         Fails while mappings created through this context are live.
         """
-        path = f"{MOUNT_POINT}/persistent/{persistent_name}"
+        path = self._backing_path(persistent_name)
         if self._mapping_refs.get(path):
             raise NVMallocError(
                 f"persistent variable {persistent_name!r} still mapped"
@@ -285,19 +255,15 @@ class NVMalloc:
         if path not in self._mapping_refs:
             raise NVMallocError(f"ssdfree of unknown variable over {path!r}")
         yield from variable.region.munmap()
-        tracker = self._async_trackers.pop(path, None)
-        if tracker is not None:
-            self.pagecache.unregister_write_hook(path, tracker)
+        self._checkpointer.forget_variable(path)
         yield from self.mount.cache.flush_path(path)
         self._mapping_refs[path] -= 1
         if self._mapping_refs[path] == 0:
             del self._mapping_refs[path]
-            if path in self._persistent_paths:
-                # Persistent variables outlive their mappings: keep the
-                # backing file, just drop our cached chunks.
-                self.mount.cache.invalidate_path(path)
-            else:
-                self.mount.cache.invalidate_path(path)
+            self.mount.cache.invalidate_path(path)
+            # Persistent variables outlive their mappings: keep the
+            # backing file, having just dropped our cached chunks.
+            if path not in self._persistent_paths:
                 yield from self.mount.unlink(path)
         self.metrics.add("nvmalloc.ssdfree.calls")
 
@@ -330,129 +296,13 @@ class NVMalloc:
         return DRAMArray(self.node.dram, shape, np.dtype(dtype))
 
     # ------------------------------------------------------------------
-    # Checkpointing (paper §III-E)
+    # Checkpointing (paper §III-E): span dispatch here, the work in
+    # :class:`~repro.core.checkpoint.Checkpointer`
     # ------------------------------------------------------------------
     def _checkpoint_path(self, tag: str, timestep: int) -> str:
         return f"{MOUNT_POINT}/checkpoints/{tag}.{timestep}"
 
-    def _checkpoint_preflight(
-        self,
-        tag: str,
-        timestep: int,
-        variables: Sequence[tuple[str, NVMVariable]],
-        layout: Sequence[str] | None,
-    ) -> tuple[dict[str, NVMVariable], list[str]]:
-        """Shared validation for sync and async checkpoints.
-
-        Returns ``(var_map, section_order)``; raises
-        :class:`CheckpointError` on duplicate keys, bad layouts, or
-        unrecoverable data loss (fail fast: a variable whose chunk has no
-        surviving replica can never be flushed or linked — degraded but
-        readable variables proceed via the client's failover path).
-        """
-        key = (tag, timestep)
-        if key in self._checkpoints:
-            raise CheckpointError(f"checkpoint {tag}@{timestep} already exists")
-        var_map: dict[str, NVMVariable] = {}
-        for label, variable in variables:
-            if label == "__dram__" or label in var_map:
-                raise CheckpointError(f"duplicate/reserved section label {label!r}")
-            var_map[label] = variable
-        section_order = (
-            list(layout) if layout is not None
-            else ["__dram__", *var_map.keys()]
-        )
-        if sorted(section_order) != sorted(["__dram__", *var_map.keys()]):
-            raise CheckpointError(
-                f"layout {section_order!r} must be a permutation of "
-                f"['__dram__', {', '.join(map(repr, var_map))}]"
-            )
-        lost: set[int] = set()
-        for variable in var_map.values():
-            lost.update(self.manager.lost_chunks(variable.backing_path))
-        if lost:
-            raise CheckpointError(
-                f"checkpoint {tag}@{timestep}: chunks {sorted(lost)} have "
-                "no surviving replica",
-                lost_chunks=tuple(
-                    LostChunk(
-                        chunk_id,
-                        epoch=timestep,
-                        replicas=self.manager.lost_replicas(chunk_id),
-                    )
-                    for chunk_id in sorted(lost)
-                ),
-            )
-        return var_map, section_order
-
-    def _dirty_variable_chunks(
-        self, tag: str, label: str, backing: str, live_ids: list[int]
-    ) -> set[int]:
-        """Chunk indices of a variable that changed since the last epoch.
-
-        A chunk is dirty when (a) no prior epoch froze it (first epoch,
-        or its last snapshot went to a fresh checkpoint chunk), (b) the
-        live chunk id diverged from the frozen one (a flush already
-        copy-on-wrote it), or (c) either client cache holds unflushed
-        dirty bytes for it.  Pure metadata — no simulated events.
-        """
-        num = len(live_ids)
-        prev = self._last_epoch_chunks.get((tag, label))
-        if prev is None:
-            return set(range(num))
-        dirty = {
-            i
-            for i in range(num)
-            if i >= len(prev) or prev[i] is None or prev[i] != live_ids[i]
-        }
-        dirty |= self.pagecache.dirty_chunk_indices(backing, self.chunk_size)
-        dirty |= self.mount.cache.dirty_chunk_indices(backing)
-        return {i for i in dirty if i < num}
-
-    def _lost_chunk_records(
-        self, path: str, epoch: int | None
-    ) -> tuple[LostChunk, ...]:
-        """Detailed loss records for every lost chunk of ``path``."""
-        return tuple(
-            LostChunk(
-                chunk_id,
-                epoch=epoch,
-                replicas=self.manager.lost_replicas(chunk_id),
-            )
-            for chunk_id in self.manager.lost_chunks(path)
-        )
-
-    @staticmethod
-    def _section_tuples(
-        sections: Sequence[CheckpointSection],
-    ) -> tuple[tuple[str, int, int, bool], ...]:
-        """Serialize sections for the manager-side epoch commit record."""
-        return tuple(
-            (s.name, s.offset, s.length, s.linked) for s in sections
-        )
-
     def ssdcheckpoint(
-        self,
-        tag: str,
-        timestep: int,
-        dram_state: bytes,
-        variables: Sequence[tuple[str, NVMVariable]] = (),
-        *,
-        layout: Sequence[str] | None = None,
-        mode: str = "incremental",
-    ) -> Generator[Event, object, CheckpointRecord]:
-        """Dispatch :meth:`_ssdcheckpoint_impl`, spanned when tracing is on."""
-        gen = self._ssdcheckpoint_impl(
-            tag, timestep, dram_state, variables, layout=layout, mode=mode
-        )
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "nvmalloc", "ssdcheckpoint", gen, tag=tag, timestep=timestep
-        )
-
-    def _ssdcheckpoint_impl(
         self,
         tag: str,
         timestep: int,
@@ -486,132 +336,18 @@ class NVMalloc:
         permutation of ``["__dram__", <variable labels...>]``.  Default:
         DRAM image first, then variables in argument order.
         """
-        if mode not in CHECKPOINT_MODES:
-            raise CheckpointError(
-                f"unknown checkpoint mode {mode!r}; expected one of "
-                f"{CHECKPOINT_MODES} (async via ssdcheckpoint_async)"
-            )
-        var_map, section_order = self._checkpoint_preflight(
-            tag, timestep, variables, layout
-        )
-        key = (tag, timestep)
-        path = self._checkpoint_path(tag, timestep)
-        dram_len = len(dram_state)
-        fd = yield from self.mount.open(
-            path, OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=0
-        )
-        # Metadata-only; piggybacks on the create RPC the open just paid.
-        epoch = self.manager.begin_epoch(tag, timestep, path, mode=mode)
-        sections: list[CheckpointSection] = []
-        record = CheckpointRecord(
-            tag=tag, timestep=timestep, path=path, sections=sections,
-            mode=mode, parent=epoch.parent,
-        )
-        for name in section_order:
-            if name == "__dram__":
-                yield from self.manager.rpc(self.node.name)
-                offset = self.manager.extend_file(
-                    path, dram_len, client=self.node.name
-                )
-                if dram_len:
-                    yield from self.mount.pwrite(fd, offset, dram_state)
-                sections.append(
-                    CheckpointSection(
-                        "__dram__", offset=offset, length=dram_len, linked=False
-                    )
-                )
-                record.bytes_written += dram_len
-            else:
-                variable = var_map[name]
-                if not variable.region.shared:
-                    raise CheckpointError(
-                        f"variable {name!r} is MAP_PRIVATE; checkpointing "
-                        "requires MAP_SHARED (paper §III-C)"
-                    )
-                backing = variable.backing_path
-                live_ids = list(self.manager.lookup(backing).chunk_ids)
-                dirty = self._dirty_variable_chunks(tag, name, backing, live_ids)
-                record.dirty_chunks += len(dirty)
-                record.total_chunks += len(live_ids)
-                if mode == "full":
-                    # Physical copy: read the mapped view and write it
-                    # into freshly reserved checkpoint chunks.  No flush
-                    # needed — the file holds its own copy of the data.
-                    yield from self.manager.rpc(self.node.name)
-                    offset = self.manager.extend_file(
-                        path, variable.nbytes, client=self.node.name
-                    )
-                    step = self.chunk_size
-                    for rel in range(0, variable.nbytes, step):
-                        take = min(step, variable.nbytes - rel)
-                        data = yield from self.pagecache.read(backing, rel, take)
-                        yield from self.mount.pwrite(fd, offset + rel, data)
-                    sections.append(
-                        CheckpointSection(
-                            name, offset=offset, length=variable.nbytes,
-                            linked=False,
-                        )
-                    )
-                    record.bytes_written += variable.nbytes
-                    # A full epoch shares nothing: the next incremental
-                    # diff has no frozen ids to compare against.
-                    self._last_epoch_chunks.pop((tag, name), None)
-                else:
-                    # Flush app-side caches so the store holds current
-                    # bytes (dirty pages only — this *is* the paper's
-                    # incremental write path), then link by reference.
-                    yield from variable.region.msync()
-                    yield from self.mount.cache.flush_path(backing)
-                    meta_before = self.manager.lookup(path)
-                    offset = meta_before.num_chunks * self.chunk_size
-                    self.manager.link_chunks(path, backing)
-                    sections.append(
-                        CheckpointSection(
-                            name, offset=offset, length=variable.nbytes,
-                            linked=True,
-                        )
-                    )
-                    record.bytes_linked += variable.nbytes
-                    # Freeze the post-flush chunk ids: these are exactly
-                    # the ids the epoch linked.
-                    self._last_epoch_chunks[(tag, name)] = list(
-                        self.manager.lookup(backing).chunk_ids
-                    )
-        yield from self.mount.fsync(fd)
-        yield from self.mount.close(fd)
-        # The commit record rides the close's control round trip.
-        self.manager.commit_epoch(
-            tag, timestep, sections=self._section_tuples(sections)
-        )
-        self._checkpoints[key] = record
-        self.metrics.add("nvmalloc.checkpoint.bytes_written", record.bytes_written)
-        self.metrics.add("nvmalloc.checkpoint.bytes_linked", record.bytes_linked)
-        self.metrics.add("nvmalloc.checkpoint.calls")
-        return record
-
-    def ssdcheckpoint_async(
-        self,
-        tag: str,
-        timestep: int,
-        dram_state: bytes,
-        variables: Sequence[tuple[str, NVMVariable]] = (),
-        *,
-        layout: Sequence[str] | None = None,
-        staging_bytes: int | None = None,
-    ) -> Generator[Event, object, AsyncCheckpoint]:
-        """Dispatch :meth:`_ssdcheckpoint_async_impl`, spanned when tracing is on."""
-        gen = self._ssdcheckpoint_async_impl(
-            tag, timestep, dram_state, variables,
-            layout=layout, staging_bytes=staging_bytes,
+        gen = self._checkpointer.take(
+            tag, timestep, self._checkpoint_path(tag, timestep),
+            dram_state, variables, layout, mode,
         )
         tracer = self.node.engine.tracer
         if tracer is None:
             return gen
         return tracer.wrap(
-            "nvmalloc", "ssdcheckpoint_async", gen, tag=tag, timestep=timestep
+            "nvmalloc", "ssdcheckpoint", gen, tag=tag, timestep=timestep
         )
 
-    def _ssdcheckpoint_async_impl(
+    def ssdcheckpoint_async(
         self,
         tag: str,
         timestep: int,
@@ -639,226 +375,35 @@ class NVMalloc:
         the drain's final fsync; a crash before that leaves it truncated
         and restores fall back to its parent epoch.
         """
-        var_map, section_order = self._checkpoint_preflight(
-            tag, timestep, variables, layout
-        )
         if staging_bytes is None:
             staging_bytes = 4 * self.chunk_size
-        path = self._checkpoint_path(tag, timestep)
-        dram_len = len(dram_state)
-        fd = yield from self.mount.open(
-            path, OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=0
+        gen = self._checkpointer.take(
+            tag, timestep, self._checkpoint_path(tag, timestep),
+            dram_state, variables, layout, "async", staging_bytes,
         )
-        epoch = self.manager.begin_epoch(tag, timestep, path, mode="async")
-        sections: list[CheckpointSection] = []
-        record = CheckpointRecord(
-            tag=tag, timestep=timestep, path=path, sections=sections,
-            mode="async", parent=epoch.parent,
-        )
-        guards: dict[str, SnapshotGuard] = {}
-        # Per variable: (label, backing path, {chunk index -> file offset}).
-        drain_plan: list[tuple[str, str, dict[int, int]]] = []
-        dram_offset = 0
-        for name in section_order:
-            if name == "__dram__":
-                yield from self.manager.rpc(self.node.name)
-                dram_offset = self.manager.extend_file(
-                    path, dram_len, client=self.node.name
-                )
-                if dram_len:
-                    # Staging the DRAM image is a memory copy; the store
-                    # write happens in the drain.
-                    yield from self.node.dram.access(AccessKind.READ, dram_len)
-                sections.append(
-                    CheckpointSection(
-                        "__dram__", offset=dram_offset, length=dram_len,
-                        linked=False,
-                    )
-                )
-            else:
-                variable = var_map[name]
-                if not variable.region.shared:
-                    raise CheckpointError(
-                        f"variable {name!r} is MAP_PRIVATE; checkpointing "
-                        "requires MAP_SHARED (paper §III-C)"
-                    )
-                backing = variable.backing_path
-                live_ids = list(self.manager.lookup(backing).chunk_ids)
-                # Chain diff: a chunk is dirty iff it was written since
-                # the previous async epoch's initiation (the mutation
-                # tracker watched the write path the whole time); every
-                # other chunk's frozen bytes already sit in the previous
-                # epoch's file, so it links there — the incremental CoW
-                # chain.  Without a prior epoch to diff against (first
-                # async epoch of the chain, variable resized, or the
-                # prior epoch's chunks already GC'd) every chunk is dirty.
-                tracker = self._async_trackers.get(backing)
-                prev_file = self._epoch_file_chunks.get((tag, name))
-                touched = tracker.reset() if tracker is not None else None
-                if (
-                    touched is not None
-                    and prev_file is not None
-                    and len(prev_file) == len(live_ids)
-                    and all(self.manager.chunk_known(c) for c in prev_file)
-                ):
-                    dirty = {i for i in touched if 0 <= i < len(live_ids)}
-                else:
-                    dirty = set(range(len(live_ids)))
-                if tracker is None:
-                    tracker = MutationTracker(self.chunk_size)
-                    self.pagecache.register_write_hook(backing, tracker)
-                    self._async_trackers[backing] = tracker
-                record.dirty_chunks += len(dirty)
-                record.total_chunks += len(live_ids)
-                # One metadata round trip covers the per-chunk layout ops.
-                yield from self.manager.rpc(self.node.name)
-                section_offset: int | None = None
-                chunk_lengths: dict[int, int] = {}
-                file_offsets: dict[int, int] = {}
-                frozen: list[int | None] = []
-                for i in range(len(live_ids)):
-                    length_i = min(
-                        self.chunk_size, variable.nbytes - i * self.chunk_size
-                    )
-                    if i in dirty:
-                        off = self.manager.extend_file(
-                            path, length_i, client=self.node.name
-                        )
-                        chunk_lengths[i] = length_i
-                        file_offsets[i] = off
-                        frozen.append(None)
-                    else:
-                        assert prev_file is not None
-                        off = self.manager.link_chunk(
-                            path, prev_file[i], length_i
-                        )
-                        record.bytes_linked += length_i
-                        frozen.append(prev_file[i])
-                    if section_offset is None:
-                        section_offset = off
-                # The new epoch file's chunks for this section are the
-                # next epoch's link targets.
-                meta = self.manager.lookup(path)
-                first_chunk = (
-                    section_offset // self.chunk_size
-                    if section_offset is not None
-                    else meta.num_chunks
-                )
-                self._epoch_file_chunks[(tag, name)] = list(
-                    meta.chunk_ids[first_chunk : first_chunk + len(live_ids)]
-                )
-                sections.append(
-                    CheckpointSection(
-                        name,
-                        offset=section_offset if section_offset is not None else 0,
-                        length=variable.nbytes,
-                        linked=len(dirty) < len(live_ids),
-                    )
-                )
-                self._last_epoch_chunks[(tag, name)] = frozen
-                guard = SnapshotGuard(
-                    self.engine,
-                    self.pagecache,
-                    backing,
-                    chunk_size=self.chunk_size,
-                    chunk_lengths=chunk_lengths,
-                    staging_limit=staging_bytes,
-                )
-                if chunk_lengths:
-                    self.pagecache.register_write_hook(backing, guard)
-                guards[backing] = guard
-                drain_plan.append((name, backing, file_offsets))
-        handle = AsyncCheckpoint(
-            self.engine, tag, timestep, record, guards
-        )
-        handle.process = self.engine.process(
-            self._drain_async_impl(
-                handle, fd, dram_offset, dram_state, drain_plan
-            )
-        )
-        self.metrics.add("nvmalloc.checkpoint.async_calls")
-        return handle
-
-    def _drain_async_impl(
-        self,
-        handle: AsyncCheckpoint,
-        fd: int,
-        dram_offset: int,
-        dram_state: bytes,
-        drain_plan: list[tuple[str, str, dict[int, int]]],
-    ) -> Generator[Event, object, None]:
-        """Background drainer of one async checkpoint.
-
-        Writes the staged DRAM image, then every pending dirty chunk
-        (popping staged CoW captures, capturing the rest on demand),
-        fsyncs, closes, and commits the epoch.  On failure the epoch
-        stays uncommitted (truncated): restores fall back to its parent.
-        """
-        record = handle.record
-        try:
-            if dram_state:
-                yield from self.mount.pwrite(fd, dram_offset, dram_state)
-                record.bytes_written += len(dram_state)
-            for name, backing, file_offsets in drain_plan:
-                guard = handle.guards[backing]
-                for index in sorted(file_offsets):
-                    data = yield from guard.take(index)
-                    yield from self.mount.pwrite(
-                        fd, file_offsets[index], data
-                    )
-                    record.bytes_written += len(data)
-                self.pagecache.unregister_write_hook(backing, guard)
-            yield from self.mount.fsync(fd)
-            yield from self.mount.close(fd)
-            self.manager.commit_epoch(
-                handle.tag, handle.timestep,
-                sections=self._section_tuples(record.sections),
-            )
-            self._checkpoints[(handle.tag, handle.timestep)] = record
-            self.metrics.add(
-                "nvmalloc.checkpoint.bytes_written", record.bytes_written
-            )
-            self.metrics.add(
-                "nvmalloc.checkpoint.bytes_linked", record.bytes_linked
-            )
-            if handle.cow_captures:
-                self.metrics.add(
-                    "nvmalloc.checkpoint.cow_captures", handle.cow_captures
-                )
-            handle._finish(None)
-        except (NVMallocError, StoreError) as error:
-            # Truncated epoch: release the guards (writes stop paying
-            # capture; pending snapshots are abandoned) and drop our
-            # cached dirty data for the dead file so later evictions
-            # don't push bytes to a checkpoint that will never commit.
-            for _name, backing, _offsets in drain_plan:
-                self.pagecache.unregister_write_hook(
-                    backing, handle.guards[backing]
-                )
-                handle.guards[backing].cancel()
-            self.mount.cache.invalidate_path(record.path)
-            handle._finish(error)
-
-    def checkpoint_record(self, tag: str, timestep: int) -> CheckpointRecord:
-        """The record of checkpoint ``tag``@``timestep`` (raises when absent)."""
-        try:
-            return self._checkpoints[(tag, timestep)]
-        except KeyError:
-            raise CheckpointError(f"no checkpoint {tag}@{timestep}") from None
-
-    def restore(
-        self, tag: str, timestep: int | None = None
-    ) -> Generator[Event, object, tuple[bytes, dict[str, bytes]]]:
-        """Dispatch :meth:`_restore_impl`, spanned when tracing is on."""
-        gen = self._restore_impl(tag, timestep)
         tracer = self.node.engine.tracer
         if tracer is None:
             return gen
         return tracer.wrap(
-            "nvmalloc", "restore", gen, tag=tag, timestep=timestep
+            "nvmalloc", "ssdcheckpoint_async", gen, tag=tag, timestep=timestep
         )
 
-    def _restore_impl(
+    def checkpoint_record(self, tag: str, timestep: int) -> CheckpointRecord:
+        """The record of checkpoint ``tag``@``timestep`` (raises when absent):
+        the manager's, so any context on any node may ask, not only the taker."""
+        return self._checkpointer.record(tag, timestep)
+
+    @property
+    def last_restore_epoch(self) -> int | None:
+        """The epoch the last :meth:`restore` resolved to."""
+        return self._checkpointer.last_restore_epoch
+
+    @property
+    def last_restore_fallback(self) -> bool:
+        """Whether that resolution fell back past a truncated epoch."""
+        return self._checkpointer.last_restore_fallback
+
+    def restore(
         self, tag: str, timestep: int | None = None
     ) -> Generator[Event, object, tuple[bytes, dict[str, bytes]]]:
         """Read a checkpoint back: ``(dram_state, {label: variable_bytes})``.
@@ -878,52 +423,13 @@ class NVMalloc:
         every replica does the restore fail, with a typed
         :class:`~repro.errors.RestoreError` detailing the loss.
         """
-        try:
-            epoch = self.manager.resolve_restore_epoch(tag, timestep)
-        except FileNotFoundInStoreError:
-            raise CheckpointError(f"no checkpoint {tag}@{timestep}") from None
-        if epoch is None:
-            raise RestoreError(
-                f"checkpoint {tag!r} has no complete epoch to restore "
-                f"(requested {timestep})",
-                epoch=timestep,
-            )
-        record = self.manager.epoch_record(tag, epoch)
-        dram_sec = None
-        for entry in record.sections:
-            if entry[0] == "__dram__":
-                dram_sec = entry
-        if dram_sec is None:
-            raise CheckpointError(
-                f"checkpoint {tag}@{epoch} has no section '__dram__'"
-            )
-        self.manager.pin_epoch(tag, epoch)
-        try:
-            try:
-                fd = yield from self.mount.open(record.path, OpenFlags.O_RDONLY)
-                dram_state = yield from self.mount.pread(
-                    fd, dram_sec[1], dram_sec[2]
-                )
-                variables: dict[str, bytes] = {}
-                for name, offset, length, _linked in record.sections:
-                    if name == "__dram__":
-                        continue
-                    variables[name] = yield from self.mount.pread(
-                        fd, offset, length
-                    )
-                yield from self.mount.close(fd)
-            except ChunkUnavailableError as error:
-                raise RestoreError(
-                    f"restore of {tag}@{epoch} failed: required chunks are "
-                    "lost at every replica",
-                    lost_chunks=self._lost_chunk_records(record.path, epoch),
-                    epoch=epoch,
-                ) from error
-        finally:
-            self.manager.unpin_epoch(tag, epoch)
-        self.last_restore_epoch = epoch
-        self.last_restore_fallback = timestep is not None and epoch != timestep
-        return dram_state, variables
+        gen = self._checkpointer.restore(tag, timestep)
+        tracer = self.node.engine.tracer
+        if tracer is None:
+            return gen
+        return tracer.wrap(
+            "nvmalloc", "restore", gen, tag=tag, timestep=timestep
+        )
 
     def drain_checkpoint_to_pfs(
         self,
@@ -945,19 +451,7 @@ class NVMalloc:
 
         Returns the PFS file name.
         """
-        record = self.checkpoint_record(tag, timestep)
-        if dest is None:
-            dest = f"scratch/checkpoints/{tag}.{timestep}"
-        total = self.manager.lookup(record.path).size
-        pfs.create(dest, total)
-        fd = yield from self.mount.open(record.path, OpenFlags.O_RDONLY)
-        for offset in range(0, total, block_bytes):
-            length = min(block_bytes, total - offset)
-            data = yield from self.mount.pread(fd, offset, length)
-            yield from pfs.write(self.node.name, dest, offset, data)
-        yield from self.mount.close(fd)
-        self.metrics.add("nvmalloc.checkpoint.drained_bytes", total)
-        return dest
+        return self._checkpointer.drain_to_pfs(tag, timestep, pfs, dest, block_bytes)
 
     def restore_from_pfs(
         self,
@@ -976,57 +470,16 @@ class NVMalloc:
         survives.  Returns ``(dram_state, {label: variable_bytes})`` like
         :meth:`restore`, reading through the PFS instead of the store.
         """
-        record = self.checkpoint_record(tag, timestep)
-        if source is None:
-            source = f"scratch/checkpoints/{tag}.{timestep}"
-        if not pfs.exists(source):
-            raise CheckpointError(
-                f"no drained copy of {tag}@{timestep} at {source!r}"
-            )
-
-        def read_section(offset: int, length: int) -> Generator[Event, object, bytes]:
-            parts: list[bytes] = []
-            for block_off in range(0, length, block_bytes):
-                take = min(block_bytes, length - block_off)
-                parts.append(
-                    (
-                        yield from pfs.read(
-                            self.node.name, source, offset + block_off, take
-                        )
-                    )
-                )
-            return b"".join(parts)
-
-        dram_sec = record.dram_section
-        dram_state = yield from read_section(dram_sec.offset, dram_sec.length)
-        variables: dict[str, bytes] = {}
-        for sec in record.variable_sections:
-            variables[sec.name] = yield from read_section(sec.offset, sec.length)
-        return dram_state, variables
-
-    def delete_checkpoint(self, tag: str, timestep: int) -> Generator[Event, object, None]:
-        """Remove a checkpoint file (linked chunks survive if still used)."""
-        record = self._checkpoints.pop((tag, timestep), None)
-        if record is None:
-            raise CheckpointError(f"no checkpoint {tag}@{timestep}")
-        # Metadata only: later epochs chaining through this one are
-        # re-parented past it (rides the unlink's control traffic).
-        self.manager.drop_epoch(tag, timestep)
-        yield from self.mount.unlink(record.path)
-
-    def gc_checkpoints(
-        self, tag: str, *, keep_last: int = 1
-    ) -> Generator[Event, object, int]:
-        """Dispatch :meth:`_gc_checkpoints_impl`, spanned when tracing is on."""
-        gen = self._gc_checkpoints_impl(tag, keep_last=keep_last)
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "nvmalloc", "gc_checkpoints", gen, tag=tag, keep_last=keep_last
+        return self._checkpointer.restore_from_pfs(
+            tag, timestep, pfs, source, block_bytes
         )
 
-    def _gc_checkpoints_impl(
+    def delete_checkpoint(self, tag: str, timestep: int) -> Generator[Event, object, None]:
+        """Remove a checkpoint file (linked chunks survive if still used);
+        later epochs chaining through it are re-parented past it."""
+        return self._checkpointer.delete(tag, timestep)
+
+    def gc_checkpoints(
         self, tag: str, *, keep_last: int = 1
     ) -> Generator[Event, object, int]:
         """Garbage-collect superseded epochs of ``tag``'s chain.
@@ -1040,22 +493,13 @@ class NVMalloc:
         in-flight re-replication fill so GC never races repair).
         Returns the physical bytes reclaimed.
         """
-        reclaimed = 0
-        retired = 0
-        for epoch in self.manager.gc_candidates(tag, keep_last=keep_last):
-            record = self.manager.epoch_record(tag, epoch)
-            # One control round trip per retired epoch.
-            yield from self.manager.rpc(self.node.name)
-            # Drop our cached chunks of the retired file before the
-            # manager frees them (mirrors unlink's invalidation).
-            self.mount.cache.invalidate_path(record.path)
-            reclaimed += self.manager.retire_epoch(tag, epoch)
-            self._checkpoints.pop((tag, epoch), None)
-            retired += 1
-        if retired:
-            self.metrics.add("nvmalloc.checkpoint.gc_epochs", retired)
-            self.metrics.add("nvmalloc.checkpoint.gc_bytes", reclaimed)
-        return reclaimed
+        gen = self._checkpointer.gc(tag, keep_last)
+        tracer = self.node.engine.tracer
+        if tracer is None:
+            return gen
+        return tracer.wrap(
+            "nvmalloc", "gc_checkpoints", gen, tag=tag, keep_last=keep_last
+        )
 
     def __repr__(self) -> str:
         return f"<NVMalloc on {self.node.name}>"

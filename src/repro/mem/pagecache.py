@@ -48,13 +48,17 @@ class PageCacheStats:
 
 
 class _Page:
-    __slots__ = ("data", "dirty", "lru")
+    __slots__ = ("data", "dirty", "lru", "syncing")
 
     def __init__(self, page_size: int, data: bytearray | None = None) -> None:
         # Callers with a full page of payload in hand pass it directly,
         # skipping the zero-fill that a copy would immediately overwrite.
         self.data = bytearray(page_size) if data is None else data
         self.dirty = False
+        # True while an msync's payload of this page is on its way to
+        # FUSE (un-dirtied already, not written back yet); the key's
+        # in-flight marker once the page is evicted in that state.
+        self.syncing: bool | Event = False
         # Recency stamp mirroring this page's position in the LRU dict
         # (strictly increasing across touches), so a per-path sync can
         # replay LRU order without scanning the whole dict.
@@ -109,6 +113,15 @@ class PageCache:
         # order so drain_path waits on the oldest flush first, exactly
         # as a whole-dict scan would.
         self._inflight_by_path: dict[str, dict[int, Event]] = {}
+        # A fault must not install bytes it fetched before somebody else's
+        # write-back of that page.  Between its fetch and its last install
+        # a fault keeps a dict here (under a serial number), and every
+        # write-back that lands meanwhile — an eviction flush, a page of
+        # an msync — adds its key to each.  Dicts used as sets, because a
+        # subscript store is not a call and ``set.add`` is one (+7 %
+        # ``host_calls_per_op`` on ``mpi_scan``).
+        self._faults: dict[int, dict[tuple[str, int], None]] = {}
+        self._fault_serial = 0
         self._tick = 0
         # Hot-path counters, resolved on first use (snapshot-identical
         # to per-call ``metrics.add``: untouched ones never materialize).
@@ -146,8 +159,12 @@ class PageCache:
         return page
 
     def _insert(
-        self, path: str, page_idx: int, data: bytearray | None = None
-    ) -> Generator[Event, object, tuple[_Page, bool]]:
+        self,
+        path: str,
+        page_idx: int,
+        data: bytearray | None = None,
+        flushed: dict[tuple[str, int], None] | None = None,
+    ) -> Generator[Event, object, tuple[_Page | None, bool]]:
         """Pin a page slot for ``(path, page_idx)``.
 
         Returns ``(page, created)``: ``created`` is False when the page
@@ -156,6 +173,11 @@ class PageCache:
         rank may have written to it since.  A created page adopts
         ``data`` (a caller-owned full-page buffer) when given, skipping
         the zero-fill a later full overwrite would waste.
+
+        A fault passes the keys written back since its fetch began: when
+        the page came *and went* during the waits here, ``data`` is stale
+        and is not installed; the page is fetched again instead, and the
+        answer is ``(that page, False)``.
         """
         key = (path, page_idx)
         pages = self._pages
@@ -230,9 +252,25 @@ class PageCache:
                         del ibucket[vidx]
                         if not ibucket:
                             del self._inflight_by_path[vpath]
+                        faults = self._faults
+                        for serial in faults:
+                            faults[serial][vkey] = None
                         done.conclude()
+                elif victim.syncing:
+                    # Clean, but its msync payload has not landed: the key
+                    # stays in flight until it has (``_sync_path_impl``
+                    # concludes this marker), or a fetch could come before
+                    # the bytes and be installed after them.
+                    done = victim.syncing = Event(self._engine)
+                    inflight[vkey] = done
+                    self._inflight_by_path.setdefault(vpath, {})[vidx] = done
             if key in pages or key in inflight:
                 continue  # appeared (or re-entered eviction) while evicting
+            if flushed and key in flushed:
+                # Written back by somebody else since the caller's fetch
+                # began: ``data`` predates it.  Fetch the page again.
+                yield from self._fault_range(path, page_idx, page_idx)
+                return pages.get(key), False
             return self._new_page(path, page_idx, data), True
 
     def _fault_range(
@@ -287,38 +325,46 @@ class PageCache:
         # page indices instead of dividing per page, and slice full
         # pages straight out of the fetch buffer (a bytearray slice is
         # already the fresh copy the new page adopts).
-        while cursor < end:
-            chunk_index = cursor // chunk_size
-            chunk_off = cursor - chunk_index * chunk_size
-            piece = min(chunk_size - chunk_off, end - cursor)
-            buf = bytearray(piece)
-            yield from cache.read_into(path, chunk_index, chunk_off, piece, buf)
-            page_idx = cursor // page_size
-            inner = 0
-            while inner < piece:
-                seg_len = piece - inner
-                key = (path, page_idx)
-                page = pages_get(key)
-                if page is not None:
-                    # Concurrently faulted back in: only touch the LRU
-                    # position, never overwrite (it may hold newer bytes).
-                    pages.move_to_end(key)
-                    self._tick += 1
-                    page.lru = self._tick
-                elif seg_len >= page_size:
-                    # _insert drops the slice if the page turns up
-                    # resident after an eviction wait.
-                    yield from self._insert(
-                        path, page_idx, buf[inner : inner + page_size]
-                    )
-                else:
-                    # The file's tail: a zero-padded partial page.
-                    page, created = yield from self._insert(path, page_idx)
-                    if created:
-                        page.data[:seg_len] = buf[inner:]
-                inner += page_size
-                page_idx += 1
-            cursor += piece
+        flushed: dict[tuple[str, int], None] = {}
+        self._fault_serial = serial = self._fault_serial + 1
+        self._faults[serial] = flushed
+        try:
+            while cursor < end:
+                chunk_index = cursor // chunk_size
+                chunk_off = cursor - chunk_index * chunk_size
+                piece = min(chunk_size - chunk_off, end - cursor)
+                buf = bytearray(piece)
+                yield from cache.read_into(path, chunk_index, chunk_off, piece, buf)
+                page_idx = cursor // page_size
+                inner = 0
+                while inner < piece:
+                    seg_len = piece - inner
+                    key = (path, page_idx)
+                    page = pages_get(key)
+                    if page is not None:
+                        # Concurrently faulted back in: only touch the LRU
+                        # position, never overwrite (it may hold newer bytes).
+                        pages.move_to_end(key)
+                        self._tick += 1
+                        page.lru = self._tick
+                    elif seg_len >= page_size:
+                        # _insert drops the slice if the page turns up
+                        # resident after an eviction wait.
+                        yield from self._insert(
+                            path, page_idx, buf[inner : inner + page_size], flushed
+                        )
+                    else:
+                        # The file's tail: a zero-padded partial page.
+                        page, created = yield from self._insert(
+                            path, page_idx, None, flushed
+                        )
+                        if created:
+                            page.data[:seg_len] = buf[inner:]
+                    inner += page_size
+                    page_idx += 1
+                cursor += piece
+        finally:
+            del self._faults[serial]
         self.stats.faulted_bytes += length
         counter = self._fault_counter
         if counter is None:
@@ -610,7 +656,9 @@ class PageCache:
         eviction flush pays; each page's payload is snapshotted (and its
         dirty bit cleared) lazily right before its range goes out, so
         writes racing the sync re-dirty exactly the pages they would
-        have.  The file's tail page ships only its bytes below EOF.
+        have.  Until its range has landed a page is ``syncing``: evicted
+        meanwhile, its key stays in flight till then (``_insert``).  The
+        file's tail page ships only its bytes below EOF.
         """
         yield from self.drain_path(path)
         bucket = self._by_path.get(path)
@@ -621,6 +669,8 @@ class PageCache:
             chunk_size = self.mount.chunk_size
             cache = self._fuse_cache()
             overhead = self.fuse_op_overhead or None
+            faults = self._faults
+            inflight = self._inflight
             # Snapshot this path's pages in LRU order (stamp order ==
             # dict order); dirtiness is re-checked at flush time, as the
             # page-by-page loop would.  Stamps are unique, so a numpy
@@ -681,9 +731,24 @@ class PageCache:
                             else bytes(memoryview(pg.data)[: size - start])
                         )
                         pg.dirty = False
+                        pg.syncing = True
                         flushed += 1
                         flushed_bytes += len(payload)
-                        yield (start - chunk_base, payload)
+                        try:
+                            yield (start - chunk_base, payload)
+                        finally:
+                            # Resumed when that range is in the chunk
+                            # cache: landed, as an eviction flush lands.
+                            for serial in faults:
+                                faults[serial][(path, idx2)] = None
+                            done, pg.syncing = pg.syncing, False
+                            if done.__class__ is Event:  # evicted on the way
+                                del inflight[(path, idx2)]
+                                ibucket = self._inflight_by_path[path]
+                                del ibucket[idx2]
+                                if not ibucket:
+                                    del self._inflight_by_path[path]
+                                done.conclude()
 
                 yield from cache.write_ranges(
                     path, chunk_index, _ranges(), pre_range_delay=overhead

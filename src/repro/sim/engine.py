@@ -40,7 +40,7 @@ from heapq import heappop, heappush
 from math import inf
 
 from repro.errors import SimulationError
-from repro.sim.events import _PROCESSED, Event, Timeout
+from repro.sim.events import _PROCESSED, AllOf, Event, Timeout
 from repro.sim.process import Process
 
 
@@ -202,10 +202,11 @@ class Engine:
         - ``until`` is an :class:`Event` (e.g. a :class:`Process`): run until
           that event fires, then return its value (re-raising a failure).
 
-        The dispatch body is inlined into both loops; the ``None``/horizon
-        loop drains each queue in uninterrupted runs (module docstring):
-        the heap's run at the current instant first, then the ring with
-        no per-event heap probe, then the clock moves to the heap's head.
+        One loop (a number or ``None`` runs it against a stop event nothing
+        triggers, up to that horizon), the dispatch body inlined per queue.
+        Each queue drains in uninterrupted runs (module docstring): the
+        heap's run at the current instant, then the ring with no per-event
+        heap probe, then the clock moves to the heap's head.
         A callback that ``advance``s the clock leaves the ``now`` local
         stale, harmlessly: its one use is ``heap[0][0] <= now``, and the
         heap's head is then strictly after the new clock — "no" either way.
@@ -215,90 +216,24 @@ class Engine:
         ring_popleft = ring.popleft
         n = 0
         if isinstance(until, Event):
-            # Same run-drain structure as below, with the stop condition
-            # re-checked between events (it can flip mid-run).  The ring
-            # drain still sheds the per-event heap probe.
-            stop_event = until
-            stop = stop_event
-            now = self._now
-            self._horizon, self._stop = inf, stop
-            try:
-                while stop.callbacks is not _PROCESSED:
-                    if heap and heap[0][0] <= now:
-                        _, _, event = heappop(heap)
-                        n += 1
-                        callbacks = event.callbacks
-                        event.callbacks = _PROCESSED
-                        if callbacks.__class__ is list:
-                            self._fanout = True
-                            for callback in callbacks:
-                                callback(event)
-                            self._fanout = False
-                        elif callbacks is not None:
-                            callbacks(event)
-                        continue
-                    if ring:
-                        # Pure ring run: only the stop check interleaves.
-                        while True:
-                            event = ring_popleft()
-                            n += 1
-                            callbacks = event.callbacks
-                            event.callbacks = _PROCESSED
-                            if callbacks.__class__ is list:
-                                self._fanout = True
-                                for callback in callbacks:
-                                    callback(event)
-                                self._fanout = False
-                            elif callbacks is not None:
-                                callbacks(event)
-                            if stop.callbacks is _PROCESSED or not ring:
-                                break
-                        continue
-                    if heap:
-                        time, _, event = heappop(heap)
-                        self._now = now = time
-                        n += 1
-                        callbacks = event.callbacks
-                        event.callbacks = _PROCESSED
-                        if callbacks.__class__ is list:
-                            self._fanout = True
-                            for callback in callbacks:
-                                callback(event)
-                            self._fanout = False
-                        elif callbacks is not None:
-                            callbacks(event)
-                        continue
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        "event fired (deadlock: a process is waiting on an "
-                        "event nothing will trigger)"
-                    )
-            finally:
-                self._events += n
-                self._horizon, self._stop, self._fanout = -inf, None, False
-            if not stop_event.ok:
-                value = stop_event.value
-                assert isinstance(value, BaseException)
-                raise value
-            return stop_event.value
-        # ``None`` is the horizon loop with no horizon, minus the final
-        # clock bump: the clock stays at the last event.
-        horizon = inf if until is None else float(until)
-        if horizon < self._now:
-            raise SimulationError(
-                f"until={horizon} is in the past (now={self._now})"
-            )
+            stop, horizon = until, inf
+        else:
+            stop, horizon = Event(self), inf if until is None else float(until)
+            if horizon < self._now:
+                raise SimulationError(
+                    f"until={horizon} is in the past (now={self._now})"
+                )
         now = self._now
-        self._horizon = horizon
+        self._horizon, self._stop = horizon, stop
         try:
-            while True:
+            while stop.callbacks is not _PROCESSED:
                 # The heap's run of events at exactly this instant (also
                 # what a ``run(event)`` that stopped mid-instant left
                 # behind: scheduled before the instant began, so ahead of
                 # anything on the ring).  Their dispatch can only append
                 # to the ring — a positive delay lands strictly in the
                 # future — never ahead of this run.
-                while heap and heap[0][0] <= now:
+                if heap and heap[0][0] <= now:
                     _, _, event = heappop(heap)
                     n += 1
                     callbacks = event.callbacks
@@ -310,11 +245,28 @@ class Engine:
                         self._fanout = False
                     elif callbacks is not None:
                         callbacks(event)
-                # Pure ring run: no heap probe per event — the ordering
-                # invariant guarantees the heap holds nothing more for
-                # the current instant.
-                while ring:
-                    event = ring_popleft()
+                    continue
+                if ring:
+                    # Pure ring run, only the stop check interleaving: the
+                    # heap holds nothing more for the current instant.
+                    while True:
+                        event = ring_popleft()
+                        n += 1
+                        callbacks = event.callbacks
+                        event.callbacks = _PROCESSED
+                        if callbacks.__class__ is list:
+                            self._fanout = True
+                            for callback in callbacks:
+                                callback(event)
+                            self._fanout = False
+                        elif callbacks is not None:
+                            callbacks(event)
+                        if stop.callbacks is _PROCESSED or not ring:
+                            break
+                    continue
+                if heap and heap[0][0] <= horizon:
+                    time, _, event = heappop(heap)
+                    self._now = now = time
                     n += 1
                     callbacks = event.callbacks
                     event.callbacks = _PROCESSED
@@ -325,19 +277,28 @@ class Engine:
                         self._fanout = False
                     elif callbacks is not None:
                         callbacks(event)
-                if not heap or heap[0][0] > horizon:
-                    break
-                self._now = now = heap[0][0]
+                    continue
+                if stop is not until:
+                    break  # drained, or nothing more before the horizon
+                raise SimulationError(
+                    "simulation ran out of events before the awaited "
+                    "event fired (deadlock: a process is waiting on an "
+                    "event nothing will trigger)"
+                )
         finally:
             self._events += n
-            self._horizon, self._fanout = -inf, False
-        if until is not None:
+            self._horizon, self._stop, self._fanout = -inf, None, False
+        if stop is until:
+            if not stop.ok:
+                value = stop.value
+                assert isinstance(value, BaseException)
+                raise value
+            return stop.value
+        if until is not None:  # ``None`` leaves the clock at the last event
             self._now = max(self._now, horizon)
         return None
 
     def run_all(self, processes: typing.Sequence[Process]) -> list[object]:
         """Run until every process in ``processes`` completes; return values."""
-        from repro.sim.events import AllOf
-
         self.run(AllOf(self, list(processes)))
         return [p.value for p in processes]

@@ -56,20 +56,20 @@ class EpochRecord:
 
     ``parent`` is the newest epoch that was *committed* when this one
     began — the fallback target when a crash truncates this epoch before
-    its commit record lands.  ``sections`` stores the checkpoint layout
-    ``(name, offset, length, linked)`` at commit time so a restarted
-    context (fresh caches, no client-side records) can restore from
-    manager metadata alone.  ``pins`` counts in-flight restores; a
-    pinned epoch is never garbage-collected.
+    its commit record lands.  ``checkpoint`` is the client's
+    :class:`~repro.core.checkpoint.CheckpointRecord` (layout and
+    accounting), stored as given at commit time: the one record of the
+    checkpoint, so any context (fresh caches, no client-side state) can
+    restore, drain or delete it from manager metadata alone.  ``pins``
+    counts in-flight restores; a pinned epoch is never garbage-collected.
     """
 
     tag: str
     epoch: int
     path: str
-    mode: str
     parent: int | None
     committed: bool = False
-    sections: tuple[tuple[str, int, int, bool], ...] = ()
+    checkpoint: object = None
     pins: int = 0
 
 
@@ -248,11 +248,9 @@ class Manager:
         yield from self.node.network.transfer(
             client, self.name, CONTROL_MESSAGE_BYTES
         )
-        benefactor = self._benefactor(name)
-        failed = False
-        if benefactor.crashed and name not in self._forfeited:
+        failed = self._benefactor(name).crashed and name not in self._forfeited
+        if failed:
             self.mark_offline(name)
-            failed = True
         yield from self.node.network.transfer(
             self.name, client, CONTROL_MESSAGE_BYTES
         )
@@ -272,24 +270,25 @@ class Manager:
                 # deferred behind an in-flight fill.  The crash resolved
                 # that race — finish the free unless another replica is
                 # still filling.
-                if not any(b.filling(chunk_id) for b in replicas):
-                    self._free_chunk(
-                        chunk_id, gc=self._deferred_release.get(chunk_id, False)
-                    )
-                continue
-            survivors = [b for b in replicas if not b.crashed]
-            if survivors:
+                self._finish_deferred_release(chunk_id)
+            elif any(not b.crashed for b in replicas):
                 self.metrics.add("store.manager.chunks_degraded")
                 self._degraded.append(chunk_id)
+                self._bump_files(chunk_id)
             else:
-                self._lost.add(chunk_id)
-                self._lost_replicas[chunk_id] = tuple(
-                    sorted({benefactor.name, *(b.name for b in replicas)})
-                )
-                self.metrics.add("store.manager.chunks_lost")
-            self._bump_files(chunk_id)
+                self._declare_lost(chunk_id, benefactor, *replicas)
         self.metrics.add("store.manager.benefactors_failed")
         self._wake_rereplicator()
+
+    def _declare_lost(self, chunk_id: int, *last_known: Benefactor) -> None:
+        """Every replica of a live chunk is gone: say so once, remembering
+        where the data used to live, and invalidate its files' leases."""
+        if chunk_id in self._lost:
+            return
+        self._lost.add(chunk_id)
+        self._lost_replicas[chunk_id] = tuple(sorted({b.name for b in last_known}))
+        self.metrics.add("store.manager.chunks_lost")
+        self._bump_files(chunk_id)
 
     def _bump_files(self, chunk_id: int) -> None:
         """Invalidate client map leases for every file using ``chunk_id``."""
@@ -422,31 +421,28 @@ class Manager:
             # Lost meanwhile, or deleted (refcount hit zero).  A deferred
             # free whose fill already settled is finished here.
             self._finish_deferred_release(chunk_id)
-            return 0  # lost meanwhile, or deleted (refcount hit zero)
+            return 0
         replicas = self._chunk_replicas[chunk_id]
         live = [b for b in replicas if not b.crashed]
         if len(live) >= self.replication:
             return 0  # already repaired (e.g. duplicate enqueue)
-        sources = [
-            b for b in live if b.online and not b.filling(chunk_id)
-        ]
-        if not sources:
-            self._stalled.append(chunk_id)
-            return 0
-        source = sources[0]
+        source = next(
+            (b for b in live if b.online and not b.filling(chunk_id)), None
+        )
         taken = {b.name for b in replicas}
-        candidates = sorted(
+        target = min(
             (
                 b
                 for b in self.online_benefactors()
                 if b.name not in taken and b.available >= self.chunk_size
             ),
             key=lambda b: (-b.available, b.name),
+            default=None,
         )
-        if not candidates:
+        if source is None or target is None:
+            # No readable survivor, or nowhere with room: wait for capacity.
             self._stalled.append(chunk_id)
             return 0
-        target = candidates[0]
         target.reserve(self.chunk_size)
         target.begin_fill(chunk_id)
         replicas.append(target)
@@ -454,6 +450,7 @@ class Manager:
         # Writers must start write-through to the fill target immediately,
         # or bytes written during the copy would miss the new replica.
         self._bump_files(chunk_id)
+        copied = True
         try:
             if source.has_chunk(chunk_id):
                 data = yield from source.fetch_replica(target.name, chunk_id)
@@ -463,6 +460,7 @@ class Manager:
         except BenefactorDownError:
             # Source or target died mid-copy.  Roll the target back unless
             # a concurrent forfeit already struck it from the books.
+            copied = False
             indexed = self._benefactor_chunks.get(target.name)
             if indexed is not None and chunk_id in indexed:
                 indexed.discard(chunk_id)
@@ -470,40 +468,33 @@ class Manager:
                     replicas.remove(target)
                 target.abort_fill(chunk_id)
                 target.unreserve(self.chunk_size)
-            if self._chunk_refs.get(chunk_id, 0) <= 0:
-                # Deleted while the copy was in flight: nothing left to
-                # repair; finish the deferred free now the fill settled.
-                self._finish_deferred_release(chunk_id)
-                return 0
-            survivors = [b for b in replicas if not b.crashed]
-            if survivors:
-                self._degraded.append(chunk_id)
-            elif chunk_id not in self._lost:
-                self._lost.add(chunk_id)
-                self._lost_replicas[chunk_id] = tuple(
-                    sorted({b.name for b in replicas} | {source.name})
-                )
-                self.metrics.add("store.manager.chunks_lost")
-                self._bump_files(chunk_id)
-            return 0
         if self._chunk_refs.get(chunk_id, 0) <= 0:
-            # Deleted during the copy: the fresh replica is moot — finish
-            # the deferred free (which drops the just-filled copy too).
+            # Deleted while the copy was in flight: nothing left to repair
+            # and a fresh replica is moot — finish the deferred free now
+            # the fill settled (which drops a just-filled copy too).
             self._finish_deferred_release(chunk_id)
+            return 0
+        if not copied:
+            if any(not b.crashed for b in replicas):
+                self._degraded.append(chunk_id)
+            else:
+                self._declare_lost(chunk_id, source, *replicas)
             return 0
         self.metrics.add("store.manager.chunks_rereplicated")
         if data is not None:
             self.metrics.add("store.manager.rereplication_bytes", self.chunk_size)
         return 1
 
+    def _filling(self, chunk_id: int) -> bool:
+        """True while a re-replication copy is streaming into the chunk."""
+        return any(
+            b.filling(chunk_id) for b in self._chunk_replicas.get(chunk_id, ())
+        )
+
     def _finish_deferred_release(self, chunk_id: int) -> None:
         """Complete a deferred free once no fill is in flight for it."""
-        if chunk_id not in self._deferred_release:
-            return
-        replicas = self._chunk_replicas.get(chunk_id, ())
-        if any(b.filling(chunk_id) for b in replicas):
-            return
-        self._free_chunk(chunk_id, gc=self._deferred_release[chunk_id])
+        if chunk_id in self._deferred_release and not self._filling(chunk_id):
+            self._free_chunk(chunk_id, gc=self._deferred_release[chunk_id])
 
     def total_capacity(self) -> int:
         """Sum of all contributions in bytes."""
@@ -544,20 +535,22 @@ class Manager:
             raise FileExistsInStoreError(f"file {name!r} already exists")
         if size < 0:
             raise StoreError(f"negative file size {size}")
-        num_chunks = chunk_count(size, self.chunk_size)
+        # Registered only once placement succeeded.
+        meta = FileMeta(name, size, self._reserve(name, size, client))
+        self._files[name] = meta
+        self.metrics.add("store.manager.files_created")
+        return meta
+
+    def _reserve(self, name: str, nbytes: int, client: str) -> list[int]:
+        """Place and admit the fresh chunks backing ``nbytes`` of ``name``."""
         placement = self.striping.place_replicas(
             self.online_benefactors(),
-            num_chunks,
+            chunk_count(nbytes, self.chunk_size),
             self.chunk_size,
             client,
             self.replication,
         )
-        meta = FileMeta(name=name, size=size)
-        for replicas in placement:
-            meta.chunk_ids.append(self._admit_chunk(name, replicas))
-        self._files[name] = meta
-        self.metrics.add("store.manager.files_created")
-        return meta
+        return [self._admit_chunk(name, replicas) for replicas in placement]
 
     def _admit_chunk(self, name: str, replicas: list[Benefactor]) -> int:
         """Reserve space on every replica and register a fresh chunk."""
@@ -583,16 +576,7 @@ class Manager:
         if nbytes < 0:
             raise StoreError(f"negative extension {nbytes}")
         offset = meta.num_chunks * self.chunk_size
-        num_chunks = chunk_count(nbytes, self.chunk_size)
-        placement = self.striping.place_replicas(
-            self.online_benefactors(),
-            num_chunks,
-            self.chunk_size,
-            client,
-            self.replication,
-        )
-        for replicas in placement:
-            meta.chunk_ids.append(self._admit_chunk(name, replicas))
+        meta.chunk_ids.extend(self._reserve(name, nbytes, client))
         meta.size = offset + nbytes
         return offset
 
@@ -608,12 +592,18 @@ class Manager:
         return name in self._files
 
     def _chunk_id_at(self, name: str, index: int) -> int:
+        """The id of chunk ``index`` of ``name``, refusing a lost chunk."""
         meta = self.lookup(name)
         if not 0 <= index < meta.num_chunks:
             raise ChunkNotFoundError(
                 f"{name!r} has {meta.num_chunks} chunks, no index {index}"
             )
-        return meta.chunk_ids[index]
+        chunk_id = meta.chunk_ids[index]
+        if chunk_id in self._lost:
+            raise ChunkUnavailableError(
+                f"chunk {chunk_id} of {name!r} is lost: every replica is gone"
+            )
+        return chunk_id
 
     def resolve_chunk(
         self, name: str, index: int, *, client: str | None = None
@@ -629,10 +619,6 @@ class Manager:
         every replica is merely out of service (it may return).
         """
         chunk_id = self._chunk_id_at(name, index)
-        if chunk_id in self._lost:
-            raise ChunkUnavailableError(
-                f"chunk {chunk_id} of {name!r} is lost: every replica is gone"
-            )
         replicas = self._chunk_replicas[chunk_id]
         ready = [
             b for b in replicas if b.online and not b.filling(chunk_id)
@@ -658,10 +644,6 @@ class Manager:
         Same error contract as :meth:`resolve_chunk`.
         """
         chunk_id = self._chunk_id_at(name, index)
-        if chunk_id in self._lost:
-            raise ChunkUnavailableError(
-                f"chunk {chunk_id} of {name!r} is lost: every replica is gone"
-            )
         writable = [b for b in self._chunk_replicas[chunk_id] if b.online]
         if not writable:
             raise BenefactorDownError(
@@ -699,20 +681,21 @@ class Manager:
         meta = self.lookup(name)
         freed = 0
         for chunk_id in meta.chunk_ids:
-            files = self._chunk_files.get(chunk_id)
-            if files is not None:
-                files.discard(name)
-            freed += self._release_chunk(chunk_id, gc=gc)
+            freed += self._unlink(name, chunk_id, gc=gc)
         del self._files[name]
         self.metrics.add("store.manager.files_deleted")
         return freed
 
-    def _release_chunk(self, chunk_id: int, *, gc: bool = False) -> int:
+    def _unlink(self, name: str, chunk_id: int, *, gc: bool = False) -> int:
+        """One slot of file ``name`` stops naming ``chunk_id``; the last
+        reference frees it.  Returns the physical bytes freed."""
+        files = self._chunk_files.get(chunk_id)
+        if files is not None:
+            files.discard(name)
         self._chunk_refs[chunk_id] -= 1
         if self._chunk_refs[chunk_id] > 0:
             return 0
-        replicas = self._chunk_replicas.get(chunk_id, ())
-        if any(b.filling(chunk_id) for b in replicas):
+        if self._filling(chunk_id):
             # A re-replication copy is streaming into this chunk: freeing
             # the data under the fill would strand ``complete_fill``.
             # Defer the physical free; the repair path finishes it once
@@ -758,11 +741,15 @@ class Manager:
         # logical size so section offsets stay chunk-aligned.
         dst.size = dst.num_chunks * self.chunk_size
         for chunk_id in src.chunk_ids:
-            self._chunk_refs[chunk_id] += 1
-            self._chunk_files.setdefault(chunk_id, set()).add(dst_name)
-            dst.chunk_ids.append(chunk_id)
+            self._link(dst, chunk_id)
         dst.size += src.size
         self.metrics.add("store.manager.chunks_linked", src.num_chunks)
+
+    def _link(self, dst: FileMeta, chunk_id: int) -> None:
+        """One more ``(file, index)`` slot names ``chunk_id``."""
+        self._chunk_refs[chunk_id] += 1
+        self._chunk_files.setdefault(chunk_id, set()).add(dst.name)
+        dst.chunk_ids.append(chunk_id)
 
     def link_chunk(self, dst_name: str, chunk_id: int, nbytes: int) -> int:
         """Append one existing chunk to ``dst`` by reference.
@@ -781,9 +768,7 @@ class Manager:
                 f"link payload {nbytes} outside [0, {self.chunk_size}]"
             )
         offset = dst.num_chunks * self.chunk_size
-        self._chunk_refs[chunk_id] += 1
-        self._chunk_files.setdefault(chunk_id, set()).add(dst_name)
-        dst.chunk_ids.append(chunk_id)
+        self._link(dst, chunk_id)
         dst.size = offset + nbytes
         self.metrics.add("store.manager.chunks_linked")
         return offset
@@ -826,18 +811,8 @@ class Manager:
             raise ChunkUnavailableError(
                 f"chunk {old_id} of {name!r} is lost: cannot copy-on-write"
             )
-        new_id = next(self._chunk_ids)
-        for owner in replicas:
-            owner.reserve(self.chunk_size)
-            self._benefactor_chunks.setdefault(owner.name, set()).add(new_id)
-        self._chunk_replicas[new_id] = list(replicas)
-        self._chunk_refs[new_id] = 1
-        self._chunk_files[new_id] = {name}
-        files = self._chunk_files.get(old_id)
-        if files is not None:
-            files.discard(name)
-        meta.chunk_ids[index] = new_id
-        self._chunk_refs[old_id] -= 1
+        meta.chunk_ids[index] = new_id = self._admit_chunk(name, replicas)
+        self._unlink(name, old_id)  # shared, so never the last reference
         meta.generation += 1
         self.metrics.add("store.manager.cow_chunks")
         if len(replicas) < self.replication:
@@ -854,9 +829,7 @@ class Manager:
     # simulated events (the default checkpoint path stays event-identical
     # to the pre-epoch behaviour).
 
-    def begin_epoch(
-        self, tag: str, epoch: int, path: str, *, mode: str = "incremental"
-    ) -> EpochRecord:
+    def begin_epoch(self, tag: str, epoch: int, path: str) -> EpochRecord:
         """Open an epoch: record it as in-flight (uncommitted).
 
         ``parent`` is fixed to the newest epoch committed *now* — the
@@ -870,31 +843,21 @@ class Manager:
             raise FileExistsInStoreError(
                 f"epoch {epoch} of checkpoint {tag!r} already committed"
             )
-        record = EpochRecord(
-            tag=tag,
-            epoch=epoch,
-            path=path,
-            mode=mode,
-            parent=self.latest_committed_epoch(tag),
+        record = chain[epoch] = EpochRecord(
+            tag, epoch, path, parent=self.latest_committed_epoch(tag)
         )
-        chain[epoch] = record
         return record
 
-    def commit_epoch(
-        self,
-        tag: str,
-        epoch: int,
-        *,
-        sections: tuple[tuple[str, int, int, bool], ...],
-    ) -> EpochRecord:
-        """Seal an epoch: store its section layout and mark it complete.
+    def commit_epoch(self, tag: str, epoch: int, checkpoint: object) -> EpochRecord:
+        """Seal an epoch: keep the client's checkpoint record (its layout
+        and accounting, stored as given) and mark the epoch complete.
 
         Only committed epochs are restore targets; an epoch that never
         commits (app or benefactor crash mid-checkpoint) is *truncated*
         and restores fall back along its parent link.
         """
         record = self.epoch_record(tag, epoch)
-        record.sections = tuple(sections)
+        record.checkpoint = checkpoint
         record.committed = True
         self.metrics.add("checkpoint.epochs_committed")
         return record
@@ -941,15 +904,16 @@ class Manager:
             raise FileNotFoundInStoreError(f"no checkpoint {tag!r}")
         if epoch is None:
             return self.latest_committed_epoch(tag)
-        cursor = chain.get(epoch)
-        if cursor is None:
-            raise FileNotFoundInStoreError(
-                f"no epoch {epoch} of checkpoint {tag!r}"
-            )
+        return self._committed_ancestor(chain, self.epoch_record(tag, epoch))
+
+    @staticmethod
+    def _committed_ancestor(
+        chain: dict[int, EpochRecord], cursor: EpochRecord | None
+    ) -> int | None:
+        """``cursor``'s epoch when committed, else its newest committed
+        ancestor along parent links (``None`` when there is none)."""
         while cursor is not None and not cursor.committed:
-            cursor = (
-                chain.get(cursor.parent) if cursor.parent is not None else None
-            )
+            cursor = chain.get(cursor.parent)
         return cursor.epoch if cursor is not None else None
 
     def pin_epoch(self, tag: str, epoch: int) -> None:
@@ -978,21 +942,11 @@ class Manager:
         if keep_last > 0:
             committed = committed[: max(0, len(committed) - keep_last)]
         chain = self._epochs.get(tag, {})
-        shielded: set[int] = set()
-        for record in chain.values():
-            if record.committed:
-                continue
-            cursor = (
-                chain.get(record.parent) if record.parent is not None else None
-            )
-            while cursor is not None and not cursor.committed:
-                cursor = (
-                    chain.get(cursor.parent)
-                    if cursor.parent is not None
-                    else None
-                )
-            if cursor is not None:
-                shielded.add(cursor.epoch)
+        shielded = {
+            self._committed_ancestor(chain, record)
+            for record in chain.values()
+            if not record.committed
+        }
         return tuple(
             epoch
             for epoch in committed
@@ -1018,25 +972,18 @@ class Manager:
                 f"in-flight restore"
             )
         freed = self.delete_file(record.path, gc=True)
-        chain = self._epochs[tag]
-        del chain[epoch]
-        for other in chain.values():
-            if other.parent == epoch:
-                other.parent = record.parent
-        if not chain:
-            del self._epochs[tag]
+        self.drop_epoch(tag, epoch)
         self.metrics.add("store.manager.epochs_retired")
         return freed
 
     def drop_epoch(self, tag: str, epoch: int) -> None:
-        """Forget epoch metadata without touching its file.
+        """Forget epoch metadata without touching its file, splicing child
+        parent links past it.
 
-        Used by explicit checkpoint deletion, where the caller unlinks
-        the file itself through the file system layer.
+        Used as is by explicit checkpoint deletion, where the caller
+        unlinks the file itself through the file system layer.
         """
-        chain = self._epochs.get(tag)
-        if not chain:
-            return
+        chain = self._epochs.get(tag, {})
         record = chain.pop(epoch, None)
         if record is None:
             return

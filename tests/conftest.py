@@ -72,6 +72,15 @@ def nvmalloc(small_cluster, store):
     )
 
 
+@pytest.fixture
+def cold(small_cluster, store):
+    """A second context on another node: nothing but the manager in common."""
+    return NVMalloc(
+        small_cluster.node(2), store,
+        fuse_cache_bytes=512 * KiB, page_cache_bytes=256 * KiB,
+    )
+
+
 def run(engine, generator):
     """Drive a process generator to completion, returning its value."""
     return engine.run(engine.process(generator))

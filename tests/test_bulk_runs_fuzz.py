@@ -26,7 +26,7 @@ Hand mutations of ``src/`` this file was run against, each applied alone:
   ``callbacks is not None`` test dropped): killed — the waiter never
   resumes and the engine raises its deadlock ``SimulationError``.
 - ``_make_room`` drops a *dirty* victim as it drops a clean one (no
-  marker, no write-back): killed — with ``private_pages`` a rank reads
+  marker, no write-back): killed — on ``PRIVATE`` lanes a rank reads
   stale bytes, and the final image is not what the ranks wrote.
 - a site concludes its marker *before* unpublishing it, the statements
   still adjacent (``done.conclude()``, then ``del self._inflight[key]``;
@@ -101,31 +101,34 @@ op = st.tuples(
 scripts = st.lists(st.lists(op, min_size=2, max_size=16), min_size=2, max_size=3)
 
 
-# With ``private_pages`` a rank touches only its own lanes — page-aligned,
-# so ranks share chunks but never a page — and whatever the interleaving
-# every byte it reads, and the final image, is its own writes in program
-# order: an absolute oracle beside the differential one, which is what
-# catches a mutation of the cache code that both kernels would run alike.
-# Without it every rank touches everything, pages included, and only the
-# two runs are compared.  (The split exists because ranks that fault and
-# dirty one *page* concurrently under eviction pressure lose an update
-# today — ROADMAP item 4, "a fault installs bytes it fetched before
-# somebody else's flush" — identically under both kernels.)
-LANE = 2 * PAGE_SIZE
+# With a ``lane`` a rank touches only the bytes of its own lanes, dealt
+# round-robin, and whatever the interleaving every byte it reads, and the
+# final image, is its own writes in program order: an absolute oracle
+# beside the differential one, which is what catches a mutation of the
+# cache code that both kernels would run alike.  ``PRIVATE`` lanes are
+# page-aligned, so ranks share chunks but never a page; ``SHARED`` lanes
+# are half a page, so two ranks fault, dirty and flush every *page*
+# between them and never write the same byte — the world that loses an
+# update when a fault installs bytes it fetched before somebody else's
+# flush of that page (``tests/test_mem.py`` has the 15-line reproducer).
+# Without a lane every rank touches everything, bytes included: no write
+# order to hold the result to, so only the two runs are compared.
+PRIVATE = 2 * PAGE_SIZE
+SHARED = PAGE_SIZE // 2
 
 
-def _own(rank, nranks, offset, length):
+def _own(rank, nranks, lane_bytes, offset, length):
     """The pieces of ``[offset, offset + length)`` in ``rank``'s lanes."""
     end = offset + length
     while offset < end:
-        lane = offset // LANE
-        stop = min(end, (lane + 1) * LANE)
+        lane = offset // lane_bytes
+        stop = min(end, (lane + 1) * lane_bytes)
         if lane % nranks == rank:
             yield offset, stop
         offset = stop
 
 
-def _run_schedule(scripts, *, tiered=False, crash_after=None, private_pages=False):
+def _run_schedule(scripts, *, tiered=False, crash_after=None, lane=None):
     """One full stack run: ``len(scripts)`` concurrent ranks on one node,
     sharing its caches and one region.  Returns ``(virtual_now,
     final_bytes, counters, events_processed)``.  With ``crash_after``,
@@ -162,15 +165,15 @@ def _run_schedule(scripts, *, tiered=False, crash_after=None, private_pages=Fals
             length = max(1, int(len_frac * MAX_OP))
             offset = int(off_frac * (REGION - length))
             pieces = [(offset, offset + length)]
-            if private_pages:
-                pieces = list(_own(me, nranks, offset, length))
+            if lane:
+                pieces = list(_own(me, nranks, lane, offset, length))
             for start, stop in pieces:
                 if kind == "write":
                     shadow[start:stop] = bytes([fill]) * (stop - start)
                     yield from region.write(start, bytes([fill]) * (stop - start))
                 else:
                     got = yield from region.read(start, stop - start)
-                    assert not private_pages or got == shadow[start:stop], (
+                    assert not lane or got == shadow[start:stop], (
                         f"rank {me} read stale bytes at [{start}, {stop})"
                     )
 
@@ -184,7 +187,7 @@ def _run_schedule(scripts, *, tiered=False, crash_after=None, private_pages=Fals
         return bytes(final)
 
     final = engine.run(engine.process(driver()))
-    assert not private_pages or final == shadow, (
+    assert not lane or final == shadow, (
         "the region does not hold what its ranks wrote"
     )
     counters = dict(cluster.metrics.snapshot(""))
@@ -209,7 +212,7 @@ def _assert_identical(fast, slow):
     scripts=scripts,
     tiered=st.booleans(),
     crash_after=st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
-    private_pages=st.booleans(),
+    lane=st.sampled_from([None, SHARED, PRIVATE]),
 )
 def test_sync_grants_match_queued_grants(scripts, **world):
     fast = _run_schedule(scripts, **world)
@@ -228,10 +231,10 @@ def _fixed_schedule(seed):
     ]  # fmt: skip
 
 
-@pytest.mark.parametrize("private_pages", [False, True], ids=["shared", "private"])
+@pytest.mark.parametrize("lane", [SHARED, PRIVATE], ids=["shared", "private"])
 @pytest.mark.parametrize("crash_after", [None, 3], ids=["healthy", "crash"])
 @pytest.mark.parametrize("tiered", [False, True], ids=["flat", "tiered"])
-def test_conclude_takes_both_arms_and_saves_events(tiered, crash_after, private_pages):
+def test_conclude_takes_both_arms_and_saves_events(tiered, crash_after, lane):
     """A fixed three-rank schedule on which the shortcuts provably fire:
     markers concluded with a waiter *and* without one, and strictly fewer
     events dispatched than by the reference — at identical everything
@@ -244,7 +247,7 @@ def test_conclude_takes_both_arms_and_saves_events(tiered, crash_after, private_
         arms["waiter" if self.callbacks is not None else "alone"] += 1
         return conclude(self, value)
 
-    world = dict(tiered=tiered, crash_after=crash_after, private_pages=private_pages)
+    world = dict(tiered=tiered, crash_after=crash_after, lane=lane)
     Event.conclude = counting
     try:
         fast = _run_schedule(ranks, **world)
@@ -254,6 +257,18 @@ def test_conclude_takes_both_arms_and_saves_events(tiered, crash_after, private_
         slow = _run_schedule(ranks, **world)
     _assert_identical(fast, slow)
     assert arms["waiter"] and arms["alone"], arms
+
+
+@pytest.mark.parametrize("seed", [26, 38, 54])
+def test_ranks_sharing_a_page_lose_no_update(seed):
+    """Schedules searched for (about one random schedule in 25 qualifies)
+    on which, flat and on ``SHARED`` lanes, a rank waiting in ``_insert``'s
+    eviction loop used to install bytes it had fetched before another
+    rank's flush of that page, and the region ended up not holding what
+    its ranks wrote.  The absolute oracle inside ``_run_schedule`` is the
+    assertion; the differential one cannot see a defect both kernels
+    share."""
+    _run_schedule(_fixed_schedule(seed), lane=SHARED)
 
 
 @pytest.mark.parametrize("crash_after", [None, 3], ids=["healthy", "crash"])

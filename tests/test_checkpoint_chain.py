@@ -9,20 +9,24 @@ from repro.errors import (
     RestoreError,
     StoreError,
 )
+from repro.core import CheckpointRecord
+from repro.fusefs.flags import OpenFlags
 from repro.store import CHUNK_SIZE
 from tests.conftest import run
 
-SECTIONS = (("__dram__", 0, 4, False),)
+#: The manager stores the client's record as given; these tests of its
+#: chain bookkeeping never look inside one.
+RECORD = CheckpointRecord("app", 0, "/ckpt/app.0")
 
 
 class TestEpochRecords:
     def test_parent_links_chain_to_newest_committed(self, store):
         e0 = store.begin_epoch("app", 0, "/ckpt/app.0")
         assert e0.parent is None and not e0.committed
-        store.commit_epoch("app", 0, sections=SECTIONS)
+        store.commit_epoch("app", 0, RECORD)
         e1 = store.begin_epoch("app", 1, "/ckpt/app.1")
         assert e1.parent == 0
-        store.commit_epoch("app", 1, sections=SECTIONS)
+        store.commit_epoch("app", 1, RECORD)
         assert store.committed_epochs("app") == (0, 1)
         assert store.latest_committed_epoch("app") == 1
         assert store.chain_length("app") == 2
@@ -33,7 +37,7 @@ class TestEpochRecords:
 
     def test_committed_epoch_may_not_be_rebegun(self, store):
         store.begin_epoch("app", 0, "/ckpt/app.0")
-        store.commit_epoch("app", 0, sections=SECTIONS)
+        store.commit_epoch("app", 0, RECORD)
         with pytest.raises(FileExistsInStoreError):
             store.begin_epoch("app", 0, "/ckpt/app.0")
 
@@ -44,11 +48,23 @@ class TestEpochRecords:
 
     def test_resolve_walks_past_truncated_epochs(self, store):
         store.begin_epoch("app", 0, "/ckpt/app.0")
-        store.commit_epoch("app", 0, sections=SECTIONS)
+        store.commit_epoch("app", 0, RECORD)
         store.begin_epoch("app", 1, "/ckpt/app.1")  # never commits
         assert store.resolve_restore_epoch("app", 1) == 0
         assert store.resolve_restore_epoch("app") == 0
         assert store.resolve_restore_epoch("app", 0) == 0
+
+    def test_resolve_walks_a_chain_of_truncated_epochs(self, store):
+        """A parent is committed when it is recorded and spliced out when
+        it goes, so no call sequence makes one uncommitted (the
+        StoreMachine's invariant): the chain is built by hand.  Recovery
+        walks it anyway rather than trust that."""
+        store.begin_epoch("app", 0, "/ckpt/app.0")
+        store.commit_epoch("app", 0, RECORD)
+        store.begin_epoch("app", 1, "/ckpt/app.1")
+        store.begin_epoch("app", 2, "/ckpt/app.2").parent = 1
+        assert store.resolve_restore_epoch("app", 2) == 0
+        assert store.gc_candidates("app", keep_last=0) == ()  # 0 is shielded
 
     def test_resolve_unknown_tag_and_epoch(self, store):
         with pytest.raises(FileNotFoundInStoreError):
@@ -64,7 +80,7 @@ class TestEpochRecords:
 
     def test_epochs_committed_metric(self, store):
         store.begin_epoch("app", 0, "/ckpt/app.0")
-        store.commit_epoch("app", 0, sections=SECTIONS)
+        store.commit_epoch("app", 0, RECORD)
         assert store.metrics.value("checkpoint.epochs_committed") == 1
 
 
@@ -250,9 +266,57 @@ class TestChainGC:
 
     def test_gc_shields_fallback_ancestor_of_inflight_epoch(self, store):
         store.begin_epoch("app", 0, "/ckpt/app.0")
-        store.commit_epoch("app", 0, sections=SECTIONS)
+        store.commit_epoch("app", 0, RECORD)
         store.begin_epoch("app", 1, "/ckpt/app.1")
-        store.commit_epoch("app", 1, sections=SECTIONS)
+        store.commit_epoch("app", 1, RECORD)
         store.begin_epoch("app", 2, "/ckpt/app.2")  # in flight
         # Epoch 1 is what a crash of epoch 2 falls back to: not a candidate.
         assert store.gc_candidates("app", keep_last=0) == (0,)
+
+
+class TestColdContext:
+    """Which epoch is committed is the manager's to say, whoever asks."""
+
+    def test_duplicate_refused_before_any_rpc_or_fd(
+        self, engine, nvmalloc, cold, store
+    ):
+        record = run(engine, nvmalloc.ssdcheckpoint("app", 0, b"first"))
+        for context in (nvmalloc, cold):
+            rpcs = store.metrics.value("store.manager.rpcs")
+            with pytest.raises(CheckpointError, match="app@0 already exists"):
+                run(engine, context.ssdcheckpoint("app", 0, b"again"))
+            with pytest.raises(CheckpointError, match="app@0 already exists"):
+                run(engine, context.ssdcheckpoint_async("app", 0, b"again"))
+            assert store.metrics.value("store.manager.rpcs") == rpcs
+            assert not context.mount._fds  # noqa: SLF001
+        assert run(engine, cold.restore("app", 0))[0] == b"first"
+        # No descriptor was left behind to pin the file open for ever.
+        run(engine, cold.mount.unlink(record.path))
+        assert not store.exists(record.path)
+
+    def test_truncated_epoch_may_be_retaken_from_another_node(
+        self, engine, nvmalloc, cold, store
+    ):
+        path = "/mnt/aggregatenvm/checkpoints/app.1"
+
+        def scenario():
+            yield from nvmalloc.ssdcheckpoint("app", 0, b"epoch-0")
+            # The first attempt at epoch 1 dies after its DRAM section
+            # landed and before the commit record did.
+            fd = yield from nvmalloc.mount.open(
+                path, OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=0
+            )
+            store.begin_epoch("app", 1, path)
+            offset = store.extend_file(path, 4, client=nvmalloc.node.name)
+            yield from nvmalloc.mount.pwrite(fd, offset, b"torn")
+            yield from nvmalloc.mount.close(fd)
+            fallback, _ = yield from cold.restore("app", 1)
+            record = yield from cold.ssdcheckpoint("app", 1, b"second try")
+            dram, _ = yield from cold.restore("app", 1)
+            return fallback, record, dram
+
+        fallback, record, dram = run(engine, scenario())
+        assert fallback == b"epoch-0"
+        assert (record.path, record.parent) == (path, 0)
+        assert dram == b"second try" and cold.last_restore_fallback is False
+        assert store.committed_epochs("app") == (0, 1)

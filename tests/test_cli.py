@@ -145,6 +145,22 @@ print(json.dumps({{"correct": True, "attempted": 10, "failed": 0,
 """
 
 
+# The same, except that under ``--trace 1`` it prints a per-layer record:
+# names the host clocks or counts (never equal across sides), the event
+# count (may fall), and the model's own (must not move).
+FAKE_TRACED_RUN = FAKE_RUN.format(value=1.0).replace("{", "{{").replace("}", "}}").replace(
+    "names = ", """\
+if sys.argv[sys.argv.index("--trace") + 1] == "1":
+    layers = {{"host_self_share.core": {host}, "host_calls.core": {host},
+              "bench.startup_s": {host}, "sim.host_us_per_event": {host},
+              "sim.events": {events}, "sim.events_per_op": {events},
+              "virt_self_s.core": {virt}, "virt_crit_share.core": 0.25}}
+    print(json.dumps({{"correct": True, "attempted": 10, "failed": 0, "metrics": {{
+        n: {{"value": v, "unit": "x"}} for n, v in layers.items()}}}}))
+    sys.exit()
+names = """)  # fmt: skip
+
+
 class TestBenchPairs:
     @pytest.fixture
     def tool(self, tmp_path, monkeypatch):
@@ -208,6 +224,30 @@ class TestBenchPairs:
         assert re.fullmatch(r"[0-9a-f]{12}", differ["change"])
         (change / "src" / "pkg" / "mod.py").rename(change / "src" / "pkg" / "nod.py")
         assert tool.src_hash(change) != differ["change"]  # paths count too
+
+    def test_a_traced_run_per_side_gates_what_must_not_move(
+        self, tool, tmp_path, monkeypatch, capsys
+    ):
+        """Before the pairs, one ``--trace 1`` run per side: per-layer
+        virtual metrics must be bit-equal; host-clocked names and the
+        event count are reported, not compared."""
+        parent = self.tree(tmp_path, "parent", FAKE_TRACED_RUN.format(host=1, events=9, virt=0.5))
+        change = self.tree(tmp_path, "change", "")
+        argv = ["bench_pairs.py", str(parent), str(change), "--workload", "fake", "--pairs", "1"]
+        monkeypatch.setattr("sys.argv", argv)
+        for host, events, virt, status, said in (
+            (1, 9, 0.5, 0, "traced per-layer metrics: bit-equal"),
+            (3, 4, 0.5, 0, "sim.events (a count, may fall): parent 9 change 4"),
+            (3, 4, 0.75, 1, "traced per-layer metrics: DIFFER ['virt_self_s.core']"),
+        ):  # fmt: skip
+            (change / "bench" / "run.py").write_text(
+                FAKE_TRACED_RUN.format(host=host, events=events, virt=virt)
+            )
+            assert tool.main() == status
+            assert said in capsys.readouterr().out
+        rows = [json.loads(row) for row in tool.HISTORY.read_text().splitlines()]
+        assert [row["traced"] for row in rows] == ["bit-equal", "bit-equal", ["virt_self_s.core"]]
+        assert all(row["virtual"] == "bit-equal" for row in rows)
 
     def test_a_side_that_prints_no_json_is_named(self, tool, tmp_path, monkeypatch):
         parent = self.tree(tmp_path, "parent", FAKE_RUN.format(value=2.0))

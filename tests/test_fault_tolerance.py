@@ -117,6 +117,22 @@ class TestFailover:
             run(engine, proc())
         assert store.metrics.value("store.manager.chunks_lost") >= 1
 
+    def test_a_chunk_is_declared_lost_once(self, engine, rstore, rclient):
+        """Both replicas crash before either is forfeited: the second
+        forfeit finds the chunk already lost and must not count it again
+        nor forget where the first replica used to live."""
+        run(engine, rclient.create("/f", CHUNK_SIZE))
+        (chunk_id,) = rstore.lookup("/f").chunk_ids
+        replicas = rstore.chunk_replicas(chunk_id)
+        generation = rstore.lookup("/f").generation
+        for benefactor in replicas:
+            benefactor.crash()
+        for benefactor in replicas:
+            rstore.mark_offline(benefactor.name)
+        assert rstore.metrics.value("store.manager.chunks_lost") == 1
+        assert rstore.lost_replicas(chunk_id) == tuple(sorted(b.name for b in replicas))
+        assert rstore.lookup("/f").generation == generation + 1
+
     def test_admin_offline_keeps_reservations_and_data(
         self, engine, store, client
     ):

@@ -111,11 +111,6 @@ class TestPageCache:
         assert elapsed >= 4e-3  # 4 pages x 1ms
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="latent defect (ROADMAP item 4): a fault installs the bytes it "
-    "fetched before another rank's flush of the same page",
-)
 def test_concurrent_half_page_writes_survive_eviction(engine, mount):
     """Found by the multi-rank differential fuzz, present since the seed.
     Two ranks each write half of page 2 through a one-page cache holding
@@ -138,6 +133,53 @@ def test_concurrent_half_page_writes_survive_eviction(engine, mount):
         return (yield from pagecache.read("/f", 2 * PAGE_SIZE, PAGE_SIZE))
 
     assert run(engine, main()) == b"a" * half + b"b" * half
+
+
+@pytest.mark.parametrize("evicted", ["mid-flight", "landed"])
+def test_fault_does_not_install_bytes_from_before_an_msync(
+    engine, small_cluster, store, evicted
+):
+    """The same defect through msync's write-back, which leaves its pages
+    resident and un-dirties them *before* their bytes land.  A reader
+    faults page 2 of ``/f`` (fetching zeros) and its ``_insert`` yields to
+    flush a dirty victim of another file; the writer installs page 2 in
+    the emptied cache, fills it and msyncs.  ``mid-flight``: the reader's
+    eviction loop comes back inside that msync's flight, used to find the
+    page clean and drop it, then the key neither resident nor in flight,
+    and installed its zeros.  ``landed``: the victim's flush is slow (the
+    two-chunk FUSE cache first writes a dirty chunk back), the msync lands,
+    the writer's next page evicts page 2, clean by now, and the reader
+    came back to the same sight.  Either way every later reader saw zeros,
+    and the page's next partial write and flush erased the writer's bytes."""
+    mount = FuseMount(small_cluster.node(1), store, cache_bytes=2 * CHUNK_SIZE)
+    pagecache = PageCache(mount, capacity_bytes=PAGE_SIZE)
+
+    def reader():
+        return (yield from pagecache.read("/f", 2 * PAGE_SIZE, PAGE_SIZE))
+
+    def writer():
+        while pagecache._pages:  # noqa: SLF001 - until the fault popped the victim
+            yield engine.timeout(1e-6)
+        yield from pagecache.write("/f", 2 * PAGE_SIZE, b"y" * PAGE_SIZE)
+        yield from pagecache.sync_path("/f")
+        if evicted == "landed":
+            yield from pagecache.write("/f", 3 * PAGE_SIZE, b"z" * PAGE_SIZE)
+
+    def main():
+        for name in ("/f", "/g", "/h"):
+            yield from mount.client.create(name, 4 * PAGE_SIZE)
+        yield from pagecache.write("/g", 0, b"v" * 100)  # the dirty victim
+        if evicted == "landed":
+            # The chunk cache ends up holding /h's chunk, dirty, and /f's:
+            # room for the victim's chunk costs a write-back to a benefactor.
+            fd = yield from mount.open("/h", OpenFlags.O_RDWR)
+            yield from mount.pwrite(fd, 0, b"h" * 100)
+            fd = yield from mount.open("/f", OpenFlags.O_RDONLY)
+            yield from mount.pread(fd, 0, 16)
+        yield AllOf(engine, [engine.process(reader()), engine.process(writer())])
+        return (yield from pagecache.read("/f", 2 * PAGE_SIZE, PAGE_SIZE))
+
+    assert run(engine, main()) == b"y" * PAGE_SIZE
 
 
 class TestPageCacheChecksTheCurrentSize:

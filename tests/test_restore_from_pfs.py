@@ -113,3 +113,40 @@ class TestRestoreFromPfs:
             return variables["v"][:7]
 
         assert run(engine, scenario()) == b"aliased"
+
+
+class TestColdContext:
+    """The manager's epoch record *is* the checkpoint record, so a context
+    that took none of the checkpoints can do everything the taker can."""
+
+    def test_record_drain_and_pfs_restore_from_another_node(
+        self, engine, lib, cold, pfs
+    ):
+        def scenario():
+            var = yield from lib.ssdmalloc(CHUNK_SIZE + 777)
+            yield from var.write(100, bytes(range(256)) * 4)
+            taken = yield from lib.ssdcheckpoint("app", 0, b"m" * 5000, [("v", var)])
+            seen = cold.checkpoint_record("app", 0)
+            yield from cold.drain_checkpoint_to_pfs("app", 0, pfs)
+            from_store = yield from cold.restore("app", 0)
+            from_pfs = yield from cold.restore_from_pfs("app", 0, pfs)
+            return taken, seen, from_store, from_pfs
+
+        taken, seen, from_store, from_pfs = run(engine, scenario())
+        assert seen == taken
+        assert (seen.bytes_written, seen.bytes_linked) == (5000, CHUNK_SIZE + 777)
+        assert from_pfs == from_store
+        assert from_store[0] == b"m" * 5000
+        assert from_store[1]["v"][100:1124] == bytes(range(256)) * 4
+
+    def test_delete_from_another_node(self, engine, lib, cold, store):
+        def scenario():
+            record = yield from lib.ssdcheckpoint("app", 0, b"d")
+            yield from cold.delete_checkpoint("app", 0)
+            return record
+
+        record = run(engine, scenario())
+        assert not store.exists(record.path) and not store.has_epochs("app")
+        for context in (lib, cold):
+            with pytest.raises(CheckpointError, match="no checkpoint app@0"):
+                context.checkpoint_record("app", 0)

@@ -5,7 +5,12 @@
 
 Runs ``bench/run.py --workload W --trace 0`` in two *exported* trees
 (``git archive`` / ``git checkout-index``, never the working tree),
-alternating which side goes first, and prints every run.  The verdict on
+alternating which side goes first, and prints every run.  Before the
+pairs, one ``--trace 1`` run per side: the "must not move" gate.  Every
+per-layer metric that is not read off the host's clock (``virt_self_s.*``
+and ``virt_crit_share.*`` included) must be bit-equal across the sides;
+``sim.events*`` is printed per side instead, the one count a change may
+lower.  The verdict on
 each host metric follows the simplicity guide: with gap = change median -
 parent median and IQR = the parent's own q3 - q1, a gap outside the IQR is
 ``better`` / ``worse`` when that side also took nine tenths of the pairs
@@ -14,17 +19,19 @@ inside it is ``level`` — or ``unresolved`` when the IQR is wider than the
 benchmark's bound, since a regression of that size could hide in it.
 ``worse`` is not "regression": that is a median beyond the printed bound.
 
-Exit status is non-zero only on a failed op or a virtual metric that
-differs between the two sides; the host verdict never fails the run.
+Exit status is non-zero only on a failed op or a virtual metric —
+end-to-end in any pair, per-layer in the traced runs — that differs
+between the two sides; the host verdict never fails the run.
 
 Every campaign also appends one JSON line to the repo's top-level
 ``BENCH_history.jsonl`` — the ledger CHANGES.md cites instead of
 reprinting runs: workload, seed, seconds, pairs, per host metric both
 medians, the parent's quartiles, pairs won and lost and the verdict,
-``host_calls_per_op`` per side, failures, the virtual verdict, what each
-tree is (``git rev-parse HEAD`` for a checkout, else its path — and,
-because an exported tree's path says nothing once the scratch directory
-is emptied, a content hash of its ``src/``) and the host it ran on.
+``host_calls_per_op`` per side, failures, the virtual verdict of the
+pairs (``virtual``) and of the traced runs (``traced``), what each tree
+is (``git rev-parse HEAD`` for a checkout, else its path — and, because
+an exported tree's path says nothing once the scratch directory is
+emptied, a content hash of its ``src/``) and the host it ran on.
 Append-only: a row is never edited or removed.
 """
 
@@ -42,12 +49,21 @@ from statistics import median, quantiles
 
 HOST = ("host_s", "setup_s", "peak_rss_mib")  # noisy: compared by median
 COUNT = "host_calls_per_op"  # exact per side, expected to differ across sides
+EVENTS = "sim.events"  # and sim.events_per_op: exact per side, may fall
 HISTORY = Path(__file__).resolve().parent.parent / "BENCH_history.jsonl"
 
 
-def run_once(tree: Path, extra: list[str]) -> dict:
+def host_clocked(name: str) -> bool:
+    """Metrics of the interpreter, not the model: read off the host's clock
+    or counted in host calls, so never expected equal across two trees."""
+    return name.startswith(("host_", "bench.")) or name in (
+        "setup_s", "peak_rss_mib", "sim.host_us_per_event",
+    )  # fmt: skip
+
+
+def run_once(tree: Path, extra: list[str], trace: str = "0") -> dict:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--trace", "0", *extra],
+        [sys.executable, "bench/run.py", "--trace", trace, *extra],
         cwd=tree, stdout=subprocess.PIPE, text=True,
     )
     try:
@@ -111,6 +127,16 @@ def main() -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     sources = {side: src_hash(tree) for side, tree in trees.items()}
     print(f"src/: parent {sources['parent']} change {sources['change']}")
+    traced = {side: run_once(tree, extra, "1")["values"] for side, tree in trees.items()}
+    moved = sorted(
+        name for name in traced["parent"].keys() | traced["change"].keys()
+        if not host_clocked(name) and not name.startswith(EVENTS)
+        and traced["parent"].get(name) != traced["change"].get(name)
+    )
+    for name in sorted(n for n in traced["parent"] if n.startswith(EVENTS)):
+        print(f"{name} (a count, may fall): parent {traced['parent'][name]:g} "
+              f"change {traced['change'].get(name, float('nan')):g}")
+    print("traced per-layer metrics: " + (f"DIFFER {moved}" if moved else "bit-equal"))
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             runs[side].append(run_once(trees[side], extra))
@@ -123,7 +149,7 @@ def main() -> int:
         name
         for records in runs.values() for r in records
         for name, value in r["values"].items()
-        if name not in HOST and name != COUNT and value != reference[name]
+        if not host_clocked(name) and value != reference[name]
     })
     host = {}
     for name in HOST:
@@ -153,12 +179,13 @@ def main() -> int:
         "src": sources,
         **host, COUNT: calls, "failed": failed,
         "attempted": runs["parent"][0]["attempted"], "virtual": drift or "bit-equal",
+        "traced": moved or "bit-equal",
         "host": platform.node(), "cpus": os.cpu_count(),
     }
     with HISTORY.open("a") as ledger:
         ledger.write(json.dumps(row) + "\n")
     print(f"appended to {HISTORY}")
-    return 1 if drift or any(failed.values()) else 0
+    return 1 if drift or moved or any(failed.values()) else 0
 
 
 if __name__ == "__main__":
