@@ -1,6 +1,9 @@
 # Convenience targets for the NVMalloc reproduction.
 
-.PHONY: install test test-faults test-lifecycle test-obs test-cache test-slo determinism cache-ablation slo-curve bench bench-selfcheck bench-pairs trace experiments experiments-par examples clean
+# Every target runs the checkout's own sources, installed or not.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
+.PHONY: install test test-faults test-lifecycle test-obs test-cache test-slo determinism cache-ablation slo-curve bench bench-selfcheck bench-pairs census trace experiments experiments-par examples clean
 
 install:
 	pip install -e .
@@ -11,12 +14,12 @@ test:
 # The fault-injection experiment suite (excluded from `make test` by the
 # "not faults" marker expression; CI runs it in a dedicated job).
 test-faults:
-	PYTHONPATH=src pytest -m faults
+	pytest -m faults
 
 # The checkpoint-lifecycle experiment suite (chains, async drain,
 # crash-restart recovery; CI runs it in a dedicated job).
 test-lifecycle:
-	PYTHONPATH=src pytest -m lifecycle
+	pytest -m lifecycle
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -51,25 +54,32 @@ bench-pairs:
 	python3 tools/bench_pairs.py $(PARENT) $(CHANGE) --workload $(W) \
 		--pairs $(N) $(if $(S),--seconds $(S))
 
+# Reachability census: every experiment, CLI path, example, bench workload
+# and paper-shape test under a call hook (about 11 minutes, serial); fails
+# when a root fails or more than tools/census.py's MAX_UNREACHED functions
+# of src/repro are called by none of them.
+census:
+	python tools/census.py
+
 # The tracing-identity gate (excluded from `make test` by the "not obs"
 # marker expression; CI runs it in the dedicated tracing job).
 test-obs:
-	PYTHONPATH=src pytest -m obs
+	pytest -m obs
 
 # The cache-tiering determinism/improvement suite (excluded from
 # `make test` by the "not cache" marker expression; CI runs it in the
 # dedicated cache job).
 test-cache:
-	PYTHONPATH=src pytest -m cache
+	pytest -m cache
 
 # Render the full lru-vs-arc / tier-on-off ablation grid.
 cache-ablation:
-	PYTHONPATH=src python -m repro.experiments cache_tiering
+	python -m repro.experiments cache_tiering
 
 # The open-loop traffic/SLO experiment suite (excluded from `make test`
 # by the "not slo" marker expression; CI runs it in a dedicated job).
 test-slo:
-	PYTHONPATH=src pytest -m slo
+	pytest -m slo
 
 # One experiment at TINY under two hash seeds: both runs must verify,
 # digest identically and equal the committed pin (what CI runs after each
@@ -80,12 +90,12 @@ determinism:
 # Render the load-latency curve, its knee, and the SLO-under-failure
 # verdicts at benchmark scale.
 slo-curve:
-	PYTHONPATH=src python -m repro.experiments slo_traffic
+	python -m repro.experiments slo_traffic
 
 # Trace the faults experiment on the virtual clock and export a Chrome
 # trace (open trace.json in chrome://tracing or https://ui.perfetto.dev).
 trace:
-	PYTHONPATH=src python -m repro.experiments faults --scale tiny \
+	python -m repro.experiments faults --scale tiny \
 		--trace --trace-out trace.json
 
 experiments:

@@ -10,7 +10,10 @@ steps.  The example demonstrates:
 - copy-on-write isolation: older checkpoints stay bit-exact as the field
   keeps evolving;
 - failure recovery: the run is killed mid-flight and restarted from the
-  latest checkpoint, converging to the identical final field.
+  latest checkpoint, converging to the identical final field;
+- durability beyond the store: that checkpoint is drained to the center
+  PFS, every benefactor is lost, and the PFS copy alone restores it,
+  byte for byte what the store had returned.
 
 Run:  python examples/checkpoint_restart.py
 """
@@ -19,6 +22,8 @@ import numpy as np
 
 from repro.cluster import HAL_TESTBED, make_hal_cluster
 from repro.core import NVMalloc
+from repro.errors import RestoreError
+from repro.pfs import ParallelFileSystem
 from repro.sim import Engine
 from repro.store import Benefactor, Manager
 from repro.util import KiB, MiB, format_size
@@ -141,11 +146,45 @@ def main() -> None:
             field = diffuse(flat.reshape(GRID, GRID))
             yield from field_arr.write_slice(0, field.ravel())
         final = yield from field_arr.read_slice(0, GRID * GRID)
-        return final.reshape(GRID, GRID)
+        return final.reshape(GRID, GRID), (dram, variables)
 
-    recovered = engine.run(engine.process(full_run_with_restart()))
+    recovered, from_store = engine.run(engine.process(full_run_with_restart()))
     assert np.array_equal(recovered, reference), "restart diverged!"
     print("restarted run reproduces the uninterrupted result bit-exactly")
+
+    # Durability beyond the store (§III-E): drain that checkpoint to the
+    # center PFS, then lose the whole aggregate store.
+    pfs = ParallelFileSystem(engine, lib.node.network, num_servers=2)
+
+    def disaster_recovery():
+        dest = yield from lib.drain_checkpoint_to_pfs("heat", latest, pfs)
+        path = lib.checkpoint_record("heat", latest).path
+        if pfs.size(dest) != lib.manager.lookup(path).size:
+            raise SystemExit("drained copy is not the size of the checkpoint")
+        for benefactor in lib.manager.benefactors():
+            benefactor.crash()
+            lib.manager.mark_offline(benefactor.name)
+        lib.mount.cache.invalidate_path(path)
+        try:
+            yield from lib.restore("heat", latest)
+        except RestoreError as error:
+            lost = len(error.lost_chunks)
+        else:
+            raise SystemExit("the store restored a checkpoint it had lost")
+        from_pfs = yield from lib.restore_from_pfs("heat", latest, pfs)
+        yield from lib.delete_checkpoint("heat", latest)
+        pfs.unlink(dest)
+        if lib.manager.exists(path) or pfs.exists(dest):
+            raise SystemExit("deleted checkpoint still on the store or the PFS")
+        return dest, lost, from_pfs
+
+    dest, lost, from_pfs = engine.run(engine.process(disaster_recovery()))
+    if from_pfs != from_store:
+        raise SystemExit("PFS restore differs from the store's restore")
+    print(
+        f"every benefactor lost ({lost} checkpoint chunks gone); "
+        f"{dest} on the PFS restores step {latest} byte for byte"
+    )
 
 
 if __name__ == "__main__":

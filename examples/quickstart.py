@@ -10,6 +10,10 @@ Fig. 1 sketches it:
     ssdcheckpoint(...)           # one restart file, variable chunks linked
     ssdfree(nvmvar)              # unmap and release
 
+and the two allocation flavours of §III-C: a *persistent* variable that
+outlives ``ssdfree`` and is opened from another node, and a *private*
+(``MAP_PRIVATE``) mapping whose writes nobody else sees.
+
 Everything runs in simulated time: the printed seconds are virtual.
 
 Run:  python examples/quickstart.py
@@ -86,6 +90,47 @@ def main() -> None:
 
         yield from lib.ssdfree(matrix.variable)
         print("freed; store space reclaimed")
+
+        # A persistent variable outlives ssdfree and the node that made
+        # it: a later job stage on node 6 maps what node 5 wrote.
+        table = bytes(range(256)) * 40
+        produced = yield from lib.ssdmalloc(len(table), persistent_name="table")
+        yield from produced.write(0, table)
+        yield from lib.ssdfree(produced)
+        consumer = NVMalloc(
+            cluster.node(6), manager,
+            fuse_cache_bytes=2 * MiB, page_cache_bytes=1 * MiB,
+        )
+        opened = yield from consumer.open_persistent("table")
+        if (yield from opened.read(0, len(table))) != table:
+            raise SystemExit("persistent variable read back different bytes")
+        yield from opened.write(0, b"seen on node 6")
+        yield from consumer.ssdfree(opened)
+        reopened = yield from lib.open_persistent("table")
+        if (yield from reopened.read(0, 14)) != b"seen on node 6":
+            raise SystemExit("persistent variable lost the consumer's write")
+        yield from lib.ssdfree(reopened)
+        yield from lib.unlink_persistent("table")
+        if manager.exists(reopened.backing_path):
+            raise SystemExit("unlinked persistent variable still on the store")
+        print("persistent variable: node 5 -> node 6 -> node 5, then unlinked")
+
+        # MAP_PRIVATE: a copy-on-write view of a mapped file.  Its writes
+        # land in a per-process overlay; neither the file nor another
+        # mapping of it ever sees them.
+        pattern = bytes(range(256)) * 64  # four pages
+        base = yield from lib.ssdmalloc(len(pattern), shared_key="lut")
+        yield from base.write(0, pattern)
+        view = yield from lib.ssdmalloc(len(pattern), shared_key="lut", private=True)
+        note = b"scratch" * 1000  # 7000 bytes from offset 3000: three pages
+        yield from view.write(3000, note)
+        seen = yield from view.read(0, view.nbytes)
+        yield from lib.ssdfree(view)
+        kept = yield from base.read(0, base.nbytes)
+        if seen != pattern[:3000] + note + pattern[10000:] or kept != pattern:
+            raise SystemExit("private mapping leaked or lost its writes")
+        yield from lib.ssdfree(base)
+        print("private mapping: its writes visible to it alone")
         return engine.now
 
     elapsed = engine.run(engine.process(app()))

@@ -71,11 +71,6 @@ class Cluster:
         """Total cores across all nodes."""
         return sum(n.num_cores for n in self.nodes)
 
-    @property
-    def total_dram(self) -> int:
-        """Aggregate DRAM capacity in bytes."""
-        return sum(n.dram.capacity for n in self.nodes)
-
     def ssd_equipped_nodes(self) -> list[Node]:
         """Nodes carrying a node-local SSD, in id order."""
         return [n for n in self.nodes if n.has_ssd]

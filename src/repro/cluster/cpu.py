@@ -57,10 +57,6 @@ class Core:
         """
         return self._res.use(self.spec.compute_time(flops))
 
-    def busy(self, seconds: float) -> Generator[Event, object, None]:
-        """Process generator: occupy the core for a fixed duration."""
-        return self._res.use(seconds)
-
     def busy_seconds(self) -> float:
         """Total seconds this core has been occupied."""
         return self._res.busy_seconds()

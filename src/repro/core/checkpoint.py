@@ -497,6 +497,7 @@ class Checkpointer:
                 )
             yield from self.mount.close(fd)
         except ChunkUnavailableError as error:
+            yield from self.mount.close(fd)  # an open file cannot be unlinked
             raise RestoreError(
                 f"restore of {tag}@{epoch} failed: required chunks are "
                 "lost at every replica",

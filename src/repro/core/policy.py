@@ -77,7 +77,3 @@ class PlacementPolicy:
             else:
                 decisions[profile.name] = PlacementDecision.NVM
         return decisions
-
-    def fits_in_dram(self, profiles: list[VariableProfile]) -> bool:
-        """Would everything fit in DRAM without spilling?"""
-        return sum(p.nbytes for p in profiles) <= self.dram_budget

@@ -119,30 +119,6 @@ class StorageDevice:
         finally:
             self._release(req)
 
-    def access_run(
-        self, kind: AccessKind, sizes: "list[int] | tuple[int, ...]"
-    ) -> Generator[Event, object, None]:
-        """Process generator: one access covering a run of segments.
-
-        A cohort variant of :meth:`access`: the whole run is served as a
-        single device access of ``sum(sizes)`` bytes — one slot grant,
-        one service timeout, one busy-interval update, and one counter
-        update, with the total computed in a vectorized pass.  Use it
-        where the model defines a multi-segment run as one transfer (an
-        N-page fault run, a contiguous flush run); it is bit-identical
-        to ``access(kind, sum(sizes))``, NOT to N separate accesses.
-        """
-        import numpy as np
-
-        n = len(sizes)
-        if not n:
-            total = 0
-        elif n == 1:
-            total = sizes[0]
-        else:
-            total = int(np.add.reduce(np.asarray(sizes, dtype=np.int64)))
-        return self.access(kind, total)
-
     def read(self, nbytes: int) -> Generator[Event, object, None]:
         """Process generator: one read access."""
         return self.access(AccessKind.READ, nbytes)

@@ -38,11 +38,6 @@ class DRAM(StorageDevice):
         return self.spec.capacity
 
     @property
-    def allocated(self) -> int:
-        """Bytes currently reserved by explicit allocations."""
-        return self._allocated
-
-    @property
     def available(self) -> int:
         """Bytes not currently reserved."""
         return self.spec.capacity - self._allocated

@@ -133,11 +133,6 @@ class CheckpointError(NVMallocError):
             for entry in lost_chunks
         )
 
-    @property
-    def lost_chunk_ids(self) -> tuple[int, ...]:
-        """The bare chunk ids of every lost chunk, sorted."""
-        return tuple(sorted(entry.chunk_id for entry in self.lost_chunks))
-
 
 class RestoreError(CheckpointError):
     """Restart could not reconstruct a checkpoint epoch.
@@ -162,7 +157,3 @@ class RestoreError(CheckpointError):
 
 class CommError(ReproError):
     """Errors raised by the simulated MPI layer."""
-
-
-class MetricsError(ReproError):
-    """Misuse of the metrics layer (e.g. reading an empty time series)."""

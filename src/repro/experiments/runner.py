@@ -94,24 +94,3 @@ class Testbed:
             **overrides,
         )
         return Job(self.cluster, config)
-
-
-def fresh_job(
-    scale: ExperimentScale,
-    procs_per_node: int,
-    num_nodes: int,
-    num_benefactors: int,
-    *,
-    remote_ssd: bool = False,
-    **overrides,
-) -> tuple[Testbed, Job]:
-    """Convenience: a new testbed plus a job on it."""
-    testbed = Testbed(scale)
-    job = testbed.job(
-        procs_per_node,
-        num_nodes,
-        num_benefactors,
-        remote_ssd=remote_ssd,
-        **overrides,
-    )
-    return testbed, job

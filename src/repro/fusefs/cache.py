@@ -89,12 +89,6 @@ class CacheStats:
         return (self.hits + self.l2_hits) / total if total else 0.0
 
     @property
-    def l1_hit_rate(self) -> float:
-        """Fraction of demand lookups served from the DRAM tier alone."""
-        total = self.hits + self.l2_hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
     def l2_hit_rate(self) -> float:
         """Fraction of DRAM demand misses absorbed by the local tier."""
         total = self.l2_hits + self.misses
@@ -762,11 +756,6 @@ class ChunkCache:
                     counter.count += 1
                 first_attempt = False
                 if policy is not None and policy.record_miss(key):
-                    # Ghost hit moved the adaptive target: sample it so
-                    # the report can show p's trajectory.
-                    self.metrics.sample(
-                        "fuse.cache.arc.p", self._engine.now, float(policy.p)
-                    )
                     counter = self._c_arc_ghost
                     if counter is not None:
                         counter.total += 1.0

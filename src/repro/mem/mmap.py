@@ -126,7 +126,7 @@ class MmapRegion:
         last = (end - 1) // page
         out = bytearray(length)
         private = self._private
-        overlay_sizes: list[int] = []
+        overlaid = 0
         run_start: int | None = None
         for page_idx in range(first, last + 1):
             page_start = page_idx * page
@@ -146,19 +146,16 @@ class MmapRegion:
             out[lo - file_off : hi - file_off] = memoryview(overlay)[
                 lo - page_start : hi - page_start
             ]
-            overlay_sizes.append(hi - lo)
+            overlaid += hi - lo
         if run_start is not None:
             data = yield from self.pagecache.read(
                 self.path, run_start, end - run_start
             )
             out[run_start - file_off :] = data
-        if overlay_sizes:
+        if overlaid:
             # Overlaid bytes never touch the backing file, but serving
-            # them is still a DRAM copy: one cohort access for the whole
-            # run of overlaid page segments.
-            yield from self.pagecache.node.dram.access_run(
-                AccessKind.READ, overlay_sizes
-            )
+            # them is still a DRAM copy: one access for all of them.
+            yield from self.pagecache.node.dram.access(AccessKind.READ, overlaid)
         return out
 
     def write(self, offset: int, data: bytes) -> Generator[Event, object, None]:
@@ -191,7 +188,6 @@ class MmapRegion:
         # modified.
         cursor = file_off
         end = file_off + len(data)
-        piece_sizes: list[int] = []
         while cursor < end:
             page_idx = cursor // self._page
             in_page = cursor - page_idx * self._page
@@ -207,13 +203,9 @@ class MmapRegion:
             overlay[in_page : in_page + piece] = data[
                 cursor - file_off : cursor - file_off + piece
             ]
-            piece_sizes.append(piece)
             cursor += piece
-        # One cohort DRAM access for the whole run of written page pieces
-        # (sums back to len(data): bit-identical to the single access).
-        yield from self.pagecache.mount.node.dram.access_run(
-            AccessKind.WRITE, piece_sizes
-        )
+        # One DRAM access for the whole run of written page pieces.
+        yield from self.pagecache.mount.node.dram.access(AccessKind.WRITE, len(data))
 
     # ------------------------------------------------------------------
     def msync(self) -> Generator[Event, object, None]:
@@ -224,10 +216,11 @@ class MmapRegion:
             yield from self.pagecache.sync_path(self.path)
 
     def munmap(self) -> Generator[Event, object, None]:
-        """Tear the mapping down (shared mappings sync first)."""
+        """Tear the mapping down, syncing the file's dirty pages first:
+        they are a shared mapper's (a private mapping dirties none)."""
         if not self._mapped:
             return
-        yield from self.pagecache.drop_path(self.path, sync=self.shared)
+        yield from self.pagecache.drop_path(self.path)
         self._private.clear()
         self._mapped = False
 

@@ -120,7 +120,3 @@ class Network:
                 rx.release(rx_req)
         finally:
             tx.release(tx_req)
-
-    def total_bytes(self) -> float:
-        """All bytes that crossed the fabric so far."""
-        return self.metrics.value("network.bytes")

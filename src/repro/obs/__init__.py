@@ -19,7 +19,6 @@ from repro.obs.export import (
     chrome_trace,
     latency_lines,
     latency_summary,
-    span_tree,
     write_chrome_trace,
 )
 from repro.obs.tracer import Span, Tracer
@@ -106,6 +105,5 @@ __all__ = [
     "latency_summary",
     "new_tracer_if_enabled",
     "report_lines",
-    "span_tree",
     "write_chrome_trace",
 ]

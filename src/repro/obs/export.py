@@ -4,7 +4,6 @@
   ``chrome://tracing`` or https://ui.perfetto.dev); virtual seconds map
   to trace microseconds, each exported tracer becomes one "process" and
   each layer one "thread".
-- :func:`span_tree` — plain-text indented span tree for terminals/tests.
 - :func:`latency_summary` — per-(layer, op) virtual-latency percentiles.
 """
 
@@ -126,37 +125,3 @@ def write_chrome_trace(path: str, tracers: list[tuple[str, Tracer]]) -> int:
         json.dump(events, handle, separators=(",", ":"), default=str)
         handle.write("\n")
     return len(events)
-
-
-def span_tree(
-    spans: list[Span], *, max_spans: int = 2000, indent: str = "  "
-) -> str:
-    """Plain-text indented dump of the span forest, begin-ordered."""
-    children: dict[int | None, list[Span]] = {}
-    for span in spans:
-        children.setdefault(span.parent_id, []).append(span)
-    for bucket in children.values():
-        bucket.sort(key=lambda s: (s.start, s.span_id))
-    lines: list[str] = []
-
-    def emit(span: Span, depth: int) -> None:
-        if len(lines) >= max_spans:
-            return
-        extra = ""
-        if span.args:
-            extra = " " + " ".join(
-                f"{k}={v}" for k, v in sorted(span.args.items())
-            )
-        lines.append(
-            f"{indent * depth}{span.layer}.{span.name} "
-            f"[{span.start * 1e3:.3f}ms +{span.duration * 1e6:.2f}us "
-            f"trace={span.trace_id}]{extra}"
-        )
-        for child in children.get(span.span_id, ()):
-            emit(child, depth + 1)
-
-    for root in children.get(None, ()):
-        emit(root, 0)
-    if len(lines) >= max_spans:
-        lines.append(f"... ({len(spans)} spans total, output truncated)")
-    return "\n".join(lines)

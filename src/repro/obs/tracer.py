@@ -220,10 +220,6 @@ class Tracer:
         """Recorded spans with no parent, in begin order."""
         return [span for span in self.spans if span.parent_id is None]
 
-    def by_trace(self, trace_id: int) -> list[Span]:
-        """All recorded spans of one trace, in begin order."""
-        return [span for span in self.spans if span.trace_id == trace_id]
-
     def __len__(self) -> int:
         return len(self.spans)
 

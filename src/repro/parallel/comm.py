@@ -180,22 +180,6 @@ class Communicator:
             child_mask >>= 1
         return received
 
-    def scatter(
-        self, chunks: list[object] | None, *, root: int, rank: int, tag: int = 2_000
-    ) -> Generator[Event, object, object]:
-        """Root sends ``chunks[i]`` to rank ``i``; returns this rank's piece."""
-        self._check_rank(root)
-        if rank == root:
-            if chunks is None or len(chunks) != self.size:
-                raise CommError(
-                    f"scatter root needs exactly {self.size} chunks"
-                )
-            for dest, item in enumerate(chunks):
-                if dest != root:
-                    yield from self.send(item, src=root, dest=dest, tag=tag)
-            return chunks[root]
-        return (yield from self.recv(source=root, dst=rank, tag=tag))
-
     def gather(
         self, data: object, *, root: int, rank: int, tag: int = 3_000
     ) -> Generator[Event, object, list[object] | None]:
@@ -282,10 +266,6 @@ class RankContext:
     def bcast(self, data: object, root: int = 0):
         """mpi4py-style pass-through to the communicator."""
         return self.comm.bcast(data, root=root, rank=self.rank)
-
-    def scatter(self, chunks: list[object] | None, root: int = 0):
-        """mpi4py-style pass-through to the communicator."""
-        return self.comm.scatter(chunks, root=root, rank=self.rank)
 
     def gather(self, data: object, root: int = 0):
         """mpi4py-style pass-through to the communicator."""

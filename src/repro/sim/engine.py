@@ -178,22 +178,6 @@ class Engine:
         return Process(self, generator)
 
     # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event."""
-        heap = self._heap
-        now = self._now
-        if heap and heap[0][0] <= now:
-            _, _, event = heappop(heap)
-        elif self._ring:
-            event = self._ring.popleft()
-        elif heap:
-            time, _, event = heappop(heap)
-            self._now = time
-        else:
-            raise SimulationError("no more events to process")
-        self._events += 1
-        event._process()
-
     def run(self, until: float | Event | None = None) -> object:
         """Run the simulation.
 

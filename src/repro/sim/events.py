@@ -150,20 +150,6 @@ class Event:
         self.callbacks = _PROCESSED
         return self
 
-    # Called when the event fires outside the engine's inlined dispatch.
-    def _process(self) -> None:
-        callbacks = self.callbacks
-        self.callbacks = _PROCESSED
-        if callbacks is None:
-            return
-        if callbacks.__class__ is list:
-            self.engine._fanout = True  # as the run loops do, for acquire_now
-            for callback in callbacks:
-                callback(self)
-            self.engine._fanout = False
-        else:
-            callbacks(self)
-
     def add_callback(self, callback: typing.Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` when the event fires (immediately if done)."""
         callbacks = self.callbacks

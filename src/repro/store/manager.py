@@ -781,11 +781,6 @@ class Manager:
         """
         return chunk_id in self._chunk_refs
 
-    def is_shared(self, name: str, index: int) -> bool:
-        """True when chunk ``index`` of ``name`` is shared with another file."""
-        meta = self.lookup(name)
-        return self._chunk_refs[meta.chunk_ids[index]] > 1
-
     def cow_chunk(self, name: str, index: int) -> tuple[int, int, Benefactor]:
         """Prepare a copy-on-write replacement for a shared chunk.
 
@@ -872,10 +867,6 @@ class Manager:
                 f"no epoch {epoch} of checkpoint {tag!r}"
             ) from None
 
-    def has_epochs(self, tag: str) -> bool:
-        """True when any epoch (committed or not) is known for ``tag``."""
-        return bool(self._epochs.get(tag))
-
     def committed_epochs(self, tag: str) -> tuple[int, ...]:
         """Sorted committed epoch ids of ``tag`` (the live chain)."""
         chain = self._epochs.get(tag, {})
@@ -924,11 +915,6 @@ class Manager:
         """Release a restore's hold on an epoch."""
         record = self.epoch_record(tag, epoch)
         record.pins = max(0, record.pins - 1)
-
-    def epoch_pinned(self, tag: str, epoch: int) -> bool:
-        """True while at least one restore holds this epoch."""
-        record = self._epochs.get(tag, {}).get(epoch)
-        return record is not None and record.pins > 0
 
     def gc_candidates(self, tag: str, *, keep_last: int = 1) -> tuple[int, ...]:
         """Committed epochs of ``tag`` eligible for garbage collection.

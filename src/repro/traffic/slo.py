@@ -85,11 +85,6 @@ class SloSummary:
         """SLO-compliant completions per virtual second."""
         return self.within_slo / self.duration if self.duration > 0 else 0.0
 
-    @property
-    def throughput(self) -> float:
-        """Successful completions per virtual second (SLO-blind)."""
-        return self.ok / self.duration if self.duration > 0 else 0.0
-
 
 def summarize(
     records: list[RequestRecord], *, slo_target: float, duration: float | None = None

@@ -15,7 +15,7 @@ from repro.util.units import (
     parse_size,
 )
 from repro.util.intervals import IntervalSet
-from repro.util.recorder import Counter, MetricsRecorder, TimeSeries
+from repro.util.recorder import Counter, MetricsRecorder
 from repro.util.tables import render_table
 
 __all__ = [
@@ -34,6 +34,5 @@ __all__ = [
     "IntervalSet",
     "Counter",
     "MetricsRecorder",
-    "TimeSeries",
     "render_table",
 ]

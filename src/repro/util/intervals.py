@@ -9,11 +9,8 @@ The representation is a pair of parallel ``int64`` arrays (``_starts``,
 entries.  Single-interval mutations keep scalar fast paths for the
 overwhelmingly common shapes (empty set, append-at-end, grow-last) and
 fall back to ``numpy.searchsorted`` plus one slice splice for the general
-case; ``add_many``/``gaps_many`` process whole batches with sort +
-``maximum.accumulate`` coalescing so run-batched callers pay one array
-pass instead of N bisect rounds.  All query methods return plain python
-ints — endpoints feed byte counters and JSON reports, which must never
-see ``numpy.int64``.
+case.  All query methods return plain python ints — endpoints feed byte
+counters and JSON reports, which must never see ``numpy.int64``.
 """
 
 from __future__ import annotations
@@ -34,10 +31,9 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class IntervalSet:
     """A mutable set of disjoint half-open integer intervals.
 
-    Supports union (``add``/``add_many``), subtraction (``discard``),
-    intersection queries, and total-length accounting.  All operations keep
-    the internal representation sorted and coalesced, so iteration yields
-    canonical intervals.
+    Supports union (``add``), ``clear``, gap queries and total-length
+    accounting.  All operations keep the internal representation sorted
+    and coalesced, so iteration yields canonical intervals.
     """
 
     __slots__ = ("_starts", "_stops", "_n")
@@ -126,77 +122,6 @@ class IntervalSet:
             so[0] = stop
             self._n = 1
 
-    def add_many(
-        self,
-        starts: Iterable[int] | np.ndarray,
-        stops: Iterable[int] | np.ndarray,
-    ) -> None:
-        """Union a whole batch of intervals in one vectorized pass.
-
-        Equivalent to calling :meth:`add` per pair but O((n+k) log(n+k))
-        total: concatenate with the existing endpoints, sort by start, and
-        coalesce with a running-max scan (adjacent intervals merge, empty
-        ones drop out).
-        """
-        s = np.asarray(starts, dtype=np.int64)
-        t = np.asarray(stops, dtype=np.int64)
-        if s.shape != t.shape or s.ndim != 1:
-            raise ValueError("starts/stops must be parallel 1-d arrays")
-        if np.any(s > t):
-            bad = int(np.argmax(s > t))
-            raise ValueError(f"invalid interval [{int(s[bad])}, {int(t[bad])})")
-        keep = s < t  # drop empties
-        if not np.all(keep):
-            s, t = s[keep], t[keep]
-        if not len(s):
-            return
-        n = self._n
-        if n:
-            s = np.concatenate((self._starts[:n], s))
-            t = np.concatenate((self._stops[:n], t))
-        order = np.argsort(s, kind="stable")
-        s = s[order]
-        t = t[order]
-        reach = np.maximum.accumulate(t)
-        first = np.empty(len(s), dtype=bool)
-        first[0] = True
-        first[1:] = s[1:] > reach[:-1]  # strict: adjacent still coalesces
-        idx = np.flatnonzero(first)
-        merged_starts = s[idx]
-        last = np.empty(len(idx), dtype=np.int64)
-        last[:-1] = idx[1:] - 1
-        last[-1] = len(s) - 1
-        merged_stops = reach[last]
-        new_n = len(idx)
-        if new_n > len(self._starts):
-            self._grow(new_n)
-        self._starts[:new_n] = merged_starts
-        self._stops[:new_n] = merged_stops
-        self._n = new_n
-
-    def discard(self, start: int, stop: int) -> None:
-        """Subtract ``[start, stop)`` from the set."""
-        if start > stop:
-            raise ValueError(f"invalid interval [{start}, {stop})")
-        n = self._n
-        if start == stop or not n:
-            return
-        sa, so = self._starts, self._stops
-        # Overlapping (strictly, not merely adjacent) intervals.
-        lo = int(np.searchsorted(so[:n], start, side="right"))
-        hi = int(np.searchsorted(sa[:n], stop, side="left"))
-        if lo >= hi:
-            return
-        new_starts: list[int] = []
-        new_stops: list[int] = []
-        if sa[lo] < start:
-            new_starts.append(int(sa[lo]))
-            new_stops.append(start)
-        if so[hi - 1] > stop:
-            new_starts.append(stop)
-            new_stops.append(int(so[hi - 1]))
-        self._splice(lo, hi, new_starts, new_stops)
-
     def clear(self) -> None:
         """Remove all intervals."""
         self._n = 0
@@ -247,43 +172,12 @@ class IntervalSet:
         n = self._n
         return self._starts[:n], self._stops[:n]
 
-    def contains(self, point: int) -> bool:
-        """True when ``point`` lies inside some interval."""
-        n = self._n
-        if not n:
-            return False
-        idx = int(np.searchsorted(self._starts[:n], point, side="right")) - 1
-        return idx >= 0 and point < self._stops[idx]
-
-    def overlaps(self, start: int, stop: int) -> bool:
-        """True when ``[start, stop)`` intersects the set."""
-        n = self._n
-        if start >= stop or not n:
-            return False
-        lo = int(np.searchsorted(self._stops[:n], start, side="right"))
-        return lo < n and self._starts[lo] < stop
-
     def _window(self, start: int, stop: int) -> tuple[int, int]:
         """Index window of intervals strictly overlapping ``[start, stop)``."""
         n = self._n
         lo = int(np.searchsorted(self._stops[:n], start, side="right"))
         hi = int(np.searchsorted(self._starts[:n], stop, side="left"))
         return lo, hi
-
-    def intersection(self, start: int, stop: int) -> list[tuple[int, int]]:
-        """The parts of ``[start, stop)`` covered by the set, in order."""
-        if start >= stop or not self._n:
-            return []
-        lo, hi = self._window(start, stop)
-        if lo >= hi:
-            return []
-        if hi - lo == 1:  # single overlapping interval: stay scalar
-            a = int(self._starts[lo])
-            b = int(self._stops[lo])
-            return [(a if a > start else start, b if b < stop else stop)]
-        a = np.maximum(self._starts[lo:hi], start)
-        b = np.minimum(self._stops[lo:hi], stop)
-        return list(zip(a.tolist(), b.tolist()))
 
     def gaps(self, start: int, stop: int) -> list[tuple[int, int]]:
         """The parts of ``[start, stop)`` NOT covered by the set, in order."""
@@ -309,64 +203,3 @@ class IntervalSet:
             result.append((cursor, stop))
         return result
 
-    def gaps_many(
-        self, ranges: Iterable[tuple[int, int]]
-    ) -> list[list[tuple[int, int]]]:
-        """Per-range :meth:`gaps`, one searchsorted batch for all ranges."""
-        pairs = list(ranges)
-        if not pairs:
-            return []
-        n = self._n
-        if not n:
-            return [[(a, b)] if a < b else [] for a, b in pairs]
-        qs = np.fromiter(
-            (p[0] for p in pairs), dtype=np.int64, count=len(pairs)
-        )
-        qe = np.fromiter(
-            (p[1] for p in pairs), dtype=np.int64, count=len(pairs)
-        )
-        los = np.searchsorted(self._stops[:n], qs, side="right")
-        his = np.searchsorted(self._starts[:n], qe, side="left")
-        out: list[list[tuple[int, int]]] = []
-        sa, so = self._starts, self._stops
-        for k in range(len(pairs)):
-            start, stop = pairs[k]
-            if start >= stop:
-                out.append([])
-                continue
-            lo, hi = int(los[k]), int(his[k])
-            if lo >= hi:
-                out.append([(start, stop)])
-                continue
-            result: list[tuple[int, int]] = []
-            cursor = start
-            for i in range(lo, hi):
-                ai = int(sa[i])
-                if ai > cursor:
-                    result.append((cursor, ai))
-                cursor = int(so[i])
-            if cursor < stop:
-                result.append((cursor, stop))
-            out.append(result)
-        return out
-
-    def covers(self, start: int, stop: int) -> bool:
-        """True when every point of ``[start, stop)`` is in the set."""
-        if start >= stop:
-            return True
-        n = self._n
-        if not n:
-            return False
-        idx = int(np.searchsorted(self._starts[:n], start, side="right")) - 1
-        return idx >= 0 and self._stops[idx] >= stop
-
-    def copy(self) -> "IntervalSet":
-        """A deep copy of this set."""
-        clone = IntervalSet()
-        n = self._n
-        if n > len(clone._starts):
-            clone._grow(n)
-        clone._starts[:n] = self._starts[:n]
-        clone._stops[:n] = self._stops[:n]
-        clone._n = n
-        return clone

@@ -9,9 +9,7 @@ instrumenting call sites twice.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-
-from repro.errors import MetricsError
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
@@ -21,71 +19,9 @@ class Counter:
     total: float = 0.0
     count: int = 0
 
-    def add(self, amount: float = 1.0) -> None:
-        """Add ``amount`` and bump the operation count."""
-        self.total += amount
-        self.count += 1
-
-    @property
-    def mean(self) -> float:
-        """Average amount per operation (0 when untouched)."""
-        return self.total / self.count if self.count else 0.0
-
-
-@dataclass
-class TimeSeries:
-    """Timestamped samples of a scalar metric.
-
-    With ``max_samples`` set, memory stays bounded no matter how long
-    the run: once the buffer fills, every other retained sample is
-    dropped and the acceptance stride doubles, so the kept samples stay
-    uniformly spread over the whole recording.  The decimation is purely
-    a function of the append sequence — no randomness — so two identical
-    runs retain identical samples.
-    """
-
-    times: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-    max_samples: int | None = None
-    _stride: int = field(default=1, repr=False)
-    _skip: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.max_samples is not None and self.max_samples < 2:
-            raise MetricsError(
-                f"max_samples must be >= 2, got {self.max_samples}"
-            )
-
-    def append(self, time: float, value: float) -> None:
-        """Record one timestamped sample (possibly decimated away)."""
-        if self.max_samples is not None:
-            if self._skip:
-                self._skip -= 1
-                return
-            self._skip = self._stride - 1
-            self.times.append(time)
-            self.values.append(value)
-            if len(self.times) >= self.max_samples:
-                del self.times[1::2]
-                del self.values[1::2]
-                self._stride *= 2
-                self._skip = self._stride - 1
-            return
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def last(self) -> float:
-        """The most recent retained sample's value."""
-        if not self.values:
-            raise MetricsError("empty time series")
-        return self.values[-1]
-
 
 class MetricsRecorder:
-    """Namespace of named counters and time series.
+    """Namespace of named counters.
 
     Counter names use dotted paths, e.g. ``"fuse.read.bytes_from_store"``.
     Unknown names spring into existence on first use, so call sites never
@@ -94,7 +30,6 @@ class MetricsRecorder:
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = defaultdict(Counter)
-        self._series: dict[str, TimeSeries] = defaultdict(TimeSeries)
 
     def counter(self, name: str) -> Counter:
         """The counter registered under ``name`` (created on demand)."""
@@ -118,22 +53,6 @@ class MetricsRecorder:
             return self._counters[name].count
         return 0
 
-    def sample(self, name: str, time: float, value: float) -> None:
-        """Append a timestamped sample to series ``name``."""
-        self._series[name].append(time, value)
-
-    def series(self, name: str, *, max_samples: int | None = None) -> TimeSeries:
-        """The time series registered under ``name``.
-
-        ``max_samples`` bounds the series (see :class:`TimeSeries`); it
-        only takes effect when this call creates the series, so the first
-        caller decides the budget.
-        """
-        if max_samples is not None and name not in self._series:
-            series = self._series[name] = TimeSeries(max_samples=max_samples)
-            return series
-        return self._series[name]
-
     def snapshot(self, prefix: str = "") -> dict[str, float]:
         """All counter totals whose names start with ``prefix``."""
         return {
@@ -141,8 +60,3 @@ class MetricsRecorder:
             for name, counter in sorted(self._counters.items())
             if name.startswith(prefix)
         }
-
-    def reset(self) -> None:
-        """Drop all counters and series."""
-        self._counters.clear()
-        self._series.clear()

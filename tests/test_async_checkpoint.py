@@ -166,7 +166,7 @@ class TestAsyncCheckpoint:
             restorer = engine.process(nvmalloc.restore("app", 0))
             # Interleave: run GC while the restore of epoch 0 is mid-read.
             yield engine.timeout(1e-6)
-            assert store.epoch_pinned("app", 0)
+            assert store.epoch_record("app", 0).pins > 0
             yield from nvmalloc.gc_checkpoints("app", keep_last=1)
             observed["survived"] = store.committed_epochs("app")
             dram, variables = yield restorer

@@ -433,29 +433,3 @@ def test_page_align_matches_reference(spans):
     got = ChunkCache._page_align(_Shim(), dirty)
     want = _reference_page_align(list(dirty), PAGE_SIZE, CHUNK_SIZE)
     assert got == want
-
-
-def test_access_run_is_one_summed_access():
-    """``access_run`` equals one access of the summed size."""
-    from repro.devices.base import AccessKind
-
-    sizes = [4096, 4096, 123, 8192]
-
-    def one(engine, device, gen):
-        return engine.run(engine.process(gen))
-
-    results = []
-    for mode in ("run", "sum"):
-        engine = Engine()
-        cluster = make_hal_cluster(
-            engine,
-            HalConfig(num_nodes=1, cores_per_node=1, dram_per_node=1 * MiB,
-                      ssd_per_node=1 * MiB),
-        )
-        dram = cluster.node(0).dram
-        if mode == "run":
-            one(engine, dram, dram.access_run(AccessKind.READ, sizes))
-        else:
-            one(engine, dram, dram.access(AccessKind.READ, sum(sizes)))
-        results.append((engine.now, dict(cluster.metrics.snapshot("device."))))
-    assert results[0] == results[1]

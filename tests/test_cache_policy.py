@@ -182,7 +182,6 @@ class TestCacheStatsAccounting:
         # Prefetch traffic (the 50 issued fills) must not dilute the
         # rate; a local-tier hit avoided the store, so it counts.
         assert stats.hit_rate == (6 + 2) / 10
-        assert stats.l1_hit_rate == 6 / 10
         assert stats.l2_hit_rate == 2 / 4
 
     def test_seed_shape_when_tier_off(self):
@@ -243,6 +242,31 @@ class TestScanResistance:
         assert lru_hot_hits == 0
         assert arc_hot_hits == 2
         assert arc.cache.stats.hits > lru.cache.stats.hits
+
+    def test_ghost_hits_leave_the_recorder_holding_counters_only(
+        self, engine, small_cluster, store
+    ):
+        """Every ARC ghost hit used to append a ``(now, p)`` sample to a
+        time series no report read and nothing bounded."""
+        arc = make_mount(small_cluster, store, policy="arc")
+
+        def proc():
+            fd = yield from arc.open(
+                "/arc", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=8 * CHUNK_SIZE
+            )
+            # 0 and 1 reach T2, so B1 has room to remember 2 and 3.
+            for index in (0, 0, 1, 1, 2, 3, 4, 5, 2, 3):
+                yield from arc.pread(fd, index * CHUNK_SIZE, 64)
+            yield from arc.close(fd)
+
+        run(engine, proc())
+        metrics = arc.cache.metrics
+        assert arc.cache.policy.ghost_hits > 0
+        assert list(vars(metrics)) == ["_counters"]
+        assert all(
+            set(counter.__slots__) == {"total", "count"}
+            for counter in metrics._counters.values()  # noqa: SLF001
+        )
 
 
 class TestPinnedNeverEvicted:
@@ -373,7 +397,6 @@ def test_all_ratio_properties_guard_empty_stats():
 
     empty_cache = CacheStats()
     assert empty_cache.hit_rate == 0.0
-    assert empty_cache.l1_hit_rate == 0.0
     assert empty_cache.l2_hit_rate == 0.0
     assert empty_cache.prefetch_accuracy == 0.0
     assert empty_cache.demand_fill_latency == 0.0

@@ -241,7 +241,7 @@ class TestChainGC:
         assert live == b"wwww"
         assert mid == before - 2 * CHUNK_SIZE  # only the live mapping remains
         assert store.total_available() == before
-        assert not store.has_epochs("app")
+        assert not store._epochs.get("app")  # noqa: SLF001
 
     def test_pinned_epoch_survives_gc(self, engine, nvmalloc, store):
         def proc():

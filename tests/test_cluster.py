@@ -78,7 +78,8 @@ class TestHalCluster:
 
     def test_total_dram(self, engine):
         cluster = make_hal_cluster(engine, HAL_TESTBED.scaled(1024))
-        assert cluster.total_dram == 16 * (8 * GiB // 1024)
+        total = sum(node.dram.capacity for node in cluster.nodes)
+        assert total == 16 * (8 * GiB // 1024)
 
 
 class TestClusterValidation:

@@ -345,6 +345,22 @@ class TestMmapRegion:
 
         assert run(engine, proc()) == payload
 
+    def test_private_munmap_keeps_a_shared_mappers_dirty_pages(
+        self, engine, mount, pagecache
+    ):
+        """Unmapping a private view used to drop the file's pages unsynced,
+        the shared mapper's unflushed writes with them."""
+        shared = self.make_region(engine, mount, pagecache)
+        view = MmapRegion(pagecache, "/m", CHUNK_SIZE, shared=False)
+
+        def proc():
+            yield from shared.write(10, b"unflushed")
+            yield from view.write(10, b"scribbled")
+            yield from view.munmap()
+            return (yield from shared.read(10, 9))
+
+        assert run(engine, proc()) == b"unflushed"
+
     def test_munmap_invalidates(self, engine, mount, pagecache):
         region = self.make_region(engine, mount, pagecache)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import StoreError
 from repro.experiments.configs import TINY
-from repro.experiments.runner import Testbed, fresh_job
+from repro.experiments.runner import Testbed
 from repro.store import CHUNK_SIZE
 from repro.util.units import KiB
 from tests.conftest import run
@@ -13,12 +13,13 @@ from tests.conftest import run
 
 class TestFreshJob:
     def test_builds_testbed_and_job(self):
-        testbed, job = fresh_job(TINY, 2, 2, 2)
+        testbed = Testbed(TINY)
+        job = testbed.job(2, 2, 2)
         assert job.cluster is testbed.cluster
         assert job.config.label() == "L-SSD(2:2:2)"
 
     def test_remote_flag(self):
-        testbed, job = fresh_job(TINY, 2, 2, 2, remote_ssd=True)
+        job = Testbed(TINY).job(2, 2, 2, remote_ssd=True)
         assert job.config.label() == "R-SSD(2:2:2)"
 
 

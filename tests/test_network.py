@@ -59,7 +59,7 @@ class TestTransfer:
             yield from net.transfer("b", "c", 500)
 
         engine.run(engine.process(proc()))
-        assert net.total_bytes() == 1500
+        assert net.metrics.value("network.bytes") == 1500
         assert net.metrics.value("network.a.tx.bytes") == 1000
         assert net.metrics.value("network.b.rx.bytes") == 1000
         assert net.metrics.value("network.b.tx.bytes") == 500

@@ -97,22 +97,6 @@ class TestCollectives:
         results = launch(engine, comm, rank_fn)
         assert all(r == payload.sum() for r in results)
 
-    def test_scatter(self, engine, comm):
-        def rank_fn(rank):
-            chunks = [i * 10 for i in range(8)] if rank == 0 else None
-            piece = yield from comm.scatter(chunks, root=0, rank=rank)
-            return piece
-
-        assert launch(engine, comm, rank_fn) == [i * 10 for i in range(8)]
-
-    def test_scatter_wrong_count(self, engine, comm):
-        def rank_fn(rank):
-            chunks = [1, 2] if rank == 0 else None
-            return (yield from comm.scatter(chunks, root=0, rank=rank))
-
-        with pytest.raises(CommError):
-            launch(engine, comm, rank_fn)
-
     def test_gather(self, engine, comm):
         def rank_fn(rank):
             return (yield from comm.gather(rank * rank, root=0, rank=rank))

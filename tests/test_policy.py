@@ -59,8 +59,9 @@ class TestPolicy:
 
     def test_fits_in_dram(self):
         policy = PlacementPolicy(3 * MiB)
-        assert policy.fits_in_dram([profile("a", 1 * MiB), profile("b", 2 * MiB)])
-        assert not policy.fits_in_dram([profile("a", 4 * MiB)])
+        fits = policy.place([profile("a", 1 * MiB), profile("b", 2 * MiB)])
+        assert set(fits.values()) == {PlacementDecision.DRAM}
+        assert policy.place([profile("a", 4 * MiB)])["a"] is PlacementDecision.NVM
 
     def test_greedy_packing(self):
         policy = PlacementPolicy(3 * MiB)

@@ -90,6 +90,10 @@ class TestRestoreFromPfs:
             except RestoreError as error:
                 failed = error
             dram, variables = yield from lib.restore_from_pfs("dr", 1, pfs)
+            # The failed restore must not leave the file open: an open
+            # file cannot be unlinked.
+            yield from lib.delete_checkpoint("dr", 1)
+            assert not store.exists(record.path)
             return failed, dram, variables["v"][:15]
 
         failed, dram, v = run(engine, scenario())
@@ -146,7 +150,7 @@ class TestColdContext:
             return record
 
         record = run(engine, scenario())
-        assert not store.exists(record.path) and not store.has_epochs("app")
+        assert not store.exists(record.path) and not store._epochs.get("app")  # noqa: SLF001
         for context in (lib, cold):
             with pytest.raises(CheckpointError, match="no checkpoint app@0"):
                 context.checkpoint_record("app", 0)

@@ -12,10 +12,6 @@ def engine():
 
 
 class TestEngineEdges:
-    def test_step_on_empty_heap(self, engine):
-        with pytest.raises(SimulationError):
-            engine.step()
-
     def test_run_to_exhaustion_returns_none(self, engine):
         engine.timeout(1.0)
         assert engine.run() is None

@@ -421,24 +421,24 @@ def test_advance_stops_at_the_horizon_of_run_until() -> None:
 
 
 def test_advance_never_fires_outside_a_run_loop() -> None:
-    """``step()`` and a generator driven by hand have no loop that would
-    have dispatched the timeout next: the timeout is built."""
+    """Before a run, between runs and with a generator driven by hand there
+    is no loop that would have dispatched the timeout next: it is built."""
     engine = Engine()
     assert engine.advance(1.0) is False and engine.now == 0.0
     assert isinstance(next(_sleep(engine, 1.0)), Timeout)
-    engine.step()  # that timeout, nobody waiting
-    assert engine.now == 1.0
+    engine.run(until=1.0)  # that timeout, nobody waiting
+    assert engine.now == 1.0 and engine.events_processed == 1
 
     def proc():
         yield from _sleep(engine, 1.0)
         return engine.now
 
     process = engine.process(proc())
-    engine.step()  # bootstrap: the process parks on a real timeout
-    assert engine.now == 1.0 and not process.triggered
-    engine.step()
-    assert process.value == 2.0
+    engine.run(until=1.5)  # bootstrap: the process parks on a real timeout
+    assert engine.events_processed == 2 and not process.triggered
+    assert engine.advance(0.1) is False and engine.now == 1.5  # between runs
     engine.run()
+    assert process.value == 2.0
     assert engine.advance(1.0) is False  # and not after a run has ended
 
 

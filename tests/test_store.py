@@ -247,8 +247,8 @@ class TestCheckpointLinking:
 
         meta = run(engine, proc())
         assert meta.num_chunks == 3
-        assert store.is_shared("/var", 0)
-        assert store.is_shared("/var", 1)
+        for chunk_id in store.lookup("/var").chunk_ids:
+            assert store.chunk_refcount(chunk_id) == 2
 
     def test_cow_preserves_checkpoint(self, engine, store, client):
         def proc():

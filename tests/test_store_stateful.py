@@ -141,7 +141,7 @@ class StoreWorld(RuleBasedStateMachine):
         """Every parent link is absent or names a committed epoch still in
         the chain, and restore / GC resolve as the model's walk does."""
         manager = self.manager
-        assert manager.has_epochs(TAG) == bool(self.epochs)
+        assert set(manager._epochs.get(TAG, ())) == set(self.epochs)  # noqa: SLF001
         committed = tuple(sorted(e for e, r in self.epochs.items() if r["committed"]))
         assert manager.committed_epochs(TAG) == committed
         for epoch, expected in self.epochs.items():

@@ -9,7 +9,6 @@ from repro.obs.critical import critical_path
 from repro.obs.export import (
     chrome_trace,
     latency_summary,
-    span_tree,
     write_chrome_trace,
 )
 from repro.obs.tracer import Span, Tracer
@@ -247,16 +246,6 @@ class TestExport:
         loaded = json.loads(out.read_text())
         assert isinstance(loaded, list) and len(loaded) == count
 
-    def test_span_tree_indents_children(self):
-        spans = [
-            make_span(1, 1, None, "app", "run", 0.0, 1.0),
-            make_span(1, 2, 1, "net", "xfer", 0.25, 0.75),
-        ]
-        text = span_tree(spans)
-        lines = text.splitlines()
-        assert lines[0].startswith("app.run")
-        assert lines[1].startswith("  net.xfer")
-
 
 class TestReportTraceLines:
     def test_trace_lines_round_trip_but_not_digested(self):
@@ -299,7 +288,7 @@ class TestEndToEnd:
         root = max(tracer.roots(), key=lambda s: s.duration)
         assert (root.layer, root.name) == ("app", "stream")
         # The whole stack participates in the root's trace.
-        layers = {s.layer for s in tracer.by_trace(root.trace_id)}
+        layers = {s.layer for s in tracer.spans if s.trace_id == root.trace_id}
         assert {"app", "nvmalloc", "mmap", "pagecache", "fuse",
                 "store.client", "benefactor", "net"} <= layers
         # Per-layer attribution partitions the root interval exactly.

@@ -53,7 +53,7 @@ def test_faults_retry_failover_replica_share_one_trace(restore_tracing):
     hits = []
     for label, tracer in obs.collected():
         for retry in (s for s in tracer.spans if s.name == "retry"):
-            relatives = tracer.by_trace(retry.trace_id)
+            relatives = [s for s in tracer.spans if s.trace_id == retry.trace_id]
             failed = retry.args["failed"]
             served_by = {
                 s.args["benefactor"]

@@ -237,7 +237,6 @@ def test_empty_fold_is_all_zeros_not_a_crash():
     assert summary.count == 0
     assert summary.attainment == 0.0
     assert summary.goodput == 0.0
-    assert summary.throughput == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -2,68 +2,20 @@
 
 import pytest
 
-from repro.errors import MetricsError, ReproError
-from repro.util.recorder import Counter, MetricsRecorder, TimeSeries
+from repro.util.recorder import MetricsRecorder
 from repro.util.tables import render_table
 
 
 class TestCounter:
     def test_accumulates(self):
-        c = Counter()
-        c.add(5.0)
-        c.add(3.0)
-        assert c.total == 8.0
-        assert c.count == 2
-        assert c.mean == 4.0
-
-    def test_empty_mean(self):
-        assert Counter().mean == 0.0
-
-
-class TestTimeSeries:
-    def test_append_and_last(self):
-        ts = TimeSeries()
-        ts.append(1.0, 10.0)
-        ts.append(2.0, 20.0)
-        assert len(ts) == 2
-        assert ts.last() == 20.0
-
-    def test_empty_last_raises_domain_error(self):
-        with pytest.raises(MetricsError):
-            TimeSeries().last()
-        # Catchable as a simulation-domain failure, not a bare IndexError.
-        assert issubclass(MetricsError, ReproError)
-        assert not issubclass(MetricsError, IndexError)
-
-    def test_unbounded_by_default(self):
-        ts = TimeSeries()
-        for i in range(10_000):
-            ts.append(float(i), float(i))
-        assert len(ts) == 10_000
-
-    def test_max_samples_bounds_memory(self):
-        ts = TimeSeries(max_samples=64)
-        for i in range(100_000):
-            ts.append(float(i), float(i))
-        assert len(ts) <= 64
-        assert len(ts) >= 16  # decimation halves, never empties
-        # Retained samples stay in order and span the recording.
-        assert ts.times == sorted(ts.times)
-        assert ts.times[0] == 0.0
-        assert ts.times[-1] >= 50_000.0
-
-    def test_max_samples_decimation_is_deterministic(self):
-        a = TimeSeries(max_samples=32)
-        b = TimeSeries(max_samples=32)
-        for i in range(12_345):
-            a.append(float(i), float(2 * i))
-            b.append(float(i), float(2 * i))
-        assert a.times == b.times
-        assert a.values == b.values
-
-    def test_max_samples_too_small_rejected(self):
-        with pytest.raises(MetricsError):
-            TimeSeries(max_samples=1)
+        """Hot paths resolve a counter once and bump its fields in place."""
+        m = MetricsRecorder()
+        c = m.counter("a.b")
+        for amount in (5.0, 3.0):
+            c.total += amount
+            c.count += 1
+        assert m.counter("a.b") is c
+        assert (m.value("a.b"), m.count("a.b")) == (8.0, 2)
 
 
 class TestMetricsRecorder:
@@ -87,20 +39,6 @@ class TestMetricsRecorder:
         snap = m.snapshot("fuse.")
         assert snap == {"fuse.read.bytes": 100.0, "fuse.write.bytes": 50.0}
 
-    def test_series(self):
-        m = MetricsRecorder()
-        m.sample("util", 0.0, 0.5)
-        m.sample("util", 1.0, 0.7)
-        assert m.series("util").values == [0.5, 0.7]
-
-    def test_series_max_samples_on_creation(self):
-        m = MetricsRecorder()
-        bounded = m.series("health", max_samples=16)
-        assert bounded.max_samples == 16
-        assert m.series("health") is bounded
-        # The cap binds at creation; later callers cannot change it.
-        assert m.series("health", max_samples=99).max_samples == 16
-
     def test_snapshot_deterministic_order(self):
         m = MetricsRecorder()
         # Touch counters in a scrambled order; snapshots must come back
@@ -114,12 +52,6 @@ class TestMetricsRecorder:
         for name in ("a.second", "m.mid", "z.last", "a.first"):
             m2.add(name, 1)
         assert list(m2.snapshot()) == list(snap)
-
-    def test_reset(self):
-        m = MetricsRecorder()
-        m.add("x", 1)
-        m.reset()
-        assert m.value("x") == 0.0
 
 
 class TestRenderTable:
