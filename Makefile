@@ -55,9 +55,11 @@ bench-pairs:
 		--pairs $(N) $(if $(S),--seconds $(S))
 
 # Reachability census: every experiment, CLI path, example, bench workload
-# and paper-shape test under a call hook (about 11 minutes, serial); fails
-# when a root fails or more than tools/census.py's MAX_UNREACHED functions
-# of src/repro are called by none of them.
+# and paper-shape test under a call hook, two at a time (about 9 minutes).
+# Three tables: what each root never enters, every src/repro function no
+# root calls, and every knob (defaulted parameter or dataclass field) all
+# roots leave at one value; fails when a root fails or a count passes
+# tools/census.py's MAX_UNREACHED / MAX_SINGLE_VALUED.
 census:
 	python tools/census.py
 

@@ -12,7 +12,7 @@ from repro.util.units import MiB
 
 def spread(wear_leveling: bool) -> tuple[int, int, float]:
     ftl = FlashTranslationLayer(
-        capacity=4 * MiB, page_size=4096, pages_per_block=32,
+        capacity=4 * MiB, pages_per_block=32,
         overprovision=0.1, wear_leveling=wear_leveling,
     )
     hot = list(range(64))  # 2 blocks' worth of hot pages

@@ -13,7 +13,7 @@ from repro.experiments import SMALL, table5
 
 def test_table5_tile_size(report_runner):
     report = report_runner(
-        table5, SMALL, tiles=(16, 32, 64, 128), config=(8, 8, 8, False)
+        table5, SMALL, config=(8, 8, 8, False)
     )
     assert report.verified
 

@@ -10,9 +10,10 @@ Fig. 1 sketches it:
     ssdcheckpoint(...)           # one restart file, variable chunks linked
     ssdfree(nvmvar)              # unmap and release
 
-and the two allocation flavours of §III-C: a *persistent* variable that
-outlives ``ssdfree`` and is opened from another node, and a *private*
-(``MAP_PRIVATE``) mapping whose writes nobody else sees.
+and the allocation flavours of §III-C: a *persistent* array that
+outlives ``ssdfree`` and is opened from another node, a read-only window
+onto part of it that refuses writes, and a *private* (``MAP_PRIVATE``)
+mapping whose writes nobody else sees.
 
 Everything runs in simulated time: the printed seconds are virtual.
 
@@ -23,6 +24,8 @@ import numpy as np
 
 from repro.cluster import HAL_TESTBED, make_hal_cluster
 from repro.core import NVMalloc
+from repro.errors import MmapError
+from repro.mem import MmapRegion, Protection
 from repro.sim import Engine
 from repro.store import Benefactor, Manager
 from repro.util import MiB, format_size, format_time
@@ -91,12 +94,14 @@ def main() -> None:
         yield from lib.ssdfree(matrix.variable)
         print("freed; store space reclaimed")
 
-        # A persistent variable outlives ssdfree and the node that made
+        # A persistent array outlives ssdfree and the node that made
         # it: a later job stage on node 6 maps what node 5 wrote.
         table = bytes(range(256)) * 40
-        produced = yield from lib.ssdmalloc(len(table), persistent_name="table")
-        yield from produced.write(0, table)
-        yield from lib.ssdfree(produced)
+        produced = yield from lib.ssdmalloc_array(
+            (len(table),), np.uint8, persistent_name="table"
+        )
+        yield from produced.write_slice(0, np.frombuffer(table, dtype=np.uint8))
+        yield from lib.ssdfree(produced.variable)
         consumer = NVMalloc(
             cluster.node(6), manager,
             fuse_cache_bytes=2 * MiB, page_cache_bytes=1 * MiB,
@@ -105,6 +110,21 @@ def main() -> None:
         if (yield from opened.read(0, len(table))) != table:
             raise SystemExit("persistent variable read back different bytes")
         yield from opened.write(0, b"seen on node 6")
+        # A read-only window onto the table from its second page on: it
+        # reads the file at that offset and refuses a write, typed.
+        window = MmapRegion(
+            consumer.pagecache, opened.backing_path, 4096,
+            prot=Protection.PROT_READ, offset=4096,
+        )
+        if (yield from window.read(0, 4096)) != table[4096:8192]:
+            raise SystemExit("an offset mapping reads the wrong part of the file")
+        try:
+            yield from window.write(0, b"x")
+        except MmapError:
+            pass
+        else:
+            raise SystemExit("a PROT_READ mapping accepted a write")
+        yield from window.munmap()
         yield from consumer.ssdfree(opened)
         reopened = yield from lib.open_persistent("table")
         if (yield from reopened.read(0, 14)) != b"seen on node 6":
@@ -113,7 +133,10 @@ def main() -> None:
         yield from lib.unlink_persistent("table")
         if manager.exists(reopened.backing_path):
             raise SystemExit("unlinked persistent variable still on the store")
-        print("persistent variable: node 5 -> node 6 -> node 5, then unlinked")
+        print(
+            "persistent array: node 5 -> node 6 (and a read-only window) "
+            "-> node 5, then unlinked"
+        )
 
         # MAP_PRIVATE: a copy-on-write view of a mapped file.  Its writes
         # land in a per-process overlay; neither the file nor another

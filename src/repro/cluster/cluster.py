@@ -6,13 +6,14 @@ from repro.cluster.cpu import CPUSpec
 from repro.cluster.node import Node
 from repro.devices.specs import DeviceSpec
 from repro.network.fabric import Network
-from repro.network.link import LinkSpec
+from repro.network.link import BONDED_DUAL_GIGE
 from repro.sim.engine import Engine
 from repro.util.recorder import MetricsRecorder
 
 
 class Cluster:
-    """A homogeneous cluster of compute nodes on one switched fabric.
+    """A homogeneous cluster of DDR3-1600 compute nodes on one switched
+    fabric of bonded dual GigE links, with one metrics recorder.
 
     ``ssd_nodes`` selects which node ids carry a node-local SSD; the paper
     evaluates both "every node equipped" (L-SSD runs) and "a dedicated
@@ -26,19 +27,16 @@ class Cluster:
         num_nodes: int,
         cores_per_node: int,
         cpu_spec: CPUSpec,
-        dram_spec: DeviceSpec,
         dram_per_node: int,
-        link_spec: LinkSpec,
         ssd_spec: DeviceSpec | None = None,
         ssd_capacity: int | None = None,
         ssd_nodes: set[int] | None = None,
-        metrics: MetricsRecorder | None = None,
     ) -> None:
         if num_nodes < 1:
             raise ValueError(f"cluster needs >= 1 node, got {num_nodes}")
         self.engine = engine
-        self.metrics = metrics if metrics is not None else MetricsRecorder()
-        self.network = Network(engine, link_spec, metrics=self.metrics)
+        self.metrics = MetricsRecorder()
+        self.network = Network(engine, BONDED_DUAL_GIGE, metrics=self.metrics)
         equipped = (
             set(range(num_nodes)) if ssd_nodes is None and ssd_spec is not None
             else (ssd_nodes or set())
@@ -52,7 +50,6 @@ class Cluster:
                     node_id=node_id,
                     num_cores=cores_per_node,
                     cpu_spec=cpu_spec,
-                    dram_spec=dram_spec,
                     dram_capacity=dram_per_node,
                     network=self.network,
                     ssd_spec=spec,

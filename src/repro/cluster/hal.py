@@ -13,10 +13,8 @@ from dataclasses import dataclass, replace
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.cpu import HAL_CPU, CPUSpec
-from repro.devices.specs import DDR3_1600, INTEL_X25E, DeviceSpec
-from repro.network.link import BONDED_DUAL_GIGE, LinkSpec
+from repro.devices.specs import INTEL_X25E, DeviceSpec
 from repro.sim.engine import Engine
-from repro.util.recorder import MetricsRecorder
 from repro.util.units import GB, GiB
 
 
@@ -27,11 +25,9 @@ class HalConfig:
     num_nodes: int = 16
     cores_per_node: int = 8
     cpu_spec: CPUSpec = HAL_CPU
-    dram_spec: DeviceSpec = DDR3_1600
     dram_per_node: int = 8 * GiB
     ssd_spec: DeviceSpec = INTEL_X25E
     ssd_per_node: int = 32 * GB
-    link_spec: LinkSpec = BONDED_DUAL_GIGE
 
     def scaled(self, divisor: int) -> "HalConfig":
         """Shrink per-node capacities by ``divisor`` (ratios preserved)."""
@@ -52,7 +48,6 @@ def make_hal_cluster(
     config: HalConfig = HAL_TESTBED,
     *,
     ssd_nodes: set[int] | None = None,
-    metrics: MetricsRecorder | None = None,
 ) -> Cluster:
     """Build a HAL-like cluster on ``engine``.
 
@@ -64,11 +59,8 @@ def make_hal_cluster(
         num_nodes=config.num_nodes,
         cores_per_node=config.cores_per_node,
         cpu_spec=config.cpu_spec,
-        dram_spec=config.dram_spec,
         dram_per_node=config.dram_per_node,
-        link_spec=config.link_spec,
         ssd_spec=config.ssd_spec,
         ssd_capacity=config.ssd_per_node,
         ssd_nodes=ssd_nodes,
-        metrics=metrics,
     )

@@ -26,25 +26,23 @@ class Node:
         node_id: int,
         num_cores: int,
         cpu_spec: CPUSpec,
-        dram_spec: DeviceSpec,
         dram_capacity: int,
         network: Network,
+        metrics: MetricsRecorder,
         ssd_spec: DeviceSpec | None = None,
         ssd_capacity: int | None = None,
-        metrics: MetricsRecorder | None = None,
     ) -> None:
         if num_cores < 1:
             raise ValueError(f"node needs >= 1 core, got {num_cores}")
         self.engine = engine
         self.node_id = node_id
         self.name = f"node{node_id:03d}"
-        self.metrics = metrics if metrics is not None else MetricsRecorder()
+        self.metrics = metrics
         self.cores = [
             Core(engine, cpu_spec, f"{self.name}.core{c}") for c in range(num_cores)
         ]
         self.dram = DRAM(
             engine,
-            dram_spec,
             capacity=dram_capacity,
             name=f"{self.name}.dram",
             metrics=self.metrics,

@@ -59,7 +59,6 @@ class NVMalloc:
         local_cache_bytes: int = 0,
         prefetch: str = "fixed",
         prefetch_depth: int = 8,
-        fuse_op_overhead: float = PageCache.FUSE_OP_OVERHEAD,
         metrics: MetricsRecorder | None = None,
     ) -> None:
         self.node = node
@@ -85,7 +84,6 @@ class NVMalloc:
             self.mount,
             capacity_bytes=page_cache_bytes,
             page_size=page_size,
-            fuse_op_overhead=fuse_op_overhead,
             metrics=self.metrics,
         )
         self.chunk_size = chunk_size

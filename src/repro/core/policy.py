@@ -45,19 +45,19 @@ class PlacementPolicy:
     more because NVM writes are slower and wear the device); the hottest
     variables claim DRAM until the budget runs out, the rest spill to the
     NVM store.  Write-once-read-many sequential variables are preferred
-    spill candidates — they are exactly what NVMalloc's chunk cache
-    handles well.
+    spill candidates: exactly what NVMalloc's chunk cache handles well.
     """
 
-    def __init__(self, dram_budget: int, *, write_weight: float = 3.0) -> None:
+    WRITE_WEIGHT = 3.0  #: how much hotter a write makes a byte than a read
+
+    def __init__(self, dram_budget: int) -> None:
         if dram_budget < 0:
             raise ValueError(f"negative DRAM budget {dram_budget}")
         self.dram_budget = dram_budget
-        self.write_weight = write_weight
 
     def heat(self, profile: VariableProfile) -> float:
         """Access intensity; higher means more DRAM-worthy."""
-        score = profile.reads_per_byte + self.write_weight * profile.writes_per_byte
+        score = profile.reads_per_byte + self.WRITE_WEIGHT * profile.writes_per_byte
         if profile.write_once_read_many and profile.sequential:
             # NVMalloc's sweet spot: cheap to serve from the chunk cache.
             score *= 0.5

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.devices.base import StorageDevice
-from repro.devices.specs import DDR3_1600, DeviceSpec
+from repro.devices.specs import DDR3_1600
 from repro.errors import CapacityError
 from repro.sim.engine import Engine
 from repro.util.recorder import MetricsRecorder
@@ -21,12 +21,12 @@ class DRAM(StorageDevice):
     def __init__(
         self,
         engine: Engine,
-        spec: DeviceSpec = DDR3_1600,
         *,
         capacity: int | None = None,
         name: str | None = None,
         metrics: MetricsRecorder | None = None,
     ) -> None:
+        spec = DDR3_1600
         if capacity is not None:
             spec = spec.scaled(capacity=capacity)
         super().__init__(engine, spec, name=name, metrics=metrics)

@@ -41,11 +41,12 @@ class FlashTranslationLayer:
     logical capacity to give GC headroom, as real SSDs do.
     """
 
+    page_size = 4096  #: bytes per flash page
+
     def __init__(
         self,
         *,
         capacity: int,
-        page_size: int = 4096,
         pages_per_block: int = 64,
         overprovision: float = 0.07,
         endurance_cycles: int = 100_000,
@@ -55,12 +56,11 @@ class FlashTranslationLayer:
             raise ValueError("capacity must be positive")
         if not 0.0 <= overprovision < 0.5:
             raise ValueError(f"unreasonable overprovision {overprovision}")
-        self.page_size = page_size
         self.pages_per_block = pages_per_block
         self.endurance_cycles = endurance_cycles
         self.wear_leveling = wear_leveling
 
-        total_pages = capacity // page_size
+        total_pages = capacity // self.page_size
         self.num_blocks = max(4, total_pages // pages_per_block)
         self.physical_pages = self.num_blocks * pages_per_block
         self.logical_pages = int(self.physical_pages * (1.0 - overprovision))

@@ -31,14 +31,11 @@ class HDD(StorageDevice):
         engine: Engine,
         spec: DeviceSpec = HDD_7200RPM,
         *,
-        capacity: int | None = None,
         name: str | None = None,
         metrics: MetricsRecorder | None = None,
     ) -> None:
         if spec.kind != "hdd":
             raise DeviceError(f"spec {spec.name} is not an HDD")
-        if capacity is not None:
-            spec = spec.scaled(capacity=capacity)
         super().__init__(engine, spec, name=name, metrics=metrics)
         # Sequential-stream detection: storage servers keep per-stream
         # readahead / write-behind state, so concurrent sequential

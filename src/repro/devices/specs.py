@@ -25,10 +25,7 @@ class DeviceSpec:
     capacity: int  # bytes
     cost_usd: float
     channels: int = 1
-    # SSD-only knobs (ignored for other kinds).
-    flash_page: int = 4096  # bytes
-    pages_per_block: int = 64
-    erase_latency: float = 1.5e-3  # seconds per block erase
+    # SSD only (ignored for other kinds).
     endurance_cycles: int = 100_000  # P/E cycles per block (SLC-class)
 
     def __post_init__(self) -> None:

@@ -12,6 +12,10 @@ from repro.sim.engine import Engine
 from repro.sim.events import Event
 from repro.util.recorder import MetricsRecorder
 
+#: Seconds per block erase, for every SSD of the catalog (the flash
+#: geometry they share is the FTL's own).
+ERASE_LATENCY = 1.5e-3
+
 
 class SSD(StorageDevice):
     """A solid-state device with logical extents mapped through an FTL.
@@ -32,7 +36,6 @@ class SSD(StorageDevice):
         capacity: int | None = None,
         name: str | None = None,
         metrics: MetricsRecorder | None = None,
-        wear_leveling: bool = True,
         track_ftl: bool = True,
     ) -> None:
         if spec.kind != "ssd":
@@ -45,10 +48,7 @@ class SSD(StorageDevice):
         if track_ftl:
             self.ftl = FlashTranslationLayer(
                 capacity=spec.capacity,
-                page_size=spec.flash_page,
-                pages_per_block=spec.pages_per_block,
                 endurance_cycles=spec.endurance_cycles,
-                wear_leveling=wear_leveling,
             )
         # GC-time counter, resolved on first GC event (snapshot-identical
         # to on-demand ``metrics.add``: never materializes without GC).
@@ -97,7 +97,7 @@ class SSD(StorageDevice):
             relocated, erases = self.ftl.write_pages(pages)
             gc_penalty = (
                 relocated * self.ftl.page_size / self.spec.write_bw
-                + erases * self.spec.erase_latency
+                + erases * ERASE_LATENCY
             )
             if gc_penalty:
                 counter = self._gc_counter

@@ -4,31 +4,29 @@ Each driver builds a fresh simulated testbed at a chosen
 :class:`~repro.experiments.configs.ExperimentScale`, runs the paper's
 workload grid, and returns an :class:`~repro.experiments.report.ExperimentReport`
 whose rows mirror the paper's table/figure (``report.render()`` prints it).
+
+The drivers are re-exported here under their function names (``fig2``,
+``table7``, ``cost_analysis``, ...) straight from the one registry,
+:data:`~repro.experiments.parallel.EXPERIMENTS`: adding an entry there is
+what exports its driver.
 """
 
 from repro.experiments.configs import SMALL, TINY, ExperimentScale
 from repro.experiments.report import ExperimentReport
 from repro.experiments.runner import Testbed
-from repro.experiments.figures import fig2, fig3, fig4, fig5, fig6
-from repro.experiments.tables import (
-    table1,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7,
-    checkpoint_experiment,
+from repro.experiments.parallel import (
+    EXPERIMENTS,
+    Orchestrator,
+    RunOutcome,
+    check_identity,
 )
-from repro.experiments.cache_tiering import cache_tiering
-from repro.experiments.cost import cost_analysis
-from repro.experiments.explicit import explicit_vs_swap
-from repro.experiments.faults import faults
-from repro.experiments.lifecycle import ckpt_lifecycle
-from repro.experiments.parallel import Orchestrator, RunOutcome, check_identity
 from repro.experiments.resultcache import ResultCache
-from repro.experiments.slo_traffic import slo_traffic
+
+_DRIVERS = {entry.driver.__name__: entry.driver for entry in EXPERIMENTS.values()}
+globals().update(_DRIVERS)
 
 __all__ = [
+    "EXPERIMENTS",
     "ExperimentReport",
     "ExperimentScale",
     "Orchestrator",
@@ -37,23 +35,6 @@ __all__ = [
     "SMALL",
     "TINY",
     "Testbed",
-    "cache_tiering",
     "check_identity",
-    "checkpoint_experiment",
-    "ckpt_lifecycle",
-    "cost_analysis",
-    "explicit_vs_swap",
-    "faults",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "slo_traffic",
-    "table1",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
+    *sorted(_DRIVERS),
 ]

@@ -164,8 +164,8 @@ def main(argv: list[str] | None = None) -> int:
         args.no_cache = True
 
     if args.list:
-        for name, (_, description) in EXPERIMENTS.items():
-            print(f"{name:12s} {description}")
+        for name, entry in EXPERIMENTS.items():
+            print(f"{name:12s} {entry.description}")
         return 0
 
     names = args.experiments or list(EXPERIMENTS)

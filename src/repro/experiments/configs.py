@@ -62,26 +62,17 @@ class ExperimentScale:
     # only instantiated when a job passes local_cache_bytes).
     local_cache: int = 8 * MiB
     # Checkpoint-lifecycle experiment (repro.experiments.lifecycle):
-    # chain length, epoch sizes, and the async drain's staging budget
-    # (defaulted so older scale literals stay valid).
+    # chain length and epoch sizes (defaulted so older scale literals
+    # stay valid).
     lifecycle_variable: int = 4 * MiB
     lifecycle_dram_state: int = 128 * KiB
     lifecycle_timesteps: int = 4
-    lifecycle_mutate_fraction: float = 0.25
-    lifecycle_staging_chunks: int = 2
     # Open-loop traffic / SLO experiment (repro.experiments.slo_traffic):
-    # client-population shape, request mix, and the offered-load sweep
-    # (defaulted so older scale literals stay valid).
+    # client-population shape (defaulted so older scale literals stay
+    # valid).
     slo_clients: int = 120
-    slo_requests_per_client: int = 4
     slo_region_bytes: int = 2 * MiB
     slo_num_keys: int = 256
-    slo_read_fraction: float = 0.7
-    slo_checkpoint_fraction: float = 0.05
-    slo_load_factors: tuple[float, ...] = (0.5, 0.8, 0.95)
-    slo_target_factor: float = 4.0
-    slo_workers: int = 8
-    slo_seed: int = 77
 
     def cpu_spec(self) -> CPUSpec:
         """The (possibly slowed) per-core CPU spec for this scale."""
@@ -137,24 +128,15 @@ SMALL = ExperimentScale(
     # 48x the DRAM chunk cache — a thin slice of the 512 MiB local SSD,
     # sized to the randwrite working set like a real deployment would.
     local_cache=48 * MiB,
-    # Lifecycle: a 16-chunk variable over 4 epochs, 2 chunks of staging.
+    # Lifecycle: a 16-chunk variable over 4 epochs.
     lifecycle_variable=4 * MiB,
     lifecycle_dram_state=256 * KiB,
     lifecycle_timesteps=4,
-    lifecycle_mutate_fraction=0.25,
-    lifecycle_staging_chunks=2,
-    # SLO traffic: a two-thousand-client swarm, heavy-tailed sizes over
-    # a 4 MiB/node shared region, 5% checkpoint-restore requests.
+    # SLO traffic: a two-thousand-client swarm over a 4 MiB/node shared
+    # region.
     slo_clients=2000,
-    slo_requests_per_client=4,
     slo_region_bytes=4 * MiB,
     slo_num_keys=512,
-    slo_read_fraction=0.7,
-    slo_checkpoint_fraction=0.05,
-    slo_load_factors=(0.5, 0.8, 0.95),
-    slo_target_factor=4.0,
-    slo_workers=8,
-    slo_seed=77,
 )
 
 #: Test scale: small enough for the full grid to run in unit-test time.
@@ -182,16 +164,7 @@ TINY = ExperimentScale(
     lifecycle_variable=1 * MiB,
     lifecycle_dram_state=64 * KiB,
     lifecycle_timesteps=3,
-    lifecycle_mutate_fraction=0.25,
-    lifecycle_staging_chunks=2,
     slo_clients=120,
-    slo_requests_per_client=4,
     slo_region_bytes=2 * MiB,
     slo_num_keys=256,
-    slo_read_fraction=0.7,
-    slo_checkpoint_fraction=0.05,
-    slo_load_factors=(0.5, 0.8, 0.95),
-    slo_target_factor=4.0,
-    slo_workers=8,
-    slo_seed=77,
 )

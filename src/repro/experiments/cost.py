@@ -32,11 +32,11 @@ def memory_subsystem_cost(
     )
 
 
-def cost_analysis(
-    scale: ExperimentScale = SMALL,
-    *,
-    paper_dram_per_node_gib: float = 8.0,
-) -> ExperimentReport:
+#: DRAM per node at the paper's scale, in GiB.
+PAPER_DRAM_PER_NODE_GIB = 8.0
+
+
+def cost_analysis(scale: ExperimentScale = SMALL) -> ExperimentReport:
     """MM runtime vs provisioning cost across DRAM/NVM mixes.
 
     Costs are computed at *paper-scale* provisioning (8 GB DRAM/node,
@@ -74,7 +74,7 @@ def cost_analysis(
         # Node count includes remote benefactor hosts: they are real
         # machines the center must provision.
         nodes = y + (z if remote else 0)
-        cost = memory_subsystem_cost(nodes, paper_dram_per_node_gib, z)
+        cost = memory_subsystem_cost(nodes, PAPER_DRAM_PER_NODE_GIB, z)
         node_seconds = y * result.total  # the job's allocation charge
         rows[result.job_label] = (cost, result.total, node_seconds)
         report.add_row(

@@ -54,6 +54,11 @@ LIFECYCLE_SEED = 4321
 #: Epochs the GC pass keeps (newest N of the chain).
 GC_KEEP_LAST = 2
 
+#: Share of the variable's chunks rewritten between two checkpoints, the
+#: seed that picks them, and the async drain's staging budget (two chunks).
+MUTATE_FRACTION, MUTATE_SEED = 0.25, 3
+STAGING_BYTES = 2 * 256 * KiB
+
 _TAG = "app"
 
 
@@ -64,13 +69,10 @@ class _LegConfig:
     variable_bytes: int
     dram_state_bytes: int
     timesteps: int
-    mutate_fraction: float
     mode: str  # "full" | "incremental" | "async"
-    staging_bytes: int
     #: Initiate one extra async epoch and restore *before* its drain
     #: commits: the restart must fall back to the parent epoch.
     abandon_final: bool = False
-    seed: int = 3
 
 
 @dataclass
@@ -111,7 +113,7 @@ def _lifecycle_rank(
     assert ctx.nvmalloc is not None
     lib = ctx.nvmalloc
     engine = ctx.engine
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(MUTATE_SEED)
     chunk = lib.chunk_size
     nbytes = config.variable_bytes
     nchunks = -(-nbytes // chunk)
@@ -123,7 +125,7 @@ def _lifecycle_rank(
         yield from variable.write(i * chunk, bytes([i % 251]) * length)
 
     def mutate(step: int) -> Generator[Event, object, list[int]]:
-        n_mutate = max(1, int(round(config.mutate_fraction * nchunks)))
+        n_mutate = max(1, int(round(MUTATE_FRACTION * nchunks)))
         victims = sorted(
             int(v) for v in rng.choice(nchunks, size=n_mutate, replace=False)
         )
@@ -142,7 +144,7 @@ def _lifecycle_rank(
         if config.mode == "async":
             handle = yield from lib.ssdcheckpoint_async(
                 _TAG, step, dram_state, [("var", variable)],
-                staging_bytes=config.staging_bytes,
+                staging_bytes=STAGING_BYTES,
             )
             # Overlap writes racing the drain: touching a not-yet-drained
             # chunk forces a CoW capture; the checkpoint must still
@@ -198,7 +200,7 @@ def _lifecycle_rank(
         extra_expected = bytes(snapshot)
         extra_handle = yield from lib.ssdcheckpoint_async(
             _TAG, t, bytes([t % 251]) * config.dram_state_bytes,
-            [("var", variable)], staging_bytes=config.staging_bytes,
+            [("var", variable)], staging_bytes=STAGING_BYTES,
         )
 
     # Crash-restart: a fresh context with cold caches restores purely
@@ -276,9 +278,7 @@ def _leg_config(scale: ExperimentScale, mode: str, **kwargs) -> _LegConfig:
         variable_bytes=scale.lifecycle_variable,
         dram_state_bytes=scale.lifecycle_dram_state,
         timesteps=scale.lifecycle_timesteps,
-        mutate_fraction=scale.lifecycle_mutate_fraction,
         mode=mode,
-        staging_bytes=scale.lifecycle_staging_chunks * 256 * KiB,
         **kwargs,
     )
 

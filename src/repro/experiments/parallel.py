@@ -21,9 +21,9 @@ import resource
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro import obs
 from repro.experiments.cache_tiering import cache_tiering
@@ -47,39 +47,53 @@ from repro.experiments.tables import (
     table7,
 )
 
-#: The canonical experiment registry: name -> (driver, description).
-EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentReport], str]] = {
-    "table1": (table1, "Device characteristics"),
-    "fig2": (fig2, "STREAM TRIAD bandwidth by placement"),
-    "table3": (table3, "STREAM with vs without NVMalloc"),
-    "fig3": (fig3, "MM runtime breakdown across configurations"),
-    "fig4": (fig4, "Shared vs individual mmap files"),
-    "fig5": (fig5, "Row- vs column-major access"),
-    "table4": (table4, "Bytes exchanged app/FUSE/SSD"),
-    "table5": (table5, "Tile-size sweep"),
-    "fig6": (fig6, "MM beyond DRAM capacity"),
-    "table6": (table6, "Parallel sort"),
-    "table7": (table7, "Dirty-page write optimization"),
-    "checkpoint": (checkpoint_experiment, "Chunk-linked checkpointing"),
-    "cost": (cost_analysis, "Provisioning-cost analysis"),
-    "explicit": (explicit_vs_swap, "Explicit placement vs transparent swap"),
-    "faults": (faults, "Crash schedules under replication r in {1,2}"),
-    "cache_tiering": (
+class Experiment(NamedTuple):
+    """One registry entry: what is said once about an experiment."""
+
+    driver: Callable[..., ExperimentReport]
+    description: str
+    #: False: the driver takes no scale (Table I is a catalog identity).
+    scaled: bool = True
+    #: The pytest marker of its slow suite and CI determinism job, if any.
+    marker: str | None = None
+
+
+#: The one list of experiments: the CLI, the orchestrator, the package's
+#: re-exports and the census roots read it; the digest pins must match it.
+EXPERIMENTS: dict[str, Experiment] = {
+    "table1": Experiment(table1, "Device characteristics", scaled=False),
+    "fig2": Experiment(fig2, "STREAM TRIAD bandwidth by placement"),
+    "table3": Experiment(table3, "STREAM with vs without NVMalloc"),
+    "fig3": Experiment(fig3, "MM runtime breakdown across configurations"),
+    "fig4": Experiment(fig4, "Shared vs individual mmap files"),
+    "fig5": Experiment(fig5, "Row- vs column-major access"),
+    "table4": Experiment(table4, "Bytes exchanged app/FUSE/SSD"),
+    "table5": Experiment(table5, "Tile-size sweep"),
+    "fig6": Experiment(fig6, "MM beyond DRAM capacity"),
+    "table6": Experiment(table6, "Parallel sort"),
+    "table7": Experiment(table7, "Dirty-page write optimization"),
+    "checkpoint": Experiment(checkpoint_experiment, "Chunk-linked checkpointing"),
+    "cost": Experiment(cost_analysis, "Provisioning-cost analysis"),
+    "explicit": Experiment(explicit_vs_swap, "Explicit placement vs transparent swap"),
+    "faults": Experiment(
+        faults, "Crash schedules under replication r in {1,2}", marker="faults"
+    ),
+    "cache_tiering": Experiment(
         cache_tiering,
         "Client cache hierarchy ablation: lru-vs-arc, tier on/off, prefetch",
+        marker="cache",
     ),
-    "ckpt_lifecycle": (
+    "ckpt_lifecycle": Experiment(
         ckpt_lifecycle,
         "Checkpoint chains, async drain, crash-restart recovery",
+        marker="lifecycle",
     ),
-    "slo_traffic": (
+    "slo_traffic": Experiment(
         slo_traffic,
         "Open-loop load-latency curve, knee, and SLO under failure",
+        marker="slo",
     ),
 }
-
-#: Drivers that take no scale argument.
-SCALELESS = frozenset({"table1"})
 
 #: Counter prefixes that pin the virtual byte flows of the memory stack.
 COUNTER_PREFIXES = ("pagecache.", "fuse.", "store.client.")
@@ -138,9 +152,9 @@ def execute_experiment(
 ) -> tuple[ExperimentReport, int]:
     """Run one driver, folding its testbeds' byte-flow counters into the
     report; returns the report and how many testbeds were built."""
-    driver, _ = EXPERIMENTS[name]
+    entry = EXPERIMENTS[name]
     with track_testbeds() as tracker:
-        report = driver() if name in SCALELESS else driver(scale)
+        report = entry.driver(scale) if entry.scaled else entry.driver()
     counters: dict[str, float] = {}
     for testbed in tracker.testbeds:
         for prefix in COUNTER_PREFIXES:
@@ -168,26 +182,22 @@ def _run_payload(name: str, scale: ExperimentScale) -> dict[str, object]:
     results of its siblings.
     """
     start = time.perf_counter()
+    payload: dict[str, object] = {"name": name, "testbeds": 0}
     try:
         report, testbeds = execute_experiment(name, scale)
+        payload.update(
+            report=report.to_payload(), digest=report.digest(), testbeds=testbeds
+        )
     except Exception:
-        return {
-            "name": name,
-            "error": traceback.format_exc(),
-            "wall_seconds": time.perf_counter() - start,
-            "peak_rss_bytes": _peak_rss_bytes(),
-            "worker": f"pid-{os.getpid()}",
-            "testbeds": 0,
-        }
-    return {
-        "name": name,
-        "report": report.to_payload(),
-        "digest": report.digest(),
-        "wall_seconds": time.perf_counter() - start,
-        "peak_rss_bytes": _peak_rss_bytes(),
-        "worker": f"pid-{os.getpid()}",
-        "testbeds": testbeds,
-    }
+        # Broad on purpose: the boundary that keeps the matrix running.
+        # Whatever a driver raises is this experiment's failed outcome.
+        payload["error"] = traceback.format_exc()
+    payload.update(
+        wall_seconds=time.perf_counter() - start,
+        peak_rss_bytes=_peak_rss_bytes(),
+        worker=f"pid-{os.getpid()}",
+    )
+    return payload
 
 
 def mp_context():
@@ -237,10 +247,9 @@ class Orchestrator:
         if self.jobs == 1 or len(misses) <= 1:
             for name, key in misses:
                 self._finish(outcomes, _run_payload(name, scale), key)
-        elif misses:
-            workers = min(self.jobs, len(misses))
+        else:
             with ProcessPoolExecutor(
-                max_workers=workers, mp_context=mp_context()
+                max_workers=min(self.jobs, len(misses)), mp_context=mp_context()
             ) as pool:
                 futures = {
                     pool.submit(_run_payload, name, scale): (name, key)
@@ -250,7 +259,9 @@ class Orchestrator:
                     name, key = futures[future]
                     try:
                         payload = future.result()
-                    except Exception as exc:  # worker process died outright
+                    except BrokenExecutor as exc:
+                        # The worker died outright (killed, out of memory);
+                        # ``_run_payload`` folds whatever a driver raises.
                         payload = {
                             "name": name,
                             "error": f"worker crashed: {exc!r}",
@@ -291,52 +302,41 @@ class Orchestrator:
         key: str | None,
     ) -> None:
         name = payload["name"]
-        if "error" in payload:
-            outcome = RunOutcome(
-                name=name,
-                report=None,
-                digest=None,
-                verified=False,
-                wall_seconds=payload["wall_seconds"],
-                peak_rss_bytes=payload["peak_rss_bytes"],
-                cache_hit=False,
-                worker=payload["worker"],
-                testbeds=payload["testbeds"],
-                error=payload["error"],
-            )
-        else:
+        report = None
+        if "error" not in payload:
             report = ExperimentReport.from_payload(payload["report"])
-            outcome = RunOutcome(
-                name=name,
+        outcome = RunOutcome(
+            name=name,
+            report=report,
+            digest=payload.get("digest"),
+            verified=report is not None and report.verified,
+            wall_seconds=payload["wall_seconds"],
+            peak_rss_bytes=payload["peak_rss_bytes"],
+            cache_hit=False,
+            worker=payload["worker"] if report is None or self.jobs > 1 else "serial",
+            testbeds=payload["testbeds"],
+            error=payload.get("error"),
+        )
+        if report is not None and self.cache is not None and key is not None:
+            self.cache.put(
+                key,
+                experiment=name,
+                scale=self._scale_name,
                 report=report,
-                digest=payload["digest"],
-                verified=report.verified,
-                wall_seconds=payload["wall_seconds"],
-                peak_rss_bytes=payload["peak_rss_bytes"],
-                cache_hit=False,
-                worker="serial" if self.jobs == 1 else payload["worker"],
-                testbeds=payload["testbeds"],
+                telemetry={
+                    "wall_seconds": outcome.wall_seconds,
+                    "peak_rss_bytes": outcome.peak_rss_bytes,
+                    "testbeds": outcome.testbeds,
+                    "worker": outcome.worker,
+                },
             )
-            if self.cache is not None and key is not None:
-                self.cache.put(
-                    key,
-                    experiment=name,
-                    scale=self._scale_name,
-                    report=report,
-                    telemetry={
-                        "wall_seconds": outcome.wall_seconds,
-                        "peak_rss_bytes": outcome.peak_rss_bytes,
-                        "testbeds": outcome.testbeds,
-                        "worker": outcome.worker,
-                    },
-                )
         outcomes[name] = outcome
         if self.on_result:
             self.on_result(outcome)
 
 
 def check_identity(
-    names: list[str], scale: ExperimentScale, jobs: int = 2
+    names: list[str], scale: ExperimentScale, jobs: int
 ) -> tuple[bool, dict[str, tuple[str | None, str | None]]]:
     """Prove fan-out safety: serial and parallel digests must coincide.
 
@@ -360,10 +360,10 @@ def check_identity(
 __all__ = [
     "COUNTER_PREFIXES",
     "EXPERIMENTS",
+    "Experiment",
     "MatrixResult",
     "Orchestrator",
     "RunOutcome",
-    "SCALELESS",
     "Testbed",
     "check_identity",
     "execute_experiment",

@@ -24,7 +24,7 @@ differ in exactly one variable each:
    a slow replica inflating p99 without failing anything.
 
 The SLO target itself is derived from the measured baseline — the 0.5×
-leg's p99 times ``scale.slo_target_factor`` — so every verdict is
+leg's p99 times :data:`TARGET_FACTOR` — so every verdict is
 relative to this testbed, never a hand-tuned constant.  All randomness
 (arrivals, sizes, keys, fault times) comes from seeded generators; the
 whole report digests bit-identically across repeats, hash seeds, and the
@@ -71,6 +71,13 @@ SLOW_RATE_FACTOR = 8.0
 #: as "SLO attained" (the r=2 ride-through gate).
 ATTAIN_THRESHOLD = 0.9
 
+#: The request sequence every leg offers (seed, length, mix), the sweep's
+#: loads over measured capacity, the SLO target over the lightest p99.
+SCHEDULE_SEED, REQUESTS_PER_CLIENT = 77, 4
+READ_FRACTION, CHECKPOINT_FRACTION = 0.7, 0.05
+LOAD_FACTORS = (0.5, 0.8, 0.95)
+TARGET_FACTOR = 4.0
+
 
 @dataclass
 class _Leg:
@@ -114,7 +121,7 @@ def _run_leg(
         testbed.engine.process(plan.inject(job.manager))
     swarm = ClientSwarm(job, SwarmConfig(region_bytes=scale.slo_region_bytes))
     if closed:
-        result = swarm.closed_loop(schedule, workers=scale.slo_workers)
+        result = swarm.closed_loop(schedule)
     else:
         result = swarm.open_loop(schedule)
     manager = job.manager
@@ -187,6 +194,15 @@ def _row(report: ExperimentReport, leg: _Leg, summary: SloSummary) -> None:
     )
 
 
+def _unit_schedule(scale: ExperimentScale, process: MMPPProcess | None):
+    """The request sequence at unit rate (``None``: Poisson arrivals)."""
+    return build_schedule(
+        SCHEDULE_SEED, scale.slo_clients, REQUESTS_PER_CLIENT, process=process,
+        keys=ZipfKeys(num_keys=scale.slo_num_keys),
+        read_fraction=READ_FRACTION, checkpoint_fraction=CHECKPOINT_FRACTION,
+    )
+
+
 def slo_traffic(scale: ExperimentScale = SMALL) -> ExperimentReport:
     """Offered load × replication × faults: the load-latency curve, its
     knee, and SLO verdicts under a mid-run crash and a slow replica."""
@@ -198,14 +214,7 @@ def slo_traffic(scale: ExperimentScale = SMALL) -> ExperimentReport:
             "p50 ms", "p99 ms", "p99.9 ms", "Attain %", "Errors",
         ],
     )
-    unit = build_schedule(
-        scale.slo_seed,
-        scale.slo_clients,
-        scale.slo_requests_per_client,
-        keys=ZipfKeys(num_keys=scale.slo_num_keys),
-        read_fraction=scale.slo_read_fraction,
-        checkpoint_fraction=scale.slo_checkpoint_fraction,
-    )
+    unit = _unit_schedule(scale, None)
     names = _benefactor_names(scale)
 
     # 1. Closed-loop calibration: the capacity the sweep is offered
@@ -216,23 +225,15 @@ def slo_traffic(scale: ExperimentScale = SMALL) -> ExperimentReport:
 
     # 2. Open-loop load sweep at r=1.
     sweep: list[_Leg] = []
-    for factor in scale.slo_load_factors:
+    for factor in LOAD_FACTORS:
         schedule = unit.at_rate(factor * capacity)
         sweep.append(
             _run_leg(scale, "poisson sweep", 1, f"{factor:.2f}x", schedule)
         )
 
     # 3. Bursty arrivals at the same mean rate as the middle sweep leg.
-    mid = scale.slo_load_factors[1]
-    bursty_unit = build_schedule(
-        scale.slo_seed,
-        scale.slo_clients,
-        scale.slo_requests_per_client,
-        process=MMPPProcess(),
-        keys=ZipfKeys(num_keys=scale.slo_num_keys),
-        read_fraction=scale.slo_read_fraction,
-        checkpoint_fraction=scale.slo_checkpoint_fraction,
-    )
+    mid = LOAD_FACTORS[1]
+    bursty_unit = _unit_schedule(scale, MMPPProcess())
     burst = _run_leg(
         scale, "mmpp burst", 1, f"{mid:.2f}x", bursty_unit.at_rate(mid * capacity)
     )
@@ -256,7 +257,7 @@ def slo_traffic(scale: ExperimentScale = SMALL) -> ExperimentReport:
     # p99 times the scale's headroom factor.  Summaries are pure folds,
     # so deriving the target after all legs ran changes nothing upstream.
     low_summary = summarize(sweep[0].result.records, slo_target=float("inf"))
-    slo_target = scale.slo_target_factor * low_summary.p99
+    slo_target = TARGET_FACTOR * low_summary.p99
     summaries = {
         id(leg): summarize(
             leg.result.records, slo_target=slo_target, duration=leg.result.duration
@@ -277,7 +278,7 @@ def slo_traffic(scale: ExperimentScale = SMALL) -> ExperimentReport:
         range(1, len(sweep)),
         key=lambda i: p99s[i] / p99s[i - 1] if p99s[i - 1] > 0 else 0.0,
     )
-    knee_load = scale.slo_load_factors[knee_index]
+    knee_load = LOAD_FACTORS[knee_index]
 
     # r=2 must ride through the crash with the SLO attained; r=1 must
     # *report* violations (failed requests), not crash the experiment.
@@ -307,8 +308,7 @@ def slo_traffic(scale: ExperimentScale = SMALL) -> ExperimentReport:
         "a disaggregated memory service must hold its latency SLO as "
         "offered load approaches capacity (open-loop tail, not makespan)",
         f"p99 rose monotonically {1e3 * p99s[0]:.3f} -> {1e3 * p99s[-1]:.3f} ms "
-        f"over {scale.slo_load_factors[0]:.2f}x-"
-        f"{scale.slo_load_factors[-1]:.2f}x of the measured "
+        f"over {LOAD_FACTORS[0]:.2f}x-{LOAD_FACTORS[-1]:.2f}x of the measured "
         f"{capacity:.0f} req/s capacity; knee at {knee_load:.2f}x "
         f"(SLO target {1e3 * slo_target:.3f} ms)",
     )

@@ -138,7 +138,6 @@ def table4(scale: ExperimentScale = SMALL) -> ExperimentReport:
 # ----------------------------------------------------------------------
 def table5(
     scale: ExperimentScale = SMALL,
-    tiles: tuple[int, ...] = (16, 32, 64, 128),
     config: tuple[int, int, int, bool] = (8, 16, 16, False),
 ) -> ExperimentReport:
     """MM compute time vs tile size, row- and column-major."""
@@ -150,6 +149,7 @@ def table5(
     col_times: list[float] = []
     row_times: list[float] = []
     x, y, z, remote = config
+    tiles = (16, 32, 64, 128)
     for tile in tiles:
         times = {}
         for order in ("row", "column"):

@@ -134,10 +134,9 @@ class FaultPlan:
         windows: "dict[str, tuple[float, float]]",
         phase: str,
         *,
-        crashes: int = 1,
         position: tuple[float, float] = (0.25, 0.75),
     ) -> "FaultPlan":
-        """Seeded crashes inside a *named phase window*.
+        """One seeded crash inside a *named phase window*.
 
         ``windows`` maps phase names to ``(start, stop)`` virtual-time
         intervals, typically measured from a fault-free baseline run
@@ -165,7 +164,7 @@ class FaultPlan:
         return cls.seeded(
             seed,
             benefactor_names,
-            crashes=crashes,
+            crashes=1,
             slowdowns=0,
             window=(start + lo * span, start + hi * span),
         )

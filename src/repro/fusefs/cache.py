@@ -51,7 +51,6 @@ from repro.sim.resources import Resource
 from repro.store.chunk import CHUNK_SIZE, PAGE_SIZE
 from repro.store.client import StoreClient
 from repro.util.intervals import IntervalSet
-from repro.util.recorder import MetricsRecorder
 
 
 @dataclass
@@ -179,7 +178,6 @@ class ChunkCache:
         local_cache_bytes: int = 0,
         prefetch: str = "fixed",
         prefetch_depth: int = 8,
-        metrics: MetricsRecorder | None = None,
     ) -> None:
         if capacity_bytes < chunk_size:
             raise FuseError(
@@ -199,7 +197,7 @@ class ChunkCache:
         self.capacity_chunks = capacity_bytes // chunk_size
         self.dirty_page_writeback = dirty_page_writeback
         self.readahead_chunks = readahead_chunks
-        self.metrics = metrics if metrics is not None else client.metrics
+        self.metrics = client.metrics
         self.stats = CacheStats()
         self.policy_name = policy
         # None for "lru": plain LRU is the entry dict's own order, so the
@@ -210,7 +208,7 @@ class ChunkCache:
                 client.node,
                 capacity_bytes=local_cache_bytes,
                 chunk_size=chunk_size,
-                metrics=metrics if metrics is not None else client.metrics,
+                metrics=self.metrics,
             )
             if local_cache_bytes
             else None
@@ -699,10 +697,12 @@ class ChunkCache:
                             path, index, entry, prefetch=prefetch
                         )
                     except BaseException:
-                        # Nobody will unpin for us: callers enter their
-                        # ``finally: entry.pins -= 1`` only once _load
-                        # has returned, and a pinned entry is never a
-                        # victim.  Unpinned, the empty entry ages out.
+                        # Nobody else unpins: callers enter their
+                        # ``finally: entry.pins -= 1`` only once _load has
+                        # returned, and a pinned entry is never a victim
+                        # (unpinned, the empty one ages out).  Broad as a
+                        # ``finally`` for failure is: a process closed
+                        # mid-fill (GeneratorExit) must drop its pin too.
                         entry.pins -= 1
                         raise
                 if first_attempt:
@@ -792,8 +792,8 @@ class ChunkCache:
             if fetch:
                 try:
                     yield from self._fill(path, index, entry, prefetch=prefetch)
-                except BaseException:
-                    entry.pins -= 1  # as above: a failed fill pins nothing
+                except BaseException:  # as above, GeneratorExit included
+                    entry.pins -= 1  # a failed fill pins nothing
                     raise
             return entry
 

@@ -35,7 +35,7 @@ from collections import OrderedDict
 from collections.abc import Generator
 
 from repro.devices.base import AccessKind
-from repro.devices.specs import INTEL_X25E, DeviceSpec
+from repro.devices.specs import INTEL_X25E
 from repro.devices.ssd import SSD
 from repro.errors import FuseError
 from repro.sim.events import Event
@@ -64,7 +64,6 @@ class LocalCacheTier:
         *,
         capacity_bytes: int,
         chunk_size: int,
-        spec: DeviceSpec | None = None,
         metrics: MetricsRecorder | None = None,
     ) -> None:
         if capacity_bytes < chunk_size:
@@ -74,10 +73,9 @@ class LocalCacheTier:
             )
         self.chunk_size = chunk_size
         self.capacity_chunks = capacity_bytes // chunk_size
-        if spec is None:
-            # Same silicon as the node's contributed SSD when it has one;
-            # the catalog's SATA SLC drive otherwise.
-            spec = node.ssd.spec if node.has_ssd else INTEL_X25E
+        # Same silicon as the node's contributed SSD when it has one;
+        # the catalog's SATA SLC drive otherwise.
+        spec = node.ssd.spec if node.has_ssd else INTEL_X25E
         self.device = SSD(
             node.engine,
             spec.partition(f"{spec.name} cache partition", capacity_bytes),

@@ -71,7 +71,6 @@ class FuseMount:
             local_cache_bytes=local_cache_bytes,
             prefetch=prefetch,
             prefetch_depth=prefetch_depth,
-            metrics=self.metrics,
         )
         self.chunk_size = chunk_size
         self._fds: dict[int, _OpenFile] = {}

@@ -55,20 +55,14 @@ class SwapSpace:
         *,
         resident_bytes: int,
         swap_bytes: int | None = None,
-        page_size: int = PAGE_SIZE,
-        readahead_pages: int = SWAP_READAHEAD_PAGES,
-        fault_overhead: float = FAULT_OVERHEAD,
     ) -> None:
         if node.ssd is None:
             raise DeviceError(f"{node.name} has no SSD to swap to")
-        if resident_bytes < page_size:
+        if resident_bytes < PAGE_SIZE:
             raise CapacityError("residency budget below one page")
         self.node = node
         self.ssd = node.ssd
-        self.page_size = page_size
-        self.readahead_pages = max(1, readahead_pages)
-        self.fault_overhead = fault_overhead
-        self.capacity_pages = resident_bytes // page_size
+        self.capacity_pages = resident_bytes // PAGE_SIZE
         node.dram.allocate(resident_bytes)
         self.swap_bytes = (
             swap_bytes if swap_bytes is not None else self.ssd.logical_capacity
@@ -83,9 +77,9 @@ class SwapSpace:
 
     def _register(self, array: "SwappedArray") -> int:
         nbytes = array.nbytes
-        pages = -(-nbytes // self.page_size)
+        pages = -(-nbytes // PAGE_SIZE)
         base = self._next_slot
-        if (base + pages) * self.page_size > self.swap_bytes:
+        if (base + pages) * PAGE_SIZE > self.swap_bytes:
             raise CapacityError(
                 f"{self.node.name}: swap partition exhausted"
             )
@@ -98,27 +92,27 @@ class SwapSpace:
         (owner_id, page_idx), dirty = self._resident.popitem(last=False)
         if dirty:
             owner = self._owners[owner_id]
-            offset = (owner.swap_base + page_idx) * self.page_size
-            yield from self.ssd.write_extent(offset, self.page_size)
+            offset = (owner.swap_base + page_idx) * PAGE_SIZE
+            yield from self.ssd.write_extent(offset, PAGE_SIZE)
             self.swapouts += 1
 
     def fault_in(
         self, array: "SwappedArray", page_idx: int
     ) -> Generator[Event, object, None]:
         """Major fault: swap the page (plus read-ahead cluster) in."""
-        last_page = (array.nbytes - 1) // self.page_size
+        stop = min(page_idx + SWAP_READAHEAD_PAGES, (array.nbytes - 1) // PAGE_SIZE + 1)
         cluster = [
             p
-            for p in range(page_idx, min(page_idx + self.readahead_pages, last_page + 1))
+            for p in range(page_idx, stop)
             if (id(array), p) not in self._resident
         ]
         if not cluster:
             return
         self.major_faults += 1
         self.swapins += len(cluster)
-        offset = (array.swap_base + cluster[0]) * self.page_size
-        yield from self.ssd.read_extent(offset, len(cluster) * self.page_size)
-        overhead = self.fault_overhead
+        offset = (array.swap_base + cluster[0]) * PAGE_SIZE
+        yield from self.ssd.read_extent(offset, len(cluster) * PAGE_SIZE)
+        overhead = FAULT_OVERHEAD
         if overhead and not self.node.engine.advance(overhead):
             yield self.node.engine.timeout(overhead)
         for p in cluster:
@@ -161,8 +155,8 @@ class SwappedArray(Array):
         self._buffer = np.zeros(self.nbytes, dtype=np.uint8)
 
     def _pages(self, offset: int, length: int) -> tuple[int, int]:
-        first = offset // self.swap.page_size
-        last = (offset + max(length, 1) - 1) // self.swap.page_size
+        first = offset // PAGE_SIZE
+        last = (offset + max(length, 1) - 1) // PAGE_SIZE
         return first, last
 
     def read_bytes(self, offset: int, length: int) -> Generator[Event, object, bytes]:

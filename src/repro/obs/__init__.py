@@ -86,7 +86,7 @@ def report_lines(label: str, tracer: Tracer) -> list[str]:
         analysis = None
     if analysis is not None:
         lines.extend(analysis.table_lines())
-    lines.extend(latency_lines(tracer.spans, max_rows=10))
+    lines.extend(latency_lines(tracer.spans))
     return lines
 
 

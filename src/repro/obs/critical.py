@@ -47,18 +47,18 @@ class CriticalPath:
             for layer, seconds in rows
         ]
 
-    def table_lines(self, *, max_rows: int = 12) -> list[str]:
-        """A plain-text "where the time went" table."""
+    def table_lines(self) -> list[str]:
+        """A plain-text "where the time went" table (the twelve largest
+        layers, the rest summed)."""
         lines = [
             f"critical path of {self.root.layer}.{self.root.name} "
             f"(trace {self.root.trace_id}): makespan {self.makespan:.6f}s "
             f"across {len(self.chain)} chained spans"
         ]
         rows = self.shares()
-        shown = rows[:max_rows]
-        for layer, seconds, share in shown:
+        for layer, seconds, share in rows[:12]:
             lines.append(f"  {layer:<16s} {seconds:12.6f}s  {100 * share:5.1f}%")
-        hidden = rows[max_rows:]
+        hidden = rows[12:]
         if hidden:
             rest = sum(seconds for _, seconds, _ in hidden)
             lines.append(

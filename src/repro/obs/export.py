@@ -43,12 +43,12 @@ def latency_summary(
     return summary
 
 
-def latency_lines(spans: list[Span], *, max_rows: int = 20) -> list[str]:
-    """The latency summary as aligned text lines (microseconds)."""
+def latency_lines(spans: list[Span]) -> list[str]:
+    """The ten ops of most total latency, as aligned lines (microseconds)."""
     summary = latency_summary(spans)
     rows = sorted(
         summary.items(), key=lambda kv: (-kv[1]["total"], kv[0])
-    )[:max_rows]
+    )[:10]
     lines = [
         f"  {'layer.op':<28s} {'count':>8s} {'p50us':>10s} "
         f"{'p95us':>10s} {'p99us':>10s}"

@@ -196,11 +196,11 @@ class Communicator:
         return results
 
     def allgather(
-        self, data: object, *, rank: int, tag: int = 4_000
+        self, data: object, *, rank: int
     ) -> Generator[Event, object, list[object]]:
         """Gather to rank 0, then broadcast the full list."""
-        gathered = yield from self.gather(data, root=0, rank=rank, tag=tag)
-        result = yield from self.bcast(gathered, root=0, rank=rank, tag=tag + 1)
+        gathered = yield from self.gather(data, root=0, rank=rank, tag=4_000)
+        result = yield from self.bcast(gathered, root=0, rank=rank, tag=4_001)
         assert isinstance(result, list)
         return result
 

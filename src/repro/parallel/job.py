@@ -10,7 +10,7 @@ gives the DRAM-only baseline (no aggregate store is assembled).
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.cluster.cluster import Cluster
 from repro.core.nvmalloc import NVMalloc
@@ -67,6 +67,16 @@ class JobConfig:
         if not self.uses_nvm:
             return f"DRAM{xyz}"
         return ("R-SSD" if self.remote_ssd else "L-SSD") + xyz
+
+
+def _plus(total, stats):
+    """``total + stats`` field by field, as an instance of ``stats``'s
+    class: a counter added to a stats dataclass (or a subclass of one)
+    is summed without being named here."""
+    return type(stats)(**{
+        f.name: getattr(total, f.name, 0) + getattr(stats, f.name)
+        for f in fields(stats)
+    })
 
 
 class Job:
@@ -173,31 +183,10 @@ class Job:
         from repro.fusefs.cache import CacheStats
         from repro.mem.pagecache import PageCacheStats
 
-        chunk = CacheStats()
-        page = PageCacheStats()
+        chunk, page = CacheStats(), PageCacheStats()
         for nvm in self._nvmallocs.values():
-            cs = nvm.mount.cache.stats
-            chunk.hits += cs.hits
-            chunk.misses += cs.misses
-            chunk.fetched_bytes += cs.fetched_bytes
-            chunk.prefetched_bytes += cs.prefetched_bytes
-            chunk.writeback_bytes += cs.writeback_bytes
-            chunk.evictions += cs.evictions
-            chunk.dirty_evictions += cs.dirty_evictions
-            chunk.l2_hits += cs.l2_hits
-            chunk.prefetch_hits += cs.prefetch_hits
-            chunk.prefetches += cs.prefetches
-            chunk.l2_spill_bytes += cs.l2_spill_bytes
-            chunk.l2_promote_bytes += cs.l2_promote_bytes
-            chunk.store_fills += cs.store_fills
-            chunk.l2_fills += cs.l2_fills
-            chunk.store_fill_seconds += cs.store_fill_seconds
-            chunk.l2_fill_seconds += cs.l2_fill_seconds
-            ps = nvm.pagecache.stats
-            page.hits += ps.hits
-            page.misses += ps.misses
-            page.faulted_bytes += ps.faulted_bytes
-            page.writeback_bytes += ps.writeback_bytes
+            chunk = _plus(chunk, nvm.mount.cache.stats)
+            page = _plus(page, nvm.pagecache.stats)
         return chunk, page
 
     def nvmalloc_for(self, rank: int) -> NVMalloc:

@@ -1,10 +1,10 @@
 """A striped, disk-backed parallel file system model.
 
-``num_servers`` I/O servers each own one HDD; files are striped across
-servers in ``stripe_size`` units.  Clients reach the PFS over the cluster
-fabric through a single storage-network endpoint whose NIC models the
-shared ingress bottleneck of a central scratch system.  Payload bytes are
-real, so staged data round-trips exactly.
+``num_servers`` I/O servers each own one 7200 rpm HDD; files are striped
+across them in :data:`STRIPE_SIZE` units.  Clients reach the PFS over the
+cluster fabric through a single storage-network endpoint whose NIC models
+the shared ingress bottleneck of a central scratch system.  Payload bytes
+are real, so staged data round-trips exactly.
 """
 
 from __future__ import annotations
@@ -12,13 +12,15 @@ from __future__ import annotations
 from collections.abc import Generator
 
 from repro.devices.hdd import HDD
-from repro.devices.specs import HDD_7200RPM, DeviceSpec
 from repro.errors import StoreError
 from repro.network.fabric import Network
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 from repro.util.recorder import MetricsRecorder
 from repro.util.units import MiB
+
+#: Striping unit across the I/O servers.
+STRIPE_SIZE = 1 * MiB
 
 
 class ParallelFileSystem:
@@ -32,19 +34,16 @@ class ParallelFileSystem:
         network: Network,
         *,
         num_servers: int = 4,
-        stripe_size: int = 1 * MiB,
-        hdd_spec: DeviceSpec = HDD_7200RPM,
         metrics: MetricsRecorder | None = None,
     ) -> None:
         if num_servers < 1:
             raise StoreError("PFS needs at least one I/O server")
         self.engine = engine
         self.network = network
-        self.stripe_size = stripe_size
         self.metrics = metrics if metrics is not None else MetricsRecorder()
         self.nic = network.attach(self.ENDPOINT)
         self.servers = [
-            HDD(engine, hdd_spec, name=f"pfs.ost{i}", metrics=self.metrics)
+            HDD(engine, name=f"pfs.ost{i}", metrics=self.metrics)
             for i in range(num_servers)
         ]
         self._files: dict[str, bytearray] = {}
@@ -101,13 +100,13 @@ class ParallelFileSystem:
         end = offset + length
         nservers = len(self.servers)
         while cursor < end:
-            stripe_idx = cursor // self.stripe_size
-            in_stripe = cursor - stripe_idx * self.stripe_size
-            piece = min(self.stripe_size - in_stripe, end - cursor)
+            stripe_idx = cursor // STRIPE_SIZE
+            in_stripe = cursor - stripe_idx * STRIPE_SIZE
+            piece = min(STRIPE_SIZE - in_stripe, end - cursor)
             server = stripe_idx % nservers
             # Offset on the server's disk: stripes land contiguously per
             # server in round-robin order.
-            server_off = (stripe_idx // nservers) * self.stripe_size + in_stripe
+            server_off = (stripe_idx // nservers) * STRIPE_SIZE + in_stripe
             runs.append((server, server_off, piece))
             cursor += piece
         return runs

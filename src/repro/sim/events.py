@@ -10,11 +10,12 @@ Hot-path design notes (see docs/INTERNALS.md, "Event kernel"):
   * a ``list``      — pending, two or more callbacks in registration order
   * ``_PROCESSED``  — the event fired and its callbacks have run
 
-- Triggering with ``delay == 0`` (or a delay too small to advance the
-  float clock) appends the event to the engine's *now ring* instead of
-  the heap: no sequence number, no entry tuple, no heap sift.  The ring
-  is FIFO, which is exactly the schedule-order tie-break the heap's
-  ``seq`` field exists to provide.
+- ``succeed`` / ``fail`` trigger at the current instant, and a
+  ``Timeout`` whose delay is zero (or too small to advance the float
+  clock) fires at it: all of them append the event to the engine's *now
+  ring* instead of the heap: no sequence number, no entry tuple, no heap
+  sift.  The ring is FIFO, which is exactly the schedule-order tie-break
+  the heap's ``seq`` field exists to provide.
 
 - The engine's run loop drains each queue in uninterrupted runs (see
   ``engine.py``): the heap's run of events at the current instant, then
@@ -81,56 +82,27 @@ class Event:
         return self._value
 
     # ------------------------------------------------------------------
-    def succeed(self, value: object = None, *, delay: float = 0.0) -> "Event":
-        """Schedule this event to trigger with ``value`` after ``delay``."""
+    def succeed(self, value: object = None) -> "Event":
+        """Trigger this event with ``value``, at the current instant."""
         if self._scheduled:
             raise SimulationError(f"{self!r} has already been triggered")
-        engine = self.engine
-        if delay == 0.0:
-            self._value = value
-            self._ok = True
-            self._scheduled = True
-            engine._ring.append(self)
-        elif delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        else:
-            self._value = value
-            self._ok = True
-            self._scheduled = True
-            now = engine._now
-            time = now + delay
-            if time <= now:  # delay too small to advance the float clock
-                engine._ring.append(self)
-            else:
-                engine._seq += 1
-                heappush(engine._heap, (time, engine._seq, self))
+        self._value = value
+        self._ok = True
+        self._scheduled = True
+        self.engine._ring.append(self)
         return self
 
-    def fail(self, exception: BaseException, *, delay: float = 0.0) -> "Event":
-        """Schedule this event to trigger by raising ``exception``."""
+    def fail(self, exception: BaseException) -> "Event":
+        """Trigger this event, at the current instant, by raising
+        ``exception`` in whoever waits on it."""
         if not isinstance(exception, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exception!r}")
         if self._scheduled:
             raise SimulationError(f"{self!r} has already been triggered")
-        engine = self.engine
-        if delay == 0.0:
-            self._value = exception
-            self._ok = False
-            self._scheduled = True
-            engine._ring.append(self)
-        elif delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        else:
-            self._value = exception
-            self._ok = False
-            self._scheduled = True
-            now = engine._now
-            time = now + delay
-            if time <= now:
-                engine._ring.append(self)
-            else:
-                engine._seq += 1
-                heappush(engine._heap, (time, engine._seq, self))
+        self._value = exception
+        self._ok = False
+        self._scheduled = True
+        self.engine._ring.append(self)
         return self
 
     def conclude(self, value: object = None) -> "Event":

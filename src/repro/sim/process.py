@@ -28,7 +28,6 @@ class Process(Event):
         self,
         engine: "Engine",
         generator: Generator[Event, object, object],
-        name: str | None = None,
     ) -> None:
         if not isinstance(generator, Generator):
             raise SimulationError(
@@ -42,7 +41,7 @@ class Process(Event):
         self._scheduled = False
         self._generator = generator
         self._waiting_on: Event | None = None
-        self.name = name or getattr(generator, "__name__", "process")
+        self.name = getattr(generator, "__name__", "process")
         # One bound method for the process's whole life: registering the
         # resume callback happens on every yield, and binding allocates.
         # With a tracer attached, the traced variant swaps the tracer's

@@ -188,8 +188,7 @@ class Resource:
         """Generator: hold one slot for ``duration`` virtual seconds.
 
         Usage inside a process: ``yield from resource.use(t)``.  The slot
-        (or queue position) is given back even if the caller is aborted
-        while waiting for the grant.
+        (or queue position) is given back however the caller is aborted.
         """
         req = self.acquire_now()
         try:
@@ -199,11 +198,12 @@ class Resource:
             if not self.engine.advance(duration):
                 yield self.engine.timeout(duration)
         except BaseException:
+            # Broad: Interrupt, a thrown failure, or GeneratorExit (closed
+            # while queued) — a request left behind would hold its slot.
             self.cancel(req)
             raise
         else:
-            # Happy path: the grant fired, so the slot is held — release
-            # directly instead of re-deriving that through cancel().
+            # The grant fired, so the slot is held: no need for cancel().
             self.release(req)
 
     def __repr__(self) -> str:

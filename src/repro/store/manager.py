@@ -86,7 +86,6 @@ class Manager:
         node: Node,
         *,
         chunk_size: int = CHUNK_SIZE,
-        striping: StripingPolicy | None = None,
         metrics: MetricsRecorder | None = None,
         replication: int = 1,
     ) -> None:
@@ -94,7 +93,8 @@ class Manager:
             raise StoreError(f"replication degree must be >= 1, got {replication}")
         self.node = node
         self.chunk_size = chunk_size
-        self.striping = striping if striping is not None else RoundRobinStriping()
+        #: Placement policy; an ablation swaps it on the built manager.
+        self.striping: StripingPolicy = RoundRobinStriping()
         self.metrics = metrics if metrics is not None else node.metrics
         self.replication = replication
         self._benefactors: dict[str, Benefactor] = {}
@@ -916,7 +916,7 @@ class Manager:
         record = self.epoch_record(tag, epoch)
         record.pins = max(0, record.pins - 1)
 
-    def gc_candidates(self, tag: str, *, keep_last: int = 1) -> tuple[int, ...]:
+    def gc_candidates(self, tag: str, *, keep_last: int) -> tuple[int, ...]:
         """Committed epochs of ``tag`` eligible for garbage collection.
 
         Keeps the newest ``keep_last`` committed epochs, every pinned

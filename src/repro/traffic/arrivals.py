@@ -32,57 +32,42 @@ OP_READ, OP_WRITE, OP_CKPT = 0, 1, 2
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PoissonProcess:
-    """Memoryless arrivals: exponential interarrivals at ``rate``."""
-
-    rate: float = 1.0
+    """Memoryless arrivals: exponential interarrivals of mean 1."""
 
     def interarrivals(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.rate <= 0:
-            raise NVMallocError(f"arrival rate must be positive, got {self.rate}")
-        return rng.exponential(1.0 / self.rate, size=n)
+        return rng.exponential(1.0, size=n)
 
 
 @dataclass(frozen=True)
 class DeterministicProcess:
-    """Clockwork arrivals: constant spacing ``1/rate``."""
-
-    rate: float = 1.0
+    """Clockwork arrivals: constant spacing 1."""
 
     def interarrivals(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.rate <= 0:
-            raise NVMallocError(f"arrival rate must be positive, got {self.rate}")
-        return np.full(n, 1.0 / self.rate, dtype=np.float64)
+        return np.full(n, 1.0, dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class MMPPProcess:
     """Two-state Markov-modulated Poisson process (bursty on-off traffic).
 
-    The process alternates between an *on* state firing at ``on_rate``
-    and an *off* state firing at ``off_rate``, with exponential dwell
-    times of mean ``mean_on`` / ``mean_off`` seconds.  Rates are chosen
-    so the long-run mean equals the nominal ``rate`` when
-    ``on_rate/off_rate`` are left at their defaults: the on state fires
-    ``burstiness`` times faster than the off state.
+    The process alternates between an *on* state and an *off* state with
+    exponential dwell times of mean :attr:`MEAN_ON` / :attr:`MEAN_OFF`
+    seconds; the on state fires :attr:`BURSTINESS` times faster than the
+    off state, and the two rates are solved so the long-run mean rate
+    is 1.
     """
 
-    rate: float = 1.0
-    burstiness: float = 4.0
-    mean_on: float = 2.0
-    mean_off: float = 6.0
+    BURSTINESS = 4.0
+    MEAN_ON = 2.0
+    MEAN_OFF = 6.0
 
     def interarrivals(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.rate <= 0 or self.burstiness < 1.0:
-            raise NVMallocError(
-                f"need rate > 0 and burstiness >= 1, got "
-                f"{self.rate}, {self.burstiness}"
-            )
-        # Solve for state rates that preserve the nominal mean rate:
-        # time-weighted average of on/off rates equals ``rate``.
-        on_share = self.mean_on / (self.mean_on + self.mean_off)
-        base = self.rate / (on_share * self.burstiness + (1.0 - on_share))
-        state_rate = (self.burstiness * base, base)  # (on, off)
-        state_mean = (self.mean_on, self.mean_off)
+        # Solve for state rates that preserve the unit mean rate: the
+        # time-weighted average of on/off rates equals 1.
+        on_share = self.MEAN_ON / (self.MEAN_ON + self.MEAN_OFF)
+        base = 1.0 / (on_share * self.BURSTINESS + (1.0 - on_share))
+        state_rate = (self.BURSTINESS * base, base)  # (on, off)
+        state_mean = (self.MEAN_ON, self.MEAN_OFF)
         out = np.empty(n, dtype=np.float64)
         filled = 0
         state = 0  # deterministically start in the on state
@@ -116,39 +101,39 @@ ArrivalProcess = PoissonProcess | DeterministicProcess | MMPPProcess
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ParetoSizes:
-    """Heavy-tailed object sizes: ``lo * (1 + Pareto(alpha))`` clipped to
+    """Heavy-tailed object sizes: ``lo * (1 + Pareto(ALPHA))`` clipped to
     ``hi`` — most requests small, a fat tail of large ones."""
 
-    alpha: float = 1.3
+    ALPHA = 1.3
+
     lo: int = 256
     hi: int = 64 * 1024
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if not (self.alpha > 0 and 0 < self.lo <= self.hi):
-            raise NVMallocError(
-                f"bad Pareto sampler ({self.alpha}, {self.lo}, {self.hi})"
-            )
-        sizes = self.lo * (1.0 + rng.pareto(self.alpha, size=n))
+        if not 0 < self.lo <= self.hi:
+            raise NVMallocError(f"bad Pareto sampler ({self.lo}, {self.hi})")
+        sizes = self.lo * (1.0 + rng.pareto(self.ALPHA, size=n))
         return np.minimum(sizes, self.hi).astype(np.int64)
 
 
 @dataclass(frozen=True)
 class ZipfKeys:
-    """Bounded Zipf(s) popularity over ``num_keys`` keys.
+    """Bounded Zipf(:attr:`S`) popularity over ``num_keys`` keys.
 
-    Implemented by inverse-CDF lookup over the normalized ``1/k^s``
+    Implemented by inverse-CDF lookup over the normalized ``1/k^S``
     weights (``np.random.Generator.zipf`` is unbounded), so every draw
     is a valid key index and the distribution is exact at any size.
     """
 
+    S = 1.1
+
     num_keys: int
-    s: float = 1.1
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.num_keys <= 0 or self.s < 0:
-            raise NVMallocError(f"bad Zipf sampler ({self.num_keys}, {self.s})")
+        if self.num_keys <= 0:
+            raise NVMallocError(f"bad Zipf sampler ({self.num_keys})")
         weights = 1.0 / np.power(
-            np.arange(1, self.num_keys + 1, dtype=np.float64), self.s
+            np.arange(1, self.num_keys + 1, dtype=np.float64), self.S
         )
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
@@ -218,7 +203,6 @@ def build_schedule(
     per_client: int,
     *,
     process: ArrivalProcess | None = None,
-    sizes: ParetoSizes | None = None,
     keys: ZipfKeys | None = None,
     read_fraction: float = 0.7,
     checkpoint_fraction: float = 0.0,
@@ -241,7 +225,7 @@ def build_schedule(
     if read_fraction + checkpoint_fraction > 1.0:
         raise NVMallocError("read + checkpoint fractions exceed 1")
     process = process if process is not None else PoissonProcess()
-    sizes = sizes if sizes is not None else ParetoSizes()
+    sizes = ParetoSizes()
     keys = keys if keys is not None else ZipfKeys(num_keys=64)
 
     streams = np.random.SeedSequence(seed).spawn(num_clients)

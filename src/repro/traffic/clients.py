@@ -12,11 +12,11 @@ mmap → page-cache → chunk-cache → store stack, two ways:
   behind a saturated device or a crashed benefactor therefore lands in
   the request's measured latency instead of silently throttling the
   offered load.
-- :meth:`ClientSwarm.closed_loop` — the calibration mode: ``workers``
-  processes drain the same request sequence back-to-back.  Sustained
-  completions per virtual second under closed loop is the measured
-  *capacity* the ``slo_traffic`` experiment expresses offered load
-  against (0.5×/0.8×/0.95×).
+- :meth:`ClientSwarm.closed_loop` — the calibration mode:
+  :data:`CLOSED_LOOP_WORKERS` processes drain the same request sequence
+  back-to-back.  Sustained completions per virtual second under closed
+  loop is the measured *capacity* the ``slo_traffic`` experiment
+  expresses offered load against (0.5×/0.8×/0.95×).
 
 Clients are not ranks: a swarm of thousands of clients shares the job's
 per-node NVMalloc contexts (client → node by id modulo node count), so
@@ -41,6 +41,8 @@ from repro.traffic.arrivals import OP_READ, OP_WRITE, RequestSchedule
 from repro.traffic.slo import RequestRecord
 from repro.util.units import MiB
 
+CLOSED_LOOP_WORKERS = 8  #: concurrent pullers of the calibration pass
+
 
 @dataclass(frozen=True)
 class SwarmConfig:
@@ -50,13 +52,12 @@ class SwarmConfig:
     key_stride: int = 4096  # byte offset between adjacent keys
     checkpoint_bytes: int = 4096  # DRAM image size cap for OP_CKPT requests
     owner: str = "slo"  # allocation owner / checkpoint tag prefix
-    closed_loop_workers: int = 8  # default calibration concurrency
 
     def __post_init__(self) -> None:
         if self.region_bytes <= 0 or self.key_stride <= 0:
             raise NVMallocError("swarm region and key stride must be positive")
-        if self.checkpoint_bytes <= 0 or self.closed_loop_workers <= 0:
-            raise NVMallocError("swarm checkpoint size and workers must be positive")
+        if self.checkpoint_bytes <= 0:
+            raise NVMallocError("swarm checkpoint size must be positive")
 
 
 @dataclass
@@ -219,17 +220,14 @@ class ClientSwarm:
     # ------------------------------------------------------------------
     # Closed loop: capacity calibration
     # ------------------------------------------------------------------
-    def closed_loop(
-        self, schedule: RequestSchedule, *, workers: int | None = None
-    ) -> SwarmResult:
-        """Drain ``schedule``'s requests back-to-back with ``workers``
+    def closed_loop(self, schedule: RequestSchedule) -> SwarmResult:
+        """Drain ``schedule`` back-to-back with :data:`CLOSED_LOOP_WORKERS`
         concurrent pullers; the resulting completion rate is the measured
         capacity that anchors the offered-load sweep."""
         self._ensure_setup()
         engine = self.engine
         run_id = next(self._run_seq)
         n = len(schedule)
-        workers = workers if workers is not None else self.config.closed_loop_workers
         records: list[RequestRecord] = []
         base = engine.now
         cursor = itertools.count()
@@ -243,7 +241,9 @@ class ClientSwarm:
                     run_id, index, schedule, engine.now, records
                 )
 
-        engine.run_all([engine.process(worker()) for _ in range(min(workers, n))])
+        engine.run_all(
+            [engine.process(worker()) for _ in range(min(CLOSED_LOOP_WORKERS, n))]
+        )
         return SwarmResult(
             records=records,
             issued=n,

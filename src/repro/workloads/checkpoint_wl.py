@@ -20,6 +20,9 @@ from repro.parallel.comm import RankContext
 from repro.parallel.job import Job
 from repro.sim.events import Event
 
+MUTATE_FRACTION = 0.25  #: share of the chunks touched per timestep
+SEED = 3  #: of the draw that picks them
+
 
 @dataclass(frozen=True)
 class CheckpointWorkloadConfig:
@@ -28,14 +31,10 @@ class CheckpointWorkloadConfig:
     variable_bytes: int
     dram_state_bytes: int
     timesteps: int = 4
-    mutate_fraction: float = 0.25  # fraction of chunks touched per step
-    seed: int = 3
 
     def __post_init__(self) -> None:
         if self.variable_bytes <= 0 or self.dram_state_bytes < 0:
             raise NVMallocError("bad sizes")
-        if not 0.0 <= self.mutate_fraction <= 1.0:
-            raise NVMallocError("mutate_fraction must be in [0, 1]")
 
 
 @dataclass
@@ -68,7 +67,7 @@ def _checkpoint_rank(
     assert ctx.nvmalloc is not None
     lib = ctx.nvmalloc
     metrics = lib.metrics
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(SEED)
     chunk = lib.chunk_size
 
     variable = yield from lib.ssdmalloc(config.variable_bytes, owner="ckpt")
@@ -86,7 +85,7 @@ def _checkpoint_rank(
     start = ctx.engine.now
     for t in range(config.timesteps):
         # Compute phase: mutate a random subset of chunks.
-        n_mutate = int(round(config.mutate_fraction * nchunks))
+        n_mutate = int(round(MUTATE_FRACTION * nchunks))
         victims = rng.choice(nchunks, size=n_mutate, replace=False)
         for i in sorted(int(v) for v in victims):
             length = min(chunk, config.variable_bytes - i * chunk)

@@ -12,8 +12,8 @@ budget.  Two strategies:
   to the PFS as an interim run; a final pass merges the two runs through
   the PFS.  The extra PFS round trips are exactly what costs the 10x.
 
-Both modes move real keys end to end; ``verify=True`` checks the PFS
-output is the sorted permutation of the input.
+Both modes move real keys end to end, and the PFS output is checked to
+be the sorted permutation of the input.
 """
 
 from __future__ import annotations
@@ -33,6 +33,12 @@ from repro.sim.events import Event
 #: Flops charged per element per comparison level (sorting cost model).
 SORT_FLOPS_PER_CMP = 4.0
 
+#: Splitter samples each rank contributes, the streaming window (in
+#: elements) and the seed of the input keys.
+SAMPLES_PER_RANK = 32
+BLOCK_ELEMENTS = 1 << 13
+SEED = 7
+
 INPUT = "sort/input"
 OUTPUT = "sort/output"
 RUN = "sort/run{half}"
@@ -45,10 +51,6 @@ class SortConfig:
     total_elements: int
     mode: str = "hybrid"  # "hybrid" | "dram-2pass"
     dram_elements_per_rank: int = 1 << 14  # DRAM budget for sort data
-    samples_per_rank: int = 32
-    block_elements: int = 1 << 13  # streaming window
-    verify: bool = True
-    seed: int = 7
 
     def __post_init__(self) -> None:
         if self.mode not in ("hybrid", "dram-2pass"):
@@ -164,8 +166,8 @@ def _sample_splitters(
     """Regular-sample splitters: P-1 values bounding each rank's range."""
     count = store.total
     if count:
-        step = max(1, count // config.samples_per_rank)
-        idxs = list(range(0, count, step))[: config.samples_per_rank]
+        step = max(1, count // SAMPLES_PER_RANK)
+        idxs = list(range(0, count, step))[: SAMPLES_PER_RANK]
         samples = np.empty(len(idxs), dtype=np.float64)
         for i, idx in enumerate(idxs):
             part, inner = store.locate(idx)
@@ -199,8 +201,8 @@ def _exchange(
     size = ctx.size
     buckets: list[list[np.ndarray]] = [[] for _ in range(size)]
     count = store.total
-    for start in range(0, count, config.block_elements):
-        stop = min(start + config.block_elements, count)
+    for start in range(0, count, BLOCK_ELEMENTS):
+        stop = min(start + BLOCK_ELEMENTS, count)
         block = yield from store.read(start, stop)
         yield from ctx.compute(SORT_FLOPS_PER_CMP * len(block) * max(
             1, int(np.log2(max(size, 2)))
@@ -296,7 +298,7 @@ class _SortedRuns:
         if len(self.runs) == 1:
             start, stop = self.runs[0]
             return (yield from self.store.read(start, stop))
-        block = config.block_elements
+        block = BLOCK_ELEMENTS
         pieces: list[np.ndarray] = []
         for start, stop in self.runs:
             pos = start
@@ -352,7 +354,7 @@ def _sort_dataset_pass(
         hi = min(my_global + my_count, cursor + seg_count)
         pos = lo
         while pos < hi:
-            stop = min(pos + config.block_elements, hi)
+            stop = min(pos + BLOCK_ELEMENTS, hi)
             raw = yield from pfs.read(
                 ctx.node.name,
                 seg_name,
@@ -382,8 +384,8 @@ def _sort_dataset_pass(
     if ctx.rank == 0 and not pfs.exists(output_name):
         pfs.create(output_name, elements * 8)
     yield from ctx.barrier()
-    for start in range(0, len(merged), config.block_elements):
-        stop = min(start + config.block_elements, len(merged))
+    for start in range(0, len(merged), BLOCK_ELEMENTS):
+        stop = min(start + BLOCK_ELEMENTS, len(merged))
         yield from pfs.write(
             ctx.node.name,
             output_name,
@@ -450,7 +452,7 @@ def run_quicksort(
     job: Job, pfs: ParallelFileSystem, config: SortConfig
 ) -> SortResult:
     """Stage the input, run the sort, verify the PFS output."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(SEED)
     data = rng.random(config.total_elements)
     for name in (INPUT, OUTPUT, RUN.format(half=0), RUN.format(half=1)):
         if pfs.exists(name):
@@ -471,11 +473,8 @@ def run_quicksort(
         result.phase_times[phase] = max(
             r[phase] for r in results  # type: ignore[index]
         )
-    if config.verify:
-        out = np.frombuffer(pfs.read_raw(OUTPUT), dtype=np.float64)
-        result.verified = bool(
-            len(out) == len(data) and np.array_equal(out, np.sort(data))
-        )
-    else:
-        result.verified = True
+    out = np.frombuffer(pfs.read_raw(OUTPUT), dtype=np.float64)
+    result.verified = bool(
+        len(out) == len(data) and np.array_equal(out, np.sort(data))
+    )
     return result

@@ -19,20 +19,24 @@ from repro.parallel.comm import RankContext
 from repro.parallel.job import Job
 from repro.sim.events import Event
 
+#: Seed of the offsets and payload bytes (rank ``r`` draws from ``SEED + r``).
+SEED = 11
+
+#: How many of the last-written addresses are read back and compared.
+VERIFY_SAMPLES = 64
+
 
 @dataclass(frozen=True)
 class RandWriteConfig:
-    """One random-write run."""
+    """One random-write run: ``num_writes`` one-byte writes ("byte-by-
+    byte", §IV-B.4) at uniformly random offsets of the region."""
 
     region_bytes: int
     num_writes: int = 128 * 1024
-    write_size: int = 1  # bytes per write ("byte-by-byte", §IV-B.4)
-    seed: int = 11
-    verify_samples: int = 64
 
     def __post_init__(self) -> None:
-        if self.region_bytes <= 0 or self.num_writes <= 0 or self.write_size <= 0:
-            raise NVMallocError("region, writes, and size must be positive")
+        if self.region_bytes <= 0 or self.num_writes <= 0:
+            raise NVMallocError("region and writes must be positive")
 
 
 @dataclass
@@ -53,8 +57,7 @@ class RandWriteResult:
     @property
     def amplification_to_ssd(self) -> float:
         """SSD bytes per application byte."""
-        app = self.config.num_writes * self.config.write_size
-        return self.written_to_ssd / app if app else 0.0
+        return self.written_to_ssd / self.config.num_writes
 
 
 def _randwrite_rank(
@@ -64,10 +67,8 @@ def _randwrite_rank(
     variable = yield from ctx.nvmalloc.ssdmalloc(
         config.region_bytes, owner=f"randwrite.r{ctx.rank}"
     )
-    rng = np.random.default_rng(config.seed + ctx.rank)
-    offsets = rng.integers(
-        0, config.region_bytes - config.write_size + 1, size=config.num_writes
-    )
+    rng = np.random.default_rng(SEED + ctx.rank)
+    offsets = rng.integers(0, config.region_bytes, size=config.num_writes)
     payload_pool = rng.integers(1, 256, size=config.num_writes, dtype=np.uint8)
 
     # Materialize plain-Python offsets/values once: numpy scalar boxing
@@ -77,8 +78,7 @@ def _randwrite_rank(
 
     start = ctx.engine.now
     for i in range(config.num_writes):
-        payload = value_bytes[i : i + 1] * config.write_size
-        yield from variable.write(offset_list[i], payload)
+        yield from variable.write(offset_list[i], value_bytes[i : i + 1])
     # Drain everything to the device so the flow accounting is complete.
     yield from variable.region.msync()
     yield from ctx.nvmalloc.mount.cache.flush_all()
@@ -87,23 +87,18 @@ def _randwrite_rank(
     # Verify the last write at a sample of addresses survived end to end.
     verified = True
     last_at = dict(zip(offset_list, payload_pool.tolist()))
-    sample = list(last_at.items())[-config.verify_samples :]
+    sample = list(last_at.items())[-VERIFY_SAMPLES:]
     for offset, value in sample:
         got = yield from variable.read(offset, 1)
-        # The winner is the latest write covering this byte; with
-        # write_size == 1 that is exactly `value`.
-        if config.write_size == 1 and got[0] != value:
+        if got[0] != value:
             verified = False
     yield from ctx.nvmalloc.ssdfree(variable)
     return {"elapsed": elapsed, "verified": verified}
 
 
-def run_randwrite(job: Job, config: RandWriteConfig, *, ranks: int = 1) -> RandWriteResult:
-    """Run the synthetic on the job's first ``ranks`` ranks."""
-    if ranks != 1:
-        raise NVMallocError(
-            "the paper's synthetic is single-client; run one rank"
-        )
+def run_randwrite(job: Job, config: RandWriteConfig) -> RandWriteResult:
+    """Run the synthetic on the job's first rank (the paper's is
+    single-client)."""
     metrics = job.cluster.metrics
     before_fuse = metrics.value("fuse.write.bytes")
     before_ssd = metrics.value("store.client.bytes_written")

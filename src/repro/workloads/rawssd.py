@@ -42,7 +42,6 @@ class RawSSDArray(Array):
         dtype: np.dtype,
         *,
         cache_bytes: int,
-        readahead_bytes: int = KERNEL_READAHEAD,
         base_offset: int = 0,
         fault_overhead: float = FAULT_OVERHEAD,
     ) -> None:
@@ -52,7 +51,6 @@ class RawSSDArray(Array):
             raise DeviceError(f"{node.name} has no local SSD")
         self.node = node
         self.ssd = node.ssd
-        self.readahead = readahead_bytes
         self.base_offset = base_offset
         if base_offset + self.nbytes > self.ssd.logical_capacity:
             raise DeviceError("array exceeds local SSD capacity")
@@ -72,7 +70,7 @@ class RawSSDArray(Array):
 
     def _fault(self, first_page: int) -> Generator[Event, object, None]:
         """Fault ``first_page`` in, pulling a full readahead window."""
-        window_pages = max(1, self.readahead // self._page)
+        window_pages = KERNEL_READAHEAD // self._page
         start = first_page
         length = 0
         pages: list[int] = []

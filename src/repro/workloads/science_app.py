@@ -35,6 +35,7 @@ from repro.sim.events import Event
 PUSH_FLOPS = 12.0
 
 BLOCK = 1 << 12  # particles processed per inner block
+SEED = 42  # of the initial particle state (rank r draws from SEED + r)
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class ScienceAppConfig:
     placement: str = "auto"  # "auto" | "dram" | "nvm"
     dram_budget_per_rank: int | None = None  # bytes for auto placement
     verify: bool = True
-    seed: int = 42
 
     def __post_init__(self) -> None:
         if self.placement not in ("auto", "dram", "nvm"):
@@ -87,7 +87,7 @@ class ScienceAppResult:
 def _initial_state(
     config: ScienceAppConfig, rank: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(config.seed + rank)
+    rng = np.random.default_rng(SEED + rank)
     positions = rng.random(config.particles_per_rank) * config.grid_cells
     velocities = rng.standard_normal(config.particles_per_rank) * 0.1
     return positions, velocities

@@ -31,6 +31,11 @@ from repro.sim.events import Event
 from repro.sim.process import Process
 from repro.util.units import KiB
 
+#: Transfer unit of the drain and of direct PFS writes, and the seed of
+#: the burst payloads.
+BLOCK_BYTES = 256 * KiB
+SEED = 13
+
 
 @dataclass(frozen=True)
 class StagingConfig:
@@ -40,9 +45,6 @@ class StagingConfig:
     timesteps: int = 4
     compute_seconds: float = 0.05  # per timestep, per rank
     mode: str = "staged"  # "staged" | "direct"
-    block_bytes: int = 256 * KiB
-    verify: bool = True
-    seed: int = 13
 
     def __post_init__(self) -> None:
         if self.mode not in ("staged", "direct"):
@@ -64,7 +66,7 @@ class StagingResult:
 
 
 def _burst_payload(config: StagingConfig, rank: int, step: int) -> bytes:
-    rng = np.random.default_rng(config.seed + rank * 1000 + step)
+    rng = np.random.default_rng(SEED + rank * 1000 + step)
     return rng.integers(0, 256, size=config.burst_bytes, dtype=np.uint8).tobytes()
 
 
@@ -85,8 +87,8 @@ def _staging_rank(
         mount = ctx.nvmalloc.mount
         fd = yield from mount.open(path, OpenFlags.O_RDONLY)
         pfs.create(_pfs_name(ctx.rank, step), config.burst_bytes)
-        for offset in range(0, config.burst_bytes, config.block_bytes):
-            length = min(config.block_bytes, config.burst_bytes - offset)
+        for offset in range(0, config.burst_bytes, BLOCK_BYTES):
+            length = min(BLOCK_BYTES, config.burst_bytes - offset)
             data = yield from mount.pread(fd, offset, length)
             yield from pfs.write(
                 ctx.node.name, _pfs_name(ctx.rank, step), offset, data
@@ -102,10 +104,10 @@ def _staging_rank(
         io_start = engine.now
         if config.mode == "direct":
             pfs.create(_pfs_name(ctx.rank, step), config.burst_bytes)
-            for offset in range(0, config.burst_bytes, config.block_bytes):
+            for offset in range(0, config.burst_bytes, BLOCK_BYTES):
                 yield from pfs.write(
                     ctx.node.name, _pfs_name(ctx.rank, step), offset,
-                    payload[offset : offset + config.block_bytes],
+                    payload[offset : offset + BLOCK_BYTES],
                 )
         else:
             assert ctx.nvmalloc is not None
@@ -139,14 +141,9 @@ def run_staging(
         job.config.num_ranks * config.timesteps * config.burst_bytes
         if config.mode == "staged" else 0.0
     )
-    if config.verify:
-        ok = True
-        for rank in range(job.config.num_ranks):
-            for step in range(config.timesteps):
-                expected = _burst_payload(config, rank, step)
-                if pfs.read_raw(_pfs_name(rank, step)) != expected:
-                    ok = False
-        result.verified = ok
-    else:
-        result.verified = True
+    result.verified = all(
+        pfs.read_raw(_pfs_name(rank, step)) == _burst_payload(config, rank, step)
+        for rank in range(job.config.num_ranks)
+        for step in range(config.timesteps)
+    )
     return result

@@ -47,6 +47,9 @@ class StreamKernel(enum.Enum):
         }[self]
 
 
+#: The scalar of SCALE and TRIAD.
+SCALAR = 3.0
+
 #: Placement of one array: "dram", "nvm" (through NVMalloc), or "raw-ssd"
 #: (local SSD without NVMalloc, Table III's baseline).
 Placement = str
@@ -64,8 +67,6 @@ class StreamConfig:
         default_factory=lambda: {"A": "dram", "B": "dram", "C": "dram"}
     )
     block_bytes: int = 256 * KiB  # elements processed per inner step
-    scalar: float = 3.0
-    verify: bool = True
     # Node-wide kernel page-cache budget for raw-ssd mode, split evenly
     # across threads (matching the FUSE + page cache DRAM the NVMalloc
     # path gets).
@@ -164,7 +165,7 @@ def _stream_rank(
                 out, dst = a, "C"
             elif kernel is StreamKernel.SCALE:
                 c = yield from arrays["C"].read_slice(s, e)
-                out, dst = config.scalar * c, "B"
+                out, dst = SCALAR * c, "B"
             elif kernel is StreamKernel.ADD:
                 a = yield from arrays["A"].read_slice(s, e)
                 b = yield from arrays["B"].read_slice(s, e)
@@ -172,7 +173,7 @@ def _stream_rank(
             else:  # TRIAD: A = B + scalar*C
                 b = yield from arrays["B"].read_slice(s, e)
                 c = yield from arrays["C"].read_slice(s, e)
-                out, dst = b + config.scalar * c, "A"
+                out, dst = b + SCALAR * c, "A"
             flops = kernel.flops_per_element * (e - s)
             if flops:
                 yield from ctx.compute(flops)
@@ -182,12 +183,11 @@ def _stream_rank(
     elapsed = ctx.engine.now - start_time
 
     verified = True
-    if config.verify:
-        expected = _expected_values(config)
-        for name, array in arrays.items():
-            probe = yield from array.read_slice(0, min(my_elements, 64))
-            if not np.allclose(probe, expected[name]):
-                verified = False
+    expected = _expected_values(config)
+    for name, array in arrays.items():
+        probe = yield from array.read_slice(0, min(my_elements, 64))
+        if not np.allclose(probe, expected[name]):
+            verified = False
     # Free NVM allocations so back-to-back runs do not leak store space.
     for array in arrays.values():
         from repro.core.variable import DRAMArray, NVMArray
@@ -206,16 +206,15 @@ def _stream_rank(
 def _expected_values(config: StreamConfig) -> dict[str, float]:
     """Array contents after ``iterations`` repeats of one kernel."""
     a, b, c = 1.0, 2.0, 0.0
-    k = config.scalar
     for _ in range(config.iterations):
         if config.kernel is StreamKernel.COPY:
             c = a
         elif config.kernel is StreamKernel.SCALE:
-            b = k * c
+            b = SCALAR * c
         elif config.kernel is StreamKernel.ADD:
             c = a + b
         else:
-            a = b + k * c
+            a = b + SCALAR * c
     return {"A": a, "B": b, "C": c}
 
 

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,36 @@ class TestCli:
         listed = usage.split("default: all of ")[1].split(")")[0]
         assert listed.split(", ") == list(EXPERIMENTS)
 
+    def test_docs_ci_and_markers_name_the_registry(self):
+        """What is still written by hand about the experiments agrees with
+        the one list: EXPERIMENTS.md's summary table has a row for every
+        entry and for nothing else, CI's determinism matrix pairs exactly
+        the markers the entries carry with their experiments, and those
+        markers (and ``obs``, the tracing gate's) are the declared ones."""
+        summary = (ROOT / "EXPERIMENTS.md").read_text()
+        summary = summary.split("## Summary")[1].split("\n## ")[0]
+        assert set(re.findall(r"^\| [^|]+ \| `(\w+)` \|", summary, re.M)) == set(
+            EXPERIMENTS
+        )
+        marked = {
+            (entry.marker, name) for name, entry in EXPERIMENTS.items() if entry.marker
+        }
+        ci = (ROOT / ".github/workflows/ci.yml").read_text()
+        assert set(
+            re.findall(r"\{marker: (\w+), experiment: (\w+)\}", ci)
+        ) == marked
+        pytest_options = tomllib.loads((ROOT / "pyproject.toml").read_text())[
+            "tool"
+        ]["pytest"]["ini_options"]
+        declared = {line.split(":")[0] for line in pytest_options["markers"]}
+        assert declared == {marker for marker, _ in marked} | {"obs"}
+        # The package exports each driver under its own name.
+        import repro.experiments as package
+
+        for entry in EXPERIMENTS.values():
+            assert getattr(package, entry.driver.__name__) is entry.driver
+            assert entry.driver.__name__ in package.__all__
+
     @pytest.mark.parametrize("referrer", TOOL_REFERRERS)
     def test_named_tools_and_pins_exist(self, referrer):
         text = (ROOT / referrer).read_text()
@@ -80,9 +111,9 @@ class TestCli:
 
     def test_registry_matches_drivers(self):
         # Every registered experiment is callable and described.
-        for name, (driver, description) in EXPERIMENTS.items():
-            assert callable(driver)
-            assert description
+        for name, entry in EXPERIMENTS.items():
+            assert callable(entry.driver)
+            assert entry.description
 
     def test_per_experiment_wall_and_summary(self, capsys):
         assert main(["table1", "checkpoint", "--scale", "tiny", "--no-cache"]) == 0

@@ -9,7 +9,6 @@ from repro.cluster import (
     CPUSpec,
     make_hal_cluster,
 )
-from repro.devices.specs import DDR3_1600, INTEL_X25E
 from repro.network.link import BONDED_DUAL_GIGE
 from repro.sim import Engine
 from repro.util.units import GB, GiB, MiB
@@ -90,9 +89,7 @@ class TestClusterValidation:
                 num_nodes=0,
                 cores_per_node=1,
                 cpu_spec=HAL_CPU,
-                dram_spec=DDR3_1600,
                 dram_per_node=1 * MiB,
-                link_spec=BONDED_DUAL_GIGE,
             )
 
     def test_no_ssd_cluster(self, engine):
@@ -101,8 +98,6 @@ class TestClusterValidation:
             num_nodes=2,
             cores_per_node=2,
             cpu_spec=HAL_CPU,
-            dram_spec=DDR3_1600,
             dram_per_node=1 * MiB,
-            link_spec=BONDED_DUAL_GIGE,
         )
         assert cluster.ssd_equipped_nodes() == []

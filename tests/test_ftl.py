@@ -11,7 +11,7 @@ from repro.util.units import MiB
 
 def make_ftl(**kwargs):
     defaults = dict(
-        capacity=1 * MiB, page_size=4096, pages_per_block=16, overprovision=0.1
+        capacity=1 * MiB, pages_per_block=16, overprovision=0.1
     )
     defaults.update(kwargs)
     return FlashTranslationLayer(**defaults)

@@ -531,12 +531,49 @@ class TestFailedFillUnpins:
                     yield from mount.pread(doomed, index * CHUNK_SIZE, 6)
             assert len(cache) <= cache.capacity_chunks
             assert all(entry.pins == 0 for entry in cache._entries.values())
+            # The last failure's empty entry is still resident: reading
+            # it again fails in the *resident* arm of ``_load``, which
+            # must unpin just the same.
+            leftover = cache._entries[("/doomed", lost[-1])]
+            assert not leftover.valid
+            with pytest.raises(BenefactorDownError):
+                yield from mount.pread(doomed, lost[-1] * CHUNK_SIZE, 6)
+            assert cache._entries[("/doomed", lost[-1])] is leftover
+            assert leftover.pins == 0 and leftover.filling is None
             # The empty leftovers are ordinary LRU victims.
             assert (yield from mount.pread(alive, 0, 5)) == b"alive"
             assert ("/alive", 0) in cache.cached_keys()
             assert len(cache) <= cache.capacity_chunks
 
         run(engine, proc())
+
+    def test_a_reader_closed_mid_fill_leaves_nothing_pinned(
+        self, engine, small_cluster, store
+    ):
+        """Why the handlers catch ``BaseException``: a process abandoned
+        while its fill is in flight is closed with ``GeneratorExit``, and
+        the pin it took must go as if the fill had raised."""
+        mount = FuseMount(small_cluster.node(1), store, cache_bytes=2 * CHUNK_SIZE)
+        cache = mount.cache
+
+        def setup():
+            fd = yield from mount.open(
+                "/f", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=CHUNK_SIZE
+            )
+            yield from mount.pwrite(fd, 0, b"stored")
+            yield from mount.fsync(fd)
+            cache.invalidate_path("/f")
+            return fd
+
+        fd = run(engine, setup())
+        reader = mount.pread(fd, 0, 6)
+        engine.process(reader)
+        engine.run(until=engine.now + 1e-5)  # parked inside the fetch
+        entry = cache._entries[("/f", 0)]
+        assert entry.pins == 1 and entry.filling is not None
+        reader.close()
+        assert entry.pins == 0 and entry.filling is None
+        assert run(engine, mount.pread(fd, 0, 6)) == b"stored"
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Tests for the simulated MPI layer and job launcher."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import CommError, StoreError
+from repro.fusefs.cache import CacheStats
+from repro.mem.pagecache import PageCacheStats
 from repro.parallel import Communicator, Job, JobConfig
 from repro.parallel.comm import payload_bytes
 from repro.util.units import KiB, MiB
@@ -206,6 +210,36 @@ class TestJob:
         elapsed, results = job.run(rank_main)
         assert elapsed == pytest.approx(1.0)
         assert results == [0, 1, 2, 3]
+
+    def test_cache_stats_sum_every_field_of_the_stats_class(self, small_cluster):
+        """``cache_stats`` adds by ``dataclasses.fields``: every counter of
+        both stats classes, and one a subclass adds, reaches the report
+        without being named in ``Job``; a DRAM-only job sums to zeroes."""
+        job = Job(small_cluster, JobConfig(
+            1, 3, 2, fuse_cache_bytes=512 * KiB, page_cache_bytes=256 * KiB,
+            benefactor_contribution=4 * MiB,
+        ))
+
+        @dataclasses.dataclass
+        class Counted(CacheStats):
+            probes: int = 0
+
+        for index, nvm in enumerate(job._nvmallocs.values(), start=1):
+            nvm.mount.cache.stats = Counted(**{
+                field.name: index * (place + 1)
+                for place, field in enumerate(dataclasses.fields(Counted))
+            })
+            nvm.pagecache.stats = PageCacheStats(
+                hits=index, misses=2 * index, faulted_bytes=3 * index,
+                writeback_bytes=4 * index,
+            )
+        chunk, page = job.cache_stats()
+        assert type(chunk) is Counted and chunk.probes == (1 + 2 + 3) * 17
+        assert dataclasses.astuple(chunk) == tuple(6 * n for n in range(1, 18))
+        assert page == PageCacheStats(6, 12, 18, 24)
+        assert Job(small_cluster, JobConfig(2, 2, 0)).cache_stats() == (
+            CacheStats(), PageCacheStats()
+        )
 
     def test_nvmalloc_shared_per_node(self, small_cluster):
         job = Job(small_cluster, JobConfig(

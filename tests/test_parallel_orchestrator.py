@@ -1,10 +1,13 @@
 """Parallel-vs-serial determinism and failure isolation for the orchestrator."""
 
+import os
+
 import pytest
 
 from repro.experiments import TINY
 from repro.experiments.parallel import (
     EXPERIMENTS,
+    Experiment,
     Orchestrator,
     check_identity,
 )
@@ -49,7 +52,7 @@ class TestParallelDeterminism:
 
 class TestFailureIsolation:
     def test_one_raising_experiment_does_not_sink_the_rest(self, monkeypatch):
-        monkeypatch.setitem(EXPERIMENTS, "boom", (_boom, "always raises"))
+        monkeypatch.setitem(EXPERIMENTS, "boom", Experiment(_boom, "always raises"))
         names = ["table1", "boom", "checkpoint"]
         result = Orchestrator(jobs=2, cache=None).run(names, TINY)
 
@@ -61,8 +64,20 @@ class TestFailureIsolation:
             assert by_name[survivor].ok
             assert by_name[survivor].digest is not None
 
+    def test_a_worker_that_dies_is_a_failed_outcome(self, monkeypatch):
+        """A driver can only *raise* into ``_run_payload``; a worker that
+        is killed breaks the pool instead, and every experiment still in
+        it is reported as crashed rather than lost."""
+        monkeypatch.setitem(
+            EXPERIMENTS, "dies", Experiment(lambda scale: os._exit(3), "killed")
+        )
+        result = Orchestrator(jobs=2, cache=None).run(["dies", "table1"], TINY)
+        by_name = {o.name: o for o in result.outcomes}
+        assert "dies" in result.failed
+        assert by_name["dies"].error.startswith("worker crashed: BrokenProcessPool")
+
     def test_serial_path_reports_failure_the_same_way(self, monkeypatch):
-        monkeypatch.setitem(EXPERIMENTS, "boom", (_boom, "always raises"))
+        monkeypatch.setitem(EXPERIMENTS, "boom", Experiment(_boom, "always raises"))
         result = Orchestrator(jobs=1, cache=None).run(
             ["boom", "checkpoint"], TINY
         )
@@ -70,7 +85,7 @@ class TestFailureIsolation:
         assert result.outcomes[1].ok
 
     def test_failures_are_never_cached(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(EXPERIMENTS, "boom", (_boom, "always raises"))
+        monkeypatch.setitem(EXPERIMENTS, "boom", Experiment(_boom, "always raises"))
         cache = ResultCache(tmp_path)
         Orchestrator(jobs=1, cache=cache).run(["boom"], TINY)
         rerun = Orchestrator(jobs=1, cache=cache).run(["boom"], TINY)
@@ -87,7 +102,9 @@ class TestUnverifiedReports:
             report.add_row("x")
             return report
 
-        monkeypatch.setitem(EXPERIMENTS, "unverified", (unverified, "fails claims"))
+        monkeypatch.setitem(
+            EXPERIMENTS, "unverified", Experiment(unverified, "fails claims")
+        )
         result = Orchestrator(jobs=1, cache=None).run(["unverified"], TINY)
         assert result.failed == ["unverified"]
         assert result.outcomes[0].error is None

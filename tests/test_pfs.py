@@ -12,7 +12,7 @@ from tests.conftest import run
 @pytest.fixture
 def pfs(engine, small_cluster):
     return ParallelFileSystem(
-        engine, small_cluster.network, num_servers=2, stripe_size=1 * MiB
+        engine, small_cluster.network, num_servers=2
     )
 
 

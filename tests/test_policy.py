@@ -47,7 +47,7 @@ class TestPolicy:
         assert decisions["worm"] is PlacementDecision.NVM
 
     def test_writes_weighted_heavier(self):
-        policy = PlacementPolicy(1 * MiB, write_weight=3.0)
+        policy = PlacementPolicy(1 * MiB)
         reader = profile("reader", 1 * MiB, reads=4, writes=0, sequential=False)
         writer = profile("writer", 1 * MiB, reads=0, writes=2, sequential=False)
         assert policy.heat(writer) > policy.heat(reader)

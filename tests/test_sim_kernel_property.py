@@ -91,8 +91,14 @@ def _engine_graph(roots, children, failed, concluded=frozenset(), unobserved=fro
 
     def schedule(event_id: int, delay: float) -> None:
         event = events[event_id]
-        if event_id in failed:
-            event.fail(RuntimeError(f"event {event_id}"), delay=delay)
+        if delay:
+            # A trigger in the future is a timeout whose callback
+            # triggers: the timeout takes the heap slot (and the seq) the
+            # reference gives the event, and the event follows it onto
+            # the ring within the same instant.
+            Timeout(engine, delay).add_callback(lambda _t: schedule(event_id, 0.0))
+        elif event_id in failed:
+            event.fail(RuntimeError(f"event {event_id}"))
         elif event_id in concluded:
             assert delay == 0.0
             event.conclude(event_id)
@@ -101,7 +107,7 @@ def _engine_graph(roots, children, failed, concluded=frozenset(), unobserved=fro
             assert event.triggered
             assert event.processed == (event_id in unobserved)
         else:
-            event.succeed(event_id, delay=delay)
+            event.succeed(event_id)
 
     def fire(event_id: int) -> None:
         trace.append((engine.now, event_id))
@@ -203,7 +209,10 @@ def test_conclude_in_event_graphs_matches_reference(seed: int) -> None:
     engine, trace, events = _engine_graph(roots, children, failed, concluded, unobserved)
     engine.run()
     assert trace == expected
-    assert engine.events_processed == len(expected)
+    # Dispatched: every observed event, and the timeout that carried each
+    # trigger with a positive delay — nothing for the unobserved ones.
+    timeouts = sum(1 for delay in delay_of.values() if delay)
+    assert engine.events_processed == len(expected) + timeouts
     for event_id in unobserved:
         assert events[event_id].processed and events[event_id].value == event_id
     for event_id in concluded:

@@ -106,6 +106,24 @@ class TestResource:
             engine.run(engine.process(bad()))
         assert res.in_use == 0
 
+    def test_use_closed_while_queued_leaves_the_queue(self, engine):
+        """``GeneratorExit`` is why ``use`` catches ``BaseException``: a
+        closed waiter's request must not be granted the slot later."""
+        res = Resource(engine, capacity=1)
+
+        def holder():
+            yield from res.use(2.0)
+
+        engine.process(holder())
+        engine.run(until=1.0)
+        waiter = res.use(1.0)
+        next(waiter)  # queued behind the holder
+        assert res.queue_length == 1
+        waiter.close()
+        assert res.queue_length == 0
+        engine.run()
+        assert res.in_use == 0 and engine.now == 2.0
+
     def test_queue_length(self, engine):
         res = Resource(engine, capacity=1)
 

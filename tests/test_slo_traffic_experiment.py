@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import TINY, check_identity, slo_traffic
+from repro.experiments.slo_traffic import LOAD_FACTORS
 
 pytestmark = pytest.mark.slo
 
@@ -41,7 +42,7 @@ def test_report_verified(report):
 
 def test_load_latency_curve_monotone_with_knee(report):
     sweep = [row for row in report.rows if row[0] == "poisson sweep"]
-    assert len(sweep) == len(TINY.slo_load_factors)
+    assert len(sweep) == len(LOAD_FACTORS)
     p99s = [float(row[6]) for row in sweep]
     assert p99s == sorted(p99s)
     # The knee (and the measured capacity) made it into the claims.

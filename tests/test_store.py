@@ -304,7 +304,8 @@ class TestCheckpointLinking:
 
 class TestStriping:
     def test_local_first(self, engine, small_cluster):
-        manager = Manager(small_cluster.node(0), striping=LocalFirstStriping())
+        manager = Manager(small_cluster.node(0))
+        manager.striping = LocalFirstStriping()
         for node in small_cluster.nodes:
             manager.register_benefactor(Benefactor(node, contribution=4 * MiB))
         client = StoreClient(small_cluster.node(1), manager)
@@ -319,7 +320,8 @@ class TestStriping:
         assert local.reserved == 4 * CHUNK_SIZE
 
     def test_local_first_spills(self, engine, small_cluster):
-        manager = Manager(small_cluster.node(0), striping=LocalFirstStriping())
+        manager = Manager(small_cluster.node(0))
+        manager.striping = LocalFirstStriping()
         for node in small_cluster.nodes:
             manager.register_benefactor(
                 Benefactor(node, contribution=2 * CHUNK_SIZE)

@@ -138,7 +138,7 @@ def test_at_rate_scales_only_the_clock(seed, rate):
 # ----------------------------------------------------------------------
 def test_pareto_sizes_bounded_and_heavy_tailed():
     rng = np.random.default_rng(3)
-    sampler = ParetoSizes(alpha=1.3, lo=256, hi=64 * 1024)
+    sampler = ParetoSizes(lo=256, hi=64 * 1024)
     sizes = sampler.sample(rng, 20_000)
     assert sizes.dtype == np.int64
     assert int(sizes.min()) >= sampler.lo
@@ -149,7 +149,7 @@ def test_pareto_sizes_bounded_and_heavy_tailed():
 
 def test_zipf_keys_bounded_and_skewed():
     rng = np.random.default_rng(4)
-    sampler = ZipfKeys(num_keys=64, s=1.1)
+    sampler = ZipfKeys(num_keys=64)
     draws = sampler.sample(rng, 20_000)
     assert int(draws.min()) >= 0
     assert int(draws.max()) < sampler.num_keys
@@ -160,7 +160,7 @@ def test_zipf_keys_bounded_and_skewed():
 
 def test_mmpp_preserves_nominal_mean_rate():
     rng = np.random.default_rng(5)
-    gaps = MMPPProcess(rate=1.0).interarrivals(rng, 200_000)
+    gaps = MMPPProcess().interarrivals(rng, 200_000)
     assert abs(float(gaps.mean()) - 1.0) < 0.05
 
 
@@ -184,9 +184,7 @@ def test_operation_mix_matches_fractions():
             1, 4, 4, read_fraction=0.8, checkpoint_fraction=0.3
         ),
         lambda: build_schedule(1, 4, 4).at_rate(0.0),
-        lambda: PoissonProcess(rate=-1.0).interarrivals(
-            np.random.default_rng(0), 4
-        ),
+        lambda: build_schedule(1, 4, 4, checkpoint_fraction=-0.1),
         lambda: ZipfKeys(num_keys=0).sample(np.random.default_rng(0), 4),
         lambda: ParetoSizes(lo=1024, hi=256).sample(
             np.random.default_rng(0), 4

@@ -122,7 +122,7 @@ class TestStreamExpectations:
 
     def test_scale_chain(self):
         config = StreamConfig(
-            elements=8, kernel=StreamKernel.SCALE, iterations=2, scalar=3.0,
+            elements=8, kernel=StreamKernel.SCALE, iterations=2,
             placement={"A": "dram", "B": "dram", "C": "dram"},
         )
         # B = 3*C with C = 0 -> B becomes 0 after first iteration.
