@@ -3,7 +3,7 @@
 # Every target runs the checkout's own sources, installed or not.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-faults test-lifecycle test-obs test-cache test-slo determinism cache-ablation slo-curve bench bench-selfcheck bench-pairs census trace experiments experiments-par examples clean
+.PHONY: install test determinism cache-ablation slo-curve bench bench-selfcheck bench-pairs census trace experiments experiments-par examples clean
 
 install:
 	pip install -e .
@@ -11,15 +11,11 @@ install:
 test:
 	pytest tests/
 
-# The fault-injection experiment suite (excluded from `make test` by the
-# "not faults" marker expression; CI runs it in a dedicated job).
-test-faults:
-	pytest -m faults
-
-# The checkpoint-lifecycle experiment suite (chains, async drain,
-# crash-restart recovery; CI runs it in a dedicated job).
-test-lifecycle:
-	pytest -m lifecycle
+# One marker suite: `make test-faults`, `test-lifecycle`, `test-obs`
+# (the tracing-identity gate), `test-cache`, `test-slo`.  `make test`
+# excludes them by marker expression; CI runs each in a dedicated job.
+test-%:
+	pytest -m $*
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -63,25 +59,9 @@ bench-pairs:
 census:
 	python tools/census.py
 
-# The tracing-identity gate (excluded from `make test` by the "not obs"
-# marker expression; CI runs it in the dedicated tracing job).
-test-obs:
-	pytest -m obs
-
-# The cache-tiering determinism/improvement suite (excluded from
-# `make test` by the "not cache" marker expression; CI runs it in the
-# dedicated cache job).
-test-cache:
-	pytest -m cache
-
 # Render the full lru-vs-arc / tier-on-off ablation grid.
 cache-ablation:
 	python -m repro.experiments cache_tiering
-
-# The open-loop traffic/SLO experiment suite (excluded from `make test`
-# by the "not slo" marker expression; CI runs it in a dedicated job).
-test-slo:
-	pytest -m slo
 
 # One experiment at TINY under two hash seeds: both runs must verify,
 # digest identically and equal the committed pin (what CI runs after each

@@ -50,9 +50,7 @@ class SSD(StorageDevice):
                 capacity=spec.capacity,
                 endurance_cycles=spec.endurance_cycles,
             )
-        # GC-time counter, resolved on first GC event (snapshot-identical
-        # to on-demand ``metrics.add``: never materializes without GC).
-        self._gc_counter = None
+        self._gc_counter = self.metrics.counter(f"device.{self.name}.gc.time")
 
     # ------------------------------------------------------------------
     @property
@@ -101,10 +99,6 @@ class SSD(StorageDevice):
             )
             if gc_penalty:
                 counter = self._gc_counter
-                if counter is None:
-                    counter = self._gc_counter = self.metrics.counter(
-                        f"device.{self.name}.gc.time"
-                    )
                 counter.total += gc_penalty
                 counter.count += 1
         req = self._acquire_now()

@@ -16,8 +16,8 @@ flush can replay exact LRU order without consulting the global dict.
 Neither structure changes what is simulated — only how fast Python finds
 the entries.
 
-Beyond the seed behaviour, three opt-in features form a tiered adaptive
-hierarchy (see INTERNALS.md "Client cache hierarchy"):
+Three opt-in features form a tiered adaptive hierarchy (see INTERNALS.md
+"Client cache hierarchy"):
 
 - ``policy="arc"`` swaps the inline LRU victim scan for the adaptive
   replacement policy in :mod:`repro.fusefs.policy`;
@@ -28,9 +28,11 @@ hierarchy (see INTERNALS.md "Client cache hierarchy"):
   window with the per-file pattern detector in
   :mod:`repro.fusefs.prefetch`.
 
-All three default to off, and every hook sits behind a ``None`` check on
-the default path, so the default configuration stays event-for-event
-identical to the seed (the digest-identity gate in CI enforces this).
+All three default to off: no policy object, tier or detector exists
+then, and each hook is one ``is not None`` test.  What they do is counted
+per cache in :class:`CacheStats`; the cluster-wide ``fuse.*`` counters
+are the same six names (plus ``fuse.cache.prefetches``) in every
+configuration.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class CacheStats:
 
         Demand-only: prefetch fills never count (their lookups pass
         ``count_stats=False``), and a local-tier hit avoided the store
-        round trip, so it counts as a hit.  Identical to the seed's
-        ``hits / (hits + misses)`` when the local tier is off.
+        round trip, so it counts as a hit: ``hits / (hits + misses)``
+        when the local tier is off.
         """
         total = self.hits + self.l2_hits + self.misses
         return (self.hits + self.l2_hits) / total if total else 0.0
@@ -191,6 +193,11 @@ class ChunkCache:
                 f"unknown prefetch mode {prefetch!r}; "
                 "expected 'fixed' or 'adaptive'"
             )
+        if readahead_chunks < 0 or (readahead_chunks and prefetch == "adaptive"):
+            raise FuseError(
+                f"readahead_chunks={readahead_chunks} with prefetch={prefetch!r}: "
+                "the window must be >= 0, and 0 under 'adaptive' (which replaces it)"
+            )
         self.client = client
         self.chunk_size = chunk_size
         self.page_size = page_size
@@ -218,16 +225,6 @@ class ChunkCache:
             if prefetch == "adaptive"
             else None
         )
-        # Any non-default cache feature switches on the extended counter
-        # set below.  Gating them keeps default-configuration experiment
-        # digests bit-identical to the seed (counters materializing at
-        # all would change the folded counter snapshot).
-        extended = (
-            self._policy is not None
-            or self._l2 is not None
-            or self._prefetcher is not None
-        )
-        self.extended_metrics = extended
         # Direct references for the per-access hot paths (three attribute
         # hops each otherwise).
         self._engine = client.node.engine
@@ -264,43 +261,13 @@ class ChunkCache:
         # such a key (see the ``_load`` wait loop).
         self._l2_unsettled: set[tuple[str, int]] = set()
         self._tick = 0
-        # Hot-path counters, resolved on first use (snapshot-identical
-        # to per-call ``metrics.add``: untouched ones never materialize).
-        self._hits_counter = None
-        self._misses_counter = None
-        self._read_counter = None
-        self._write_counter = None
-        self._fetch_counter = None
-        self._writeback_counter = None
-        # Extended per-tier counters: eagerly bound in extended mode (the
-        # ablation reports want zeros to show up), absent otherwise.
-        self._c_l1_hits = None
-        self._c_l1_misses = None
-        self._c_l2_hits = None
-        self._c_l2_misses = None
-        self._c_l2_spill = None
-        self._c_l2_promote = None
-        self._c_pf_issued = None
-        self._c_pf_useful = None
-        self._c_arc_ghost = None
-        if extended:
-            self._c_l1_hits = self.metrics.counter("fuse.cache.l1.hits")
-            self._c_l1_misses = self.metrics.counter("fuse.cache.l1.misses")
-            self._c_pf_issued = self.metrics.counter("fuse.prefetch.issued")
-            self._c_pf_useful = self.metrics.counter("fuse.prefetch.useful")
-            if self._l2 is not None:
-                self._c_l2_hits = self.metrics.counter("fuse.cache.l2.hits")
-                self._c_l2_misses = self.metrics.counter("fuse.cache.l2.misses")
-                self._c_l2_spill = self.metrics.counter(
-                    "fuse.cache.l2.spill_bytes"
-                )
-                self._c_l2_promote = self.metrics.counter(
-                    "fuse.cache.l2.promote_bytes"
-                )
-            if self._policy is not None:
-                self._c_arc_ghost = self.metrics.counter(
-                    "fuse.cache.arc.ghost_hits"
-                )
+        counter = self.metrics.counter
+        self._hits_counter = counter("fuse.cache.hits")
+        self._misses_counter = counter("fuse.cache.misses")
+        self._read_counter = counter("fuse.read.bytes")
+        self._write_counter = counter("fuse.write.bytes")
+        self._fetch_counter = counter("fuse.fetch.bytes")
+        self._writeback_counter = counter("fuse.writeback.bytes")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -402,10 +369,6 @@ class ChunkCache:
         """Count one write-back the store has acknowledged."""
         self.stats.writeback_bytes += nbytes
         counter = self._writeback_counter
-        if counter is None:
-            counter = self._writeback_counter = self.metrics.counter(
-                "fuse.writeback.bytes"
-            )
         counter.total += nbytes
         counter.count += 1
 
@@ -587,10 +550,6 @@ class ChunkCache:
                 return False
             nbytes = self.chunk_size
         self.stats.l2_spill_bytes += nbytes
-        counter = self._c_l2_spill
-        if counter is not None:
-            counter.total += nbytes
-            counter.count += 1
         return True
 
     def _writeback(
@@ -708,58 +667,27 @@ class ChunkCache:
                 if first_attempt:
                     self.stats.hits += 1
                     counter = self._hits_counter
-                    if counter is None:
-                        counter = self._hits_counter = self.metrics.counter(
-                            "fuse.cache.hits"
-                        )
                     counter.total += 1.0
                     counter.count += 1
                     if entry.prefetched:
                         entry.prefetched = False
                         self.stats.prefetch_hits += 1
-                        counter = self._c_pf_useful
-                        if counter is not None:
-                            counter.total += 1.0
-                            counter.count += 1
-                    counter = self._c_l1_hits
-                    if counter is not None:
-                        counter.total += 1.0
-                        counter.count += 1
                 return entry
             if first_attempt:
                 in_l2 = l2 is not None and l2.contains(key)
                 if in_l2:
                     # Served locally: a demand hit as far as the store is
-                    # concerned — the seed's miss counters stay reserved
-                    # for lookups that pay the network round trip.
+                    # concerned — ``misses`` and ``fuse.cache.misses`` are
+                    # the lookups that pay the network round trip.
                     self.stats.l2_hits += 1
-                    counter = self._c_l2_hits
-                    if counter is not None:
-                        counter.total += 1.0
-                        counter.count += 1
                 else:
                     self.stats.misses += 1
                     counter = self._misses_counter
-                    if counter is None:
-                        counter = self._misses_counter = self.metrics.counter(
-                            "fuse.cache.misses"
-                        )
-                    counter.total += 1.0
-                    counter.count += 1
-                    counter = self._c_l2_misses
-                    if counter is not None:
-                        counter.total += 1.0
-                        counter.count += 1
-                counter = self._c_l1_misses
-                if counter is not None:
                     counter.total += 1.0
                     counter.count += 1
                 first_attempt = False
-                if policy is not None and policy.record_miss(key):
-                    counter = self._c_arc_ghost
-                    if counter is not None:
-                        counter.total += 1.0
-                        counter.count += 1
+                if policy is not None:
+                    policy.record_miss(key)
             if len(entries) >= self.capacity_chunks:
                 # Guarded call: below capacity _make_room's loop would
                 # fall straight through, so skipping it outright spares
@@ -891,19 +819,11 @@ class ChunkCache:
         entry.valid = True
         if from_l2:
             self.stats.l2_promote_bytes += nbytes
-            counter = self._c_l2_promote
-            if counter is not None:
-                counter.total += nbytes
-                counter.count += 1
         else:
             self.stats.fetched_bytes += nbytes
             if prefetch:
                 self.stats.prefetched_bytes += nbytes
             counter = self._fetch_counter
-            if counter is None:
-                counter = self._fetch_counter = self.metrics.counter(
-                    "fuse.fetch.bytes"
-                )
             counter.total += nbytes
             counter.count += 1
         if prefetch:
@@ -928,23 +848,11 @@ class ChunkCache:
             self._policy.record_hit(key)
         self.stats.hits += 1
         counter = self._hits_counter
-        if counter is None:
-            counter = self._hits_counter = self.metrics.counter(
-                "fuse.cache.hits"
-            )
         counter.total += 1.0
         counter.count += 1
         if entry.prefetched:
             entry.prefetched = False
             self.stats.prefetch_hits += 1
-            counter = self._c_pf_useful
-            if counter is not None:
-                counter.total += 1.0
-                counter.count += 1
-        counter = self._c_l1_hits
-        if counter is not None:
-            counter.total += 1.0
-            counter.count += 1
 
     # ------------------------------------------------------------------
     # Public read/write (byte ranges within one chunk)
@@ -976,10 +884,6 @@ class ChunkCache:
             entry = yield from self._load(path, index, fetch=True)
         try:
             counter = self._read_counter
-            if counter is None:
-                counter = self._read_counter = self.metrics.counter(
-                    "fuse.read.bytes"
-                )
             counter.total += length
             counter.count += 1
             if self.readahead_chunks:
@@ -1060,10 +964,6 @@ class ChunkCache:
             entry.pins -= 1
             self.stats.prefetches += 1
             self.metrics.add("fuse.cache.prefetches")
-            counter = self._c_pf_issued
-            if counter is not None:
-                counter.total += 1.0
-                counter.count += 1
         except SimulationError:
             raise
         except ReproError:
@@ -1133,10 +1033,6 @@ class ChunkCache:
                         stale = entry.l2_stale = IntervalSet()
                     stale.add(offset, offset + length)
                 counter = self._write_counter
-                if counter is None:
-                    counter = self._write_counter = self.metrics.counter(
-                        "fuse.write.bytes"
-                    )
                 counter.total += length
                 counter.count += 1
                 # Inlined StorageDevice.access (DRAM has no _pre_access

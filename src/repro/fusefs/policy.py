@@ -2,10 +2,8 @@
 
 The default policy, ``"lru"``, is not a class here: plain LRU *is* the
 iteration order of the cache's entry ``OrderedDict`` (entries are moved
-to the end on every touch), so the cache keeps its original inline
-victim scan and pays zero per-access hook cost.  That inline path is the
-seed behaviour and must stay event-for-event identical — which it
-trivially does, because no policy object exists in that mode.
+to the end on every touch), so the cache scans that dict inline for its
+victim and no policy object exists in that mode.
 
 ``"arc"`` plugs in :class:`ARCPolicy`, the Adaptive Replacement Cache of
 Megiddo & Modha (FAST '03): two resident lists split recency (T1) from
@@ -85,11 +83,8 @@ class ARCPolicy:
             self.t2.move_to_end(key)
         self._pending_ghost.pop(key, None)
 
-    def record_miss(self, key: tuple[str, int]) -> bool:
-        """A lookup missed the resident lists; adapt ``p`` on ghost hits.
-
-        Returns True when the miss hit a ghost list (i.e. ``p`` moved).
-        """
+    def record_miss(self, key: tuple[str, int]) -> None:
+        """A lookup missed the resident lists; adapt ``p`` on ghost hits."""
         if key in self.b1:
             # Recency ghosts hitting means T1 was evicted too eagerly.
             delta = max(1, len(self.b2) // max(1, len(self.b1)))
@@ -98,17 +93,15 @@ class ARCPolicy:
             self.ghost_hits += 1
             self._pending_ghost[key] = True
             self._last_ghost = "b1"
-            return True
-        if key in self.b2:
+        elif key in self.b2:
             delta = max(1, len(self.b1) // max(1, len(self.b2)))
             self.p = max(0, self.p - delta)
             del self.b2[key]
             self.ghost_hits += 1
             self._pending_ghost[key] = True
             self._last_ghost = "b2"
-            return True
-        self._last_ghost = None
-        return False
+        else:
+            self._last_ghost = None
 
     def record_insert(self, key: tuple[str, int]) -> None:
         """A new entry landed: T2 if its miss hit a ghost, else T1."""

@@ -63,10 +63,8 @@ class MmapRegion:
         # MAP_PRIVATE copy-on-write overlay: page index -> private bytes.
         self._private: dict[int, bytearray] = {}
         self._page = pagecache.page_size
-        # Hot-path counters, resolved on first use (snapshot-identical
-        # to per-call ``metrics.add``: untouched ones never materialize).
-        self._read_counter = None
-        self._write_counter = None
+        self._read_counter = self.metrics.counter("mmap.app_read.bytes")
+        self._write_counter = self.metrics.counter("mmap.app_write.bytes")
 
     # ------------------------------------------------------------------
     def _check(self, offset: int, length: int, *, write: bool) -> None:
@@ -94,10 +92,6 @@ class MmapRegion:
         """
         self._check(offset, length, write=False)
         counter = self._read_counter
-        if counter is None:
-            counter = self._read_counter = self.metrics.counter(
-                "mmap.app_read.bytes"
-            )
         counter.total += length
         counter.count += 1
         file_off = self.offset + offset
@@ -165,10 +159,6 @@ class MmapRegion:
         """
         self._check(offset, len(data), write=True)
         counter = self._write_counter
-        if counter is None:
-            counter = self._write_counter = self.metrics.counter(
-                "mmap.app_write.bytes"
-            )
         counter.total += len(data)
         counter.count += 1
         file_off = self.offset + offset

@@ -123,12 +123,11 @@ class PageCache:
         self._faults: dict[int, dict[tuple[str, int], None]] = {}
         self._fault_serial = 0
         self._tick = 0
-        # Hot-path counters, resolved on first use (snapshot-identical
-        # to per-call ``metrics.add``: untouched ones never materialize).
-        self._read_counter = None
-        self._write_counter = None
-        self._fault_counter = None
-        self._writeback_counter = None
+        counter = self.metrics.counter
+        self._read_counter = counter("pagecache.read.bytes")
+        self._write_counter = counter("pagecache.write.bytes")
+        self._fault_counter = counter("pagecache.fault.bytes")
+        self._writeback_counter = counter("pagecache.writeback.bytes")
         # Async-checkpoint write hooks (snapshot guards, mutation
         # trackers), keyed by backing path.  Empty except for paths in an
         # async checkpoint chain, so the hot write path pays a single
@@ -241,10 +240,6 @@ class PageCache:
                         )
                         self.stats.writeback_bytes += length
                         counter = self._writeback_counter
-                        if counter is None:
-                            counter = self._writeback_counter = (
-                                self.metrics.counter("pagecache.writeback.bytes")
-                            )
                         counter.total += length
                         counter.count += 1
                     finally:
@@ -367,10 +362,6 @@ class PageCache:
             del self._faults[serial]
         self.stats.faulted_bytes += length
         counter = self._fault_counter
-        if counter is None:
-            counter = self._fault_counter = self.metrics.counter(
-                "pagecache.fault.bytes"
-            )
         counter.total += length
         counter.count += 1
 
@@ -479,10 +470,6 @@ class PageCache:
             in_page = 0
         self._tick = tick
         counter = self._read_counter
-        if counter is None:
-            counter = self._read_counter = self.metrics.counter(
-                "pagecache.read.bytes"
-            )
         counter.total += length
         counter.count += 1
         return out
@@ -585,10 +572,6 @@ class PageCache:
             finally:
                 dram._release(req)
         counter = self._write_counter
-        if counter is None:
-            counter = self._write_counter = self.metrics.counter(
-                "pagecache.write.bytes"
-            )
         counter.total += len(data)
         counter.count += 1
 
@@ -756,10 +739,6 @@ class PageCache:
                 if flushed:
                     self.stats.writeback_bytes += flushed_bytes
                     counter = self._writeback_counter
-                    if counter is None:
-                        counter = self._writeback_counter = self.metrics.counter(
-                            "pagecache.writeback.bytes"
-                        )
                     counter.total += flushed_bytes
                     counter.count += flushed
                 j = k

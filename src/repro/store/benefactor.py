@@ -209,10 +209,8 @@ class Benefactor:
             range(0, self.contribution - chunk_size + 1, chunk_size)
         )
         self._free_extents.reverse()  # pop() from low offsets first
-        # Hot-path counters, resolved on first use so untouched metrics
-        # never materialize (snapshots stay identical to on-demand adds).
-        self._in_counter = None
-        self._out_counter = None
+        self._in_counter = self.metrics.counter("store.benefactor.bytes_in")
+        self._out_counter = self.metrics.counter("store.benefactor.bytes_out")
         self.online = True  # the manager's view (set via mark_offline)
         self.crashed = False  # ground truth: the node is actually dead
         # Transient slowdown (fault injection): extra seconds charged per
@@ -352,10 +350,6 @@ class Benefactor:
         payload.write(offset, data)
         yield from self.ssd.write_extent(self._extents[chunk_id] + offset, nbytes)
         counter = self._in_counter
-        if counter is None:
-            counter = self._in_counter = self.metrics.counter(
-                "store.benefactor.bytes_in"
-            )
         counter.total += nbytes
         counter.count += 1
 
@@ -436,10 +430,6 @@ class Benefactor:
                 f"benefactor {self.name} died mid-fetch of chunk {chunk_id}"
             )
         counter = self._out_counter
-        if counter is None:
-            counter = self._out_counter = self.metrics.counter(
-                "store.benefactor.bytes_out"
-            )
         counter.total += length
         counter.count += 1
         return data

@@ -52,13 +52,10 @@ class StoreClient:
                 dict[int, tuple[int, list[Benefactor]]],
             ],
         ] = {}
-        # Hot-path counters, resolved on first use (snapshot-identical
-        # to per-call ``metrics.add``).  The retry counter only ever
-        # materializes on fault paths, keeping no-fault snapshots (and
-        # hence report digests) identical to the seed.
-        self._read_counter = None
-        self._write_counter = None
-        self._retry_counter = None
+        counter = self.metrics.counter
+        self._read_counter = counter("store.client.bytes_read")
+        self._write_counter = counter("store.client.bytes_written")
+        self._retry_counter = counter("store.client.retries")
 
     @property
     def client_name(self) -> str:
@@ -168,10 +165,6 @@ class StoreClient:
         dropped so the caller re-resolves against fresh manager state.
         """
         counter = self._retry_counter
-        if counter is None:
-            counter = self._retry_counter = self.metrics.counter(
-                "store.client.retries"
-            )
         counter.total += 1
         counter.count += 1
         yield from self.manager.report_failure(self.client_name, benefactor.name)
@@ -264,10 +257,6 @@ class StoreClient:
             data = yield from self._fetch_failover(name, index, chunk_off, piece)
             parts.append(data)
         counter = self._read_counter
-        if counter is None:
-            counter = self._read_counter = self.metrics.counter(
-                "store.client.bytes_read"
-            )
         counter.total += length
         counter.count += 1
         return b"".join(parts)
@@ -288,10 +277,6 @@ class StoreClient:
         length = min(self.chunk_size, meta.size - index * self.chunk_size)
         data = yield from self._fetch_failover(name, index, 0, length, purpose)
         counter = self._read_counter
-        if counter is None:
-            counter = self._read_counter = self.metrics.counter(
-                "store.client.bytes_read"
-            )
         counter.total += length
         counter.count += 1
         return data
@@ -379,10 +364,6 @@ class StoreClient:
                 continue
             break
         counter = self._write_counter
-        if counter is None:
-            counter = self._write_counter = self.metrics.counter(
-                "store.client.bytes_written"
-            )
         counter.total += total
         counter.count += 1
 

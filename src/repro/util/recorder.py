@@ -26,6 +26,13 @@ class MetricsRecorder:
     Counter names use dotted paths, e.g. ``"fuse.read.bytes_from_store"``.
     Unknown names spring into existence on first use, so call sites never
     need registration boilerplate.
+
+    :meth:`snapshot` reports what was counted, not what was bound: a
+    counter nobody has added to (``count == 0``) is left out, one touched
+    with amount 0 is in.  Binding must not be an observable act — a layer
+    takes its :class:`Counter` objects once, in its constructor, and adds
+    to them in place, and whether it did so early, late or not at all
+    cannot change a report or a digest folded from one.
     """
 
     def __init__(self) -> None:
@@ -54,9 +61,9 @@ class MetricsRecorder:
         return 0
 
     def snapshot(self, prefix: str = "") -> dict[str, float]:
-        """All counter totals whose names start with ``prefix``."""
+        """Totals of the touched counters whose names start with ``prefix``."""
         return {
             name: counter.total
             for name, counter in sorted(self._counters.items())
-            if name.startswith(prefix)
+            if counter.count and name.startswith(prefix)
         }

@@ -66,7 +66,7 @@ class TestARCAdaptation:
         policy.record_evict(key(0))
         assert key(0) in policy.b1
         before = policy.p
-        assert policy.record_miss(key(0)) is True
+        policy.record_miss(key(0))
         assert policy.p > before
         assert policy.ghost_hits == 1
         assert key(0) not in policy.b1
@@ -80,12 +80,13 @@ class TestARCAdaptation:
         policy.record_evict(key(0))
         assert key(0) in policy.b2
         policy.p = 3
-        assert policy.record_miss(key(0)) is True
+        policy.record_miss(key(0))
         assert policy.p < 3
+        assert policy.ghost_hits == 1
 
     def test_plain_miss_does_not_adapt(self):
         policy = ARCPolicy(4)
-        assert policy.record_miss(key(7)) is False
+        policy.record_miss(key(7))
         assert policy.p == 0
         assert policy.ghost_hits == 0
 

@@ -16,7 +16,9 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import TINY, cache_tiering, check_identity
+from repro.experiments.parallel import execute_experiment
 from repro.experiments.report import MIN_PREFETCH_SAMPLES
+from repro.experiments.runner import track_testbeds
 
 pytestmark = pytest.mark.cache
 
@@ -90,6 +92,30 @@ def test_adaptive_prefetch_shuts_off_on_randwrite(report):
     if 0 < issued < MIN_PREFETCH_SAMPLES:
         assert "prefetch accuracy" not in line, line
         assert leg(report, "randwrite", "arc+l2+pf")[6] == "-"
+
+
+def test_opt_in_features_fold_no_counter_of_their_own():
+    """The digest folds every ``fuse.*`` counter a leg touched.  What the
+    policy, the local tier and the detector do is reported per cache in
+    ``CacheStats`` (the report's rows): the folded names are exactly the
+    ones the legs without any of the three (``lru``, ``lru+ra``) touch."""
+    module = sys.modules[cache_tiering.__module__]
+    folded, _ = execute_experiment("cache_tiering", TINY)
+    plain = [
+        overrides
+        for label, overrides in module.cache_configs(TINY)
+        if label in ("lru", "lru+ra")
+    ]
+    with track_testbeds() as tracker:
+        for _, run_leg in module.WORKLOADS:
+            for overrides in plain:
+                run_leg(TINY, dict(overrides))
+    names = set()
+    for testbed in tracker.testbeds:
+        names.update(testbed.cluster.metrics.snapshot("fuse."))
+    assert len(tracker.testbeds) == 8
+    assert {n for n in folded.counters if n.startswith("fuse.")} == names
+    assert "fuse.cache.prefetches" in names
 
 
 def test_digest_stable_across_repeats(report):

@@ -307,3 +307,26 @@ def test_reference_kernel_runs_an_experiment_to_its_pin(tmp_path):
     (entry,) = json.loads(out.read_text())["results"]
     assert entry["digest"] == json.loads(DIGEST_PINS.read_text())["digests"]["checkpoint"]
     assert entry["cache_hit"] is False and not (tmp_path / ".repro_result_cache").exists()
+
+
+def test_check_digests_update_merges_a_one_experiment_run(tmp_path, capsys):
+    """Re-pinning from a run of one experiment replaces that pin and keeps
+    the other seventeen (``--update`` used to rewrite the file from the
+    telemetry alone)."""
+    from tests.conftest import load_tool
+
+    tool = load_tool("check_digests")
+    before = json.loads(DIGEST_PINS.read_text())
+    pins = tmp_path / "pins.json"
+    pins.write_text(DIGEST_PINS.read_text())
+    telemetry = tmp_path / "one.json"
+    telemetry.write_text(json.dumps({
+        "scale": before["scale"], "failed": [],
+        "results": [{"name": "checkpoint", "digest": "f" * 64}],
+    }))  # fmt: skip
+    assert tool.main([str(telemetry), str(pins), "--update"]) == 0
+    after = json.loads(pins.read_text())
+    assert len(after["digests"]) == 18
+    assert after["digests"] == before["digests"] | {"checkpoint": "f" * 64}
+    old = before["digests"]["checkpoint"]
+    assert f"checkpoint: {old} -> {'f' * 64}" in capsys.readouterr().out

@@ -313,4 +313,5 @@ class TestCacheIntegration:
             small_cluster.node(1), store, cache_bytes=2 * CHUNK_SIZE
         )
         assert mount.cache.local_tier is None
-        assert mount.cache.extended_metrics is False
+        assert mount.cache.policy is None
+        assert mount.cache.prefetcher is None

@@ -197,3 +197,21 @@ class TestCacheIntegration:
         assert mount.cache.prefetcher is None
         assert mount.cache.stats.prefetches > 0
         assert mount.cache.stats.prefetched_bytes > 0
+
+    def test_fixed_window_with_adaptive_detector_rejected(
+        self, small_cluster, store
+    ):
+        """``read_into`` consults the fixed window first, so a detector
+        built beside one would never be asked: refuse the pair."""
+        with pytest.raises(FuseError, match="readahead_chunks=2"):
+            FuseMount(
+                small_cluster.node(1), store, cache_bytes=8 * CHUNK_SIZE,
+                readahead_chunks=2, prefetch="adaptive",
+            )
+
+    def test_negative_readahead_window_rejected(self, small_cluster, store):
+        with pytest.raises(FuseError, match="readahead_chunks=-1"):
+            FuseMount(
+                small_cluster.node(1), store, cache_bytes=8 * CHUNK_SIZE,
+                readahead_chunks=-1,
+            )

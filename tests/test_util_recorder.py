@@ -39,6 +39,44 @@ class TestMetricsRecorder:
         snap = m.snapshot("fuse.")
         assert snap == {"fuse.read.bytes": 100.0, "fuse.write.bytes": 50.0}
 
+    def test_snapshot_reports_what_was_counted_not_what_was_bound(self):
+        """Binding is not an observable act: a counter object taken with
+        ``counter()`` and never added to is in no snapshot; one touched
+        with amount 0 is, because something was counted."""
+        m = MetricsRecorder()
+        bound = m.counter("fuse.cache.hits")
+        m.counter("device.ssd0.gc.time")
+        m.add("fuse.fetch.bytes", 0)
+        assert m.snapshot() == {"fuse.fetch.bytes": 0.0}
+        assert m.snapshot("fuse.") == {"fuse.fetch.bytes": 0.0}
+        assert m.snapshot("device.") == {}
+        # Reading a bound name neither touches it nor unbinds it.
+        assert (m.value("fuse.cache.hits"), m.count("fuse.cache.hits")) == (0.0, 0)
+        assert m.snapshot("fuse.cache.") == {}
+        assert m.counter("fuse.cache.hits") is bound
+        bound.total += 1.0
+        bound.count += 1
+        assert m.snapshot("fuse.cache.") == {"fuse.cache.hits": 1.0}
+
+    def test_assembled_stack_has_counted_nothing(self):
+        """Every layer binds its counters in its constructor; a testbed
+        with a job on it (chunk cache, page cache, store client,
+        benefactor, SSDs all built, no I/O yet) reports nothing."""
+        from repro.experiments.configs import TINY
+        from repro.experiments.runner import Testbed
+
+        testbed = Testbed(TINY)
+        testbed.job(1, 1, 1)
+        metrics = testbed.cluster.metrics
+        assert metrics.snapshot() == {}
+        bound = set(metrics._counters)
+        assert len(bound) > 100
+        assert {
+            "fuse.cache.hits", "fuse.writeback.bytes", "pagecache.fault.bytes",
+            "store.client.retries", "store.benefactor.bytes_in",
+        } <= bound  # fmt: skip
+        assert any(name.endswith(".gc.time") for name in bound)
+
     def test_snapshot_deterministic_order(self):
         m = MetricsRecorder()
         # Touch counters in a scrambled order; snapshots must come back

@@ -7,17 +7,21 @@ Usage::
     python tools/check_digests.py telemetry.json \
         benchmarks/EXPERIMENT_digests_tiny.json
 
-The committed file pins every experiment's report digest at one scale.
-CI runs this after a default-configuration matrix pass: the tiered cache
-hierarchy, ARC policy, and adaptive prefetcher are all opt-in, so any
-drift in these digests means a nominally disabled code path changed
-observable behaviour.  Exits non-zero on drift, missing experiments, or
-a scale mismatch.
+The committed file pins every experiment's report digest at one scale:
+a hash of the report's rows, claims and verdict and of the byte-flow
+counters its testbeds touched.  CI runs this after a matrix pass; drift
+means some experiment now reports a different number, or counts a
+different set of things.  Exits non-zero on drift, missing experiments,
+or a scale mismatch.
 
-Regenerate the committed file (after an intentional behaviour change)
-with ``--update``::
+After an intentional behaviour change, ``--update`` merges the
+telemetry into the committed file: every experiment the telemetry names
+is re-pinned (or added) and printed as ``name: old -> new``, every other
+pin stays.  So a digest that must move is re-pinned alone, from a run of
+that one experiment::
 
-    python tools/check_digests.py telemetry.json \
+    python -m repro.experiments cache_tiering --scale tiny --json one.json
+    python tools/check_digests.py one.json \
         benchmarks/EXPERIMENT_digests_tiny.json --update
 """
 
@@ -44,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("committed", help="the pinned digest file to compare")
     parser.add_argument(
         "--update", action="store_true",
-        help="rewrite the committed file from the telemetry instead",
+        help="merge the telemetry's digests into the committed file instead",
     )
     args = parser.parse_args(argv)
 
@@ -53,18 +57,6 @@ def main(argv: list[str] | None = None) -> int:
     if telemetry.get("failed"):
         print(f"FAIL: experiments failed: {telemetry['failed']}", file=sys.stderr)
         return 1
-
-    if args.update:
-        payload = {
-            "schema": 1,
-            "scale": telemetry["scale"],
-            "digests": dict(sorted(current.items())),
-        }
-        Path(args.committed).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {len(current)} digests to {args.committed}")
-        return 0
 
     committed = json.loads(Path(args.committed).read_text())
     if committed["scale"] != telemetry["scale"]:
@@ -76,6 +68,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     pinned: dict[str, str] = committed["digests"]
+    if args.update:
+        for name, digest in sorted(current.items()):
+            if pinned.get(name) != digest:
+                print(f"{name}: {pinned.get(name)} -> {digest}")
+        committed["digests"] = pinned | current
+        Path(args.committed).write_text(
+            json.dumps(committed, indent=2, sort_keys=True) + "\n"
+        )
+        print(f"{len(committed['digests'])} digests in {args.committed}")
+        return 0
+
     failures = 0
     for name, digest in sorted(pinned.items()):
         got = current.get(name)
