@@ -212,107 +212,123 @@ class Checkpointer:
         — here (returns the record), or in a background drainer when given
         ``staging_bytes`` of staging memory (returns its handle).  Epoch
         registration rides the control RPCs the checkpoint already pays.
+        The span is ``nvmalloc.ssdcheckpoint`` or, with a drainer,
+        ``nvmalloc.ssdcheckpoint_async``.
         """
         background = staging_bytes is not None
-        if not background and mode not in CHECKPOINT_MODES:
-            raise CheckpointError(
-                f"unknown checkpoint mode {mode!r}; expected one of "
-                f"{CHECKPOINT_MODES} (async via ssdcheckpoint_async)"
+        tracer = self.engine.tracer
+        span = (
+            tracer.begin(
+                "nvmalloc",
+                "ssdcheckpoint_async" if background else "ssdcheckpoint",
+                tag=tag, timestep=timestep,
             )
-        var_map, section_order = self._preflight(tag, timestep, variables, layout)
-        me = self.node.name
-        dram_len = len(dram_state)
-        fd = yield from self.mount.open(
-            path, OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=0
+            if tracer is not None
+            else None
         )
-        # Metadata-only; piggybacks on the create RPC the open just paid.
-        epoch = self.manager.begin_epoch(tag, timestep, path)
-        record = CheckpointRecord(
-            tag=tag, timestep=timestep, path=path, mode=mode, parent=epoch.parent
-        )
-        guards: dict[str, SnapshotGuard] = {}
-        # Async, per variable: (backing path, {chunk index -> file offset}).
-        drain_plan: list[tuple[str, dict[int, int]]] = []
-        dram_offset = 0
-        for name in section_order:
-            if name == "__dram__":
-                yield from self.manager.rpc(me)
-                dram_offset = self.manager.extend_file(path, dram_len, client=me)
-                record.sections.append(
-                    CheckpointSection("__dram__", dram_offset, dram_len, False)
+        try:
+            if not background and mode not in CHECKPOINT_MODES:
+                raise CheckpointError(
+                    f"unknown checkpoint mode {mode!r}; expected one of "
+                    f"{CHECKPOINT_MODES} (async via ssdcheckpoint_async)"
                 )
-                if background and dram_len:
-                    # Staging the DRAM image is a memory copy; the store
-                    # write happens in the drain.
-                    yield from self.node.dram.access(AccessKind.READ, dram_len)
-                elif dram_len:
-                    yield from self.mount.pwrite(fd, dram_offset, dram_state)
-                    record.bytes_written += dram_len
-                continue
-            variable = var_map[name]
-            backing = variable.backing_path
-            live_ids = list(self.manager.lookup(backing).chunk_ids)
-            dirty = (self._touched_chunks if background else self._dirty_chunks)(
-                tag, name, backing, live_ids
+            var_map, section_order = self._preflight(tag, timestep, variables, layout)
+            me = self.node.name
+            dram_len = len(dram_state)
+            fd = yield from self.mount.open(
+                path, OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=0
             )
-            record.dirty_chunks += len(dirty)
-            record.total_chunks += len(live_ids)
-            if mode == "incremental":
-                # Flush app-side caches so the store holds current bytes
-                # (dirty pages only — this *is* the paper's incremental
-                # write path), then link by reference.
-                yield from variable.region.msync()
-                yield from self.mount.cache.flush_path(backing)
-                offset = self.manager.lookup(path).num_chunks * self.chunk_size
-                self.manager.link_chunks(path, backing)
-                record.bytes_linked += variable.nbytes
-                # Freeze the post-flush chunk ids: these are exactly the
-                # ids the epoch linked.
-                self._last_epoch_chunks[(tag, name)] = list(
-                    self.manager.lookup(backing).chunk_ids
-                )
-                linked = True
-            else:
-                # One metadata round trip covers the layout ops.
-                yield from self.manager.rpc(me)
-                if background:
-                    offset, guards[backing], file_offsets = self._snapshot_section(
-                        record, name, variable, len(live_ids), dirty, staging_bytes
+            # Metadata-only; piggybacks on the create RPC the open just paid.
+            epoch = self.manager.begin_epoch(tag, timestep, path)
+            record = CheckpointRecord(
+                tag=tag, timestep=timestep, path=path, mode=mode, parent=epoch.parent
+            )
+            guards: dict[str, SnapshotGuard] = {}
+            # Async, per variable: (backing path, {chunk index -> file offset}).
+            drain_plan: list[tuple[str, dict[int, int]]] = []
+            dram_offset = 0
+            for name in section_order:
+                if name == "__dram__":
+                    yield from self.manager.rpc(me)
+                    dram_offset = self.manager.extend_file(path, dram_len, client=me)
+                    record.sections.append(
+                        CheckpointSection("__dram__", dram_offset, dram_len, False)
                     )
-                    drain_plan.append((backing, file_offsets))
-                    linked = len(dirty) < len(live_ids)
+                    if background and dram_len:
+                        # Staging the DRAM image is a memory copy; the store
+                        # write happens in the drain.
+                        yield from self.node.dram.access(AccessKind.READ, dram_len)
+                    elif dram_len:
+                        yield from self.mount.pwrite(fd, dram_offset, dram_state)
+                        record.bytes_written += dram_len
+                    continue
+                variable = var_map[name]
+                backing = variable.backing_path
+                live_ids = list(self.manager.lookup(backing).chunk_ids)
+                dirty = (self._touched_chunks if background else self._dirty_chunks)(
+                    tag, name, backing, live_ids
+                )
+                record.dirty_chunks += len(dirty)
+                record.total_chunks += len(live_ids)
+                if mode == "incremental":
+                    # Flush app-side caches so the store holds current bytes
+                    # (dirty pages only — this *is* the paper's incremental
+                    # write path), then link by reference.
+                    yield from variable.region.msync()
+                    yield from self.mount.cache.flush_path(backing)
+                    offset = self.manager.lookup(path).num_chunks * self.chunk_size
+                    self.manager.link_chunks(path, backing)
+                    record.bytes_linked += variable.nbytes
+                    # Freeze the post-flush chunk ids: these are exactly the
+                    # ids the epoch linked.
+                    self._last_epoch_chunks[(tag, name)] = list(
+                        self.manager.lookup(backing).chunk_ids
+                    )
+                    linked = True
                 else:
-                    # Physical copy: read the mapped view and write it
-                    # into freshly reserved checkpoint chunks.  No flush
-                    # needed — the file holds its own copy of the data.
-                    offset = self.manager.extend_file(
-                        path, variable.nbytes, client=me
-                    )
-                    step = self.chunk_size
-                    for rel in range(0, variable.nbytes, step):
-                        piece = min(step, variable.nbytes - rel)
-                        data = yield from self.pagecache.read(backing, rel, piece)
-                        yield from self.mount.pwrite(fd, offset + rel, data)
-                    record.bytes_written += variable.nbytes
-                    # A full epoch shares nothing: the next incremental
-                    # diff has no frozen ids to compare against.
-                    self._last_epoch_chunks.pop((tag, name), None)
-                    linked = False
-            record.sections.append(
-                CheckpointSection(name, offset, variable.nbytes, linked)
-            )
-        if background:
-            handle = AsyncCheckpoint(self.engine, tag, timestep, record, guards)
-            handle.process = self.engine.process(
-                self._drain(handle, fd, dram_offset, dram_state, drain_plan)
-            )
-            self.metrics.add("nvmalloc.checkpoint.async_calls")
-            return handle
-        yield from self.mount.fsync(fd)
-        yield from self.mount.close(fd)
-        self._commit(record)
-        self.metrics.add("nvmalloc.checkpoint.calls")
-        return record
+                    # One metadata round trip covers the layout ops.
+                    yield from self.manager.rpc(me)
+                    if background:
+                        offset, guards[backing], file_offsets = self._snapshot_section(
+                            record, name, variable, len(live_ids), dirty, staging_bytes
+                        )
+                        drain_plan.append((backing, file_offsets))
+                        linked = len(dirty) < len(live_ids)
+                    else:
+                        # Physical copy: read the mapped view and write it
+                        # into freshly reserved checkpoint chunks.  No flush
+                        # needed — the file holds its own copy of the data.
+                        offset = self.manager.extend_file(
+                            path, variable.nbytes, client=me
+                        )
+                        step = self.chunk_size
+                        for rel in range(0, variable.nbytes, step):
+                            piece = min(step, variable.nbytes - rel)
+                            data = yield from self.pagecache.read(backing, rel, piece)
+                            yield from self.mount.pwrite(fd, offset + rel, data)
+                        record.bytes_written += variable.nbytes
+                        # A full epoch shares nothing: the next incremental
+                        # diff has no frozen ids to compare against.
+                        self._last_epoch_chunks.pop((tag, name), None)
+                        linked = False
+                record.sections.append(
+                    CheckpointSection(name, offset, variable.nbytes, linked)
+                )
+            if background:
+                handle = AsyncCheckpoint(self.engine, tag, timestep, record, guards)
+                handle.process = self.engine.process(
+                    self._drain(handle, fd, dram_offset, dram_state, drain_plan)
+                )
+                self.metrics.add("nvmalloc.checkpoint.async_calls")
+                return handle
+            yield from self.mount.fsync(fd)
+            yield from self.mount.close(fd)
+            self._commit(record)
+            self.metrics.add("nvmalloc.checkpoint.calls")
+            return record
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     def _commit(self, record: CheckpointRecord) -> None:
         """Seal a drained, closed epoch (rides the close's round trip): from
@@ -476,41 +492,51 @@ class Checkpointer:
     ) -> Generator[Event, object, tuple[bytes, dict[str, bytes]]]:
         """Read the newest complete epoch at or behind ``timestep`` back
         through the FUSE path, pinned against GC for the duration."""
+        tracer = self.engine.tracer
+        span = (
+            tracer.begin("nvmalloc", "restore", tag=tag, timestep=timestep)
+            if tracer is not None
+            else None
+        )
         try:
-            epoch = self.manager.resolve_restore_epoch(tag, timestep)
-        except FileNotFoundInStoreError:
-            raise CheckpointError(f"no checkpoint {tag}@{timestep}") from None
-        if epoch is None:
-            raise RestoreError(
-                f"checkpoint {tag!r} has no complete epoch to restore "
-                f"(requested {timestep})",
-                epoch=timestep,
-            )
-        record = self.record(tag, epoch)
-        self.manager.pin_epoch(tag, epoch)
-        try:
-            fd = yield from self.mount.open(record.path, OpenFlags.O_RDONLY)
-            parts: dict[str, bytes] = {}
-            for sec in record.restore_order:
-                parts[sec.name] = yield from self.mount.pread(
-                    fd, sec.offset, sec.length
+            try:
+                epoch = self.manager.resolve_restore_epoch(tag, timestep)
+            except FileNotFoundInStoreError:
+                raise CheckpointError(f"no checkpoint {tag}@{timestep}") from None
+            if epoch is None:
+                raise RestoreError(
+                    f"checkpoint {tag!r} has no complete epoch to restore "
+                    f"(requested {timestep})",
+                    epoch=timestep,
                 )
-            yield from self.mount.close(fd)
-        except ChunkUnavailableError as error:
-            yield from self.mount.close(fd)  # an open file cannot be unlinked
-            raise RestoreError(
-                f"restore of {tag}@{epoch} failed: required chunks are "
-                "lost at every replica",
-                lost_chunks=self._loss_records(
-                    self.manager.lost_chunks(record.path), epoch
-                ),
-                epoch=epoch,
-            ) from error
+            record = self.record(tag, epoch)
+            self.manager.pin_epoch(tag, epoch)
+            try:
+                fd = yield from self.mount.open(record.path, OpenFlags.O_RDONLY)
+                parts: dict[str, bytes] = {}
+                for sec in record.restore_order:
+                    parts[sec.name] = yield from self.mount.pread(
+                        fd, sec.offset, sec.length
+                    )
+                yield from self.mount.close(fd)
+            except ChunkUnavailableError as error:
+                yield from self.mount.close(fd)  # an open file cannot be unlinked
+                raise RestoreError(
+                    f"restore of {tag}@{epoch} failed: required chunks are "
+                    "lost at every replica",
+                    lost_chunks=self._loss_records(
+                        self.manager.lost_chunks(record.path), epoch
+                    ),
+                    epoch=epoch,
+                ) from error
+            finally:
+                self.manager.unpin_epoch(tag, epoch)
+            self.last_restore_epoch = epoch
+            self.last_restore_fallback = timestep is not None and epoch != timestep
+            return parts.pop("__dram__"), parts
         finally:
-            self.manager.unpin_epoch(tag, epoch)
-        self.last_restore_epoch = epoch
-        self.last_restore_fallback = timestep is not None and epoch != timestep
-        return parts.pop("__dram__"), parts
+            if span is not None:
+                tracer.end(span)
 
     def drain_to_pfs(
         self, tag: str, timestep: int, pfs, dest: str | None, block_bytes: int
@@ -561,17 +587,27 @@ class Checkpointer:
 
     def gc(self, tag: str, keep_last: int) -> Generator[Event, object, int]:
         """Retire every epoch the manager calls a GC candidate."""
-        reclaimed = 0
-        candidates = self.manager.gc_candidates(tag, keep_last=keep_last)
-        for epoch in candidates:
-            record = self.manager.epoch_record(tag, epoch)
-            # One control round trip per retired epoch.
-            yield from self.manager.rpc(self.node.name)
-            # Drop our cached chunks of the retired file before the
-            # manager frees them (mirrors unlink's invalidation).
-            self.mount.cache.invalidate_path(record.path)
-            reclaimed += self.manager.retire_epoch(tag, epoch)
-        if candidates:
-            self.metrics.add("nvmalloc.checkpoint.gc_epochs", len(candidates))
-            self.metrics.add("nvmalloc.checkpoint.gc_bytes", reclaimed)
-        return reclaimed
+        tracer = self.engine.tracer
+        span = (
+            tracer.begin("nvmalloc", "gc_checkpoints", tag=tag, keep_last=keep_last)
+            if tracer is not None
+            else None
+        )
+        try:
+            reclaimed = 0
+            candidates = self.manager.gc_candidates(tag, keep_last=keep_last)
+            for epoch in candidates:
+                record = self.manager.epoch_record(tag, epoch)
+                # One control round trip per retired epoch.
+                yield from self.manager.rpc(self.node.name)
+                # Drop our cached chunks of the retired file before the
+                # manager frees them (mirrors unlink's invalidation).
+                self.mount.cache.invalidate_path(record.path)
+                reclaimed += self.manager.retire_epoch(tag, epoch)
+            if candidates:
+                self.metrics.add("nvmalloc.checkpoint.gc_epochs", len(candidates))
+                self.metrics.add("nvmalloc.checkpoint.gc_bytes", reclaimed)
+            return reclaimed
+        finally:
+            if span is not None:
+                tracer.end(span)

@@ -132,23 +132,6 @@ class NVMalloc:
         private: bool = False,
         persistent_name: str | None = None,
     ) -> Generator[Event, object, NVMVariable]:
-        """Dispatch :meth:`_ssdmalloc_impl`, spanned when tracing is on."""
-        gen = self._ssdmalloc_impl(
-            nbytes, owner, shared_key, private, persistent_name
-        )
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap("nvmalloc", "ssdmalloc", gen, bytes=nbytes)
-
-    def _ssdmalloc_impl(
-        self,
-        nbytes: int,
-        owner: str,
-        shared_key: str | None,
-        private: bool,
-        persistent_name: str | None,
-    ) -> Generator[Event, object, NVMVariable]:
         """Allocate ``nbytes`` from the aggregate NVM store.
 
         Creates (or, for an existing ``shared_key``, opens) an internal
@@ -164,50 +147,60 @@ class NVMalloc:
         with :meth:`open_persistent`, or dropped with
         :meth:`unlink_persistent`.
         """
-        if nbytes <= 0:
-            raise AllocationError(f"ssdmalloc of {nbytes} bytes")
-        if persistent_name is not None and shared_key is not None:
-            raise AllocationError(
-                "persistent_name and shared_key are mutually exclusive"
-            )
-        path = self._backing_path(persistent_name, shared_key, owner)
-        if self.manager.exists(path):
-            if shared_key is None and persistent_name is None:
-                raise AllocationError(f"internal name collision on {path!r}")
-            if persistent_name is not None:
+        tracer = self.node.engine.tracer
+        span = (
+            tracer.begin("nvmalloc", "ssdmalloc", bytes=nbytes)
+            if tracer is not None
+            else None
+        )
+        try:
+            if nbytes <= 0:
+                raise AllocationError(f"ssdmalloc of {nbytes} bytes")
+            if persistent_name is not None and shared_key is not None:
                 raise AllocationError(
-                    f"persistent variable {persistent_name!r} already exists; "
-                    "use open_persistent() to map it"
+                    "persistent_name and shared_key are mutually exclusive"
                 )
-            if self.manager.lookup(path).size < nbytes:
-                raise AllocationError(
-                    f"shared allocation {shared_key!r} exists with smaller size"
-                )
-            fd = yield from self.mount.open(path, OpenFlags.O_RDWR)
-        else:
-            try:
-                fd = yield from self.mount.open(
-                    path, OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=nbytes
-                )
-            except FileExistsInStoreError:
-                # Another process on this node raced us to create the
-                # shared mapping between our existence check and the
-                # create RPC; fall back to opening it.
-                if shared_key is None:
-                    raise
+            path = self._backing_path(persistent_name, shared_key, owner)
+            if self.manager.exists(path):
+                if shared_key is None and persistent_name is None:
+                    raise AllocationError(f"internal name collision on {path!r}")
+                if persistent_name is not None:
+                    raise AllocationError(
+                        f"persistent variable {persistent_name!r} already exists; "
+                        "use open_persistent() to map it"
+                    )
+                if self.manager.lookup(path).size < nbytes:
+                    raise AllocationError(
+                        f"shared allocation {shared_key!r} exists with smaller size"
+                    )
                 fd = yield from self.mount.open(path, OpenFlags.O_RDWR)
             else:
-                # The paper intimates the buffer size to the store with
-                # posix_fallocate(); creation reserved it, this validates.
-                yield from self.mount.fallocate(fd, nbytes)
-        variable = self._map(
-            path, nbytes, owner=owner, shared=not private,
-            persistent=persistent_name is not None,
-        )
-        yield from self.mount.close(fd)
-        self.metrics.add("nvmalloc.ssdmalloc.bytes", nbytes)
-        self.metrics.add("nvmalloc.ssdmalloc.calls")
-        return variable
+                try:
+                    fd = yield from self.mount.open(
+                        path, OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=nbytes
+                    )
+                except FileExistsInStoreError:
+                    # Another process on this node raced us to create the
+                    # shared mapping between our existence check and the
+                    # create RPC; fall back to opening it.
+                    if shared_key is None:
+                        raise
+                    fd = yield from self.mount.open(path, OpenFlags.O_RDWR)
+                else:
+                    # The paper intimates the buffer size to the store with
+                    # posix_fallocate(); creation reserved it, this validates.
+                    yield from self.mount.fallocate(fd, nbytes)
+            variable = self._map(
+                path, nbytes, owner=owner, shared=not private,
+                persistent=persistent_name is not None,
+            )
+            yield from self.mount.close(fd)
+            self.metrics.add("nvmalloc.ssdmalloc.bytes", nbytes)
+            self.metrics.add("nvmalloc.ssdmalloc.calls")
+            return variable
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     def open_persistent(
         self, persistent_name: str, *, owner: str = "app"
@@ -252,6 +245,10 @@ class NVMalloc:
         path = variable.backing_path
         if path not in self._mapping_refs:
             raise NVMallocError(f"ssdfree of unknown variable over {path!r}")
+        if not variable.region.mapped:
+            # Another mapping keeps the path counted: only the region
+            # tells a second free of this variable from a first.
+            raise NVMallocError(f"ssdfree of a freed variable over {path!r}")
         yield from variable.region.munmap()
         self._checkpointer.forget_variable(path)
         yield from self.mount.cache.flush_path(path)
@@ -294,8 +291,8 @@ class NVMalloc:
         return DRAMArray(self.node.dram, shape, np.dtype(dtype))
 
     # ------------------------------------------------------------------
-    # Checkpointing (paper §III-E): span dispatch here, the work in
-    # :class:`~repro.core.checkpoint.Checkpointer`
+    # Checkpointing (paper §III-E): the API here, the work (and its
+    # span) in :class:`~repro.core.checkpoint.Checkpointer`
     # ------------------------------------------------------------------
     def _checkpoint_path(self, tag: str, timestep: int) -> str:
         return f"{MOUNT_POINT}/checkpoints/{tag}.{timestep}"
@@ -334,15 +331,9 @@ class NVMalloc:
         permutation of ``["__dram__", <variable labels...>]``.  Default:
         DRAM image first, then variables in argument order.
         """
-        gen = self._checkpointer.take(
+        return self._checkpointer.take(
             tag, timestep, self._checkpoint_path(tag, timestep),
             dram_state, variables, layout, mode,
-        )
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "nvmalloc", "ssdcheckpoint", gen, tag=tag, timestep=timestep
         )
 
     def ssdcheckpoint_async(
@@ -375,15 +366,9 @@ class NVMalloc:
         """
         if staging_bytes is None:
             staging_bytes = 4 * self.chunk_size
-        gen = self._checkpointer.take(
+        return self._checkpointer.take(
             tag, timestep, self._checkpoint_path(tag, timestep),
             dram_state, variables, layout, "async", staging_bytes,
-        )
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "nvmalloc", "ssdcheckpoint_async", gen, tag=tag, timestep=timestep
         )
 
     def checkpoint_record(self, tag: str, timestep: int) -> CheckpointRecord:
@@ -421,13 +406,7 @@ class NVMalloc:
         every replica does the restore fail, with a typed
         :class:`~repro.errors.RestoreError` detailing the loss.
         """
-        gen = self._checkpointer.restore(tag, timestep)
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "nvmalloc", "restore", gen, tag=tag, timestep=timestep
-        )
+        return self._checkpointer.restore(tag, timestep)
 
     def drain_checkpoint_to_pfs(
         self,
@@ -491,13 +470,7 @@ class NVMalloc:
         in-flight re-replication fill so GC never races repair).
         Returns the physical bytes reclaimed.
         """
-        gen = self._checkpointer.gc(tag, keep_last)
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "nvmalloc", "gc_checkpoints", gen, tag=tag, keep_last=keep_last
-        )
+        return self._checkpointer.gc(tag, keep_last)
 
     def __repr__(self) -> str:
         return f"<NVMalloc on {self.node.name}>"

@@ -440,9 +440,8 @@ class ChunkCache:
             )
             try:
                 if was_dirty:
-                    # The impl, not the traced ``_writeback`` dispatcher:
-                    # the span above already names this write-back.
-                    yield from self._writeback_impl(victim_key, entry)
+                    # Unspanned: the span above names this write-back.
+                    yield from self._writeback(victim_key, entry, None)
             finally:
                 if was_dirty:
                     del self._inflight[victim_key]
@@ -457,19 +456,6 @@ class ChunkCache:
                 self.stats.dirty_evictions += 1
 
     def _evict_tiered(
-        self, key: tuple[str, int], entry: _Entry, done: Event, gen_at: int
-    ) -> Generator[Event, object, None]:
-        """Dispatch :meth:`_evict_tiered_impl`, spanned when tracing is on."""
-        gen = self._evict_tiered_impl(key, entry, done, gen_at)
-        tracer = self._engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "fuse.l2", "evict", gen,
-            path=key[0], index=key[1], dirty=bool(entry.dirty),
-        )
-
-    def _evict_tiered_impl(
         self, key: tuple[str, int], entry: _Entry, done: Event, gen_at: int
     ) -> Generator[Event, object, None]:
         """Background eviction with the local tier on.
@@ -489,6 +475,15 @@ class ChunkCache:
         """
         l2 = self._l2
         path, index = key
+        tracer = self._engine.tracer
+        span = (
+            tracer.begin(
+                "fuse.l2", "evict",
+                path=path, index=index, dirty=bool(entry.dirty),
+            )
+            if tracer is not None
+            else None
+        )
         try:
             while entry.filling is not None:
                 yield entry.filling
@@ -503,7 +498,7 @@ class ChunkCache:
                 # The victim is out of ``_entries`` with ``pins == 0``:
                 # nothing can write it between the spill above and the
                 # payload snapshot the write-back takes.
-                yield from self._writeback_impl(key, entry)
+                yield from self._writeback(key, entry, None)
                 l2.mark_drained(key)
             elif (
                 entry.valid
@@ -523,6 +518,8 @@ class ChunkCache:
             if not ibucket:
                 del self._inflight_by_path[path]
             done.conclude()
+            if span is not None:
+                tracer.end(span)
 
     def _spill(
         self, key: tuple[str, int], entry: _Entry, *, staged: bool
@@ -553,49 +550,53 @@ class ChunkCache:
         return True
 
     def _writeback(
-        self, key: tuple[str, int], entry: _Entry
+        self, key: tuple[str, int], entry: _Entry,
+        span_name: str | None = "writeback",
     ) -> Generator[Event, object, None]:
-        """Dispatch :meth:`_writeback_impl`, spanned when tracing is on."""
-        gen = self._writeback_impl(key, entry)
-        tracer = self._engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "fuse", "writeback", gen, path=key[0], index=key[1]
-        )
+        """Ship the entry's dirty ranges to the store.
 
-    def _writeback_impl(
-        self, key: tuple[str, int], entry: _Entry
-    ) -> Generator[Event, object, None]:
-        # Wait out an in-flight fill: its merge must see the dirty
-        # markers we are about to consume, or fetched (stale) bytes
-        # would overwrite the freshly written ones.
-        while entry.filling is not None:
-            yield entry.filling
-        if not entry.dirty:
-            return
-        path, index = key
-        entry.writeback = Event(self._engine)
-        ranges, nbytes = self._payloads(
-            entry, entry.dirty, not self.dirty_page_writeback
+        Traced as ``fuse.<span_name>``; an eviction passes ``None``
+        because it already holds the span that names this write-back.
+        """
+        tracer = self._engine.tracer
+        span = (
+            tracer.begin("fuse", span_name, path=key[0], index=key[1])
+            if tracer is not None and span_name is not None
+            else None
         )
-        # Clear dirtiness before yielding: writes landing while the
-        # payload is in flight re-dirty the entry and flush later.
-        entry.dirty.clear()
         try:
-            req = self.daemon.acquire_now()
-            if req is None:
-                req = self.daemon.request()
-                yield req
+            # Wait out an in-flight fill: its merge must see the dirty
+            # markers we are about to consume, or fetched (stale) bytes
+            # would overwrite the freshly written ones.
+            while entry.filling is not None:
+                yield entry.filling
+            if not entry.dirty:
+                return
+            path, index = key
+            entry.writeback = Event(self._engine)
+            ranges, nbytes = self._payloads(
+                entry, entry.dirty, not self.dirty_page_writeback
+            )
+            # Clear dirtiness before yielding: writes landing while the
+            # payload is in flight re-dirty the entry and flush later.
+            entry.dirty.clear()
             try:
-                yield from self.client.write_chunk_ranges(path, index, ranges)
+                req = self.daemon.acquire_now()
+                if req is None:
+                    req = self.daemon.request()
+                    yield req
+                try:
+                    yield from self.client.write_chunk_ranges(path, index, ranges)
+                finally:
+                    self.daemon.release(req)
             finally:
-                self.daemon.release(req)
+                event, entry.writeback = entry.writeback, None
+                if event is not None:
+                    event.conclude()
+            self._wrote_back(nbytes)
         finally:
-            event, entry.writeback = entry.writeback, None
-            if event is not None:
-                event.conclude()
-        self._wrote_back(nbytes)
+            if span is not None:
+                tracer.end(span)
 
     def _load(
         self,
@@ -746,96 +747,97 @@ class ChunkCache:
     def _fill(
         self, path: str, index: int, entry: _Entry, *, prefetch: bool = False
     ) -> Generator[Event, object, None]:
-        """Dispatch :meth:`_fill_impl`, spanned when tracing is on."""
-        gen = self._fill_impl(path, index, entry, prefetch=prefetch)
+        """Make ``entry`` valid: promote the local tier's copy or fetch
+        the chunk from the store, keeping bytes written before the fill."""
         tracer = self._engine.tracer
-        if tracer is None:
-            return gen
-        op = (
-            "promote_chunk"
-            if self._promotable((path, index), entry)
-            else "fetch_chunk"
+        span = (
+            tracer.begin(
+                "fuse", "fetch_chunk",
+                path=path, index=index, prefetch=prefetch,
+            )
+            if tracer is not None
+            else None
         )
-        return tracer.wrap(
-            "fuse", op, gen,
-            path=path, index=index, prefetch=prefetch,
-        )
-
-    def _fill_impl(
-        self, path: str, index: int, entry: _Entry, *, prefetch: bool = False
-    ) -> Generator[Event, object, None]:
-        l2 = self._l2
-        from_l2 = False
-        fill_start = self._engine.now
-        entry.filling = Event(self._engine)
         try:
-            # Mutual exclusion with write-backs (registered before this
-            # wait so concurrent readers single-flight on us meanwhile).
-            while entry.writeback is not None:
-                yield entry.writeback
-            req = self.daemon.acquire_now()
-            if req is None:
-                req = self.daemon.request()
-                yield req
+            l2 = self._l2
+            from_l2 = False
+            fill_start = self._engine.now
+            entry.filling = Event(self._engine)
             try:
-                if self._promotable((path, index), entry):
-                    # Promote from the local tier: one local SSD read
-                    # instead of the network+benefactor round trip.
-                    data = yield from l2.promote((path, index))
-                    from_l2 = True
-                else:
-                    data = yield from self.client.read_chunk(
-                        path, index,
-                        purpose="prefetch" if prefetch else "demand",
-                    )
+                # Mutual exclusion with write-backs (registered before this
+                # wait so concurrent readers single-flight on us meanwhile).
+                while entry.writeback is not None:
+                    yield entry.writeback
+                req = self.daemon.acquire_now()
+                if req is None:
+                    req = self.daemon.request()
+                    yield req
+                try:
+                    if self._promotable((path, index), entry):
+                        # Promote from the local tier: one local SSD read
+                        # instead of the network+benefactor round trip.
+                        # Named here, not at the call: the waits above
+                        # can change which source is current.
+                        if span is not None:
+                            span.name = "promote_chunk"
+                        data = yield from l2.promote((path, index))
+                        from_l2 = True
+                    else:
+                        data = yield from self.client.read_chunk(
+                            path, index,
+                            purpose="prefetch" if prefetch else "demand",
+                        )
+                finally:
+                    self.daemon.release(req)
             finally:
-                self.daemon.release(req)
-        finally:
-            event, entry.filling = entry.filling, None
-            event.conclude()
-        # Preserve bytes written before the fill (write-allocate case).
-        nbytes = len(data)
-        if nbytes == self.chunk_size and type(data) in (bytes, bytearray):
-            # The store handed us a full-size buffer: adopt it as the
-            # entry payload instead of copying it once more.  When it is
-            # immutable or a benefactor loan (the live stored payload
-            # still holds a reference: refcount above local+argument),
-            # remember that — the first write must copy before mutating.
-            shared = type(data) is bytes or sys.getrefcount(data) > 2
-        else:
-            buf = bytearray(self.chunk_size)  # a short tail chunk
-            buf[:nbytes] = data
-            data = buf
-            shared = False
-        if entry.dirty:
-            if shared:
-                data = bytearray(data)
-                shared = False
-            old = memoryview(entry.data)
-            for start, stop in entry.dirty:
-                data[start:stop] = old[start:stop]
-        entry.data = data
-        entry.shared = shared
-        entry.valid = True
-        if from_l2:
-            self.stats.l2_promote_bytes += nbytes
-        else:
-            self.stats.fetched_bytes += nbytes
-            if prefetch:
-                self.stats.prefetched_bytes += nbytes
-            counter = self._fetch_counter
-            counter.total += nbytes
-            counter.count += 1
-        if prefetch:
-            entry.prefetched = True
-        else:
-            elapsed = self._engine.now - fill_start
-            if from_l2:
-                self.stats.l2_fills += 1
-                self.stats.l2_fill_seconds += elapsed
+                event, entry.filling = entry.filling, None
+                event.conclude()
+            # Preserve bytes written before the fill (write-allocate case).
+            nbytes = len(data)
+            if nbytes == self.chunk_size and type(data) in (bytes, bytearray):
+                # The store handed us a full-size buffer: adopt it as the
+                # entry payload instead of copying it once more.  When it is
+                # immutable or a benefactor loan (the live stored payload
+                # still holds a reference: refcount above local+argument),
+                # remember that — the first write must copy before mutating.
+                shared = type(data) is bytes or sys.getrefcount(data) > 2
             else:
-                self.stats.store_fills += 1
-                self.stats.store_fill_seconds += elapsed
+                buf = bytearray(self.chunk_size)  # a short tail chunk
+                buf[:nbytes] = data
+                data = buf
+                shared = False
+            if entry.dirty:
+                if shared:
+                    data = bytearray(data)
+                    shared = False
+                old = memoryview(entry.data)
+                for start, stop in entry.dirty:
+                    data[start:stop] = old[start:stop]
+            entry.data = data
+            entry.shared = shared
+            entry.valid = True
+            if from_l2:
+                self.stats.l2_promote_bytes += nbytes
+            else:
+                self.stats.fetched_bytes += nbytes
+                if prefetch:
+                    self.stats.prefetched_bytes += nbytes
+                counter = self._fetch_counter
+                counter.total += nbytes
+                counter.count += 1
+            if prefetch:
+                entry.prefetched = True
+            else:
+                elapsed = self._engine.now - fill_start
+                if from_l2:
+                    self.stats.l2_fills += 1
+                    self.stats.l2_fill_seconds += elapsed
+                else:
+                    self.stats.store_fills += 1
+                    self.stats.store_fill_seconds += elapsed
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     def _hit(self, key: tuple[str, int], entry: _Entry) -> None:
         """Bookkeeping for a resident entry taken on the no-yield fast

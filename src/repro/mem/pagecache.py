@@ -253,7 +253,7 @@ class PageCache:
                         done.conclude()
                 elif victim.syncing:
                     # Clean, but its msync payload has not landed: the key
-                    # stays in flight until it has (``_sync_path_impl``
+                    # stays in flight until it has (``sync_path``
                     # concludes this marker), or a fetch could come before
                     # the bytes and be installed after them.
                     done = victim.syncing = Event(self._engine)
@@ -271,99 +271,99 @@ class PageCache:
     def _fault_range(
         self, path: str, first_page: int, last_page: int
     ) -> Generator[Event, object, None]:
-        """Dispatch :meth:`_fault_range_impl`, spanned when tracing is on."""
-        gen = self._fault_range_impl(path, first_page, last_page)
-        tracer = self._engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "pagecache", "fault", gen,
-            path=path, pages=last_page - first_page + 1,
-        )
-
-    def _fault_range_impl(
-        self, path: str, first_page: int, last_page: int
-    ) -> Generator[Event, object, None]:
         """Fault pages ``first_page..last_page`` (inclusive) in from FUSE.
 
         Contiguous missing pages are requested as one FUSE read per chunk
         piece, but inserted (and later evictable) page by page.
         """
-        # Pages of this range may have in-flight eviction flushes; their
-        # bytes are not in FUSE yet, so fetching now would resurrect
-        # stale data.  Wait for those flushes to land first.
-        inflight = self._inflight
-        if inflight:
-            for page_idx in range(first_page, last_page + 1):
-                key = (path, page_idx)
-                while key in inflight:
-                    yield inflight[key]
-        offset = first_page * self.page_size
-        size = self._size(path)
-        length = min((last_page + 1) * self.page_size, size) - offset
-        cache = self._fuse_cache()
-        # Each faulted page is one mmap fault serviced through the FUSE
-        # daemon: charge the kernel-crossing overhead per page.
-        npages = last_page - first_page + 1
-        overhead = npages * self.fuse_op_overhead
-        if overhead and not self._engine.advance(overhead):
-            yield self._engine.timeout(overhead)
-        pages = self._pages
-        pages_get = pages.get
-        page_size = self.page_size
-        chunk_size = self.mount.chunk_size
-        cursor = offset
-        end = offset + length
-        # ``cursor`` stays page-aligned throughout: it starts at a page
-        # boundary and chunk pieces are page multiples except the file
-        # tail, which is the last piece.  So the inner loop can count
-        # page indices instead of dividing per page, and slice full
-        # pages straight out of the fetch buffer (a bytearray slice is
-        # already the fresh copy the new page adopts).
-        flushed: dict[tuple[str, int], None] = {}
-        self._fault_serial = serial = self._fault_serial + 1
-        self._faults[serial] = flushed
+        tracer = self._engine.tracer
+        span = (
+            tracer.begin(
+                "pagecache", "fault",
+                path=path, pages=last_page - first_page + 1,
+            )
+            if tracer is not None
+            else None
+        )
         try:
-            while cursor < end:
-                chunk_index = cursor // chunk_size
-                chunk_off = cursor - chunk_index * chunk_size
-                piece = min(chunk_size - chunk_off, end - cursor)
-                buf = bytearray(piece)
-                yield from cache.read_into(path, chunk_index, chunk_off, piece, buf)
-                page_idx = cursor // page_size
-                inner = 0
-                while inner < piece:
-                    seg_len = piece - inner
+            # Pages of this range may have in-flight eviction flushes; their
+            # bytes are not in FUSE yet, so fetching now would resurrect
+            # stale data.  Wait for those flushes to land first.
+            inflight = self._inflight
+            if inflight:
+                for page_idx in range(first_page, last_page + 1):
                     key = (path, page_idx)
-                    page = pages_get(key)
-                    if page is not None:
-                        # Concurrently faulted back in: only touch the LRU
-                        # position, never overwrite (it may hold newer bytes).
-                        pages.move_to_end(key)
-                        self._tick += 1
-                        page.lru = self._tick
-                    elif seg_len >= page_size:
-                        # _insert drops the slice if the page turns up
-                        # resident after an eviction wait.
-                        yield from self._insert(
-                            path, page_idx, buf[inner : inner + page_size], flushed
-                        )
-                    else:
-                        # The file's tail: a zero-padded partial page.
-                        page, created = yield from self._insert(
-                            path, page_idx, None, flushed
-                        )
-                        if created:
-                            page.data[:seg_len] = buf[inner:]
-                    inner += page_size
-                    page_idx += 1
-                cursor += piece
+                    while key in inflight:
+                        yield inflight[key]
+            offset = first_page * self.page_size
+            size = self._size(path)
+            length = min((last_page + 1) * self.page_size, size) - offset
+            cache = self._fuse_cache()
+            # Each faulted page is one mmap fault serviced through the FUSE
+            # daemon: charge the kernel-crossing overhead per page.
+            npages = last_page - first_page + 1
+            overhead = npages * self.fuse_op_overhead
+            if overhead and not self._engine.advance(overhead):
+                yield self._engine.timeout(overhead)
+            pages = self._pages
+            pages_get = pages.get
+            page_size = self.page_size
+            chunk_size = self.mount.chunk_size
+            cursor = offset
+            end = offset + length
+            # ``cursor`` stays page-aligned throughout: it starts at a page
+            # boundary and chunk pieces are page multiples except the file
+            # tail, which is the last piece.  So the inner loop can count
+            # page indices instead of dividing per page, and slice full
+            # pages straight out of the fetch buffer (a bytearray slice is
+            # already the fresh copy the new page adopts).
+            flushed: dict[tuple[str, int], None] = {}
+            self._fault_serial = serial = self._fault_serial + 1
+            self._faults[serial] = flushed
+            try:
+                while cursor < end:
+                    chunk_index = cursor // chunk_size
+                    chunk_off = cursor - chunk_index * chunk_size
+                    piece = min(chunk_size - chunk_off, end - cursor)
+                    buf = bytearray(piece)
+                    yield from cache.read_into(path, chunk_index, chunk_off, piece, buf)
+                    page_idx = cursor // page_size
+                    inner = 0
+                    while inner < piece:
+                        seg_len = piece - inner
+                        key = (path, page_idx)
+                        page = pages_get(key)
+                        if page is not None:
+                            # Concurrently faulted back in: only touch the LRU
+                            # position, never overwrite (it may hold newer bytes).
+                            pages.move_to_end(key)
+                            self._tick += 1
+                            page.lru = self._tick
+                        elif seg_len >= page_size:
+                            # _insert drops the slice if the page turns up
+                            # resident after an eviction wait.
+                            yield from self._insert(
+                                path, page_idx, buf[inner : inner + page_size], flushed
+                            )
+                        else:
+                            # The file's tail: a zero-padded partial page.
+                            page, created = yield from self._insert(
+                                path, page_idx, None, flushed
+                            )
+                            if created:
+                                page.data[:seg_len] = buf[inner:]
+                        inner += page_size
+                        page_idx += 1
+                    cursor += piece
+            finally:
+                del self._faults[serial]
+            self.stats.faulted_bytes += length
+            counter = self._fault_counter
+            counter.total += length
+            counter.count += 1
         finally:
-            del self._faults[serial]
-        self.stats.faulted_bytes += length
-        counter = self._fault_counter
-        counter.total += length
-        counter.count += 1
+            if span is not None:
+                tracer.end(span)
 
     # ------------------------------------------------------------------
     # Public byte-range access
@@ -623,14 +623,6 @@ class PageCache:
         }
 
     def sync_path(self, path: str) -> Generator[Event, object, None]:
-        """Dispatch :meth:`_sync_path_impl`, spanned when tracing is on."""
-        gen = self._sync_path_impl(path)
-        tracer = self._engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap("pagecache", "sync", gen, path=path)
-
-    def _sync_path_impl(self, path: str) -> Generator[Event, object, None]:
         """Flush all dirty pages of ``path`` to FUSE (msync).
 
         Runs of LRU-consecutive, file-contiguous dirty pages inside one
@@ -643,106 +635,116 @@ class PageCache:
         meanwhile, its key stays in flight till then (``_insert``).  The
         file's tail page ships only its bytes below EOF.
         """
-        yield from self.drain_path(path)
-        bucket = self._by_path.get(path)
-        if bucket:
-            pages = self._pages
-            page_size = self.page_size
-            size = self._size(path)
-            chunk_size = self.mount.chunk_size
-            cache = self._fuse_cache()
-            overhead = self.fuse_op_overhead or None
-            faults = self._faults
-            inflight = self._inflight
-            # Snapshot this path's pages in LRU order (stamp order ==
-            # dict order); dirtiness is re-checked at flush time, as the
-            # page-by-page loop would.  Stamps are unique, so a numpy
-            # argsort over the stamp array replays the exact order the
-            # tuple sort produced, without B log B tuple comparisons.
-            # Batch *boundaries* stay lazily evaluated below: a page
-            # dirtied while an earlier batch's flush was in flight must
-            # still be picked up when the walk reaches it.
-            indices = list(bucket)
-            path_pages = [pages[(path, i)] for i in indices]
-            order = np.argsort(
-                np.fromiter(
-                    (p.lru for p in path_pages), np.int64, len(indices)
+        tracer = self._engine.tracer
+        span = (
+            tracer.begin("pagecache", "sync", path=path)
+            if tracer is not None
+            else None
+        )
+        try:
+            yield from self.drain_path(path)
+            bucket = self._by_path.get(path)
+            if bucket:
+                pages = self._pages
+                page_size = self.page_size
+                size = self._size(path)
+                chunk_size = self.mount.chunk_size
+                cache = self._fuse_cache()
+                overhead = self.fuse_op_overhead or None
+                faults = self._faults
+                inflight = self._inflight
+                # Snapshot this path's pages in LRU order (stamp order ==
+                # dict order); dirtiness is re-checked at flush time, as the
+                # page-by-page loop would.  Stamps are unique, so a numpy
+                # argsort over the stamp array replays the exact order the
+                # tuple sort produced, without B log B tuple comparisons.
+                # Batch *boundaries* stay lazily evaluated below: a page
+                # dirtied while an earlier batch's flush was in flight must
+                # still be picked up when the walk reaches it.
+                indices = list(bucket)
+                path_pages = [pages[(path, i)] for i in indices]
+                order = np.argsort(
+                    np.fromiter(
+                        (p.lru for p in path_pages), np.int64, len(indices)
+                    )
                 )
-            )
-            snapshot = [
-                (indices[k], path_pages[k]) for k in order.tolist()
-            ]
-            j = 0
-            total = len(snapshot)
-            while j < total:
-                page_idx, page = snapshot[j]
-                if not page.dirty:
-                    j += 1
-                    continue
-                offset = page_idx * page_size
-                chunk_index = offset // chunk_size
-                chunk_base = chunk_index * chunk_size
-                # Extend over LRU-consecutive, index-contiguous dirty
-                # pages of the same chunk.
-                batch = [(page_idx, page)]
-                k = j + 1
-                while k < total:
-                    nxt_idx, nxt_page = snapshot[k]
-                    if (
-                        nxt_idx != batch[-1][0] + 1
-                        or not nxt_page.dirty
-                        or nxt_idx * page_size // chunk_size != chunk_index
-                    ):
-                        break
-                    batch.append((nxt_idx, nxt_page))
-                    k += 1
-                flushed = 0
-                flushed_bytes = 0
+                snapshot = [
+                    (indices[k], path_pages[k]) for k in order.tolist()
+                ]
+                j = 0
+                total = len(snapshot)
+                while j < total:
+                    page_idx, page = snapshot[j]
+                    if not page.dirty:
+                        j += 1
+                        continue
+                    offset = page_idx * page_size
+                    chunk_index = offset // chunk_size
+                    chunk_base = chunk_index * chunk_size
+                    # Extend over LRU-consecutive, index-contiguous dirty
+                    # pages of the same chunk.
+                    batch = [(page_idx, page)]
+                    k = j + 1
+                    while k < total:
+                        nxt_idx, nxt_page = snapshot[k]
+                        if (
+                            nxt_idx != batch[-1][0] + 1
+                            or not nxt_page.dirty
+                            or nxt_idx * page_size // chunk_size != chunk_index
+                        ):
+                            break
+                        batch.append((nxt_idx, nxt_page))
+                        k += 1
+                    flushed = 0
+                    flushed_bytes = 0
 
-                def _ranges() -> Generator[tuple[int, bytes], None, None]:
-                    # Consumed lazily by write_ranges: page m's payload
-                    # is snapshotted (and un-dirtied) only after page
-                    # m-1's write completed — the same instant a
-                    # page-by-page loop would have snapshotted it.
-                    nonlocal flushed, flushed_bytes
-                    for idx2, pg in batch:
-                        if not pg.dirty:
-                            continue  # flushed meanwhile (e.g. evicted)
-                        start = idx2 * page_size
-                        payload = (
-                            bytes(pg.data) if size - start >= page_size
-                            else bytes(memoryview(pg.data)[: size - start])
-                        )
-                        pg.dirty = False
-                        pg.syncing = True
-                        flushed += 1
-                        flushed_bytes += len(payload)
-                        try:
-                            yield (start - chunk_base, payload)
-                        finally:
-                            # Resumed when that range is in the chunk
-                            # cache: landed, as an eviction flush lands.
-                            for serial in faults:
-                                faults[serial][(path, idx2)] = None
-                            done, pg.syncing = pg.syncing, False
-                            if done.__class__ is Event:  # evicted on the way
-                                del inflight[(path, idx2)]
-                                ibucket = self._inflight_by_path[path]
-                                del ibucket[idx2]
-                                if not ibucket:
-                                    del self._inflight_by_path[path]
-                                done.conclude()
+                    def _ranges() -> Generator[tuple[int, bytes], None, None]:
+                        # Consumed lazily by write_ranges: page m's payload
+                        # is snapshotted (and un-dirtied) only after page
+                        # m-1's write completed — the same instant a
+                        # page-by-page loop would have snapshotted it.
+                        nonlocal flushed, flushed_bytes
+                        for idx2, pg in batch:
+                            if not pg.dirty:
+                                continue  # flushed meanwhile (e.g. evicted)
+                            start = idx2 * page_size
+                            payload = (
+                                bytes(pg.data) if size - start >= page_size
+                                else bytes(memoryview(pg.data)[: size - start])
+                            )
+                            pg.dirty = False
+                            pg.syncing = True
+                            flushed += 1
+                            flushed_bytes += len(payload)
+                            try:
+                                yield (start - chunk_base, payload)
+                            finally:
+                                # Resumed when that range is in the chunk
+                                # cache: landed, as an eviction flush lands.
+                                for serial in faults:
+                                    faults[serial][(path, idx2)] = None
+                                done, pg.syncing = pg.syncing, False
+                                if done.__class__ is Event:  # evicted on the way
+                                    del inflight[(path, idx2)]
+                                    ibucket = self._inflight_by_path[path]
+                                    del ibucket[idx2]
+                                    if not ibucket:
+                                        del self._inflight_by_path[path]
+                                    done.conclude()
 
-                yield from cache.write_ranges(
-                    path, chunk_index, _ranges(), pre_range_delay=overhead
-                )
-                if flushed:
-                    self.stats.writeback_bytes += flushed_bytes
-                    counter = self._writeback_counter
-                    counter.total += flushed_bytes
-                    counter.count += flushed
-                j = k
-        yield from self.drain_path(path)
+                    yield from cache.write_ranges(
+                        path, chunk_index, _ranges(), pre_range_delay=overhead
+                    )
+                    if flushed:
+                        self.stats.writeback_bytes += flushed_bytes
+                        counter = self._writeback_counter
+                        counter.total += flushed_bytes
+                        counter.count += flushed
+                    j = k
+            yield from self.drain_path(path)
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     def drop_path(self, path: str, *, sync: bool = True) -> Generator[Event, object, None]:
         """Flush (optionally) and evict all pages of ``path`` (munmap)."""

@@ -58,65 +58,61 @@ class Network:
     def transfer(
         self, src: str, dst: str, nbytes: int
     ) -> Generator[Event, object, None]:
-        """Dispatch :meth:`_transfer_impl`, spanned when tracing is on.
-
-        Node-local transfers (``src == dst``) are never spanned: they
-        involve no network and yield no events.
-        """
-        gen = self._transfer_impl(src, dst, nbytes)
-        tracer = self.engine.tracer
-        if tracer is None or src == dst:
-            return gen
-        return tracer.wrap(
-            "net", "transfer", gen, src=src, dst=dst, bytes=nbytes
-        )
-
-    def _transfer_impl(
-        self, src: str, dst: str, nbytes: int
-    ) -> Generator[Event, object, None]:
         """Process generator: move ``nbytes`` from ``src`` to ``dst``.
 
         Ports are acquired TX-then-RX (a fixed global order, so concurrent
         transfers cannot deadlock) and held together for the wire time.
+        Node-local transfers (``src == dst``) involve no network, yield no
+        events and are never spanned.
         """
-        if nbytes < 0:
-            raise NetworkError(f"negative transfer size {nbytes}")
-        if src == dst:
-            return  # node-local: no network involvement
-        state = self._pair_state.get((src, dst))
-        if state is None:
-            metrics = self.metrics
-            state = self._pair_state[(src, dst)] = (
-                self.nic(src).tx,
-                self.nic(dst).rx,
-                (
-                    metrics.counter("network.bytes"),
-                    metrics.counter(f"network.{src}.tx.bytes"),
-                    metrics.counter(f"network.{dst}.rx.bytes"),
-                ),
-            )
-        tx, rx, counters = state
-        tx_req = tx.acquire_now()
-        if tx_req is None:
-            tx_req = tx.request()
-            yield tx_req
-        rx_req = rx.acquire_now()
+        tracer = self.engine.tracer
+        span = (
+            tracer.begin("net", "transfer", src=src, dst=dst, bytes=nbytes)
+            if tracer is not None and src != dst
+            else None
+        )
         try:
-            if rx_req is None:
-                rx_req = rx.request()
-                yield rx_req
+            if nbytes < 0:
+                raise NetworkError(f"negative transfer size {nbytes}")
+            if src == dst:
+                return  # node-local: no network involvement
+            state = self._pair_state.get((src, dst))
+            if state is None:
+                metrics = self.metrics
+                state = self._pair_state[(src, dst)] = (
+                    self.nic(src).tx,
+                    self.nic(dst).rx,
+                    (
+                        metrics.counter("network.bytes"),
+                        metrics.counter(f"network.{src}.tx.bytes"),
+                        metrics.counter(f"network.{dst}.rx.bytes"),
+                    ),
+                )
+            tx, rx, counters = state
+            tx_req = tx.acquire_now()
+            if tx_req is None:
+                tx_req = tx.request()
+                yield tx_req
+            rx_req = rx.acquire_now()
             try:
-                c_net, c_tx, c_rx = counters
-                c_net.total += nbytes
-                c_net.count += 1
-                c_tx.total += nbytes
-                c_tx.count += 1
-                c_rx.total += nbytes
-                c_rx.count += 1
-                duration = self._transfer_time(nbytes)
-                if not self.engine.advance(duration):
-                    yield self._timeout(duration)
+                if rx_req is None:
+                    rx_req = rx.request()
+                    yield rx_req
+                try:
+                    c_net, c_tx, c_rx = counters
+                    c_net.total += nbytes
+                    c_net.count += 1
+                    c_tx.total += nbytes
+                    c_tx.count += 1
+                    c_rx.total += nbytes
+                    c_rx.count += 1
+                    duration = self._transfer_time(nbytes)
+                    if not self.engine.advance(duration):
+                        yield self._timeout(duration)
+                finally:
+                    rx.release(rx_req)
             finally:
-                rx.release(rx_req)
+                tx.release(tx_req)
         finally:
-            tx.release(tx_req)
+            if span is not None:
+                tracer.end(span)

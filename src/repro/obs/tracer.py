@@ -19,9 +19,9 @@ Context propagation rides the simulator's own concurrency structure:
   span becomes the base parent of everything the new process records.
   This is how one trace id follows a request across process boundaries.
 - Messages hopping between ranks carry a *flow link*: the sender's span
-  identity is queued per ``(src, dst, tag)`` channel and attached to the
-  matching receive span (channels are FIFO per key, so the pairing is
-  deterministic).
+  identity is queued per ``(src, dst, tag)`` channel (:meth:`Tracer.link_send`)
+  and attached to the matching receive span (:meth:`Tracer.end_recv`;
+  channels are FIFO per key, so the pairing is deterministic).
 
 When ``engine.tracer is None`` (the default) none of this exists: call
 sites pay one attribute load and a branch, and the hot per-event resume
@@ -163,7 +163,12 @@ class Tracer:
 
         The span begins at the wrapper's *first resume* — inside the
         owning process's frame, under that process's span stack — not at
-        wrapper creation, which may happen in a different context.
+        wrapper creation, which may happen in a different context.  Only
+        for a plain function handing out a generator it did not write
+        (``MmapRegion.read`` / ``write``): a traced generator opens its
+        own span instead, ``span = tracer.begin(...)`` as its first
+        statement and ``tracer.end(span)`` in a ``finally`` around the
+        body — the same first-resume timing, one frame fewer.
         """
         span = self.begin(layer, name, **args)
         try:
@@ -172,48 +177,24 @@ class Tracer:
             self.end(span)
         return result
 
-    def wrap_send(
-        self,
-        layer: str,
-        name: str,
-        gen: "Generator[Event, object, object]",
-        flow_key: object,
-        **args: object,
-    ) -> "Generator[Event, object, object]":
-        """Like :meth:`wrap`, queueing this span as the flow source for
-        the next receive on ``flow_key``."""
-        span = self.begin(layer, name, **args)
+    def link_send(self, span: Span, flow_key: object) -> None:
+        """Queue ``span`` as the flow source for the next receive on
+        ``flow_key`` (see :meth:`end_recv`)."""
         flows = self._flows.get(flow_key)
         if flows is None:
             flows = self._flows[flow_key] = deque()
         flows.append((span.trace_id, span.span_id))
-        try:
-            result = yield from gen
-        finally:
-            self.end(span)
-        return result
 
-    def wrap_recv(
-        self,
-        layer: str,
-        name: str,
-        gen: "Generator[Event, object, object]",
-        flow_key: object,
-        **args: object,
-    ) -> "Generator[Event, object, object]":
-        """Like :meth:`wrap`, linking the matching sender span (if one
-        is queued on ``flow_key``) into this span's args."""
-        span = self.begin(layer, name, **args)
-        try:
-            result = yield from gen
-        finally:
-            flows = self._flows.get(flow_key)
-            if flows:
-                link_trace, link_span = flows.popleft()
-                self.end(span, link_trace=link_trace, link_span=link_span)
-            else:
-                self.end(span)
-        return result
+    def end_recv(self, span: Span, flow_key: object) -> None:
+        """:meth:`end` a receive span, linking the sender span queued
+        first on ``flow_key`` (if any) into its args as
+        ``link_trace``/``link_span``."""
+        flows = self._flows.get(flow_key)
+        if flows:
+            link_trace, link_span = flows.popleft()
+            self.end(span, link_trace=link_trace, link_span=link_span)
+        else:
+            self.end(span)
 
     # ------------------------------------------------------------------
     def roots(self) -> list[Span]:

@@ -72,79 +72,80 @@ class Communicator:
     def send(
         self, data: object, *, src: int, dest: int, tag: int = 0
     ) -> Generator[Event, object, None]:
-        """Dispatch :meth:`_send_impl`, spanned when tracing is on.
+        """Blocking-send semantics: returns once the payload is delivered.
 
-        The send span is queued as the flow source for the matching
+        A traced send is queued as the flow source for the matching
         receive (inbox channels are FIFO per ``(src, dest, tag)``, so
         sender and receiver spans pair deterministically).
         """
-        gen = self._send_impl(data, src=src, dest=dest, tag=tag)
-        tracer = self.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap_send(
-            "comm", "send", gen, (src, dest, tag),
-            src=src, dest=dest, tag=tag, bytes=payload_bytes(data),
-        )
-
-    def _send_impl(
-        self, data: object, *, src: int, dest: int, tag: int = 0
-    ) -> Generator[Event, object, None]:
-        """Blocking-send semantics: returns once the payload is delivered."""
-        nodes = self.nodes
-        size = len(nodes)
-        if not 0 <= src < size:
-            raise CommError(f"rank {src} out of range (size {size})")
-        if not 0 <= dest < size:
-            raise CommError(f"rank {dest} out of range (size {size})")
         nbytes = payload_bytes(data)
-        src_node = nodes[src]
-        dst_node = nodes[dest]
-        if src_node is dst_node:
-            # Same node: shared-memory copy at DRAM speed.  Inlined
-            # StorageDevice.access (DRAM has no _pre_access hook;
-            # event-for-event identical, one generator hop less).
-            dram = src_node.dram
-            req = dram._acquire_now()
-            if req is None:
-                req = dram._acquire()
-                yield req
-            try:
-                bytes_counter, time_counter, time_fn = dram._write_stats
-                duration = time_fn(nbytes)
-                bytes_counter.total += nbytes
-                bytes_counter.count += 1
-                time_counter.total += duration
-                time_counter.count += 1
-                if not self.engine.advance(duration):
-                    yield self.engine.timeout(duration)
-            finally:
-                dram._release(req)
-        else:
-            yield from src_node.network.transfer(src_node.name, dst_node.name, nbytes)
-        self._inbox(src, dest, tag).put(data)
+        tracer = self.engine.tracer
+        span = (
+            tracer.begin(
+                "comm", "send", src=src, dest=dest, tag=tag, bytes=nbytes
+            )
+            if tracer is not None
+            else None
+        )
+        try:
+            if span is not None:
+                tracer.link_send(span, (src, dest, tag))
+            nodes = self.nodes
+            size = len(nodes)
+            if not 0 <= src < size:
+                raise CommError(f"rank {src} out of range (size {size})")
+            if not 0 <= dest < size:
+                raise CommError(f"rank {dest} out of range (size {size})")
+            src_node = nodes[src]
+            dst_node = nodes[dest]
+            if src_node is dst_node:
+                # Same node: shared-memory copy at DRAM speed.  Inlined
+                # StorageDevice.access (DRAM has no _pre_access hook;
+                # event-for-event identical, one generator hop less).
+                dram = src_node.dram
+                req = dram._acquire_now()
+                if req is None:
+                    req = dram._acquire()
+                    yield req
+                try:
+                    bytes_counter, time_counter, time_fn = dram._write_stats
+                    duration = time_fn(nbytes)
+                    bytes_counter.total += nbytes
+                    bytes_counter.count += 1
+                    time_counter.total += duration
+                    time_counter.count += 1
+                    if not self.engine.advance(duration):
+                        yield self.engine.timeout(duration)
+                finally:
+                    dram._release(req)
+            else:
+                yield from src_node.network.transfer(
+                    src_node.name, dst_node.name, nbytes
+                )
+            self._inbox(src, dest, tag).put(data)
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     def recv(
         self, *, source: int, dst: int, tag: int = 0
     ) -> Generator[Event, object, object]:
-        """Dispatch :meth:`_recv_impl`; a traced receive links the
-        matching send span into its args (``link_trace``/``link_span``)."""
-        gen = self._recv_impl(source=source, dst=dst, tag=tag)
+        """Receive the next message from ``source``; a traced receive
+        links the matching send span into its args
+        (``link_trace``/``link_span``)."""
         tracer = self.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap_recv(
-            "comm", "recv", gen, (source, dst, tag),
-            src=source, dest=dst, tag=tag,
+        span = (
+            tracer.begin("comm", "recv", src=source, dest=dst, tag=tag)
+            if tracer is not None
+            else None
         )
-
-    def _recv_impl(
-        self, *, source: int, dst: int, tag: int = 0
-    ) -> Generator[Event, object, object]:
-        """Receive the next message from ``source``."""
-        self._check_rank(source)
-        self._check_rank(dst)
-        data = yield self._inbox(source, dst, tag).get()
+        try:
+            self._check_rank(source)
+            self._check_rank(dst)
+            data = yield self._inbox(source, dst, tag).get()
+        finally:
+            if span is not None:
+                tracer.end_recv(span, (source, dst, tag))
         return data
 
     # ------------------------------------------------------------------

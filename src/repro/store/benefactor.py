@@ -300,19 +300,6 @@ class Benefactor:
     def store_chunk(
         self, client: str, chunk_id: int, data: bytes, offset: int = 0
     ) -> Generator[Event, object, None]:
-        """Dispatch :meth:`_store_chunk_impl`, spanned when tracing is on."""
-        gen = self._store_chunk_impl(client, chunk_id, data, offset)
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "benefactor", "store_chunk", gen,
-            benefactor=self.name, chunk=chunk_id, bytes=len(data),
-        )
-
-    def _store_chunk_impl(
-        self, client: str, chunk_id: int, data: bytes, offset: int = 0
-    ) -> Generator[Event, object, None]:
         """Receive ``data`` from ``client`` and write it at ``offset``
         within the chunk.
 
@@ -321,72 +308,52 @@ class Benefactor:
         optimization reaches the device: only modified pages travel.  A
         whole-chunk ``data`` is kept, not copied (see :func:`_private`).
         """
-        self._check_online()
-        nbytes = len(data)
-        if offset < 0 or offset + nbytes > self.chunk_size:
-            raise StoreError(
-                f"{self.name}: write [{offset}, {offset + nbytes}) outside "
-                f"chunk of {self.chunk_size}"
+        tracer = self.node.engine.tracer
+        span = (
+            tracer.begin(
+                "benefactor", "store_chunk",
+                benefactor=self.name, chunk=chunk_id, bytes=len(data),
             )
-        engine = self.node.engine
-        if self._slow_until > engine.now and not engine.advance(self._slow_extra):
-            yield engine.timeout(self._slow_extra)  # see slow_down
-        yield from self.node.network.transfer(client, self.name, nbytes)
-        if self.crashed or not self.online:
-            # Crash-during-writeback: the payload travelled but was never
-            # applied or acknowledged.  The client must treat the write as
-            # lost and retry against a surviving replica.
-            raise BenefactorDownError(
-                f"benefactor {self.name} died mid-writeback of chunk {chunk_id}"
-            )
-        shadow = self._fill_shadow.get(chunk_id)
-        if shadow is not None:
-            shadow.add(offset, offset + nbytes)
-        if chunk_id in self._data:
-            payload = self._data[chunk_id]
-        else:
-            payload = ChunkPayload(self.chunk_size)
-            self._materialize(chunk_id, payload)
-        payload.write(offset, data)
-        yield from self.ssd.write_extent(self._extents[chunk_id] + offset, nbytes)
-        counter = self._in_counter
-        counter.total += nbytes
-        counter.count += 1
+            if tracer is not None
+            else None
+        )
+        try:
+            self._check_online()
+            nbytes = len(data)
+            if offset < 0 or offset + nbytes > self.chunk_size:
+                raise StoreError(
+                    f"{self.name}: write [{offset}, {offset + nbytes}) outside "
+                    f"chunk of {self.chunk_size}"
+                )
+            engine = self.node.engine
+            if self._slow_until > engine.now and not engine.advance(self._slow_extra):
+                yield engine.timeout(self._slow_extra)  # see slow_down
+            yield from self.node.network.transfer(client, self.name, nbytes)
+            if self.crashed or not self.online:
+                # Crash-during-writeback: the payload travelled but was never
+                # applied or acknowledged.  The client must treat the write as
+                # lost and retry against a surviving replica.
+                raise BenefactorDownError(
+                    f"benefactor {self.name} died mid-writeback of chunk {chunk_id}"
+                )
+            shadow = self._fill_shadow.get(chunk_id)
+            if shadow is not None:
+                shadow.add(offset, offset + nbytes)
+            if chunk_id in self._data:
+                payload = self._data[chunk_id]
+            else:
+                payload = ChunkPayload(self.chunk_size)
+                self._materialize(chunk_id, payload)
+            payload.write(offset, data)
+            yield from self.ssd.write_extent(self._extents[chunk_id] + offset, nbytes)
+            counter = self._in_counter
+            counter.total += nbytes
+            counter.count += 1
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     def fetch_chunk(
-        self, client: str, chunk_id: int, offset: int = 0, length: int | None = None
-    ) -> Generator[Event, object, bytes | bytearray]:
-        """Dispatch :meth:`_fetch_chunk_impl`, spanned when tracing is on."""
-        gen = self._fetch_chunk_impl(client, chunk_id, offset, length)
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "benefactor", "fetch_chunk", gen,
-            benefactor=self.name, chunk=chunk_id,
-        )
-
-    def fetch_replica(
-        self, client: str, chunk_id: int
-    ) -> Generator[Event, object, ChunkPayload]:
-        """Ship a whole materialized chunk to ``client`` as a payload twin.
-
-        The re-replication source side: the same charges and span as a
-        full-chunk :meth:`fetch_chunk`, but the result keeps the
-        payload's state (a sparse chunk's replica stays sparse) and
-        shares its buffers with the source until either is written; the
-        caller hands it to :meth:`complete_fill`.
-        """
-        gen = self._fetch_chunk_impl(client, chunk_id, 0, None, True)
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "benefactor", "fetch_chunk", gen,
-            benefactor=self.name, chunk=chunk_id,
-        )
-
-    def _fetch_chunk_impl(
         self,
         client: str,
         chunk_id: int,
@@ -401,38 +368,56 @@ class Benefactor:
         buffer behaves as a fetch-time snapshot: a fresh copy, or — for a
         whole dense chunk — a zero-copy loan of the live payload, maybe
         an immutable ``bytes``, that copy-on-write protects on both sides
-        (see :func:`_private`).  ``replica`` is :meth:`fetch_replica`.
+        (see :func:`_private`).
+
+        ``replica=True`` is the re-replication source side: the same
+        charges and span for the whole chunk, but the result is a payload
+        twin that keeps the payload's state (a sparse chunk's replica
+        stays sparse) and shares its buffers with the source until either
+        is written; the caller hands it to :meth:`complete_fill`.
         """
-        self._check_online()
-        if length is None:
-            length = self.chunk_size - offset
-        if offset < 0 or offset + length > self.chunk_size:
-            raise StoreError(
-                f"{self.name}: read [{offset}, {offset + length}) outside "
-                f"chunk of {self.chunk_size}"
+        tracer = self.node.engine.tracer
+        span = (
+            tracer.begin(
+                "benefactor", "fetch_chunk", benefactor=self.name, chunk=chunk_id
             )
-        engine = self.node.engine
-        if self._slow_until > engine.now and not engine.advance(self._slow_extra):
-            yield engine.timeout(self._slow_extra)  # see slow_down
-        stored = self._data.get(chunk_id)
-        if stored is not None:
-            yield from self.ssd.read_extent(self._extents[chunk_id] + offset, length)
-            # A whole dense chunk comes back as a loan of the live buffer
-            # instead of a quarter-megabyte copy per fetch; the chunk
-            # cache unshares its entry before the first write on its side.
-            data = stored.copy() if replica else stored.read(offset, length)
-        else:
-            data = bytearray(length)  # reserved-but-unwritten: zeroes, no device read
-        yield from self.node.network.transfer(self.name, client, length)
-        if self.crashed or not self.online:
-            # Crash mid-transfer: bytes on the wire never arrived whole.
-            raise BenefactorDownError(
-                f"benefactor {self.name} died mid-fetch of chunk {chunk_id}"
-            )
-        counter = self._out_counter
-        counter.total += length
-        counter.count += 1
-        return data
+            if tracer is not None
+            else None
+        )
+        try:
+            self._check_online()
+            if length is None:
+                length = self.chunk_size - offset
+            if offset < 0 or offset + length > self.chunk_size:
+                raise StoreError(
+                    f"{self.name}: read [{offset}, {offset + length}) outside "
+                    f"chunk of {self.chunk_size}"
+                )
+            engine = self.node.engine
+            if self._slow_until > engine.now and not engine.advance(self._slow_extra):
+                yield engine.timeout(self._slow_extra)  # see slow_down
+            stored = self._data.get(chunk_id)
+            if stored is not None:
+                yield from self.ssd.read_extent(self._extents[chunk_id] + offset, length)
+                # A whole dense chunk comes back as a loan of the live buffer
+                # instead of a quarter-megabyte copy per fetch; the chunk
+                # cache unshares its entry before the first write on its side.
+                data = stored.copy() if replica else stored.read(offset, length)
+            else:
+                data = bytearray(length)  # reserved-but-unwritten: zeroes, no device read
+            yield from self.node.network.transfer(self.name, client, length)
+            if self.crashed or not self.online:
+                # Crash mid-transfer: bytes on the wire never arrived whole.
+                raise BenefactorDownError(
+                    f"benefactor {self.name} died mid-fetch of chunk {chunk_id}"
+                )
+            counter = self._out_counter
+            counter.total += length
+            counter.count += 1
+            return data
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     def copy_chunk_local(
         self, src_chunk_id: int, dst_chunk_id: int
@@ -475,12 +460,13 @@ class Benefactor:
     ) -> Generator[Event, object, None]:
         """Land the bulk-copy snapshot taken from the surviving replica.
 
-        ``data`` is what the source's :meth:`fetch_replica` returned; this
-        benefactor adopts it.  ``data=None`` means the source chunk was
-        reserved but never materialized — nothing to write; the replica
-        stays unmaterialized too (unless a write-through already
-        materialized it here).  Charges the SSD write for every snapshot
-        byte actually applied: the chunk minus the write-throughs.
+        ``data`` is what the source's ``fetch_chunk(..., replica=True)``
+        returned; this benefactor adopts it.  ``data=None`` means the
+        source chunk was reserved but never materialized — nothing to
+        write; the replica stays unmaterialized too (unless a
+        write-through already materialized it here).  Charges the SSD
+        write for every snapshot byte actually applied: the chunk minus
+        the write-throughs.
         """
         self._check_online()
         shadow = self._fill_shadow.pop(chunk_id)

@@ -138,45 +138,38 @@ class StoreClient:
         attempt: int,
         started: float,
     ) -> Generator[Event, object, None]:
-        """Dispatch :meth:`_report_and_backoff_impl`, spanned when tracing is on."""
-        gen = self._report_and_backoff_impl(
-            name, benefactor, error, attempt, started
-        )
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "store.client", "retry", gen,
-            path=name, attempt=attempt, failed=benefactor.name,
-        )
-
-    def _report_and_backoff_impl(
-        self,
-        name: str,
-        benefactor: Benefactor,
-        error: BenefactorDownError,
-        attempt: int,
-        started: float,
-    ) -> Generator[Event, object, None]:
         """Shared failover step: report, invalidate, back off — or give up.
 
         Raises ``error`` once the attempt cap or deadline is exhausted;
         otherwise returns after the backoff timeout, with the map cache
         dropped so the caller re-resolves against fresh manager state.
         """
-        counter = self._retry_counter
-        counter.total += 1
-        counter.count += 1
-        yield from self.manager.report_failure(self.client_name, benefactor.name)
-        self._map_cache.pop(name, None)
-        if (
-            attempt >= RETRY_ATTEMPTS
-            or self.node.engine.now - started >= RETRY_DEADLINE_SECONDS
-        ):
-            raise error
-        backoff = RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
-        if not self.node.engine.advance(backoff):
-            yield self.node.engine.timeout(backoff)
+        tracer = self.node.engine.tracer
+        span = (
+            tracer.begin(
+                "store.client", "retry",
+                path=name, attempt=attempt, failed=benefactor.name,
+            )
+            if tracer is not None
+            else None
+        )
+        try:
+            counter = self._retry_counter
+            counter.total += 1
+            counter.count += 1
+            yield from self.manager.report_failure(self.client_name, benefactor.name)
+            self._map_cache.pop(name, None)
+            if (
+                attempt >= RETRY_ATTEMPTS
+                or self.node.engine.now - started >= RETRY_DEADLINE_SECONDS
+            ):
+                raise error
+            backoff = RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
+            if not self.node.engine.advance(backoff):
+                yield self.node.engine.timeout(backoff)
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     def _pieces(self, offset: int, length: int) -> list[tuple[int, int, int]]:
         """Split ``[offset, offset+length)`` into (chunk_index, chunk_offset,
@@ -199,26 +192,6 @@ class StoreClient:
         self, name: str, index: int, chunk_off: int, length: int,
         purpose: str = "demand",
     ) -> Generator[Event, object, bytes | bytearray]:
-        """Dispatch :meth:`_fetch_failover_impl`, spanned when tracing is on."""
-        gen = self._fetch_failover_impl(name, index, chunk_off, length)
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        # Demand fetches keep the seed's exact attribute set; only
-        # non-default purposes (prefetch) annotate the span.
-        if purpose != "demand":
-            return tracer.wrap(
-                "store.client", "fetch", gen,
-                path=name, index=index, bytes=length, purpose=purpose,
-            )
-        return tracer.wrap(
-            "store.client", "fetch", gen,
-            path=name, index=index, bytes=length,
-        )
-
-    def _fetch_failover_impl(
-        self, name: str, index: int, chunk_off: int, length: int
-    ) -> Generator[Event, object, bytes | bytearray]:
         """Fetch chunk bytes, failing over to surviving replicas.
 
         On the fault-free path this is exactly resolve + fetch (no added
@@ -226,26 +199,44 @@ class StoreClient:
         retry loop: report the benefactor, drop the cached map, back off,
         re-resolve (now pointing at a surviving replica or, once the
         chunk is lost, raising :class:`ChunkUnavailableError`).
+        ``purpose`` only labels the span: demand fetches keep the seed's
+        exact attribute set, other purposes (prefetch) annotate it.
         """
-        attempt = 0
-        started = None
-        while True:
-            chunk_id, benefactor = yield from self._resolve(name, index)
-            try:
-                return (
-                    yield from benefactor.fetch_chunk(
-                        self.client_name, chunk_id, chunk_off, length
+        tracer = self.node.engine.tracer
+        if tracer is None:
+            span = None
+        elif purpose != "demand":
+            span = tracer.begin(
+                "store.client", "fetch",
+                path=name, index=index, bytes=length, purpose=purpose,
+            )
+        else:
+            span = tracer.begin(
+                "store.client", "fetch", path=name, index=index, bytes=length
+            )
+        try:
+            attempt = 0
+            started = None
+            while True:
+                chunk_id, benefactor = yield from self._resolve(name, index)
+                try:
+                    return (
+                        yield from benefactor.fetch_chunk(
+                            self.client_name, chunk_id, chunk_off, length
+                        )
                     )
-                )
-            except ChunkUnavailableError:
-                raise
-            except BenefactorDownError as error:
-                if started is None:
-                    started = self.node.engine.now
-                attempt += 1
-                yield from self._report_and_backoff(
-                    name, benefactor, error, attempt, started
-                )
+                except ChunkUnavailableError:
+                    raise
+                except BenefactorDownError as error:
+                    if started is None:
+                        started = self.node.engine.now
+                    attempt += 1
+                    yield from self._report_and_backoff(
+                        name, benefactor, error, attempt, started
+                    )
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     def read(
         self, name: str, offset: int, length: int
@@ -296,20 +287,6 @@ class StoreClient:
     def write_chunk_ranges(
         self, name: str, index: int, ranges: list[tuple[int, bytes]]
     ) -> Generator[Event, object, None]:
-        """Dispatch :meth:`_write_chunk_ranges_impl`, spanned when tracing is on."""
-        gen = self._write_chunk_ranges_impl(name, index, ranges)
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "store.client", "write", gen,
-            path=name, index=index,
-            bytes=sum(len(payload) for _, payload in ranges),
-        )
-
-    def _write_chunk_ranges_impl(
-        self, name: str, index: int, ranges: list[tuple[int, bytes]]
-    ) -> Generator[Event, object, None]:
         """Write byte ranges within one chunk (dirty-page flush granularity).
 
         ``ranges`` is a list of ``(offset_in_chunk, payload)``; every
@@ -321,51 +298,65 @@ class StoreClient:
         triggers the failover loop (re-sending a range to a replica that
         already has it is idempotent).
         """
-        attempt = 0
-        started = None
-        while True:
-            chunk_id, replicas = yield from self._resolve_write(name, index)
-            if self.manager.chunk_refcount(chunk_id) > 1:
-                yield from self.manager.rpc(self.client_name)
-                old_id, chunk_id, _primary = self.manager.cow_chunk(name, index)
-                yield from self._cow_copy(old_id, chunk_id)
-                # We initiated the COW, so our map stays warm at the new
-                # generation; other sharers will refresh on their next access.
-                meta = self.manager.lookup(name)
-                cached = self._map_cache.get(name)
-                read_map = dict(cached[1]) if cached is not None else {}
-                write_map = dict(cached[2]) if cached is not None else {}
-                replicas = [
-                    b
-                    for b in self.manager.chunk_replicas(chunk_id)
-                    if b.online
-                ]
-                read_map[index] = (chunk_id, self._prefer(replicas))
-                write_map[index] = (chunk_id, replicas)
-                self._map_cache[name] = (meta.generation, read_map, write_map)
-            benefactor = replicas[0]
-            try:
-                total = 0
-                for chunk_off, payload in ranges:
-                    for benefactor in replicas:
-                        yield from benefactor.store_chunk(
-                            self.client_name, chunk_id, payload, chunk_off
-                        )
-                    total += len(payload)
-            except ChunkUnavailableError:
-                raise
-            except BenefactorDownError as error:
-                if started is None:
-                    started = self.node.engine.now
-                attempt += 1
-                yield from self._report_and_backoff(
-                    name, benefactor, error, attempt, started
-                )
-                continue
-            break
-        counter = self._write_counter
-        counter.total += total
-        counter.count += 1
+        tracer = self.node.engine.tracer
+        span = (
+            tracer.begin(
+                "store.client", "write",
+                path=name, index=index,
+                bytes=sum(len(payload) for _, payload in ranges),
+            )
+            if tracer is not None
+            else None
+        )
+        try:
+            attempt = 0
+            started = None
+            while True:
+                chunk_id, replicas = yield from self._resolve_write(name, index)
+                if self.manager.chunk_refcount(chunk_id) > 1:
+                    yield from self.manager.rpc(self.client_name)
+                    old_id, chunk_id, _primary = self.manager.cow_chunk(name, index)
+                    yield from self._cow_copy(old_id, chunk_id)
+                    # We initiated the COW, so our map stays warm at the new
+                    # generation; other sharers will refresh on their next access.
+                    meta = self.manager.lookup(name)
+                    cached = self._map_cache.get(name)
+                    read_map = dict(cached[1]) if cached is not None else {}
+                    write_map = dict(cached[2]) if cached is not None else {}
+                    replicas = [
+                        b
+                        for b in self.manager.chunk_replicas(chunk_id)
+                        if b.online
+                    ]
+                    read_map[index] = (chunk_id, self._prefer(replicas))
+                    write_map[index] = (chunk_id, replicas)
+                    self._map_cache[name] = (meta.generation, read_map, write_map)
+                benefactor = replicas[0]
+                try:
+                    total = 0
+                    for chunk_off, payload in ranges:
+                        for benefactor in replicas:
+                            yield from benefactor.store_chunk(
+                                self.client_name, chunk_id, payload, chunk_off
+                            )
+                        total += len(payload)
+                except ChunkUnavailableError:
+                    raise
+                except BenefactorDownError as error:
+                    if started is None:
+                        started = self.node.engine.now
+                    attempt += 1
+                    yield from self._report_and_backoff(
+                        name, benefactor, error, attempt, started
+                    )
+                    continue
+                break
+            counter = self._write_counter
+            counter.total += total
+            counter.count += 1
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     def _prefer(self, replicas: list[Benefactor]) -> Benefactor:
         """Read preference among live replicas: co-located, else first."""

@@ -224,19 +224,6 @@ class Manager:
     def report_failure(
         self, client: str, name: str
     ) -> Generator[Event, object, bool]:
-        """Dispatch :meth:`_report_failure_impl`, spanned when tracing is on."""
-        gen = self._report_failure_impl(client, name)
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "store.manager", "report_failure", gen,
-            client=client, benefactor=name,
-        )
-
-    def _report_failure_impl(
-        self, client: str, name: str
-    ) -> Generator[Event, object, bool]:
         """A client reports a failed data operation against benefactor
         ``name``.
 
@@ -245,16 +232,28 @@ class Manager:
         administratively offline node is left alone).  Returns ``True``
         when the report took the benefactor out of service.
         """
-        yield from self.node.network.transfer(
-            client, self.name, CONTROL_MESSAGE_BYTES
+        tracer = self.node.engine.tracer
+        span = (
+            tracer.begin(
+                "store.manager", "report_failure", client=client, benefactor=name
+            )
+            if tracer is not None
+            else None
         )
-        failed = self._benefactor(name).crashed and name not in self._forfeited
-        if failed:
-            self.mark_offline(name)
-        yield from self.node.network.transfer(
-            self.name, client, CONTROL_MESSAGE_BYTES
-        )
-        return failed
+        try:
+            yield from self.node.network.transfer(
+                client, self.name, CONTROL_MESSAGE_BYTES
+            )
+            failed = self._benefactor(name).crashed and name not in self._forfeited
+            if failed:
+                self.mark_offline(name)
+            yield from self.node.network.transfer(
+                self.name, client, CONTROL_MESSAGE_BYTES
+            )
+            return failed
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     def _forfeit(self, benefactor: Benefactor) -> None:
         """Strike a crashed benefactor from the store's books."""
@@ -404,86 +403,86 @@ class Manager:
     def _rereplicate_chunk(
         self, chunk_id: int
     ) -> Generator[Event, object, int]:
-        """Dispatch :meth:`_rereplicate_chunk_impl`, spanned when tracing is on."""
-        gen = self._rereplicate_chunk_impl(chunk_id)
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap(
-            "store.manager", "rereplicate", gen, chunk=chunk_id
-        )
-
-    def _rereplicate_chunk_impl(
-        self, chunk_id: int
-    ) -> Generator[Event, object, int]:
         """Restore one chunk's replication degree; returns 1 on success."""
-        if chunk_id in self._lost or self._chunk_refs.get(chunk_id, 0) <= 0:
-            # Lost meanwhile, or deleted (refcount hit zero).  A deferred
-            # free whose fill already settled is finished here.
-            self._finish_deferred_release(chunk_id)
-            return 0
-        replicas = self._chunk_replicas[chunk_id]
-        live = [b for b in replicas if not b.crashed]
-        if len(live) >= self.replication:
-            return 0  # already repaired (e.g. duplicate enqueue)
-        source = next(
-            (b for b in live if b.online and not b.filling(chunk_id)), None
+        tracer = self.node.engine.tracer
+        span = (
+            tracer.begin("store.manager", "rereplicate", chunk=chunk_id)
+            if tracer is not None
+            else None
         )
-        taken = {b.name for b in replicas}
-        target = min(
-            (
-                b
-                for b in self.online_benefactors()
-                if b.name not in taken and b.available >= self.chunk_size
-            ),
-            key=lambda b: (-b.available, b.name),
-            default=None,
-        )
-        if source is None or target is None:
-            # No readable survivor, or nowhere with room: wait for capacity.
-            self._stalled.append(chunk_id)
-            return 0
-        target.reserve(self.chunk_size)
-        target.begin_fill(chunk_id)
-        replicas.append(target)
-        self._benefactor_chunks.setdefault(target.name, set()).add(chunk_id)
-        # Writers must start write-through to the fill target immediately,
-        # or bytes written during the copy would miss the new replica.
-        self._bump_files(chunk_id)
-        copied = True
         try:
-            if source.has_chunk(chunk_id):
-                data = yield from source.fetch_replica(target.name, chunk_id)
-            else:
-                data = None  # reserved-but-unwritten: nothing to copy
-            yield from target.complete_fill(chunk_id, data)
-        except BenefactorDownError:
-            # Source or target died mid-copy.  Roll the target back unless
-            # a concurrent forfeit already struck it from the books.
-            copied = False
-            indexed = self._benefactor_chunks.get(target.name)
-            if indexed is not None and chunk_id in indexed:
-                indexed.discard(chunk_id)
-                if target in replicas:
-                    replicas.remove(target)
-                target.abort_fill(chunk_id)
-                target.unreserve(self.chunk_size)
-        if self._chunk_refs.get(chunk_id, 0) <= 0:
-            # Deleted while the copy was in flight: nothing left to repair
-            # and a fresh replica is moot — finish the deferred free now
-            # the fill settled (which drops a just-filled copy too).
-            self._finish_deferred_release(chunk_id)
-            return 0
-        if not copied:
-            if any(not b.crashed for b in replicas):
-                self._degraded.append(chunk_id)
-            else:
-                self._declare_lost(chunk_id, source, *replicas)
-            return 0
-        self.metrics.add("store.manager.chunks_rereplicated")
-        if data is not None:
-            self.metrics.add("store.manager.rereplication_bytes", self.chunk_size)
-        return 1
+            if chunk_id in self._lost or self._chunk_refs.get(chunk_id, 0) <= 0:
+                # Lost meanwhile, or deleted (refcount hit zero).  A deferred
+                # free whose fill already settled is finished here.
+                self._finish_deferred_release(chunk_id)
+                return 0
+            replicas = self._chunk_replicas[chunk_id]
+            live = [b for b in replicas if not b.crashed]
+            if len(live) >= self.replication:
+                return 0  # already repaired (e.g. duplicate enqueue)
+            source = next(
+                (b for b in live if b.online and not b.filling(chunk_id)), None
+            )
+            taken = {b.name for b in replicas}
+            target = min(
+                (
+                    b
+                    for b in self.online_benefactors()
+                    if b.name not in taken and b.available >= self.chunk_size
+                ),
+                key=lambda b: (-b.available, b.name),
+                default=None,
+            )
+            if source is None or target is None:
+                # No readable survivor, or nowhere with room: wait for capacity.
+                self._stalled.append(chunk_id)
+                return 0
+            target.reserve(self.chunk_size)
+            target.begin_fill(chunk_id)
+            replicas.append(target)
+            self._benefactor_chunks.setdefault(target.name, set()).add(chunk_id)
+            # Writers must start write-through to the fill target immediately,
+            # or bytes written during the copy would miss the new replica.
+            self._bump_files(chunk_id)
+            copied = True
+            try:
+                if source.has_chunk(chunk_id):
+                    data = yield from source.fetch_chunk(
+                        target.name, chunk_id, replica=True
+                    )
+                else:
+                    data = None  # reserved-but-unwritten: nothing to copy
+                yield from target.complete_fill(chunk_id, data)
+            except BenefactorDownError:
+                # Source or target died mid-copy.  Roll the target back unless
+                # a concurrent forfeit already struck it from the books.
+                copied = False
+                indexed = self._benefactor_chunks.get(target.name)
+                if indexed is not None and chunk_id in indexed:
+                    indexed.discard(chunk_id)
+                    if target in replicas:
+                        replicas.remove(target)
+                    target.abort_fill(chunk_id)
+                    target.unreserve(self.chunk_size)
+            if self._chunk_refs.get(chunk_id, 0) <= 0:
+                # Deleted while the copy was in flight: nothing left to repair
+                # and a fresh replica is moot — finish the deferred free now
+                # the fill settled (which drops a just-filled copy too).
+                self._finish_deferred_release(chunk_id)
+                return 0
+            if not copied:
+                if any(not b.crashed for b in replicas):
+                    self._degraded.append(chunk_id)
+                else:
+                    self._declare_lost(chunk_id, source, *replicas)
+                return 0
+            self.metrics.add("store.manager.chunks_rereplicated")
+            if data is not None:
+                self.metrics.add("store.manager.rereplication_bytes", self.chunk_size)
+            return 1
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     def _filling(self, chunk_id: int) -> bool:
         """True while a re-replication copy is streaming into the chunk."""
@@ -508,18 +507,20 @@ class Manager:
     # RPC cost helper
     # ------------------------------------------------------------------
     def rpc(self, client: str) -> Generator[Event, object, None]:
-        """Dispatch :meth:`_rpc_impl`, spanned when tracing is on."""
-        gen = self._rpc_impl(client)
-        tracer = self.node.engine.tracer
-        if tracer is None:
-            return gen
-        return tracer.wrap("store.manager", "rpc", gen, client=client)
-
-    def _rpc_impl(self, client: str) -> Generator[Event, object, None]:
         """Process generator: one control round trip client <-> manager."""
-        yield from self.node.network.transfer(client, self.name, CONTROL_MESSAGE_BYTES)
-        yield from self.node.network.transfer(self.name, client, CONTROL_MESSAGE_BYTES)
-        self.metrics.add("store.manager.rpcs")
+        tracer = self.node.engine.tracer
+        span = (
+            tracer.begin("store.manager", "rpc", client=client)
+            if tracer is not None
+            else None
+        )
+        try:
+            yield from self.node.network.transfer(client, self.name, CONTROL_MESSAGE_BYTES)
+            yield from self.node.network.transfer(self.name, client, CONTROL_MESSAGE_BYTES)
+            self.metrics.add("store.manager.rpcs")
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     # ------------------------------------------------------------------
     # File lifecycle (metadata-only; callers charge rpc() separately so

@@ -60,7 +60,7 @@ class DenseBenefactor(Benefactor):
             self._data[chunk_id] = bytearray(self.chunk_size)
         return self._data[chunk_id]
 
-    def _store_chunk_impl(self, client, chunk_id, data, offset=0):
+    def store_chunk(self, client, chunk_id, data, offset=0):
         self._check_online()
         assert 0 <= offset and offset + len(data) <= self.chunk_size
         yield from self._slowdown()
@@ -74,7 +74,8 @@ class DenseBenefactor(Benefactor):
         yield from self.ssd.write_extent(self._extents[chunk_id] + offset, len(data))
         self.metrics.add("store.benefactor.bytes_in", len(data))
 
-    def _fetch_chunk_impl(self, client, chunk_id, offset=0, length=None):
+    def fetch_chunk(self, client, chunk_id, offset=0, length=None, replica=False):
+        # ``replica`` needs nothing here: a flat copy is the snapshot.
         self._check_online()
         if length is None:
             length = self.chunk_size - offset
@@ -89,8 +90,6 @@ class DenseBenefactor(Benefactor):
             raise BenefactorDownError(self.name)
         self.metrics.add("store.benefactor.bytes_out", length)
         return data
-
-    fetch_replica = Benefactor.fetch_chunk  # a flat copy is the snapshot
 
     def copy_chunk_local(self, src_chunk_id, dst_chunk_id):
         self._check_online()
@@ -333,7 +332,7 @@ class PayloadMachine(RuleBasedStateMachine):
             source, target = bs[src_side], bs[dst_side]
             data = None
             if source.has_chunk(src):
-                data = yield from source.fetch_replica(target.name, src)
+                data = yield from source.fetch_chunk(target.name, src, replica=True)
             yield from target.complete_fill(dst, data)
 
         got, want = self.both(repair)

@@ -30,7 +30,7 @@ Hand mutations of ``src/`` this file was run against, each applied alone:
   stale bytes, and the final image is not what the ranks wrote.
 - a site concludes its marker *before* unpublishing it, the statements
   still adjacent (``done.conclude()``, then ``del self._inflight[key]``;
-  tried in ``_make_room``, ``_fill_impl`` and ``PageCache._insert``):
+  tried in ``_make_room``, ``_fill`` and ``PageCache._insert``):
   survives, and has to — no process runs between two statements with no
   yield between them, so it is the same program.  "Unpublish, then
   conclude" is the order that makes the in-place arm safe *by reading
@@ -275,7 +275,7 @@ def test_ranks_sharing_a_page_lose_no_update(seed):
 def test_a_rank_woken_beside_another_sleeps_on_a_real_timeout(crash_after):
     """A schedule picked for one thing it does flat and on shared pages:
     two ranks wait on one page's in-flight flush and the first to wake
-    sleeps on at once (``_fault_range_impl``'s FUSE crossing).  That is
+    sleeps on at once (``_fault_range``'s FUSE crossing).  That is
     the only place this stack meets ``advance``'s fan-out condition bare
     — everywhere else a woken rank reaches an ``acquire_now`` first, which
     declines on the same flag and queues a grant — and the spy shows the

@@ -89,6 +89,23 @@ class TestSsdmalloc:
         with pytest.raises(NVMallocError):
             run(engine, proc())
 
+    def test_double_free_of_shared_variable_rejected(self, engine, nvmalloc, store):
+        # ``b`` keeps the path mapped, so the path's count alone cannot
+        # tell the second free of ``a`` from a first.
+        def proc():
+            a = yield from nvmalloc.ssdmalloc(10_000, shared_key="B", owner="r0")
+            b = yield from nvmalloc.ssdmalloc(10_000, shared_key="B", owner="r1")
+            yield from a.write(123, b"from r0")
+            yield from nvmalloc.ssdfree(a)
+            with pytest.raises(NVMallocError):
+                yield from nvmalloc.ssdfree(a)
+            still = yield from b.read(123, 7)
+            return b.backing_path, still
+
+        path, still = run(engine, proc())
+        assert still == b"from r0"
+        assert store.exists(path)
+
     def test_shared_key_maps_same_file(self, engine, nvmalloc):
         def proc():
             a = yield from nvmalloc.ssdmalloc(10_000, shared_key="B", owner="r0")

@@ -13,6 +13,7 @@ import pytest
 from repro.errors import FuseError
 from repro.fusefs import FuseMount, OpenFlags
 from repro.fusefs.localtier import LocalCacheTier
+from repro.obs import Tracer
 from repro.store import CHUNK_SIZE, PAGE_SIZE
 from tests.conftest import run
 
@@ -307,6 +308,64 @@ class TestCacheIntegration:
             return data
 
         assert run(engine, proc()) == b"\xbb" * PAGE_SIZE
+
+    @pytest.mark.parametrize("race", ["tier_drops_key", "write_restores_shadow"])
+    def test_fill_span_names_the_source_it_used(
+        self, engine, small_cluster, store, tiered_mount, race
+    ):
+        """The fill decides between tier and store only after waiting out
+        a write-back; its span must name the source it chose then, not
+        the one that looked right when the fill was called."""
+        tracer = engine.tracer = Tracer(engine)
+        mount = tiered_mount
+        cache = mount.cache
+        key = ("/f", 0)
+        page = b"\xcc" * PAGE_SIZE
+
+        def proc():
+            fd = yield from open_file(mount, "/f")
+            for i in range(3):  # chunk 0 spills clean into the tier
+                yield from mount.pread(fd, i * CHUNK_SIZE, 64)
+            yield from cache.drain_path("/f")
+            assert cache.local_tier.contains(key)
+            # A write-allocated entry (not valid) whose only write is also
+            # the tier shadow's only lag: promotable while it stays dirty.
+            yield from mount.pwrite(fd, 0, page)
+            yield from cache.drain_path("/f")  # the eviction it caused
+            flush = engine.process(cache.flush_path("/f"))
+            yield engine.timeout(0)  # the write-back clears ``dirty``
+            entry = cache._entries[key]
+            assert entry.writeback is not None and not entry.dirty
+            if race == "tier_drops_key":
+                # Re-dirty the shadow's lag: promotable at the fill's call.
+                yield from mount.pwrite(fd, 0, page)
+                assert cache._promotable(key, entry)
+            else:
+                assert not cache._promotable(key, entry)
+            before = (cache.stats.l2_fills, cache.stats.store_fills)
+            read = engine.process(mount.pread(fd, PAGE_SIZE, 64))
+            yield engine.timeout(0)  # the fill is waiting on the write-back
+            assert entry.filling is not None and entry.writeback is not None
+            if race == "tier_drops_key":
+                cache.local_tier.drop(key)
+            else:
+                yield from mount.pwrite(fd, 0, page)
+            yield read
+            yield flush
+            yield from mount.close(fd)
+            return before
+
+        l2_before, store_before = run(engine, proc())
+        fill = [
+            s for s in tracer.spans
+            if s.layer == "fuse" and s.name in ("promote_chunk", "fetch_chunk")
+            and s.args["index"] == 0
+        ][-1]
+        promoted = cache.stats.l2_fills - l2_before
+        fetched = cache.stats.store_fills - store_before
+        assert promoted + fetched == 1
+        assert fill.name == ("promote_chunk" if promoted else "fetch_chunk")
+        assert promoted == (race == "write_restores_shadow")
 
     def test_default_config_has_no_tier(self, small_cluster, store):
         mount = FuseMount(

@@ -165,8 +165,13 @@ class TestTracer:
             yield engine.timeout(0.5)
 
         def main():
-            yield from tracer.wrap_send("comm", "send", hop(), ("chan",))
-            yield from tracer.wrap_recv("comm", "recv", hop(), ("chan",))
+            send = tracer.begin("comm", "send")
+            tracer.link_send(send, ("chan",))
+            yield from hop()
+            tracer.end(send)
+            recv = tracer.begin("comm", "recv")
+            yield from hop()
+            tracer.end_recv(recv, ("chan",))
 
         engine.run(engine.process(main()))
         send = next(s for s in tracer.spans if s.name == "send")
