@@ -7,6 +7,7 @@ from collections.abc import Generator
 
 from repro.errors import SimulationError
 from repro.sim.events import _PENDING, _PROCESSED, Event, Interrupt
+from repro.sim.resources import Request
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
@@ -64,7 +65,12 @@ class Process(Event):
         engine._ring.append(bootstrap)
 
     def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield."""
+        """Throw :class:`Interrupt` into the process at its current yield.
+
+        A :class:`Request` it is parked on is cancelled through its
+        resource first, so a handler that cancels it again (as
+        ``Resource.use`` does) finds nothing left to do.
+        """
         if self._scheduled:
             raise SimulationError(f"cannot interrupt finished process {self.name}")
         waited = self._waiting_on
@@ -83,6 +89,10 @@ class Process(Event):
             except ValueError:
                 pass
         self._waiting_on = None
+        # A slot it is queued for (or granted, grant not yet dispatched)
+        # would otherwise be held with nobody left to release it.
+        if isinstance(waited, Request):
+            waited.resource.cancel(waited)
         poke = Event(self.engine)
         poke.fail(Interrupt(cause))
         poke.add_callback(resume)

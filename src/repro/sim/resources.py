@@ -8,6 +8,11 @@ provides the common pattern.
 Grant events ride the engine's zero-delay now ring: a grant always fires
 at the instant of the request or release that produced it, so it never
 needs the heap.
+
+A resource keeps how many slots are held, not who holds them.  A parked
+:class:`Request` carries its own state (granted, then released); an
+inline grant (:meth:`Resource.acquire_now`) is the shared token
+``INLINE_GRANT`` and exists only in that count.
 """
 
 from __future__ import annotations
@@ -24,13 +29,18 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Request(Event):
-    """A pending or granted claim on one slot of a :class:`Resource`."""
+    """A pending or granted claim on one slot of a :class:`Resource`.
+
+    Granted once ``triggered``; ``resource`` becomes ``None`` when it is
+    released, so a second release is refused.
+    """
 
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        # Requests are created for every device/NIC access: initialize the
-        # Event slots in place rather than through super().__init__.
+        # Requests are created for every parked device/NIC access:
+        # initialize the Event slots in place rather than through
+        # super().__init__.
         self.engine = resource.engine
         self.callbacks = None
         self._value = _PENDING
@@ -39,12 +49,21 @@ class Request(Event):
         self.resource = resource
 
 
+#: What every inline grant returns: one shared token, already processed,
+#: bound to no engine and no resource.  Nothing yields, dispatches or reads
+#: it; the slot it stands for is one unit of ``Resource._held``.
+INLINE_GRANT = Request.__new__(Request)
+INLINE_GRANT.engine = INLINE_GRANT.resource = INLINE_GRANT._value = None
+INLINE_GRANT.callbacks = _PROCESSED
+INLINE_GRANT._ok = INLINE_GRANT._scheduled = True
+
+
 class Resource:
     """``capacity`` interchangeable slots, granted first-come first-served."""
 
     __slots__ = (
-        "engine", "capacity", "name", "_queue", "_users",
-        "_busy_time", "_last_change", "_last_users",
+        "engine", "capacity", "name", "_queue", "_held",
+        "_busy_time", "_last_change",
     )
 
     def __init__(self, engine: "Engine", capacity: int = 1, name: str = "") -> None:
@@ -54,17 +73,16 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._queue: deque[Request] = deque()
-        self._users: set[Request] = set()
-        # Utilization accounting.
+        self._held = 0
+        # Utilization accounting: ``_held`` slots busy since ``_last_change``.
         self._busy_time = 0.0
         self._last_change = engine.now
-        self._last_users = 0
 
     # ------------------------------------------------------------------
     @property
     def in_use(self) -> int:
-        """Number of currently granted slots."""
-        return len(self._users)
+        """Number of currently granted slots, inline and parked."""
+        return self._held
 
     @property
     def queue_length(self) -> int:
@@ -73,30 +91,22 @@ class Resource:
 
     def busy_seconds(self) -> float:
         """Aggregate slot-seconds of service delivered so far."""
-        self._account()
-        return self._busy_time
-
-    def _account(self) -> None:
-        """Settle busy-time up to now; callers must re-sync ``_last_users``
-        after mutating the user set."""
         now = self.engine.now
-        self._busy_time += self._last_users * (now - self._last_change)
+        self._busy_time += self._held * (now - self._last_change)
         self._last_change = now
-        self._last_users = len(self._users)
+        return self._busy_time
 
     # ------------------------------------------------------------------
     def request(self) -> Request:
         """Claim a slot; the returned event fires when the claim is granted."""
         engine = self.engine
         req = Request(self)
-        users = self._users
-        if len(users) < self.capacity:
+        if self._held < self.capacity:
             now = engine._now
             if now != self._last_change:
-                self._busy_time += self._last_users * (now - self._last_change)
+                self._busy_time += self._held * (now - self._last_change)
                 self._last_change = now
-            users.add(req)
-            self._last_users += 1
+            self._held += 1
             # Inline Event.succeed without its already-triggered/delay
             # checks: a freshly built Request cannot have fired yet.  A
             # grant carries no value: the request itself would be a
@@ -119,12 +129,14 @@ class Resource:
         ring entry and resumed immediately with nothing running in
         between, so continuing inline is order-identical to the parked
         path and merely skips one event dispatch plus a full
-        generator-chain resume.  Returns ``None`` whenever any of that
-        cannot be guaranteed (slot contention, pending same-instant
-        work); callers must then fall back to ``request()`` + ``yield``.
+        generator-chain resume.  The grant is one more held slot and
+        returns ``INLINE_GRANT``, which the caller hands back to
+        ``release`` (or ``cancel``) in its own ``finally``.  Returns
+        ``None`` whenever any of that cannot be guaranteed (slot
+        contention, pending same-instant work); callers must then fall
+        back to ``request()`` + ``yield``.
         """
-        users = self._users
-        if len(users) >= self.capacity:
+        if self._held >= self.capacity:
             return None
         engine = self.engine
         if engine._ring or engine._fanout:
@@ -133,56 +145,59 @@ class Resource:
         now = engine._now
         if heap and heap[0][0] <= now:
             return None
-        req = Request(self)
         if now != self._last_change:
-            self._busy_time += self._last_users * (now - self._last_change)
+            self._busy_time += self._held * (now - self._last_change)
             self._last_change = now
-        users.add(req)
-        self._last_users += 1
-        # The grant never needs dispatching: mark it already processed.
-        req._value = None
-        req._scheduled = True
-        req.callbacks = _PROCESSED
-        return req
+        self._held += 1
+        return INLINE_GRANT
 
     def release(self, request: Request) -> None:
-        """Return a previously granted slot."""
-        users = self._users
-        try:
-            users.remove(request)
-        except KeyError:
+        """Return a granted slot; the queue's head, if any, takes it.
+
+        A parked request must have been granted by this resource and not
+        yet released.  ``INLINE_GRANT`` is shared, so the one check it
+        gets is that a slot is held at all: a second release of it is
+        caught only when nothing is held.  Every inline grant is released
+        by the ``try``/``finally`` of the frame that acquired it.
+        """
+        if request is INLINE_GRANT:
+            granted = self._held > 0
+        else:
+            granted = request.resource is self and request._scheduled
+            if granted:
+                request.resource = None
+        if not granted:
             raise SimulationError(
                 f"release of a request that does not hold {self.name or 'resource'}"
-            ) from None
+            )
         engine = self.engine
         now = engine._now
         if now != self._last_change:
-            self._busy_time += self._last_users * (now - self._last_change)
+            self._busy_time += self._held * (now - self._last_change)
             self._last_change = now
         queue = self._queue
         if queue:
-            capacity = self.capacity
-            ring_append = engine._ring.append
-            while queue and len(users) < capacity:
-                nxt = queue.popleft()
-                users.add(nxt)
-                # Inline succeed: a still-queued request cannot have fired.
-                nxt._value = None
-                nxt._scheduled = True
-                ring_append(nxt)
-            self._last_users = len(users)
+            # The freed slot passes straight to the head: ``_held`` stays.
+            # Inline succeed: a still-queued request cannot have fired.
+            nxt = queue.popleft()
+            nxt._value = None
+            nxt._scheduled = True
+            engine._ring.append(nxt)
         else:
-            self._last_users -= 1
+            self._held -= 1
 
     def cancel(self, request: Request) -> None:
-        """Withdraw a request: releases it if granted, dequeues it if not."""
-        if request in self._users:
+        """Withdraw a request: releases it if granted, dequeues it if
+        queued, and does nothing once it is released or withdrawn."""
+        if request is INLINE_GRANT or (
+            request.resource is self and request._scheduled
+        ):
             self.release(request)
         else:
             try:
                 self._queue.remove(request)
             except ValueError:
-                pass  # never enqueued or already granted+released
+                pass  # never enqueued, or already released / withdrawn
 
     def use(self, duration: float) -> Generator[Event, object, None]:
         """Generator: hold one slot for ``duration`` virtual seconds.

@@ -183,6 +183,7 @@ FAKE_TRACED_RUN = FAKE_RUN.format(value=1.0).replace("{", "{{").replace("}", "}}
     "names = ", """\
 if sys.argv[sys.argv.index("--trace") + 1] == "1":
     layers = {{"host_self_share.core": {host}, "host_calls.core": {host},
+              "host_calls.sim": {events},
               "bench.startup_s": {host}, "sim.host_us_per_event": {host},
               "sim.events": {events}, "sim.events_per_op": {events},
               "virt_self_s.core": {virt}, "virt_crit_share.core": 0.25}}
@@ -261,24 +262,36 @@ class TestBenchPairs:
     ):
         """Before the pairs, one ``--trace 1`` run per side: per-layer
         virtual metrics must be bit-equal; host-clocked names and the
-        event count are reported, not compared."""
+        event count are reported, not compared.  Each layer's host call
+        count is printed per side and kept in the row, and a layer whose
+        count rose is named there — without failing the run."""
         parent = self.tree(tmp_path, "parent", FAKE_TRACED_RUN.format(host=1, events=9, virt=0.5))
         change = self.tree(tmp_path, "change", "")
         argv = ["bench_pairs.py", str(parent), str(change), "--workload", "fake", "--pairs", "1"]
         monkeypatch.setattr("sys.argv", argv)
         for host, events, virt, status, said in (
-            (1, 9, 0.5, 0, "traced per-layer metrics: bit-equal"),
-            (3, 4, 0.5, 0, "sim.events (a count, may fall): parent 9 change 4"),
-            (3, 4, 0.75, 1, "traced per-layer metrics: DIFFER ['virt_self_s.core']"),
+            (1, 9, 0.5, 0, ["traced per-layer metrics: bit-equal",
+                            "host_calls.sim (a count, may fall): parent 9 change 9",
+                            "host_calls.<layer>: none rose"]),
+            (3, 4, 0.5, 0, ["sim.events (a count, may fall): parent 9 change 4",
+                            "host_calls.core (a count, may fall): parent 1 change 3",
+                            "host_calls.sim (a count, may fall): parent 9 change 4",
+                            "host_calls.<layer>: ROSE ['core']"]),
+            (3, 4, 0.75, 1, ["traced per-layer metrics: DIFFER ['virt_self_s.core']"]),
         ):  # fmt: skip
             (change / "bench" / "run.py").write_text(
                 FAKE_TRACED_RUN.format(host=host, events=events, virt=virt)
             )
             assert tool.main() == status
-            assert said in capsys.readouterr().out
+            out = capsys.readouterr().out
+            assert all(line in out.splitlines() for line in said), out
         rows = [json.loads(row) for row in tool.HISTORY.read_text().splitlines()]
         assert [row["traced"] for row in rows] == ["bit-equal", "bit-equal", ["virt_self_s.core"]]
         assert all(row["virtual"] == "bit-equal" for row in rows)
+        assert [row["calls_rose"] for row in rows] == [[], ["core"], ["core"]]
+        assert rows[1]["host_calls"] == {
+            "parent": {"core": 1, "sim": 9}, "change": {"core": 3, "sim": 4},
+        }  # fmt: skip
 
     def test_a_side_that_prints_no_json_is_named(self, tool, tmp_path, monkeypatch):
         parent = self.tree(tmp_path, "parent", FAKE_RUN.format(value=2.0))

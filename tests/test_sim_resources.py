@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.devices.base import StorageDevice
+from repro.devices.specs import INTEL_X25E
 from repro.errors import SimulationError
-from repro.sim import Channel, Engine, Resource
+from repro.network.fabric import Network
+from repro.network.link import GIGE
+from repro.sim import Channel, Engine, Interrupt, Resource
+from repro.sim.resources import INLINE_GRANT
 
 
 @pytest.fixture
@@ -137,6 +142,140 @@ class TestResource:
         engine.process(waiter())
         engine.run(until=1.0)
         assert res.queue_length == 1
+
+
+class TestInlineGrant:
+    """``acquire_now`` returns the shared ``INLINE_GRANT`` token and the
+    resource counts the slot; a parked ``Request`` is checked by its own
+    state.  The one check that narrows: a second release of the shared
+    token is caught only when nothing is held.  Every token is acquired
+    and released by the same frame's ``try``/``finally``."""
+
+    def test_in_use_counts_inline_and_parked_grants(self, engine):
+        res = Resource(engine, capacity=3)
+
+        def proc():
+            token = res.acquire_now()
+            assert token is INLINE_GRANT and res.in_use == 1
+            req = res.request()
+            yield req
+            assert res.in_use == 2
+            res.release(token)
+            assert res.in_use == 1
+            res.release(req)
+            return res.in_use
+
+        assert engine.run(engine.process(proc())) == 0
+
+    def test_releasing_while_nothing_is_held_raises(self, engine):
+        res = Resource(engine, capacity=1, name="chan")
+        with pytest.raises(SimulationError, match="does not hold chan"):
+            res.release(INLINE_GRANT)
+        assert res.acquire_now() is INLINE_GRANT
+        res.release(INLINE_GRANT)
+        with pytest.raises(SimulationError, match="does not hold chan"):
+            res.release(INLINE_GRANT)
+        assert res.in_use == 0
+
+    def test_a_parked_request_released_twice_raises_while_others_hold(self, engine):
+        res = Resource(engine, capacity=2)
+
+        def proc():
+            token = res.acquire_now()
+            req = res.request()
+            yield req
+            res.release(req)
+            with pytest.raises(SimulationError):
+                res.release(req)  # a slot is still held, by the token
+            assert res.in_use == 1
+            res.release(token)
+
+        engine.run(engine.process(proc()))
+        assert res.in_use == 0
+
+    def test_a_queued_request_raises_on_release(self, engine):
+        res = Resource(engine, capacity=1)
+        assert res.acquire_now() is INLINE_GRANT
+        req = res.request()
+        with pytest.raises(SimulationError):
+            res.release(req)
+        assert (res.in_use, res.queue_length) == (1, 1)
+        res.release(INLINE_GRANT)  # passes the slot to the queued request
+        assert (res.in_use, res.queue_length) == (1, 0) and req.triggered
+
+    def test_cancel_of_the_token_frees_the_slot(self, engine):
+        res = Resource(engine, capacity=1)
+        assert res.acquire_now() is INLINE_GRANT
+        res.cancel(INLINE_GRANT)
+        assert res.in_use == 0
+        assert res.acquire_now() is INLINE_GRANT
+
+
+class TestInterruptedWaiter:
+    """``Process.interrupt`` cancels a ``Request`` its process is parked
+    on.  The inline grant sites yield that request before their ``try``,
+    so nothing else would give back a slot granted to it later."""
+
+    @staticmethod
+    def interrupter(engine, victim, at, watched, seen, behind_holder=False):
+        if behind_holder:
+            # Wake after the holder's release at the same instant: the
+            # victim's grant is then on the ring, not yet dispatched.
+            yield engine.timeout(0.0)
+        yield engine.timeout(at)
+        seen.append((watched.in_use, watched.queue_length))
+        victim.interrupt("stop")
+
+    @staticmethod
+    def victim(body):
+        try:
+            yield from body
+        except Interrupt as interrupt:
+            return interrupt.cause
+
+    @pytest.mark.parametrize("granted", [False, True], ids=["queued", "granted"])
+    def test_device_access(self, engine, granted):
+        device = StorageDevice(engine, INTEL_X25E)
+        channel = device._channel
+        seen = []
+        engine.process(device.read(4096))  # the holder
+        victim = engine.process(self.victim(device.read(4096)))
+        engine.process(self.interrupter(
+            engine, victim, INTEL_X25E.read_time(4096), channel, seen, granted
+        ))  # fmt: skip
+        engine.run()
+        assert victim.value == "stop"
+        assert seen == [(1, 0 if granted else 1)]
+        assert (channel.in_use, channel.queue_length) == (0, 0)
+
+    def test_fabric_rx_wait(self, engine):
+        network = Network(engine, GIGE)
+        nics = [network.attach(name) for name in ("a", "b", "c")]
+        rx = network.nic("b").rx
+        seen = []
+        engine.process(network.transfer("c", "b", 4096))  # holds b's RX port
+        # a -> b: takes a's TX port, then queues behind c for b's RX port.
+        victim = engine.process(self.victim(network.transfer("a", "b", 4096)))
+        engine.process(
+            self.interrupter(engine, victim, GIGE.transfer_time(4096), rx, seen)
+        )
+        engine.run()
+        assert victim.value == "stop" and seen == [(1, 1)]
+        for nic in nics:
+            assert (nic.tx.in_use, nic.rx.in_use, nic.rx.queue_length) == (0, 0, 0)
+
+    def test_cancel_after_interrupt_is_a_no_op(self, engine):
+        """``use`` cancels the request again in its handler."""
+        res = Resource(engine, capacity=1)
+        engine.process(res.use(2.0))
+        victim = engine.process(self.victim(res.use(1.0)))
+        later = engine.process(res.use(1.0))
+        seen = []
+        engine.process(self.interrupter(engine, victim, 1.0, res, seen))
+        engine.run()
+        assert victim.value == "stop" and seen == [(1, 2)]
+        assert later.processed and engine.now == 3.0
+        assert (res.in_use, res.queue_length, res.busy_seconds()) == (0, 0, 3.0)
 
 
 class TestChannel:

@@ -10,7 +10,8 @@ pairs, one ``--trace 1`` run per side: the "must not move" gate.  Every
 per-layer metric that is not read off the host's clock (``virt_self_s.*``
 and ``virt_crit_share.*`` included) must be bit-equal across the sides;
 ``sim.events*`` is printed per side instead, the one count a change may
-lower.  The verdict on
+lower, and so is every ``host_calls.<layer>``, which may fall and must
+never rise: a layer whose count rose is named.  The verdict on
 each host metric follows the simplicity guide: with gap = change median -
 parent median and IQR = the parent's own q3 - q1, a gap outside the IQR is
 ``better`` / ``worse`` when that side also took nine tenths of the pairs
@@ -28,7 +29,9 @@ Every campaign also appends one JSON line to the repo's top-level
 reprinting runs: workload, seed, seconds, pairs, per host metric both
 medians, the parent's quartiles, pairs won and lost and the verdict,
 ``host_calls_per_op`` per side, failures, the virtual verdict of the
-pairs (``virtual``) and of the traced runs (``traced``), what each tree
+pairs (``virtual``) and of the traced runs (``traced``), the traced runs'
+``host_calls`` per layer and side and the layers whose count rose
+(``calls_rose``), what each tree
 is (``git rev-parse HEAD`` for a checkout, else its path — and, because
 an exported tree's path says nothing once the scratch directory is
 emptied, a content hash of its ``src/``) and the host it ran on.
@@ -50,6 +53,7 @@ from statistics import median, quantiles
 HOST = ("host_s", "setup_s", "peak_rss_mib")  # noisy: compared by median
 COUNT = "host_calls_per_op"  # exact per side, expected to differ across sides
 EVENTS = "sim.events"  # and sim.events_per_op: exact per side, may fall
+CALLS = "host_calls."  # per layer, from the traced runs: may fall, never rise
 HISTORY = Path(__file__).resolve().parent.parent / "BENCH_history.jsonl"
 
 
@@ -136,6 +140,19 @@ def main() -> int:
     for name in sorted(n for n in traced["parent"] if n.startswith(EVENTS)):
         print(f"{name} (a count, may fall): parent {traced['parent'][name]:g} "
               f"change {traced['change'].get(name, float('nan')):g}")
+    calls_by_layer = {
+        side: {n[len(CALLS):]: v for n, v in values.items() if n.startswith(CALLS)}
+        for side, values in traced.items()
+    }
+    for layer in sorted(calls_by_layer["parent"].keys() | calls_by_layer["change"].keys()):
+        print(f"{CALLS}{layer} (a count, may fall): parent "
+              f"{calls_by_layer['parent'].get(layer, float('nan')):.0f} "
+              f"change {calls_by_layer['change'].get(layer, float('nan')):.0f}")
+    rose = sorted(
+        layer for layer, count in calls_by_layer["change"].items()
+        if count > calls_by_layer["parent"].get(layer, 0)
+    )
+    print(f"{CALLS}<layer>: " + (f"ROSE {rose}" if rose else "none rose"))
     print("traced per-layer metrics: " + (f"DIFFER {moved}" if moved else "bit-equal"))
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
@@ -179,7 +196,7 @@ def main() -> int:
         "src": sources,
         **host, COUNT: calls, "failed": failed,
         "attempted": runs["parent"][0]["attempted"], "virtual": drift or "bit-equal",
-        "traced": moved or "bit-equal",
+        "traced": moved or "bit-equal", "host_calls": calls_by_layer, "calls_rose": rose,
         "host": platform.node(), "cpus": os.cpu_count(),
     }
     with HISTORY.open("a") as ledger:
