@@ -239,8 +239,10 @@ class ChunkCache:
         )
         self._entries: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
         # Per-path view of ``_entries`` keys, so path-scoped operations
-        # (fsync, unlink) touch only that file's chunks.
-        self._by_path: dict[str, set[int]] = {}
+        # (fsync, unlink) touch only that file's chunks.  Chunk indices
+        # are dict keys: a subscript store or ``del`` is not a call and
+        # ``set.add`` / ``set.discard`` are (``PageCache._faults``).
+        self._by_path: dict[str, dict[int, None]] = {}
         # Chunks whose eviction write-back is in flight: concurrent
         # accesses must wait for the store to hold current bytes before
         # refetching, or they would read the pre-writeback (stale) data.
@@ -397,7 +399,7 @@ class ChunkCache:
             entry = self._entries.pop(victim_key)
             vpath, vindex = victim_key
             bucket = self._by_path[vpath]
-            bucket.discard(vindex)
+            del bucket[vindex]
             if not bucket:
                 del self._by_path[vpath]
             if policy is not None:
@@ -636,8 +638,8 @@ class ChunkCache:
                 ):
                     break
                 yield inflight[key]
-            entry = entries.get(key)
-            if entry is not None:
+            if key in entries:  # ``in`` + subscript: no call, hit or miss
+                entry = entries[key]
                 entries.move_to_end(key)
                 self._tick += 1
                 entry.lru = self._tick
@@ -712,10 +714,11 @@ class ChunkCache:
             self._tick += 1
             entry.lru = self._tick
             entries[key] = entry
-            bucket = self._by_path.get(path)
-            if bucket is None:
-                bucket = self._by_path[path] = set()
-            bucket.add(index)
+            by_path = self._by_path
+            if path in by_path:
+                by_path[path][index] = None
+            else:
+                by_path[path] = {index: None}
             if policy is not None:
                 policy.record_insert(key)
             if fetch:

@@ -87,7 +87,8 @@ class LocalCacheTier:
             track_ftl=False,
         )
         self._entries: OrderedDict[tuple[str, int], _L2Entry] = OrderedDict()
-        self._by_path: dict[str, set[int]] = {}
+        # Per-path chunk indices as dict keys, the chunk cache's shape.
+        self._by_path: dict[str, dict[int, None]] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -169,10 +170,11 @@ class LocalCacheTier:
                 self._drop(victim)
             yield from self.device.access(AccessKind.WRITE, len(data))
             self._entries[key] = _L2Entry(bytearray(data), staged)
-            bucket = self._by_path.get(key[0])
-            if bucket is None:
-                bucket = self._by_path[key[0]] = set()
-            bucket.add(key[1])
+            path, index = key
+            if path in self._by_path:
+                self._by_path[path][index] = None
+            else:
+                self._by_path[path] = {index: None}
             return True
         yield from self.device.access(AccessKind.WRITE, len(data))
         existing.data = bytearray(data)
@@ -202,6 +204,6 @@ class LocalCacheTier:
     def _drop(self, key: tuple[str, int]) -> None:
         del self._entries[key]
         bucket = self._by_path[key[0]]
-        bucket.discard(key[1])
+        del bucket[key[1]]
         if not bucket:
             del self._by_path[key[0]]

@@ -157,9 +157,10 @@ class MmapRegion:
 
         Plain function returning a process generator (see :meth:`read`).
         """
-        self._check(offset, len(data), write=True)
+        length = len(data)
+        self._check(offset, length, write=True)
         counter = self._write_counter
-        counter.total += len(data)
+        counter.total += length
         counter.count += 1
         file_off = self.offset + offset
         if self.shared:
@@ -169,7 +170,7 @@ class MmapRegion:
         tracer = self.pagecache._engine.tracer
         if tracer is None:
             return gen
-        return tracer.wrap("mmap", "write", gen, path=self.path, bytes=len(data))
+        return tracer.wrap("mmap", "write", gen, path=self.path, bytes=length)
 
     def _write_private(
         self, file_off: int, data: bytes

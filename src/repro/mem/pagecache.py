@@ -103,8 +103,9 @@ class PageCache:
         self.metrics = metrics if metrics is not None else mount.metrics
         self.stats = PageCacheStats()
         self._pages: OrderedDict[tuple[str, int], _Page] = OrderedDict()
-        # Per-path view of ``_pages`` keys for path-scoped sync/drop.
-        self._by_path: dict[str, set[int]] = {}
+        # Per-path view of ``_pages`` keys for path-scoped sync/drop: page
+        # indices as dict keys (the rule at ``_faults`` below).
+        self._by_path: dict[str, dict[int, None]] = {}
         # Pages whose eviction flush is in flight: concurrent faults must
         # wait for the flush to reach FUSE before refetching, or they
         # would read pre-flush (stale) bytes.
@@ -117,9 +118,16 @@ class PageCache:
         # write-back of that page.  Between its fetch and its last install
         # a fault keeps a dict here (under a serial number), and every
         # write-back that lands meanwhile — an eviction flush, a page of
-        # an msync — adds its key to each.  Dicts used as sets, because a
-        # subscript store is not a call and ``set.add`` is one (+7 %
-        # ``host_calls_per_op`` on ``mpi_scan``).
+        # an msync — adds its key to each.
+        #
+        # The rule for every per-page structure in this cache: what runs
+        # once per page is a subscript, a ``del``, an ``in`` test or an
+        # attribute store, never a method call, because the profiler
+        # counts a ``set.add``, ``dict.get`` or ``set.discard`` and not
+        # those (``_faults`` as sets: +7 % ``host_calls_per_op`` on
+        # ``mpi_scan``).  So sets are dicts of ``None``, and a probe made
+        # right after the caller's own miss is ``key in d``, then ``d[key]``
+        # on the rare hit; a lookup that usually hits keeps ``.get``.
         self._faults: dict[int, dict[tuple[str, int], None]] = {}
         self._fault_serial = 0
         self._tick = 0
@@ -143,20 +151,6 @@ class PageCache:
     def _fuse_cache(self):
         return self.mount.cache
 
-    def _new_page(
-        self, path: str, page_idx: int, data: bytearray | None = None
-    ) -> _Page:
-        """Create and index a resident page (caller checked capacity)."""
-        page = _Page(self.page_size, data)
-        self._tick += 1
-        page.lru = self._tick
-        self._pages[(path, page_idx)] = page
-        bucket = self._by_path.get(path)
-        if bucket is None:
-            bucket = self._by_path[path] = set()
-        bucket.add(page_idx)
-        return page
-
     def _insert(
         self,
         path: str,
@@ -164,7 +158,8 @@ class PageCache:
         data: bytearray | None = None,
         flushed: dict[tuple[str, int], None] | None = None,
     ) -> Generator[Event, object, tuple[_Page | None, bool]]:
-        """Pin a page slot for ``(path, page_idx)``.
+        """Pin a page slot for ``(path, page_idx)``: the one way a page
+        becomes resident, built and indexed here.
 
         Returns ``(page, created)``: ``created`` is False when the page
         was already (or concurrently became) resident — fillers must not
@@ -187,9 +182,9 @@ class PageCache:
             # Wait out an in-flight eviction flush of this very page.
             while key in inflight:
                 yield inflight[key]
-            page = pages.get(key)
-            if page is not None:
+            if key in pages:
                 # Someone else faulted it back in while we waited.
+                page = pages[key]
                 pages.move_to_end(key)
                 self._tick += 1
                 page.lru = self._tick
@@ -205,7 +200,7 @@ class PageCache:
                 vkey, victim = pages.popitem(last=False)
                 vpath, vidx = vkey
                 bucket = by_path[vpath]
-                bucket.discard(vidx)
+                del bucket[vidx]
                 if not bucket:
                     del by_path[vpath]
                 if victim.dirty:
@@ -266,7 +261,15 @@ class PageCache:
                 # began: ``data`` predates it.  Fetch the page again.
                 yield from self._fault_range(path, page_idx, page_idx)
                 return pages.get(key), False
-            return self._new_page(path, page_idx, data), True
+            page = _Page(self.page_size, data)
+            self._tick += 1
+            page.lru = self._tick
+            pages[key] = page
+            if path in by_path:
+                by_path[path][page_idx] = None
+            else:
+                by_path[path] = {page_idx: None}
+            return page, True
 
     def _fault_range(
         self, path: str, first_page: int, last_page: int
@@ -306,7 +309,6 @@ class PageCache:
             if overhead and not self._engine.advance(overhead):
                 yield self._engine.timeout(overhead)
             pages = self._pages
-            pages_get = pages.get
             page_size = self.page_size
             chunk_size = self.mount.chunk_size
             cursor = offset
@@ -332,13 +334,12 @@ class PageCache:
                     while inner < piece:
                         seg_len = piece - inner
                         key = (path, page_idx)
-                        page = pages_get(key)
-                        if page is not None:
+                        if key in pages:
                             # Concurrently faulted back in: only touch the LRU
                             # position, never overwrite (it may hold newer bytes).
                             pages.move_to_end(key)
                             self._tick += 1
-                            page.lru = self._tick
+                            pages[key].lru = self._tick
                         elif seg_len >= page_size:
                             # _insert drops the slice if the page turns up
                             # resident after an eviction wait.
@@ -414,6 +415,15 @@ class PageCache:
         self.stats.misses += misses
         if run_start is not None:
             yield from self._fault_range(path, run_start, last)
+        # The second pass below re-touches each page only if something
+        # could have moved one since the first: a fault (it inserted, and
+        # may have evicted, pages), a parked DRAM grant or a real DRAM
+        # timeout (other processes ran).  Otherwise nothing ran between
+        # the passes, the range is still the dict's last entries in file
+        # order, a ``move_to_end`` would do nothing and fresh stamps would
+        # keep the relative order that ``sync_path`` reads (INTERNALS
+        # "The cache hierarchy and its races", rule 10).
+        retouch = misses != 0
         if resident:
             # Inlined StorageDevice.access (DRAM has no _pre_access hook;
             # event-for-event identical, one generator hop less).
@@ -423,6 +433,7 @@ class PageCache:
             if req is None:
                 req = dram._acquire()
                 yield req
+                retouch = True
             try:
                 bytes_counter, time_counter, time_fn = dram._read_stats
                 duration = time_fn(nbytes)
@@ -432,6 +443,7 @@ class PageCache:
                 time_counter.count += 1
                 if not self._engine.advance(duration):
                     yield self._engine.timeout(duration)
+                    retouch = True
             finally:
                 dram._release(req)
         # Assemble the requested bytes from resident pages.  Only the
@@ -448,17 +460,20 @@ class PageCache:
             if piece > rest:
                 piece = rest
             key = (path, page_idx)
-            page = pages_get(key)
-            if page is None:
-                # A range larger than the cache evicted its own head while
-                # faulting its tail; refault just this page.
-                self._tick = tick
-                yield from self._fault_range(path, page_idx, page_idx)
-                tick = self._tick
+            if retouch:
+                page = pages_get(key)
+                if page is None:
+                    # A range larger than the cache evicted its own head
+                    # while faulting its tail; refault just this page.
+                    self._tick = tick
+                    yield from self._fault_range(path, page_idx, page_idx)
+                    tick = self._tick
+                    page = pages[key]
+                move_to_end(key)
+                tick += 1
+                page.lru = tick
+            else:
                 page = pages[key]
-            move_to_end(key)
-            tick += 1
-            page.lru = tick
             if piece == page_size:
                 out[pos : pos + page_size] = page.data
             else:
@@ -478,8 +493,9 @@ class PageCache:
         self, path: str, offset: int, data: bytes
     ) -> Generator[Event, object, None]:
         """Write bytes, dirtying pages (write-allocate, write-back)."""
-        self._check(path, offset, len(data))
-        if not data:
+        length = len(data)
+        self._check(path, offset, length)
+        if not length:
             return
         if self._write_hooks:
             hooks = self._write_hooks.get(path)
@@ -491,12 +507,11 @@ class PageCache:
                 # mutation trackers record the touch for the next
                 # epoch's dirty diff.
                 for hook in list(hooks):
-                    yield from hook.before_write(offset, len(data))
+                    yield from hook.before_write(offset, length)
         pages = self._pages
         pages_get = pages.get
         move_to_end = pages.move_to_end
         page_size = self.page_size
-        length = len(data)
         src = memoryview(data)
         written_resident = 0
         hits = 0
@@ -572,7 +587,7 @@ class PageCache:
             finally:
                 dram._release(req)
         counter = self._write_counter
-        counter.total += len(data)
+        counter.total += length
         counter.count += 1
 
     # ------------------------------------------------------------------

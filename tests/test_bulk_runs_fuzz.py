@@ -12,8 +12,8 @@ running in between.  The reference run patches all three out
 so every grant, completion and sleep rides the queues.  Each shortcut is
 taken only where the queued form would have behaved identically, so the
 whole stack must produce byte-identical data, a bit-identical virtual
-timeline and identical counters either way — and strictly fewer
-dispatched events.  The first tests replay random read/write/msync
+timeline, identical counters and identical LRU orders in both caches
+either way — and strictly fewer dispatched events.  The first tests replay random read/write/msync
 schedules both ways: two or three ranks sharing one node's page and
 chunk caches (so fills, write-backs and evictions do find waiters),
 caches small enough that pages and chunks are evicted, flushed and
@@ -62,6 +62,11 @@ Hand mutations of ``src/`` this file was run against, each applied alone:
   infinite and whose process completes through the ring, never through
   ``conclude``: on these inputs they are the same program.
   ``tests/test_sim_kernel_property.py`` kills both.
+- ``PageCache.read``'s re-touch flag starts ``False``, so a read whose
+  fault inserted pages skips its second touch: killed by the LRU orders
+  ``_run_schedule`` records, on every world.  Not setting the flag after
+  a parked grant, or after a real DRAM timeout: survive here, and are
+  killed by ``tests/test_mem.py::TestReadTouchesEachPageOnce``.
 
 The FTL has one write path and no gate: its retired per-page loops live
 here as :class:`PerPageFTL`, the differential oracle.
@@ -131,9 +136,11 @@ def _own(rank, nranks, lane_bytes, offset, length):
 def _run_schedule(scripts, *, tiered=False, crash_after=None, lane=None):
     """One full stack run: ``len(scripts)`` concurrent ranks on one node,
     sharing its caches and one region.  Returns ``(virtual_now,
-    final_bytes, counters, events_processed)``.  With ``crash_after``,
-    the store replicates twice and rank 0 kills a benefactor before its
-    op of that index."""
+    final_bytes, counters, events_processed, orders)``, ``orders`` being
+    the page cache's LRU order after every read and then the chunk
+    cache's once the ranks finish.  With ``crash_after``, the store
+    replicates twice and rank 0 kills a benefactor before its op of that
+    index."""
     engine = Engine()
     cluster = make_hal_cluster(
         engine,
@@ -154,6 +161,7 @@ def _run_schedule(scripts, *, tiered=False, crash_after=None, lane=None):
     )  # fmt: skip
     shadow = bytearray(REGION)
     nranks = len(scripts)
+    orders = []
 
     def rank(region, me, ops):
         for i, (kind, off_frac, len_frac, fill) in enumerate(ops):
@@ -176,12 +184,14 @@ def _run_schedule(scripts, *, tiered=False, crash_after=None, lane=None):
                     assert not lane or got == shadow[start:stop], (
                         f"rank {me} read stale bytes at [{start}, {stop})"
                     )
+                    orders.append(list(lib.pagecache._pages))
 
     def driver():
         var = yield from lib.ssdmalloc(REGION, owner="grantfuzz")
         yield AllOf(engine, [
             engine.process(rank(var.region, me, ops)) for me, ops in enumerate(scripts)
         ])  # fmt: skip
+        orders.append(lib.mount.cache.cached_keys())
         final = yield from var.region.read(0, REGION)
         yield from lib.ssdfree(var)
         return bytes(final)
@@ -191,7 +201,7 @@ def _run_schedule(scripts, *, tiered=False, crash_after=None, lane=None):
         "the region does not hold what its ranks wrote"
     )
     counters = dict(cluster.metrics.snapshot(""))
-    return engine.now, final, counters, engine.events_processed
+    return engine.now, final, counters, engine.events_processed, orders
 
 
 def _assert_identical(fast, slow):
@@ -205,6 +215,10 @@ def _assert_identical(fast, slow):
         if fast[2].get(k) != slow[2].get(k)
     }
     assert fast[3] < slow[3]
+    # The reference kernel parks every grant, so each of its reads
+    # touches its pages twice; the shipped one skips the second touch
+    # when nothing can have moved them (``PageCache.read``).
+    assert fast[4] == slow[4], "inline and queued kernels left different LRU orders"
 
 
 @settings(max_examples=25, deadline=None)

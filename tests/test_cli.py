@@ -171,6 +171,7 @@ FAKE_RUN = """\
 import json, sys
 print("fake  seed=7  repeats=1")
 names = [m["name"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]]
+names.append("bench.machine_slowdown")
 print(json.dumps({{"correct": True, "attempted": 10, "failed": 0,
                   "metrics": {{n: {{"value": {value}, "unit": "x"}} for n in names}}}}))
 """
@@ -185,6 +186,7 @@ if sys.argv[sys.argv.index("--trace") + 1] == "1":
     layers = {{"host_self_share.core": {host}, "host_calls.core": {host},
               "host_calls.sim": {events},
               "bench.startup_s": {host}, "sim.host_us_per_event": {host},
+              "bench.machine_slowdown": {host},
               "sim.events": {events}, "sim.events_per_op": {events},
               "virt_self_s.core": {virt}, "virt_crit_share.core": 0.25}}
     print(json.dumps({{"correct": True, "attempted": 10, "failed": 0, "metrics": {{
@@ -210,7 +212,7 @@ class TestBenchPairs:
         (tree / "bench" / "run.py").write_text(run_py)
         return tree
 
-    def test_a_campaign_appends_one_row(self, tool, tmp_path, monkeypatch):
+    def test_a_campaign_appends_one_row(self, tool, tmp_path, monkeypatch, capsys):
         parent = self.tree(tmp_path, "parent", FAKE_RUN.format(value=2.0))
         change = self.tree(tmp_path, "change", FAKE_RUN.format(value=1.0))
         argv = ["bench_pairs.py", str(parent), str(change), "--workload", "fake", "--pairs", "2"]
@@ -218,6 +220,9 @@ class TestBenchPairs:
             monkeypatch.setattr("sys.argv", argv)
             # Every "virtual" metric differs too (1.0 vs 2.0): exit status 1.
             assert tool.main() == 1
+        assert "bench.machine_slowdown (machine speed): parent 2 change 1" in (
+            capsys.readouterr().out.splitlines()
+        )
         first, second = map(json.loads, tool.HISTORY.read_text().splitlines())
         assert {k: v for k, v in first.items() if k != "utc"} == {
             k: v for k, v in second.items() if k != "utc"
@@ -232,8 +237,11 @@ class TestBenchPairs:
         }  # fmt: skip
         assert set(first) >= {"setup_s", "peak_rss_mib", "host", "cpus", "attempted"}
         assert first["host_calls_per_op"] == {"parent": [2.0], "change": [1.0]}
+        # How fast the machine ran each side: rows of two sessions compare.
+        assert first["bench.machine_slowdown"] == {"parent": 2.0, "change": 1.0}
         assert first["failed"] == {"parent": 0, "change": 0}
         assert "virt_makespan_s" in first["virtual"]  # the differing names
+        assert "bench.machine_slowdown" not in first["virtual"]  # host-clocked
 
     def test_the_row_says_which_source_each_side_ran(self, tool, tmp_path, monkeypatch):
         """An exported tree is recorded by a hash of its ``src/`` as well:
@@ -292,6 +300,8 @@ class TestBenchPairs:
         assert rows[1]["host_calls"] == {
             "parent": {"core": 1, "sim": 9}, "change": {"core": 3, "sim": 4},
         }  # fmt: skip
+        # Read off the traced runs, the only records that carry it.
+        assert rows[1]["bench.machine_slowdown"] == {"parent": 1, "change": 3}
 
     def test_a_side_that_prints_no_json_is_named(self, tool, tmp_path, monkeypatch):
         parent = self.tree(tmp_path, "parent", FAKE_RUN.format(value=2.0))

@@ -11,7 +11,10 @@ from repro.errors import (
     AllocationError,
     CapacityError,
     CheckpointError,
+    FileNotFoundInStoreError,
+    MmapError,
     NVMallocError,
+    StoreError,
 )
 from repro.store import CHUNK_SIZE
 from repro.util.units import KiB, MiB
@@ -134,6 +137,63 @@ class TestSsdmalloc:
     def test_allocation_exceeding_store(self, engine, nvmalloc, store):
         with pytest.raises(Exception):
             run(engine, nvmalloc.ssdmalloc(store.total_capacity() * 2))
+
+
+class TestMisuseRaisesAndLeavesStateClean:
+    """API misuse raises a typed error and leaves the store as it was,
+    so the next correct call succeeds.  (Zero-size ``ssdmalloc``, double
+    ``ssdfree`` and an unknown checkpoint tag are pinned above.)"""
+
+    def test_use_after_free(self, engine, nvmalloc):
+        var = run(engine, nvmalloc.ssdmalloc(10_000))
+        run(engine, nvmalloc.ssdfree(var))
+        with pytest.raises(MmapError, match="has been unmapped"):
+            run(engine, var.read(0, 1))
+        with pytest.raises(MmapError, match="has been unmapped"):
+            run(engine, var.write(0, b"x"))
+
+    def test_oversized_ssdmalloc(self, engine, nvmalloc, store):
+        def state():
+            return [b.reserved for b in store.benefactors()], dict(store.files)
+
+        before = state()
+        with pytest.raises(StoreError, match="aggregate store full"):
+            run(engine, nvmalloc.ssdmalloc(1 << 40))
+        assert state() == before
+        var = run(engine, nvmalloc.ssdmalloc(8 * MiB))
+        assert var.nbytes == 8 * MiB
+
+    def test_checkpoint_of_a_freed_variable(self, engine, nvmalloc, store):
+        def proc():
+            var = yield from nvmalloc.ssdmalloc(CHUNK_SIZE)
+            yield from var.write(0, b"freed")
+            yield from nvmalloc.ssdfree(var)
+            with pytest.raises(FileNotFoundInStoreError):
+                yield from nvmalloc.ssdcheckpoint("app", 0, b"d", [("v", var)])
+            with pytest.raises(FileNotFoundInStoreError):
+                store.epoch_record("app", 0)  # no epoch registered, not even open
+            live = yield from nvmalloc.ssdmalloc(CHUNK_SIZE)
+            yield from live.write(0, b"alive")
+            yield from nvmalloc.ssdcheckpoint("app", 0, b"d", [("v", live)])
+            _, variables = yield from nvmalloc.restore("app", 0)
+            return variables["v"][:5]
+
+        assert run(engine, proc()) == b"alive"
+        assert store.committed_epochs("app") == (0,)
+
+    def test_restore_of_a_retired_timestep(self, engine, nvmalloc):
+        def proc():
+            var = yield from nvmalloc.ssdmalloc(CHUNK_SIZE)
+            for step in range(3):
+                yield from var.write(0, bytes([step + 1]))
+                yield from nvmalloc.ssdcheckpoint("app", step, b"d", [("v", var)])
+            yield from nvmalloc.gc_checkpoints("app", keep_last=1)
+            with pytest.raises(CheckpointError, match="no checkpoint app@0"):
+                yield from nvmalloc.restore("app", 0)
+            _, variables = yield from nvmalloc.restore("app", 2)
+            return variables["v"][:1]
+
+        assert run(engine, proc()) == b"\x03"
 
 
 class TestTypedArrays:

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import make_hal_cluster
+from repro.cluster.hal import HalConfig
 from repro.errors import FileNotFoundInStoreError, MmapError
 from repro.fusefs import FuseMount, OpenFlags
 from repro.mem import MmapRegion, PageCache, Protection
-from repro.sim import AllOf
-from repro.store import CHUNK_SIZE, PAGE_SIZE
+from repro.sim import AllOf, Engine
+from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.units import KiB, MiB
-from tests.conftest import run
+from tests.conftest import reference_kernel, run
 
 
 @pytest.fixture
@@ -180,6 +182,124 @@ def test_fault_does_not_install_bytes_from_before_an_msync(
         return (yield from pagecache.read("/f", 2 * PAGE_SIZE, PAGE_SIZE))
 
     assert run(engine, main()) == b"y" * PAGE_SIZE
+
+
+def _in_eight_page_cache(scenario):
+    """Run ``scenario(engine, pagecache)`` on a fresh testbed whose page
+    cache holds eight pages of the one-chunk file ``/f``, and return what
+    it returns.  Built here rather than from fixtures, so that under
+    ``reference_kernel()`` the devices bind the patched methods."""
+    engine = Engine()
+    cluster = make_hal_cluster(
+        engine,
+        HalConfig(num_nodes=4, cores_per_node=4, dram_per_node=16 * MiB,
+                  ssd_per_node=64 * MiB),
+    )  # fmt: skip
+    store = Manager(cluster.node(0))
+    for node in cluster.nodes:
+        store.register_benefactor(Benefactor(node, contribution=16 * MiB))
+    mount = FuseMount(cluster.node(1), store, cache_bytes=1 * MiB)
+    pagecache = PageCache(mount, capacity_bytes=8 * PAGE_SIZE)
+
+    def main():
+        yield from mount.client.create("/f", CHUNK_SIZE)
+        return (yield from scenario(engine, pagecache))
+
+    return run(engine, main())
+
+
+def _lru(pagecache):
+    """Resident page indices of ``/f`` in LRU order, after checking that
+    the stamps rise in that order (what ``sync_path`` replays)."""
+    stamps = [page.lru for page in pagecache._pages.values()]
+    assert stamps == sorted(set(stamps)), "stamps out of LRU order"
+    return [index for _, index in pagecache._pages]
+
+
+def _on_both_kernels(scenario):
+    shipped = _in_eight_page_cache(scenario)
+    with reference_kernel():
+        reference = _in_eight_page_cache(scenario)
+    return shipped, reference
+
+
+class TestReadTouchesEachPageOnce:
+    """``PageCache.read`` stamps and moves each page in a first pass, then
+    copies the bytes in a second, which touches the pages again only after
+    a miss, a parked DRAM grant or a real DRAM timeout (INTERNALS "The
+    cache hierarchy and its races", rule 10).  The reference kernel parks
+    every grant, so its reads always touch twice: the LRU order must come
+    out the same either way."""
+
+    def test_an_uncontended_read_of_resident_pages(self):
+        def scenario(engine, pagecache):
+            yield from pagecache.read("/f", 0, 8 * PAGE_SIZE)  # pages 0..7
+            tick = pagecache._tick
+            yield from pagecache.read("/f", PAGE_SIZE + 100, 2 * PAGE_SIZE)  # 1..3
+            touches = pagecache._tick - tick
+            order = _lru(pagecache)
+            yield from pagecache.read("/f", 8 * PAGE_SIZE, 1)  # evicts one
+            (victim,) = set(order) - set(_lru(pagecache))
+            return order, victim, touches
+
+        shipped, reference = _on_both_kernels(scenario)
+        assert shipped[:2] == reference[:2] == ([0, 4, 5, 6, 7, 1, 2, 3], 0)
+        assert (shipped[2], reference[2]) == (3, 6)  # once here, twice there
+
+    def test_a_miss_then_a_hit_end_in_file_order(self):
+        """Page 0 misses and page 1 hits: the first pass moves page 1 to
+        the end, then the fault inserts page 0 behind it."""
+
+        def scenario(engine, pagecache):
+            yield from pagecache.read("/f", PAGE_SIZE, 1)
+            yield from pagecache.read("/f", 0, 2 * PAGE_SIZE)
+            return _lru(pagecache)
+
+        shipped, reference = _on_both_kernels(scenario)
+        assert shipped == reference == [0, 1]
+
+    @pytest.mark.parametrize("wait", ["parked", "sleeping"])
+    def test_a_read_that_waited_on_dram_touches_again(self, wait):
+        """While a reader of pages 1..3 waits on its DRAM copy, a second
+        reader moves page 2 to the end.  ``parked``: the copy queues behind
+        a holder of both DDR3 channels, and its grant comes with the clock
+        free, so it then sleeps in place — only the parked grant says the
+        pages may have moved.  ``sleeping``: the grant is inline and the
+        second reader is due first, so the copy sleeps on a real timeout.
+        Each process starts at its own instant: a grant asked for while a
+        peer is queued at the same instant parks."""
+
+        def scenario(engine, pagecache):
+            yield from pagecache.read("/f", 0, 8 * PAGE_SIZE)
+            dram = pagecache._dram
+            held = []
+            if wait == "parked":
+                for _ in range(dram.spec.channels):
+                    req = dram._acquire()
+                    yield req
+                    held.append(req)
+            seen = []
+
+            def reader():
+                yield engine.timeout(1e-9)
+                yield from pagecache.read("/f", PAGE_SIZE, 3 * PAGE_SIZE)
+                seen.append(_lru(pagecache))
+
+            def mover():
+                yield engine.timeout(2e-9)  # inside the reader's wait
+                yield from pagecache.read("/f", 2 * PAGE_SIZE, 1)
+
+            def holder():
+                yield engine.timeout(1e-3)
+                for req in held:
+                    dram._release(req)
+                    yield engine.timeout(1.0)
+
+            yield AllOf(engine, [engine.process(p()) for p in (reader, mover, holder)])
+            return seen
+
+        shipped, reference = _on_both_kernels(scenario)
+        assert shipped == reference == [[0, 4, 5, 6, 7, 1, 2, 3]]
 
 
 class TestPageCacheChecksTheCurrentSize:

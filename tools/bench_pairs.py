@@ -28,7 +28,10 @@ Every campaign also appends one JSON line to the repo's top-level
 ``BENCH_history.jsonl`` — the ledger CHANGES.md cites instead of
 reprinting runs: workload, seed, seconds, pairs, per host metric both
 medians, the parent's quartiles, pairs won and lost and the verdict,
-``host_calls_per_op`` per side, failures, the virtual verdict of the
+``host_calls_per_op`` per side, each side's ``bench.machine_slowdown``
+from its traced run (the median calibration-kernel time of that run over
+its reference: how fast the machine was, so rows of different sessions
+can be compared), failures, the virtual verdict of the
 pairs (``virtual``) and of the traced runs (``traced``), the traced runs'
 ``host_calls`` per layer and side and the layers whose count rose
 (``calls_rose``), what each tree
@@ -51,6 +54,7 @@ from pathlib import Path
 from statistics import median, quantiles
 
 HOST = ("host_s", "setup_s", "peak_rss_mib")  # noisy: compared by median
+SPEED = "bench.machine_slowdown"  # the calibration kernel's time / its reference
 COUNT = "host_calls_per_op"  # exact per side, expected to differ across sides
 EVENTS = "sim.events"  # and sim.events_per_op: exact per side, may fall
 CALLS = "host_calls."  # per layer, from the traced runs: may fall, never rise
@@ -154,6 +158,11 @@ def main() -> int:
     )
     print(f"{CALLS}<layer>: " + (f"ROSE {rose}" if rose else "none rose"))
     print("traced per-layer metrics: " + (f"DIFFER {moved}" if moved else "bit-equal"))
+    # Only a traced record carries it; already a median over that run's
+    # calibration-kernel runs.
+    speed = {side: values[SPEED] for side, values in traced.items()}
+    print(f"{SPEED} (machine speed): parent {speed['parent']:.4g} "
+          f"change {speed['change']:.4g}")
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             runs[side].append(run_once(trees[side], extra))
@@ -194,7 +203,7 @@ def main() -> int:
         "seconds": float(args.seconds or manifest["run_seconds"]), "pairs": args.pairs,
         "parent": identity(trees["parent"]), "change": identity(trees["change"]),
         "src": sources,
-        **host, COUNT: calls, "failed": failed,
+        **host, COUNT: calls, SPEED: speed, "failed": failed,
         "attempted": runs["parent"][0]["attempted"], "virtual": drift or "bit-equal",
         "traced": moved or "bit-equal", "host_calls": calls_by_layer, "calls_rose": rose,
         "host": platform.node(), "cpus": os.cpu_count(),
