@@ -41,22 +41,25 @@ class StorageDevice:
         self.name = name or spec.name
         self.metrics = metrics if metrics is not None else MetricsRecorder()
         self._channel = Resource(engine, capacity=spec.channels, name=self.name)
-        # Accesses are the hottest metric call sites: resolve the counter
-        # objects and the per-kind timing function once instead of
-        # formatting two names and dispatching on kind per access.
-        self._counters = {
-            kind: (
-                self.metrics.counter(f"device.{self.name}.{kind.value}.bytes"),
-                self.metrics.counter(f"device.{self.name}.{kind.value}.time"),
-                spec.read_time if kind is AccessKind.READ else spec.write_time,
-            )
-            for kind in AccessKind
-        }
-        # Kind-resolved views of ``_counters`` plus pre-bound slot
-        # acquire/release, so the per-access hot loop does no dict/enum
-        # lookups and one attribute hop less per call.
-        self._read_stats = self._counters[AccessKind.READ]
-        self._write_stats = self._counters[AccessKind.WRITE]
+        # Accesses are the hottest metric call sites: per kind, resolve
+        # the counter objects and the timing parameters once, as
+        # ``(bytes_counter, time_counter, latency, bw)``.  Every site that
+        # charges an access computes ``latency + nbytes / bw`` itself: the
+        # service time is an expression, not a call.
+        counter = self.metrics.counter
+        self._read_stats = (
+            counter(f"device.{self.name}.read.bytes"),
+            counter(f"device.{self.name}.read.time"),
+            spec.latency,
+            spec.read_bw,
+        )
+        self._write_stats = (
+            counter(f"device.{self.name}.write.bytes"),
+            counter(f"device.{self.name}.write.time"),
+            spec.latency,
+            spec.write_bw,
+        )
+        # Pre-bound slot acquire/release: one attribute hop less per call.
         self._acquire = self._channel.request
         self._acquire_now = self._channel.acquire_now
         self._release = self._channel.release
@@ -104,10 +107,10 @@ class StorageDevice:
         try:
             if self._custom_pre_access:
                 self._pre_access(kind, nbytes)
-            bytes_counter, time_counter, time_fn = (
+            bytes_counter, time_counter, latency, bw = (
                 self._read_stats if kind is AccessKind.READ else self._write_stats
             )
-            duration = time_fn(nbytes)
+            duration = latency + nbytes / bw
             if self._degrade_until > self.engine._now:
                 duration *= self._degrade_factor
             bytes_counter.total += nbytes

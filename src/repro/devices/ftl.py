@@ -89,9 +89,6 @@ class FlashTranslationLayer:
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------
-    def _block_of(self, ppn: int) -> int:
-        return ppn // self.pages_per_block
-
     def erase_count_spread(self) -> tuple[int, int]:
         """(min, max) per-block erase counts — wear-leveling quality metric."""
         return min(self._erase_counts), max(self._erase_counts)
@@ -120,6 +117,9 @@ class FlashTranslationLayer:
         # block, and only a full (or absent) frontier goes through the
         # allocator, where garbage collection may run.  The old mapping is
         # dropped first so GC never relocates the page being overwritten.
+        # Per page, the remap is subscripts, ``in`` and ``del`` (no
+        # ``dict.pop`` call): ``lpn in l2p`` then ``del`` leaves the state
+        # ``pop`` would, a burst that fails part-way included.
         logical = self.logical_pages
         per_block = self.pages_per_block
         l2p = self._l2p
@@ -135,8 +135,9 @@ class FlashTranslationLayer:
             for lpn in lpns:
                 if not 0 <= lpn < logical:
                     self._check_lpn(lpn)  # raises
-                old = l2p.pop(lpn, None)
-                if old is not None:
+                if lpn in l2p:
+                    old = l2p[lpn]
+                    del l2p[lpn]
                     del p2l[old]
                     valid[old // per_block] -= 1
                 if frontier is None or write_ptr[frontier] >= per_block:
@@ -168,8 +169,9 @@ class FlashTranslationLayer:
         for lpn in lpns:
             if not 0 <= lpn < logical:
                 self._check_lpn(lpn)  # raises
-            old = l2p.pop(lpn, None)
-            if old is not None:
+            if lpn in l2p:
+                old = l2p[lpn]
+                del l2p[lpn]
                 del p2l[old]
                 valid[old // per_block] -= 1
 
@@ -242,26 +244,27 @@ class FlashTranslationLayer:
         # which may consume the reserve block but never recurses into GC
         # (the victim frees at least as many pages as it relocates thanks
         # to overprovisioning).
-        moved: list[tuple[int, int]] = []  # (lpn, old_ppn)
-        base = victim * self.pages_per_block
-        for slot in range(self.pages_per_block):
-            ppn = base + slot
-            lpn = self._p2l.get(ppn)
-            if lpn is not None:
-                moved.append((lpn, ppn))
-        if len(moved) >= self.pages_per_block:
+        per_block = self.pages_per_block
+        p2l = self._p2l
+        base = victim * per_block
+        moved = [ppn for ppn in range(base, base + per_block) if ppn in p2l]
+        if len(moved) >= per_block:
             raise CapacityError(
                 "FTL thrashing: victim block is fully valid (device full)"
             )
-        for lpn, old_ppn in moved:
-            del self._p2l[old_ppn]
-            self._valid_counts[victim] -= 1
+        l2p = self._l2p
+        valid = self._valid_counts
+        stats = self.stats
+        for old_ppn in moved:
+            lpn = p2l[old_ppn]
+            del p2l[old_ppn]
+            valid[victim] -= 1
             new_ppn = self._relocation_target()
-            self._l2p[lpn] = new_ppn
-            self._p2l[new_ppn] = lpn
-            self._valid_counts[self._block_of(new_ppn)] += 1
-            self.stats.pages_relocated += 1
-            self.stats.flash_pages_written += 1
+            l2p[lpn] = new_ppn
+            p2l[new_ppn] = lpn
+            valid[new_ppn // per_block] += 1
+            stats.pages_relocated += 1
+            stats.flash_pages_written += 1
         # Erase the victim.
         self._erase_counts[victim] += 1
         if self._erase_counts[victim] > self.endurance_cycles:

@@ -14,7 +14,12 @@ from repro.util.units import GB, MB
 
 @dataclass(frozen=True)
 class DeviceSpec:
-    """Static characteristics of a storage or memory device."""
+    """Static characteristics of a storage or memory device.
+
+    One access of ``nbytes`` takes ``latency + nbytes / read_bw`` seconds
+    (``write_bw`` for a write); the device models compute that expression
+    where they charge it.
+    """
 
     name: str
     kind: str  # "dram" | "ssd" | "hdd"
@@ -37,14 +42,6 @@ class DeviceSpec:
             raise ValueError(f"{self.name}: capacity must be positive")
         if self.channels < 1:
             raise ValueError(f"{self.name}: channels must be >= 1")
-
-    def read_time(self, nbytes: int) -> float:
-        """Service time for one read of ``nbytes``."""
-        return self.latency + nbytes / self.read_bw
-
-    def write_time(self, nbytes: int) -> float:
-        """Service time for one write of ``nbytes``."""
-        return self.latency + nbytes / self.write_bw
 
     def scaled(self, *, capacity: int | None = None, name: str | None = None) -> "DeviceSpec":
         """A copy with a different capacity (for scaled-down experiments)."""

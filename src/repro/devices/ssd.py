@@ -45,21 +45,18 @@ class SSD(StorageDevice):
         super().__init__(engine, spec, name=name, metrics=metrics)
         self.track_ftl = track_ftl
         self.ftl: FlashTranslationLayer | None = None
+        #: Usable bytes (after FTL overprovisioning, when tracked); the
+        #: FTL geometry never changes, so this is fixed here.
+        self.logical_capacity = spec.capacity
         if track_ftl:
             self.ftl = FlashTranslationLayer(
                 capacity=spec.capacity,
                 endurance_cycles=spec.endurance_cycles,
             )
+            self.logical_capacity = self.ftl.logical_pages * self.ftl.page_size
         self._gc_counter = self.metrics.counter(f"device.{self.name}.gc.time")
 
     # ------------------------------------------------------------------
-    @property
-    def logical_capacity(self) -> int:
-        """Usable bytes (after FTL overprovisioning, when tracked)."""
-        if self.ftl is not None:
-            return self.ftl.logical_pages * self.ftl.page_size
-        return self.spec.capacity
-
     def _page_range(self, offset: int, nbytes: int) -> range:
         if offset < 0 or nbytes < 0:
             raise DeviceError(f"{self.name}: bad extent ({offset}, {nbytes})")
@@ -77,8 +74,10 @@ class SSD(StorageDevice):
     # ------------------------------------------------------------------
     def read_extent(self, offset: int, nbytes: int) -> Generator[Event, object, None]:
         """Process generator: read ``nbytes`` at logical ``offset``."""
-        if self.ftl is not None:
-            self._page_range(offset, nbytes)  # bounds check
+        if self.ftl is not None and (
+            offset < 0 or nbytes < 0 or offset + nbytes > self.logical_capacity
+        ):
+            self._page_range(offset, nbytes)  # raises
         return self.access(AccessKind.READ, nbytes)
 
     def write_extent(self, offset: int, nbytes: int) -> Generator[Event, object, None]:
@@ -107,8 +106,8 @@ class SSD(StorageDevice):
             yield req
         try:
             # Same Counter objects the size-only write path uses.
-            bytes_counter, time_counter, time_fn = self._write_stats
-            duration = time_fn(nbytes) + gc_penalty
+            bytes_counter, time_counter, latency, bw = self._write_stats
+            duration = latency + nbytes / bw + gc_penalty
             if self._degrade_until > self.engine._now:
                 duration *= self._degrade_factor
             bytes_counter.total += nbytes

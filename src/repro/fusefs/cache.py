@@ -878,7 +878,11 @@ class ChunkCache:
         whole runs of pages, and ``pread`` fills one result buffer,
         without an intermediate copy per piece.
         """
-        self._check(offset, length)
+        if offset < 0 or length < 0 or offset + length > self.chunk_size:
+            raise FuseError(
+                f"access [{offset}, {offset + length}) outside chunk of "
+                f"{self.chunk_size}"
+            )
         key = (path, index)
         entry = self._entries.get(key)
         if entry is not None and entry.valid:
@@ -904,8 +908,8 @@ class ChunkCache:
                 req = dram._acquire()
                 yield req
             try:
-                bytes_counter, time_counter, time_fn = dram._read_stats
-                duration = time_fn(length)
+                bytes_counter, time_counter, latency, bw = dram._read_stats
+                duration = latency + length / bw
                 bytes_counter.total += length
                 bytes_counter.count += 1
                 time_counter.total += duration
@@ -1009,7 +1013,11 @@ class ChunkCache:
         key = (path, index)
         for offset, data in ranges:
             length = len(data)
-            self._check(offset, length)
+            if offset < 0 or offset + length > self.chunk_size:
+                raise FuseError(
+                    f"access [{offset}, {offset + length}) outside chunk of "
+                    f"{self.chunk_size}"
+                )
             if pre_range_delay is not None and not engine.advance(pre_range_delay):
                 yield engine.timeout(pre_range_delay)
             covers_whole_pages = (
@@ -1047,8 +1055,8 @@ class ChunkCache:
                     req = dram._acquire()
                     yield req
                 try:
-                    bytes_counter, time_counter, time_fn = dram._write_stats
-                    duration = time_fn(length)
+                    bytes_counter, time_counter, latency, bw = dram._write_stats
+                    duration = latency + length / bw
                     bytes_counter.total += length
                     bytes_counter.count += 1
                     time_counter.total += duration
@@ -1059,13 +1067,6 @@ class ChunkCache:
                     dram._release(req)
             finally:
                 entry.pins -= 1
-
-    def _check(self, offset: int, length: int) -> None:
-        if offset < 0 or length < 0 or offset + length > self.chunk_size:
-            raise FuseError(
-                f"access [{offset}, {offset + length}) outside chunk of "
-                f"{self.chunk_size}"
-            )
 
     # ------------------------------------------------------------------
     # Flush / invalidate

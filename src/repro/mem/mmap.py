@@ -68,6 +68,8 @@ class MmapRegion:
 
     # ------------------------------------------------------------------
     def _check(self, offset: int, length: int, *, write: bool) -> None:
+        """Raise the error for an access that failed an inline test of
+        :meth:`read` / :meth:`write` (which only call this to raise)."""
         if not self._mapped:
             raise MmapError(f"region over {self.path!r} has been unmapped")
         if write and not self._writable:
@@ -90,7 +92,14 @@ class MmapRegion:
         per-event resume path).  The result is a fresh caller-owned
         buffer (see :meth:`PageCache.read`).
         """
-        self._check(offset, length, write=False)
+        if (
+            not self._readable
+            or not self._mapped
+            or offset < 0
+            or length < 0
+            or offset + length > self.length
+        ):
+            self._check(offset, length, write=False)  # raises
         counter = self._read_counter
         counter.total += length
         counter.count += 1
@@ -158,7 +167,13 @@ class MmapRegion:
         Plain function returning a process generator (see :meth:`read`).
         """
         length = len(data)
-        self._check(offset, length, write=True)
+        if (
+            not self._writable
+            or not self._mapped
+            or offset < 0
+            or offset + length > self.length
+        ):
+            self._check(offset, length, write=True)  # raises
         counter = self._write_counter
         counter.total += length
         counter.count += 1

@@ -48,21 +48,27 @@ class PageCacheStats:
 
 
 class _Page:
-    __slots__ = ("data", "dirty", "lru", "syncing")
+    """One resident page.  :meth:`PageCache._insert` is the only place a
+    page is built, and it sets all four slots (no ``__init__`` frame per
+    faulted page):
 
-    def __init__(self, page_size: int, data: bytearray | None = None) -> None:
-        # Callers with a full page of payload in hand pass it directly,
-        # skipping the zero-fill that a copy would immediately overwrite.
-        self.data = bytearray(page_size) if data is None else data
-        self.dirty = False
-        # True while an msync's payload of this page is on its way to
-        # FUSE (un-dirtied already, not written back yet); the key's
-        # in-flight marker once the page is evicted in that state.
-        self.syncing: bool | Event = False
-        # Recency stamp mirroring this page's position in the LRU dict
-        # (strictly increasing across touches), so a per-path sync can
-        # replay LRU order without scanning the whole dict.
-        self.lru = 0
+    - ``data``: the page's bytes.  A caller with a full page of payload
+      in hand passes it directly, skipping the zero-fill that a copy
+      would immediately overwrite.
+    - ``dirty``: written since its last write-back.
+    - ``syncing``: True while an msync's payload of this page is on its
+      way to FUSE (un-dirtied already, not written back yet); the key's
+      in-flight marker once the page is evicted in that state.
+    - ``lru``: recency stamp mirroring this page's position in the LRU
+      dict (strictly increasing across touches), so a per-path sync can
+      replay LRU order without scanning the whole dict.
+    """
+
+    __slots__ = ("data", "dirty", "lru", "syncing")
+    data: bytearray
+    dirty: bool
+    syncing: bool | Event
+    lru: int
 
 
 class PageCache:
@@ -127,7 +133,10 @@ class PageCache:
         # those (``_faults`` as sets: +7 % ``host_calls_per_op`` on
         # ``mpi_scan``).  So sets are dicts of ``None``, and a probe made
         # right after the caller's own miss is ``key in d``, then ``d[key]``
-        # on the rare hit; a lookup that usually hits keeps ``.get``.
+        # on the rare hit; a lookup that usually hits keeps ``.get``.  A
+        # bounds check or a service time on the per-access path is the
+        # same: a comparison or an expression where it is used (INTERNALS
+        # "Fast path and batching invariants").
         self._faults: dict[int, dict[tuple[str, int], None]] = {}
         self._fault_serial = 0
         self._tick = 0
@@ -192,11 +201,15 @@ class PageCache:
             while len(pages) >= capacity:
                 # Evict the LRU page, flushing a dirty victim through
                 # FUSE first.  This is the one-page flush (msync batches
-                # its pages through ``write_ranges`` instead); it sits
-                # in this frame rather than in a helper generator because
-                # every event of every flush resumes through here, so a
+                # its pages through ``write_ranges`` too); it sits in this
+                # frame rather than in a helper generator because every
+                # event of every flush resumes through here, so a
                 # ``yield from`` hop would be paid hundreds of thousands
-                # of times per run.
+                # of times per run.  Only this method adds to ``pages``
+                # and it makes room first, so ``len(pages) <= capacity``
+                # always holds: one pop frees the slot, and only a victim
+                # whose flush yielded (others may have inserted
+                # meanwhile) sends the loop round again.
                 vkey, victim = pages.popitem(last=False)
                 vpath, vidx = vkey
                 bucket = by_path[vpath]
@@ -230,8 +243,8 @@ class PageCache:
                         overhead = self.fuse_op_overhead
                         if overhead and not engine.advance(overhead):
                             yield engine.timeout(overhead)
-                        yield from mount.cache.write(
-                            vpath, chunk_index, chunk_off, payload
+                        yield from mount.cache.write_ranges(
+                            vpath, chunk_index, ((chunk_off, payload),)
                         )
                         self.stats.writeback_bytes += length
                         counter = self._writeback_counter
@@ -246,14 +259,16 @@ class PageCache:
                         for serial in faults:
                             faults[serial][vkey] = None
                         done.conclude()
-                elif victim.syncing:
-                    # Clean, but its msync payload has not landed: the key
-                    # stays in flight until it has (``sync_path``
-                    # concludes this marker), or a fetch could come before
-                    # the bytes and be installed after them.
-                    done = victim.syncing = Event(self._engine)
-                    inflight[vkey] = done
-                    self._inflight_by_path.setdefault(vpath, {})[vidx] = done
+                else:
+                    if victim.syncing:
+                        # Clean, but its msync payload has not landed: the
+                        # key stays in flight until it has (``sync_path``
+                        # concludes this marker), or a fetch could come
+                        # before the bytes and be installed after them.
+                        done = victim.syncing = Event(self._engine)
+                        inflight[vkey] = done
+                        self._inflight_by_path.setdefault(vpath, {})[vidx] = done
+                    break
             if key in pages or key in inflight:
                 continue  # appeared (or re-entered eviction) while evicting
             if flushed and key in flushed:
@@ -261,7 +276,10 @@ class PageCache:
                 # began: ``data`` predates it.  Fetch the page again.
                 yield from self._fault_range(path, page_idx, page_idx)
                 return pages.get(key), False
-            page = _Page(self.page_size, data)
+            page = _Page()
+            page.data = bytearray(self.page_size) if data is None else data
+            page.dirty = False
+            page.syncing = False
             self._tick += 1
             page.lru = self._tick
             pages[key] = page
@@ -377,7 +395,15 @@ class PageCache:
         The returned buffer is a fresh snapshot owned by the caller —
         no cache page aliases it, so callers may mutate or adopt it.
         """
-        self._check(path, offset, length)
+        # The bounds check, inline: every hit passes here (``_size``
+        # inlined too).
+        meta = self._files.get(path)
+        size = meta.size if meta is not None else self.mount.stat_size(path)
+        if offset < 0 or length < 0 or offset + length > size:
+            raise MmapError(
+                f"page-cache access [{offset}, {offset + length}) outside "
+                f"{path!r} of size {size}"
+            )
         if length == 0:
             return bytearray()
         page_size = self.page_size
@@ -435,8 +461,8 @@ class PageCache:
                 yield req
                 retouch = True
             try:
-                bytes_counter, time_counter, time_fn = dram._read_stats
-                duration = time_fn(nbytes)
+                bytes_counter, time_counter, latency, bw = dram._read_stats
+                duration = latency + nbytes / bw
                 bytes_counter.total += nbytes
                 bytes_counter.count += 1
                 time_counter.total += duration
@@ -494,7 +520,14 @@ class PageCache:
     ) -> Generator[Event, object, None]:
         """Write bytes, dirtying pages (write-allocate, write-back)."""
         length = len(data)
-        self._check(path, offset, length)
+        # The bounds check, inline as in :meth:`read`.
+        meta = self._files.get(path)
+        size = meta.size if meta is not None else self.mount.stat_size(path)
+        if offset < 0 or length < 0 or offset + length > size:
+            raise MmapError(
+                f"page-cache access [{offset}, {offset + length}) outside "
+                f"{path!r} of size {size}"
+            )
         if not length:
             return
         if self._write_hooks:
@@ -576,8 +609,8 @@ class PageCache:
                 req = dram._acquire()
                 yield req
             try:
-                bytes_counter, time_counter, time_fn = dram._write_stats
-                duration = time_fn(written_resident)
+                bytes_counter, time_counter, latency, bw = dram._write_stats
+                duration = latency + written_resident / bw
                 bytes_counter.total += written_resident
                 bytes_counter.count += 1
                 time_counter.total += duration
@@ -777,12 +810,3 @@ class PageCache:
         """The file's size now; a missing file raises the store's error."""
         meta = self._files.get(path)
         return meta.size if meta is not None else self.mount.stat_size(path)
-
-    def _check(self, path: str, offset: int, length: int) -> None:
-        meta = self._files.get(path)  # ``_size`` inlined: every hit passes here
-        size = meta.size if meta is not None else self.mount.stat_size(path)
-        if offset < 0 or length < 0 or offset + length > size:
-            raise MmapError(
-                f"page-cache access [{offset}, {offset + length}) outside "
-                f"{path!r} of size {size}"
-            )

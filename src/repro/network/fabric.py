@@ -36,7 +36,9 @@ class Network:
         # transfers are hot enough that per-call NIC lookups and counter
         # name formatting show up in profiles.
         self._pair_state: dict[tuple[str, str], tuple] = {}
-        self._transfer_time = spec.transfer_time
+        # Bound once: the wire time is computed inline per transfer.
+        self._latency = spec.latency
+        self._bandwidth = spec.bandwidth
         self._timeout = engine.timeout
 
     def attach(self, endpoint: str) -> NIC:
@@ -106,7 +108,7 @@ class Network:
                     c_tx.count += 1
                     c_rx.total += nbytes
                     c_rx.count += 1
-                    duration = self._transfer_time(nbytes)
+                    duration = self._latency + nbytes / self._bandwidth
                     if not self.engine.advance(duration):
                         yield self._timeout(duration)
                 finally:

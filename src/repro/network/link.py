@@ -11,15 +11,12 @@ from repro.util.units import MB
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """Static characteristics of a network port."""
+    """Static characteristics of a network port: a message of ``nbytes``
+    takes ``latency + nbytes / bandwidth`` seconds on the wire."""
 
     name: str
     bandwidth: float  # bytes/second each direction
     latency: float  # seconds one-way per message
-
-    def transfer_time(self, nbytes: int) -> float:
-        """One-way wire time for a message of ``nbytes``."""
-        return self.latency + nbytes / self.bandwidth
 
 
 # Ethernet payload efficiency ~94% of line rate.

@@ -108,8 +108,8 @@ class Communicator:
                     req = dram._acquire()
                     yield req
                 try:
-                    bytes_counter, time_counter, time_fn = dram._write_stats
-                    duration = time_fn(nbytes)
+                    bytes_counter, time_counter, latency, bw = dram._write_stats
+                    duration = latency + nbytes / bw
                     bytes_counter.total += nbytes
                     bytes_counter.count += 1
                     time_counter.total += duration

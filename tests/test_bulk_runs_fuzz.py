@@ -67,9 +67,21 @@ Hand mutations of ``src/`` this file was run against, each applied alone:
   ``_run_schedule`` records, on every world.  Not setting the flag after
   a parked grant, or after a real DRAM timeout: survive here, and are
   killed by ``tests/test_mem.py::TestReadTouchesEachPageOnce``.
+- ``FlashTranslationLayer.write_pages`` drops its ``del l2p[lpn]`` (the
+  remap is ``in`` + subscript + ``del``, no ``pop``), so a rewrite whose
+  allocation fails leaves a stale mapping to the slot it gave up: killed
+  by ``test_ftl_rewrite_that_fails_leaves_no_stale_mapping`` and, with
+  a zero endurance budget among its draws, by the hypothesis test (the
+  maps are no longer inverses, and the oracle differs).
+- ``PageCache._insert``'s eviction loop also stops after a dirty victim's
+  flush: killed by the occupancy check after every step of
+  ``_run_schedule`` (five pages resident in a four-page cache), and by
+  ``tests/test_mem.py::test_eviction_goes_round_again_only_after_a_flush``.
 
 The FTL has one write path and no gate: its retired per-page loops live
-here as :class:`PerPageFTL`, the differential oracle.
+here as :class:`PerPageFTL`, the differential oracle, and after every
+burst, a failed one included, the FTL's metadata must agree with itself
+(``_assert_ftl_consistent``).
 """
 
 import random
@@ -159,6 +171,7 @@ def _run_schedule(scripts, *, tiered=False, crash_after=None, lane=None):
         fuse_cache_bytes=2 * CHUNK_SIZE, page_cache_bytes=16 * KiB,
         local_cache_bytes=4 * CHUNK_SIZE if tiered else 0,
     )  # fmt: skip
+    pagecache = lib.pagecache
     shadow = bytearray(REGION)
     nranks = len(scripts)
     orders = []
@@ -169,6 +182,7 @@ def _run_schedule(scripts, *, tiered=False, crash_after=None, lane=None):
                 benefactors[2].crash()  # neither the manager's node nor ours
             if kind == "msync":
                 yield from region.msync()
+                assert len(pagecache) <= pagecache.capacity_pages
                 continue
             length = max(1, int(len_frac * MAX_OP))
             offset = int(off_frac * (REGION - length))
@@ -185,6 +199,8 @@ def _run_schedule(scripts, *, tiered=False, crash_after=None, lane=None):
                         f"rank {me} read stale bytes at [{start}, {stop})"
                     )
                     orders.append(list(lib.pagecache._pages))
+                # ``_insert`` is the one way in and makes room first.
+                assert len(pagecache) <= pagecache.capacity_pages
 
     def driver():
         var = yield from lib.ssdmalloc(REGION, owner="grantfuzz")
@@ -330,7 +346,7 @@ class PerPageFTL(FlashTranslationLayer):
         ppn = self._l2p.pop(lpn, None)
         if ppn is not None:
             del self._p2l[ppn]
-            self._valid_counts[self._block_of(ppn)] -= 1
+            self._valid_counts[ppn // self.pages_per_block] -= 1
 
     def write_pages(self, lpns):
         relocated_before = self.stats.pages_relocated
@@ -341,7 +357,7 @@ class PerPageFTL(FlashTranslationLayer):
             ppn = self._allocate_page()
             self._l2p[lpn] = ppn
             self._p2l[ppn] = lpn
-            self._valid_counts[self._block_of(ppn)] += 1
+            self._valid_counts[ppn // self.pages_per_block] += 1
             self.stats.host_pages_written += 1
             self.stats.flash_pages_written += 1
         return (
@@ -353,6 +369,20 @@ class PerPageFTL(FlashTranslationLayer):
         for lpn in lpns:
             self._check_lpn(lpn)
             self._invalidate(lpn)
+
+
+def _assert_ftl_consistent(ftl):
+    """The FTL's metadata agrees with itself: the two maps are inverses,
+    each block's valid count is its mapped pages, a free block is empty
+    and erased, and every flash page programmed is a host page or a
+    relocation."""
+    assert {ppn: lpn for lpn, ppn in ftl._l2p.items()} == ftl._p2l
+    per_block = Counter(ppn // ftl.pages_per_block for ppn in ftl._p2l)
+    assert ftl._valid_counts == [per_block[b] for b in range(ftl.num_blocks)]
+    for block in ftl._free_set:
+        assert (ftl._valid_counts[block], ftl._write_ptr[block]) == (0, 0), block
+    stats = ftl.stats
+    assert stats.flash_pages_written == stats.host_pages_written + stats.pages_relocated
 
 
 def _ftl_state(ftl):
@@ -378,7 +408,7 @@ ftl_burst = st.tuples(
 @given(
     bursts=st.lists(ftl_burst, min_size=1, max_size=40),
     wear_leveling=st.booleans(),
-    endurance=st.sampled_from([3, 100_000]),
+    endurance=st.sampled_from([0, 3, 100_000]),
 )
 def test_ftl_matches_per_page_reference(bursts, wear_leveling, endurance):
     geometry = dict(
@@ -395,8 +425,27 @@ def test_ftl_matches_per_page_reference(bursts, wear_leveling, endurance):
             except (CapacityError, EnduranceExceededError) as error:
                 results.append(("raised", type(error), str(error)))
         assert results[0] == results[1]
-        # Also after a burst that failed part-way: same partial effect.
+        # Also after a burst that failed part-way: same partial effect,
+        # and metadata that still agrees with itself.
         assert _ftl_state(ftl) == _ftl_state(oracle)
+        _assert_ftl_consistent(ftl)
+
+
+def test_ftl_rewrite_that_fails_leaves_no_stale_mapping():
+    """A rewrite unmaps its page before allocating; when the allocation
+    fails (here the first erase exceeds a zero endurance budget), the page
+    stays unmapped: no ``_l2p`` entry points at the slot it gave up."""
+    geometry = dict(capacity=12 * 8 * 4096, pages_per_block=8, overprovision=0.25,
+                    endurance_cycles=0)  # fmt: skip
+    ftl, oracle = FlashTranslationLayer(**geometry), PerPageFTL(**geometry)
+    for side in (ftl, oracle):
+        side.write_pages(range(ftl.logical_pages))
+        with pytest.raises(EnduranceExceededError):
+            for lpn in range(ftl.logical_pages):
+                side.write_pages([lpn])
+    _assert_ftl_consistent(ftl)
+    assert _ftl_state(ftl) == _ftl_state(oracle)
+    assert ftl.mapped_pages() < ftl.logical_pages
 
 
 def test_ftl_out_of_range_page_keeps_earlier_pages_written():

@@ -303,6 +303,35 @@ class TestBenchPairs:
         # Read off the traced runs, the only records that carry it.
         assert rows[1]["bench.machine_slowdown"] == {"parent": 1, "change": 3}
 
+    def test_history_prints_the_ledger_and_runs_nothing(self, tool, monkeypatch, capsys):
+        """``--history`` reads the ledger alone: rows per workload and seed
+        in ledger order, ``host_s`` over the machine's slowdown where the
+        row recorded one, nothing run and nothing appended."""
+        host_s = {"parent_median": 0.5, "change_median": 0.4}
+        rows = [
+            {"utc": "2026-10-02T10:37:01+00:00", "workload": "w", "seed": 11,
+             "host_calls_per_op": {"parent": [20.0], "change": [16.5]}, "host_s": host_s},
+            {"utc": "2026-10-16T01:52:49+00:00", "workload": "w", "seed": 11,
+             "src": {"parent": "aaa", "change": "bbb"},
+             "host_calls_per_op": {"parent": [16.5], "change": [12.25]}, "host_s": host_s,
+             "bench.machine_slowdown": {"parent": 0.5, "change": 0.8}},
+        ]  # fmt: skip
+        ledger = "".join(json.dumps(row) + "\n" for row in rows)
+        tool.HISTORY.write_text(ledger)
+        for workload, printed in (
+            ([], [
+                "w seed 11: 2 rows, each parent>change",
+                "  2026-10-02  src ?>?  host_calls_per_op 20>16.5  host_s 0.5000>0.4000",
+                "  2026-10-16  src aaa>bbb  host_calls_per_op 16.5>12.25  host_s "
+                "0.5000>0.4000  host_s/slowdown 1.0000>0.5000",
+            ]),
+            (["--workload", "other"], []),
+        ):  # fmt: skip
+            monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--history", *workload])
+            assert tool.main() == 0
+            assert capsys.readouterr().out.splitlines() == printed
+        assert tool.HISTORY.read_text() == ledger
+
     def test_a_side_that_prints_no_json_is_named(self, tool, tmp_path, monkeypatch):
         parent = self.tree(tmp_path, "parent", FAKE_RUN.format(value=2.0))
         change = self.tree(tmp_path, "change", "import sys\nsys.exit(3)\n")

@@ -41,10 +41,23 @@ class TestDeviceSpec:
         iodrive = DEVICE_CATALOG["Fusion IO ioDrive Duo"]
         assert DDR3_1600.read_bw / iodrive.read_bw == pytest.approx(8.53, rel=0.01)
 
-    def test_access_times(self):
-        t = INTEL_X25E.read_time(256 * KiB)
-        assert t == pytest.approx(75e-6 + 256 * KiB / (250 * MB))
-        assert INTEL_X25E.write_time(0) == 75e-6
+    def test_access_times(self, engine):
+        """A read takes ``latency + nbytes / read_bw`` and a write
+        ``latency + nbytes / write_bw``, bit for bit (the expression every
+        access site computes inline)."""
+        dev = StorageDevice(engine, INTEL_X25E)
+        spec = INTEL_X25E
+
+        def proc():
+            yield from dev.read(256 * KiB)
+            after_read = engine.now
+            yield from dev.write(0)
+            return after_read
+
+        after_read = engine.run(engine.process(proc()))
+        assert after_read == spec.latency + 256 * KiB / spec.read_bw
+        assert dev.metrics.value(f"device.{dev.name}.read.time") == after_read
+        assert dev.metrics.value(f"device.{dev.name}.write.time") == 75e-6
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -105,7 +118,8 @@ class TestStorageDevice:
 
         def proc():
             yield from dev.read(1 * MB)
-            yield engine.timeout(dev.spec.read_time(1 * MB))  # idle as long
+            # Idle as long as the read took.
+            yield engine.timeout(dev.spec.latency + 1 * MB / dev.spec.read_bw)
 
         engine.run(engine.process(proc()))
         assert dev.utilization() == pytest.approx(0.5)
@@ -156,6 +170,26 @@ class TestSSD:
             engine.run(
                 engine.process(ssd.write_extent(ssd.logical_capacity, 4096))
             )
+
+    @pytest.mark.parametrize(
+        "extent, message",
+        [
+            (lambda cap: (-4096, 4096), r"bad extent \(-4096, 4096\)"),
+            (lambda cap: (0, -1), r"bad extent \(0, -1\)"),
+            (lambda cap: (cap - 1, 4096), "exceeds logical capacity"),
+        ],
+        ids=["negative-offset", "negative-size", "past-logical-capacity"],
+    )
+    def test_read_extent_bounds_checked(self, engine, extent, message):
+        """One case per clause of ``read_extent``'s inline bounds test,
+        each with ``_page_range``'s message (``write_extent``'s)."""
+        ssd = SSD(engine, INTEL_X25E, capacity=64 * MiB)
+        offset, nbytes = extent(ssd.logical_capacity)
+        with pytest.raises(DeviceError, match=message):
+            engine.run(engine.process(ssd.read_extent(offset, nbytes)))
+        # The last page still reads: the capacity is the FTL's logical one.
+        assert ssd.logical_capacity == ssd.ftl.logical_pages * ssd.ftl.page_size
+        engine.run(engine.process(ssd.read_extent(ssd.logical_capacity - 4096, 4096)))
 
     def test_write_updates_ftl(self, engine):
         ssd = SSD(engine, INTEL_X25E, capacity=64 * MiB)

@@ -183,6 +183,35 @@ class TestChunkCacheBehaviour:
 
         assert run(engine, proc()) == 0
 
+    @pytest.mark.parametrize(
+        "access, where",
+        [
+            (lambda c, out: c.read_into("/f", 0, -1, 1, out), "[-1, 0)"),
+            (lambda c, out: c.read_into("/f", 0, 0, -1, out), "[0, -1)"),
+            (lambda c, out: c.read_into("/f", 0, CHUNK_SIZE - 1, 2, out),
+             f"[{CHUNK_SIZE - 1}, {CHUNK_SIZE + 1})"),
+            (lambda c, out: c.write_ranges("/f", 0, [(-1, b"x")]), "[-1, 0)"),
+            (lambda c, out: c.write_ranges("/f", 0, [(CHUNK_SIZE - 1, b"xy")]),
+             f"[{CHUNK_SIZE - 1}, {CHUNK_SIZE + 1})"),
+        ],
+        ids=["read-negative-offset", "read-negative-length", "read-past-chunk",
+             "write-negative-offset", "write-past-chunk"],
+    )  # fmt: skip
+    def test_access_outside_chunk(self, engine, mount, access, where):
+        """One case per clause of the inline bounds tests of ``read_into``
+        and ``write_ranges``, on a resident chunk."""
+
+        def proc():
+            fd = yield from mount.open(
+                "/f", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=2 * CHUNK_SIZE
+            )
+            yield from mount.pwrite(fd, 0, b"resident")
+            yield from access(mount.cache, bytearray(4))
+
+        with pytest.raises(FuseError) as caught:
+            run(engine, proc())
+        assert str(caught.value) == f"access {where} outside chunk of {CHUNK_SIZE}"
+
     def test_lru_eviction_order(self, engine, mount):
         capacity = mount.cache.capacity_chunks
 

@@ -137,6 +137,40 @@ def test_concurrent_half_page_writes_survive_eviction(engine, mount):
     assert run(engine, main()) == b"a" * half + b"b" * half
 
 
+def test_eviction_goes_round_again_only_after_a_flush(engine, mount):
+    """``_insert``'s eviction loop frees one slot per clean victim and
+    stops; after a dirty victim's flush, which yields, it checks again.
+    A reader of page 2 evicts dirty page 0 of a two-page cache; while that
+    flush is in flight a writer installs page 3 in the slot it freed, so
+    the reader comes back to a full cache, evicts clean page 1 and ends
+    at exactly ``capacity_pages``.  Stopping after the flush too would
+    leave three pages resident."""
+    pagecache = PageCache(mount, capacity_bytes=2 * PAGE_SIZE)
+    seen = []
+
+    def reader():
+        yield from pagecache.read("/f", 2 * PAGE_SIZE, PAGE_SIZE)
+
+    def writer():
+        while not pagecache._inflight:  # noqa: SLF001 - until page 0's flush
+            yield engine.timeout(1e-6)
+        yield from pagecache.write("/f", 3 * PAGE_SIZE, b"z" * PAGE_SIZE)
+        seen.append(len(pagecache))
+
+    def main():
+        yield from mount.client.create("/f", 4 * PAGE_SIZE)
+        yield from pagecache.write("/f", 0, b"v" * 100)  # the dirty victim
+        yield from pagecache.read("/f", PAGE_SIZE, 1)  # clean page 1
+        yield AllOf(engine, [engine.process(reader()), engine.process(writer())])
+        resident = [index for _, index in pagecache._pages]  # noqa: SLF001
+        return resident, (yield from pagecache.read("/f", 0, 100))
+
+    resident, flushed = run(engine, main())
+    assert seen == [2] and resident == [3, 2]
+    assert len(pagecache) == pagecache.capacity_pages
+    assert flushed == b"v" * 100
+
+
 @pytest.mark.parametrize("evicted", ["mid-flight", "landed"])
 def test_fault_does_not_install_bytes_from_before_an_msync(
     engine, small_cluster, store, evicted
@@ -416,6 +450,35 @@ class TestMmapRegion:
         region = self.make_region(engine, mount, pagecache, size=1000)
         with pytest.raises(MmapError):
             run(engine, region.read(990, 20))
+
+    @pytest.mark.parametrize(
+        "access, message",
+        [
+            (lambda r: r.read(990, 20), r"\[990, 1010\)"),
+            (lambda r: r.read(-1, 1), r"\[-1, 0\)"),
+            (lambda r: r.read(0, -1), r"\[0, -1\)"),
+            (lambda r: r.write(990, b"x" * 20), r"\[990, 1010\)"),
+            (lambda r: r.write(-1, b"x"), r"\[-1, 0\)"),
+        ],
+        ids=["read-past-end", "read-negative-offset", "read-negative-length",
+             "write-past-end", "write-negative-offset"],
+    )  # fmt: skip
+    def test_access_outside_region(self, engine, mount, pagecache, access, message):
+        """One case per clause of the inline range tests in ``read`` and
+        ``write``: each raises the region's own message, not the page
+        cache's (the file is larger than the region)."""
+        make_file(engine, mount, "/m", CHUNK_SIZE)
+        region = MmapRegion(pagecache, "/m", 1000)
+        with pytest.raises(MmapError, match=message + " outside region of 1000$"):
+            run(engine, access(region))
+
+    def test_write_after_munmap_raises(self, engine, mount, pagecache):
+        region = self.make_region(engine, mount, pagecache)
+        run(engine, region.munmap())
+        with pytest.raises(MmapError, match="has been unmapped"):
+            run(engine, region.write(0, b"x"))
+        with pytest.raises(MmapError, match="has been unmapped"):
+            run(engine, region.read(0, 1))
 
     def test_protection_enforced(self, engine, mount, pagecache):
         region = self.make_region(

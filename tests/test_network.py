@@ -74,7 +74,7 @@ class TestTransfer:
         results = engine.run_all(
             [engine.process(proc("b")), engine.process(proc("c"))]
         )
-        one = BONDED_DUAL_GIGE.transfer_time(1 * MB)
+        one = BONDED_DUAL_GIGE.latency + 1 * MB / BONDED_DUAL_GIGE.bandwidth
         assert results[0] == pytest.approx(one)
         assert results[1] == pytest.approx(2 * one)
 
@@ -86,7 +86,7 @@ class TestTransfer:
         results = engine.run_all(
             [engine.process(proc("a", "b")), engine.process(proc("c", "a"))]
         )
-        one = BONDED_DUAL_GIGE.transfer_time(1 * MB)
+        one = BONDED_DUAL_GIGE.latency + 1 * MB / BONDED_DUAL_GIGE.bandwidth
         assert results[0] == pytest.approx(one)
         assert results[1] == pytest.approx(one)
 
@@ -101,7 +101,7 @@ class TestTransfer:
         results = engine.run_all(
             [engine.process(proc("a")), engine.process(proc("b"))]
         )
-        one = BONDED_DUAL_GIGE.transfer_time(1 * MB)
+        one = BONDED_DUAL_GIGE.latency + 1 * MB / BONDED_DUAL_GIGE.bandwidth
         assert sorted(results) == [
             pytest.approx(one),
             pytest.approx(2 * one),

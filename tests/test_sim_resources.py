@@ -241,7 +241,7 @@ class TestInterruptedWaiter:
         engine.process(device.read(4096))  # the holder
         victim = engine.process(self.victim(device.read(4096)))
         engine.process(self.interrupter(
-            engine, victim, INTEL_X25E.read_time(4096), channel, seen, granted
+            engine, victim, INTEL_X25E.latency + 4096 / INTEL_X25E.read_bw, channel, seen, granted
         ))  # fmt: skip
         engine.run()
         assert victim.value == "stop"
@@ -257,7 +257,7 @@ class TestInterruptedWaiter:
         # a -> b: takes a's TX port, then queues behind c for b's RX port.
         victim = engine.process(self.victim(network.transfer("a", "b", 4096)))
         engine.process(
-            self.interrupter(engine, victim, GIGE.transfer_time(4096), rx, seen)
+            self.interrupter(engine, victim, GIGE.latency + 4096 / GIGE.bandwidth, rx, seen)
         )
         engine.run()
         assert victim.value == "stop" and seen == [(1, 1)]

@@ -39,6 +39,15 @@ is (``git rev-parse HEAD`` for a checkout, else its path — and, because
 an exported tree's path says nothing once the scratch directory is
 emptied, a content hash of its ``src/``) and the host it ran on.
 Append-only: a row is never edited or removed.
+
+    python tools/bench_pairs.py --history [--workload W]
+
+reads the ledger and nothing else (it runs and appends nothing): per
+workload and seed, every row in ledger order with its date, each side's
+``src/`` hash, ``host_calls_per_op`` and ``host_s`` median, and — where
+the row records ``bench.machine_slowdown`` — each ``host_s`` median
+divided by its side's slowdown, the figure rows of different sessions
+can be compared on.
 """
 
 import argparse
@@ -116,15 +125,51 @@ def verdict(gap: float, iqr: float, won: int, lost: int, pairs: int, bound: floa
     return "unresolved" if iqr > bound else "level"
 
 
+def history(workload: str | None) -> int:
+    """Print the ledger's trajectory per workload and seed (``--history``)."""
+    groups: dict[tuple[str, int], list[dict]] = {}
+    for line in HISTORY.read_text().splitlines():
+        row = json.loads(line)
+        if workload is None or row["workload"] == workload:
+            groups.setdefault((row["workload"], row["seed"]), []).append(row)
+    for (name, seed), rows in sorted(groups.items()):
+        print(f"{name} seed {seed}: {len(rows)} rows, each parent>change")
+        for row in rows:
+            src = row.get("src", {})
+            calls = row[COUNT]
+            host_s = row["host_s"]
+            line = (
+                f"  {row['utc'][:10]}  src {src.get('parent', '?')}>{src.get('change', '?')}"
+                f"  {COUNT} {'/'.join(f'{v:g}' for v in calls['parent'])}"
+                f">{'/'.join(f'{v:g}' for v in calls['change'])}"
+                f"  host_s {host_s['parent_median']:.4f}>{host_s['change_median']:.4f}"
+            )
+            speed = row.get(SPEED)
+            if speed:
+                line += (
+                    f"  host_s/slowdown {host_s['parent_median'] / speed['parent']:.4f}"
+                    f">{host_s['change_median'] / speed['change']:.4f}"
+                )
+            print(line)
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="exported tree of the parent commit")
-    parser.add_argument("change", type=Path, help="exported tree of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("parent", type=Path, nargs="?",
+                        help="exported tree of the parent commit")
+    parser.add_argument("change", type=Path, nargs="?", help="exported tree of the change")
+    parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", help="passed to bench/run.py (default: its own)")
     parser.add_argument("--seed", help="passed to bench/run.py (default: its own)")
+    parser.add_argument("--history", action="store_true",
+                        help="print the ledger's rows per workload and seed; run nothing")
     args = parser.parse_args()
+    if args.history:
+        return history(args.workload)
+    if args.parent is None or args.change is None or args.workload is None:
+        parser.error("PARENT, CHANGE and --workload are required (or give --history)")
     extra = ["--workload", args.workload]
     for flag in ("seconds", "seed"):
         if getattr(args, flag) is not None:
