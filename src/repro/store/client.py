@@ -316,7 +316,7 @@ class StoreClient:
                 if self.manager.chunk_refcount(chunk_id) > 1:
                     yield from self.manager.rpc(self.client_name)
                     old_id, chunk_id, _primary = self.manager.cow_chunk(name, index)
-                    yield from self._cow_copy(old_id, chunk_id)
+                    yield from self._cow_copy(name, old_id, chunk_id)
                     # We initiated the COW, so our map stays warm at the new
                     # generation; other sharers will refresh on their next access.
                     meta = self.manager.lookup(name)
@@ -366,13 +366,13 @@ class StoreClient:
         return replicas[0]
 
     def _cow_copy(
-        self, old_id: int, new_id: int
+        self, name: str, old_id: int, new_id: int
     ) -> Generator[Event, object, None]:
         """Materialize a COW replacement on every live replica.
 
-        A replica dying mid-copy is reported (the manager forfeits it,
-        striking it from the new chunk's replica list) and the copy
-        continues on the survivors; replicas already copied are skipped.
+        A replica dying mid-copy takes the failover step (the manager
+        forfeits it, striking it from the new chunk's replica list) and the
+        copy continues on the survivors; replicas already copied are skipped.
         """
         copied: set[str] = set()
         attempt = 0
@@ -394,14 +394,9 @@ class StoreClient:
                 if started is None:
                     started = self.node.engine.now
                 attempt += 1
-                yield from self.manager.report_failure(
-                    self.client_name, benefactor.name
+                yield from self._report_and_backoff(
+                    name, benefactor, error, attempt, started
                 )
-                if (
-                    attempt >= RETRY_ATTEMPTS
-                    or self.node.engine.now - started >= RETRY_DEADLINE_SECONDS
-                ):
-                    raise error
                 continue
             return
 

@@ -73,6 +73,25 @@ class EpochRecord:
     pins: int = 0
 
 
+class _Chunk:
+    """One row of the chunk table, admitted with one replica list and
+    named by one file: ``replicas`` holding or filling a copy,
+    policy-preferred first; ``refs``, the ``(file, index)`` slots naming
+    it; those ``files``; ``lost``, ``None`` or the last-known replica
+    names once every replica is gone; ``release``, ``None`` or — while
+    ``refs`` is zero and the free is deferred behind a re-replication
+    fill — whether that free is GC-attributed."""
+
+    __slots__ = ("replicas", "refs", "files", "lost", "release")
+
+    def __init__(self, replicas: list[Benefactor], name: str) -> None:
+        self.replicas = replicas
+        self.refs = 1
+        self.files = {name}
+        self.lost: tuple[str, ...] | None = None
+        self.release: bool | None = None
+
+
 class Manager:
     """Aggregate-store coordinator, hosted on one cluster node.
 
@@ -102,33 +121,18 @@ class Manager:
         #: Live read-only view of the file table: ``lookup`` without a call.
         self.files = MappingProxyType(self._files)
         self._chunk_ids = itertools.count(1)
-        # Replica lists per chunk, policy-preferred benefactor first.  At
-        # replication=1 every list is a singleton and behaviour is
-        # bit-identical to the unreplicated seed.
-        self._chunk_replicas: dict[int, list[Benefactor]] = {}
-        self._chunk_refs: dict[int, int] = {}
-        # Reverse indexes for failure handling: which chunks live on each
-        # benefactor, and which files reference each chunk (for lease
-        # invalidation via generation bumps).
-        self._benefactor_chunks: dict[str, set[int]] = {}
-        self._chunk_files: dict[int, set[str]] = {}
+        # The chunk table; rows are inserted only at admission, so its
+        # order is ascending chunk id.
+        self._chunks: dict[int, _Chunk] = {}
         # Fault-tolerance state: benefactors already forfeited, chunks
-        # awaiting re-replication, chunks that cannot make progress until
-        # capacity returns, and chunks whose every replica is gone.
+        # awaiting re-replication, and chunks that cannot make progress
+        # until capacity returns.
         self._forfeited: set[str] = set()
         self._degraded: deque[int] = deque()
         self._stalled: list[int] = []
-        self._lost: set[int] = set()
         self._rereplication_inflight = 0
         self._rereplication_wakeup = None
         self._idle_waiters: list[Event] = []
-        # Chunks whose refcount hit zero while a re-replication fill was
-        # mid-flight: the physical free is deferred until the fill
-        # settles (value: whether the release was GC-attributed).
-        self._deferred_release: dict[int, bool] = {}
-        # Last-known replica names of each lost chunk, recorded at loss
-        # time so errors can report *where* the data used to live.
-        self._lost_replicas: dict[int, tuple[str, ...]] = {}
         # Checkpoint epoch chains per tag: the manager-side commit
         # records that crash-restart recovery resolves against.
         self._epochs: dict[str, dict[int, EpochRecord]] = {}
@@ -258,13 +262,15 @@ class Manager:
     def _forfeit(self, benefactor: Benefactor) -> None:
         """Strike a crashed benefactor from the store's books."""
         self._forfeited.add(benefactor.name)
-        chunk_ids = sorted(self._benefactor_chunks.pop(benefactor.name, ()))
-        for chunk_id in chunk_ids:
-            replicas = self._chunk_replicas[chunk_id]
+        held = [
+            (c, row) for c, row in self._chunks.items() if benefactor in row.replicas
+        ]
+        for chunk_id, chunk in held:
+            replicas = chunk.replicas
             replicas.remove(benefactor)
             benefactor.abort_fill(chunk_id)
             benefactor.unreserve(self.chunk_size)
-            if self._chunk_refs.get(chunk_id, 0) <= 0:
+            if chunk.refs <= 0:
                 # Logically deleted already; its physical free was
                 # deferred behind an in-flight fill.  The crash resolved
                 # that race — finish the free unless another replica is
@@ -273,7 +279,7 @@ class Manager:
             elif any(not b.crashed for b in replicas):
                 self.metrics.add("store.manager.chunks_degraded")
                 self._degraded.append(chunk_id)
-                self._bump_files(chunk_id)
+                self._bump_files(chunk)
             else:
                 self._declare_lost(chunk_id, benefactor, *replicas)
         self.metrics.add("store.manager.benefactors_failed")
@@ -282,16 +288,16 @@ class Manager:
     def _declare_lost(self, chunk_id: int, *last_known: Benefactor) -> None:
         """Every replica of a live chunk is gone: say so once, remembering
         where the data used to live, and invalidate its files' leases."""
-        if chunk_id in self._lost:
+        chunk = self._chunks[chunk_id]
+        if chunk.lost is not None:
             return
-        self._lost.add(chunk_id)
-        self._lost_replicas[chunk_id] = tuple(sorted({b.name for b in last_known}))
+        chunk.lost = tuple(sorted({b.name for b in last_known}))
         self.metrics.add("store.manager.chunks_lost")
-        self._bump_files(chunk_id)
+        self._bump_files(chunk)
 
-    def _bump_files(self, chunk_id: int) -> None:
-        """Invalidate client map leases for every file using ``chunk_id``."""
-        for file_name in self._chunk_files.get(chunk_id, ()):
+    def _bump_files(self, chunk: _Chunk) -> None:
+        """Invalidate client map leases for every file using ``chunk``."""
+        for file_name in chunk.files:
             meta = self._files.get(file_name)
             if meta is not None:
                 meta.generation += 1
@@ -327,14 +333,14 @@ class Manager:
 
     def lost_chunks(self, name: str) -> tuple[int, ...]:
         """Sorted chunk ids of ``name`` whose every replica is gone."""
-        meta = self.lookup(name)
-        if not self._lost:
-            return ()
-        return tuple(sorted(set(meta.chunk_ids) & self._lost))
+        chunks = self._chunks
+        ids = self.lookup(name).chunk_ids
+        return tuple(sorted({c for c in ids if chunks[c].lost is not None}))
 
     def lost_replicas(self, chunk_id: int) -> tuple[str, ...]:
         """Last-known replica names of a lost chunk (empty if unknown)."""
-        return self._lost_replicas.get(chunk_id, ())
+        chunk = self._chunks.get(chunk_id)
+        return () if chunk is None else chunk.lost or ()
 
     def under_replicated(self) -> tuple[int, ...]:
         """Sorted ids of live chunks below the configured degree.
@@ -345,13 +351,11 @@ class Manager:
         are logically deleted and not counted either).
         """
         return tuple(
-            sorted(
-                chunk_id
-                for chunk_id, replicas in self._chunk_replicas.items()
-                if chunk_id not in self._lost
-                and self._chunk_refs.get(chunk_id, 0) > 0
-                and sum(1 for b in replicas if not b.crashed) < self.replication
-            )
+            chunk_id
+            for chunk_id, chunk in self._chunks.items()
+            if chunk.lost is None
+            and chunk.refs > 0
+            and sum(1 for b in chunk.replicas if not b.crashed) < self.replication
         )
 
     def rereplicator(self) -> Generator[Event, object, None]:
@@ -411,12 +415,13 @@ class Manager:
             else None
         )
         try:
-            if chunk_id in self._lost or self._chunk_refs.get(chunk_id, 0) <= 0:
+            chunk = self._chunks.get(chunk_id)
+            if chunk is None or chunk.lost is not None or chunk.refs <= 0:
                 # Lost meanwhile, or deleted (refcount hit zero).  A deferred
                 # free whose fill already settled is finished here.
                 self._finish_deferred_release(chunk_id)
                 return 0
-            replicas = self._chunk_replicas[chunk_id]
+            replicas = chunk.replicas
             live = [b for b in replicas if not b.crashed]
             if len(live) >= self.replication:
                 return 0  # already repaired (e.g. duplicate enqueue)
@@ -440,10 +445,9 @@ class Manager:
             target.reserve(self.chunk_size)
             target.begin_fill(chunk_id)
             replicas.append(target)
-            self._benefactor_chunks.setdefault(target.name, set()).add(chunk_id)
             # Writers must start write-through to the fill target immediately,
             # or bytes written during the copy would miss the new replica.
-            self._bump_files(chunk_id)
+            self._bump_files(chunk)
             copied = True
             try:
                 if source.has_chunk(chunk_id):
@@ -457,14 +461,11 @@ class Manager:
                 # Source or target died mid-copy.  Roll the target back unless
                 # a concurrent forfeit already struck it from the books.
                 copied = False
-                indexed = self._benefactor_chunks.get(target.name)
-                if indexed is not None and chunk_id in indexed:
-                    indexed.discard(chunk_id)
-                    if target in replicas:
-                        replicas.remove(target)
+                if target in replicas:
+                    replicas.remove(target)
                     target.abort_fill(chunk_id)
                     target.unreserve(self.chunk_size)
-            if self._chunk_refs.get(chunk_id, 0) <= 0:
+            if chunk.refs <= 0:
                 # Deleted while the copy was in flight: nothing left to repair
                 # and a fresh replica is moot — finish the deferred free now
                 # the fill settled (which drops a just-filled copy too).
@@ -486,14 +487,13 @@ class Manager:
 
     def _filling(self, chunk_id: int) -> bool:
         """True while a re-replication copy is streaming into the chunk."""
-        return any(
-            b.filling(chunk_id) for b in self._chunk_replicas.get(chunk_id, ())
-        )
+        return any(b.filling(chunk_id) for b in self._chunks[chunk_id].replicas)
 
     def _finish_deferred_release(self, chunk_id: int) -> None:
         """Complete a deferred free once no fill is in flight for it."""
-        if chunk_id in self._deferred_release and not self._filling(chunk_id):
-            self._free_chunk(chunk_id, gc=self._deferred_release[chunk_id])
+        chunk = self._chunks.get(chunk_id)
+        if chunk and chunk.release is not None and not self._filling(chunk_id):
+            self._free_chunk(chunk_id, gc=chunk.release)
 
     def total_capacity(self) -> int:
         """Sum of all contributions in bytes."""
@@ -558,12 +558,7 @@ class Manager:
         chunk_id = next(self._chunk_ids)
         for benefactor in replicas:
             benefactor.reserve(self.chunk_size)
-            self._benefactor_chunks.setdefault(benefactor.name, set()).add(
-                chunk_id
-            )
-        self._chunk_replicas[chunk_id] = list(replicas)
-        self._chunk_refs[chunk_id] = 1
-        self._chunk_files[chunk_id] = {name}
+        self._chunks[chunk_id] = _Chunk(list(replicas), name)
         return chunk_id
 
     def extend_file(self, name: str, nbytes: int, *, client: str) -> int:
@@ -600,7 +595,7 @@ class Manager:
                 f"{name!r} has {meta.num_chunks} chunks, no index {index}"
             )
         chunk_id = meta.chunk_ids[index]
-        if chunk_id in self._lost:
+        if self._chunks[chunk_id].lost is not None:
             raise ChunkUnavailableError(
                 f"chunk {chunk_id} of {name!r} is lost: every replica is gone"
             )
@@ -620,7 +615,7 @@ class Manager:
         every replica is merely out of service (it may return).
         """
         chunk_id = self._chunk_id_at(name, index)
-        replicas = self._chunk_replicas[chunk_id]
+        replicas = self._chunks[chunk_id].replicas
         ready = [
             b for b in replicas if b.online and not b.filling(chunk_id)
         ]
@@ -645,7 +640,7 @@ class Manager:
         Same error contract as :meth:`resolve_chunk`.
         """
         chunk_id = self._chunk_id_at(name, index)
-        writable = [b for b in self._chunk_replicas[chunk_id] if b.online]
+        writable = [b for b in self._chunks[chunk_id].replicas if b.online]
         if not writable:
             raise BenefactorDownError(
                 f"chunk {chunk_id} of {name!r} has no in-service replica"
@@ -655,14 +650,14 @@ class Manager:
     def chunk_refcount(self, chunk_id: int) -> int:
         """How many files reference this chunk."""
         try:
-            return self._chunk_refs[chunk_id]
+            return self._chunks[chunk_id].refs
         except KeyError:
             raise ChunkNotFoundError(f"unknown chunk {chunk_id}") from None
 
     def chunk_replicas(self, chunk_id: int) -> list[Benefactor]:
         """All benefactors holding (or filling) a replica of this chunk."""
         try:
-            replicas = self._chunk_replicas[chunk_id]
+            replicas = self._chunks[chunk_id].replicas
         except KeyError:
             raise ChunkNotFoundError(f"unknown chunk {chunk_id}") from None
         if not replicas:
@@ -690,38 +685,26 @@ class Manager:
     def _unlink(self, name: str, chunk_id: int, *, gc: bool = False) -> int:
         """One slot of file ``name`` stops naming ``chunk_id``; the last
         reference frees it.  Returns the physical bytes freed."""
-        files = self._chunk_files.get(chunk_id)
-        if files is not None:
-            files.discard(name)
-        self._chunk_refs[chunk_id] -= 1
-        if self._chunk_refs[chunk_id] > 0:
+        chunk = self._chunks[chunk_id]
+        chunk.files.discard(name)
+        chunk.refs -= 1
+        if chunk.refs > 0:
             return 0
         if self._filling(chunk_id):
             # A re-replication copy is streaming into this chunk: freeing
             # the data under the fill would strand ``complete_fill``.
             # Defer the physical free; the repair path finishes it once
             # the fill settles (GC never races repair).
-            self._deferred_release[chunk_id] = (
-                gc or self._deferred_release.get(chunk_id, False)
-            )
+            chunk.release = gc
             return 0
         return self._free_chunk(chunk_id, gc=gc)
 
     def _free_chunk(self, chunk_id: int, *, gc: bool = False) -> int:
         """Physically free every replica of an unreferenced chunk."""
-        replicas = self._chunk_replicas.pop(chunk_id, [])
-        self._chunk_refs.pop(chunk_id, None)
-        self._chunk_files.pop(chunk_id, None)
-        self._lost.discard(chunk_id)
-        self._lost_replicas.pop(chunk_id, None)
-        self._deferred_release.pop(chunk_id, None)
         freed = 0
-        for owner in replicas:
+        for owner in self._chunks.pop(chunk_id).replicas:
             owner.delete_chunk(chunk_id)
             owner.unreserve(self.chunk_size)
-            indexed = self._benefactor_chunks.get(owner.name)
-            if indexed is not None:
-                indexed.discard(chunk_id)
             freed += self.chunk_size
         if gc and freed:
             self.metrics.add("store.manager.gc_reclaimed_bytes", freed)
@@ -748,8 +731,12 @@ class Manager:
 
     def _link(self, dst: FileMeta, chunk_id: int) -> None:
         """One more ``(file, index)`` slot names ``chunk_id``."""
-        self._chunk_refs[chunk_id] += 1
-        self._chunk_files.setdefault(chunk_id, set()).add(dst.name)
+        chunk = self._chunks[chunk_id]
+        chunk.refs += 1
+        chunk.files.add(dst.name)
+        # A link revives a chunk whose free was deferred behind a fill:
+        # the row is live again and the fill's end must not free it.
+        chunk.release = None
         dst.chunk_ids.append(chunk_id)
 
     def link_chunk(self, dst_name: str, chunk_id: int, nbytes: int) -> int:
@@ -762,7 +749,7 @@ class Manager:
         logical payload length within the chunk.
         """
         dst = self.lookup(dst_name)
-        if chunk_id not in self._chunk_refs:
+        if chunk_id not in self._chunks:
             raise ChunkNotFoundError(f"unknown chunk {chunk_id}")
         if not 0 <= nbytes <= self.chunk_size:
             raise StoreError(
@@ -775,12 +762,13 @@ class Manager:
         return offset
 
     def chunk_known(self, chunk_id: int) -> bool:
-        """True while ``chunk_id`` is live (referenced by some file).
+        """True while ``chunk_id`` has data: referenced by some file, or
+        its free deferred behind a re-replication fill (a link revives it).
 
         Metadata-only; async checkpoints use it to validate that a prior
         epoch's frozen chunks still exist before linking against them.
         """
-        return chunk_id in self._chunk_refs
+        return chunk_id in self._chunks
 
     def cow_chunk(self, name: str, index: int) -> tuple[int, int, Benefactor]:
         """Prepare a copy-on-write replacement for a shared chunk.
@@ -794,7 +782,8 @@ class Manager:
         """
         meta = self.lookup(name)
         old_id = meta.chunk_ids[index]
-        if self._chunk_refs[old_id] <= 1:
+        old = self._chunks[old_id]
+        if old.refs <= 1:
             raise StoreError(
                 f"chunk {old_id} of {name!r} is not shared; COW is unnecessary"
             )
@@ -802,7 +791,7 @@ class Manager:
         # (not-yet-forfeited) replica has no data to copy from, so the
         # new chunk starts at the surviving degree and is queued for
         # repair if that is short of the target.
-        replicas = [b for b in self._chunk_replicas[old_id] if not b.crashed]
+        replicas = [b for b in old.replicas if not b.crashed]
         if not replicas:
             raise ChunkUnavailableError(
                 f"chunk {old_id} of {name!r} is lost: cannot copy-on-write"

@@ -13,7 +13,7 @@ from repro.faults import BenefactorCrash, FaultPlan, TransientSlowdown
 from repro.store import CHUNK_SIZE, Benefactor, Manager, StoreClient
 from repro.store.benefactor import ChunkPayload
 from repro.util.units import MiB
-from tests.conftest import run
+from tests.conftest import check_chunk_table, run
 
 
 @pytest.fixture
@@ -90,6 +90,7 @@ class TestFailover:
         # The failure report forfeited the crashed benefactor's space.
         crashed = [b for b in rstore.benefactors() if b.crashed]
         assert crashed and all(b.reserved == 0 for b in crashed)
+        check_chunk_table(rstore)
 
     def test_write_fails_over_and_data_survives(
         self, engine, rstore, rclient
@@ -104,6 +105,7 @@ class TestFailover:
             return (yield from rclient.read("/f", 64, len(payload)))
 
         assert run(engine, proc()) == payload
+        check_chunk_table(rstore)
 
     def test_r1_crash_raises_chunk_unavailable(self, engine, store, client):
         def proc():
@@ -116,6 +118,7 @@ class TestFailover:
         with pytest.raises(ChunkUnavailableError):
             run(engine, proc())
         assert store.metrics.value("store.manager.chunks_lost") >= 1
+        check_chunk_table(store)
 
     def test_a_chunk_is_declared_lost_once(self, engine, rstore, rclient):
         """Both replicas crash before either is forfeited: the second
@@ -132,6 +135,47 @@ class TestFailover:
         assert rstore.metrics.value("store.manager.chunks_lost") == 1
         assert rstore.lost_replicas(chunk_id) == tuple(sorted(b.name for b in replicas))
         assert rstore.lookup("/f").generation == generation + 1
+        check_chunk_table(rstore)
+
+    def test_cow_copy_fails_over_and_counts_the_retry(
+        self, engine, small_cluster, rstore, rclient
+    ):
+        """One replica crashes while another's copy-on-write copy is in
+        flight: the client reports it, backs off and counts the retry like
+        every other failover step, and the write lands on the survivor."""
+        old_bytes = b"frozen by the checkpoint" * 64
+        new_bytes = b"written after the link" * 64
+
+        def setup():
+            yield from rclient.create("/f", CHUNK_SIZE)
+            yield from rclient.write("/f", 0, old_bytes)
+            yield from rclient.create("/ck", 0)
+            rstore.link_chunks("/ck", "/f")
+
+        run(engine, setup())
+        first, second = rstore.chunk_replicas(rstore.lookup("/f").chunk_ids[0])
+        copy_chunk_local = first.copy_chunk_local
+
+        def copy_while_the_other_dies(src_chunk_id, dst_chunk_id):
+            second.crash()
+            yield from copy_chunk_local(src_chunk_id, dst_chunk_id)
+
+        first.copy_chunk_local = copy_while_the_other_dies
+
+        def write_and_read():
+            yield from rclient.write("/f", 0, new_bytes)
+            return (
+                (yield from rclient.read("/f", 0, len(new_bytes))),
+                (yield from rclient.read("/ck", 0, len(old_bytes))),
+            )
+
+        assert run(engine, write_and_read()) == (new_bytes, old_bytes)
+        assert small_cluster.metrics.count("store.client.retries") == 1
+        assert rstore.chunk_replicas(rstore.lookup("/f").chunk_ids[0]) == [first]
+        check_chunk_table(rstore)
+        run(engine, rstore.rereplicate_pending())
+        assert rstore.under_replicated() == ()
+        check_chunk_table(rstore)
 
     def test_admin_offline_keeps_reservations_and_data(
         self, engine, store, client
@@ -197,6 +241,7 @@ class TestRereplication:
         metrics = rstore.metrics
         assert metrics.value("store.manager.chunks_rereplicated") == repaired
         assert metrics.value("store.manager.rereplication_bytes") > 0
+        check_chunk_table(rstore)
 
     def test_repaired_replica_serves_reads(self, engine, rstore, rclient):
         payload = b"survives two crashes" * 128
@@ -224,6 +269,123 @@ class TestRereplication:
             return (yield from rclient.read("/f", 0, len(payload)))
 
         assert run(engine, readback()) == payload
+        check_chunk_table(rstore)
+
+    def _degrade_one_chunk(self, engine, rstore, rclient):
+        """A written one-chunk file whose first replica crashed and was
+        forfeited: its chunk id, the surviving source, the queued repair."""
+        def proc():
+            yield from rclient.create("/f", CHUNK_SIZE)
+            yield from rclient.write("/f", 0, b"y" * CHUNK_SIZE)
+
+        run(engine, proc())
+        (chunk_id,) = rstore.lookup("/f").chunk_ids
+        victim, source = rstore.chunk_replicas(chunk_id)
+        victim.crash()
+        rstore.mark_offline(victim.name)
+        assert rstore.rereplication_pending == 1
+        return chunk_id, source
+
+    @staticmethod
+    def _fill_target(rstore, chunk_id):
+        return next(
+            (b for b in rstore.chunk_replicas(chunk_id) if b.filling(chunk_id)),
+            None,
+        )
+
+    def test_target_crash_mid_copy_rolls_back_and_requeues(
+        self, engine, rstore, rclient
+    ):
+        """The fill target dies mid-copy.  The first attempts fail after
+        the copy, while the manager still counts the target a replica:
+        the repair rolls it back and re-queues the chunk, which picks the
+        same target again until a heartbeat forfeits it mid-copy; the
+        forfeit has already struck it, so that rollback must not repeat
+        it.  The next attempt repairs onto another benefactor."""
+        chunk_id, source = self._degrade_one_chunk(engine, rstore, rclient)
+        fills = []
+
+        def crash_target_mid_copy():
+            while (target := self._fill_target(rstore, chunk_id)) is None:
+                yield engine.timeout(1e-6)
+            begin_fill = target.begin_fill
+            target.begin_fill = lambda c: (fills.append(c), begin_fill(c))
+            target.crash()
+            yield from rstore.monitor(0.01, rounds=1)
+            return target
+
+        crasher = engine.process(crash_target_mid_copy())
+        assert run(engine, rstore.rereplicate_pending()) == 1
+        target = crasher.value
+        # Retried on the same target: the first copy was rolled back by the
+        # repair itself (a forfeit would have taken the target offline).
+        assert fills == [chunk_id] * len(fills) and fills
+        replicas = rstore.chunk_replicas(chunk_id)
+        assert target not in replicas and source in replicas
+        assert len(replicas) == 2
+        assert target.reserved == 0 and not target.filling(chunk_id)
+        assert rstore.metrics.value("store.manager.chunks_rereplicated") == 1
+        check_chunk_table(rstore)
+
+    def test_source_crash_mid_copy_rolls_back_and_declares_lost(
+        self, engine, rstore, rclient
+    ):
+        """The only readable source dies mid-copy: the target is rolled
+        back with its reservation returned, and with no copy left the
+        chunk is declared lost, not re-queued."""
+        chunk_id, source = self._degrade_one_chunk(engine, rstore, rclient)
+
+        def crash_source_mid_copy():
+            while (target := self._fill_target(rstore, chunk_id)) is None:
+                yield engine.timeout(1e-6)
+            source.crash()
+            return target
+
+        crasher = engine.process(crash_source_mid_copy())
+        assert run(engine, rstore.rereplicate_pending()) == 0
+        target = crasher.value
+        assert target not in rstore.chunk_replicas(chunk_id)
+        assert target.reserved == 0 and not target.filling(chunk_id)
+        assert rstore.lost_chunks("/f") == (chunk_id,)
+        assert rstore.lost_replicas(chunk_id) == (source.name,)
+        assert rstore.rereplication_pending == 0
+        assert rstore.rereplication_stalled == 0
+        check_chunk_table(rstore)
+
+    def test_relinked_deferred_free_is_live_again(
+        self, engine, rstore, rclient
+    ):
+        """GC drops a chunk mid-repair (free deferred); a link revives it
+        before the fill settles.  The settled fill is a repair, not a free:
+        the row is live, no longer marked for release, and losing it later
+        reports it lost instead of freeing a chunk a file still names."""
+        chunk_id, source = self._degrade_one_chunk(engine, rstore, rclient)
+        rstore.create_file("/new", 0, client=rclient.client_name)
+        observed = {}
+
+        def drop_and_relink_mid_fill():
+            while self._fill_target(rstore, chunk_id) is None:
+                yield engine.timeout(1e-6)
+            assert rstore.delete_file("/f", gc=True) == 0  # deferred
+            observed["deferred"] = rstore._chunks[chunk_id].release  # noqa: SLF001
+            rstore.link_chunk("/new", chunk_id, CHUNK_SIZE)
+
+        engine.process(drop_and_relink_mid_fill())
+        assert run(engine, rstore.rereplicate_pending()) == 1
+        assert observed["deferred"] is True
+        assert rstore.chunk_refcount(chunk_id) == 1
+        assert rstore.metrics.value("store.manager.gc_reclaimed_bytes") == 0
+        check_chunk_table(rstore)
+        replicas = list(rstore.chunk_replicas(chunk_id))
+        assert source in replicas and len(replicas) == 2
+        for benefactor in replicas:
+            benefactor.crash()
+        for benefactor in replicas:
+            rstore.mark_offline(benefactor.name)
+        run(engine, rstore.rereplicate_pending())
+        assert rstore.lost_chunks("/new") == (chunk_id,)
+        assert set(rstore.lost_replicas(chunk_id)) == {b.name for b in replicas}
+        check_chunk_table(rstore)
 
     def test_write_during_fill_not_clobbered(self, engine, small_cluster):
         b = Benefactor(small_cluster.node(0), contribution=1 * MiB)
@@ -264,6 +426,7 @@ class TestRereplication:
         run(engine, detect_and_drain())
         assert manager.rereplication_stalled == 1
         assert manager.under_replicated() != ()
+        check_chunk_table(manager)
         # Capacity returns: a fresh benefactor re-queues the stalled chunk.
         manager.register_benefactor(
             Benefactor(small_cluster.node(2), contribution=16 * MiB)
@@ -275,6 +438,7 @@ class TestRereplication:
         run(engine, drain())
         assert manager.rereplication_stalled == 0
         assert manager.under_replicated() == ()
+        check_chunk_table(manager)
 
 
 class TestCheckpointUnderFaults:
@@ -300,6 +464,7 @@ class TestCheckpointUnderFaults:
         assert lost.chunk_id == chunk_id
         assert lost.epoch == 0
         assert lost.replicas == (owner.name,)
+        check_chunk_table(store)
 
     def test_degraded_but_readable_checkpoint_succeeds(
         self, engine, small_cluster, rstore
@@ -330,6 +495,7 @@ class TestCheckpointUnderFaults:
         assert dram == b"d"
         assert head == b"degraded but alive"
         assert record.bytes_linked == CHUNK_SIZE
+        check_chunk_table(rstore)
 
     def test_restore_after_crash_rides_failover(self, engine, small_cluster, rstore):
         """r=2: a cold restart restores through the surviving replicas."""
@@ -367,6 +533,7 @@ class TestCheckpointUnderFaults:
         assert dram == b"d"
         assert head == b"survives the crash"
         assert rstore.metrics.value("store.manager.benefactors_failed") >= 1
+        check_chunk_table(rstore)
 
     def test_r1_crash_restore_raises_typed_error(
         self, engine, small_cluster, store, nvmalloc
@@ -405,6 +572,7 @@ class TestCheckpointUnderFaults:
         for lost in excinfo.value.lost_chunks:
             assert lost.epoch == 0
             assert lost.replicas  # names the replica set that held it
+        check_chunk_table(store)
 
     def test_gc_free_deferred_behind_inflight_repair(
         self, engine, small_cluster, rstore
@@ -446,7 +614,7 @@ class TestCheckpointUnderFaults:
             else:
                 raise AssertionError("fill never started")
             reclaimed = yield from lib.gc_checkpoints("app", keep_last=1)
-            observed["deferred"] = chunk_id in rstore._deferred_release
+            observed["deferred"] = rstore._chunks[chunk_id].release
             observed["still_known"] = rstore.chunk_known(chunk_id)
             yield repair
             observed["reclaimed_then"] = reclaimed
@@ -459,6 +627,7 @@ class TestCheckpointUnderFaults:
         # The deferred free still counts as GC reclamation.
         assert rstore.metrics.value("store.manager.gc_reclaimed_bytes") > 0
         assert rstore.under_replicated() == ()
+        check_chunk_table(rstore)
 
 
 class TestFaultPlan:
@@ -500,6 +669,7 @@ class TestFaultPlan:
             assert victim.crashed
 
         run(engine, probe())
+        check_chunk_table(store)
 
     def test_inject_unknown_benefactor_rejected(self, engine, store):
         plan = FaultPlan(events=(BenefactorCrash(at=0.1, benefactor="ghost"),))

@@ -4,16 +4,14 @@ Hypothesis drives random sequences of create / extend / write / read /
 link / delete operations and checkpoint-epoch begin / commit / retire /
 drop against a reference model: files as byte arrays, linked checkpoints
 as frozen chunk snapshots, and a tag's epoch chain as a dict of parent
-links.  After every rule the manager's redundant tables (refcounts,
-reverse indexes, reservations, parent links) must agree with each other
-and with the model.  ``StoreMachine`` interleaves all thirteen rules;
+links.  After every rule the manager's chunk table (refcounts, the files
+naming each chunk, reservations) and parent links must agree with each
+other and with the model.  ``StoreMachine`` interleaves all thirteen rules;
 ``EpochChainMachine`` runs the epoch rules alone over the same world and
 the same invariants, because thirty rules drawn from thirteen rarely
 hold the begin, commit, begin, retire that re-parents a child: a splice
 that forgot to survived the full machine two runs in five.
 """
-
-from collections import Counter
 
 from hypothesis import settings
 from hypothesis.stateful import (
@@ -29,6 +27,7 @@ from repro.cluster.hal import HalConfig
 from repro.sim import Engine
 from repro.store import CHUNK_SIZE, Benefactor, Manager, StoreClient
 from repro.util.units import MiB
+from tests.conftest import check_chunk_table
 
 MAX_FILE_CHUNKS = 3
 TAG = "sm"
@@ -110,31 +109,9 @@ class StoreWorld(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     @invariant()
     def chunk_tables_agree(self):
-        """Refcounts, the chunk -> files index and the benefactor -> chunks
-        index are all derivable from the file table and the replica lists."""
-        manager = self.manager
-        slots: Counter[int] = Counter()
-        naming: dict[int, set[str]] = {}
-        for name, meta in manager.files.items():
-            for chunk_id in meta.chunk_ids:
-                slots[chunk_id] += 1
-                naming.setdefault(chunk_id, set()).add(name)
-        assert manager._chunk_refs == dict(slots)  # noqa: SLF001
-        assert manager._chunk_files == naming  # noqa: SLF001
-        holding: dict[str, set[int]] = {}
-        for chunk_id, replicas in manager._chunk_replicas.items():  # noqa: SLF001
-            assert chunk_id in slots and len(replicas) == manager.replication
-            for benefactor in replicas:
-                holding.setdefault(benefactor.name, set()).add(chunk_id)
-        indexed = {
-            name: chunks
-            for name, chunks in manager._benefactor_chunks.items()  # noqa: SLF001
-            if chunks
-        }
-        assert indexed == holding
-        for benefactor in manager.benefactors():
-            held = len(holding.get(benefactor.name, ()))
-            assert benefactor.reserved == held * CHUNK_SIZE
+        """Refcounts, the chunk -> files sets and the reservations are all
+        derivable from the file table and the replica lists."""
+        check_chunk_table(self.manager)
 
     @invariant()
     def epoch_chain_matches_model(self):
