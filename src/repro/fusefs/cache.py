@@ -9,10 +9,11 @@ benefactor, which is the write optimization Table VII quantifies (504 MB
 vs 19.3 GB for a random-write workload).
 
 Bookkeeping runs on two auxiliary structures kept in lockstep with the
-LRU dict: a per-path index (``_by_path``/``_inflight_by_path``) so
-per-file flush/drain/invalidate walk only that file's chunks instead of
-the whole cache, and a monotone ``lru`` stamp per entry so a per-path
-flush can replay exact LRU order without consulting the global dict.
+LRU dict: a per-path index (``_by_path``) so per-file flush/invalidate
+walk only that file's chunks instead of the whole cache, and a monotone
+``lru`` stamp per entry so a per-path flush can replay exact LRU order
+without consulting the global dict.  The in-flight table needs no such
+index: it holds a marker or two at most, so ``drain_path`` scans it.
 Neither structure changes what is simulated — only how fast Python finds
 the entries.
 
@@ -247,10 +248,6 @@ class ChunkCache:
         # accesses must wait for the store to hold current bytes before
         # refetching, or they would read the pre-writeback (stale) data.
         self._inflight: dict[tuple[str, int], Event] = {}
-        # Per-path view of ``_inflight``; inner dicts preserve insertion
-        # order so drain_path waits on the same (oldest) write-back a
-        # whole-dict scan would have picked.
-        self._inflight_by_path: dict[str, dict[int, Event]] = {}
         # Per-path invalidation generation: an in-flight tiered eviction
         # captured the generation at eviction time and must not spill
         # into the local tier if the path was invalidated since (a
@@ -411,10 +408,6 @@ class ChunkCache:
                 # flat cache is dropped with nothing to wait for.
                 done = Event(self._engine)
                 self._inflight[victim_key] = done
-                ibucket = self._inflight_by_path.get(vpath)
-                if ibucket is None:
-                    ibucket = self._inflight_by_path[vpath] = {}
-                ibucket[vindex] = done
             if l2 is not None:
                 # Tiered eviction is fully asynchronous: the spill into
                 # the local tier and the store drain run as their own
@@ -447,9 +440,6 @@ class ChunkCache:
             finally:
                 if was_dirty:
                     del self._inflight[victim_key]
-                    del ibucket[vindex]
-                    if not ibucket:
-                        del self._inflight_by_path[vpath]
                     done.conclude()
                 if span is not None:
                     tracer.end(span)
@@ -515,10 +505,6 @@ class ChunkCache:
         finally:
             self._l2_unsettled.discard(key)
             del self._inflight[key]
-            ibucket = self._inflight_by_path[path]
-            del ibucket[index]
-            if not ibucket:
-                del self._inflight_by_path[path]
             done.conclude()
             if span is not None:
                 tracer.end(span)
@@ -1072,12 +1058,19 @@ class ChunkCache:
     # Flush / invalidate
     # ------------------------------------------------------------------
     def drain_path(self, path: str) -> Generator[Event, object, None]:
-        """Wait until no eviction write-back for ``path`` is in flight."""
-        while True:
-            bucket = self._inflight_by_path.get(path)
-            if not bucket:
+        """Wait until no eviction write-back for ``path`` is in flight.
+
+        Waits on the oldest of the path's markers first, and scans again
+        after each, as :meth:`PageCache.drain_path` does.
+        """
+        inflight = self._inflight
+        while inflight:
+            for (kpath, _), done in inflight.items():
+                if kpath == path:
+                    break
+            else:
                 return
-            yield next(iter(bucket.values()))
+            yield done
 
     def flush_path(self, path: str) -> Generator[Event, object, None]:
         """Write back all dirty chunks of ``path`` (fsync)."""

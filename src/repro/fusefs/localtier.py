@@ -87,8 +87,6 @@ class LocalCacheTier:
             track_ftl=False,
         )
         self._entries: OrderedDict[tuple[str, int], _L2Entry] = OrderedDict()
-        # Per-path chunk indices as dict keys, the chunk cache's shape.
-        self._by_path: dict[str, dict[int, None]] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -167,14 +165,9 @@ class LocalCacheTier:
                         break
                 if victim is None:
                     return False
-                self._drop(victim)
+                del self._entries[victim]
             yield from self.device.access(AccessKind.WRITE, len(data))
             self._entries[key] = _L2Entry(bytearray(data), staged)
-            path, index = key
-            if path in self._by_path:
-                self._by_path[path][index] = None
-            else:
-                self._by_path[path] = {index: None}
             return True
         yield from self.device.access(AccessKind.WRITE, len(data))
         existing.data = bytearray(data)
@@ -192,18 +185,15 @@ class LocalCacheTier:
     def drop(self, key: tuple[str, int]) -> None:
         """Forget ``key`` (metadata only, no device time)."""
         if key in self._entries:
-            self._drop(key)
+            del self._entries[key]
 
     def drop_path(self, path: str) -> None:
-        """Forget every chunk of ``path`` (unlink)."""
-        bucket = self._by_path.pop(path, None)
-        if bucket:
-            for index in bucket:
-                del self._entries[(path, index)]
+        """Forget every chunk of ``path`` (unlink).
 
-    def _drop(self, key: tuple[str, int]) -> None:
-        del self._entries[key]
-        bucket = self._by_path[key[0]]
-        del bucket[key[1]]
-        if not bucket:
-            del self._by_path[key[0]]
+        A scan, not a per-path index: unlinks are rare and the tier
+        holds a few dozen chunks, while every ``put`` would keep the
+        index.
+        """
+        entries = self._entries
+        for key in [key for key in entries if key[0] == path]:
+            del entries[key]

@@ -116,10 +116,6 @@ class PageCache:
         # wait for the flush to reach FUSE before refetching, or they
         # would read pre-flush (stale) bytes.
         self._inflight: dict[tuple[str, int], Event] = {}
-        # Per-path view of ``_inflight``; inner dicts keep insertion
-        # order so drain_path waits on the oldest flush first, exactly
-        # as a whole-dict scan would.
-        self._inflight_by_path: dict[str, dict[int, Event]] = {}
         # A fault must not install bytes it fetched before somebody else's
         # write-back of that page.  Between its fetch and its last install
         # a fault keeps a dict here (under a serial number), and every
@@ -157,9 +153,6 @@ class PageCache:
         return len(self._pages)
 
     # ------------------------------------------------------------------
-    def _fuse_cache(self):
-        return self.mount.cache
-
     def _insert(
         self,
         path: str,
@@ -223,10 +216,6 @@ class PageCache:
                     chunk_size = mount.chunk_size
                     done = Event(engine)
                     inflight[vkey] = done
-                    ibucket = self._inflight_by_path.get(vpath)
-                    if ibucket is None:
-                        ibucket = self._inflight_by_path[vpath] = {}
-                    ibucket[vidx] = done
                     try:
                         offset = vidx * page_size
                         length = min(page_size, self._size(vpath) - offset)
@@ -252,9 +241,6 @@ class PageCache:
                         counter.count += 1
                     finally:
                         del inflight[vkey]
-                        del ibucket[vidx]
-                        if not ibucket:
-                            del self._inflight_by_path[vpath]
                         faults = self._faults
                         for serial in faults:
                             faults[serial][vkey] = None
@@ -267,7 +253,6 @@ class PageCache:
                         # before the bytes and be installed after them.
                         done = victim.syncing = Event(self._engine)
                         inflight[vkey] = done
-                        self._inflight_by_path.setdefault(vpath, {})[vidx] = done
                     break
             if key in pages or key in inflight:
                 continue  # appeared (or re-entered eviction) while evicting
@@ -319,7 +304,7 @@ class PageCache:
             offset = first_page * self.page_size
             size = self._size(path)
             length = min((last_page + 1) * self.page_size, size) - offset
-            cache = self._fuse_cache()
+            cache = self.mount.cache
             # Each faulted page is one mmap fault serviced through the FUSE
             # daemon: charge the kernel-crossing overhead per page.
             npages = last_page - first_page + 1
@@ -625,12 +610,21 @@ class PageCache:
 
     # ------------------------------------------------------------------
     def drain_path(self, path: str) -> Generator[Event, object, None]:
-        """Wait until no eviction flush for ``path`` is in flight."""
-        while True:
-            bucket = self._inflight_by_path.get(path)
-            if not bucket:
+        """Wait until no eviction flush for ``path`` is in flight.
+
+        Waits on the oldest of the path's markers first, and scans again
+        after each: ``_inflight`` is almost always empty here, and holds
+        a marker or two when it is not (INTERNALS, "Per-path indexes
+        mirror the LRU dicts exactly").
+        """
+        inflight = self._inflight
+        while inflight:
+            for (kpath, _), done in inflight.items():
+                if kpath == path:
+                    break
+            else:
                 return
-            yield next(iter(bucket.values()))
+            yield done
 
     # ------------------------------------------------------------------
     # Async-checkpoint snapshot support
@@ -697,7 +691,7 @@ class PageCache:
                 page_size = self.page_size
                 size = self._size(path)
                 chunk_size = self.mount.chunk_size
-                cache = self._fuse_cache()
+                cache = self.mount.cache
                 overhead = self.fuse_op_overhead or None
                 faults = self._faults
                 inflight = self._inflight
@@ -774,10 +768,6 @@ class PageCache:
                                 done, pg.syncing = pg.syncing, False
                                 if done.__class__ is Event:  # evicted on the way
                                     del inflight[(path, idx2)]
-                                    ibucket = self._inflight_by_path[path]
-                                    del ibucket[idx2]
-                                    if not ibucket:
-                                        del self._inflight_by_path[path]
                                     done.conclude()
 
                     yield from cache.write_ranges(

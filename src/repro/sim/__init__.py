@@ -8,7 +8,7 @@ completes in milliseconds of wall-clock time while producing the same
 queueing/contention behaviour a real testbed would.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.sim.resources import Request, Resource
@@ -20,7 +20,6 @@ __all__ = [
     "Channel",
     "Engine",
     "Event",
-    "Interrupt",
     "Process",
     "Request",
     "Resource",

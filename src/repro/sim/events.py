@@ -170,15 +170,6 @@ class Timeout(Event):
                 heappush(engine._heap, (time, engine._seq, self))
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    @property
-    def cause(self) -> object:
-        """The value passed to ``Process.interrupt``."""
-        return self.args[0] if self.args else None
-
-
 class _Condition(Event):
     """Base for AllOf / AnyOf composite events."""
 

@@ -6,8 +6,7 @@ import typing
 from collections.abc import Generator
 
 from repro.errors import SimulationError
-from repro.sim.events import _PENDING, _PROCESSED, Event, Interrupt
-from repro.sim.resources import Request
+from repro.sim.events import _PENDING, _PROCESSED, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
@@ -23,7 +22,7 @@ class Process(Event):
     processes can wait on each other by yielding them.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "name", "_resume_cb", "_trace_stack")
+    __slots__ = ("_generator", "name", "_resume_cb", "_trace_stack")
 
     def __init__(
         self,
@@ -41,7 +40,6 @@ class Process(Event):
         self._ok = True
         self._scheduled = False
         self._generator = generator
-        self._waiting_on: Event | None = None
         self.name = getattr(generator, "__name__", "process")
         # One bound method for the process's whole life: registering the
         # resume callback happens on every yield, and binding allocates.
@@ -63,39 +61,6 @@ class Process(Event):
         bootstrap._scheduled = True
         bootstrap.callbacks = resume
         engine._ring.append(bootstrap)
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        A :class:`Request` it is parked on is cancelled through its
-        resource first, so a handler that cancels it again (as
-        ``Resource.use`` does) finds nothing left to do.
-        """
-        if self._scheduled:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        waited = self._waiting_on
-        if waited is None:
-            raise SimulationError(
-                f"cannot interrupt {self.name}: it has not started waiting yet"
-            )
-        # Detach from whatever it was waiting on, then resume with the error.
-        resume = self._resume_cb
-        callbacks = waited.callbacks
-        if callbacks is resume:
-            waited.callbacks = None
-        elif callbacks.__class__ is list:
-            try:
-                callbacks.remove(resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        # A slot it is queued for (or granted, grant not yet dispatched)
-        # would otherwise be held with nobody left to release it.
-        if isinstance(waited, Request):
-            waited.resource.cancel(waited)
-        poke = Event(self.engine)
-        poke.fail(Interrupt(cause))
-        poke.add_callback(resume)
 
     # ------------------------------------------------------------------
     def _traced_resume(self, event: Event) -> None:
@@ -124,7 +89,6 @@ class Process(Event):
         engine = self.engine
         resume = self._resume_cb
         while True:
-            self._waiting_on = None
             if event._ok:
                 try:
                     target = send(event._value)
@@ -156,14 +120,12 @@ class Process(Event):
                 return
             if callbacks is None:
                 # Pending with no waiters: we become the single callback.
-                self._waiting_on = target
                 target.callbacks = resume
                 return
             if callbacks is _PROCESSED:
                 # Already processed: its value is final, resume right away.
                 event = target
                 continue
-            self._waiting_on = target
             if callbacks.__class__ is list:
                 callbacks.append(resume)
             else:

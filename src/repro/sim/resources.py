@@ -213,8 +213,8 @@ class Resource:
             if not self.engine.advance(duration):
                 yield self.engine.timeout(duration)
         except BaseException:
-            # Broad: Interrupt, a thrown failure, or GeneratorExit (closed
-            # while queued) — a request left behind would hold its slot.
+            # Broad: a thrown failure or GeneratorExit (closed while
+            # queued or holding) — a request left behind would hold its slot.
             self.cancel(req)
             raise
         else:

@@ -197,8 +197,8 @@ class Manager:
         Every ``interval`` virtual seconds, pings each in-service
         benefactor with a control message; crashed benefactors are taken
         out of service so chunk resolution fails fast and new allocations
-        avoid them.  Runs ``rounds`` times (forever when ``None``; spawn
-        via ``engine.process`` and stop with ``Process.interrupt``).
+        avoid them.  Runs ``rounds`` times (forever when ``None``: spawn
+        via ``engine.process``; it runs until the run ends).
         Returns the number of benefactors it marked offline.
         """
         marked = 0

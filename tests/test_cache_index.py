@@ -215,7 +215,6 @@ class TestFlushAllDrainsInflight:
             yield from mount.cache.flush_all()
             # Nothing may still be shipping once a global flush returns.
             assert not mount.cache._inflight
-            assert not mount.cache._inflight_by_path
 
         engine.run_all([engine.process(writer()), engine.process(flusher())])
         # Settle any write racing the sweep, then verify durability of
@@ -232,6 +231,80 @@ class TestFlushAllDrainsInflight:
                 assert got == payload[chunk], f"chunk {chunk} lost"
 
         run(engine, check())
+
+
+class TestDrainPathWaitsOnItsOwnMarkers:
+    """Eviction markers on two paths, made in the order p, q, p:
+    ``drain_path(p)`` returns at the instant p's last marker lands, and
+    does not wait for q's when q's lands later.
+
+    Each cache holds three dirty slots ``/p`` 0, ``/q`` 0, ``/p`` 1 (LRU
+    first), and five writers start at one instant, each writing a full
+    page of a new slot of ``/r``.  Every other one evicts: an eviction's
+    flush parks its writer with the victim already out, so the next
+    writer fits without evicting.  Before it starts, the second ``/p``
+    flush sleeps half a second and the ``/q`` flush a second, so the
+    three land in the order p, p, q at distinct instants (the ``/r``
+    slots evicted later sleep nothing and are not counted)."""
+
+    @staticmethod
+    def _run(engine, cache, write, flusher, flush_name, path_of):
+        def dirty():
+            for path, index in (("/p", 0), ("/q", 0), ("/p", 1)):
+                yield from write(path, index)
+
+        run(engine, dirty())
+        delays = {"/p": [0.0, 0.5], "/q": [1.0]}
+        landed = []
+        flush = getattr(flusher, flush_name)
+
+        def slow_flush(*args, **kwargs):
+            path = path_of(args[0])
+            delay = delays[path].pop(0) if path in delays else 0.0
+            if delay:
+                yield engine.timeout(delay)
+            yield from flush(*args, **kwargs)
+            if path in delays:
+                landed.append((path, engine.now))
+
+        setattr(flusher, flush_name, slow_flush)
+        for slot in range(5):
+            engine.process(write("/r", slot))
+
+        def drainer():
+            assert [path for path, _ in cache._inflight] == ["/p", "/q", "/p"]
+            yield from cache.drain_path("/p")
+            return engine.now
+
+        drained = engine.run(engine.process(drainer()))
+        engine.run()
+        assert not cache._inflight
+        assert [path for path, _ in landed] == ["/p", "/p", "/q"]
+        (_, p_first), (_, p_last), (_, q_last) = landed
+        assert p_first < drained == p_last < q_last
+
+    def test_chunk_cache(self, engine, small_cluster, store):
+        mount = FuseMount(small_cluster.node(1), store, cache_bytes=3 * CHUNK_SIZE)
+        cache = mount.cache
+        for name in ("/p", "/q", "/r"):
+            make_file(engine, mount, name, 5 * CHUNK_SIZE)
+        page = b"x" * PAGE_SIZE
+        self._run(
+            engine, cache,
+            lambda path, index: cache.write(path, index, 0, page),
+            cache, "_writeback", lambda key: key[0],
+        )
+
+    def test_page_cache(self, engine, mount):
+        pagecache = PageCache(mount, capacity_bytes=3 * PAGE_SIZE)
+        for name in ("/p", "/q", "/r"):
+            make_file(engine, mount, name, CHUNK_SIZE)
+        page = b"x" * PAGE_SIZE
+        self._run(
+            engine, pagecache,
+            lambda path, index: pagecache.write(path, index * PAGE_SIZE, page),
+            mount.cache, "write_ranges", lambda path: path,
+        )
 
 
 class TestPrivateOverlayReads:

@@ -134,4 +134,3 @@ def _assert_index_consistent(lib):
         stamps = [entry.lru for entry in entries.values()]
         assert stamps == sorted(stamps), "LRU stamps out of dict order"
         assert not cache._inflight, "in-flight op survived quiescence"
-        assert not cache._inflight_by_path, "stale in-flight bucket"

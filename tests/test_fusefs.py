@@ -518,7 +518,7 @@ class TestConcurrentCacheIntegrity:
         got = run(engine, check(fd))
         assert landed == [False], "the write overtook the write-back"
         assert got == b"a" * 10 + b"BBB" + b"a" * (PAGE_SIZE - 13)
-        assert not cache._inflight and not cache._inflight_by_path
+        assert not cache._inflight
 
 
 class TestFailedFillUnpins:

@@ -133,16 +133,33 @@ class TestTierBookkeeping:
         assert run(engine, proc()) is True
         assert tier.staged_keys() == []
 
-    def test_drop_path_forgets_all_chunks(self, engine, tier):
-        def proc():
-            yield from tier.put(("/a", 0), chunk_of(0))
-            yield from tier.put(("/a", 1), chunk_of(1))
-            yield from tier.put(("/b", 0), chunk_of(2))
+    def test_drop_path_forgets_all_chunks(self, engine, small_cluster):
+        """Each input is ``(path, index, staged)`` puts in order: the
+        survivors keep their LRU order and their staged marks."""
+        inputs = [
+            [("/a", 0, False), ("/a", 1, False), ("/b", 0, False)],
+            [
+                ("/a", 0, False), ("/b", 0, True), ("/c", 0, False),
+                ("/a", 1, True), ("/c", 1, False), ("/b", 1, False),
+                ("/a", 2, False),
+            ],
+        ]
+        for puts in inputs:
+            tier = LocalCacheTier(
+                small_cluster.node(1),
+                capacity_bytes=len(puts) * CHUNK_SIZE, chunk_size=CHUNK_SIZE,
+            )
 
-        run(engine, proc())
-        tier.drop_path("/a")
-        assert len(tier) == 1
-        assert tier.contains(("/b", 0))
+            def proc(tier=tier, puts=puts):
+                for path, index, staged in puts:
+                    yield from tier.put((path, index), chunk_of(index), staged=staged)
+
+            run(engine, proc())
+            tier.drop_path("/a")
+            assert tier.cached_keys() == [(p, i) for p, i, _ in puts if p != "/a"]
+            assert tier.staged_keys() == [
+                (p, i) for p, i, staged in puts if p != "/a" and staged
+            ]
 
 
 @pytest.fixture

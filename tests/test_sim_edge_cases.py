@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, Interrupt, Resource
+from repro.sim import Engine, Resource
 
 
 @pytest.fixture
@@ -42,23 +42,20 @@ class TestEngineEdges:
         assert engine.now == 2.0
 
     def test_process_cleanup_on_failure_releases_resources(self, engine):
+        """The granted counterpart of ``test_use_closed_while_queued_leaves_the_queue``:
+        a ``use`` closed while it holds the slot gives the slot back."""
         res = Resource(engine, capacity=1)
-
-        def leaky():
-            try:
-                yield from res.use(100.0)
-            except Interrupt:
-                return "stopped"
-
-        proc = engine.process(leaky())
-
-        def killer():
-            yield engine.timeout(1.0)
-            proc.interrupt()
-
-        engine.process(killer())
-        assert engine.run(proc) == "stopped"
+        holder = res.use(100.0)
+        next(holder)  # granted inline, now sleeping out its hold
+        assert res.in_use == 1
+        holder.close()
         assert res.in_use == 0  # use() released on the way out
+
+        def later():
+            yield from res.use(1.0)
+            return engine.now
+
+        assert engine.run(engine.process(later())) == 1.0
 
     def test_exception_in_generator_start(self, engine):
         def broken():
@@ -84,14 +81,6 @@ class TestEngineEdges:
 
         assert engine.run(engine.process(proc())) == {"payload": 1}
 
-    def test_interrupt_unstarted_process_rejected(self, engine):
-        def proc():
-            yield engine.timeout(1.0)
-
-        p = engine.process(proc())
-        # The bootstrap event has not run yet: nothing to interrupt.
-        with pytest.raises(SimulationError):
-            p.interrupt()
 
 
 class TestResourceCancel:

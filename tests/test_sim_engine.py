@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Engine, Event, Interrupt, Timeout
+from repro.sim import AllOf, AnyOf, Engine, Event, Timeout
 
 
 @pytest.fixture
@@ -179,32 +179,6 @@ class TestProcess:
 
         with pytest.raises(SimulationError, match="deadlock"):
             engine.run(engine.process(proc()))
-
-    def test_interrupt(self, engine):
-        def victim():
-            try:
-                yield engine.timeout(100.0)
-            except Interrupt as stop:
-                return ("interrupted", stop.cause, engine.now)
-            return "finished"
-
-        target = engine.process(victim())
-
-        def attacker():
-            yield engine.timeout(1.0)
-            target.interrupt("because")
-
-        engine.process(attacker())
-        assert engine.run(target) == ("interrupted", "because", 1.0)
-
-    def test_interrupt_finished_process_rejected(self, engine):
-        def quick():
-            yield engine.timeout(0.1)
-
-        proc = engine.process(quick())
-        engine.run(proc)
-        with pytest.raises(SimulationError):
-            proc.interrupt()
 
     def test_run_all_returns_in_order(self, engine):
         def proc(delay, tag):

@@ -28,7 +28,7 @@ import pytest
 import repro
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import Event, Interrupt, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.resources import Resource
 from tests.conftest import reference_kernel
 
@@ -505,84 +505,61 @@ def _resource_script_run(seed: int):
     each taking a slot a few times after random gaps for random holds —
     half through the inline-site idiom (``acquire_now``, else ``request()``
     + ``yield``, then ``try``/``finally: release``), half through
-    ``Resource.use`` — and some of them interrupted at a random instant.
-    Returns the observable outcome and, apart, how many grants were
-    inline and where each interrupt landed."""
+    ``Resource.use``.  Returns the observable outcome and, apart, how
+    many grants were inline."""
     rng = random.Random(seed)
     engine = Engine()
     resource = Resource(engine, capacity=rng.randint(1, 3))
     log: list[tuple[float, int, str]] = []
-    landed: list[str] = []
     inline = 0
 
     def worker(pid: int, steps, by_use: bool):
         nonlocal inline
-        stage = "idle"
-        try:
-            for gap, hold in steps:
-                stage = "idle"
-                yield from _sleep(engine, gap)
-                if by_use:
-                    stage = "use"
-                    yield from resource.use(hold)
-                    log.append((engine.now, pid, "used"))
-                    continue
-                req = resource.acquire_now()
-                if req is None:
-                    stage = "queued"
-                    req = resource.request()
-                    yield req
-                else:
-                    inline += 1
-                try:
-                    stage = "holding"
-                    log.append((engine.now, pid, "granted"))
-                    yield from _sleep(engine, hold)
-                finally:
-                    resource.release(req)
-                log.append((engine.now, pid, "released"))
-        except Interrupt:
-            landed.append(stage)
-            log.append((engine.now, pid, "interrupted"))
+        for gap, hold in steps:
+            yield from _sleep(engine, gap)
+            if by_use:
+                yield from resource.use(hold)
+                log.append((engine.now, pid, "used"))
+                continue
+            req = resource.acquire_now()
+            if req is None:
+                req = resource.request()
+                yield req
+            else:
+                inline += 1
+            try:
+                log.append((engine.now, pid, "granted"))
+                yield from _sleep(engine, hold)
+            finally:
+                resource.release(req)
+            log.append((engine.now, pid, "released"))
 
-    def interrupter(victim, at: float):
-        yield engine.timeout(at)
-        if not victim.triggered:
-            victim.interrupt()
-
-    workers = [
+    for pid in range(rng.randrange(3, 9)):
         engine.process(worker(pid, [
             (rng.choice(SPREAD_POOL), rng.choice(SPREAD_POOL))
             for _ in range(rng.randrange(2, 7))
-        ], pid % 2 == 1))
-        for pid in range(rng.randrange(3, 9))
-    ]  # fmt: skip
-    for victim in rng.sample(workers, rng.randrange(1, len(workers) // 2 + 1)):
-        engine.process(interrupter(victim, rng.choice(SPREAD_POOL) * 2))
+        ], pid % 2 == 1))  # fmt: skip
     engine.run()
     outcome = (log, resource.busy_seconds(), resource.in_use, resource.queue_length)
-    return outcome, inline, landed
+    return outcome, inline
 
 
 def test_resource_scripts_match_the_reference_kernel() -> None:
     """Inline grants are a count and parked ones are requests, yet grant
     order, wake-up times and ``busy_seconds()`` are bit-equal to the kernel
-    that parks every grant — also when a process is interrupted while it
-    is queued for a slot, granted one, or holding one — and every slot is
-    free at quiescence.  The bench's ``*_busy_max_share`` metrics are
+    that parks every grant, and every slot is free at quiescence.  The bench's ``*_busy_max_share`` metrics are
     exact only because busy time does not depend on how a slot was
     granted."""
-    inline, landed = 0, set()
+    inline = 0
     for seed in range(24):
-        outcome, grants, stages = _resource_script_run(8000 + seed)
+        outcome, grants = _resource_script_run(8000 + seed)
         with reference_kernel():
-            ref_outcome, ref_grants, ref_stages = _resource_script_run(8000 + seed)
+            ref_outcome, ref_grants = _resource_script_run(8000 + seed)
         assert outcome == ref_outcome, seed
         assert outcome[2:] == (0, 0), seed
-        assert ref_grants == 0 and stages == ref_stages
+        assert ref_grants == 0
         inline += grants
-        landed.update(stages)
-    assert inline > 0 and landed >= {"queued", "holding", "use"}
+    assert inline > 0
 
 
 def test_advance_declines_once_the_awaited_event_is_processed() -> None:
@@ -603,41 +580,6 @@ def test_advance_declines_once_the_awaited_event_is_processed() -> None:
     assert engine.now == 1.0 and not process.triggered
     engine.run()
     assert engine.now == 6.0 and process.processed
-
-
-def test_interrupt_lands_at_the_same_instant_either_way() -> None:
-    """A sleeper is only ever in place across an interval nobody else can
-    run in, so an interrupt finds it parked on a real timeout."""
-
-    def run():
-        engine = Engine()
-        log: list[object] = []
-        slept = 0
-
-        def sleeper():
-            nonlocal slept
-            try:
-                for _ in range(10):
-                    if engine.advance(1.0):
-                        slept += 1
-                    else:
-                        yield engine.timeout(1.0)
-                    log.append(engine.now)
-            except Interrupt as interrupt:
-                log.append((interrupt.cause, engine.now))
-
-        def interrupter(victim):
-            yield engine.timeout(2.5)
-            victim.interrupt("stop")
-
-        engine.process(interrupter(engine.process(sleeper())))
-        engine.run()
-        return log, engine.now, slept
-
-    log, now, slept = run()
-    with reference_kernel():
-        assert run() == (log, now, 0)
-    assert log == [1.0, 2.0, ("stop", 2.5)] and slept == 1
 
 
 def test_advance_rejects_a_negative_delay_like_timeout() -> None:

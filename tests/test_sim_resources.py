@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.devices.base import StorageDevice
-from repro.devices.specs import INTEL_X25E
 from repro.errors import SimulationError
-from repro.network.fabric import Network
-from repro.network.link import GIGE
-from repro.sim import Channel, Engine, Interrupt, Resource
+from repro.sim import Channel, Engine, Resource
 from repro.sim.resources import INLINE_GRANT
 
 
@@ -209,73 +205,6 @@ class TestInlineGrant:
         res.cancel(INLINE_GRANT)
         assert res.in_use == 0
         assert res.acquire_now() is INLINE_GRANT
-
-
-class TestInterruptedWaiter:
-    """``Process.interrupt`` cancels a ``Request`` its process is parked
-    on.  The inline grant sites yield that request before their ``try``,
-    so nothing else would give back a slot granted to it later."""
-
-    @staticmethod
-    def interrupter(engine, victim, at, watched, seen, behind_holder=False):
-        if behind_holder:
-            # Wake after the holder's release at the same instant: the
-            # victim's grant is then on the ring, not yet dispatched.
-            yield engine.timeout(0.0)
-        yield engine.timeout(at)
-        seen.append((watched.in_use, watched.queue_length))
-        victim.interrupt("stop")
-
-    @staticmethod
-    def victim(body):
-        try:
-            yield from body
-        except Interrupt as interrupt:
-            return interrupt.cause
-
-    @pytest.mark.parametrize("granted", [False, True], ids=["queued", "granted"])
-    def test_device_access(self, engine, granted):
-        device = StorageDevice(engine, INTEL_X25E)
-        channel = device._channel
-        seen = []
-        engine.process(device.read(4096))  # the holder
-        victim = engine.process(self.victim(device.read(4096)))
-        engine.process(self.interrupter(
-            engine, victim, INTEL_X25E.latency + 4096 / INTEL_X25E.read_bw, channel, seen, granted
-        ))  # fmt: skip
-        engine.run()
-        assert victim.value == "stop"
-        assert seen == [(1, 0 if granted else 1)]
-        assert (channel.in_use, channel.queue_length) == (0, 0)
-
-    def test_fabric_rx_wait(self, engine):
-        network = Network(engine, GIGE)
-        nics = [network.attach(name) for name in ("a", "b", "c")]
-        rx = network.nic("b").rx
-        seen = []
-        engine.process(network.transfer("c", "b", 4096))  # holds b's RX port
-        # a -> b: takes a's TX port, then queues behind c for b's RX port.
-        victim = engine.process(self.victim(network.transfer("a", "b", 4096)))
-        engine.process(
-            self.interrupter(engine, victim, GIGE.latency + 4096 / GIGE.bandwidth, rx, seen)
-        )
-        engine.run()
-        assert victim.value == "stop" and seen == [(1, 1)]
-        for nic in nics:
-            assert (nic.tx.in_use, nic.rx.in_use, nic.rx.queue_length) == (0, 0, 0)
-
-    def test_cancel_after_interrupt_is_a_no_op(self, engine):
-        """``use`` cancels the request again in its handler."""
-        res = Resource(engine, capacity=1)
-        engine.process(res.use(2.0))
-        victim = engine.process(self.victim(res.use(1.0)))
-        later = engine.process(res.use(1.0))
-        seen = []
-        engine.process(self.interrupter(engine, victim, 1.0, res, seen))
-        engine.run()
-        assert victim.value == "stop" and seen == [(1, 2)]
-        assert later.processed and engine.now == 3.0
-        assert (res.in_use, res.queue_length, res.busy_seconds()) == (0, 0, 3.0)
 
 
 class TestChannel:
