@@ -83,7 +83,7 @@ trace:
 experiments:
 	python -m repro.experiments
 
-# Fan the experiment matrix across every core, memoized in the result cache.
+# Fan the experiment matrix across every core; every run computes its report.
 experiments-par:
 	python -m repro.experiments --jobs $(shell nproc)
 

@@ -20,7 +20,6 @@ from repro.experiments.parallel import (
     RunOutcome,
     check_identity,
 )
-from repro.experiments.resultcache import ResultCache
 
 _DRIVERS = {entry.driver.__name__: entry.driver for entry in EXPERIMENTS.values()}
 globals().update(_DRIVERS)
@@ -30,7 +29,6 @@ __all__ = [
     "ExperimentReport",
     "ExperimentScale",
     "Orchestrator",
-    "ResultCache",
     "RunOutcome",
     "SMALL",
     "TINY",

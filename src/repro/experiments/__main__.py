@@ -6,15 +6,9 @@ Regenerate any (or all) of the paper's tables and figures::
     python -m repro.experiments fig3 table7     # a subset
     python -m repro.experiments --jobs 4        # fan across 4 processes
     python -m repro.experiments --scale tiny    # quick structural pass
-    python -m repro.experiments --no-cache      # force recompute
     python -m repro.experiments faults --trace --trace-out trace.json
     python -m repro.experiments --json out.json # machine-readable telemetry
     python -m repro.experiments --list
-
-Results are memoized in a content-addressed cache (``--cache DIR``,
-default ``.repro_result_cache``): a re-run whose experiment name, scale,
-config, and ``src/repro`` code are unchanged replays the stored report
-bit-identically without building a single testbed.
 """
 
 from __future__ import annotations
@@ -33,11 +27,6 @@ from repro.experiments.parallel import (
     RunOutcome,
     check_identity,
 )
-from repro.experiments.resultcache import (
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    code_fingerprint,
-)
 
 
 def _print_outcome(outcome: RunOutcome) -> None:
@@ -46,23 +35,18 @@ def _print_outcome(outcome: RunOutcome) -> None:
         print(outcome.report.render())
     if outcome.error is not None:
         print(f"ERROR in {outcome.name}:\n{outcome.error}", file=sys.stderr)
-    if outcome.cache_hit:
-        source = f"cache hit, originally {outcome.cached_wall_seconds:.1f}s"
-    else:
-        source = outcome.worker
     print(
         f"[{outcome.name}: {outcome.wall_seconds:.1f}s wall, "
-        f"{outcome.peak_rss_bytes / 2**20:.0f} MiB peak RSS, {source}]\n",
+        f"{outcome.peak_rss_bytes / 2**20:.0f} MiB peak RSS, {outcome.worker}]\n",
         flush=True,
     )
 
 
 def _print_summary(result: MatrixResult, jobs: int) -> None:
     """The final pass/fail line — visible even when reports scrolled away."""
-    ran = len(result.outcomes) - result.cache_hits
     print(
         f"{len(result.outcomes)} experiments in {result.wall_seconds:.1f}s wall "
-        f"(--jobs {jobs}): {ran} run, {result.cache_hits} cached"
+        f"(--jobs {jobs})"
     )
     failed = result.failed
     if failed:
@@ -79,7 +63,6 @@ def _write_json(
         "scale": scale_name,
         "jobs": jobs,
         "cores": os.cpu_count(),
-        "code_fingerprint": code_fingerprint(),
         "wall_seconds": result.wall_seconds,
         "failed": result.failed,
         "results": [
@@ -89,7 +72,6 @@ def _write_json(
                 "verified": o.verified,
                 "wall_seconds": o.wall_seconds,
                 "peak_rss_bytes": o.peak_rss_bytes,
-                "cache_hit": o.cache_hit,
                 "worker": o.worker,
                 "testbeds": o.testbeds,
                 "error": o.error,
@@ -119,27 +101,18 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes to fan experiments across (default: 1)",
     )
     parser.add_argument(
-        "--cache", default=None, metavar="DIR",
-        help=f"result-cache directory (default: $REPRO_RESULT_CACHE or "
-             f"{DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result cache (always recompute)",
-    )
-    parser.add_argument(
         "--json", default=None, metavar="OUT",
         help="also write per-run telemetry (digests, walls, RSS) as JSON",
     )
     parser.add_argument(
         "--verify-identity", action="store_true",
         help="run serially AND with --jobs workers, compare digests, and "
-             "fail on any mismatch (caching disabled)",
+             "fail on any mismatch",
     )
     parser.add_argument(
         "--trace", action="store_true",
-        help="trace runs on the virtual clock (forces --jobs 1 and "
-             "--no-cache; adds a 'where the time went' section per report)",
+        help="trace runs on the virtual clock (forces --jobs 1; adds a "
+             "'where the time went' section per report)",
     )
     parser.add_argument(
         "--trace-out", default=None, metavar="OUT.json",
@@ -155,13 +128,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--trace-out requires --trace")
     if args.trace:
         # Spans live on in-process tracers and are not picklable, so a
-        # traced run is serial; a cache hit would replay a span-less
-        # report, so the cache is off too.
+        # traced run is serial.
         from repro import obs
 
         obs.enable(True)
         args.jobs = 1
-        args.no_cache = True
 
     if args.list:
         for name, entry in EXPERIMENTS.items():
@@ -186,16 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"PASS: {len(names)} experiments bit-identical at --jobs {jobs}")
         return 0
 
-    cache = None
-    if not args.no_cache:
-        cache_dir = args.cache or os.environ.get(
-            "REPRO_RESULT_CACHE", DEFAULT_CACHE_DIR
-        )
-        cache = ResultCache(cache_dir)
-
-    orchestrator = Orchestrator(
-        jobs=args.jobs, cache=cache, on_result=_print_outcome
-    )
+    orchestrator = Orchestrator(jobs=args.jobs, on_result=_print_outcome)
     result = orchestrator.run(names, scale)
     _print_summary(result, args.jobs)
     if args.json:

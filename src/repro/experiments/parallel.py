@@ -1,16 +1,14 @@
-"""Parallel experiment orchestrator with content-addressed memoization.
+"""Parallel experiment orchestrator.
 
 Every experiment driver builds *fresh* testbeds and shares no state with
 any other run (see ``runner.py``), so the full table/figure matrix is
 embarrassingly parallel: this module fans it across worker processes with
-a :class:`~concurrent.futures.ProcessPoolExecutor` and memoizes each
-result in a :class:`~repro.experiments.resultcache.ResultCache` keyed by
-``(experiment, scale, config fingerprint, code fingerprint)``.
+a :class:`~concurrent.futures.ProcessPoolExecutor`, and every run computes
+its report.
 
 Safety is checked, not assumed: :func:`check_identity` runs the same
 experiments serially and in parallel and asserts the rendered reports and
-byte-flow counter digests are bit-identical — the same property the
-result cache relies on to replay a stored result as if it had just run.
+byte-flow counter digests are bit-identical.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.experiments.faults import faults
 from repro.experiments.figures import fig2, fig3, fig4, fig5, fig6
 from repro.experiments.lifecycle import ckpt_lifecycle
 from repro.experiments.report import ExperimentReport
-from repro.experiments.resultcache import ResultCache, code_fingerprint, result_key
 from repro.experiments.runner import Testbed, track_testbeds
 from repro.experiments.slo_traffic import slo_traffic
 from repro.experiments.tables import (
@@ -109,12 +106,9 @@ class RunOutcome:
     verified: bool
     wall_seconds: float
     peak_rss_bytes: int
-    cache_hit: bool
     worker: str
     testbeds: int
     error: str | None = None
-    #: For cache hits: the wall the original (cached) run took.
-    cached_wall_seconds: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -135,10 +129,6 @@ class MatrixResult:
     @property
     def failed(self) -> list[str]:
         return [o.name for o in self.outcomes if not o.ok]
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for o in self.outcomes if o.cache_hit)
 
 
 def _peak_rss_bytes() -> int:
@@ -175,7 +165,9 @@ def execute_experiment(
 
 
 def _run_payload(name: str, scale: ExperimentScale) -> dict[str, object]:
-    """Worker body: run one experiment, return a picklable outcome dict.
+    """Worker body: run one experiment, return a picklable outcome dict
+    (the report itself pickles: its digest, rendering and trace lines
+    come back unchanged).
 
     Exceptions are folded into the payload (with traceback) rather than
     raised, so one failing experiment never kills the pool or hides the
@@ -186,7 +178,7 @@ def _run_payload(name: str, scale: ExperimentScale) -> dict[str, object]:
     try:
         report, testbeds = execute_experiment(name, scale)
         payload.update(
-            report=report.to_payload(), digest=report.digest(), testbeds=testbeds
+            report=report, digest=report.digest(), testbeds=testbeds
         )
     except Exception:
         # Broad on purpose: the boundary that keeps the matrix running.
@@ -209,54 +201,32 @@ def mp_context():
 
 
 class Orchestrator:
-    """Fans experiments across processes, memoizing through a ResultCache."""
+    """Fans experiments across worker processes."""
 
     def __init__(
         self,
         jobs: int = 1,
-        cache: ResultCache | None = None,
         on_result: Callable[[RunOutcome], None] | None = None,
     ) -> None:
         self.jobs = max(1, jobs)
-        self.cache = cache
         self.on_result = on_result
 
     def run(self, names: list[str], scale: ExperimentScale) -> MatrixResult:
         """Run ``names`` at ``scale``; outcomes come back in input order."""
         start = time.perf_counter()
-        self._scale_name = scale.name
         outcomes: dict[str, RunOutcome] = {}
-        misses: list[tuple[str, str | None]] = []
-
-        code_fp = code_fingerprint() if self.cache is not None else None
-        for name in names:
-            key = None
-            if self.cache is not None:
-                key = result_key(name, scale, code_fp)
-                lookup_start = time.perf_counter()
-                entry = self.cache.get(key)
-                if entry is not None:
-                    outcomes[name] = self._hit_outcome(
-                        name, entry, time.perf_counter() - lookup_start
-                    )
-                    if self.on_result:
-                        self.on_result(outcomes[name])
-                    continue
-            misses.append((name, key))
-
-        if self.jobs == 1 or len(misses) <= 1:
-            for name, key in misses:
-                self._finish(outcomes, _run_payload(name, scale), key)
+        if self.jobs == 1 or len(names) <= 1:
+            for name in names:
+                self._finish(outcomes, _run_payload(name, scale))
         else:
             with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(misses)), mp_context=mp_context()
+                max_workers=min(self.jobs, len(names)), mp_context=mp_context()
             ) as pool:
                 futures = {
-                    pool.submit(_run_payload, name, scale): (name, key)
-                    for name, key in misses
+                    pool.submit(_run_payload, name, scale): name for name in names
                 }
                 for future in as_completed(futures):
-                    name, key = futures[future]
+                    name = futures[future]
                     try:
                         payload = future.result()
                     except BrokenExecutor as exc:
@@ -270,41 +240,18 @@ class Orchestrator:
                             "worker": "unknown",
                             "testbeds": 0,
                         }
-                    self._finish(outcomes, payload, key)
+                    self._finish(outcomes, payload)
 
         return MatrixResult(
             outcomes=[outcomes[name] for name in names],
             wall_seconds=time.perf_counter() - start,
         )
 
-    def _hit_outcome(
-        self, name: str, entry: dict[str, object], elapsed: float
-    ) -> RunOutcome:
-        report = ExperimentReport.from_payload(entry["report"])
-        telemetry = entry.get("telemetry", {})
-        return RunOutcome(
-            name=name,
-            report=report,
-            digest=entry["digest"],
-            verified=report.verified,
-            wall_seconds=elapsed,
-            peak_rss_bytes=int(telemetry.get("peak_rss_bytes", 0)),
-            cache_hit=True,
-            worker="cache",
-            testbeds=0,
-            cached_wall_seconds=float(telemetry.get("wall_seconds", 0.0)),
-        )
-
     def _finish(
-        self,
-        outcomes: dict[str, RunOutcome],
-        payload: dict[str, object],
-        key: str | None,
+        self, outcomes: dict[str, RunOutcome], payload: dict[str, object]
     ) -> None:
         name = payload["name"]
-        report = None
-        if "error" not in payload:
-            report = ExperimentReport.from_payload(payload["report"])
+        report = payload.get("report")
         outcome = RunOutcome(
             name=name,
             report=report,
@@ -312,24 +259,10 @@ class Orchestrator:
             verified=report is not None and report.verified,
             wall_seconds=payload["wall_seconds"],
             peak_rss_bytes=payload["peak_rss_bytes"],
-            cache_hit=False,
             worker=payload["worker"] if report is None or self.jobs > 1 else "serial",
             testbeds=payload["testbeds"],
             error=payload.get("error"),
         )
-        if report is not None and self.cache is not None and key is not None:
-            self.cache.put(
-                key,
-                experiment=name,
-                scale=self._scale_name,
-                report=report,
-                telemetry={
-                    "wall_seconds": outcome.wall_seconds,
-                    "peak_rss_bytes": outcome.peak_rss_bytes,
-                    "testbeds": outcome.testbeds,
-                    "worker": outcome.worker,
-                },
-            )
         outcomes[name] = outcome
         if self.on_result:
             self.on_result(outcome)
@@ -340,13 +273,13 @@ def check_identity(
 ) -> tuple[bool, dict[str, tuple[str | None, str | None]]]:
     """Prove fan-out safety: serial and parallel digests must coincide.
 
-    Runs ``names`` twice with caching disabled — once in-process, once
-    across ``jobs`` workers — and compares per-experiment digests (which
+    Runs ``names`` twice — once in-process, once across ``jobs``
+    workers — and compares per-experiment digests (which
     cover rendered rows, claims, and byte-flow counters).  Returns
     ``(identical, {name: (serial_digest, parallel_digest)})``.
     """
-    serial = Orchestrator(jobs=1, cache=None).run(names, scale)
-    parallel = Orchestrator(jobs=jobs, cache=None).run(names, scale)
+    serial = Orchestrator(jobs=1).run(names, scale)
+    parallel = Orchestrator(jobs=jobs).run(names, scale)
     pairs = {
         name: (serial.digests.get(name), parallel.digests.get(name))
         for name in names

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from repro.util.tables import render_table
 
-#: Bump when the digest payload layout changes (invalidates result caches).
+#: Part of the digested payload: bumping it moves every digest pin.
 REPORT_SCHEMA = 1
 
 #: Below this many issued prefetches, "accuracy" is a coin flip, not a
@@ -123,12 +123,8 @@ class ExperimentReport:
             )
 
     def to_payload(self) -> dict[str, object]:
-        """A JSON-safe dict that round-trips through :meth:`from_payload`.
-
-        The payload is the canonical form: :meth:`digest` hashes it, and the
-        result cache persists it, so a cached report re-renders and re-digests
-        bit-identically to the run that produced it.
-        """
+        """A JSON-safe dict of the report: the canonical form
+        :meth:`digest` hashes."""
         return {
             "schema": REPORT_SCHEMA,
             "experiment": self.experiment,
@@ -143,36 +139,15 @@ class ExperimentReport:
             "trace_lines": list(self.trace_lines),
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict[str, object]) -> "ExperimentReport":
-        """Rebuild a report from :meth:`to_payload` output."""
-        if payload.get("schema") != REPORT_SCHEMA:
-            raise ValueError(
-                f"unsupported report schema {payload.get('schema')!r}"
-            )
-        return cls(
-            experiment=payload["experiment"],
-            title=payload["title"],
-            headers=list(payload["headers"]),
-            rows=[list(row) for row in payload["rows"]],
-            paper_claims=list(payload["paper_claims"]),
-            measured_claims=list(payload["measured_claims"]),
-            cache_lines=list(payload["cache_lines"]),
-            verified=bool(payload["verified"]),
-            counters=dict(payload["counters"]),
-            trace_lines=list(payload.get("trace_lines", [])),
-        )
-
     def digest(self) -> str:
         """Stable sha256 over rendered rows, claims, and byte-flow counters.
 
         Two runs of the same experiment are *the same result* iff their
-        digests match; the result cache, the parallel-vs-serial identity
-        check, and the pins ``tools/check_digests.py`` reads all compare
-        this value.  JSON canonicalization (sorted keys, no whitespace)
-        makes the hash independent of dict ordering, and Python's
-        float-repr round-trip guarantee keeps it exact across a
-        serialize/deserialize cycle.
+        digests match; the parallel-vs-serial identity check and the pins
+        ``tools/check_digests.py`` reads both compare this value.  JSON
+        canonicalization (sorted keys, no whitespace) makes the hash
+        independent of dict ordering, and a float's repr round-trips
+        exactly.
         """
         payload = self.to_payload()
         # Trace output is presentation, not result: a traced and an

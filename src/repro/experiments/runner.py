@@ -50,12 +50,7 @@ class Testbed:
 
     __test__ = False  # not a pytest collection target despite the name
 
-    #: Process-wide count of testbeds ever assembled.  The warm-cache
-    #: acceptance check asserts this does not move on a fully cached run.
-    constructions = 0
-
     def __init__(self, scale: ExperimentScale) -> None:
-        Testbed.constructions += 1
         for tracker in _TRACKERS:
             tracker.testbeds.append(self)
         self.scale = scale

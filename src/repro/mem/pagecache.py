@@ -786,13 +786,24 @@ class PageCache:
 
     def drop_path(self, path: str, *, sync: bool = True) -> Generator[Event, object, None]:
         """Flush (optionally) and evict all pages of ``path`` (munmap)."""
+        by_path = self._by_path
+        pages = self._pages
         if sync:
             yield from self.sync_path(path)
+            # Race rule 11: a write that landed while the sync was parked
+            # re-dirtied a page, so sync again until none is dirty.  The
+            # last check and the delete below have no yield between them.
+            while path in by_path:
+                for page_idx in by_path[path]:
+                    if pages[(path, page_idx)].dirty:
+                        break
+                else:
+                    break
+                yield from self.sync_path(path)
         else:
             yield from self.drain_path(path)
-        bucket = self._by_path.pop(path, None)
+        bucket = by_path.pop(path, None)
         if bucket:
-            pages = self._pages
             for page_idx in bucket:
                 del pages[(path, page_idx)]
 

@@ -151,11 +151,10 @@ def test_every_pinned_root_is_a_census_root():
     )
     assert {n for n in names if not n.startswith("cli:")} == expected
     assert census.UNTRACED < set(EXPERIMENTS)
-    # The hit reads what the miss wrote: it is last, and main() starts it
-    # only when the pool of the others has drained.
-    assert names[-1] == "cli:cache-hit" and "cli:cache-miss" in names
-    # Each trap named in the tool's docstring is defused in the command.
     by_name = {root.name: root for root in census.roots()}
+    # The telemetry writer is reached from a root.
+    assert "--json" in by_name["cli:json"].args
+    # Each trap named in the tool's docstring is defused in the command.
     assert "--benchmark-disable" in by_name["benchmarks:test_table1_devices.py"].args
     assert by_name["bench:hot_fit"].args[:2] == ("--workload", "hot_fit")
 

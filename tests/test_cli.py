@@ -100,13 +100,13 @@ class TestCli:
         assert deselected and deselected <= declared
 
     def test_run_one_tiny(self, capsys):
-        assert main(["checkpoint", "--scale", "tiny", "--no-cache"]) == 0
+        assert main(["checkpoint", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "Checkpointing" in out
         assert "paper vs measured" in out
 
     def test_table1_runs_without_scale(self, capsys):
-        assert main(["table1", "--scale", "tiny", "--no-cache"]) == 0
+        assert main(["table1", "--scale", "tiny"]) == 0
         assert "Intel X25-E" in capsys.readouterr().out
 
     def test_registry_matches_drivers(self):
@@ -116,7 +116,7 @@ class TestCli:
             assert entry.description
 
     def test_per_experiment_wall_and_summary(self, capsys):
-        assert main(["table1", "checkpoint", "--scale", "tiny", "--no-cache"]) == 0
+        assert main(["table1", "checkpoint", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "[table1:" in out and "s wall" in out
         assert "[checkpoint:" in out
@@ -125,26 +125,16 @@ class TestCli:
 
     def test_jobs_flag_parallel_run(self, capsys):
         assert main(
-            ["table1", "checkpoint", "--scale", "tiny", "--jobs", "2", "--no-cache"]
+            ["table1", "checkpoint", "--scale", "tiny", "--jobs", "2"]
         ) == 0
         out = capsys.readouterr().out
         assert "(--jobs 2)" in out
         assert "PASS: all experiments verified" in out
 
-    def test_cache_hit_on_rerun(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        assert main(["checkpoint", "--scale", "tiny", "--cache", cache]) == 0
-        capsys.readouterr()
-        assert main(["checkpoint", "--scale", "tiny", "--cache", cache]) == 0
-        out = capsys.readouterr().out
-        assert "cache hit" in out
-        assert "1 cached" in out
-        assert "Checkpointing" in out  # hit still renders the full report
-
     def test_json_telemetry_output(self, tmp_path):
         out_path = tmp_path / "telemetry.json"
         assert main(
-            ["checkpoint", "--scale", "tiny", "--no-cache", "--json", str(out_path)]
+            ["checkpoint", "--scale", "tiny", "--json", str(out_path)]
         ) == 0
         payload = json.loads(out_path.read_text())
         assert payload["scale"] == "tiny"
@@ -154,7 +144,6 @@ class TestCli:
         assert entry["digest"] and entry["verified"]
         assert entry["wall_seconds"] > 0
         assert entry["peak_rss_bytes"] > 0
-        assert entry["cache_hit"] is False
 
     def test_verify_identity_passes(self, capsys):
         assert main(
@@ -347,8 +336,7 @@ class TestBenchPairs:
 
 def test_reference_kernel_runs_an_experiment_to_its_pin(tmp_path):
     """``tools/reference_kernel.py`` is the experiment CLI with the three
-    kernel shortcuts patched out: same arguments, same digest, and never
-    a cached report (the cache key does not know about the patch)."""
+    kernel shortcuts patched out: same arguments, same digest."""
     out = tmp_path / "ref.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "reference_kernel.py"),
@@ -358,7 +346,6 @@ def test_reference_kernel_runs_an_experiment_to_its_pin(tmp_path):
     assert proc.returncode == 0, proc.stderr
     (entry,) = json.loads(out.read_text())["results"]
     assert entry["digest"] == json.loads(DIGEST_PINS.read_text())["digests"]["checkpoint"]
-    assert entry["cache_hit"] is False and not (tmp_path / ".repro_result_cache").exists()
 
 
 def test_check_digests_update_merges_a_one_experiment_run(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Generative concurrency fuzzing of the full NVMalloc stack.
 
-Earlier development found three real interleaving bugs (stale refetch
+Earlier development found four real interleaving bugs (stale refetch
 during eviction write-back, dirty-clear after the flush yield, fault-in
-racing an in-flight page flush).  This test keeps hunting that class:
+racing an in-flight page flush, and a shared path's pages dropped by one
+rank's ``munmap`` after another re-dirtied them during its sync: the
+``@example`` below).  This test keeps hunting that class:
 hypothesis generates per-rank operation scripts that run *concurrently*
 on one node's shared caches, with private and node-shared variables, and
 every read is checked against a reference model.
@@ -10,7 +12,7 @@ every read is checked against a reference model.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import make_hal_cluster
@@ -36,6 +38,21 @@ script = st.lists(op, min_size=2, max_size=12)
 @settings(max_examples=15, deadline=None)
 @given(scripts=st.lists(script, min_size=NRANKS, max_size=NRANKS),
        seed=st.integers(0, 2**16))
+# Race rule 11: rank 0's ssdfree syncs the shared path, rank 2 re-dirties
+# the start of its stripe while that sync is parked, and the drop after
+# it must not discard the page (0.01 is the shared ops' unused length).
+@example(
+    scripts=[
+        [("write", 0.0, 0.0625, 1), ("shared_read", 0.0, 0.01, 1)],
+        [("write", 0.0, 0.015625, 1), ("shared_write", 0.0, 0.01, 1),
+         ("write", 0.0, 0.03125, 1), ("write", 0.0, 0.09375, 1),
+         ("shared_write", 0.0, 0.01, 1)],
+        [("write", 0.0, 0.03125, 1), ("shared_read", 0.0, 0.01, 1),
+         ("shared_write", 0.0, 0.01, 1), ("shared_read", 0.0, 0.01, 1)],
+        [("write", 0.0, 0.03125, 1), ("write", 0.0, 0.03125, 1)],
+    ],
+    seed=0,
+)
 def test_concurrent_ranks_never_corrupt(scripts, seed):
     # A fresh testbed per example: hypothesis shrinking re-runs with
     # repeated seeds, so no state may leak between examples.

@@ -218,6 +218,40 @@ def test_fault_does_not_install_bytes_from_before_an_msync(
     assert run(engine, main()) == b"y" * PAGE_SIZE
 
 
+def test_write_during_a_shared_munmap_sync_survives_the_drop(engine, nvmalloc):
+    """Race rule 11, found by a long run of the multi-rank fuzz and present
+    since the first commit.  Ranks A and B on one node map one shared path.
+    A's ``ssdfree`` syncs the path's dirty pages and drops every page of
+    it; B writes into a page while that sync is parked, after the sync has
+    already shipped it.  ``drop_path`` used to delete the page without
+    looking at it again, so B's bytes were gone: B's next read refaulted
+    A's.  B's bytes must read back, and read back again from a fresh map
+    once B has msynced and unmapped."""
+    pagecache = nvmalloc.pagecache
+    size = 4 * PAGE_SIZE
+
+    def b_writes_during_a_sync(variable):
+        while not any(p.syncing for p in pagecache._pages.values()):  # noqa: SLF001
+            yield engine.timeout(1e-6)
+        yield from variable.write(0, b"b" * 100)
+
+    def main():
+        a = yield from nvmalloc.ssdmalloc(size, owner="a", shared_key="s")
+        b = yield from nvmalloc.ssdmalloc(size, owner="b", shared_key="s")
+        yield from a.write(0, b"a" * size)
+        yield AllOf(engine, [
+            engine.process(nvmalloc.ssdfree(a)),
+            engine.process(b_writes_during_a_sync(b)),
+        ])  # fmt: skip
+        first = yield from b.read(0, 100)
+        yield from b.region.msync()
+        fresh = yield from nvmalloc.ssdmalloc(size, owner="c", shared_key="s")
+        yield from nvmalloc.ssdfree(b)  # drops the path's pages again
+        return first, (yield from fresh.read(0, 100))
+
+    assert run(engine, main()) == (b"b" * 100, b"b" * 100)
+
+
 def _in_eight_page_cache(scenario):
     """Run ``scenario(engine, pagecache)`` on a fresh testbed whose page
     cache holds eight pages of the one-chunk file ``/f``, and return what

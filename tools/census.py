@@ -10,11 +10,11 @@ or a paper-shape assertion — runs in its own interpreter under a
 it is first called, and the distinct values each of its *knobs* (a
 parameter with a default, or a defaulted field of a dataclass) is given:
 
-* ``exp:<name>``        each experiment alone at TINY, untraced, uncached;
+* ``exp:<name>``        each experiment alone at TINY, untraced;
 * ``cli:*``             the CLI's other paths: a traced matrix (all but
-                        :data:`UNTRACED`) with a Chrome export, a cache
-                        miss then a cache hit with ``--json``,
-                        ``--verify-identity --jobs 2``, ``--list``;
+                        :data:`UNTRACED`) with a Chrome export, a run
+                        with ``--json``, ``--verify-identity --jobs 2``,
+                        ``--list``;
 * ``example:<file>``    every ``examples/*.py``;
 * ``bench:<workload>``  every ``BENCHMARK.json`` workload, 2 s, ``--trace 1``;
 * ``benchmarks:<file>`` every ``benchmarks/test_*.py``.
@@ -81,7 +81,7 @@ PACKAGE = ROOT / "src" / "repro"
 MAX_UNREACHED = 85
 
 #: Ceiling on knobs every root leaves at one value.  Lower it likewise.
-MAX_SINGLE_VALUED = 68
+MAX_SINGLE_VALUED = 66
 
 #: Distinct values after which a knob is plainly turned and is dropped
 #: from the hook.
@@ -442,25 +442,22 @@ def fold(values: Values, given: Values) -> None:
 # ----------------------------------------------------------------------
 def roots(scratch: str = "") -> list[Root]:
     """Every pinned root, in the order it starts.  ``scratch`` holds the
-    CLI roots' cache, JSON and trace files (names only matter when run).
-    ``cli:cache-hit`` is last: it reads what ``cli:cache-miss`` wrote, so
-    :func:`main` starts it once every other root is done."""
+    CLI roots' JSON and trace files (names only matter when run)."""
     sys.path.insert(0, str(PACKAGE.parent))
     try:
         from repro.experiments.parallel import EXPERIMENTS
     finally:
         sys.path.pop(0)
     tiny = ("--scale", "tiny")
-    cached = (*tiny, "table1", "table4", "--cache", f"{scratch}/cache",
-              "--json", f"{scratch}/telemetry.json")
     cli = "repro.experiments"
-    found = [Root(f"exp:{name}", "module", cli, (name, *tiny, "--no-cache"))
+    found = [Root(f"exp:{name}", "module", cli, (name, *tiny))
              for name in EXPERIMENTS]
     traced = tuple(name for name in EXPERIMENTS if name not in UNTRACED)
     found += [
         Root("cli:trace", "module", cli,
              (*traced, *tiny, "--trace", "--trace-out", f"{scratch}/trace.json")),
-        Root("cli:cache-miss", "module", cli, cached),
+        Root("cli:json", "module", cli,
+             ("table1", "table4", *tiny, "--json", f"{scratch}/telemetry.json")),
         Root("cli:identity", "module", cli,
              (*tiny, "table1", "table4", "--jobs", "2", "--verify-identity")),
         Root("cli:list", "module", cli, ("--list",)),
@@ -474,7 +471,6 @@ def roots(scratch: str = "") -> list[Root]:
     found += [Root(f"benchmarks:{path.name}", "module", "pytest",
                    (f"benchmarks/{path.name}", "--benchmark-disable"))
               for path in sorted((ROOT / "benchmarks").glob("test_*.py"))]
-    found.append(Root("cli:cache-hit", "module", cli, cached))
     return found
 
 
@@ -490,15 +486,6 @@ def run_root(root: Root, log: Path) -> tuple[subprocess.CompletedProcess, float]
         cwd=ROOT, env=env, text=True, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
     )
     return done, time.perf_counter() - start
-
-
-def run_roots(found: list[Root], logs: list[Path]) -> Iterator[tuple]:
-    """:func:`run_root` over every root, :data:`JOBS` at a time, yielded in
-    order as they finish; the last one (``cli:cache-hit``) starts only
-    when all the others are done."""
-    with ThreadPoolExecutor(JOBS) as pool:
-        yield from pool.map(run_root, found[:-1], logs)
-    yield run_root(found[-1], logs[-1])
 
 
 # ----------------------------------------------------------------------
@@ -555,10 +542,12 @@ def main() -> int:
     called_by: dict[str, set[Key]] = {}
     values: Values = {}
     failed = []
-    with tempfile.TemporaryDirectory(prefix="census-") as scratch:
+    with (tempfile.TemporaryDirectory(prefix="census-") as scratch,
+          ThreadPoolExecutor(JOBS) as pool):
         found = roots(scratch)
         logs = [Path(scratch, f"calls-{index}.tsv") for index in range(len(found))]
-        for root, log, (done, seconds) in zip(found, logs, run_roots(found, logs)):
+        for root, log, (done, seconds) in zip(found, logs,
+                                              pool.map(run_root, found, logs)):
             called, given = read_log(log)
             called_by[root.name] = called & defined.keys()
             fold(values, given)

@@ -17,9 +17,7 @@ that experiment's pin here while passing it under the shipped kernel.
 
 The patch is applied from outside, before any testbed exists, and the
 orchestrator's forked workers inherit it; ``src/`` has no switch.  The
-arguments are ``repro.experiments``' own; ``--no-cache`` is added when
-missing, because the result cache is keyed by the source alone and would
-replay the shipped kernel's reports.
+arguments are ``repro.experiments``' own.
 
 :func:`reference_kernel` is also what the differential tests run their
 reference side under (``tests/test_bulk_runs_fuzz.py``,
@@ -50,8 +48,5 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.experiments.__main__ import main
 
-    argv = sys.argv[1:]
-    if "--no-cache" not in argv:
-        argv.append("--no-cache")
     with reference_kernel():
-        sys.exit(main(argv))
+        sys.exit(main(sys.argv[1:]))
