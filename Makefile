@@ -3,7 +3,7 @@
 # Every target runs the checkout's own sources, installed or not.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test determinism cache-ablation slo-curve bench bench-selfcheck bench-pairs census trace experiments experiments-par examples clean
+.PHONY: install test fuzz-long determinism cache-ablation slo-curve bench bench-selfcheck bench-pairs census trace experiments experiments-par examples clean
 
 install:
 	pip install -e .
@@ -16,6 +16,12 @@ test:
 # excludes them by marker expression; CI runs each in a dedicated job.
 test-%:
 	pytest -m $*
+
+# Every property and stateful test at 20x its tier-1 examples
+# (tests/conftest.py's fuzz_settings), printing the blob that reproduces a
+# failure.  What it finds becomes an @example on that test, with the fix.
+fuzz-long:
+	pytest --fuzz-long $$(grep -l '^from hypothesis' tests/test_*.py)
 
 bench:
 	pytest benchmarks/ --benchmark-only

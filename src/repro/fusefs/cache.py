@@ -111,57 +111,68 @@ class CacheStats:
 
 
 class _Entry:
-    """One cached chunk."""
+    """One cached chunk.  :meth:`ChunkCache._load` is the only place an
+    entry is built, and it sets every slot (no ``__init__`` frame per
+    miss)."""
 
     __slots__ = (
-        "data", "dirty", "valid", "pins", "filling", "writeback", "lru",
-        "prefetched", "l2_stale", "shared",
-    )
-
-    def __init__(self, chunk_size: int) -> None:
         # Allocated lazily: a fetch replaces it wholesale with the
         # fetched bytes, and a write-before-fetch allocates it zeroed
         # (write-allocate semantics: unwritten bytes read as zeroes).
         # Skipping the eager zero-fill avoids one chunk-size memset per
         # entry on the fetch-dominated path.
-        self.data: bytes | bytearray | None = None
-        self.dirty = IntervalSet()
+        "data",
+        # Byte ranges written since the last write-back.  None until the
+        # entry's first write (which builds the set; a write-back clears
+        # it), so a chunk that is only read never builds one.
+        "dirty",
         # False until the backing chunk has been fetched; a fully
         # overwritten chunk never needs fetching (write-allocate without
         # read when the write covers whole pages).
-        self.valid = False
+        "valid",
         # Number of in-progress operations using this entry; pinned
         # entries are never evicted (prevents livelock when concurrent
         # ranks outnumber cache slots).
-        self.pins = 0
+        "pins",
         # Single-flight fetch: when a fill is in progress, concurrent
         # requesters wait on this event instead of refetching (lockstep
         # ranks reading a shared file would otherwise multiply SSD
         # traffic by the rank count — a thundering herd).
-        self.filling: Event | None = None
+        "filling",
         # Fill and write-back on one entry must mutually exclude: a fill
         # merging a fetch that predates a concurrent write-back would
         # resurrect stale bytes after the write-back stole the dirty
         # markers that protect fresh data.
-        self.writeback: Event | None = None
+        "writeback",
         # Recency stamp, mirroring this entry's position in the LRU dict:
         # strictly increasing across touches, so sorting a path's entries
         # by stamp reproduces LRU (insertion) order exactly.
-        self.lru = 0
+        "lru",
         # True from a prefetch fill until the first demand hit consumes
         # it — that hit is what makes the prefetch "useful".
-        self.prefetched = False
+        "prefetched",
+        # With the local tier on: byte ranges written since this entry
+        # was created, i.e. how far the tier's shadow copy (if any) lags
+        # behind.  ``dirty`` cannot serve — write-backs clear it while
+        # the shadow stays stale.  None until the first tiered write.
+        "l2_stale",
         # True while the store may hold ``data`` itself: a zero-copy loan
         # of a benefactor's live payload buffer (full-chunk fetch), or
         # this entry's own buffer handed over by a whole-chunk write-back.
         # The first write must unshare (copy) — mutating it in place
         # would silently edit the stored bytes.
-        self.shared = False
-        # With the local tier on: byte ranges written since this entry
-        # was created, i.e. how far the tier's shadow copy (if any) lags
-        # behind.  ``dirty`` cannot serve — write-backs clear it while
-        # the shadow stays stale.  None until the first tiered write.
-        self.l2_stale: IntervalSet | None = None
+        "shared",
+    )
+    data: bytes | bytearray | None
+    dirty: IntervalSet | None
+    valid: bool
+    pins: int
+    filling: Event | None
+    writeback: Event | None
+    lru: int
+    prefetched: bool
+    l2_stale: IntervalSet | None
+    shared: bool
 
 
 class ChunkCache:
@@ -558,16 +569,17 @@ class ChunkCache:
             # would overwrite the freshly written ones.
             while entry.filling is not None:
                 yield entry.filling
-            if not entry.dirty:
+            dirty = entry.dirty
+            if not dirty:
                 return
             path, index = key
             entry.writeback = Event(self._engine)
             ranges, nbytes = self._payloads(
-                entry, entry.dirty, not self.dirty_page_writeback
+                entry, dirty, not self.dirty_page_writeback
             )
             # Clear dirtiness before yielding: writes landing while the
             # payload is in flight re-dirty the entry and flush later.
-            entry.dirty.clear()
+            dirty.clear()
             try:
                 req = self.daemon.acquire_now()
                 if req is None:
@@ -695,10 +707,18 @@ class ChunkCache:
                 or key in self._l2_unsettled
             ):
                 continue
-            entry = _Entry(self.chunk_size)
+            entry = _Entry()
+            entry.data = None
+            entry.dirty = None
+            entry.valid = False
             entry.pins = 1
+            entry.filling = None
+            entry.writeback = None
             self._tick += 1
             entry.lru = self._tick
+            entry.prefetched = False
+            entry.l2_stale = None
+            entry.shared = False
             entries[key] = entry
             by_path = self._by_path
             if path in by_path:
@@ -723,15 +743,15 @@ class ChunkCache:
         absorbed since creation is still marked dirty.  Once a
         write-back has shipped some of those writes (clearing ``dirty``
         but not ``l2_stale``), the store holds newer bytes than the
-        tier's shadow and is the only current source.
+        tier's shadow and is the only current source.  Called only with
+        the local tier on.
         """
-        l2 = self._l2
-        if l2 is None or not l2.contains(key):
+        if not self._l2.contains(key):
             return False
         stale = entry.l2_stale
         if stale is None or not stale:
             return not entry.dirty
-        return stale == entry.dirty
+        return entry.dirty is not None and stale == entry.dirty
 
     def _fill(
         self, path: str, index: int, entry: _Entry, *, prefetch: bool = False
@@ -750,7 +770,7 @@ class ChunkCache:
         try:
             l2 = self._l2
             from_l2 = False
-            fill_start = self._engine.now
+            fill_start = self._engine._now
             entry.filling = Event(self._engine)
             try:
                 # Mutual exclusion with write-backs (registered before this
@@ -762,7 +782,7 @@ class ChunkCache:
                     req = self.daemon.request()
                     yield req
                 try:
-                    if self._promotable((path, index), entry):
+                    if l2 is not None and self._promotable((path, index), entry):
                         # Promote from the local tier: one local SSD read
                         # instead of the network+benefactor round trip.
                         # Named here, not at the call: the waits above
@@ -817,7 +837,7 @@ class ChunkCache:
             if prefetch:
                 entry.prefetched = True
             else:
-                elapsed = self._engine.now - fill_start
+                elapsed = self._engine._now - fill_start
                 if from_l2:
                     self.stats.l2_fills += 1
                     self.stats.l2_fill_seconds += elapsed
@@ -1025,7 +1045,10 @@ class ChunkCache:
                     buf = entry.data = bytearray(buf)
                     entry.shared = False
                 buf[offset : offset + length] = data
-                entry.dirty.add(offset, offset + length)
+                dirty = entry.dirty
+                if dirty is None:
+                    dirty = entry.dirty = IntervalSet()
+                dirty.add(offset, offset + length)
                 if self._l2 is not None:
                     stale = entry.l2_stale
                     if stale is None:

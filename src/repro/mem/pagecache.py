@@ -218,7 +218,11 @@ class PageCache:
                     inflight[vkey] = done
                     try:
                         offset = vidx * page_size
-                        length = min(page_size, self._size(vpath) - offset)
+                        meta = self._files.get(vpath)
+                        size = meta.size if meta is not None else mount.stat_size(vpath)
+                        length = size - offset
+                        if length > page_size:
+                            length = page_size
                         chunk_index = offset // chunk_size
                         chunk_off = offset - chunk_index * chunk_size
                         # Un-dirty before yielding: writes landing while
@@ -302,8 +306,12 @@ class PageCache:
                     while key in inflight:
                         yield inflight[key]
             offset = first_page * self.page_size
-            size = self._size(path)
-            length = min((last_page + 1) * self.page_size, size) - offset
+            meta = self._files.get(path)
+            size = meta.size if meta is not None else self.mount.stat_size(path)
+            end = (last_page + 1) * self.page_size
+            if end > size:
+                end = size
+            length = end - offset
             cache = self.mount.cache
             # Each faulted page is one mmap fault serviced through the FUSE
             # daemon: charge the kernel-crossing overhead per page.
@@ -315,7 +323,6 @@ class PageCache:
             page_size = self.page_size
             chunk_size = self.mount.chunk_size
             cursor = offset
-            end = offset + length
             # ``cursor`` stays page-aligned throughout: it starts at a page
             # boundary and chunk pieces are page multiples except the file
             # tail, which is the last piece.  So the inner loop can count
@@ -329,7 +336,9 @@ class PageCache:
                 while cursor < end:
                     chunk_index = cursor // chunk_size
                     chunk_off = cursor - chunk_index * chunk_size
-                    piece = min(chunk_size - chunk_off, end - cursor)
+                    piece = chunk_size - chunk_off
+                    if piece > end - cursor:
+                        piece = end - cursor
                     buf = bytearray(piece)
                     yield from cache.read_into(path, chunk_index, chunk_off, piece, buf)
                     page_idx = cursor // page_size

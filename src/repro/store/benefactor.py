@@ -318,7 +318,8 @@ class Benefactor:
             else None
         )
         try:
-            self._check_online()
+            if self.crashed or not self.online:  # _check_online, inline
+                raise BenefactorDownError(f"benefactor {self.name} is offline")
             nbytes = len(data)
             if offset < 0 or offset + nbytes > self.chunk_size:
                 raise StoreError(
@@ -326,7 +327,7 @@ class Benefactor:
                     f"chunk of {self.chunk_size}"
                 )
             engine = self.node.engine
-            if self._slow_until > engine.now and not engine.advance(self._slow_extra):
+            if self._slow_until > engine._now and not engine.advance(self._slow_extra):
                 yield engine.timeout(self._slow_extra)  # see slow_down
             yield from self.node.network.transfer(client, self.name, nbytes)
             if self.crashed or not self.online:
@@ -336,9 +337,8 @@ class Benefactor:
                 raise BenefactorDownError(
                     f"benefactor {self.name} died mid-writeback of chunk {chunk_id}"
                 )
-            shadow = self._fill_shadow.get(chunk_id)
-            if shadow is not None:
-                shadow.add(offset, offset + nbytes)
+            if chunk_id in self._fill_shadow:
+                self._fill_shadow[chunk_id].add(offset, offset + nbytes)
             if chunk_id in self._data:
                 payload = self._data[chunk_id]
             else:
@@ -385,7 +385,8 @@ class Benefactor:
             else None
         )
         try:
-            self._check_online()
+            if self.crashed or not self.online:  # _check_online, inline
+                raise BenefactorDownError(f"benefactor {self.name} is offline")
             if length is None:
                 length = self.chunk_size - offset
             if offset < 0 or offset + length > self.chunk_size:
@@ -394,10 +395,10 @@ class Benefactor:
                     f"chunk of {self.chunk_size}"
                 )
             engine = self.node.engine
-            if self._slow_until > engine.now and not engine.advance(self._slow_extra):
+            if self._slow_until > engine._now and not engine.advance(self._slow_extra):
                 yield engine.timeout(self._slow_extra)  # see slow_down
-            stored = self._data.get(chunk_id)
-            if stored is not None:
+            if chunk_id in self._data:
+                stored = self._data[chunk_id]
                 yield from self.ssd.read_extent(self._extents[chunk_id] + offset, length)
                 # A whole dense chunk comes back as a loan of the live buffer
                 # instead of a quarter-megabyte copy per fetch; the chunk

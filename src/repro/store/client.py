@@ -56,11 +56,8 @@ class StoreClient:
         self._read_counter = counter("store.client.bytes_read")
         self._write_counter = counter("store.client.bytes_written")
         self._retry_counter = counter("store.client.retries")
-
-    @property
-    def client_name(self) -> str:
-        """The compute node this client runs on."""
-        return self.node.name
+        #: The compute node this client runs on.
+        self.client_name = node.name
 
     # ------------------------------------------------------------------
     # Metadata operations
@@ -88,8 +85,8 @@ class StoreClient:
     # ------------------------------------------------------------------
     # Chunk resolution with map caching
     # ------------------------------------------------------------------
-    def _cached_maps(
-        self, name: str
+    def _refresh_maps(
+        self, name: str, meta: FileMeta
     ) -> Generator[
         Event,
         object,
@@ -99,36 +96,17 @@ class StoreClient:
             dict[int, tuple[int, list[Benefactor]]],
         ],
     ]:
-        meta = self.manager.lookup(name)
-        cached = self._map_cache.get(name)
-        if cached is None or cached[0] != meta.generation:
-            # Cold or invalidated map: one metadata round trip refreshes it.
-            yield from self.manager.rpc(self.client_name)
-            cached = (meta.generation, {}, {})
-            self._map_cache[name] = cached
+        """A cold or stale chunk map: one metadata round trip, then empty
+        maps at the generation ``meta`` (the caller's lookup) has after it.
+
+        The warm test is written at both callers: the file's generation
+        against the cached one, so a fetch or write-back that hits the map
+        pays one ``lookup`` and no call of this layer's own.
+        """
+        yield from self.manager.rpc(self.client_name)
+        cached = (meta.generation, {}, {})
+        self._map_cache[name] = cached
         return cached
-
-    def _resolve(
-        self, name: str, index: int
-    ) -> Generator[Event, object, tuple[int, Benefactor]]:
-        """The preferred read replica for one chunk (map-cached)."""
-        cached = yield from self._cached_maps(name)
-        mapping = cached[1]
-        if index not in mapping:
-            mapping[index] = self.manager.resolve_chunk(
-                name, index, client=self.client_name
-            )
-        return mapping[index]
-
-    def _resolve_write(
-        self, name: str, index: int
-    ) -> Generator[Event, object, tuple[int, list[Benefactor]]]:
-        """All write replicas for one chunk (map-cached)."""
-        cached = yield from self._cached_maps(name)
-        mapping = cached[2]
-        if index not in mapping:
-            mapping[index] = self.manager.resolve_replicas(name, index)
-        return mapping[index]
 
     def _report_and_backoff(
         self,
@@ -218,7 +196,20 @@ class StoreClient:
             attempt = 0
             started = None
             while True:
-                chunk_id, benefactor = yield from self._resolve(name, index)
+                meta = self.manager.lookup(name)
+                map_cache = self._map_cache
+                if name in map_cache and map_cache[name][0] == meta.generation:
+                    mapping = map_cache[name][1]
+                else:
+                    mapping = (yield from self._refresh_maps(name, meta))[1]
+                if index in mapping:
+                    chunk_id, benefactor = mapping[index]
+                else:
+                    chunk_id, benefactor = mapping[index] = (
+                        self.manager.resolve_chunk(
+                            name, index, client=self.client_name
+                        )
+                    )
                 try:
                     return (
                         yield from benefactor.fetch_chunk(
@@ -264,8 +255,9 @@ class StoreClient:
         tracing is on ("demand"/"prefetch"); it changes no simulated
         behaviour.
         """
-        meta = self.manager.lookup(name)
-        length = min(self.chunk_size, meta.size - index * self.chunk_size)
+        length = self.manager.lookup(name).size - index * self.chunk_size
+        if length > self.chunk_size:
+            length = self.chunk_size
         data = yield from self._fetch_failover(name, index, 0, length, purpose)
         counter = self._read_counter
         counter.total += length
@@ -312,7 +304,18 @@ class StoreClient:
             attempt = 0
             started = None
             while True:
-                chunk_id, replicas = yield from self._resolve_write(name, index)
+                meta = self.manager.lookup(name)
+                map_cache = self._map_cache
+                if name in map_cache and map_cache[name][0] == meta.generation:
+                    mapping = map_cache[name][2]
+                else:
+                    mapping = (yield from self._refresh_maps(name, meta))[2]
+                if index in mapping:
+                    chunk_id, replicas = mapping[index]
+                else:
+                    chunk_id, replicas = mapping[index] = (
+                        self.manager.resolve_replicas(name, index)
+                    )
                 if self.manager.chunk_refcount(chunk_id) > 1:
                     yield from self.manager.rpc(self.client_name)
                     old_id, chunk_id, _primary = self.manager.cow_chunk(name, index)

@@ -23,8 +23,8 @@ _MIN_CAP = 4
 
 #: Shared zero-capacity endpoint pair: a fresh set points here until its
 #: first mutation, so constructing an IntervalSet allocates nothing.
-#: (Never written to — every write happens after ``_grow`` swapped in a
-#: private buffer.)
+#: (Never written to — every write happens after the first ``add`` or
+#: ``_grow`` swapped in a private buffer.)
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
@@ -115,9 +115,9 @@ class IntervalSet:
                     stop = int(so[hi - 1])
             self._splice(lo, hi, (start,), (stop,))
         else:
-            if not len(sa):
-                self._grow(1)
-                sa, so = self._starts, self._stops
+            if sa is _EMPTY:  # first insert: allocate, nothing to copy
+                sa = self._starts = np.empty(_MIN_CAP, dtype=np.int64)
+                so = self._stops = np.empty(_MIN_CAP, dtype=np.int64)
             sa[0] = start
             so[0] = stop
             self._n = 1

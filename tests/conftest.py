@@ -5,6 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster import make_hal_cluster
 from repro.cluster.hal import HalConfig
@@ -27,14 +28,59 @@ def load_tool(name):
 #: events patched out — the reference side of every differential test.
 reference_kernel = load_tool("reference_kernel").reference_kernel
 
+#: How many times its tier-1 examples a property or stateful test draws
+#: under ``pytest --fuzz-long`` (``make fuzz-long``).
+FUZZ_LONG_FACTOR = 20
+_fuzz_long = False
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--fuzz-long", action="store_true", default=False,
+        help=f"run every hypothesis test at {FUZZ_LONG_FACTOR}x its examples "
+        "and print the blob that reproduces a failure",
+    )
+
+
+def pytest_configure(config):
+    global _fuzz_long
+    _fuzz_long = config.getoption("--fuzz-long")
+
+
+def fuzz_settings(*, max_examples, **kwargs):
+    """The ``hypothesis.settings`` of every property and stateful test.
+
+    Tier-1 runs ``max_examples``.  Under ``--fuzz-long`` the test draws
+    ``FUZZ_LONG_FACTOR`` times as many and prints the ``@reproduce_failure``
+    blob of a failure; what it finds becomes an ``@example`` with its fix.
+    Test modules apply it at import, which pytest does after configuring.
+    """
+    if _fuzz_long:
+        return settings(
+            max_examples=max_examples * FUZZ_LONG_FACTOR, print_blob=True, **kwargs
+        )
+    return settings(max_examples=max_examples, **kwargs)
+
 
 @pytest.fixture
 def engine():
     return Engine()
 
 
-@pytest.fixture
-def small_cluster(engine):
+def small_testbed():
+    """A fresh ``(engine, small_cluster, store)``, as the fixtures build.
+
+    For a hypothesis test that builds a mount, a page cache or an
+    ``NVMalloc`` per example: those reserve node DRAM for good, so on
+    fixtures shared by every example the node runs out after a few dozen
+    examples, well inside the ``--fuzz-long`` budget.
+    """
+    engine = Engine()
+    cluster = make_small_cluster(engine)
+    return engine, cluster, make_store(cluster)
+
+
+def make_small_cluster(engine):
     """4 nodes x 4 cores, tiny capacities, all SSD-equipped."""
     config = HalConfig(
         num_nodes=4,
@@ -45,15 +91,24 @@ def small_cluster(engine):
     return make_hal_cluster(engine, config)
 
 
-@pytest.fixture
-def store(engine, small_cluster):
+def make_store(cluster):
     """Aggregate store: manager on node 0, benefactors on all 4 nodes."""
-    manager = Manager(small_cluster.node(0))
-    for node in small_cluster.nodes:
+    manager = Manager(cluster.node(0))
+    for node in cluster.nodes:
         manager.register_benefactor(
             Benefactor(node, contribution=16 * MiB)
         )
     return manager
+
+
+@pytest.fixture
+def small_cluster(engine):
+    return make_small_cluster(engine)
+
+
+@pytest.fixture
+def store(engine, small_cluster):
+    return make_store(small_cluster)
 
 
 @pytest.fixture

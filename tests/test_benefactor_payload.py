@@ -17,7 +17,6 @@ holder's write; by ``id()``, a buffer nobody else holds is never copied.
 
 import tracemalloc
 
-from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -33,7 +32,7 @@ from repro.sim import Engine
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager, StoreClient
 from repro.store import benefactor as benefactor_module
 from repro.util.units import KiB, MiB
-from tests.conftest import run
+from tests.conftest import fuzz_settings, run
 
 CLIENT = "node002"
 CHUNK_IDS = range(4)
@@ -410,7 +409,7 @@ class RaggedPayloadMachine(PayloadMachine):
     chunk_size = 5 * PAGE_SIZE + 123
 
 
-_SETTINGS = settings(max_examples=60, stateful_step_count=50, deadline=None)
+_SETTINGS = fuzz_settings(max_examples=60, stateful_step_count=50, deadline=None)
 TestPayloadMachine = PayloadMachine.TestCase
 TestPayloadMachine.settings = _SETTINGS
 TestRaggedPayloadMachine = RaggedPayloadMachine.TestCase

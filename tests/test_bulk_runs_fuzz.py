@@ -89,7 +89,7 @@ from collections import Counter
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster import make_hal_cluster
@@ -101,7 +101,7 @@ from repro.sim import AllOf, Engine, Event
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.intervals import IntervalSet
 from repro.util.units import KiB, MiB
-from tests.conftest import reference_kernel
+from tests.conftest import fuzz_settings, reference_kernel
 
 # Two and a half chunks: three chunk-cache keys contending for two slots,
 # the last chunk a partial tail.
@@ -237,7 +237,7 @@ def _assert_identical(fast, slow):
     assert fast[4] == slow[4], "inline and queued kernels left different LRU orders"
 
 
-@settings(max_examples=25, deadline=None)
+@fuzz_settings(max_examples=25, deadline=None)
 @given(
     scripts=scripts,
     tiered=st.booleans(),
@@ -404,7 +404,7 @@ ftl_burst = st.tuples(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@fuzz_settings(max_examples=200, deadline=None)
 @given(
     bursts=st.lists(ftl_burst, min_size=1, max_size=40),
     wear_leveling=st.booleans(),
@@ -480,7 +480,7 @@ def _reference_page_align(dirty, page_size, chunk_size):
     return out
 
 
-@settings(max_examples=50, deadline=None)
+@fuzz_settings(max_examples=50, deadline=None)
 @given(spans=st.lists(interval, min_size=0, max_size=20))
 def test_page_align_matches_reference(spans):
     from repro.fusefs.cache import ChunkCache

@@ -8,13 +8,13 @@ under arbitrary schedules (paper §III-E's core guarantee).
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import NVMalloc
 from repro.store import CHUNK_SIZE
 from repro.util.units import KiB
-from tests.conftest import run
+from tests.conftest import fuzz_settings, run, small_testbed
 
 VAR_BYTES = 3 * CHUNK_SIZE
 
@@ -34,13 +34,10 @@ op_strategy = st.lists(
 )
 
 
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@fuzz_settings(max_examples=20, deadline=None)
 @given(ops=op_strategy, seed=st.integers(0, 2**16))
-def test_checkpoint_history_is_immutable(engine, small_cluster, store, ops, seed):
+def test_checkpoint_history_is_immutable(ops, seed):
+    engine, small_cluster, store = small_testbed()
     lib = NVMalloc(
         small_cluster.node(2 + seed % 2), store,
         fuse_cache_bytes=512 * KiB, page_cache_bytes=256 * KiB,
@@ -82,7 +79,7 @@ def test_checkpoint_history_is_immutable(engine, small_cluster, store, ops, seed
         for step, expected in frozen.items():
             _, variables = yield from lib.restore(tag, step)
             assert variables["v"] == expected
-        # Teardown keeps the store leak-free for the next example.
+        # Deleting every checkpoint and the variable must work too.
         for step in list(frozen):
             yield from lib.delete_checkpoint(tag, step)
         yield from lib.ssdfree(var)

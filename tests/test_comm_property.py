@@ -7,7 +7,7 @@ on.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given
 from hypothesis import strategies as st
 
 from repro.cluster.hal import HalConfig
@@ -15,6 +15,7 @@ from repro.cluster import make_hal_cluster
 from repro.parallel import Communicator
 from repro.sim import Engine
 from repro.util.units import MiB
+from tests.conftest import fuzz_settings
 
 
 def make_comm(num_ranks: int) -> tuple[Engine, Communicator]:
@@ -27,7 +28,7 @@ def make_comm(num_ranks: int) -> tuple[Engine, Communicator]:
     return engine, Communicator(engine, nodes)
 
 
-@settings(max_examples=25, deadline=None)
+@fuzz_settings(max_examples=25, deadline=None)
 @given(
     num_ranks=st.integers(min_value=1, max_value=12),
     root=st.data(),
@@ -46,7 +47,7 @@ def test_bcast_delivers_exact_payload(num_ranks, root, payload):
     assert all(r == payload for r in results)
 
 
-@settings(max_examples=25, deadline=None)
+@fuzz_settings(max_examples=25, deadline=None)
 @given(num_ranks=st.integers(min_value=1, max_value=10), seed=st.integers(0, 2**16))
 def test_gather_preserves_rank_order_and_values(num_ranks, seed):
     engine, comm = make_comm(num_ranks)
@@ -64,7 +65,7 @@ def test_gather_preserves_rank_order_and_values(num_ranks, seed):
         assert np.array_equal(item, payloads[rank])
 
 
-@settings(max_examples=20, deadline=None)
+@fuzz_settings(max_examples=20, deadline=None)
 @given(
     num_ranks=st.integers(min_value=2, max_value=10),
     messages=st.lists(st.integers(), min_size=1, max_size=10),
@@ -98,7 +99,7 @@ def test_all_to_all_send_recv_is_lossless(num_ranks, messages):
         assert received == expected
 
 
-@settings(max_examples=15, deadline=None)
+@fuzz_settings(max_examples=15, deadline=None)
 @given(num_ranks=st.integers(min_value=1, max_value=12), rounds=st.integers(1, 4))
 def test_repeated_barriers_stay_synchronized(num_ranks, rounds):
     engine, comm = make_comm(num_ranks)

@@ -12,7 +12,7 @@ every read is checked against a reference model.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.cluster import make_hal_cluster
@@ -21,6 +21,7 @@ from repro.core import NVMalloc
 from repro.sim import Engine
 from repro.store import CHUNK_SIZE, Benefactor, Manager
 from repro.util.units import KiB, MiB
+from tests.conftest import fuzz_settings
 
 NRANKS = 4
 VAR_ELEMENTS = 24 * 1024  # 192 KiB per rank: spans pages and chunks
@@ -35,7 +36,7 @@ op = st.tuples(
 script = st.lists(op, min_size=2, max_size=12)
 
 
-@settings(max_examples=15, deadline=None)
+@fuzz_settings(max_examples=15, deadline=None)
 @given(scripts=st.lists(script, min_size=NRANKS, max_size=NRANKS),
        seed=st.integers(0, 2**16))
 # Race rule 11: rank 0's ssdfree syncs the shared path, rank 2 re-dirties

@@ -1,12 +1,13 @@
 """Tests for the flash translation layer."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.devices.ftl import FlashTranslationLayer
 from repro.errors import CapacityError, EnduranceExceededError
 from repro.util.units import MiB
+from tests.conftest import fuzz_settings
 
 
 def make_ftl(**kwargs):
@@ -142,7 +143,7 @@ class TestWearLeveling:
         )
 
 
-@settings(max_examples=30, deadline=None)
+@fuzz_settings(max_examples=30, deadline=None)
 @given(
     st.lists(
         st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=30),

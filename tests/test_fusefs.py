@@ -3,7 +3,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import (
@@ -13,7 +13,7 @@ from repro.errors import (
 from repro.fusefs import FuseMount, OpenFlags
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.units import KiB, MiB
-from tests.conftest import run
+from tests.conftest import fuzz_settings, run, small_testbed
 
 
 @pytest.fixture
@@ -606,11 +606,7 @@ class TestFailedFillUnpins:
 
 
 # ----------------------------------------------------------------------
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@fuzz_settings(max_examples=20, deadline=None)
 @given(
     ops=st.lists(
         st.tuples(
@@ -623,9 +619,10 @@ class TestFailedFillUnpins:
     ),
     data=st.data(),
 )
-def test_property_mount_matches_bytearray(engine, small_cluster, store, ops, data):
+def test_property_mount_matches_bytearray(ops, data):
     """Arbitrary pread/pwrite interleavings behave like a byte array,
     including through fsync and cache invalidation."""
+    engine, small_cluster, store = small_testbed()
     mount = FuseMount(
         small_cluster.node(2), store, cache_bytes=2 * CHUNK_SIZE
     )

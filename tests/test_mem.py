@@ -1,7 +1,7 @@
 """Tests for the page-cache model and mmap emulation."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster import make_hal_cluster
@@ -12,7 +12,7 @@ from repro.mem import MmapRegion, PageCache, Protection
 from repro.sim import AllOf, Engine
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.units import KiB, MiB
-from tests.conftest import reference_kernel, run
+from tests.conftest import fuzz_settings, reference_kernel, run, small_testbed
 
 
 @pytest.fixture
@@ -612,11 +612,7 @@ class TestMmapRegion:
         assert raw == b"offset"
 
 
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@fuzz_settings(max_examples=15, deadline=None)
 @given(
     ops=st.lists(
         st.tuples(
@@ -629,11 +625,10 @@ class TestMmapRegion:
     ),
     data=st.data(),
 )
-def test_property_region_matches_bytearray(
-    engine, small_cluster, store, ops, data
-):
+def test_property_region_matches_bytearray(ops, data):
     """A shared mapping behaves like a byte array under arbitrary access
     patterns, across a deliberately tiny page cache."""
+    engine, small_cluster, store = small_testbed()
     mount = FuseMount(small_cluster.node(3), store, cache_bytes=2 * CHUNK_SIZE)
     pagecache = PageCache(mount, capacity_bytes=16 * PAGE_SIZE)
     size = 2 * CHUNK_SIZE

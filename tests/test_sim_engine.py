@@ -1,11 +1,12 @@
 """Tests for the discrete-event simulation kernel."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import AllOf, AnyOf, Engine, Event, Timeout
+from tests.conftest import fuzz_settings
 
 
 @pytest.fixture
@@ -258,7 +259,7 @@ class TestTimeoutChurn:
     # exercise same-instant interleaving of many processes' timeouts.
     _step = st.tuples(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]), st.booleans())
 
-    @settings(max_examples=30, deadline=None)
+    @fuzz_settings(max_examples=30, deadline=None)
     @given(scripts=st.lists(
         st.lists(_step, min_size=1, max_size=25), min_size=1, max_size=6,
     ))

@@ -1,7 +1,7 @@
 """Tests for the aggregate NVM store: benefactor, manager, client."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given
 from hypothesis import strategies as st
 
 from repro.errors import (
@@ -22,7 +22,7 @@ from repro.store import (
     chunk_count,
 )
 from repro.util.units import KiB, MiB
-from tests.conftest import run
+from tests.conftest import fuzz_settings, run
 
 
 class TestChunkCount:
@@ -344,7 +344,7 @@ class TestStriping:
 # Property-based: the store behaves like a byte array.
 # ----------------------------------------------------------------------
 
-@settings(
+@fuzz_settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],

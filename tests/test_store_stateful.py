@@ -13,7 +13,6 @@ hold the begin, commit, begin, retire that re-parents a child: a splice
 that forgot to survived the full machine two runs in five.
 """
 
-from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
@@ -27,7 +26,7 @@ from repro.cluster.hal import HalConfig
 from repro.sim import Engine
 from repro.store import CHUNK_SIZE, Benefactor, Manager, StoreClient
 from repro.util.units import MiB
-from tests.conftest import check_chunk_table
+from tests.conftest import check_chunk_table, fuzz_settings
 
 MAX_FILE_CHUNKS = 3
 TAG = "sm"
@@ -293,6 +292,6 @@ class EpochChainMachine(EpochRules, StoreWorld):
 
 TestStoreMachine = StoreMachine.TestCase
 TestEpochChainMachine = EpochChainMachine.TestCase
-TestStoreMachine.settings = TestEpochChainMachine.settings = settings(
+TestStoreMachine.settings = TestEpochChainMachine.settings = fuzz_settings(
     max_examples=20, stateful_step_count=30, deadline=None
 )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import NVMallocError
@@ -36,6 +36,7 @@ from repro.traffic import (
     window_summary,
 )
 from repro.traffic.arrivals import OP_CKPT, OP_READ, OP_WRITE
+from tests.conftest import fuzz_settings
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,7 +86,7 @@ def test_same_seed_same_schedule_different_seed_differs(process):
 # ----------------------------------------------------------------------
 # Global time order of the merged stream
 # ----------------------------------------------------------------------
-@settings(max_examples=25, deadline=None)
+@fuzz_settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     num_clients=st.integers(min_value=1, max_value=20),
@@ -116,7 +117,7 @@ def test_merged_stream_globally_time_ordered(
         assert np.all(np.diff(own) > 0.0)
 
 
-@settings(max_examples=25, deadline=None)
+@fuzz_settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     rate=st.floats(min_value=0.25, max_value=1000.0),

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.intervals import IntervalSet
+from tests.conftest import fuzz_settings
 
 
 class TestAdd:
@@ -84,6 +85,7 @@ ops = st.lists(
 )
 
 
+@fuzz_settings(max_examples=100)  # hypothesis's default
 @given(ops)
 def test_matches_reference_set_semantics(operations):
     s = IntervalSet()
@@ -106,6 +108,7 @@ def test_matches_reference_set_semantics(operations):
         assert b1 < a2
 
 
+@fuzz_settings(max_examples=100)  # hypothesis's default
 @given(ops, st.integers(min_value=0, max_value=260), st.integers(min_value=0, max_value=60))
 def test_gaps_and_intersection_partition_the_query(operations, start, span):
     s = IntervalSet()

@@ -18,6 +18,7 @@ from repro.util.units import (
     format_time,
     parse_size,
 )
+from tests.conftest import fuzz_settings
 
 
 class TestConstants:
@@ -68,6 +69,7 @@ class TestParseSize:
         with pytest.raises(ValueError):
             parse_size("1.5B")
 
+    @fuzz_settings(max_examples=100)  # hypothesis's default
     @given(st.integers(min_value=0, max_value=10**15))
     def test_roundtrip_plain_integers(self, n):
         assert parse_size(str(n)) == n
@@ -89,6 +91,7 @@ class TestFormatSize:
     def test_negative(self):
         assert format_size(-1024) == "-1.00KiB"
 
+    @fuzz_settings(max_examples=100)  # hypothesis's default
     @given(st.integers(min_value=0, max_value=2**60))
     def test_never_raises(self, n):
         assert isinstance(format_size(n), str)

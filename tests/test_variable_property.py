@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given
 from hypothesis import strategies as st
 
 from repro.core.variable import DRAMArray, NVMArray
-from tests.conftest import run
+from tests.conftest import fuzz_settings, run
 
 ROWS, COLS = 24, 36
 
@@ -55,7 +55,7 @@ def _apply(reference: np.ndarray, array, op, arg, seed):
     return array.set(index, value)
 
 
-@settings(
+@fuzz_settings(
     max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -84,7 +84,7 @@ def test_nvm_array_matches_numpy(engine, nvmalloc, ops, data):
     assert run(engine, scenario())
 
 
-@settings(
+@fuzz_settings(
     max_examples=15,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -108,7 +108,7 @@ def test_dram_array_matches_numpy(engine, small_cluster, ops, data):
         array.free()
 
 
-@settings(
+@fuzz_settings(
     max_examples=15,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
