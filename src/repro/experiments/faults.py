@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.errors import CheckpointError, ChunkUnavailableError
 from repro.experiments.configs import SMALL, ExperimentScale
 from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import Testbed
+from repro.experiments.runner import Testbed, benefactor_names, start_services
 from repro.faults import FaultPlan
 from repro.parallel.job import Job
 from repro.util.units import MiB
@@ -38,10 +38,6 @@ from repro.workloads.checkpoint_wl import (
     run_checkpoint_workload,
 )
 from repro.workloads.stream import StreamConfig, run_stream
-
-#: Heartbeat period of the manager's monitor during fault runs (virtual
-#: seconds) — bounds crash-detection latency for chunks no client touches.
-MONITOR_INTERVAL = 0.025
 
 #: Seed for the crash/slowdown schedules (see docs/INTERNALS.md, "Fault
 #: model": all fault randomness is derived from this, never wall clock).
@@ -70,14 +66,6 @@ class _LegResult:
         if not self.data_ops:
             return 1.0
         return max(0.0, 1.0 - self.retries / self.data_ops)
-
-
-def _start_services(job: Job) -> None:
-    """Spawn the store's background processes: heartbeat + repair."""
-    manager = job.manager
-    assert manager is not None
-    job.engine.process(manager.monitor(MONITOR_INTERVAL, rounds=None))
-    job.engine.process(manager.rereplicator())
 
 
 def _finish_leg(
@@ -124,7 +112,7 @@ def _stream_leg(
     job = testbed.job(
         1, ranks, 4, remote_ssd=True, replication=replication
     )
-    _start_services(job)
+    start_services(job)
     if plan is not None:
         assert job.manager is not None
         testbed.engine.process(plan.inject(job.manager))
@@ -150,7 +138,7 @@ def _checkpoint_leg(
     restore verification of every historical checkpoint."""
     testbed = Testbed(scale)
     job = testbed.job(1, 1, 4, remote_ssd=True, replication=replication)
-    _start_services(job)
+    start_services(job)
     if plan is not None:
         assert job.manager is not None
         testbed.engine.process(plan.inject(job.manager))
@@ -171,32 +159,20 @@ def _checkpoint_leg(
 
 
 def _plan_for(
-    baseline: _LegResult, benefactor_names: list[str], replication: int
+    baseline: _LegResult, names: list[str], replication: int
 ) -> FaultPlan:
     """A seeded schedule scaled to the baseline's virtual duration: one
     crash mid-workload, plus (at r>=2) a transient slowdown."""
     total = baseline.total_virtual
     return FaultPlan.seeded(
         FAULT_SEED,
-        benefactor_names,
+        names,
         crashes=1,
         slowdowns=1 if replication > 1 else 0,
         window=(0.35 * total, 0.65 * total),
         slow_duration=0.1 * total,
         slow_extra=0.0005,
     )
-
-
-def _benefactor_names(scale: ExperimentScale) -> list[str]:
-    """The (registration-ordered) benefactor names fault plans draw from.
-
-    All legs use four remote benefactors, so one throwaway testbed tells
-    us the names without running anything.
-    """
-    testbed = Testbed(scale)
-    job = testbed.job(1, 1, 4, remote_ssd=True)
-    assert job.manager is not None
-    return [b.name for b in job.manager.benefactors()]
 
 
 def faults(scale: ExperimentScale = SMALL) -> ExperimentReport:
@@ -209,7 +185,7 @@ def faults(scale: ExperimentScale = SMALL) -> ExperimentReport:
             "Overhead %", "Avail %", "Re-repl", "Recovery MiB", "Lost",
         ],
     )
-    names = _benefactor_names(scale)
+    names = benefactor_names(scale, 1)
     legs = {
         "STREAM": _stream_leg,
         "checkpoint": _checkpoint_leg,

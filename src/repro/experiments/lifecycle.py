@@ -37,15 +37,11 @@ from repro.core.nvmalloc import NVMalloc
 from repro.errors import CheckpointError, ChunkUnavailableError, RestoreError
 from repro.experiments.configs import SMALL, ExperimentScale
 from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import Testbed
+from repro.experiments.runner import Testbed, benefactor_names, start_services
 from repro.faults import FaultPlan
 from repro.parallel.comm import RankContext
-from repro.parallel.job import Job
 from repro.sim.events import Event
 from repro.util.units import KiB
-
-#: Heartbeat period of the manager's monitor (virtual seconds).
-MONITOR_INTERVAL = 0.025
 
 #: Seed for every crash schedule in this experiment (distinct from the
 #: faults experiment's seed so the two draw independent victims).
@@ -265,14 +261,6 @@ def _lifecycle_rank(
     }
 
 
-def _start_services(job: Job) -> None:
-    """Spawn the store's background processes: heartbeat + repair."""
-    manager = job.manager
-    assert manager is not None
-    job.engine.process(manager.monitor(MONITOR_INTERVAL, rounds=None))
-    job.engine.process(manager.rereplicator())
-
-
 def _leg_config(scale: ExperimentScale, mode: str, **kwargs) -> _LegConfig:
     return _LegConfig(
         variable_bytes=scale.lifecycle_variable,
@@ -294,7 +282,7 @@ def _run_leg(
     """One fresh-testbed run of the lifecycle workload."""
     testbed = Testbed(scale)
     job = testbed.job(1, 1, 4, remote_ssd=True, replication=replication)
-    _start_services(job)
+    start_services(job)
     if plan is not None:
         assert job.manager is not None
         testbed.engine.process(plan.inject(job.manager))
@@ -345,14 +333,6 @@ def _run_leg(
     )
 
 
-def _benefactor_names(scale: ExperimentScale) -> list[str]:
-    """Registration-ordered benefactor names (one throwaway testbed)."""
-    testbed = Testbed(scale)
-    job = testbed.job(1, 1, 4, remote_ssd=True)
-    assert job.manager is not None
-    return [b.name for b in job.manager.benefactors()]
-
-
 def _add_row(
     report: ExperimentReport,
     mode: str,
@@ -386,7 +366,7 @@ def ckpt_lifecycle(scale: ExperimentScale = SMALL) -> ExperimentReport:
             "Retries", "Failovers", "Digest",
         ],
     )
-    names = _benefactor_names(scale)
+    names = benefactor_names(scale, 1)
     mid = scale.lifecycle_timesteps // 2
 
     # --- no-fault grid: mode x replication -----------------------------

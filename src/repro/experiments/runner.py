@@ -17,6 +17,11 @@ from repro.parallel.job import Job, JobConfig
 from repro.pfs.pfs import ParallelFileSystem
 from repro.sim.engine import Engine
 
+#: Heartbeat period of the manager's monitor in the experiments that run
+#: the store's services (virtual seconds): bounds crash-detection latency
+#: for chunks no client touches.
+MONITOR_INTERVAL = 0.025
+
 #: Active trackers; every new Testbed registers with each (see
 #: :func:`track_testbeds`).
 _TRACKERS: list["TestbedTracker"] = []
@@ -89,3 +94,24 @@ class Testbed:
             **overrides,
         )
         return Job(self.cluster, config)
+
+
+def start_services(job: Job) -> None:
+    """Spawn the store's background processes: heartbeat + repair."""
+    manager = job.manager
+    assert manager is not None
+    job.engine.process(manager.monitor(MONITOR_INTERVAL, rounds=None))
+    job.engine.process(manager.rereplicator())
+
+
+def benefactor_names(scale: ExperimentScale, num_nodes: int) -> list[str]:
+    """The registration-ordered names of a job's four remote benefactors,
+    which fault plans draw from.
+
+    Every leg of an experiment uses the same four, so one throwaway
+    testbed (with the experiment's ``num_nodes`` compute nodes) tells the
+    names without running anything.
+    """
+    job = Testbed(scale).job(1, num_nodes, 4, remote_ssd=True)
+    assert job.manager is not None
+    return [b.name for b in job.manager.benefactors()]

@@ -37,9 +37,8 @@ from dataclasses import dataclass
 
 from repro.experiments.configs import SMALL, ExperimentScale
 from repro.experiments.report import ExperimentReport, attainment_cell, rate_cell
-from repro.experiments.runner import Testbed
+from repro.experiments.runner import Testbed, benefactor_names, start_services
 from repro.faults import FaultPlan
-from repro.parallel.job import Job
 from repro.traffic import (
     ClientSwarm,
     MMPPProcess,
@@ -49,10 +48,6 @@ from repro.traffic import (
 )
 from repro.traffic.arrivals import RequestSchedule, ZipfKeys
 from repro.traffic.slo import SloSummary, summarize, window_summary
-
-#: Heartbeat period of the manager's monitor (virtual seconds) — bounds
-#: crash-detection latency, same rationale as the faults experiment.
-MONITOR_INTERVAL = 0.025
 
 #: Seed for fault schedules (crash/slowdown victims and times).
 FAULT_SEED = 4321
@@ -93,14 +88,6 @@ class _Leg:
     retries: int
 
 
-def _start_services(job: Job) -> None:
-    """Spawn the store's background heartbeat + repair processes."""
-    manager = job.manager
-    assert manager is not None
-    job.engine.process(manager.monitor(MONITOR_INTERVAL, rounds=None))
-    job.engine.process(manager.rereplicator())
-
-
 def _run_leg(
     scale: ExperimentScale,
     label: str,
@@ -115,7 +102,7 @@ def _run_leg(
     faults experiment: a benefactor crash never takes a client node)."""
     testbed = Testbed(scale)
     job = testbed.job(1, 2, 4, remote_ssd=True, replication=replication)
-    _start_services(job)
+    start_services(job)
     if plan is not None:
         assert job.manager is not None
         testbed.engine.process(plan.inject(job.manager))
@@ -141,14 +128,6 @@ def _run_leg(
         under_replicated=len(manager.under_replicated()),
         retries=metrics.count("store.client.retries"),
     )
-
-
-def _benefactor_names(scale: ExperimentScale) -> list[str]:
-    """Registration-ordered benefactor names (throwaway testbed)."""
-    testbed = Testbed(scale)
-    job = testbed.job(1, 2, 4, remote_ssd=True)
-    assert job.manager is not None
-    return [b.name for b in job.manager.benefactors()]
 
 
 def _fault_plan(
@@ -215,7 +194,7 @@ def slo_traffic(scale: ExperimentScale = SMALL) -> ExperimentReport:
         ],
     )
     unit = _unit_schedule(scale, None)
-    names = _benefactor_names(scale)
+    names = benefactor_names(scale, 2)
 
     # 1. Closed-loop calibration: the capacity the sweep is offered
     #    against.  Same request sequence, so the mix matches exactly.

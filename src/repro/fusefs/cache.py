@@ -8,14 +8,13 @@ dirty 4 KB pages; on eviction only the dirty pages travel to the
 benefactor, which is the write optimization Table VII quantifies (504 MB
 vs 19.3 GB for a random-write workload).
 
-Bookkeeping runs on two auxiliary structures kept in lockstep with the
-LRU dict: a per-path index (``_by_path``) so per-file flush/invalidate
-walk only that file's chunks instead of the whole cache, and a monotone
-``lru`` stamp per entry so a per-path flush can replay exact LRU order
-without consulting the global dict.  The in-flight table needs no such
-index: it holds a marker or two at most, so ``drain_path`` scans it.
-Neither structure changes what is simulated — only how fast Python finds
-the entries.
+Bookkeeping runs on one auxiliary structure kept in lockstep with the
+LRU dict: a per-path index (``_by_path``) whose buckets keep the dict's
+order restricted to their path, so per-file flush/invalidate walk only
+that file's chunks, in LRU order, instead of the whole cache.  The
+in-flight table needs no such index: it holds a marker or two at most,
+so ``drain_path`` scans it.  The index changes nothing that is
+simulated — only how fast Python finds the entries.
 
 Three opt-in features form a tiered adaptive hierarchy (see INTERNALS.md
 "Client cache hierarchy"):
@@ -144,10 +143,6 @@ class _Entry:
         # resurrect stale bytes after the write-back stole the dirty
         # markers that protect fresh data.
         "writeback",
-        # Recency stamp, mirroring this entry's position in the LRU dict:
-        # strictly increasing across touches, so sorting a path's entries
-        # by stamp reproduces LRU (insertion) order exactly.
-        "lru",
         # True from a prefetch fill until the first demand hit consumes
         # it — that hit is what makes the prefetch "useful".
         "prefetched",
@@ -169,7 +164,6 @@ class _Entry:
     pins: int
     filling: Event | None
     writeback: Event | None
-    lru: int
     prefetched: bool
     l2_stale: IntervalSet | None
     shared: bool
@@ -253,7 +247,10 @@ class ChunkCache:
         # Per-path view of ``_entries`` keys, so path-scoped operations
         # (fsync, unlink) touch only that file's chunks.  Chunk indices
         # are dict keys: a subscript store or ``del`` is not a call and
-        # ``set.add`` / ``set.discard`` are (``PageCache._faults``).
+        # ``set.add`` / ``set.discard`` are (``PageCache._faults``).  A
+        # bucket keeps the dict's order restricted to its path: every
+        # ``move_to_end`` on ``_entries`` re-inserts the index in its
+        # bucket too.
         self._by_path: dict[str, dict[int, None]] = {}
         # Chunks whose eviction write-back is in flight: concurrent
         # accesses must wait for the store to hold current bytes before
@@ -270,7 +267,6 @@ class ChunkCache:
         # the eviction patches or drops it, so readers must not promote
         # such a key (see the ``_load`` wait loop).
         self._l2_unsettled: set[tuple[str, int]] = set()
-        self._tick = 0
         counter = self.metrics.counter
         self._hits_counter = counter("fuse.cache.hits")
         self._misses_counter = counter("fuse.cache.misses")
@@ -639,8 +635,9 @@ class ChunkCache:
             if key in entries:  # ``in`` + subscript: no call, hit or miss
                 entry = entries[key]
                 entries.move_to_end(key)
-                self._tick += 1
-                entry.lru = self._tick
+                bucket = self._by_path[path]
+                del bucket[index]
+                bucket[index] = None
                 entry.pins += 1  # survives the fill below and is returned
                 if policy is not None:
                     policy.record_hit(key)
@@ -714,8 +711,6 @@ class ChunkCache:
             entry.pins = 1
             entry.filling = None
             entry.writeback = None
-            self._tick += 1
-            entry.lru = self._tick
             entry.prefetched = False
             entry.l2_stale = None
             entry.shared = False
@@ -852,8 +847,10 @@ class ChunkCache:
         """Bookkeeping for a resident entry taken on the no-yield fast
         path: identical to what :meth:`_load` does for a clean hit."""
         self._entries.move_to_end(key)
-        self._tick += 1
-        entry.lru = self._tick
+        path, index = key
+        bucket = self._by_path[path]
+        del bucket[index]
+        bucket[index] = None
         entry.pins += 1
         if self._policy is not None:
             self._policy.record_hit(key)
@@ -1101,8 +1098,8 @@ class ChunkCache:
         bucket = self._by_path.get(path)
         if bucket:
             entries = self._entries
-            # Snapshot in LRU order (stamp order == dict order).
-            for index in sorted(bucket, key=lambda i: entries[(path, i)].lru):
+            # Snapshot in LRU order (the bucket's order).
+            for index in list(bucket):
                 entry = entries.get((path, index))
                 if entry is not None:  # may be evicted while we flush others
                     yield from self._writeback((path, index), entry)

@@ -6,14 +6,14 @@ the granularity bridge of paper §III-D).  Dirty pages are written back to
 FUSE at page granularity, matching "the OS page cache sends out write
 requests to the FUSE layer on a page granularity".
 
-Like the chunk cache, the page dict is shadowed by a per-path index and
-per-page ``lru`` stamps so msync/munmap walk only the target file's pages
-while replaying exact LRU order.  Runs of pages move through the stack in
-batch: faults pull each chunk piece with one ``read_into`` call, and
-msync flushes runs of contiguous dirty pages with one ``write_ranges``
-call that charges the same per-page FUSE overhead the page-by-page path
-would have — the simulated event sequence is identical, only the Python
-work per page shrinks.
+Like the chunk cache, the page dict is shadowed by a per-path index
+whose buckets keep the dict's order restricted to their path, so
+msync/munmap walk only the target file's pages, in LRU order.  Runs of
+pages move through the stack in batch: faults pull each chunk piece
+with one ``read_into`` call, and msync flushes runs of contiguous dirty
+pages with one ``write_ranges`` call that charges the same per-page FUSE
+overhead the page-by-page path would have — the simulated event
+sequence is identical, only the Python work per page shrinks.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Generator
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import MmapError
 from repro.fusefs.mount import FuseMount
@@ -49,7 +47,7 @@ class PageCacheStats:
 
 class _Page:
     """One resident page.  :meth:`PageCache._insert` is the only place a
-    page is built, and it sets all four slots (no ``__init__`` frame per
+    page is built, and it sets all three slots (no ``__init__`` frame per
     faulted page):
 
     - ``data``: the page's bytes.  A caller with a full page of payload
@@ -59,16 +57,12 @@ class _Page:
     - ``syncing``: True while an msync's payload of this page is on its
       way to FUSE (un-dirtied already, not written back yet); the key's
       in-flight marker once the page is evicted in that state.
-    - ``lru``: recency stamp mirroring this page's position in the LRU
-      dict (strictly increasing across touches), so a per-path sync can
-      replay LRU order without scanning the whole dict.
     """
 
-    __slots__ = ("data", "dirty", "lru", "syncing")
+    __slots__ = ("data", "dirty", "syncing")
     data: bytearray
     dirty: bool
     syncing: bool | Event
-    lru: int
 
 
 class PageCache:
@@ -110,7 +104,11 @@ class PageCache:
         self.stats = PageCacheStats()
         self._pages: OrderedDict[tuple[str, int], _Page] = OrderedDict()
         # Per-path view of ``_pages`` keys for path-scoped sync/drop: page
-        # indices as dict keys (the rule at ``_faults`` below).
+        # indices as dict keys (the rule at ``_faults`` below), in the
+        # dict's order restricted to the path.  Every ``move_to_end`` on
+        # ``_pages`` re-inserts the index in its bucket too, and a bucket
+        # is re-subscripted after every yield: a fault may have evicted
+        # the path's last page, and a later insert built a new bucket.
         self._by_path: dict[str, dict[int, None]] = {}
         # Pages whose eviction flush is in flight: concurrent faults must
         # wait for the flush to reach FUSE before refetching, or they
@@ -135,7 +133,6 @@ class PageCache:
         # "Fast path and batching invariants").
         self._faults: dict[int, dict[tuple[str, int], None]] = {}
         self._fault_serial = 0
-        self._tick = 0
         counter = self.metrics.counter
         self._read_counter = counter("pagecache.read.bytes")
         self._write_counter = counter("pagecache.write.bytes")
@@ -188,8 +185,9 @@ class PageCache:
                 # Someone else faulted it back in while we waited.
                 page = pages[key]
                 pages.move_to_end(key)
-                self._tick += 1
-                page.lru = self._tick
+                bucket = by_path[path]
+                del bucket[page_idx]
+                bucket[page_idx] = None
                 return page, False
             while len(pages) >= capacity:
                 # Evict the LRU page, flushing a dirty victim through
@@ -269,8 +267,6 @@ class PageCache:
             page.data = bytearray(self.page_size) if data is None else data
             page.dirty = False
             page.syncing = False
-            self._tick += 1
-            page.lru = self._tick
             pages[key] = page
             if path in by_path:
                 by_path[path][page_idx] = None
@@ -320,6 +316,7 @@ class PageCache:
             if overhead and not self._engine.advance(overhead):
                 yield self._engine.timeout(overhead)
             pages = self._pages
+            by_path = self._by_path
             page_size = self.page_size
             chunk_size = self.mount.chunk_size
             cursor = offset
@@ -350,8 +347,9 @@ class PageCache:
                             # Concurrently faulted back in: only touch the LRU
                             # position, never overwrite (it may hold newer bytes).
                             pages.move_to_end(key)
-                            self._tick += 1
-                            pages[key].lru = self._tick
+                            bucket = by_path[path]
+                            del bucket[page_idx]
+                            bucket[page_idx] = None
                         elif seg_len >= page_size:
                             # _insert drops the slice if the page turns up
                             # resident after an eviction wait.
@@ -406,31 +404,27 @@ class PageCache:
         pages = self._pages
         pages_get = pages.get
         move_to_end = pages.move_to_end
-        # Group contiguous missing pages into ranged faults.  ``tick``
-        # mirrors self._tick as a local; it is written back before every
-        # yield (other processes stamp pages too) and reloaded after.
+        by_path = self._by_path
+        # Group contiguous missing pages into ranged faults.
         run_start: int | None = None
         resident = 0
         misses = 0
-        tick = self._tick
         for page_idx in range(first, last + 1):
             key = (path, page_idx)
             page = pages_get(key)
             if page is not None:
                 move_to_end(key)
-                tick += 1
-                page.lru = tick
+                bucket = by_path[path]
+                del bucket[page_idx]
+                bucket[page_idx] = None
                 resident += 1
                 if run_start is not None:
-                    self._tick = tick
                     yield from self._fault_range(path, run_start, page_idx - 1)
-                    tick = self._tick
                     run_start = None
             else:
                 misses += 1
                 if run_start is None:
                     run_start = page_idx
-        self._tick = tick
         self.stats.hits += resident
         self.stats.misses += misses
         if run_start is not None:
@@ -439,10 +433,9 @@ class PageCache:
         # could have moved one since the first: a fault (it inserted, and
         # may have evicted, pages), a parked DRAM grant or a real DRAM
         # timeout (other processes ran).  Otherwise nothing ran between
-        # the passes, the range is still the dict's last entries in file
-        # order, a ``move_to_end`` would do nothing and fresh stamps would
-        # keep the relative order that ``sync_path`` reads (INTERNALS
-        # "The cache hierarchy and its races", rule 10).
+        # the passes, the range is still the last entries of the dict and
+        # of its bucket, in file order, and a re-touch would move nothing
+        # (INTERNALS "The cache hierarchy and its races", rule 10).
         retouch = misses != 0
         if resident:
             # Inlined StorageDevice.access (DRAM has no _pre_access hook;
@@ -473,7 +466,6 @@ class PageCache:
         pos = 0
         page_idx = offset // page_size
         in_page = offset - page_idx * page_size
-        tick = self._tick
         while pos < length:
             piece = page_size - in_page
             rest = length - pos
@@ -485,13 +477,12 @@ class PageCache:
                 if page is None:
                     # A range larger than the cache evicted its own head
                     # while faulting its tail; refault just this page.
-                    self._tick = tick
                     yield from self._fault_range(path, page_idx, page_idx)
-                    tick = self._tick
                     page = pages[key]
                 move_to_end(key)
-                tick += 1
-                page.lru = tick
+                bucket = by_path[path]
+                del bucket[page_idx]
+                bucket[page_idx] = None
             else:
                 page = pages[key]
             if piece == page_size:
@@ -503,7 +494,6 @@ class PageCache:
             pos += piece
             page_idx += 1
             in_page = 0
-        self._tick = tick
         counter = self._read_counter
         counter.total += length
         counter.count += 1
@@ -538,6 +528,7 @@ class PageCache:
         pages = self._pages
         pages_get = pages.get
         move_to_end = pages.move_to_end
+        by_path = self._by_path
         page_size = self.page_size
         src = memoryview(data)
         written_resident = 0
@@ -545,13 +536,10 @@ class PageCache:
         misses = 0
         # Only the first page can start mid-page: advance the page index
         # instead of re-dividing the cursor each iteration.  ``start``
-        # is the position within ``data`` (== cursor - offset).  ``tick``
-        # mirrors self._tick across the no-yield stretches (written back
-        # before any yield, reloaded after: other processes stamp too).
+        # is the position within ``data`` (== cursor - offset).
         page_idx = offset // page_size
         in_page = offset - page_idx * page_size
         start = 0
-        tick = self._tick
         while start < length:
             piece = page_size - in_page
             rest = length - start
@@ -561,7 +549,6 @@ class PageCache:
             page = pages_get(key)
             if page is None:
                 misses += 1
-                self._tick = tick
                 if piece == page_size:
                     # Full-page overwrite: allocate without fetching,
                     # handing the payload straight to the new page (no
@@ -569,7 +556,6 @@ class PageCache:
                     page, created = yield from self._insert(
                         path, page_idx, bytearray(src[start : start + page_size])
                     )
-                    tick = self._tick
                     if created:
                         page.dirty = True
                         written_resident += page_size
@@ -578,20 +564,19 @@ class PageCache:
                         continue
                 else:
                     yield from self._fault_range(path, page_idx, page_idx)
-                    tick = self._tick
                     page = pages[key]
             else:
                 hits += 1
                 move_to_end(key)
-                tick += 1
-                page.lru = tick
+                bucket = by_path[path]
+                del bucket[page_idx]
+                bucket[page_idx] = None
             page.data[in_page : in_page + piece] = src[start : start + piece]
             page.dirty = True
             written_resident += piece
             start += piece
             page_idx += 1
             in_page = 0
-        self._tick = tick
         self.stats.hits += hits
         self.stats.misses += misses
         if written_resident:
@@ -623,8 +608,8 @@ class PageCache:
 
         Waits on the oldest of the path's markers first, and scans again
         after each: ``_inflight`` is almost always empty here, and holds
-        a marker or two when it is not (INTERNALS, "Per-path indexes
-        mirror the LRU dicts exactly").
+        a marker or two when it is not (INTERNALS, "Per-path indexes: a
+        bucket is the dict's order restricted to its path").
         """
         inflight = self._inflight
         while inflight:
@@ -704,24 +689,13 @@ class PageCache:
                 overhead = self.fuse_op_overhead or None
                 faults = self._faults
                 inflight = self._inflight
-                # Snapshot this path's pages in LRU order (stamp order ==
-                # dict order); dirtiness is re-checked at flush time, as the
-                # page-by-page loop would.  Stamps are unique, so a numpy
-                # argsort over the stamp array replays the exact order the
-                # tuple sort produced, without B log B tuple comparisons.
-                # Batch *boundaries* stay lazily evaluated below: a page
-                # dirtied while an earlier batch's flush was in flight must
-                # still be picked up when the walk reaches it.
-                indices = list(bucket)
-                path_pages = [pages[(path, i)] for i in indices]
-                order = np.argsort(
-                    np.fromiter(
-                        (p.lru for p in path_pages), np.int64, len(indices)
-                    )
-                )
-                snapshot = [
-                    (indices[k], path_pages[k]) for k in order.tolist()
-                ]
+                # Snapshot this path's pages in LRU order (the bucket's
+                # order); dirtiness is re-checked at flush time, as the
+                # page-by-page loop would.  Batch *boundaries* stay lazily
+                # evaluated below: a page dirtied while an earlier batch's
+                # flush was in flight must still be picked up when the walk
+                # reaches it.
+                snapshot = [(i, pages[(path, i)]) for i in bucket]
                 j = 0
                 total = len(snapshot)
                 while j < total:

@@ -1,7 +1,7 @@
 """Shared fixtures: a small simulated testbed with an aggregate store."""
 
 import importlib.util
-from collections import Counter
+from collections import Counter, OrderedDict
 from pathlib import Path
 
 import pytest
@@ -140,6 +140,71 @@ def cold(small_cluster, store):
 def run(engine, generator):
     """Drive a process generator to completion, returning its value."""
     return engine.run(engine.process(generator))
+
+
+class CountingDict(OrderedDict):
+    """OrderedDict that tallies per-key visits, whole-dict scans and LRU
+    touches (``move_to_end`` calls); install it as a cache's
+    ``_entries`` / ``_pages``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.key_visits = 0
+        self.full_scans = 0
+        self.moves = 0
+
+    def __getitem__(self, key):
+        self.key_visits += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.key_visits += 1
+        return super().get(key, default)
+
+    def __delitem__(self, key):
+        self.key_visits += 1
+        super().__delitem__(key)
+
+    def pop(self, key, *default):
+        self.key_visits += 1
+        return super().pop(key, *default)
+
+    def move_to_end(self, key, last=True):
+        self.moves += 1
+        super().move_to_end(key, last)
+
+    def __iter__(self):
+        self.full_scans += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.full_scans += 1
+        return super().keys()
+
+    def values(self):
+        self.full_scans += 1
+        return super().values()
+
+    def items(self):
+        self.full_scans += 1
+        return super().items()
+
+
+def check_cache_index(cache, entries):
+    """Assert that each of ``cache._by_path``'s buckets is the LRU dict
+    ``entries`` (``_pages`` or ``_entries``) restricted to its path: the
+    same keys, in the same order, and no bucket empty (INTERNALS
+    "Per-path indexes: a bucket is the dict's order restricted to its
+    path")."""
+    restricted: dict[str, list[int]] = {}
+    for path, index in entries:
+        restricted.setdefault(path, []).append(index)
+    by_path = cache._by_path  # noqa: SLF001
+    buckets = {path: list(bucket) for path, bucket in by_path.items()}
+    assert all(buckets.values()), "empty per-path bucket leaked"
+    assert buckets == restricted, (
+        "a per-path bucket is not its LRU dict's order restricted to the path"
+    )
 
 
 def check_chunk_table(manager):

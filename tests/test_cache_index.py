@@ -2,14 +2,15 @@
 
 The fast path replaced O(all-entries) scans in the path-scoped
 operations (``flush_path`` / ``drop_path`` / ``invalidate_path``) with a
-``dict[path, set[index]]`` index.  These tests pin that property by
-counting which keys each operation actually visits, and cover the
-satellites that ride on the same machinery: ``flush_all`` draining
-in-flight eviction write-backs, MAP_PRIVATE overlay reads skipping
-backing fetches, and read-ahead accounting in ``prefetched_bytes``.
+``dict[path, dict[index, None]]`` index whose buckets keep the LRU
+dict's order restricted to their path.  These tests pin that property by
+counting which keys each operation actually visits, check that every
+touch reorders the bucket as it reorders the dict and that fsync/msync
+ship in that order, and cover the satellites that ride on the same
+machinery: ``flush_all`` draining in-flight eviction write-backs,
+MAP_PRIVATE overlay reads skipping backing fetches, and read-ahead
+accounting in ``prefetched_bytes``.
 """
-
-from collections import OrderedDict
 
 import pytest
 
@@ -17,52 +18,7 @@ from repro.fusefs import FuseMount, OpenFlags
 from repro.mem import MmapRegion, PageCache
 from repro.store import CHUNK_SIZE, PAGE_SIZE
 from repro.util.units import KiB, MiB
-from tests.conftest import run
-
-
-class CountingDict(OrderedDict):
-    """OrderedDict that tallies per-key visits and whole-dict scans."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.key_visits = 0
-        self.full_scans = 0
-
-    def reset(self):
-        self.key_visits = 0
-        self.full_scans = 0
-
-    def __getitem__(self, key):
-        self.key_visits += 1
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.key_visits += 1
-        return super().get(key, default)
-
-    def __delitem__(self, key):
-        self.key_visits += 1
-        super().__delitem__(key)
-
-    def pop(self, key, *default):
-        self.key_visits += 1
-        return super().pop(key, *default)
-
-    def __iter__(self):
-        self.full_scans += 1
-        return super().__iter__()
-
-    def keys(self):
-        self.full_scans += 1
-        return super().keys()
-
-    def values(self):
-        self.full_scans += 1
-        return super().values()
-
-    def items(self):
-        self.full_scans += 1
-        return super().items()
+from tests.conftest import CountingDict, check_cache_index, run
 
 
 @pytest.fixture
@@ -113,7 +69,7 @@ class TestChunkCacheVisitsOnlyItsPath:
         run(engine, cache.flush_path(PATHS[0]))
         assert counting.full_scans == 0
         # flush_path looks each of the path's entries up a couple of
-        # times (LRU sort + revalidation); the other paths' six entries
+        # times (revalidation + write-back); the other paths' six entries
         # must not be visited at all.
         assert counting.key_visits <= 4 * CHUNKS_PER_PATH
         assert len(cache._entries) == len(PATHS) * CHUNKS_PER_PATH
@@ -130,13 +86,36 @@ class TestChunkCacheVisitsOnlyItsPath:
     def test_index_matches_entries(self, engine, mount):
         _populate_chunk_cache(engine, mount)
         cache = mount.cache
-        indexed = {
-            (path, index)
-            for path, bucket in cache._by_path.items()
-            for index in bucket
-        }
-        assert indexed == set(cache._entries)
-        assert all(bucket for bucket in cache._by_path.values())
+        check_cache_index(cache, cache._entries)
+
+    def test_hits_reorder_the_bucket_and_fsync_ships_in_lru_order(
+        self, engine, mount
+    ):
+        _populate_chunk_cache(engine, mount)
+        cache = mount.cache
+        path = PATHS[0]
+
+        def touch():
+            # Fills through ``_load``'s resident arm, then a hit on the
+            # no-yield fast path (``_hit``) once chunk 1 is valid.
+            yield from cache.read_into(path, 1, 0, 1, bytearray(1))
+            yield from cache.write(PATHS[1], 0, 0, b"t")
+            yield from cache.read_into(path, 0, 0, 1, bytearray(1))
+            yield from cache.write(path, 1, 0, b"t")
+
+        run(engine, touch())
+        check_cache_index(cache, cache._entries)
+        assert list(cache._by_path[path]) == [2, 0, 1]
+        shipped = []
+        writeback = cache._writeback
+
+        def recording_writeback(key, entry, *args):
+            shipped.append(key[1])
+            return writeback(key, entry, *args)
+
+        cache._writeback = recording_writeback
+        run(engine, cache.flush_path(path))
+        assert shipped == [2, 0, 1]
 
 
 class TestPageCacheVisitsOnlyItsPath:
@@ -180,13 +159,38 @@ class TestPageCacheVisitsOnlyItsPath:
     def test_index_matches_pages(self, engine, mount):
         pagecache = PageCache(mount, capacity_bytes=256 * KiB)
         self._populate(engine, mount, pagecache)
-        indexed = {
-            (path, page)
-            for path, bucket in pagecache._by_path.items()
-            for page in bucket
-        }
-        assert indexed == set(pagecache._pages)
-        assert all(bucket for bucket in pagecache._by_path.values())
+        check_cache_index(pagecache, pagecache._pages)
+
+    def test_hits_reorder_the_bucket_and_msync_ships_in_lru_order(
+        self, engine, mount
+    ):
+        pagecache = PageCache(mount, capacity_bytes=256 * KiB)
+        self._populate(engine, mount, pagecache)
+        path = PATHS[0]
+
+        def touch():
+            yield from pagecache.read(path, 3 * PAGE_SIZE, 1)
+            yield from pagecache.write(PATHS[1], 0, b"t")
+            yield from pagecache.write(path, 5 * PAGE_SIZE, b"t")
+
+        run(engine, touch())
+        check_cache_index(pagecache, pagecache._pages)
+        lru = [0, 1, 2, 4, 6, 7, 3, 5]
+        assert list(pagecache._by_path[path]) == lru
+        shipped = []
+        write_ranges = mount.cache.write_ranges
+
+        def recording_write_ranges(wpath, index, ranges, **kwargs):
+            def recorded():
+                for offset, payload in ranges:
+                    shipped.append(offset // PAGE_SIZE)
+                    yield offset, payload
+
+            return write_ranges(wpath, index, recorded(), **kwargs)
+
+        mount.cache.write_ranges = recording_write_ranges
+        run(engine, pagecache.sync_path(path))
+        assert shipped == lru
 
 
 class TestFlushAllDrainsInflight:

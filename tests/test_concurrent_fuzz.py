@@ -7,7 +7,8 @@ rank's ``munmap`` after another re-dirtied them during its sync: the
 ``@example`` below).  This test keeps hunting that class:
 hypothesis generates per-rank operation scripts that run *concurrently*
 on one node's shared caches, with private and node-shared variables, and
-every read is checked against a reference model.
+every read is checked against a reference model, and both caches'
+per-path indexes against their LRU dicts after every op.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.core import NVMalloc
 from repro.sim import Engine
 from repro.store import CHUNK_SIZE, Benefactor, Manager
 from repro.util.units import KiB, MiB
-from tests.conftest import fuzz_settings
+from tests.conftest import check_cache_index, fuzz_settings
 
 NRANKS = 4
 VAR_ELEMENTS = 24 * 1024  # 192 KiB per rank: spans pages and chunks
@@ -115,6 +116,7 @@ def test_concurrent_ranks_never_corrupt(scripts, seed):
                 assert np.array_equal(got, shared_reference[s:e]), (
                     f"rank {rank_id} shared-stripe corruption"
                 )
+            _assert_index_consistent(lib)
         # Final full verification of the private variable.
         final = yield from private.read_slice(0, VAR_ELEMENTS)
         assert np.array_equal(final, reference)
@@ -127,28 +129,22 @@ def test_concurrent_ranks_never_corrupt(scripts, seed):
     ]
     assert all(engine.run_all(procs))
     _assert_index_consistent(lib)
+    for cache in (lib.mount.cache, lib.pagecache):
+        assert not cache._inflight, "in-flight op survived quiescence"
 
 
 def _assert_index_consistent(lib):
-    """The per-path key indexes must mirror the LRU dicts exactly.
+    """Each cache's bucket for a path is its LRU dict's order restricted
+    to that path: the same keys, no empty bucket, the same order.
 
     Path-scoped operations (flush/sync/drop/invalidate) trust
-    ``_by_path`` instead of scanning all entries, so any divergence —
-    a stale bucket, an unindexed entry, a stamp out of LRU order —
-    silently corrupts flushes under exactly the interleavings this
-    fuzz generates.  Checked at quiescence, when nothing is in flight.
+    ``_by_path`` instead of scanning all entries, and msync/fsync ship in
+    its order, so any divergence — a stale bucket, an unindexed entry, a
+    touch that moved the dict but not the bucket — silently corrupts or
+    reorders flushes under exactly the interleavings this fuzz
+    generates.  The dict and the bucket change with no yield between
+    them, so this holds at every yield: it is checked after every op of
+    every rank, while the other ranks are parked mid-operation.
     """
-    for cache, entries in (
-        (lib.mount.cache, lib.mount.cache._entries),
-        (lib.pagecache, lib.pagecache._pages),
-    ):
-        indexed = {
-            (path, index)
-            for path, bucket in cache._by_path.items()
-            for index in bucket
-        }
-        assert indexed == set(entries), "per-path index diverged from LRU dict"
-        assert all(cache._by_path.values()), "empty per-path bucket leaked"
-        stamps = [entry.lru for entry in entries.values()]
-        assert stamps == sorted(stamps), "LRU stamps out of dict order"
-        assert not cache._inflight, "in-flight op survived quiescence"
+    check_cache_index(lib.mount.cache, lib.mount.cache._entries)
+    check_cache_index(lib.pagecache, lib.pagecache._pages)

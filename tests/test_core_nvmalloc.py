@@ -16,6 +16,7 @@ from repro.errors import (
     NVMallocError,
     StoreError,
 )
+from repro.sim import AllOf
 from repro.store import CHUNK_SIZE
 from repro.util.units import KiB, MiB
 from tests.conftest import run
@@ -194,6 +195,66 @@ class TestMisuseRaisesAndLeavesStateClean:
             return variables["v"][:1]
 
         assert run(engine, proc()) == b"\x03"
+
+
+class TestSsdfreeOfOneOfTwoMappings:
+    """``ssdfree``'s window (INTERNALS "The cache hierarchy and its
+    races", after rule 11): ``flush_path`` yields, then
+    ``invalidate_path`` drops the path's chunks without writing them back
+    once the node's mapping count reaches 0.  Two mappings of one
+    persistent variable on one node write disjoint halves in 5000-byte
+    pieces and free concurrently; B goes on writing while A frees, and
+    frees either while A's free is still running or after it.  Every byte
+    of both halves must read back from a fresh context on another node."""
+
+    PIECE = 5000  # straddles pages: partial-page writes fault
+
+    @pytest.mark.parametrize("b_frees", ["during", "after"])
+    @pytest.mark.parametrize("chunks", [1, 3, 8])
+    def test_both_halves_survive(self, engine, nvmalloc, cold, chunks, b_frees):
+        size = chunks * CHUNK_SIZE
+        half = size // 2
+        expected = bytearray(size)
+        for k, start in enumerate(range(0, size, self.PIECE)):
+            stop = min(start + self.PIECE, size)
+            expected[start:stop] = bytes([k % 251 + 1]) * (stop - start)
+        state = {"a_freeing": False, "a_freed": False, "b_writes_in_a_free": 0}
+
+        def rank_a(a):
+            for start in range(0, half, self.PIECE):
+                yield from a.write(start, expected[start : min(start + self.PIECE, half)])
+            state["a_freeing"] = True
+            yield from nvmalloc.ssdfree(a)
+            state["a_freed"] = True
+
+        def rank_b(b):
+            starts = range(half, size, self.PIECE)
+            # "during": all but the last two pieces go in before A frees.
+            early = len(starts) - 2 if b_frees == "during" else 1
+            for n, start in enumerate(starts):
+                if n == early:
+                    while not state["a_freeing"]:
+                        yield engine.timeout(1e-6)
+                yield from b.write(start, expected[start : min(start + self.PIECE, size)])
+                if state["a_freeing"] and not state["a_freed"]:
+                    state["b_writes_in_a_free"] += 1
+            if b_frees == "during":
+                assert not state["a_freed"], "A's free ended before B's began"
+            while not state["a_freed"] and b_frees == "after":
+                yield engine.timeout(1e-6)
+            yield from nvmalloc.ssdfree(b)
+
+        def main():
+            creator = yield from nvmalloc.ssdmalloc(size, persistent_name="w")
+            yield from nvmalloc.ssdfree(creator)
+            a = yield from nvmalloc.open_persistent("w")
+            b = yield from nvmalloc.open_persistent("w")
+            yield AllOf(engine, [engine.process(rank_a(a)), engine.process(rank_b(b))])
+            again = yield from cold.open_persistent("w")
+            return (yield from again.read(0, size))
+
+        assert run(engine, main()) == expected
+        assert state["b_writes_in_a_free"] > 0
 
 
 class TestTypedArrays:

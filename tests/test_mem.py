@@ -12,7 +12,14 @@ from repro.mem import MmapRegion, PageCache, Protection
 from repro.sim import AllOf, Engine
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.units import KiB, MiB
-from tests.conftest import fuzz_settings, reference_kernel, run, small_testbed
+from tests.conftest import (
+    CountingDict,
+    check_cache_index,
+    fuzz_settings,
+    reference_kernel,
+    run,
+    small_testbed,
+)
 
 
 @pytest.fixture
@@ -256,7 +263,8 @@ def _in_eight_page_cache(scenario):
     """Run ``scenario(engine, pagecache)`` on a fresh testbed whose page
     cache holds eight pages of the one-chunk file ``/f``, and return what
     it returns.  Built here rather than from fixtures, so that under
-    ``reference_kernel()`` the devices bind the patched methods."""
+    ``reference_kernel()`` the devices bind the patched methods.  The
+    page dict counts its LRU touches (``pagecache._pages.moves``)."""
     engine = Engine()
     cluster = make_hal_cluster(
         engine,
@@ -268,6 +276,7 @@ def _in_eight_page_cache(scenario):
         store.register_benefactor(Benefactor(node, contribution=16 * MiB))
     mount = FuseMount(cluster.node(1), store, cache_bytes=1 * MiB)
     pagecache = PageCache(mount, capacity_bytes=8 * PAGE_SIZE)
+    pagecache._pages = CountingDict()
 
     def main():
         yield from mount.client.create("/f", CHUNK_SIZE)
@@ -278,9 +287,9 @@ def _in_eight_page_cache(scenario):
 
 def _lru(pagecache):
     """Resident page indices of ``/f`` in LRU order, after checking that
-    the stamps rise in that order (what ``sync_path`` replays)."""
-    stamps = [page.lru for page in pagecache._pages.values()]
-    assert stamps == sorted(set(stamps)), "stamps out of LRU order"
+    the path's bucket holds them in that order (what ``sync_path``
+    replays)."""
+    check_cache_index(pagecache, pagecache._pages)
     return [index for _, index in pagecache._pages]
 
 
@@ -292,7 +301,7 @@ def _on_both_kernels(scenario):
 
 
 class TestReadTouchesEachPageOnce:
-    """``PageCache.read`` stamps and moves each page in a first pass, then
+    """``PageCache.read`` touches (moves) each page in a first pass, then
     copies the bytes in a second, which touches the pages again only after
     a miss, a parked DRAM grant or a real DRAM timeout (INTERNALS "The
     cache hierarchy and its races", rule 10).  The reference kernel parks
@@ -302,9 +311,9 @@ class TestReadTouchesEachPageOnce:
     def test_an_uncontended_read_of_resident_pages(self):
         def scenario(engine, pagecache):
             yield from pagecache.read("/f", 0, 8 * PAGE_SIZE)  # pages 0..7
-            tick = pagecache._tick
+            moves = pagecache._pages.moves
             yield from pagecache.read("/f", PAGE_SIZE + 100, 2 * PAGE_SIZE)  # 1..3
-            touches = pagecache._tick - tick
+            touches = pagecache._pages.moves - moves
             order = _lru(pagecache)
             yield from pagecache.read("/f", 8 * PAGE_SIZE, 1)  # evicts one
             (victim,) = set(order) - set(_lru(pagecache))
