@@ -37,11 +37,8 @@ class NVMVariable:
         self.region = region
         self.owner = owner
         self._backing_path = backing_path
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the region in bytes."""
-        return self.region.length
+        #: Size of the region in bytes (a mapping never changes length).
+        self.nbytes = region.length
 
     @property
     def backing_path(self) -> str:

@@ -111,7 +111,7 @@ class StorageDevice:
                 self._read_stats if kind is AccessKind.READ else self._write_stats
             )
             duration = latency + nbytes / bw
-            if self._degrade_until > self.engine._now:
+            if self._degrade_until > self.engine.now:
                 duration *= self._degrade_factor
             bytes_counter.total += nbytes
             bytes_counter.count += 1

@@ -108,7 +108,7 @@ class SSD(StorageDevice):
             # Same Counter objects the size-only write path uses.
             bytes_counter, time_counter, latency, bw = self._write_stats
             duration = latency + nbytes / bw + gc_penalty
-            if self._degrade_until > self.engine._now:
+            if self._degrade_until > self.engine.now:
                 duration *= self._degrade_factor
             bytes_counter.total += nbytes
             bytes_counter.count += 1

@@ -765,7 +765,7 @@ class ChunkCache:
         try:
             l2 = self._l2
             from_l2 = False
-            fill_start = self._engine._now
+            fill_start = self._engine.now
             entry.filling = Event(self._engine)
             try:
                 # Mutual exclusion with write-backs (registered before this
@@ -832,7 +832,7 @@ class ChunkCache:
             if prefetch:
                 entry.prefetched = True
             else:
-                elapsed = self._engine._now - fill_start
+                elapsed = self._engine.now - fill_start
                 if from_l2:
                     self.stats.l2_fills += 1
                     self.stats.l2_fill_seconds += elapsed
@@ -887,7 +887,8 @@ class ChunkCache:
                 f"{self.chunk_size}"
             )
         key = (path, index)
-        entry = self._entries.get(key)
+        entries = self._entries
+        entry = entries[key] if key in entries else None
         if entry is not None and entry.valid:
             # Fast path: resident and filled.  _load would not have
             # yielded either; skip the generator round trip.
@@ -1026,7 +1027,7 @@ class ChunkCache:
             covers_whole_pages = (
                 offset % page_size == 0 and (offset + length) % page_size == 0
             )
-            entry = entries.get(key)
+            entry = entries[key] if key in entries else None
             if entry is not None and (covers_whole_pages or entry.valid):
                 self._hit(key, entry)
             else:

@@ -125,12 +125,13 @@ class PageCache:
         # attribute store, never a method call, because the profiler
         # counts a ``set.add``, ``dict.get`` or ``set.discard`` and not
         # those (``_faults`` as sets: +7 % ``host_calls_per_op`` on
-        # ``mpi_scan``).  So sets are dicts of ``None``, and a probe made
-        # right after the caller's own miss is ``key in d``, then ``d[key]``
-        # on the rare hit; a lookup that usually hits keeps ``.get``.  A
-        # bounds check or a service time on the per-access path is the
-        # same: a comparison or an expression where it is used (INTERNALS
-        # "Fast path and batching invariants").
+        # ``mpi_scan``).  So sets are dicts of ``None``, and every lookup,
+        # one that usually hits included, is ``key in d``, then ``d[key]``
+        # where the value is used: ``.get`` is one profiled call, those
+        # two are none (INTERNALS "Fast path and batching invariants" has
+        # the timings).  A bounds check or a service time on the
+        # per-access path is the same: a comparison or an expression
+        # where it is used.
         self._faults: dict[int, dict[tuple[str, int], None]] = {}
         self._fault_serial = 0
         counter = self.metrics.counter
@@ -216,18 +217,19 @@ class PageCache:
                     inflight[vkey] = done
                     try:
                         offset = vidx * page_size
-                        meta = self._files.get(vpath)
-                        size = meta.size if meta is not None else mount.stat_size(vpath)
+                        files = self._files
+                        size = files[vpath].size if vpath in files else mount.stat_size(vpath)
                         length = size - offset
                         if length > page_size:
                             length = page_size
                         chunk_index = offset // chunk_size
                         chunk_off = offset - chunk_index * chunk_size
                         # Un-dirty before yielding: writes landing while
-                        # the payload is in flight re-dirty the page.
+                        # the payload is in flight re-dirty the page.  A
+                        # page's buffer is always one page long.
                         vdata = victim.data
                         payload = (
-                            bytes(vdata) if length == len(vdata)
+                            bytes(vdata) if length == page_size
                             else bytes(memoryview(vdata)[:length])
                         )
                         victim.dirty = False
@@ -302,8 +304,8 @@ class PageCache:
                     while key in inflight:
                         yield inflight[key]
             offset = first_page * self.page_size
-            meta = self._files.get(path)
-            size = meta.size if meta is not None else self.mount.stat_size(path)
+            files = self._files
+            size = files[path].size if path in files else self.mount.stat_size(path)
             end = (last_page + 1) * self.page_size
             if end > size:
                 end = size
@@ -389,8 +391,8 @@ class PageCache:
         """
         # The bounds check, inline: every hit passes here (``_size``
         # inlined too).
-        meta = self._files.get(path)
-        size = meta.size if meta is not None else self.mount.stat_size(path)
+        files = self._files
+        size = files[path].size if path in files else self.mount.stat_size(path)
         if offset < 0 or length < 0 or offset + length > size:
             raise MmapError(
                 f"page-cache access [{offset}, {offset + length}) outside "
@@ -402,7 +404,6 @@ class PageCache:
         first = offset // page_size
         last = (offset + length - 1) // page_size
         pages = self._pages
-        pages_get = pages.get
         move_to_end = pages.move_to_end
         by_path = self._by_path
         # Group contiguous missing pages into ranged faults.
@@ -411,8 +412,7 @@ class PageCache:
         misses = 0
         for page_idx in range(first, last + 1):
             key = (path, page_idx)
-            page = pages_get(key)
-            if page is not None:
+            if key in pages:
                 move_to_end(key)
                 bucket = by_path[path]
                 del bucket[page_idx]
@@ -473,18 +473,15 @@ class PageCache:
                 piece = rest
             key = (path, page_idx)
             if retouch:
-                page = pages_get(key)
-                if page is None:
+                if key not in pages:
                     # A range larger than the cache evicted its own head
                     # while faulting its tail; refault just this page.
                     yield from self._fault_range(path, page_idx, page_idx)
-                    page = pages[key]
                 move_to_end(key)
                 bucket = by_path[path]
                 del bucket[page_idx]
                 bucket[page_idx] = None
-            else:
-                page = pages[key]
+            page = pages[key]
             if piece == page_size:
                 out[pos : pos + page_size] = page.data
             else:
@@ -505,8 +502,8 @@ class PageCache:
         """Write bytes, dirtying pages (write-allocate, write-back)."""
         length = len(data)
         # The bounds check, inline as in :meth:`read`.
-        meta = self._files.get(path)
-        size = meta.size if meta is not None else self.mount.stat_size(path)
+        files = self._files
+        size = files[path].size if path in files else self.mount.stat_size(path)
         if offset < 0 or length < 0 or offset + length > size:
             raise MmapError(
                 f"page-cache access [{offset}, {offset + length}) outside "
@@ -526,7 +523,6 @@ class PageCache:
                 for hook in list(hooks):
                     yield from hook.before_write(offset, length)
         pages = self._pages
-        pages_get = pages.get
         move_to_end = pages.move_to_end
         by_path = self._by_path
         page_size = self.page_size
@@ -546,8 +542,7 @@ class PageCache:
             if piece > rest:
                 piece = rest
             key = (path, page_idx)
-            page = pages_get(key)
-            if page is None:
+            if key not in pages:
                 misses += 1
                 if piece == page_size:
                     # Full-page overwrite: allocate without fetching,
@@ -567,6 +562,7 @@ class PageCache:
                     page = pages[key]
             else:
                 hits += 1
+                page = pages[key]
                 move_to_end(key)
                 bucket = by_path[path]
                 del bucket[page_idx]
@@ -768,7 +764,14 @@ class PageCache:
                 tracer.end(span)
 
     def drop_path(self, path: str, *, sync: bool = True) -> Generator[Event, object, None]:
-        """Flush (optionally) and evict all pages of ``path`` (munmap)."""
+        """Flush (optionally) and evict all pages of ``path`` (munmap).
+
+        ``sync=False`` drains the path's in-flight flushes, then discards
+        its pages, dirty ones included: it makes this cache cold and
+        keeps nothing.  No caller in ``src/repro`` passes it (munmap
+        syncs, race rule 11); tests do, after the bytes are durable or
+        to throw them away, so no write of the model is lost in its
+        window.  ``tests/test_source_guards.py`` keeps it that way."""
         by_path = self._by_path
         pages = self._pages
         if sync:
@@ -792,5 +795,5 @@ class PageCache:
 
     def _size(self, path: str) -> int:
         """The file's size now; a missing file raises the store's error."""
-        meta = self._files.get(path)
-        return meta.size if meta is not None else self.mount.stat_size(path)
+        files = self._files
+        return files[path].size if path in files else self.mount.stat_size(path)

@@ -108,7 +108,7 @@ class Tracer:
         span = Span()
         span.layer = layer
         span.name = name
-        span.start = span.end = self.engine._now
+        span.start = span.end = self.engine.now
         if parent is not None:
             span.trace_id = parent.trace_id
             span.parent_id = parent.span_id
@@ -135,7 +135,7 @@ class Tracer:
         out of context (generator GC) can never corrupt another
         process's nesting.
         """
-        span.end = self.engine._now
+        span.end = self.engine.now
         if args:
             merged = dict(span.args) if span.args else {}
             merged.update(args)

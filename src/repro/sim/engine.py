@@ -53,12 +53,14 @@ class Engine:
     """
 
     __slots__ = (
-        "_now", "_heap", "_ring", "_seq", "_events",
+        "now", "_heap", "_ring", "_seq", "_events",
         "_active_processes", "tracer", "_horizon", "_stop", "_fanout",
     )
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        # The virtual clock in seconds: a plain slot, read directly on every
+        # hot path; only this module writes it.
+        self.now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._ring: deque[Event] = deque()
         self._seq = 0
@@ -77,11 +79,6 @@ class Engine:
 
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    @property
     def events_processed(self) -> int:
         """Total events this engine has dispatched so far."""
         return self._events
@@ -93,7 +90,7 @@ class Engine:
         elif delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         else:
-            now = self._now
+            now = self.now
             time = now + delay
             if time <= now:
                 self._ring.append(event)
@@ -114,7 +111,7 @@ class Engine:
         """
         import numpy as np
 
-        now = self._now
+        now = self.now
         darr = np.asarray(
             delays if isinstance(delays, np.ndarray) else list(delays),
             dtype=np.float64,
@@ -161,7 +158,7 @@ class Engine:
         """
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        time = self._now + delay
+        time = self.now + delay
         heap = self._heap
         stop = self._stop
         if (
@@ -170,7 +167,7 @@ class Engine:
             or (stop is not None and stop.callbacks is _PROCESSED)
         ):
             return False
-        self._now = time
+        self.now = time
         return True
 
     def process(self, generator: Generator[Event, object, object]) -> Process:
@@ -203,11 +200,11 @@ class Engine:
             stop, horizon = until, inf
         else:
             stop, horizon = Event(self), inf if until is None else float(until)
-            if horizon < self._now:
+            if horizon < self.now:
                 raise SimulationError(
-                    f"until={horizon} is in the past (now={self._now})"
+                    f"until={horizon} is in the past (now={self.now})"
                 )
-        now = self._now
+        now = self.now
         self._horizon, self._stop = horizon, stop
         try:
             while stop.callbacks is not _PROCESSED:
@@ -250,7 +247,7 @@ class Engine:
                     continue
                 if heap and heap[0][0] <= horizon:
                     time, _, event = heappop(heap)
-                    self._now = now = time
+                    self.now = now = time
                     n += 1
                     callbacks = event.callbacks
                     event.callbacks = _PROCESSED
@@ -279,7 +276,7 @@ class Engine:
                 raise value
             return stop.value
         if until is not None:  # ``None`` leaves the clock at the last event
-            self._now = max(self._now, horizon)
+            self.now = max(self.now, horizon)
         return None
 
     def run_all(self, processes: typing.Sequence[Process]) -> list[object]:

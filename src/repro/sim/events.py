@@ -161,7 +161,7 @@ class Timeout(Event):
         if delay == 0.0:
             engine._ring.append(self)
         else:
-            now = engine._now
+            now = engine.now
             time = now + delay
             if time <= now:
                 engine._ring.append(self)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import typing
 from collections.abc import Generator
+from types import GeneratorType
 
 from repro.errors import SimulationError
 from repro.sim.events import _PENDING, _PROCESSED, Event
@@ -29,7 +30,7 @@ class Process(Event):
         engine: "Engine",
         generator: Generator[Event, object, object],
     ) -> None:
-        if not isinstance(generator, Generator):
+        if generator.__class__ is not GeneratorType:
             raise SimulationError(
                 f"Process requires a generator, got {type(generator).__name__} "
                 "(did you forget a yield in the process function?)"
@@ -40,7 +41,7 @@ class Process(Event):
         self._ok = True
         self._scheduled = False
         self._generator = generator
-        self.name = getattr(generator, "__name__", "process")
+        self.name = generator.__name__
         # One bound method for the process's whole life: registering the
         # resume callback happens on every yield, and binding allocates.
         # With a tracer attached, the traced variant swaps the tracer's

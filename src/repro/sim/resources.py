@@ -102,7 +102,7 @@ class Resource:
         engine = self.engine
         req = Request(self)
         if self._held < self.capacity:
-            now = engine._now
+            now = engine.now
             if now != self._last_change:
                 self._busy_time += self._held * (now - self._last_change)
                 self._last_change = now
@@ -142,7 +142,7 @@ class Resource:
         if engine._ring or engine._fanout:
             return None
         heap = engine._heap
-        now = engine._now
+        now = engine.now
         if heap and heap[0][0] <= now:
             return None
         if now != self._last_change:
@@ -171,7 +171,7 @@ class Resource:
                 f"release of a request that does not hold {self.name or 'resource'}"
             )
         engine = self.engine
-        now = engine._now
+        now = engine.now
         if now != self._last_change:
             self._busy_time += self._held * (now - self._last_change)
             self._last_change = now

@@ -327,7 +327,7 @@ class Benefactor:
                     f"chunk of {self.chunk_size}"
                 )
             engine = self.node.engine
-            if self._slow_until > engine._now and not engine.advance(self._slow_extra):
+            if self._slow_until > engine.now and not engine.advance(self._slow_extra):
                 yield engine.timeout(self._slow_extra)  # see slow_down
             yield from self.node.network.transfer(client, self.name, nbytes)
             if self.crashed or not self.online:
@@ -395,7 +395,7 @@ class Benefactor:
                     f"chunk of {self.chunk_size}"
                 )
             engine = self.node.engine
-            if self._slow_until > engine._now and not engine.advance(self._slow_extra):
+            if self._slow_until > engine.now and not engine.advance(self._slow_extra):
                 yield engine.timeout(self._slow_extra)  # see slow_down
             if chunk_id in self._data:
                 stored = self._data[chunk_id]

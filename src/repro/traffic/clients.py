@@ -192,7 +192,7 @@ class ClientSwarm:
                 done.succeed()
 
         def launch(event: Event) -> None:
-            index = int(event.value)
+            index = event._value  # the int written below
             proc = engine.process(
                 self._execute(
                     run_id, index, schedule, base + float(schedule.times[index]),

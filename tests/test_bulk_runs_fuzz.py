@@ -318,9 +318,9 @@ def test_a_rank_woken_beside_another_sleeps_on_a_real_timeout(crash_after):
         nonlocal bare
         took = advance(self, delay)
         if not took and self._fanout:  # ask again with the flag down; undo
-            now, self._fanout = self._now, False
+            now, self._fanout = self.now, False
             bare += advance(self, delay)
-            self._now, self._fanout = now, True
+            self.now, self._fanout = now, True
         return took
 
     Engine.advance = spying

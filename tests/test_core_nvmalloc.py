@@ -257,6 +257,40 @@ class TestSsdfreeOfOneOfTwoMappings:
         assert state["b_writes_in_a_free"] > 0
 
 
+class TestSsdfreeOfOneOfTwoMappingsInAnAsyncChain:
+    """``ssdfree`` calls ``Checkpointer.forget_variable`` after ``munmap``'s
+    yields, and the async chain's ``MutationTracker`` is keyed by path: A's
+    free of a node-shared path unhooks the tracker while B still maps the
+    path and is in the chain (INTERNALS, after race rule 11).  B's next
+    async epoch finds no tracker and takes every chunk as dirty, so a write
+    B makes after A's free is in that epoch."""
+
+    def test_bs_write_after_as_free_is_in_the_next_epoch(self, engine, nvmalloc, cold):
+        size = 4 * CHUNK_SIZE
+        mark = 2 * CHUNK_SIZE + 100
+
+        def main():
+            creator = yield from nvmalloc.ssdmalloc(size, persistent_name="w")
+            yield from creator.write(0, b"\x01" * size)
+            yield from nvmalloc.ssdfree(creator)
+            a = yield from nvmalloc.open_persistent("w")
+            b = yield from nvmalloc.open_persistent("w")
+            first = yield from nvmalloc.ssdcheckpoint_async("app", 0, b"d0", [("v", b)])
+            yield from first.wait()
+            yield from nvmalloc.ssdfree(a)
+            yield from b.write(mark, b"B wrote this")
+            second = yield from nvmalloc.ssdcheckpoint_async("app", 1, b"d1", [("v", b)])
+            record = yield from second.wait()
+            dram, variables = yield from cold.restore("app", 1)
+            return record, dram, variables["v"]
+
+        record, dram, restored = run(engine, main())
+        expected = bytearray(b"\x01" * size)
+        expected[mark : mark + 12] = b"B wrote this"
+        assert (dram, restored) == (b"d1", bytes(expected))
+        assert (record.dirty_chunks, record.total_chunks) == (4, 4)
+
+
 class TestTypedArrays:
     def test_nvm_array_2d(self, engine, nvmalloc):
         mat = np.arange(32 * 16, dtype=np.float64).reshape(32, 16)
