@@ -97,7 +97,9 @@ class SnapshotGuard:
         self.staging_used = 0
         self.staging_peak = 0
         self.cow_captures = 0
-        self._capturing: dict[int, Event] = {}
+        # Chunks mid-capture: ``True`` until a first waiter swaps in the
+        # ``Event`` every waiter yields (``sim/events.py``).
+        self._capturing: dict[int, bool | Event] = {}
         self._room: list[Event] = []
         self._cancelled = False
 
@@ -116,12 +118,15 @@ class SnapshotGuard:
         self, index: int, *, app: bool
     ) -> Generator[Event, object, None]:
         """Wait out / perform any capture chunk ``index`` still needs."""
+        capturing = self._capturing
         while True:
-            waiter = self._capturing.get(index)
-            if waiter is not None:
+            if index in capturing:
                 # Someone else is mid-capture of this chunk: a write must
                 # not land until the snapshot bytes are safely staged.
-                yield waiter
+                done = capturing[index]
+                if done is True:
+                    done = capturing[index] = self._engine.event()
+                yield done
                 continue
             if index in self.pending and not self._cancelled:
                 yield from self._capture(index, bounded=app)
@@ -145,8 +150,7 @@ class SnapshotGuard:
                 yield room
             if index not in self.pending or self._cancelled:
                 return
-        done = self._engine.event()
-        self._capturing[index] = done
+        self._capturing[index] = True
         self.pending.discard(index)
         try:
             data = yield from self._pagecache.read(
@@ -159,8 +163,10 @@ class SnapshotGuard:
             if bounded:
                 self.cow_captures += 1
         finally:
+            done = self._capturing[index]
             del self._capturing[index]
-            done.conclude()
+            if done is not True:
+                done.succeed()
 
     def _wake_room(self) -> None:
         waiters, self._room = self._room, []
@@ -215,7 +221,9 @@ class AsyncCheckpoint:
         self.finished = False
         self.error: BaseException | None = None
         self.process = None  # set by the initiator
-        self._done = engine.event()
+        # ``True`` until a first :meth:`wait` swaps in the ``Event`` every
+        # joiner yields (``sim/events.py``).
+        self._done: bool | Event = True
 
     @property
     def draining(self) -> bool:
@@ -235,12 +243,16 @@ class AsyncCheckpoint:
     def _finish(self, error: BaseException | None) -> None:
         self.finished = True
         self.error = error
-        self._done.conclude()
+        if self._done is not True:
+            self._done.succeed()
 
     def wait(self) -> Generator[Event, object, "CheckpointRecord"]:
         """Join the drain; returns the record or re-raises its failure."""
         if not self.finished:
-            yield self._done
+            done = self._done
+            if done is True:
+                done = self._done = self._engine.event()
+            yield done
         if self.error is not None:
             raise self.error
         return self.record

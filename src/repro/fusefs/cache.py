@@ -121,9 +121,10 @@ class _Entry:
         # Skipping the eager zero-fill avoids one chunk-size memset per
         # entry on the fetch-dominated path.
         "data",
-        # Byte ranges written since the last write-back.  None until the
-        # entry's first write (which builds the set; a write-back clears
-        # it), so a chunk that is only read never builds one.
+        # Byte ranges written since the last write-back: None whenever
+        # the entry is clean.  A write builds the set if there is none and
+        # a write-back drops it, so a chunk that is only read never builds
+        # one and ``dirty is not None`` is the whole dirtiness test.
         "dirty",
         # False until the backing chunk has been fetched; a fully
         # overwritten chunk never needs fetching (write-allocate without
@@ -134,9 +135,12 @@ class _Entry:
         # ranks outnumber cache slots).
         "pins",
         # Single-flight fetch: when a fill is in progress, concurrent
-        # requesters wait on this event instead of refetching (lockstep
+        # requesters wait on this marker instead of refetching (lockstep
         # ranks reading a shared file would otherwise multiply SSD
-        # traffic by the rank count — a thundering herd).
+        # traffic by the rank count — a thundering herd).  None when no
+        # fill runs, ``True`` while one runs with nobody waiting, the
+        # ``Event`` its first waiter swapped in otherwise (``sim/events.py``);
+        # ``writeback`` the same.
         "filling",
         # Fill and write-back on one entry must mutually exclude: a fill
         # merging a fetch that predates a concurrent write-back would
@@ -162,8 +166,8 @@ class _Entry:
     dirty: IntervalSet | None
     valid: bool
     pins: int
-    filling: Event | None
-    writeback: Event | None
+    filling: bool | Event | None
+    writeback: bool | Event | None
     prefetched: bool
     l2_stale: IntervalSet | None
     shared: bool
@@ -255,7 +259,9 @@ class ChunkCache:
         # Chunks whose eviction write-back is in flight: concurrent
         # accesses must wait for the store to hold current bytes before
         # refetching, or they would read the pre-writeback (stale) data.
-        self._inflight: dict[tuple[str, int], Event] = {}
+        # A marker is ``True`` until its first waiter swaps in an
+        # ``Event``, as in ``PageCache._inflight``.
+        self._inflight: dict[tuple[str, int], bool | Event] = {}
         # Per-path invalidation generation: an in-flight tiered eviction
         # captured the generation at eviction time and must not spill
         # into the local tier if the path was invalidated since (a
@@ -311,7 +317,7 @@ class ChunkCache:
             return set()
         entries = self._entries
         return {
-            index for index in bucket if entries[(path, index)].dirty
+            index for index in bucket if entries[(path, index)].dirty is not None
         }
 
     # ------------------------------------------------------------------
@@ -379,28 +385,35 @@ class ChunkCache:
         counter.count += 1
 
     def _make_room(self) -> Generator[Event, object, None]:
+        """Evict until there is room for one more entry, or every entry
+        is pinned.  The one caller, :meth:`_load`, has just found the
+        cache full, so the first victim is taken without a test and
+        ``len`` is re-tested after each eviction."""
         policy = self._policy
         l2 = self._l2
-        while len(self._entries) >= self.capacity_chunks:
+        entries = self._entries
+        inflight = self._inflight
+        while True:
             # LRU victim among unpinned entries.  When every entry is
             # pinned by an in-flight operation, overshoot temporarily —
             # bounded by the number of concurrent ranks on the node.
             victim_key = None
             if policy is not None:
-                victim_key = policy.victim(self._entries, self._inflight)
+                victim_key = policy.victim(entries, inflight)
             else:
                 # Also skip keys whose previous incarnation's background
                 # spill/drain is still in flight (local tier on):
                 # re-registering them would collide in ``_inflight``.
                 # (Vacuous in the flat default: a key re-enters
                 # ``_entries`` only after its write-back lands.)
-                for key, entry in self._entries.items():
-                    if entry.pins == 0 and key not in self._inflight:
+                for key in entries:
+                    if entries[key].pins == 0 and key not in inflight:
                         victim_key = key
                         break
             if victim_key is None:
                 return
-            entry = self._entries.pop(victim_key)
+            entry = entries[victim_key]
+            del entries[victim_key]
             vpath, vindex = victim_key
             bucket = self._by_path[vpath]
             del bucket[vindex]
@@ -408,13 +421,12 @@ class ChunkCache:
                 del self._by_path[vpath]
             if policy is not None:
                 policy.record_evict(victim_key)
-            was_dirty = bool(entry.dirty)
+            was_dirty = entry.dirty is not None
             if was_dirty or l2 is not None:
                 # The marker exists only around work that can yield: an
                 # unpinned victim is not filling, so a clean one in the
                 # flat cache is dropped with nothing to wait for.
-                done = Event(self._engine)
-                self._inflight[victim_key] = done
+                inflight[victim_key] = True
             if l2 is not None:
                 # Tiered eviction is fully asynchronous: the spill into
                 # the local tier and the store drain run as their own
@@ -426,13 +438,14 @@ class ChunkCache:
                 self._l2_unsettled.add(victim_key)
                 self._engine.process(
                     self._evict_tiered(
-                        victim_key, entry, done,
-                        self._inval_gen.get(vpath, 0),
+                        victim_key, entry, self._inval_gen.get(vpath, 0)
                     )
                 )
                 self.stats.evictions += 1
                 if was_dirty:
                     self.stats.dirty_evictions += 1
+                if len(entries) < self.capacity_chunks:
+                    return
                 continue
             tracer = self._engine.tracer
             span = (
@@ -446,16 +459,20 @@ class ChunkCache:
                     yield from self._writeback(victim_key, entry, None)
             finally:
                 if was_dirty:
-                    del self._inflight[victim_key]
-                    done.conclude()
+                    done = inflight[victim_key]
+                    del inflight[victim_key]
+                    if done is not True:
+                        done.succeed()
                 if span is not None:
                     tracer.end(span)
             self.stats.evictions += 1
             if was_dirty:
                 self.stats.dirty_evictions += 1
+            if len(entries) < self.capacity_chunks:
+                return
 
     def _evict_tiered(
-        self, key: tuple[str, int], entry: _Entry, done: Event, gen_at: int
+        self, key: tuple[str, int], entry: _Entry, gen_at: int
     ) -> Generator[Event, object, None]:
         """Background eviction with the local tier on.
 
@@ -478,15 +495,18 @@ class ChunkCache:
         span = (
             tracer.begin(
                 "fuse.l2", "evict",
-                path=path, index=index, dirty=bool(entry.dirty),
+                path=path, index=index, dirty=entry.dirty is not None,
             )
             if tracer is not None
             else None
         )
         try:
             while entry.filling is not None:
-                yield entry.filling
-            if entry.dirty:
+                event = entry.filling
+                if event is True:
+                    event = entry.filling = Event(self._engine)
+                yield event
+            if entry.dirty is not None:
                 if entry.valid and self._inval_gen.get(path, 0) == gen_at:
                     ok = yield from self._spill(key, entry, staged=True)
                     if not ok:
@@ -511,8 +531,11 @@ class ChunkCache:
                 l2.drop(key)
         finally:
             self._l2_unsettled.discard(key)
-            del self._inflight[key]
-            done.conclude()
+            inflight = self._inflight
+            done = inflight[key]
+            del inflight[key]
+            if done is not True:
+                done.succeed()
             if span is not None:
                 tracer.end(span)
 
@@ -564,18 +587,21 @@ class ChunkCache:
             # markers we are about to consume, or fetched (stale) bytes
             # would overwrite the freshly written ones.
             while entry.filling is not None:
-                yield entry.filling
+                event = entry.filling
+                if event is True:
+                    event = entry.filling = Event(self._engine)
+                yield event
             dirty = entry.dirty
-            if not dirty:
+            if dirty is None:
                 return
             path, index = key
-            entry.writeback = Event(self._engine)
+            entry.writeback = True
             ranges, nbytes = self._payloads(
                 entry, dirty, not self.dirty_page_writeback
             )
             # Clear dirtiness before yielding: writes landing while the
             # payload is in flight re-dirty the entry and flush later.
-            dirty.clear()
+            entry.dirty = None
             try:
                 req = self.daemon.acquire_now()
                 if req is None:
@@ -586,9 +612,12 @@ class ChunkCache:
                 finally:
                     self.daemon.release(req)
             finally:
+                # None when two write-backs of this entry overlapped (two
+                # ``flush_path``s): the slot holds one marker for both, and
+                # the other one finished first and cleared it.
                 event, entry.writeback = entry.writeback, None
-                if event is not None:
-                    event.conclude()
+                if event is not True and event is not None:
+                    event.succeed()
             self._wrote_back(nbytes)
         finally:
             if span is not None:
@@ -631,7 +660,10 @@ class ChunkCache:
                     and key not in self._l2_unsettled
                 ):
                     break
-                yield inflight[key]
+                done = inflight[key]
+                if done is True:
+                    done = inflight[key] = Event(self._engine)
+                yield done
             if key in entries:  # ``in`` + subscript: no call, hit or miss
                 entry = entries[key]
                 entries.move_to_end(key)
@@ -646,6 +678,8 @@ class ChunkCache:
                         # Someone is already fetching this chunk: wait for
                         # their fill rather than duplicating the transfer.
                         event = entry.filling
+                        if event is True:
+                            event = entry.filling = Event(self._engine)
                         entry.pins -= 1
                         yield event
                         continue
@@ -745,7 +779,7 @@ class ChunkCache:
             return False
         stale = entry.l2_stale
         if stale is None or not stale:
-            return not entry.dirty
+            return entry.dirty is None
         return entry.dirty is not None and stale == entry.dirty
 
     def _fill(
@@ -766,12 +800,15 @@ class ChunkCache:
             l2 = self._l2
             from_l2 = False
             fill_start = self._engine.now
-            entry.filling = Event(self._engine)
+            entry.filling = True
             try:
                 # Mutual exclusion with write-backs (registered before this
                 # wait so concurrent readers single-flight on us meanwhile).
                 while entry.writeback is not None:
-                    yield entry.writeback
+                    event = entry.writeback
+                    if event is True:
+                        event = entry.writeback = Event(self._engine)
+                    yield event
                 req = self.daemon.acquire_now()
                 if req is None:
                     req = self.daemon.request()
@@ -795,7 +832,8 @@ class ChunkCache:
                     self.daemon.release(req)
             finally:
                 event, entry.filling = entry.filling, None
-                event.conclude()
+                if event is not True:
+                    event.succeed()
             # Preserve bytes written before the fill (write-allocate case).
             nbytes = len(data)
             if nbytes == self.chunk_size and type(data) in (bytes, bytearray):
@@ -810,7 +848,7 @@ class ChunkCache:
                 buf[:nbytes] = data
                 data = buf
                 shared = False
-            if entry.dirty:
+            if entry.dirty is not None:
                 if shared:
                     data = bytearray(data)
                     shared = False
@@ -1043,10 +1081,11 @@ class ChunkCache:
                     buf = entry.data = bytearray(buf)
                     entry.shared = False
                 buf[offset : offset + length] = data
-                dirty = entry.dirty
-                if dirty is None:
-                    dirty = entry.dirty = IntervalSet()
-                dirty.add(offset, offset + length)
+                if length:  # a clean entry holds no set (``_Entry.dirty``)
+                    dirty = entry.dirty
+                    if dirty is None:
+                        dirty = entry.dirty = IntervalSet()
+                    dirty.add(offset, offset + length)
                 if self._l2 is not None:
                     stale = entry.l2_stale
                     if stale is None:
@@ -1086,24 +1125,27 @@ class ChunkCache:
         """
         inflight = self._inflight
         while inflight:
-            for (kpath, _), done in inflight.items():
-                if kpath == path:
+            for key in inflight:
+                if key[0] == path:
                     break
             else:
                 return
+            done = inflight[key]
+            if done is True:
+                done = inflight[key] = Event(self._engine)
             yield done
 
     def flush_path(self, path: str) -> Generator[Event, object, None]:
         """Write back all dirty chunks of ``path`` (fsync)."""
         yield from self.drain_path(path)
-        bucket = self._by_path.get(path)
-        if bucket:
+        by_path = self._by_path
+        if path in by_path:
             entries = self._entries
             # Snapshot in LRU order (the bucket's order).
-            for index in list(bucket):
-                entry = entries.get((path, index))
-                if entry is not None:  # may be evicted while we flush others
-                    yield from self._writeback((path, index), entry)
+            for index in list(by_path[path]):
+                key = (path, index)
+                if key in entries:  # may be evicted while we flush others
+                    yield from self._writeback(key, entries[key])
         yield from self.drain_path(path)
 
     def flush_all(self) -> Generator[Event, object, None]:
@@ -1115,13 +1157,23 @@ class ChunkCache:
         """
         inflight = self._inflight
         while inflight:
-            yield next(iter(inflight.values()))
-        for key in list(self._entries):
-            entry = self._entries.get(key)
-            if entry is not None:
-                yield from self._writeback(key, entry)
+            for key in inflight:
+                break  # the oldest marker
+            done = inflight[key]
+            if done is True:
+                done = inflight[key] = Event(self._engine)
+            yield done
+        entries = self._entries
+        for key in list(entries):
+            if key in entries:
+                yield from self._writeback(key, entries[key])
         while inflight:
-            yield next(iter(inflight.values()))
+            for key in inflight:
+                break
+            done = inflight[key]
+            if done is True:
+                done = inflight[key] = Event(self._engine)
+            yield done
 
     def invalidate_path(self, path: str) -> None:
         """Drop cached chunks of ``path`` without writing back (unlink)."""

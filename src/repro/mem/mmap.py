@@ -135,11 +135,11 @@ class MmapRegion:
             page_start = page_idx * page
             lo = max(page_start, file_off)
             hi = min(page_start + page, end)
-            overlay = private.get(page_idx)
-            if overlay is None:
+            if page_idx not in private:
                 if run_start is None:
                     run_start = lo
                 continue
+            overlay = private[page_idx]
             if run_start is not None:
                 data = yield from self.pagecache.read(
                     self.path, run_start, lo - run_start
@@ -198,8 +198,9 @@ class MmapRegion:
             page_idx = cursor // self._page
             in_page = cursor - page_idx * self._page
             piece = min(self._page - in_page, end - cursor)
-            overlay = self._private.get(page_idx)
-            if overlay is None:
+            if page_idx in self._private:
+                overlay = self._private[page_idx]
+            else:
                 page_start = page_idx * self._page
                 span = min(self._page, self.pagecache.mount.stat_size(self.path) - page_start)
                 base = yield from self.pagecache.read(self.path, page_start, span)

@@ -55,14 +55,15 @@ class _Page:
       would immediately overwrite.
     - ``dirty``: written since its last write-back.
     - ``syncing``: True while an msync's payload of this page is on its
-      way to FUSE (un-dirtied already, not written back yet); the key's
-      in-flight marker once the page is evicted in that state.
+      way to FUSE (un-dirtied already, not written back yet); None once
+      the page is evicted in that state, its key's in-flight marker then
+      being in ``_inflight``, where the msync finds it.
     """
 
     __slots__ = ("data", "dirty", "syncing")
     data: bytearray
     dirty: bool
-    syncing: bool | Event
+    syncing: bool | None
 
 
 class PageCache:
@@ -112,8 +113,10 @@ class PageCache:
         self._by_path: dict[str, dict[int, None]] = {}
         # Pages whose eviction flush is in flight: concurrent faults must
         # wait for the flush to reach FUSE before refetching, or they
-        # would read pre-flush (stale) bytes.
-        self._inflight: dict[tuple[str, int], Event] = {}
+        # would read pre-flush (stale) bytes.  A marker is ``True`` until
+        # its first waiter swaps in the ``Event`` every waiter yields
+        # (``sim/events.py``): a flush nobody waits for builds none.
+        self._inflight: dict[tuple[str, int], bool | Event] = {}
         # A fault must not install bytes it fetched before somebody else's
         # write-back of that page.  Between its fetch and its last install
         # a fault keeps a dict here (under a serial number), and every
@@ -142,7 +145,7 @@ class PageCache:
         # Async-checkpoint write hooks (snapshot guards, mutation
         # trackers), keyed by backing path.  Empty except for paths in an
         # async checkpoint chain, so the hot write path pays a single
-        # truthiness check otherwise.
+        # ``in`` test otherwise.
         self._write_hooks: dict[str, list[object]] = {}
         # Page-cache pages occupy node DRAM.
         mount.node.dram.allocate(capacity_bytes)
@@ -181,7 +184,10 @@ class PageCache:
         while True:
             # Wait out an in-flight eviction flush of this very page.
             while key in inflight:
-                yield inflight[key]
+                done = inflight[key]
+                if done is True:
+                    done = inflight[key] = Event(self._engine)
+                yield done
             if key in pages:
                 # Someone else faulted it back in while we waited.
                 page = pages[key]
@@ -213,8 +219,7 @@ class PageCache:
                     engine = self._engine
                     page_size = self.page_size
                     chunk_size = mount.chunk_size
-                    done = Event(engine)
-                    inflight[vkey] = done
+                    inflight[vkey] = True
                     try:
                         offset = vidx * page_size
                         files = self._files
@@ -244,19 +249,21 @@ class PageCache:
                         counter.total += length
                         counter.count += 1
                     finally:
+                        done = inflight[vkey]
                         del inflight[vkey]
                         faults = self._faults
                         for serial in faults:
                             faults[serial][vkey] = None
-                        done.conclude()
+                        if done is not True:
+                            done.succeed()
                 else:
                     if victim.syncing:
                         # Clean, but its msync payload has not landed: the
                         # key stays in flight until it has (``sync_path``
-                        # concludes this marker), or a fetch could come
+                        # finishes this marker), or a fetch could come
                         # before the bytes and be installed after them.
-                        done = victim.syncing = Event(self._engine)
-                        inflight[vkey] = done
+                        victim.syncing = None
+                        inflight[vkey] = True
                     break
             if key in pages or key in inflight:
                 continue  # appeared (or re-entered eviction) while evicting
@@ -302,7 +309,10 @@ class PageCache:
                 for page_idx in range(first_page, last_page + 1):
                     key = (path, page_idx)
                     while key in inflight:
-                        yield inflight[key]
+                        done = inflight[key]
+                        if done is True:
+                            done = inflight[key] = Event(self._engine)
+                        yield done
             offset = first_page * self.page_size
             files = self._files
             size = files[path].size if path in files else self.mount.stat_size(path)
@@ -511,17 +521,16 @@ class PageCache:
             )
         if not length:
             return
-        if self._write_hooks:
-            hooks = self._write_hooks.get(path)
-            if hooks:
-                # A write to a chunk an async checkpoint has not yet
-                # drained triggers copy-on-write: the snapshot guard
-                # captures the frozen bytes (and may block on staging
-                # backpressure) before the store sees the new data;
-                # mutation trackers record the touch for the next
-                # epoch's dirty diff.
-                for hook in list(hooks):
-                    yield from hook.before_write(offset, length)
+        write_hooks = self._write_hooks
+        if path in write_hooks:
+            # A write to a chunk an async checkpoint has not yet drained
+            # triggers copy-on-write: the snapshot guard captures the
+            # frozen bytes (and may block on staging backpressure) before
+            # the store sees the new data; mutation trackers record the
+            # touch for the next epoch's dirty diff.  A listed path has
+            # a hook: unregistering the last one deletes the key.
+            for hook in list(write_hooks[path]):
+                yield from hook.before_write(offset, length)
         pages = self._pages
         move_to_end = pages.move_to_end
         by_path = self._by_path
@@ -609,11 +618,14 @@ class PageCache:
         """
         inflight = self._inflight
         while inflight:
-            for (kpath, _), done in inflight.items():
-                if kpath == path:
+            for key in inflight:
+                if key[0] == path:
                     break
             else:
                 return
+            done = inflight[key]
+            if done is True:
+                done = inflight[key] = Event(self._engine)
             yield done
 
     # ------------------------------------------------------------------
@@ -742,12 +754,15 @@ class PageCache:
                             finally:
                                 # Resumed when that range is in the chunk
                                 # cache: landed, as an eviction flush lands.
+                                key = (path, idx2)
                                 for serial in faults:
-                                    faults[serial][(path, idx2)] = None
-                                done, pg.syncing = pg.syncing, False
-                                if done.__class__ is Event:  # evicted on the way
-                                    del inflight[(path, idx2)]
-                                    done.conclude()
+                                    faults[serial][key] = None
+                                if pg.syncing is None:  # evicted on the way
+                                    done = inflight[key]
+                                    del inflight[key]
+                                    if done is not True:
+                                        done.succeed()
+                                pg.syncing = False
 
                     yield from cache.write_ranges(
                         path, chunk_index, _ranges(), pre_range_delay=overhead

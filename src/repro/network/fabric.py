@@ -78,10 +78,13 @@ class Network:
                 raise NetworkError(f"negative transfer size {nbytes}")
             if src == dst:
                 return  # node-local: no network involvement
-            state = self._pair_state.get((src, dst))
-            if state is None:
+            pair = (src, dst)
+            pair_state = self._pair_state
+            if pair in pair_state:
+                tx, rx, counters = pair_state[pair]
+            else:
                 metrics = self.metrics
-                state = self._pair_state[(src, dst)] = (
+                tx, rx, counters = pair_state[pair] = (
                     self.nic(src).tx,
                     self.nic(dst).rx,
                     (
@@ -90,7 +93,6 @@ class Network:
                         metrics.counter(f"network.{dst}.rx.bytes"),
                     ),
                 )
-            tx, rx, counters = state
             tx_req = tx.acquire_now()
             if tx_req is None:
                 tx_req = tx.request()

@@ -23,6 +23,13 @@ Hot-path design notes (see docs/INTERNALS.md, "Event kernel"):
   legal lives here: every trigger that lands at ``time <= now`` goes to
   the ring, so the heap never acquires entries at the current instant
   while that instant is being processed.
+
+- A single-flight completion marker (a chunk fill or write-back, an
+  eviction flush, a snapshot capture) is no ``Event`` until somebody
+  waits on it: its slot holds ``True`` while the work runs, the first
+  waiter swaps in an ``Event`` and yields it, later waiters yield that
+  one, and the owner unpublishes the slot and calls ``succeed()`` only on
+  an ``Event`` it finds there (INTERNALS, "Events nobody can observe").
 """
 
 from __future__ import annotations
@@ -103,23 +110,6 @@ class Event:
         self._ok = False
         self._scheduled = True
         self.engine._ring.append(self)
-        return self
-
-    def conclude(self, value: object = None) -> "Event":
-        """Complete an event its owner has already *unpublished*.
-
-        For single-flight completion markers: the owner first removes
-        every reference a new waiter could find the event through.  With
-        a waiter registered this is ``succeed(value)``.  With none, no
-        process can ever observe the dispatch: the event is processed on
-        the spot instead of riding the ring, where it would make the next
-        ``Resource.acquire_now`` decline (INTERNALS, "Event kernel").
-        """
-        if self.callbacks is not None or self._scheduled:
-            return self.succeed(value)  # also raises when already triggered
-        self._value = value
-        self._scheduled = True
-        self.callbacks = _PROCESSED
         return self
 
     def add_callback(self, callback: typing.Callable[["Event"], None]) -> None:

@@ -6,7 +6,8 @@ keeps them sorted, disjoint, and coalesced.
 
 The representation is a pair of parallel ``int64`` arrays (``_starts``,
 ``_stops``) over-allocated capacity-doubling style, with ``_n`` live
-entries.  Single-interval mutations keep scalar fast paths for the
+entries; the pair is the two rows of one ``numpy.empty`` call, so an
+allocation is one profiled call, not two.  Single-interval mutations keep scalar fast paths for the
 overwhelmingly common shapes (empty set, append-at-end, grow-last) and
 fall back to ``numpy.searchsorted`` plus one slice splice for the general
 case.  All query methods return plain python ints — endpoints feed byte
@@ -31,8 +32,8 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class IntervalSet:
     """A mutable set of disjoint half-open integer intervals.
 
-    Supports union (``add``), ``clear``, gap queries and total-length
-    accounting.  All operations keep the internal representation sorted
+    Supports union (``add``), gap queries and total-length accounting;
+    a set is emptied by dropping it.  All operations keep the internal representation sorted
     and coalesced, so iteration yields canonical intervals.
     """
 
@@ -52,8 +53,7 @@ class IntervalSet:
         cap = len(self._starts) or _MIN_CAP
         while cap < need:
             cap *= 2
-        starts = np.empty(cap, dtype=np.int64)
-        stops = np.empty(cap, dtype=np.int64)
+        starts, stops = np.empty((2, cap), dtype=np.int64)
         n = self._n
         starts[:n] = self._starts[:n]
         stops[:n] = self._stops[:n]
@@ -116,15 +116,11 @@ class IntervalSet:
             self._splice(lo, hi, (start,), (stop,))
         else:
             if sa is _EMPTY:  # first insert: allocate, nothing to copy
-                sa = self._starts = np.empty(_MIN_CAP, dtype=np.int64)
-                so = self._stops = np.empty(_MIN_CAP, dtype=np.int64)
+                sa, so = np.empty((2, _MIN_CAP), dtype=np.int64)
+                self._starts, self._stops = sa, so
             sa[0] = start
             so[0] = stop
             self._n = 1
-
-    def clear(self) -> None:
-        """Remove all intervals."""
-        self._n = 0
 
     # ------------------------------------------------------------------
     # Queries

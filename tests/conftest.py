@@ -2,6 +2,7 @@
 
 import importlib.util
 from collections import Counter, OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import settings
 from repro.cluster import make_hal_cluster
 from repro.cluster.hal import HalConfig
 from repro.core import NVMalloc
-from repro.sim import Engine
+from repro.sim import Engine, Event
 from repro.store import Benefactor, Manager, StoreClient
 from repro.util.units import KiB, MiB
 
@@ -24,7 +25,7 @@ def load_tool(name):
     return module
 
 
-#: Context manager: the kernel with its three shortcuts for unobservable
+#: Context manager: the kernel with its two shortcuts for unobservable
 #: events patched out — the reference side of every differential test.
 reference_kernel = load_tool("reference_kernel").reference_kernel
 
@@ -188,6 +189,111 @@ class CountingDict(OrderedDict):
     def items(self):
         self.full_scans += 1
         return super().items()
+
+
+class MarkerLog:
+    """What :func:`marker_spy` saw happen to completion markers
+    (``sim/events.py``: a slot holds ``True`` until a first waiter swaps
+    in an ``Event``).  ``counts``:
+
+    - ``published``: an owner set a slot to ``True``;
+    - ``built``: a waiter replaced that ``True`` with an ``Event``;
+    - ``alone`` / ``waited``: the owner unpublished a slot that still held
+      ``True`` / held a waiter's ``Event``;
+    - ``rebuilt``: an ``Event`` replaced by another (a second waiter that
+      did not reuse the first one's), ``eager``: an ``Event`` stored where
+      no ``True`` was (an owner that built one up front).
+
+    ``events`` holds every ``Event`` a waiter built, in order, with the
+    number of callbacks registered on it when its owner unpublished it.
+    """
+
+    def __init__(self):
+        self.counts = Counter()
+        self.events = []
+
+    def store(self, old, new):
+        if new is True:
+            self.counts["published"] += 1
+        elif isinstance(new, Event):
+            if old is True:
+                self.counts["built"] += 1
+            else:
+                self.counts["rebuilt" if isinstance(old, Event) else "eager"] += 1
+        elif old is not None and old is not False:
+            self.unpublish(old)
+
+    def unpublish(self, old):
+        if old is True:
+            self.counts["alone"] += 1
+        elif isinstance(old, Event):
+            self.counts["waited"] += 1
+            callbacks = old.callbacks
+            waiters = len(callbacks) if callbacks.__class__ is list else 1
+            self.events.append((old, waiters if callbacks is not None else 0))
+
+
+class _MarkerMap(dict):
+    """A cache's ``_inflight`` map that reports its stores to a log."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def __setitem__(self, key, value):
+        self.log.store(dict.__getitem__(self, key) if key in self else None, value)
+        dict.__setitem__(self, key, value)
+
+    def __delitem__(self, key):
+        self.log.unpublish(dict.__getitem__(self, key))
+        dict.__delitem__(self, key)
+
+
+@contextmanager
+def marker_spy():
+    """Log every store into the page cache's and chunk cache's marker
+    slots (``_inflight`` keys, ``_Entry.filling`` / ``writeback``) made by
+    caches built inside the block; yields the :class:`MarkerLog`."""
+    from repro.fusefs.cache import ChunkCache, _Entry
+    from repro.mem.pagecache import PageCache
+
+    log = MarkerLog()
+    saved = {}
+
+    def spy_inflight(cls):
+        init = saved[cls] = cls.__init__
+
+        def spying(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self._inflight = _MarkerMap(log)
+
+        cls.__init__ = spying
+
+    def spy_slot(name):
+        slot = saved[name] = _Entry.__dict__[name]
+
+        def store(entry, value):
+            try:
+                old = slot.__get__(entry, _Entry)
+            except AttributeError:  # the slot's first store
+                old = None
+            log.store(old, value)
+            slot.__set__(entry, value)
+
+        setattr(_Entry, name, property(lambda entry: slot.__get__(entry, _Entry), store))
+
+    for cls in (PageCache, ChunkCache):
+        spy_inflight(cls)
+    for name in ("filling", "writeback"):
+        spy_slot(name)
+    try:
+        yield log
+    finally:
+        for key, original in saved.items():
+            if isinstance(key, str):
+                setattr(_Entry, key, original)
+            else:
+                key.__init__ = original
 
 
 def check_cache_index(cache, entries):

@@ -1,19 +1,21 @@
 """Fuzzed identity of the stack's batched fast paths vs their references.
 
-Three kernel shortcuts remove events no process can observe, and none
+Two kernel shortcuts remove events no process can observe, and neither
 has a gate: ``Resource.acquire_now`` grants a free resource inline when
-nothing else is queued at the instant, ``Event.conclude`` processes a
-completion marker in place when its owner has unpublished it and nobody
-waits on it, and ``Engine.advance`` moves the clock in place when the
-timeout it stands for would have been dispatched next with nothing
-running in between.  The reference run patches all three out
-(``tools/reference_kernel.py``: the first declines, the second is plain
-``succeed()``, the third returns ``False``) before its world is built,
-so every grant, completion and sleep rides the queues.  Each shortcut is
-taken only where the queued form would have behaved identically, so the
-whole stack must produce byte-identical data, a bit-identical virtual
-timeline, identical counters and identical LRU orders in both caches
-either way — and strictly fewer dispatched events.  The first tests replay random read/write/msync
+nothing else is queued at the instant, and ``Engine.advance`` moves the
+clock in place when the timeout it stands for would have been dispatched
+next with nothing running in between.  The reference run patches both
+out (``tools/reference_kernel.py``: the first declines, the second
+returns ``False``) before its world is built, so every grant and sleep
+rides the queues.  Each shortcut is taken only where the queued form
+would have behaved identically, so the whole stack must produce
+byte-identical data, a bit-identical virtual timeline, identical counters
+and identical LRU orders in both caches either way — and strictly fewer
+dispatched events.  A third kind of event nobody can observe, a
+completion marker nobody waits for, is never built at all: a marker is a
+flag until its first waiter swaps in an ``Event`` (``sim/events.py``),
+and the spy of ``tests/conftest.py::marker_spy`` checks both arms of that
+protocol on the same worlds.  The first tests replay random read/write/msync
 schedules both ways: two or three ranks sharing one node's page and
 chunk caches (so fills, write-backs and evictions do find waiters),
 caches small enough that pages and chunks are evicted, flushed and
@@ -22,21 +24,26 @@ a benefactor crash at ``r=2``.
 
 Hand mutations of ``src/`` this file was run against, each applied alone:
 
-- ``conclude`` processes in place even with a waiter registered (the
-  ``callbacks is not None`` test dropped): killed — the waiter never
-  resumes and the engine raises its deadlock ``SimulationError``.
+- an owner drops the ``Event`` a waiter built without ``succeed()`` (the
+  ``if done is not True`` arm of ``_make_room``, ``_fill`` or
+  ``PageCache._insert`` deleted): killed — the waiter never resumes and
+  the engine raises its deadlock ``SimulationError``.
+- a waiter builds a fresh ``Event`` even when it finds one (the ``is
+  True`` test dropped): in ``_load``'s wait on ``filling``, killed — the
+  marker's first waiter is never woken (deadlock).  In
+  ``PageCache._fault_range``'s wait it survives here, no marker of these
+  worlds having two waiters there, and is killed by
+  ``tests/test_eviction_path.py``.
 - ``_make_room`` drops a *dirty* victim as it drops a clean one (no
   marker, no write-back): killed — on ``PRIVATE`` lanes a rank reads
   stale bytes, and the final image is not what the ranks wrote.
-- a site concludes its marker *before* unpublishing it, the statements
-  still adjacent (``done.conclude()``, then ``del self._inflight[key]``;
-  tried in ``_make_room``, ``_fill`` and ``PageCache._insert``):
-  survives, and has to — no process runs between two statements with no
-  yield between them, so it is the same program.  "Unpublish, then
-  conclude" is the order that makes the in-place arm safe *by reading
-  the site alone*; it becomes observable only if a yield ever lands
-  between the two, where a waiter that found the concluded marker would
-  resume inline instead of behind the instant's queue.
+- an owner succeeds its marker's ``Event`` *before* unpublishing it, the
+  statements still adjacent (tried in ``_make_room``, ``_fill`` and
+  ``PageCache._insert``): survives, and has to — no process runs between
+  two statements with no yield between them, so it is the same program.
+  "Unpublish, then succeed" is the order that is safe *by reading the
+  site alone*; it becomes observable only if a yield ever lands between
+  the two, where a waiter would find a triggered marker.
 - ``advance`` takes an exact heap tie (``<`` for ``<=``): killed by all
   eight ``test_conclude_takes_both_arms_and_saves_events`` worlds and
   both of ``test_a_rank_woken_beside_another_sleeps_on_a_real_timeout`` —
@@ -59,8 +66,9 @@ Hand mutations of ``src/`` this file was run against, each applied alone:
   the two-process reproducer in ``tests/test_sim_kernel_property.py``.
 - ``advance`` ignores the horizon, or the stop event: survive, and have
   to — every run here is ``run(until=driver)``, whose horizon is
-  infinite and whose process completes through the ring, never through
-  ``conclude``: on these inputs they are the same program.
+  infinite and whose process completes through the ring, with nothing
+  processed before its dispatch: on these inputs they are the same
+  program.
   ``tests/test_sim_kernel_property.py`` kills both.
 - ``PageCache.read``'s re-touch flag starts ``False``, so a read whose
   fault inserted pages skips its second touch: killed by the LRU orders
@@ -97,11 +105,11 @@ from repro.cluster.hal import HalConfig
 from repro.core import NVMalloc
 from repro.devices.ftl import FlashTranslationLayer
 from repro.errors import CapacityError, EnduranceExceededError
-from repro.sim import AllOf, Engine, Event
+from repro.sim import AllOf, Engine
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.intervals import IntervalSet
 from repro.util.units import KiB, MiB
-from tests.conftest import fuzz_settings, reference_kernel
+from tests.conftest import fuzz_settings, marker_spy, reference_kernel
 
 # Two and a half chunks: three chunk-cache keys contending for two slots,
 # the last chunk a partial tail.
@@ -265,28 +273,29 @@ def _fixed_schedule(seed):
 @pytest.mark.parametrize("crash_after", [None, 3], ids=["healthy", "crash"])
 @pytest.mark.parametrize("tiered", [False, True], ids=["flat", "tiered"])
 def test_conclude_takes_both_arms_and_saves_events(tiered, crash_after, lane):
-    """A fixed three-rank schedule on which the shortcuts provably fire:
-    markers concluded with a waiter *and* without one, and strictly fewer
-    events dispatched than by the reference — at identical everything
-    else."""
+    """A fixed three-rank schedule on which both arms of the marker
+    protocol provably run: markers concluded (unpublished by their owner)
+    with a waiter *and* without one.  One with no waiter built nothing;
+    one with waiters built exactly one ``Event``, which the owner
+    succeeded and on which every waiter was registered.  Every marker
+    published was unpublished by the end.  The shortcuts
+    dispatch strictly fewer events than the reference, at identical
+    everything else."""
     ranks = _fixed_schedule(4)
-    arms = Counter()
-    conclude = Event.conclude
-
-    def counting(self, value=None):
-        arms["waiter" if self.callbacks is not None else "alone"] += 1
-        return conclude(self, value)
-
     world = dict(tiered=tiered, crash_after=crash_after, lane=lane)
-    Event.conclude = counting
-    try:
+    with marker_spy() as log:
         fast = _run_schedule(ranks, **world)
-    finally:
-        Event.conclude = conclude
     with reference_kernel():
         slow = _run_schedule(ranks, **world)
     _assert_identical(fast, slow)
-    assert arms["waiter"] and arms["alone"], arms
+    arms = log.counts
+    assert arms["alone"] and arms["waited"], arms
+    assert arms["built"] == arms["waited"] and not arms["rebuilt"], arms
+    assert not arms["eager"], arms
+    assert arms["published"] == arms["alone"] + arms["waited"], arms
+    assert all(event.processed and waiters for event, waiters in log.events)
+    # A later waiter yields the first one's ``Event``: some marker had two.
+    assert max(waiters for _, waiters in log.events) >= 2
 
 
 @pytest.mark.parametrize("seed", [26, 38, 54])

@@ -4,9 +4,9 @@ INTERNALS "Fast path and batching invariants" (the miss-path bullet)
 lets a chunk-cache fill or write-back skip work only where nothing can
 observe it:
 
-- a chunk-cache entry's ``dirty`` is None until its first write, so a
-  chunk that is only read builds no interval set, and evicting it ships
-  nothing;
+- a chunk-cache entry's ``dirty`` is None whenever the entry is clean:
+  a chunk that is only read builds no interval set, a write-back drops
+  the set, and evicting a clean entry ships nothing;
 - the store client tests its chunk map inline against the file's
   generation: a warm map costs no metadata round trip, a cold or stale
   one exactly one;
@@ -92,8 +92,10 @@ class TestEntryDirtySet:
     def test_a_write_after_a_write_back_dirties_the_entry_again(
         self, engine, mount
     ):
-        """A write-back empties the set and keeps it; the next write
-        marks it again, and the eviction ships that page alone."""
+        """A write-back drops the set; the next write builds a new one,
+        and the eviction ships that page alone.  Kills "write-back clears
+        the set and keeps it" (an empty set on a clean entry, which
+        ``_make_room``'s ``dirty is not None`` would take for dirty)."""
         cache = mount.cache
 
         def proc():
@@ -101,7 +103,7 @@ class TestEntryDirtySet:
             yield from mount.pwrite(fd, 0, b"a" * PAGE_SIZE)
             yield from mount.fsync(fd)
             entry = cache._entries[("/f", 0)]  # noqa: SLF001
-            assert entry.dirty is not None and not entry.dirty
+            assert entry.dirty is None
             yield from mount.pwrite(fd, 7 * PAGE_SIZE, b"b" * PAGE_SIZE)
             assert list(entry.dirty) == [(7 * PAGE_SIZE, 8 * PAGE_SIZE)]
             yield from evict_chunk_zero(mount, fd)

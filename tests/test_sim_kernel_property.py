@@ -10,10 +10,13 @@ These tests drive randomized schedules through the real kernel and through
 a deliberately naive heapq-only reference kernel written here, and require
 bit-identical firing orders, times, and process values.
 
-``Event.conclude`` — completion of an event its owner has unpublished —
-rides the same graphs and scripts: with a waiter it is ``succeed``, event
-for event; without one the reference simply never schedules it, because
-an event nobody waits for is not an event.
+Completion markers ride the same graphs and scripts on the protocol the
+model uses (``sim/events.py``): a marker's slot holds ``True`` until its
+first waiter swaps in an ``Event``, later waiters yield that one, and the
+owner *concludes* it by unpublishing the slot and calling ``succeed`` on
+an ``Event`` it finds there.  With a waiter that is ``succeed``, event
+for event; without one nothing is built and the reference simply never
+schedules it, because an event nobody waits for is not an event.
 """
 
 from __future__ import annotations
@@ -81,13 +84,30 @@ def _reference_order(roots, children, unobserved=frozenset()):
     return trace
 
 
-def _engine_graph(roots, children, failed, concluded=frozenset(), unobserved=frozenset()):
+def _wait_on(engine, slots, key):
+    """The waiter side of the marker protocol: the ``Event`` to yield."""
+    done = slots[key]
+    if done is True:
+        done = slots[key] = Event(engine)
+    return done
+
+
+def _conclude(slots, key, value=None):
+    """The owner side: unpublish, then succeed a waiter's ``Event``."""
+    done = slots.pop(key)
+    if done is not True:
+        done.succeed(value)
+
+
+def _engine_graph(roots, children, failed, markers=frozenset(), unobserved=frozenset()):
     """The same graph on the real ring+heap kernel, roots scheduled, not
-    yet run.  Returns (engine, trace, events).  Events in ``concluded``
-    (all triggered with zero delay) complete through ``conclude``; those
-    also in ``unobserved`` have no waiter registered."""
+    yet run.  Returns (engine, trace, events).  Events in ``markers``
+    (all triggered with zero delay) are completion markers, concluded
+    by their trigger; those also in ``unobserved`` have no waiter and so
+    never become an event (``None`` in ``events``)."""
     engine = Engine()
     trace: list[tuple[float, int]] = []
+    slots = dict.fromkeys(markers, True)
 
     def schedule(event_id: int, delay: float) -> None:
         event = events[event_id]
@@ -99,13 +119,13 @@ def _engine_graph(roots, children, failed, concluded=frozenset(), unobserved=fro
             Timeout(engine, delay).add_callback(lambda _t: schedule(event_id, 0.0))
         elif event_id in failed:
             event.fail(RuntimeError(f"event {event_id}"))
-        elif event_id in concluded:
+        elif event_id in markers:
             assert delay == 0.0
-            event.conclude(event_id)
+            _conclude(slots, event_id, event_id)
             # With a waiter it rides the ring like any zero-delay
-            # succeed; without one it is over before conclude returns.
-            assert event.triggered
-            assert event.processed == (event_id in unobserved)
+            # succeed; without one there was never an event.
+            assert event_id not in slots
+            assert event is None or (event.triggered and not event.processed)
         else:
             event.succeed(event_id)
 
@@ -114,10 +134,16 @@ def _engine_graph(roots, children, failed, concluded=frozenset(), unobserved=fro
         for delay, child in children[event_id]:
             schedule(child, delay)
 
-    events = [Event(engine) for _ in children]
-    for event_id, event in enumerate(events):
-        if event_id not in unobserved:
-            event.add_callback(lambda _ev, eid=event_id: fire(eid))
+    events = [
+        None if event_id in markers else Event(engine)
+        for event_id in range(len(children))
+    ]
+    for event_id in range(len(children)):
+        if event_id in unobserved:
+            continue
+        if event_id in markers:  # the waiter builds it
+            events[event_id] = _wait_on(engine, slots, event_id)
+        events[event_id].add_callback(lambda _ev, eid=event_id: fire(eid))
     for delay, event_id in roots:
         schedule(event_id, delay)
     return engine, trace, events
@@ -190,59 +216,67 @@ def test_run_until_event_stops_right_after_it(seed: int) -> None:
 
 @pytest.mark.parametrize("seed", range(12))
 def test_conclude_in_event_graphs_matches_reference(seed: int) -> None:
-    """Zero-delay triggers through ``conclude``: waited-on ones fire in
-    ``(time, seq)`` order exactly as ``succeed``; the ones nobody waits
-    for are processed in place, carry their value, refuse a second
-    trigger and are never dispatched."""
+    """Zero-delay triggers that conclude completion markers: waited-on
+    ones fire in ``(time, seq)`` order exactly as ``succeed``, and refuse
+    a second trigger; the ones nobody waits for are never built, so
+    never dispatched."""
     rng = random.Random(5000 + seed)
     roots, children, failed = _random_graph(rng, n_events=200 + seed * 37)
     delay_of = {event_id: delay for delay, event_id in roots}
     for edges in children:
         delay_of.update((child, delay) for delay, child in edges)
-    concluded = {
+    markers = {
         i for i, delay in sorted(delay_of.items())
         if delay == 0.0 and i not in failed and rng.random() < 0.7
     }
-    unobserved = {i for i in sorted(concluded) if not children[i] and rng.random() < 0.6}
-    assert unobserved and concluded - unobserved  # both arms are exercised
+    unobserved = {i for i in sorted(markers) if not children[i] and rng.random() < 0.6}
+    assert unobserved and markers - unobserved  # both arms are exercised
     expected = _reference_order(roots, children, unobserved)
-    engine, trace, events = _engine_graph(roots, children, failed, concluded, unobserved)
+    engine, trace, events = _engine_graph(roots, children, failed, markers, unobserved)
     engine.run()
     assert trace == expected
     # Dispatched: every observed event, and the timeout that carried each
     # trigger with a positive delay — nothing for the unobserved ones.
     timeouts = sum(1 for delay in delay_of.values() if delay)
     assert engine.events_processed == len(expected) + timeouts
-    for event_id in unobserved:
+    assert [i for i in unobserved if events[i] is not None] == []
+    for event_id in markers - unobserved:
         assert events[event_id].processed and events[event_id].value == event_id
-    for event_id in concluded:
-        for trigger in (events[event_id].conclude, events[event_id].succeed):
-            with pytest.raises(SimulationError, match="already been triggered"):
-                trigger(None)
+        with pytest.raises(SimulationError, match="already been triggered"):
+            events[event_id].succeed(None)
 
 
 def test_conclude_with_a_waiter_queues_behind_the_instant() -> None:
-    """The waiter arm is ``succeed``: the waiter resumes after what was
-    already queued at this instant, not inside ``conclude``."""
+    """The waiter arm is ``succeed``: two waiters share the one ``Event``
+    the first built, and resume in the order they waited, after what was
+    already queued at this instant — not inside the owner's conclude."""
     engine = Engine()
     order: list[object] = []
-    marker = Event(engine)
+    slots = {"m": True}  # published: the owner's work is running
+    built = []
 
-    def waiter():
-        value = yield marker
-        order.append(("waiter", value, engine.now))
+    def waiter(name):
+        done = _wait_on(engine, slots, "m")
+        built.append(done)
+        value = yield done
+        order.append((name, value, engine.now))
 
     def owner():
         yield engine.timeout(1.0)
         engine.timeout(0.0).add_callback(lambda _e: order.append("queued first"))
-        marker.conclude("done")
+        marker = slots["m"]
+        _conclude(slots, "m", "done")
         assert marker.triggered and not marker.processed
         order.append("owner goes on")
 
-    engine.process(waiter())
+    engine.process(waiter("first"))
+    engine.process(waiter("second"))
     engine.process(owner())
     engine.run()
-    assert order == ["owner goes on", "queued first", ("waiter", "done", 1.0)]
+    assert order == [
+        "owner goes on", "queued first", ("first", "done", 1.0), ("second", "done", 1.0),
+    ]  # fmt: skip
+    assert built[0] is built[1] and not slots
 
 
 def _reference_process_run(scripts):
@@ -251,8 +285,8 @@ def _reference_process_run(scripts):
     Process p is born as a zero-delay bootstrap (in creation order, like
     Engine.process), then schedules its next timeout the instant it
     resumes — one heap entry alive per process, global seq in schedule
-    order.  A ``None`` step is a marker the process concludes with nobody
-    waiting and then yields: no entry at all, the process just goes on.
+    order.  A ``None`` step is a marker the process publishes and concludes
+    with nobody waiting: no entry at all, the process just goes on.
     """
     heap: list[tuple[float, int, int, int]] = []
     seq = 0
@@ -299,10 +333,9 @@ def _engine_process_run(scripts, slept=None):
         total = 0
         for step, delay in enumerate(scripts[pid]):
             if delay is None:
-                marker = Event(engine)
-                marker.conclude(step)
-                assert marker.processed
-                value = yield marker  # resumes inline, with its value
+                slots = {pid: True}
+                _conclude(slots, pid, step)  # nobody waited: nothing built
+                value = step
             elif slept is not None and engine.advance(delay):
                 slept.append(alive)
                 value = step
@@ -563,23 +596,30 @@ def test_resource_scripts_match_the_reference_kernel() -> None:
 
 
 def test_advance_declines_once_the_awaited_event_is_processed() -> None:
-    """``run(until=marker)`` polls its marker.  A process concludes it in
-    place and sleeps on: the run returns at the conclude instant.  (Stop
-    event ignored: it returns with the clock at 6.0.)"""
+    """``run(until=marker)`` polls its marker.  The marker's one waiter,
+    woken by it, sleeps on with the ring empty and nothing due on the
+    heap before it wakes (its owner sleeps longer): the run returns at
+    the marker's instant.  (Stop event ignored: it returns with the
+    clock at 6.0.)"""
     engine = Engine()
-    marker = Event(engine)
+    slots = {"m": True}
 
-    def proc():
-        yield from _sleep(engine, 1.0)
-        marker.conclude("done")
-        assert marker.processed
+    def waiter():
+        yield _wait_on(engine, slots, "m")
         yield from _sleep(engine, 5.0)
 
-    process = engine.process(proc())
-    assert engine.run(until=marker) == "done"
+    def owner():
+        yield from _sleep(engine, 1.0)
+        _conclude(slots, "m", "done")
+        yield from _sleep(engine, 10.0)
+
+    process = engine.process(waiter())
+    engine.process(owner())
+    engine.run(until=0.0)  # the bootstraps: the waiter builds the marker
+    assert engine.run(until=slots["m"]) == "done"
     assert engine.now == 1.0 and not process.triggered
     engine.run()
-    assert engine.now == 6.0 and process.processed
+    assert process.value is None and engine.now == 11.0
 
 
 def test_advance_rejects_a_negative_delay_like_timeout() -> None:
@@ -770,14 +810,15 @@ def _lone_rank_on_the_miss_path():
 
 def test_every_dispatched_event_had_a_waiter() -> None:
     """With nobody to contend with, nothing on the miss path is worth an
-    event: no completion marker (nobody waits), no grant (nobody
-    contends), no timeout (nobody can overtake the sleep) — the driver's
-    bootstrap and its completion are the two there are, at the clock,
-    bytes and counters of the kernel that queues all three (markers and
-    the grants they forced used to be half the total, timeouts the rest).
-    A new ``yield engine.timeout(d)`` site that forgets
-    ``Engine.advance``, or a marker site that calls ``succeed()``, shows
-    up here as a non-zero count."""
+    event: no completion marker (nobody waits, so none is built), no
+    grant (nobody contends), no timeout (nobody can overtake the sleep) —
+    the ``driver()`` process's bootstrap and its completion are the only two, at
+    the clock, bytes and counters of the kernel that queues every grant
+    and sleep (markers and the grants they forced used to be half the
+    total, timeouts the rest).  A new ``yield engine.timeout(d)`` site
+    that forgets ``Engine.advance``, or a marker site that builds its
+    ``Event`` up front and succeeds it, shows up here as a non-zero
+    count."""
     (timeouts, events), outcome = _lone_rank_on_the_miss_path()
     with reference_kernel():
         (ref_timeouts, ref_events), ref_outcome = _lone_rank_on_the_miss_path()

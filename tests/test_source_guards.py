@@ -8,6 +8,14 @@
   without its sync drains and then discards the path's pages, dirty ones
   included; that is safe only where the data is already durable, which
   only tests arrange (INTERNALS race rule 11, the ``sync=False`` note).
+- A completion marker nobody waits for is never built (INTERNALS "Events
+  nobody can observe").  There is no ``Event.conclude`` to call, and a
+  marker slot (an ``_inflight`` or ``_capturing`` key, a ``filling``,
+  ``writeback``, ``syncing`` or ``_done`` attribute) is given ``True``,
+  ``False`` or ``None`` by its owner and an ``Event`` only on the waiter
+  path: ``done = slot = Event(...)`` (or ``engine.event()``) as the body
+  of an ``if done is True:``.  An owner that publishes an ``Event`` —
+  directly or through a local it built one in — fails here.
 """
 
 import ast
@@ -81,3 +89,137 @@ def test_no_caller_drops_a_path_without_its_sync():
                 ):
                     unsynced.append(f"{path}:{node.lineno}")
     assert calls and unsynced == []
+
+
+#: Containers whose keys are marker slots (and the locals that alias
+#: them), and attributes that are marker slots.
+MARKER_MAPS = {"_inflight", "inflight", "_capturing", "capturing"}
+MARKER_ATTRS = {"filling", "writeback", "syncing", "_done"}
+
+
+def _is_marker_slot(target):
+    if isinstance(target, ast.Attribute):
+        return target.attr in MARKER_ATTRS
+    if isinstance(target, ast.Subscript):
+        box = target.value
+        name = box.attr if isinstance(box, ast.Attribute) else getattr(box, "id", None)
+        return name in MARKER_MAPS
+    return False
+
+
+def _stores(node):
+    """``(target, value)`` for every store of an assignment statement,
+    tuple targets paired element-wise with a tuple value."""
+    if isinstance(node, ast.Assign):
+        targets, value = node.targets, node.value
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        targets, value = [node.target], node.value
+    elif isinstance(node, ast.AugAssign):
+        targets, value = [node.target], node.value
+    else:
+        return
+    for target in targets:
+        if (
+            isinstance(target, ast.Tuple)
+            and isinstance(value, ast.Tuple)
+            and len(target.elts) == len(value.elts)
+        ):
+            yield from zip(target.elts, value.elts)
+        else:
+            yield target, value
+
+
+def _builds_event(value):
+    func = value.func if isinstance(value, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "Event") or (
+        isinstance(func, ast.Attribute) and func.attr == "event"
+    )
+
+
+def _waiter_guard(parent, node):
+    """The name ``parent`` tests with ``if <name> is True:`` when ``node``
+    sits directly in that ``if``'s body, else None."""
+    if not (isinstance(parent, ast.If) and node in parent.body):
+        return None
+    test = parent.test
+    if (
+        isinstance(test, ast.Compare)
+        and isinstance(test.left, ast.Name)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.Is)
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is True
+    ):
+        return test.left.id
+    return None
+
+
+def marker_stores(tree):
+    """``(lineno, kind)`` for every store into a marker slot: ``"flag"``
+    (a constant), ``"waiter"`` (an ``Event`` built on the waiter path) or
+    ``"eager"`` (anything else)."""
+    parents = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        for target, value in _stores(node):
+            if not _is_marker_slot(target):
+                continue
+            if isinstance(value, ast.Constant) and any(
+                value.value is flag for flag in (True, False, None)
+            ):
+                kind = "flag"
+            elif _builds_event(value) and isinstance(node, ast.Assign):
+                tested = _waiter_guard(parents.get(node), node)
+                names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+                kind = "waiter" if tested in names else "eager"
+            else:
+                kind = "eager"
+            found.append((node.lineno, kind))
+    return found
+
+
+def test_nothing_concludes_a_marker():
+    found = [
+        f"{path}:{node.lineno}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "conclude"
+    ]
+    assert found == []
+
+
+def test_only_a_waiter_builds_a_markers_event():
+    kinds = {}
+    eager = []
+    for path, tree in _trees():
+        for lineno, kind in marker_stores(tree):
+            kinds.setdefault(str(path), set()).add(kind)
+            if kind == "eager":
+                eager.append(f"{path}:{lineno}")
+    assert eager == []
+    # Not vacuous: every module that owns markers is seen publishing a
+    # flag and swapping in a waiter's ``Event``.
+    for module in ("mem/pagecache.py", "fusefs/cache.py", "core/async_ckpt.py"):
+        assert kinds[str(Path(module))] == {"flag", "waiter"}, module
+
+
+def test_the_marker_guard_rejects_an_eager_owner():
+    """The rule above on the shapes it must reject: an owner building the
+    ``Event`` up front, through a local or straight into the slot, and a
+    waiter's swap outside its ``is True`` test."""
+    eager = [
+        "done = Event(engine)\nself._inflight[key] = done",
+        "entry.filling = Event(self._engine)",
+        "self._done = engine.event()",
+        "done = inflight[key] = Event(engine)",
+        "if done is None:\n    done = inflight[key] = Event(engine)",
+        "if other is True:\n    done = inflight[key] = Event(engine)",
+    ]
+    for source in eager:
+        assert [kind for _, kind in marker_stores(ast.parse(source))][-1:] == [
+            "eager"
+        ], source
+    waiter = "if done is True:\n    done = entry.writeback = Event(engine)"
+    assert [kind for _, kind in marker_stores(ast.parse(waiter))] == ["waiter"]

@@ -4,16 +4,18 @@
     python tools/reference_kernel.py --scale tiny --jobs 4 --json ref.json
     python tools/check_digests.py ref.json benchmarks/EXPERIMENT_digests_tiny.json
 
-The kernel removes three kinds of event no process can observe
+The kernel removes two kinds of event no process can observe
 (INTERNALS, "Events nobody can observe"): ``Resource.acquire_now`` grants
-inline, ``Event.conclude`` finishes an unawaited marker in place and
-``Engine.advance`` sleeps in place.  Each is a shortcut beside a fallback
-that *is* the definition, so patching all three to decline — every grant,
-completion and sleep rides the queues — must change nothing but
-``Engine.events_processed``.  Running the digest matrix that way turns
-"no digest folds ``events_processed``" from an argument into a gate: a
-shortcut, present or future, that is observable in any experiment fails
-that experiment's pin here while passing it under the shipped kernel.
+inline and ``Engine.advance`` sleeps in place.  Each is a shortcut beside
+a fallback that *is* the definition, so patching both to decline — every
+grant and sleep rides the queues — must change nothing but
+``Engine.events_processed``.  (The third kind, a completion marker nobody
+waits for, is no event at all: the model builds a marker's ``Event`` only
+for a waiter, so there is no shortcut to patch.)  Running the digest
+matrix that way turns "no digest folds ``events_processed``" from an
+argument into a gate: a shortcut, present or future, that is observable
+in any experiment fails that experiment's pin here while passing it
+under the shipped kernel.
 
 The patch is applied from outside, before any testbed exists, and the
 orchestrator's forked workers inherit it; ``src/`` has no switch.  The
@@ -31,17 +33,16 @@ from pathlib import Path
 
 @contextmanager
 def reference_kernel():
-    """Nothing granted inline, concluded in place or slept in place."""
-    from repro.sim import Engine, Event, Resource
+    """Nothing granted inline or slept in place."""
+    from repro.sim import Engine, Resource
 
-    saved = Resource.acquire_now, Event.conclude, Engine.advance
+    saved = Resource.acquire_now, Engine.advance
     Resource.acquire_now = lambda self: None
-    Event.conclude = lambda self, value=None: self.succeed(value)
     Engine.advance = lambda self, delay: False
     try:
         yield
     finally:
-        Resource.acquire_now, Event.conclude, Engine.advance = saved
+        Resource.acquire_now, Engine.advance = saved
 
 
 if __name__ == "__main__":
