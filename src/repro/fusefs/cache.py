@@ -6,7 +6,9 @@ access pre-loads 64 pages — the read-ahead effect that makes sequential
 NVMalloc STREAM *faster* than raw local-SSD access, Table III).  Writes
 dirty 4 KB pages; on eviction only the dirty pages travel to the
 benefactor, which is the write optimization Table VII quantifies (504 MB
-vs 19.3 GB for a random-write workload).
+vs 19.3 GB for a random-write workload).  An entry's dirty pages are one
+int bit mask (bit i is page i of the chunk), and each run of set bits is
+one contiguous range on the wire.
 
 Bookkeeping runs on one auxiliary structure kept in lockstep with the
 LRU dict: a per-path index (``_by_path``) whose buckets keep the dict's
@@ -42,8 +44,6 @@ from collections import OrderedDict
 from collections.abc import Generator, Iterable
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import FuseError, ReproError, SimulationError
 from repro.fusefs.localtier import LocalCacheTier
 from repro.fusefs.policy import make_policy
@@ -52,7 +52,6 @@ from repro.sim.events import Event
 from repro.sim.resources import Resource
 from repro.store.chunk import CHUNK_SIZE, PAGE_SIZE
 from repro.store.client import StoreClient
-from repro.util.intervals import IntervalSet
 
 
 @dataclass
@@ -121,10 +120,9 @@ class _Entry:
         # Skipping the eager zero-fill avoids one chunk-size memset per
         # entry on the fetch-dominated path.
         "data",
-        # Byte ranges written since the last write-back: None whenever
-        # the entry is clean.  A write builds the set if there is none and
-        # a write-back drops it, so a chunk that is only read never builds
-        # one and ``dirty is not None`` is the whole dirtiness test.
+        # Pages written since the last write-back, as an int mask: bit i
+        # is page i of the chunk, 0 means clean.  A write ORs its pages
+        # in and a write-back zeroes it (see :meth:`ChunkCache._runs`).
         "dirty",
         # False until the backing chunk has been fetched; a fully
         # overwritten chunk never needs fetching (write-allocate without
@@ -150,10 +148,10 @@ class _Entry:
         # True from a prefetch fill until the first demand hit consumes
         # it — that hit is what makes the prefetch "useful".
         "prefetched",
-        # With the local tier on: byte ranges written since this entry
-        # was created, i.e. how far the tier's shadow copy (if any) lags
-        # behind.  ``dirty`` cannot serve — write-backs clear it while
-        # the shadow stays stale.  None until the first tiered write.
+        # With the local tier on: pages written since this entry was
+        # created, a mask like ``dirty``, i.e. how far the tier's shadow
+        # copy (if any) lags behind.  ``dirty`` cannot serve — write-backs
+        # clear it while the shadow stays stale.
         "l2_stale",
         # True while the store may hold ``data`` itself: a zero-copy loan
         # of a benefactor's live payload buffer (full-chunk fetch), or
@@ -163,13 +161,13 @@ class _Entry:
         "shared",
     )
     data: bytes | bytearray | None
-    dirty: IntervalSet | None
+    dirty: int
     valid: bool
     pins: int
     filling: bool | Event | None
     writeback: bool | Event | None
     prefetched: bool
-    l2_stale: IntervalSet | None
+    l2_stale: int
     shared: bool
 
 
@@ -211,6 +209,12 @@ class ChunkCache:
         self.client = client
         self.chunk_size = chunk_size
         self.page_size = page_size
+        # Byte offset of each page's mask bit, and of the bit just past the
+        # last page: ``_runs`` subscripts it where ``int.bit_length``
+        # would be a profiled call.
+        self._offset_of_bit: dict[int, int] = {}
+        for page in range(chunk_size // page_size + 1):
+            self._offset_of_bit[1 << page] = page * page_size
         self.capacity_chunks = capacity_bytes // chunk_size
         self.dirty_page_writeback = dirty_page_writeback
         self.readahead_chunks = readahead_chunks
@@ -317,47 +321,36 @@ class ChunkCache:
             return set()
         entries = self._entries
         return {
-            index for index in bucket if entries[(path, index)].dirty is not None
+            index for index in bucket if entries[(path, index)].dirty
         }
 
     # ------------------------------------------------------------------
     # Core access
     # ------------------------------------------------------------------
-    def _page_align(self, dirty: IntervalSet) -> list[tuple[int, int]]:
-        """Expand dirty byte ranges to page boundaries and re-coalesce.
+    def _runs(self, pages: int) -> list[tuple[int, int]]:
+        """The ``[start, stop)`` byte ranges of a page mask's runs of set
+        bits, in order: adjacent pages are one range.
 
-        One vectorized pass over the set's endpoint arrays: align every
-        range, then merge where an aligned start falls at or before its
-        predecessor's aligned stop (the coalescing an ``IntervalSet.add``
-        loop would have done).  The endpoints are sorted and disjoint, so
-        both aligned arrays are non-decreasing and a merged group's stop
-        is its last member's stop.
+        No clip: ``__init__`` rejects a chunk that is not a whole number
+        of pages, so no bit lies past the chunk's last page.
         """
-        starts, stops = dirty.as_arrays()
-        n = len(starts)
-        if not n:
-            return []
-        ps = self.page_size
-        a = (starts // ps) * ps
-        b = np.minimum(-(-stops // ps) * ps, self.chunk_size)
-        if n == 1:
-            return [(int(a[0]), int(b[0]))]
-        keep = np.empty(n, dtype=bool)
-        keep[0] = True
-        np.greater(a[1:], b[:-1], out=keep[1:])
-        if keep.all():
-            return list(zip(a.tolist(), b.tolist()))
-        idx = np.flatnonzero(keep)
-        last = np.empty(len(idx), dtype=np.intp)
-        last[:-1] = idx[1:] - 1
-        last[-1] = n - 1
-        return list(zip(a[idx].tolist(), b[last].tolist()))
+        offset_of_bit = self._offset_of_bit
+        runs: list[tuple[int, int]] = []
+        while pages:
+            low = pages & -pages
+            # Adding the run's lowest bit carries through the run: the
+            # sum's lowest set bit is the first page past it.
+            carried = pages + low
+            # ``+=`` of a one-tuple: ``append`` is a profiled call.
+            runs += ((offset_of_bit[low], offset_of_bit[carried & -carried]),)
+            pages &= carried
+        return runs
 
     def _payloads(
-        self, entry: _Entry, dirty: IntervalSet, whole: bool = False
+        self, entry: _Entry, pages: int, whole: bool = False
     ) -> tuple[list[tuple[int, bytes]], int]:
-        """``(offset, bytes)`` payloads for the page-aligned ranges of
-        ``dirty`` in ``entry``, and their total length.
+        """``(offset, bytes)`` payloads for the runs of the page mask
+        ``pages`` in ``entry``, and their total length.
 
         ``whole`` is the unoptimized mode (Table VII "w/o Optimization"):
         ship the entire chunk whenever anything in it is dirty.  A range
@@ -367,7 +360,7 @@ class ChunkCache:
         and the receiver keeps these bytes.
         """
         size = self.chunk_size
-        ranges = [(0, size)] if whole else self._page_align(dirty)
+        ranges = [(0, size)] if whole else self._runs(pages)
         if ranges[0][1] - ranges[0][0] == size:
             entry.shared = True
             return [(0, entry.data)], size
@@ -421,7 +414,7 @@ class ChunkCache:
                 del self._by_path[vpath]
             if policy is not None:
                 policy.record_evict(victim_key)
-            was_dirty = entry.dirty is not None
+            was_dirty = entry.dirty != 0
             if was_dirty or l2 is not None:
                 # The marker exists only around work that can yield: an
                 # unpinned victim is not filling, so a clean one in the
@@ -495,7 +488,7 @@ class ChunkCache:
         span = (
             tracer.begin(
                 "fuse.l2", "evict",
-                path=path, index=index, dirty=entry.dirty is not None,
+                path=path, index=index, dirty=entry.dirty != 0,
             )
             if tracer is not None
             else None
@@ -506,7 +499,7 @@ class ChunkCache:
                 if event is True:
                     event = entry.filling = Event(self._engine)
                 yield event
-            if entry.dirty is not None:
+            if entry.dirty:
                 if entry.valid and self._inval_gen.get(path, 0) == gen_at:
                     ok = yield from self._spill(key, entry, staged=True)
                     if not ok:
@@ -554,7 +547,7 @@ class ChunkCache:
         l2 = self._l2
         if l2.contains(key):
             stale = entry.l2_stale
-            if stale is None or not stale:
+            if not stale:
                 l2.touch(key)
                 return True
             ranges, nbytes = self._payloads(entry, stale)
@@ -592,7 +585,7 @@ class ChunkCache:
                     event = entry.filling = Event(self._engine)
                 yield event
             dirty = entry.dirty
-            if dirty is None:
+            if not dirty:
                 return
             path, index = key
             entry.writeback = True
@@ -601,7 +594,7 @@ class ChunkCache:
             )
             # Clear dirtiness before yielding: writes landing while the
             # payload is in flight re-dirty the entry and flush later.
-            entry.dirty = None
+            entry.dirty = 0
             try:
                 req = self.daemon.acquire_now()
                 if req is None:
@@ -740,13 +733,13 @@ class ChunkCache:
                 continue
             entry = _Entry()
             entry.data = None
-            entry.dirty = None
+            entry.dirty = 0
             entry.valid = False
             entry.pins = 1
             entry.filling = None
             entry.writeback = None
             entry.prefetched = False
-            entry.l2_stale = None
+            entry.l2_stale = 0
             entry.shared = False
             entries[key] = entry
             by_path = self._by_path
@@ -775,12 +768,7 @@ class ChunkCache:
         tier's shadow and is the only current source.  Called only with
         the local tier on.
         """
-        if not self._l2.contains(key):
-            return False
-        stale = entry.l2_stale
-        if stale is None or not stale:
-            return entry.dirty is None
-        return entry.dirty is not None and stale == entry.dirty
+        return self._l2.contains(key) and entry.l2_stale == entry.dirty
 
     def _fill(
         self, path: str, index: int, entry: _Entry, *, prefetch: bool = False
@@ -848,12 +836,12 @@ class ChunkCache:
                 buf[:nbytes] = data
                 data = buf
                 shared = False
-            if entry.dirty is not None:
+            if entry.dirty:
                 if shared:
                     data = bytearray(data)
                     shared = False
                 old = memoryview(entry.data)
-                for start, stop in entry.dirty:
+                for start, stop in self._runs(entry.dirty):
                     data[start:stop] = old[start:stop]
             entry.data = data
             entry.shared = shared
@@ -1081,16 +1069,18 @@ class ChunkCache:
                     buf = entry.data = bytearray(buf)
                     entry.shared = False
                 buf[offset : offset + length] = data
-                if length:  # a clean entry holds no set (``_Entry.dirty``)
-                    dirty = entry.dirty
-                    if dirty is None:
-                        dirty = entry.dirty = IntervalSet()
-                    dirty.add(offset, offset + length)
-                if self._l2 is not None:
-                    stale = entry.l2_stale
-                    if stale is None:
-                        stale = entry.l2_stale = IntervalSet()
-                    stale.add(offset, offset + length)
+                if length:
+                    # Pages first..last.  Exact for the fill's merge and
+                    # ``_promotable``: a range that is not whole pages
+                    # lands only on a valid entry (the ``_load`` above
+                    # fetched it, and ``valid`` never reverts), so an
+                    # entry not yet filled has only whole pages marked.
+                    first = offset // page_size
+                    last = (offset + length - 1) // page_size
+                    pages = (2 << last) - (1 << first)
+                    entry.dirty |= pages
+                    if self._l2 is not None:
+                        entry.l2_stale |= pages
                 counter = self._write_counter
                 counter.total += length
                 counter.count += 1

@@ -18,7 +18,6 @@ from repro.cluster.node import Node
 from repro.errors import BenefactorDownError, CapacityError, StoreError
 from repro.sim.events import Event
 from repro.store.chunk import CHUNK_SIZE, PAGE_SIZE
-from repro.util.intervals import IntervalSet
 from repro.util.recorder import MetricsRecorder
 
 
@@ -218,9 +217,10 @@ class Benefactor:
         self._slow_until = 0.0
         self._slow_extra = 0.0
         # Chunks mid-fill by re-replication: write-throughs that land while
-        # the copy is in flight record their intervals so the completed
-        # fill only patches the gaps (same merge rule as the chunk cache).
-        self._fill_shadow: dict[int, IntervalSet] = {}
+        # the copy is in flight record their byte ranges, unsorted and
+        # possibly overlapping, so the completed fill only patches the
+        # gaps.  Bytes, not pages: a write-through need not be aligned.
+        self._fill_shadow: dict[int, list[tuple[int, int]]] = {}
 
     @property
     def reserved(self) -> int:
@@ -338,7 +338,8 @@ class Benefactor:
                     f"benefactor {self.name} died mid-writeback of chunk {chunk_id}"
                 )
             if chunk_id in self._fill_shadow:
-                self._fill_shadow[chunk_id].add(offset, offset + nbytes)
+                # ``+=`` of a one-tuple: ``list.append`` is a profiled call.
+                self._fill_shadow[chunk_id] += ((offset, offset + nbytes),)
             if chunk_id in self._data:
                 payload = self._data[chunk_id]
             else:
@@ -445,12 +446,12 @@ class Benefactor:
         """Start receiving a replica of ``chunk_id``.
 
         From this moment the benefactor is a *write* replica: client
-        write-throughs land here and record their intervals in a fill
+        write-throughs land here and record their byte ranges in a fill
         shadow, so :meth:`complete_fill` patches only the bytes the copy
         snapshot still owns — a write-through that raced ahead of the
         bulk copy is never clobbered by stale snapshot data.
         """
-        self._fill_shadow[chunk_id] = IntervalSet()
+        self._fill_shadow[chunk_id] = []
 
     def filling(self, chunk_id: int) -> bool:
         """True while a replica fill for ``chunk_id`` is in flight."""
@@ -479,10 +480,23 @@ class Benefactor:
         local = self._data.get(chunk_id)
         if local is None:
             local = ChunkPayload(self.chunk_size)  # reads as zeroes
-        for start, stop in shadow:
-            data.write(start, local.read(start, stop - start))
+        covered = 0
+        if shadow:
+            # Coalesce the write-throughs once: sorted by start, a range
+            # that starts past the current one's stop opens the next.
+            shadow.sort()
+            lo, hi = shadow[0]
+            for start, stop in shadow:
+                if start > hi:
+                    data.write(lo, local.read(lo, hi - lo))
+                    covered += hi - lo
+                    lo = start
+                if stop > hi:
+                    hi = stop
+            data.write(lo, local.read(lo, hi - lo))
+            covered += hi - lo
         self._materialize(chunk_id, data)
-        written = self.chunk_size - shadow.total()
+        written = self.chunk_size - covered
         if written:
             yield from self.ssd.write_extent(self._extents[chunk_id], written)
 

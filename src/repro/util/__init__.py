@@ -1,4 +1,4 @@
-"""Shared helpers: byte-size units, interval sets, metrics, table rendering."""
+"""Shared helpers: byte-size units, metrics, table rendering."""
 
 from repro.util.units import (
     KiB,
@@ -14,7 +14,6 @@ from repro.util.units import (
     format_time,
     parse_size,
 )
-from repro.util.intervals import IntervalSet
 from repro.util.recorder import Counter, MetricsRecorder
 from repro.util.tables import render_table
 
@@ -31,7 +30,6 @@ __all__ = [
     "format_rate",
     "format_time",
     "parse_size",
-    "IntervalSet",
     "Counter",
     "MetricsRecorder",
     "render_table",

@@ -44,7 +44,10 @@ class DenseBenefactor(Benefactor):
 
     Same checks, charges and materialization rules as the benefactor it
     is compared with; no sparse state, no loans (every fetch copies, so a
-    fetched buffer is trivially a snapshot).
+    fetched buffer is trivially a snapshot).  A fill's shadow is a
+    per-byte coverage map, and the fill's gaps are its runs of zeroes: a
+    different algorithm from the real one's sort-and-merge of byte
+    ranges, so the overlay and its SSD charge are compared, not shared.
     """
 
     def _slowdown(self):
@@ -59,6 +62,9 @@ class DenseBenefactor(Benefactor):
             self._data[chunk_id] = bytearray(self.chunk_size)
         return self._data[chunk_id]
 
+    def begin_fill(self, chunk_id):
+        self._fill_shadow[chunk_id] = bytearray(self.chunk_size)
+
     def store_chunk(self, client, chunk_id, data, offset=0):
         self._check_online()
         assert 0 <= offset and offset + len(data) <= self.chunk_size
@@ -66,9 +72,9 @@ class DenseBenefactor(Benefactor):
         yield from self.node.network.transfer(client, self.name, len(data))
         if self.crashed or not self.online:
             raise BenefactorDownError(self.name)
-        shadow = self._fill_shadow.get(chunk_id)
-        if shadow is not None:
-            shadow.add(offset, offset + len(data))
+        covered = self._fill_shadow.get(chunk_id)
+        if covered is not None:
+            covered[offset : offset + len(data)] = b"\x01" * len(data)
         self._flat(chunk_id)[offset : offset + len(data)] = data
         yield from self.ssd.write_extent(self._extents[chunk_id] + offset, len(data))
         self.metrics.add("store.benefactor.bytes_in", len(data))
@@ -99,14 +105,19 @@ class DenseBenefactor(Benefactor):
 
     def complete_fill(self, chunk_id, data):
         self._check_online()
-        shadow = self._fill_shadow.pop(chunk_id)
+        covered = self._fill_shadow.pop(chunk_id)
         if data is None:
             return
         payload = self._flat(chunk_id)
         written = 0
-        for start, stop in shadow.gaps(0, self.chunk_size):
+        start = covered.find(0)
+        while start != -1:
+            stop = covered.find(1, start)
+            if stop == -1:
+                stop = self.chunk_size
             payload[start:stop] = data[start:stop]
             written += stop - start
+            start = covered.find(0, stop)
         if written:
             yield from self.ssd.write_extent(self._extents[chunk_id], written)
 
@@ -414,6 +425,29 @@ TestPayloadMachine = PayloadMachine.TestCase
 TestPayloadMachine.settings = _SETTINGS
 TestRaggedPayloadMachine = RaggedPayloadMachine.TestCase
 TestRaggedPayloadMachine.settings = _SETTINGS
+
+
+def test_fill_overlays_unaligned_overlapping_write_throughs():
+    """The case a fill's overlay exists for, which the random draws reach
+    only now and then: two write-throughs inside one fill that overlap
+    and end off a page boundary, over a snapshot of other bytes.  The
+    worlds must agree on every byte and on the SSD charge."""
+    machine = PayloadMachine()
+    machine.store_full(sides=(0,), chunk_id=0, fill=7, kind=bytes, keep=False)
+    machine.begin_fill(side=1, chunk_id=0)
+    machine.store_partial(
+        side=1, chunk_id=0, page=2, skew=100, fill=9, length=PAGE_SIZE,
+        aligned=False,
+    )  # [2P + 100, 3P + 100)
+    machine.write_through(pick=0, page=3, fill=11)  # [3P, 4P + 9)
+    machine.complete_fill(pick=0, src_side=0, src=0)
+    machine.worlds_agree()
+    machine.payload_is_well_formed()
+    got = machine.real.bs[1].peek(0)
+    want = bytearray([7]) * machine.chunk_size
+    want[2 * PAGE_SIZE + 100 : 3 * PAGE_SIZE + 100] = bytes([9]) * PAGE_SIZE
+    want[3 * PAGE_SIZE : 4 * PAGE_SIZE + 9] = bytes([11]) * (PAGE_SIZE + 9)
+    assert got == want
 
 
 # ----------------------------------------------------------------------

@@ -105,11 +105,11 @@ from repro.cluster.hal import HalConfig
 from repro.core import NVMalloc
 from repro.devices.ftl import FlashTranslationLayer
 from repro.errors import CapacityError, EnduranceExceededError
+from repro.fusefs import FuseMount
 from repro.sim import AllOf, Engine
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
-from repro.util.intervals import IntervalSet
 from repro.util.units import KiB, MiB
-from tests.conftest import fuzz_settings, marker_spy, reference_kernel
+from tests.conftest import fuzz_settings, marker_spy, reference_kernel, small_testbed
 
 # Two and a half chunks: three chunk-cache keys contending for two slots,
 # the last chunk a partial tail.
@@ -467,7 +467,7 @@ def test_ftl_out_of_range_page_keeps_earlier_pages_written():
 
 
 # ----------------------------------------------------------------------
-# The vectorized page-align run computation vs a per-interval reference
+# A chunk-cache page mask's runs vs a per-interval reference
 # ----------------------------------------------------------------------
 
 interval = st.tuples(
@@ -476,8 +476,9 @@ interval = st.tuples(
 )
 
 
-def _reference_page_align(dirty, page_size, chunk_size):
-    """The pre-vectorization per-interval coalescing loop."""
+def _reference_page_runs(dirty, page_size, chunk_size):
+    """Round byte ranges sorted by start out to pages, one interval at a
+    time, coalescing each into the last when they touch."""
     out = []
     for start, stop in dirty:
         a = (start // page_size) * page_size
@@ -491,17 +492,20 @@ def _reference_page_align(dirty, page_size, chunk_size):
 
 @fuzz_settings(max_examples=50, deadline=None)
 @given(spans=st.lists(interval, min_size=0, max_size=20))
-def test_page_align_matches_reference(spans):
-    from repro.fusefs.cache import ChunkCache
+def test_page_runs_match_reference(spans):
+    """``ChunkCache._runs`` of a mask built with ``write_ranges``'s own
+    expression is the page-rounded union of the written byte spans."""
+    _, cluster, store = small_testbed()
+    cache = FuseMount(cluster.node(1), store, cache_bytes=CHUNK_SIZE).cache
+    pages = 0
+    written = []
+    for offset, length in spans:
+        length = min(length, CHUNK_SIZE - offset)
+        first = offset // PAGE_SIZE
+        last = (offset + length - 1) // PAGE_SIZE
+        pages |= (2 << last) - (1 << first)
+        written.append((offset, offset + length))
 
-    dirty = IntervalSet()
-    for start, length in spans:
-        dirty.add(start, min(start + length, CHUNK_SIZE))
-
-    class _Shim:
-        page_size = PAGE_SIZE
-        chunk_size = CHUNK_SIZE
-
-    got = ChunkCache._page_align(_Shim(), dirty)
-    want = _reference_page_align(list(dirty), PAGE_SIZE, CHUNK_SIZE)
+    got = cache._runs(pages)
+    want = _reference_page_runs(sorted(written), PAGE_SIZE, CHUNK_SIZE)
     assert got == want

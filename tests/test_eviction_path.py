@@ -7,9 +7,9 @@ the store on eviction).  Almost none finds a waiter, so a marker is a
 flag until one does (``sim/events.py``, INTERNALS "Events nobody can
 observe"): the first waiter swaps in the ``Event`` every waiter yields,
 and the owner succeeds only an ``Event`` it finds.  And a chunk
-eviction finds its victim by ``in`` and a subscript, tests ``dirty is
-not None`` (a clean entry holds no set) and re-tests the cache's length
-only after each eviction.
+eviction finds its victim by ``in`` and a subscript, tests its page
+mask against 0 and re-tests the cache's length only after each
+eviction.
 
 A lone rank's dirty evictions are profiled with ``cProfile`` (the
 counter behind the benchmark's ``host_calls_per_op``) and pinned by
@@ -32,8 +32,7 @@ Hand mutants of ``src/repro`` these tests kill:
   profile shows an ``Event.__init__`` frame (and
   ``tests/test_source_guards.py`` rejects the source);
 - ``_make_room``'s victim search back on ``items()``, or its removal on
-  ``pop``, or its dirtiness test on ``bool(entry.dirty)``: the frame
-  shows in the chunk eviction's profile.
+  ``pop``: the frame shows in the chunk eviction's profile.
 """
 
 import cProfile
@@ -47,7 +46,6 @@ from repro.mem import PageCache
 from repro.sim import AllOf
 from repro.sim.events import Event
 from repro.store import CHUNK_SIZE, PAGE_SIZE
-from repro.util.intervals import IntervalSet
 from tests.conftest import marker_spy, reference_kernel, run, small_testbed
 
 RDWR_CREAT = OpenFlags.O_RDWR | OpenFlags.O_CREAT
@@ -57,21 +55,16 @@ EVENT_INIT = (
     Event.__init__.__code__.co_firstlineno,
     "__init__",
 )
-BOOL = (
-    IntervalSet.__bool__.__code__.co_filename,
-    IntervalSet.__bool__.__code__.co_firstlineno,
-    "__bool__",
-)
 #: A lone rank's write of a full page that evicts a dirty page: the two
 #: layers, the page's eviction, its FUSE write into a chunk the chunk
-#: cache had not held (a new entry and its dirty set), the clock moves
-#: and the DRAM grants.
+#: cache had not held (a new entry; its page mask is int arithmetic), the
+#: clock moves and the DRAM grants.
 PAGE_EVICTION = {
     "pagecache.write": 1, "pagecache._insert": 1, "cache.write_ranges": 1,
-    "cache._load": 1, "intervals.__init__": 1, "intervals.add": 1,
-    "engine.advance": 3, "resources.acquire_now": 2, "resources.release": 2,
+    "cache._load": 1, "engine.advance": 3, "resources.acquire_now": 2,
+    "resources.release": 2,
     "<method 'popitem' of 'collections.OrderedDict' objects>": 1,
-    "<built-in method builtins.len>": 5, "<built-in method numpy.empty>": 1,
+    "<built-in method builtins.len>": 5,
 }
 DISABLE = "<method 'disable' of '_lsprof.Profiler' objects>"
 
@@ -90,9 +83,9 @@ def _frames(profile):
 
 
 def _forbidden(keys, labels):
-    """The frames no eviction may call: a marker's ``Event``, a dict's
-    ``items`` / ``pop`` / ``get`` and ``IntervalSet.__bool__``."""
-    found = [key for key in (EVENT_INIT, BOOL) if key in keys]
+    """The frames no eviction may call: a marker's ``Event`` and a dict's
+    ``items`` / ``pop`` / ``get``."""
+    found = [EVENT_INIT] if EVENT_INIT in keys else []
     found += [
         label for label in labels
         if any(f"'{name}' of '{kind}" in label
@@ -139,9 +132,8 @@ class TestLoneRankEviction:
     def test_a_dirty_chunk_eviction_builds_no_marker(self):
         """A read miss in a full two-chunk cache whose LRU entry is dirty:
         the victim's write-back, then the fill.  Kills an eager ``Event``
-        in ``_make_room``, ``_writeback`` or ``_fill``, the victim search
-        on ``items()``, the removal on ``pop`` and the dirtiness test on
-        ``bool(entry.dirty)``."""
+        in ``_make_room``, ``_writeback`` or ``_fill`` and the victim
+        search on ``items()`` or the removal on ``pop``."""
         engine, mount, _ = _world(2)
         cache = mount.cache
         profile = cProfile.Profile()

@@ -40,7 +40,7 @@ def _name(node):
 
 def test_every_given_and_state_machine_uses_fuzz_settings():
     modules = list(_hypothesis_modules())
-    assert len(modules) >= 15
+    assert len(modules) >= 14
     for path, tree in modules:
         # Module-level names bound to a ``fuzz_settings(...)`` call.
         shared = {

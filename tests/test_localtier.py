@@ -314,7 +314,7 @@ class TestCacheIntegration:
             # Post-flush: dirty is clean but the shadow lags — the entry
             # must not be promotable from the tier.
             entry = cache._entries[("/f", 0)]
-            assert entry.l2_stale is not None and entry.l2_stale
+            assert entry.l2_stale
             assert not entry.dirty
             assert cache._promotable(("/f", 0), entry) is False
             # Evict chunk 0 (clean this time), then read it back.

@@ -4,9 +4,9 @@ INTERNALS "Fast path and batching invariants" (the miss-path bullet)
 lets a chunk-cache fill or write-back skip work only where nothing can
 observe it:
 
-- a chunk-cache entry's ``dirty`` is None whenever the entry is clean:
-  a chunk that is only read builds no interval set, a write-back drops
-  the set, and evicting a clean entry ships nothing;
+- a chunk-cache entry's ``dirty`` is an int page mask, 0 whenever the
+  entry is clean: a write ORs in the pages it touches, a write-back
+  zeroes the mask, and evicting a clean entry ships nothing;
 - the store client tests its chunk map inline against the file's
   generation: a warm map costs no metadata round trip, a cold or stale
   one exactly one;
@@ -47,14 +47,14 @@ class TestEntryDirtySet:
     def test_a_read_only_entry_has_no_set_and_its_eviction_ships_nothing(
         self, engine, mount, small_cluster
     ):
-        """Kills "`None` counted as dirty" (``_make_room`` taking an entry
-        whose ``dirty`` is None for a dirty victim)."""
+        """Kills "0 counted as dirty" (``_make_room`` testing ``dirty is
+        not None``, which every entry passes, for a dirty victim)."""
         cache = mount.cache
 
         def proc():
             fd = yield from mount.open("/f", RDWR_CREAT, size=4 * CHUNK_SIZE)
             yield from mount.pread(fd, 0, 1)
-            assert cache._entries[("/f", 0)].dirty is None  # noqa: SLF001
+            assert cache._entries[("/f", 0)].dirty == 0  # noqa: SLF001
             yield from evict_chunk_zero(mount, fd)
 
         run(engine, proc())
@@ -67,15 +67,15 @@ class TestEntryDirtySet:
     def test_a_written_entrys_eviction_ships_exactly_its_pages(
         self, engine, mount, small_cluster
     ):
-        """Kills "`dirty` not created on first write" (the first write
-        builds a set but does not store it on the entry)."""
+        """Kills "a write's pages not ORed into ``dirty``" (the mask
+        computed but not stored on the entry)."""
         cache = mount.cache
 
         def proc():
             fd = yield from mount.open("/f", RDWR_CREAT, size=4 * CHUNK_SIZE)
             yield from mount.pwrite(fd, 10_000, b"z")  # page 2, partial
             yield from mount.pwrite(fd, 5 * PAGE_SIZE, b"y" * PAGE_SIZE)
-            assert cache._entries[("/f", 0)].dirty  # noqa: SLF001
+            assert cache._entries[("/f", 0)].dirty == 1 << 2 | 1 << 5  # noqa: SLF001
             yield from evict_chunk_zero(mount, fd)
             cache.invalidate_path("/f")  # read back from the store
             return (
@@ -92,10 +92,11 @@ class TestEntryDirtySet:
     def test_a_write_after_a_write_back_dirties_the_entry_again(
         self, engine, mount
     ):
-        """A write-back drops the set; the next write builds a new one,
-        and the eviction ships that page alone.  Kills "write-back clears
-        the set and keeps it" (an empty set on a clean entry, which
-        ``_make_room``'s ``dirty is not None`` would take for dirty)."""
+        """A write-back zeroes the mask; the next write sets its page's
+        bit, and the eviction ships that page alone.  Kills "write-back
+        keeps the mask" (page 0 would ship again) and an off-by-one in
+        ``(2 << last) - (1 << first)`` for a range that ends on a page
+        boundary (page 8 marked too, or no page at all)."""
         cache = mount.cache
 
         def proc():
@@ -103,9 +104,9 @@ class TestEntryDirtySet:
             yield from mount.pwrite(fd, 0, b"a" * PAGE_SIZE)
             yield from mount.fsync(fd)
             entry = cache._entries[("/f", 0)]  # noqa: SLF001
-            assert entry.dirty is None
+            assert entry.dirty == 0
             yield from mount.pwrite(fd, 7 * PAGE_SIZE, b"b" * PAGE_SIZE)
-            assert list(entry.dirty) == [(7 * PAGE_SIZE, 8 * PAGE_SIZE)]
+            assert entry.dirty == 1 << 7
             yield from evict_chunk_zero(mount, fd)
             cache.invalidate_path("/f")
             return (yield from mount.pread(fd, 7 * PAGE_SIZE, PAGE_SIZE))

@@ -78,10 +78,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 
 #: Ceiling on never-called functions.  Lower it when the count falls.
-MAX_UNREACHED = 85
+MAX_UNREACHED = 81
 
 #: Ceiling on knobs every root leaves at one value.  Lower it likewise.
-MAX_SINGLE_VALUED = 65
+MAX_SINGLE_VALUED = 64
 
 #: Distinct values after which a knob is plainly turned and is dropped
 #: from the hook.
