@@ -10,13 +10,11 @@ vs 19.3 GB for a random-write workload).  An entry's dirty pages are one
 int bit mask (bit i is page i of the chunk), and each run of set bits is
 one contiguous range on the wire.
 
-Bookkeeping runs on one auxiliary structure kept in lockstep with the
-LRU dict: a per-path index (``_by_path``) whose buckets keep the dict's
-order restricted to their path, so per-file flush/invalidate walk only
-that file's chunks, in LRU order, instead of the whole cache.  The
-in-flight table needs no such index: it holds a marker or two at most,
-so ``drain_path`` scans it.  The index changes nothing that is
-simulated — only how fast Python finds the entries.
+The LRU dict is the one index of the entries: a hit moves its key to
+the end and nothing else.  The path-scoped operations (fsync, unlink,
+the checkpoints' dirty-chunk query) filter the dict, in its order, and
+``drain_path`` scans the in-flight table, which holds a marker or two
+at most.
 
 Three opt-in features form a tiered adaptive hierarchy (see INTERNALS.md
 "Client cache hierarchy"):
@@ -252,14 +250,6 @@ class ChunkCache:
             name=f"{client.client_name}.fused",
         )
         self._entries: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
-        # Per-path view of ``_entries`` keys, so path-scoped operations
-        # (fsync, unlink) touch only that file's chunks.  Chunk indices
-        # are dict keys: a subscript store or ``del`` is not a call and
-        # ``set.add`` / ``set.discard`` are (``PageCache._faults``).  A
-        # bucket keeps the dict's order restricted to its path: every
-        # ``move_to_end`` on ``_entries`` re-inserts the index in its
-        # bucket too.
-        self._by_path: dict[str, dict[int, None]] = {}
         # Chunks whose eviction write-back is in flight: concurrent
         # accesses must wait for the store to hold current bytes before
         # refetching, or they would read the pre-writeback (stale) data.
@@ -316,13 +306,12 @@ class ChunkCache:
         Pure metadata (no events): used by incremental checkpoints to
         find chunks whose store copy is behind the cached view.
         """
-        bucket = self._by_path.get(path)
-        if not bucket:
-            return set()
         entries = self._entries
-        return {
-            index for index in bucket if entries[(path, index)].dirty
-        }
+        dirty: list[int] = []
+        for key in entries:
+            if key[0] == path and entries[key].dirty:
+                dirty += (key[1],)
+        return set(dirty)
 
     # ------------------------------------------------------------------
     # Core access
@@ -408,10 +397,6 @@ class ChunkCache:
             entry = entries[victim_key]
             del entries[victim_key]
             vpath, vindex = victim_key
-            bucket = self._by_path[vpath]
-            del bucket[vindex]
-            if not bucket:
-                del self._by_path[vpath]
             if policy is not None:
                 policy.record_evict(victim_key)
             was_dirty = entry.dirty != 0
@@ -660,9 +645,6 @@ class ChunkCache:
             if key in entries:  # ``in`` + subscript: no call, hit or miss
                 entry = entries[key]
                 entries.move_to_end(key)
-                bucket = self._by_path[path]
-                del bucket[index]
-                bucket[index] = None
                 entry.pins += 1  # survives the fill below and is returned
                 if policy is not None:
                     policy.record_hit(key)
@@ -742,11 +724,6 @@ class ChunkCache:
             entry.l2_stale = 0
             entry.shared = False
             entries[key] = entry
-            by_path = self._by_path
-            if path in by_path:
-                by_path[path][index] = None
-            else:
-                by_path[path] = {index: None}
             if policy is not None:
                 policy.record_insert(key)
             if fetch:
@@ -873,10 +850,6 @@ class ChunkCache:
         """Bookkeeping for a resident entry taken on the no-yield fast
         path: identical to what :meth:`_load` does for a clean hit."""
         self._entries.move_to_end(key)
-        path, index = key
-        bucket = self._by_path[path]
-        del bucket[index]
-        bucket[index] = None
         entry.pins += 1
         if self._policy is not None:
             self._policy.record_hit(key)
@@ -1008,13 +981,6 @@ class ChunkCache:
         except ReproError:
             pass  # only what the model can raise; a bug fails this process
 
-    def write(
-        self, path: str, index: int, offset: int, data: bytes
-    ) -> Generator[Event, object, None]:
-        """Write bytes into chunk ``index`` of ``path``: the one-range
-        form of :meth:`write_ranges`."""
-        return self.write_ranges(path, index, ((offset, data),))
-
     def write_ranges(
         self,
         path: str,
@@ -1128,14 +1094,15 @@ class ChunkCache:
     def flush_path(self, path: str) -> Generator[Event, object, None]:
         """Write back all dirty chunks of ``path`` (fsync)."""
         yield from self.drain_path(path)
-        by_path = self._by_path
-        if path in by_path:
-            entries = self._entries
-            # Snapshot in LRU order (the bucket's order).
-            for index in list(by_path[path]):
-                key = (path, index)
-                if key in entries:  # may be evicted while we flush others
-                    yield from self._writeback(key, entries[key])
+        entries = self._entries
+        # Snapshot the path's keys in LRU order.
+        keys: list[tuple[str, int]] = []
+        for key in entries:
+            if key[0] == path:
+                keys += (key,)
+        for key in keys:
+            if key in entries:  # may be evicted while we flush others
+                yield from self._writeback(key, entries[key])
         yield from self.drain_path(path)
 
     def flush_all(self) -> Generator[Event, object, None]:
@@ -1167,14 +1134,16 @@ class ChunkCache:
 
     def invalidate_path(self, path: str) -> None:
         """Drop cached chunks of ``path`` without writing back (unlink)."""
-        bucket = self._by_path.pop(path, None)
-        if bucket:
-            entries = self._entries
-            policy = self._policy
-            for index in bucket:
-                del entries[(path, index)]
-                if policy is not None:
-                    policy.record_remove((path, index))
+        entries = self._entries
+        policy = self._policy
+        doomed: list[tuple[str, int]] = []
+        for key in entries:
+            if key[0] == path:
+                doomed += (key,)
+        for key in doomed:
+            del entries[key]
+            if policy is not None:
+                policy.record_remove(key)
         if self._l2 is not None:
             self._l2.drop_path(path)
             self._inval_gen[path] = self._inval_gen.get(path, 0) + 1

@@ -169,8 +169,8 @@ class FuseMount:
         self._check_range(state.path, offset, len(data))
         cursor = 0
         for index, chunk_off, piece in self._pieces(offset, len(data)):
-            yield from self.cache.write(
-                state.path, index, chunk_off, data[cursor : cursor + piece]
+            yield from self.cache.write_ranges(
+                state.path, index, ((chunk_off, data[cursor : cursor + piece]),)
             )
             cursor += piece
         return len(data)

@@ -6,10 +6,9 @@ the granularity bridge of paper §III-D).  Dirty pages are written back to
 FUSE at page granularity, matching "the OS page cache sends out write
 requests to the FUSE layer on a page granularity".
 
-Like the chunk cache, the page dict is shadowed by a per-path index
-whose buckets keep the dict's order restricted to their path, so
-msync/munmap walk only the target file's pages, in LRU order.  Runs of
-pages move through the stack in batch: faults pull each chunk piece
+Like the chunk cache, the LRU page dict is the one index of the pages:
+msync/munmap filter it for the target file's pages, in LRU order.  Runs
+of pages move through the stack in batch: faults pull each chunk piece
 with one ``read_into`` call, and msync flushes runs of contiguous dirty
 pages with one ``write_ranges`` call that charges the same per-page FUSE
 overhead the page-by-page path would have — the simulated event
@@ -104,13 +103,6 @@ class PageCache:
         self.metrics = metrics if metrics is not None else mount.metrics
         self.stats = PageCacheStats()
         self._pages: OrderedDict[tuple[str, int], _Page] = OrderedDict()
-        # Per-path view of ``_pages`` keys for path-scoped sync/drop: page
-        # indices as dict keys (the rule at ``_faults`` below), in the
-        # dict's order restricted to the path.  Every ``move_to_end`` on
-        # ``_pages`` re-inserts the index in its bucket too, and a bucket
-        # is re-subscripted after every yield: a fault may have evicted
-        # the path's last page, and a later insert built a new bucket.
-        self._by_path: dict[str, dict[int, None]] = {}
         # Pages whose eviction flush is in flight: concurrent faults must
         # wait for the flush to reach FUSE before refetching, or they
         # would read pre-flush (stale) bytes.  A marker is ``True`` until
@@ -162,7 +154,7 @@ class PageCache:
         flushed: dict[tuple[str, int], None] | None = None,
     ) -> Generator[Event, object, tuple[_Page | None, bool]]:
         """Pin a page slot for ``(path, page_idx)``: the one way a page
-        becomes resident, built and indexed here.
+        becomes resident, built here.
 
         Returns ``(page, created)``: ``created`` is False when the page
         was already (or concurrently became) resident — fillers must not
@@ -180,7 +172,6 @@ class PageCache:
         pages = self._pages
         inflight = self._inflight
         capacity = self.capacity_pages
-        by_path = self._by_path
         while True:
             # Wait out an in-flight eviction flush of this very page.
             while key in inflight:
@@ -192,9 +183,6 @@ class PageCache:
                 # Someone else faulted it back in while we waited.
                 page = pages[key]
                 pages.move_to_end(key)
-                bucket = by_path[path]
-                del bucket[page_idx]
-                bucket[page_idx] = None
                 return page, False
             while len(pages) >= capacity:
                 # Evict the LRU page, flushing a dirty victim through
@@ -209,17 +197,13 @@ class PageCache:
                 # whose flush yielded (others may have inserted
                 # meanwhile) sends the loop round again.
                 vkey, victim = pages.popitem(last=False)
-                vpath, vidx = vkey
-                bucket = by_path[vpath]
-                del bucket[vidx]
-                if not bucket:
-                    del by_path[vpath]
                 if victim.dirty:
                     mount = self.mount
                     engine = self._engine
                     page_size = self.page_size
                     chunk_size = mount.chunk_size
                     inflight[vkey] = True
+                    vpath, vidx = vkey
                     try:
                         offset = vidx * page_size
                         files = self._files
@@ -277,10 +261,6 @@ class PageCache:
             page.dirty = False
             page.syncing = False
             pages[key] = page
-            if path in by_path:
-                by_path[path][page_idx] = None
-            else:
-                by_path[path] = {page_idx: None}
             return page, True
 
     def _fault_range(
@@ -328,7 +308,6 @@ class PageCache:
             if overhead and not self._engine.advance(overhead):
                 yield self._engine.timeout(overhead)
             pages = self._pages
-            by_path = self._by_path
             page_size = self.page_size
             chunk_size = self.mount.chunk_size
             cursor = offset
@@ -359,9 +338,6 @@ class PageCache:
                             # Concurrently faulted back in: only touch the LRU
                             # position, never overwrite (it may hold newer bytes).
                             pages.move_to_end(key)
-                            bucket = by_path[path]
-                            del bucket[page_idx]
-                            bucket[page_idx] = None
                         elif seg_len >= page_size:
                             # _insert drops the slice if the page turns up
                             # resident after an eviction wait.
@@ -399,8 +375,7 @@ class PageCache:
         The returned buffer is a fresh snapshot owned by the caller —
         no cache page aliases it, so callers may mutate or adopt it.
         """
-        # The bounds check, inline: every hit passes here (``_size``
-        # inlined too).
+        # The bounds check, inline: every hit passes here.
         files = self._files
         size = files[path].size if path in files else self.mount.stat_size(path)
         if offset < 0 or length < 0 or offset + length > size:
@@ -415,7 +390,6 @@ class PageCache:
         last = (offset + length - 1) // page_size
         pages = self._pages
         move_to_end = pages.move_to_end
-        by_path = self._by_path
         # Group contiguous missing pages into ranged faults.
         run_start: int | None = None
         resident = 0
@@ -424,9 +398,6 @@ class PageCache:
             key = (path, page_idx)
             if key in pages:
                 move_to_end(key)
-                bucket = by_path[path]
-                del bucket[page_idx]
-                bucket[page_idx] = None
                 resident += 1
                 if run_start is not None:
                     yield from self._fault_range(path, run_start, page_idx - 1)
@@ -443,8 +414,8 @@ class PageCache:
         # could have moved one since the first: a fault (it inserted, and
         # may have evicted, pages), a parked DRAM grant or a real DRAM
         # timeout (other processes ran).  Otherwise nothing ran between
-        # the passes, the range is still the last entries of the dict and
-        # of its bucket, in file order, and a re-touch would move nothing
+        # the passes, the range is still the last entries of the dict, in
+        # file order, and a re-touch would move nothing
         # (INTERNALS "The cache hierarchy and its races", rule 10).
         retouch = misses != 0
         if resident:
@@ -488,9 +459,6 @@ class PageCache:
                     # while faulting its tail; refault just this page.
                     yield from self._fault_range(path, page_idx, page_idx)
                 move_to_end(key)
-                bucket = by_path[path]
-                del bucket[page_idx]
-                bucket[page_idx] = None
             page = pages[key]
             if piece == page_size:
                 out[pos : pos + page_size] = page.data
@@ -533,7 +501,6 @@ class PageCache:
                 yield from hook.before_write(offset, length)
         pages = self._pages
         move_to_end = pages.move_to_end
-        by_path = self._by_path
         page_size = self.page_size
         src = memoryview(data)
         written_resident = 0
@@ -573,9 +540,6 @@ class PageCache:
                 hits += 1
                 page = pages[key]
                 move_to_end(key)
-                bucket = by_path[path]
-                del bucket[page_idx]
-                bucket[page_idx] = None
             page.data[in_page : in_page + piece] = src[start : start + piece]
             page.dirty = True
             written_resident += piece
@@ -613,8 +577,8 @@ class PageCache:
 
         Waits on the oldest of the path's markers first, and scans again
         after each: ``_inflight`` is almost always empty here, and holds
-        a marker or two when it is not (INTERNALS, "Per-path indexes: a
-        bucket is the dict's order restricted to its path").
+        a marker or two when it is not (INTERNALS, "Path-scoped operations
+        filter the LRU dict").
         """
         inflight = self._inflight
         while inflight:
@@ -655,16 +619,13 @@ class PageCache:
         Pure metadata (no events): used by incremental checkpoints to
         find chunks whose store copy is behind the mapped view.
         """
-        bucket = self._by_path.get(path)
-        if not bucket:
-            return set()
         pages = self._pages
         pages_per_chunk = max(1, chunk_size // self.page_size)
-        return {
-            page_idx // pages_per_chunk
-            for page_idx in bucket
-            if pages[(path, page_idx)].dirty
-        }
+        dirty: list[int] = []
+        for key in pages:
+            if key[0] == path and pages[key].dirty:
+                dirty += (key[1] // pages_per_chunk,)
+        return set(dirty)
 
     def sync_path(self, path: str) -> Generator[Event, object, None]:
         """Flush all dirty pages of ``path`` to FUSE (msync).
@@ -687,23 +648,25 @@ class PageCache:
         )
         try:
             yield from self.drain_path(path)
-            bucket = self._by_path.get(path)
-            if bucket:
-                pages = self._pages
+            # Snapshot this path's pages in LRU order; dirtiness is
+            # re-checked at flush time, as the page-by-page loop would.
+            # Batch *boundaries* stay lazily evaluated below: a page
+            # dirtied while an earlier batch's flush was in flight must
+            # still be picked up when the walk reaches it.
+            pages = self._pages
+            snapshot: list[tuple[int, _Page]] = []
+            for key in pages:
+                if key[0] == path:
+                    snapshot += ((key[1], pages[key]),)
+            if snapshot:
                 page_size = self.page_size
-                size = self._size(path)
+                files = self._files
+                size = files[path].size if path in files else self.mount.stat_size(path)
                 chunk_size = self.mount.chunk_size
                 cache = self.mount.cache
                 overhead = self.fuse_op_overhead or None
                 faults = self._faults
                 inflight = self._inflight
-                # Snapshot this path's pages in LRU order (the bucket's
-                # order); dirtiness is re-checked at flush time, as the
-                # page-by-page loop would.  Batch *boundaries* stay lazily
-                # evaluated below: a page dirtied while an earlier batch's
-                # flush was in flight must still be picked up when the walk
-                # reaches it.
-                snapshot = [(i, pages[(path, i)]) for i in bucket]
                 j = 0
                 total = len(snapshot)
                 while j < total:
@@ -778,37 +741,23 @@ class PageCache:
             if span is not None:
                 tracer.end(span)
 
-    def drop_path(self, path: str, *, sync: bool = True) -> Generator[Event, object, None]:
-        """Flush (optionally) and evict all pages of ``path`` (munmap).
-
-        ``sync=False`` drains the path's in-flight flushes, then discards
-        its pages, dirty ones included: it makes this cache cold and
-        keeps nothing.  No caller in ``src/repro`` passes it (munmap
-        syncs, race rule 11); tests do, after the bytes are durable or
-        to throw them away, so no write of the model is lost in its
-        window.  ``tests/test_source_guards.py`` keeps it that way."""
-        by_path = self._by_path
+    def drop_path(self, path: str) -> Generator[Event, object, None]:
+        """Flush and evict all pages of ``path`` (munmap)."""
         pages = self._pages
-        if sync:
-            yield from self.sync_path(path)
+        yield from self.sync_path(path)
+        while True:
+            mine: list[tuple[str, int]] = []
+            for key in pages:
+                if key[0] == path:
+                    mine += (key,)
             # Race rule 11: a write that landed while the sync was parked
             # re-dirtied a page, so sync again until none is dirty.  The
             # last check and the delete below have no yield between them.
-            while path in by_path:
-                for page_idx in by_path[path]:
-                    if pages[(path, page_idx)].dirty:
-                        break
-                else:
+            for key in mine:
+                if pages[key].dirty:
                     break
-                yield from self.sync_path(path)
-        else:
-            yield from self.drain_path(path)
-        bucket = by_path.pop(path, None)
-        if bucket:
-            for page_idx in bucket:
-                del pages[(path, page_idx)]
-
-    def _size(self, path: str) -> int:
-        """The file's size now; a missing file raises the store's error."""
-        files = self._files
-        return files[path].size if path in files else self.mount.stat_size(path)
+            else:
+                break
+            yield from self.sync_path(path)
+        for key in mine:
+            del pages[key]

@@ -1,15 +1,13 @@
-"""Per-path index behaviour of the chunk cache and the page cache.
+"""Path-scoped operations of the chunk cache and the page cache.
 
-The fast path replaced O(all-entries) scans in the path-scoped
-operations (``flush_path`` / ``drop_path`` / ``invalidate_path``) with a
-``dict[path, dict[index, None]]`` index whose buckets keep the LRU
-dict's order restricted to their path.  These tests pin that property by
-counting which keys each operation actually visits, check that every
-touch reorders the bucket as it reorders the dict and that fsync/msync
-ship in that order, and cover the satellites that ride on the same
+``flush_path`` / ``invalidate_path`` and ``sync_path`` / ``drop_path``
+filter their cache's LRU dict for one path.  These tests check that each
+acts on that path's entries alone and that fsync/msync ship in the
+dict's order, and cover the satellites that ride on the same
 machinery: ``flush_all`` draining in-flight eviction write-backs,
-MAP_PRIVATE overlay reads skipping backing fetches, and read-ahead
-accounting in ``prefetched_bytes``.
+``drain_path`` waiting on its own markers, MAP_PRIVATE overlay reads
+skipping backing fetches, and read-ahead accounting in
+``prefetched_bytes``.
 """
 
 import pytest
@@ -18,7 +16,7 @@ from repro.fusefs import FuseMount, OpenFlags
 from repro.mem import MmapRegion, PageCache
 from repro.store import CHUNK_SIZE, PAGE_SIZE
 from repro.util.units import KiB, MiB
-from tests.conftest import CountingDict, check_cache_index, run
+from tests.conftest import run
 
 
 @pytest.fixture
@@ -40,6 +38,7 @@ def make_file(engine, mount, name, size):
 
 PATHS = ["/idx/a", "/idx/b", "/idx/c"]
 CHUNKS_PER_PATH = 3
+ALL_CHUNKS = set(range(CHUNKS_PER_PATH))
 
 
 def _populate_chunk_cache(engine, mount):
@@ -49,46 +48,34 @@ def _populate_chunk_cache(engine, mount):
 
         def proc(name=name):
             for chunk in range(CHUNKS_PER_PATH):
-                yield from mount.cache.write(
-                    name, chunk, 0, bytes([chunk + 1]) * PAGE_SIZE
+                yield from mount.cache.write_ranges(
+                    name, chunk, ((0, bytes([chunk + 1]) * PAGE_SIZE),)
                 )
 
         run(engine, proc())
 
 
 class TestChunkCacheVisitsOnlyItsPath:
-    def _instrument(self, mount):
-        cache = mount.cache
-        counting = CountingDict(cache._entries)
-        cache._entries = counting
-        return cache, counting
-
     def test_flush_path_skips_other_paths(self, engine, mount):
         _populate_chunk_cache(engine, mount)
-        cache, counting = self._instrument(mount)
+        cache = mount.cache
         run(engine, cache.flush_path(PATHS[0]))
-        assert counting.full_scans == 0
-        # flush_path looks each of the path's entries up a couple of
-        # times (revalidation + write-back); the other paths' six entries
-        # must not be visited at all.
-        assert counting.key_visits <= 4 * CHUNKS_PER_PATH
         assert len(cache._entries) == len(PATHS) * CHUNKS_PER_PATH
+        assert cache.dirty_chunk_indices(PATHS[0]) == set()
+        for other in PATHS[1:]:
+            assert cache.dirty_chunk_indices(other) == ALL_CHUNKS
 
     def test_invalidate_path_skips_other_paths(self, engine, mount):
         _populate_chunk_cache(engine, mount)
-        cache, counting = self._instrument(mount)
+        cache = mount.cache
         cache.invalidate_path(PATHS[1])
-        assert counting.full_scans == 0
-        assert counting.key_visits <= 2 * CHUNKS_PER_PATH
         remaining = {path for path, _ in cache._entries}
         assert remaining == {PATHS[0], PATHS[2]}
+        assert len(cache._entries) == 2 * CHUNKS_PER_PATH
+        for other in (PATHS[0], PATHS[2]):
+            assert cache.dirty_chunk_indices(other) == ALL_CHUNKS
 
-    def test_index_matches_entries(self, engine, mount):
-        _populate_chunk_cache(engine, mount)
-        cache = mount.cache
-        check_cache_index(cache, cache._entries)
-
-    def test_hits_reorder_the_bucket_and_fsync_ships_in_lru_order(
+    def test_hits_reorder_the_lru_and_fsync_ships_in_lru_order(
         self, engine, mount
     ):
         _populate_chunk_cache(engine, mount)
@@ -99,13 +86,15 @@ class TestChunkCacheVisitsOnlyItsPath:
             # Fills through ``_load``'s resident arm, then a hit on the
             # no-yield fast path (``_hit``) once chunk 1 is valid.
             yield from cache.read_into(path, 1, 0, 1, bytearray(1))
-            yield from cache.write(PATHS[1], 0, 0, b"t")
+            yield from cache.write_ranges(PATHS[1], 0, ((0, b"t"),))
             yield from cache.read_into(path, 0, 0, 1, bytearray(1))
-            yield from cache.write(path, 1, 0, b"t")
+            yield from cache.write_ranges(path, 1, ((0, b"t"),))
 
         run(engine, touch())
-        check_cache_index(cache, cache._entries)
-        assert list(cache._by_path[path]) == [2, 0, 1]
+        a, b, c = PATHS
+        assert cache.cached_keys() == [
+            (a, 2), (b, 1), (b, 2), (c, 0), (c, 1), (c, 2), (b, 0), (a, 0), (a, 1),
+        ]  # fmt: skip
         shipped = []
         writeback = cache._writeback
 
@@ -136,32 +125,26 @@ class TestPageCacheVisitsOnlyItsPath:
     def test_drop_path_skips_other_paths(self, engine, mount):
         pagecache = PageCache(mount, capacity_bytes=256 * KiB)
         self._populate(engine, mount, pagecache)
-        counting = CountingDict(pagecache._pages)
-        pagecache._pages = counting
-        run(engine, pagecache.drop_path(PATHS[0], sync=False))
-        assert counting.full_scans == 0
-        assert counting.key_visits <= 2 * self.PAGES_PER_PATH
+        run(engine, pagecache.drop_path(PATHS[0]))
         remaining = {path for path, _ in pagecache._pages}
         assert remaining == {PATHS[1], PATHS[2]}
+        assert len(pagecache._pages) == 2 * self.PAGES_PER_PATH
+        # The dropped path was synced first; the others are still dirty.
+        assert mount.cache.dirty_chunk_indices(PATHS[0]) == {0}
+        for other in PATHS[1:]:
+            assert pagecache.dirty_chunk_indices(other, CHUNK_SIZE) == {0}
+            assert mount.cache.dirty_chunk_indices(other) == set()
 
     def test_sync_path_skips_other_paths(self, engine, mount):
         pagecache = PageCache(mount, capacity_bytes=256 * KiB)
         self._populate(engine, mount, pagecache)
-        counting = CountingDict(pagecache._pages)
-        pagecache._pages = counting
         run(engine, pagecache.sync_path(PATHS[2]))
-        assert counting.full_scans == 0
-        # One lookup per page to snapshot, plus per-page revalidation
-        # while the batched flush goes out.
-        assert counting.key_visits <= 4 * self.PAGES_PER_PATH
         assert len(pagecache._pages) == len(PATHS) * self.PAGES_PER_PATH
+        dirty = {path for (path, _), page in pagecache._pages.items() if page.dirty}
+        assert dirty == {PATHS[0], PATHS[1]}
+        assert pagecache.dirty_chunk_indices(PATHS[2], CHUNK_SIZE) == set()
 
-    def test_index_matches_pages(self, engine, mount):
-        pagecache = PageCache(mount, capacity_bytes=256 * KiB)
-        self._populate(engine, mount, pagecache)
-        check_cache_index(pagecache, pagecache._pages)
-
-    def test_hits_reorder_the_bucket_and_msync_ships_in_lru_order(
+    def test_hits_reorder_the_lru_and_msync_ships_in_lru_order(
         self, engine, mount
     ):
         pagecache = PageCache(mount, capacity_bytes=256 * KiB)
@@ -174,9 +157,9 @@ class TestPageCacheVisitsOnlyItsPath:
             yield from pagecache.write(path, 5 * PAGE_SIZE, b"t")
 
         run(engine, touch())
-        check_cache_index(pagecache, pagecache._pages)
         lru = [0, 1, 2, 4, 6, 7, 3, 5]
-        assert list(pagecache._by_path[path]) == lru
+        assert [index for p, index in pagecache._pages if p == path] == lru
+        assert list(pagecache._pages)[-3:] == [(path, 3), (PATHS[1], 0), (path, 5)]
         shipped = []
         write_ranges = mount.cache.write_ranges
 
@@ -207,8 +190,8 @@ class TestFlushAllDrainsInflight:
 
         def writer():
             for chunk in range(3):
-                yield from mount.cache.write(
-                    "/drain", chunk, 0, payload[chunk]
+                yield from mount.cache.write_ranges(
+                    "/drain", chunk, ((0, payload[chunk]),)
                 )
 
         def flusher():
@@ -295,7 +278,7 @@ class TestDrainPathWaitsOnItsOwnMarkers:
         page = b"x" * PAGE_SIZE
         self._run(
             engine, cache,
-            lambda path, index: cache.write(path, index, 0, page),
+            lambda path, index: cache.write_ranges(path, index, ((0, page),)),
             cache, "_writeback", lambda key: key[0],
         )
 
@@ -322,7 +305,7 @@ class TestPrivateOverlayReads:
             # fault the backing pages in — that is expected).
             yield from region.write(0, b"p" * (2 * PAGE_SIZE))
             # Cold caches: any backing read from here on would fetch.
-            yield from pagecache.drop_path("/priv", sync=False)
+            yield from pagecache.drop_path("/priv")
             mount.cache.invalidate_path("/priv")
             fetched_before = mount.cache.stats.fetched_bytes
             misses_before = pagecache.stats.misses

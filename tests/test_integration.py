@@ -115,7 +115,7 @@ class TestFailureDuringOperation:
             chunk_id, owner = store.resolve_chunk(var.backing_path, 0)
             owner.crash()
             lib.mount.cache.invalidate_path(var.backing_path)
-            yield from lib.pagecache.drop_path(var.backing_path, sync=False)
+            yield from lib.pagecache.drop_path(var.backing_path)
             with pytest.raises(BenefactorDownError):
                 yield from var.read(0, 10)
             return True

@@ -14,7 +14,6 @@ from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.units import KiB, MiB
 from tests.conftest import (
     CountingDict,
-    check_cache_index,
     fuzz_settings,
     reference_kernel,
     run,
@@ -286,10 +285,8 @@ def _in_eight_page_cache(scenario):
 
 
 def _lru(pagecache):
-    """Resident page indices of ``/f`` in LRU order, after checking that
-    the path's bucket holds them in that order (what ``sync_path``
+    """Resident page indices of ``/f`` in LRU order (what ``sync_path``
     replays)."""
-    check_cache_index(pagecache, pagecache._pages)
     return [index for _, index in pagecache._pages]
 
 
@@ -419,7 +416,7 @@ class TestPageCacheChecksTheCurrentSize:
             yield from mount.client.create("/f", 4 * PAGE_SIZE)
             for cache in (pagecache, other):
                 yield from cache.read("/f", 0, PAGE_SIZE)  # size seen: 4 pages
-            yield from pagecache.drop_path("/f", sync=False)
+            yield from pagecache.drop_path("/f")
             yield from mount.unlink("/f")
             yield from mount.client.create("/f", new_pages * PAGE_SIZE)
 

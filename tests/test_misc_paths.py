@@ -68,7 +68,7 @@ class TestMultiRangeWriteback:
             assert flushed == 3 * 4096
             # Round-trip through a cold cache.
             nvmalloc.mount.cache.invalidate_path(var.backing_path)
-            yield from nvmalloc.pagecache.drop_path(var.backing_path, sync=False)
+            yield from nvmalloc.pagecache.drop_path(var.backing_path)
             for page in (0, 5, 9):
                 got = yield from var.read(page * 4096, 4096)
                 assert got == bytes([page + 1]) * 4096

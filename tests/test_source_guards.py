@@ -4,10 +4,6 @@
   (INTERNALS "Who may change the clock"), so nothing but the language
   stops another module from assigning it: no ``._now`` attribute exists
   anywhere, and ``.now`` is assigned only in ``sim/engine.py``.
-- No caller passes ``drop_path(..., sync=False)``.  ``PageCache.drop_path``
-  without its sync drains and then discards the path's pages, dirty ones
-  included; that is safe only where the data is already durable, which
-  only tests arrange (INTERNALS race rule 11, the ``sync=False`` note).
 - A completion marker nobody waits for is never built (INTERNALS "Events
   nobody can observe").  There is no ``Event.conclude`` to call, and a
   marker slot (an ``_inflight`` or ``_capturing`` key, a ``filling``,
@@ -69,26 +65,6 @@ def test_only_the_engine_moves_the_clock():
         if target.attr == "now"
     }
     assert writers and all(w.startswith(f"{ENGINE}:") for w in writers), writers
-
-
-def test_no_caller_drops_a_path_without_its_sync():
-    calls, unsynced = 0, []
-    for path, tree in _trees():
-        for node in ast.walk(tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "drop_path"
-            ):
-                continue
-            calls += 1
-            for keyword in node.keywords:
-                if keyword.arg == "sync" and not (
-                    isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is True
-                ):
-                    unsynced.append(f"{path}:{node.lineno}")
-    assert calls and unsynced == []
 
 
 #: Containers whose keys are marker slots (and the locals that alias

@@ -181,7 +181,7 @@ class TestBatchedReadBoundaries:
             yield from mount.fsync(fd)
             yield from mount.close(fd)
             # Cold page cache: the batched read faults everything.
-            yield from pagecache.drop_path(name, sync=False)
+            yield from pagecache.drop_path(name)
 
         run(engine, proc())
         return payload
@@ -229,7 +229,7 @@ class TestBatchedReadBoundaries:
             # One write spanning full pages, partial edges, and the seam.
             yield from pagecache.write(name, 0, payload)
             yield from pagecache.sync_path(name)
-            yield from pagecache.drop_path(name, sync=False)
+            yield from pagecache.drop_path(name)
             back = yield from pagecache.read(name, 0, size)
             return bytes(back) == payload
 
