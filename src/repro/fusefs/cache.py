@@ -14,7 +14,10 @@ The LRU dict is the one index of the entries: a hit moves its key to
 the end and nothing else.  The path-scoped operations (fsync, unlink,
 the checkpoints' dirty-chunk query) filter the dict, in its order, and
 ``drain_path`` scans the in-flight table, which holds a marker or two
-at most.
+at most.  The cache counts its free chunk slots (``_free``), changed
+only where an entry is added or removed, and each miss's room test reads
+that count; it is negative while every entry is pinned and a miss
+overshoots capacity.
 
 Three opt-in features form a tiered adaptive hierarchy (see INTERNALS.md
 "Client cache hierarchy"):
@@ -250,6 +253,11 @@ class ChunkCache:
             name=f"{client.client_name}.fused",
         )
         self._entries: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
+        # Free chunk slots, ``capacity_chunks - len(_entries)``: changed
+        # only where an entry is added or removed (``_load``,
+        # ``_make_room``, ``invalidate_path``).  Negative while every
+        # entry is pinned and a miss overshoots (race rule 2).
+        self._free = self.capacity_chunks
         # Chunks whose eviction write-back is in flight: concurrent
         # accesses must wait for the store to hold current bytes before
         # refetching, or they would read the pre-writeback (stale) data.
@@ -370,7 +378,7 @@ class ChunkCache:
         """Evict until there is room for one more entry, or every entry
         is pinned.  The one caller, :meth:`_load`, has just found the
         cache full, so the first victim is taken without a test and
-        ``len`` is re-tested after each eviction."""
+        ``_free`` is re-tested after each eviction."""
         policy = self._policy
         l2 = self._l2
         entries = self._entries
@@ -396,6 +404,7 @@ class ChunkCache:
                 return
             entry = entries[victim_key]
             del entries[victim_key]
+            self._free += 1
             vpath, vindex = victim_key
             if policy is not None:
                 policy.record_evict(victim_key)
@@ -422,7 +431,7 @@ class ChunkCache:
                 self.stats.evictions += 1
                 if was_dirty:
                     self.stats.dirty_evictions += 1
-                if len(entries) < self.capacity_chunks:
+                if self._free > 0:
                     return
                 continue
             tracer = self._engine.tracer
@@ -446,7 +455,7 @@ class ChunkCache:
             self.stats.evictions += 1
             if was_dirty:
                 self.stats.dirty_evictions += 1
-            if len(entries) < self.capacity_chunks:
+            if self._free > 0:
                 return
 
     def _evict_tiered(
@@ -695,7 +704,7 @@ class ChunkCache:
                 first_attempt = False
                 if policy is not None:
                     policy.record_miss(key)
-            if len(entries) >= self.capacity_chunks:
+            if self._free <= 0:
                 # Guarded call: below capacity _make_room's loop would
                 # fall straight through, so skipping it outright spares
                 # a generator round trip per miss.
@@ -724,6 +733,7 @@ class ChunkCache:
             entry.l2_stale = 0
             entry.shared = False
             entries[key] = entry
+            self._free -= 1
             if policy is not None:
                 policy.record_insert(key)
             if fetch:
@@ -1144,6 +1154,7 @@ class ChunkCache:
             del entries[key]
             if policy is not None:
                 policy.record_remove(key)
+            self._free += 1
         if self._l2 is not None:
             self._l2.drop_path(path)
             self._inval_gen[path] = self._inval_gen.get(path, 0) + 1

@@ -12,7 +12,10 @@ of pages move through the stack in batch: faults pull each chunk piece
 with one ``read_into`` call, and msync flushes runs of contiguous dirty
 pages with one ``write_ranges`` call that charges the same per-page FUSE
 overhead the page-by-page path would have — the simulated event
-sequence is identical, only the Python work per page shrinks.
+sequence is identical, only the Python work per page shrinks.  The
+cache counts its free page slots (``_free``), changed only where a page
+is added or removed, so the eviction test of every inserted page reads
+an int instead of calling ``len``.
 """
 
 from __future__ import annotations
@@ -100,6 +103,9 @@ class PageCache:
         self.page_size = page_size
         self.fuse_op_overhead = fuse_op_overhead
         self.capacity_pages = capacity_bytes // page_size
+        # Free page slots, ``capacity_pages - len(_pages)``: changed only
+        # where a page is added or removed (``_insert``, ``drop_path``).
+        self._free = self.capacity_pages
         self.metrics = metrics if metrics is not None else mount.metrics
         self.stats = PageCacheStats()
         self._pages: OrderedDict[tuple[str, int], _Page] = OrderedDict()
@@ -171,7 +177,6 @@ class PageCache:
         key = (path, page_idx)
         pages = self._pages
         inflight = self._inflight
-        capacity = self.capacity_pages
         while True:
             # Wait out an in-flight eviction flush of this very page.
             while key in inflight:
@@ -184,7 +189,7 @@ class PageCache:
                 page = pages[key]
                 pages.move_to_end(key)
                 return page, False
-            while len(pages) >= capacity:
+            while self._free <= 0:
                 # Evict the LRU page, flushing a dirty victim through
                 # FUSE first.  This is the one-page flush (msync batches
                 # its pages through ``write_ranges`` too); it sits in this
@@ -192,11 +197,12 @@ class PageCache:
                 # event of every flush resumes through here, so a
                 # ``yield from`` hop would be paid hundreds of thousands
                 # of times per run.  Only this method adds to ``pages``
-                # and it makes room first, so ``len(pages) <= capacity``
-                # always holds: one pop frees the slot, and only a victim
-                # whose flush yielded (others may have inserted
-                # meanwhile) sends the loop round again.
+                # and it makes room first, so ``_free >= 0`` always
+                # holds: one pop frees the slot, and only a victim whose
+                # flush yielded (others may have inserted meanwhile)
+                # sends the loop round again.
                 vkey, victim = pages.popitem(last=False)
+                self._free += 1
                 if victim.dirty:
                     mount = self.mount
                     engine = self._engine
@@ -261,6 +267,7 @@ class PageCache:
             page.dirty = False
             page.syncing = False
             pages[key] = page
+            self._free -= 1
             return page, True
 
     def _fault_range(
@@ -761,3 +768,4 @@ class PageCache:
             yield from self.sync_path(path)
         for key in mine:
             del pages[key]
+            self._free += 1

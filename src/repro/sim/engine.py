@@ -140,8 +140,31 @@ class Engine:
         return Event(self)
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
-        """An event that fires ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
+        """An event that fires ``delay`` seconds from now.
+
+        The one builder of a :class:`Timeout`: it sets every slot here,
+        pre-triggered, instead of going through ``__init__`` + ``succeed()``.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        event = Timeout()
+        event.engine = self
+        event.callbacks = None
+        event._value = value
+        event._ok = True
+        event._scheduled = True
+        event.delay = delay
+        if delay == 0.0:
+            self._ring.append(event)
+        else:
+            now = self.now
+            time = now + delay
+            if time <= now:
+                self._ring.append(event)
+            else:
+                self._seq += 1
+                heappush(self._heap, (time, self._seq, event))
+        return event
 
     def advance(self, delay: float) -> bool:
         """Sleep ``delay`` in place when nobody could tell the difference:

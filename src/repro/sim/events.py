@@ -35,7 +35,6 @@ Hot-path design notes (see docs/INTERNALS.md, "Event kernel"):
 from __future__ import annotations
 
 import typing
-from heapq import heappush
 
 from repro.errors import SimulationError
 
@@ -132,32 +131,17 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed virtual delay."""
+    """An event that fires after a fixed virtual delay.
+
+    :meth:`Engine.timeout` is the one builder: it sets every slot and
+    schedules the event pre-triggered.  Timeouts are the hottest event
+    type (every device access, FUSE crossing and compute step that
+    cannot ``advance`` in place builds one), so the class opts out of
+    ``Event.__init__`` and building one runs no Python frame.
+    """
 
     __slots__ = ("delay",)
-
-    def __init__(self, engine: "Engine", delay: float, value: object = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        # Timeouts are the hottest event type (every device access, FUSE
-        # crossing, and compute step creates one): construct pre-triggered
-        # in one go instead of going through __init__ + succeed().
-        self.engine = engine
-        self.callbacks = None
-        self._value = value
-        self._ok = True
-        self._scheduled = True
-        self.delay = delay
-        if delay == 0.0:
-            engine._ring.append(self)
-        else:
-            now = engine.now
-            time = now + delay
-            if time <= now:
-                engine._ring.append(self)
-            else:
-                engine._seq += 1
-                heappush(engine._heap, (time, engine._seq, self))
+    __init__ = object.__init__
 
 
 class _Condition(Event):

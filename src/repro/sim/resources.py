@@ -32,27 +32,20 @@ class Request(Event):
     """A pending or granted claim on one slot of a :class:`Resource`.
 
     Granted once ``triggered``; ``resource`` becomes ``None`` when it is
-    released, so a second release is refused.
+    released, so a second release is refused.  :meth:`Resource.request`
+    is the one builder (and ``INLINE_GRANT`` below the one other
+    instance): it sets every slot itself, so the class opts out of
+    ``Event.__init__`` and parking a request runs no constructor frame.
     """
 
     __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        # Requests are created for every parked device/NIC access:
-        # initialize the Event slots in place rather than through
-        # super().__init__.
-        self.engine = resource.engine
-        self.callbacks = None
-        self._value = _PENDING
-        self._ok = True
-        self._scheduled = False
-        self.resource = resource
+    __init__ = object.__init__
 
 
 #: What every inline grant returns: one shared token, already processed,
 #: bound to no engine and no resource.  Nothing yields, dispatches or reads
 #: it; the slot it stands for is one unit of ``Resource._held``.
-INLINE_GRANT = Request.__new__(Request)
+INLINE_GRANT = Request()
 INLINE_GRANT.engine = INLINE_GRANT.resource = INLINE_GRANT._value = None
 INLINE_GRANT.callbacks = _PROCESSED
 INLINE_GRANT._ok = INLINE_GRANT._scheduled = True
@@ -100,21 +93,26 @@ class Resource:
     def request(self) -> Request:
         """Claim a slot; the returned event fires when the claim is granted."""
         engine = self.engine
-        req = Request(self)
+        req = Request()
+        req.engine = engine
+        req.callbacks = None
+        req._ok = True
+        req.resource = self
         if self._held < self.capacity:
             now = engine.now
             if now != self._last_change:
                 self._busy_time += self._held * (now - self._last_change)
                 self._last_change = now
             self._held += 1
-            # Inline Event.succeed without its already-triggered/delay
-            # checks: a freshly built Request cannot have fired yet.  A
-            # grant carries no value: the request itself would be a
-            # reference cycle only the garbage collector can free.
+            # Built granted, as Event.succeed would leave it.  A grant
+            # carries no value: the request itself would be a reference
+            # cycle only the garbage collector can free.
             req._value = None
             req._scheduled = True
             engine._ring.append(req)
         else:
+            req._value = _PENDING
+            req._scheduled = False
             self._queue.append(req)
         return req
 

@@ -261,6 +261,15 @@ def marker_spy():
                 key.__init__ = original
 
 
+def check_free_slots(lib):
+    """Assert that each of ``lib``'s caches counts its free slots right:
+    ``_free`` is the capacity less the entries held (INTERNALS "Fast path
+    and batching invariants")."""
+    pagecache, cache = lib.pagecache, lib.mount.cache
+    assert pagecache._free == pagecache.capacity_pages - len(pagecache)  # noqa: SLF001
+    assert cache._free == cache.capacity_chunks - len(cache)  # noqa: SLF001
+
+
 def check_chunk_table(manager):
     """Assert the manager's chunk-table and repair invariants (INTERNALS
     "Control plane") over its one chunk table.

@@ -109,7 +109,13 @@ from repro.fusefs import FuseMount
 from repro.sim import AllOf, Engine
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.units import KiB, MiB
-from tests.conftest import fuzz_settings, marker_spy, reference_kernel, small_testbed
+from tests.conftest import (
+    check_free_slots,
+    fuzz_settings,
+    marker_spy,
+    reference_kernel,
+    small_testbed,
+)
 
 # Two and a half chunks: three chunk-cache keys contending for two slots,
 # the last chunk a partial tail.
@@ -191,6 +197,7 @@ def _run_schedule(scripts, *, tiered=False, crash_after=None, lane=None):
             if kind == "msync":
                 yield from region.msync()
                 assert len(pagecache) <= pagecache.capacity_pages
+                check_free_slots(lib)
                 continue
             length = max(1, int(len_frac * MAX_OP))
             offset = int(off_frac * (REGION - length))
@@ -209,6 +216,7 @@ def _run_schedule(scripts, *, tiered=False, crash_after=None, lane=None):
                     orders.append(list(lib.pagecache._pages))
                 # ``_insert`` is the one way in and makes room first.
                 assert len(pagecache) <= pagecache.capacity_pages
+                check_free_slots(lib)
 
     def driver():
         var = yield from lib.ssdmalloc(REGION, owner="grantfuzz")

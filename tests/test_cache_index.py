@@ -2,8 +2,9 @@
 
 ``flush_path`` / ``invalidate_path`` and ``sync_path`` / ``drop_path``
 filter their cache's LRU dict for one path.  These tests check that each
-acts on that path's entries alone and that fsync/msync ship in the
-dict's order, and cover the satellites that ride on the same
+acts on that path's entries alone, that the two removals give their
+slots back to the cache's free-slot count, and that fsync/msync ship in
+the dict's order, and cover the satellites that ride on the same
 machinery: ``flush_all`` draining in-flight eviction write-backs,
 ``drain_path`` waiting on its own markers, MAP_PRIVATE overlay reads
 skipping backing fetches, and read-ahead accounting in
@@ -75,6 +76,35 @@ class TestChunkCacheVisitsOnlyItsPath:
         for other in (PATHS[0], PATHS[2]):
             assert cache.dirty_chunk_indices(other) == ALL_CHUNKS
 
+    def test_invalidate_path_gives_its_slots_back(self, engine, mount):
+        """The cache counts its free slots (``_free``, capacity less
+        entries), and ``_load``'s room test reads that count: an unlink
+        must give its slots back, or the refill evicts while there is
+        room.  Kills a dropped ``+=`` in ``invalidate_path`` (the count
+        stays low and the refill evicts early) and a missing ``-=`` on
+        ``_load``'s insert (the count starts wrong and the cache grows
+        past capacity).  The fuzzes check the count after every step
+        (``tests/conftest.py::check_free_slots``)."""
+        _populate_chunk_cache(engine, mount)
+        cache = mount.cache
+        held = len(PATHS) * CHUNKS_PER_PATH
+        assert cache._free == cache.capacity_chunks - held
+        cache.invalidate_path(PATHS[1])
+        room = cache.capacity_chunks - held + CHUNKS_PER_PATH
+        assert cache._free == room
+        make_file(engine, mount, "/idx/d", (room + 1) * CHUNK_SIZE)
+
+        def write(chunk):
+            yield from cache.write_ranges("/idx/d", chunk, ((0, b"d" * PAGE_SIZE),))
+
+        for chunk in range(room):
+            run(engine, write(chunk))
+        assert (len(cache), cache._free) == (cache.capacity_chunks, 0)
+        assert cache.stats.evictions == 0
+        run(engine, write(room))
+        assert (len(cache), cache._free) == (cache.capacity_chunks, 0)
+        assert cache.stats.evictions == 1
+
     def test_hits_reorder_the_lru_and_fsync_ships_in_lru_order(
         self, engine, mount
     ):
@@ -134,6 +164,32 @@ class TestPageCacheVisitsOnlyItsPath:
         for other in PATHS[1:]:
             assert pagecache.dirty_chunk_indices(other, CHUNK_SIZE) == {0}
             assert mount.cache.dirty_chunk_indices(other) == set()
+
+    def test_drop_path_gives_its_slots_back(self, engine, mount):
+        """As ``invalidate_path`` above, for munmap: kills a dropped
+        ``+=`` in ``drop_path`` and a missing ``-=`` on ``_insert``'s
+        insert."""
+        pagecache = PageCache(mount, capacity_bytes=256 * KiB)
+        self._populate(engine, mount, pagecache)
+        capacity = pagecache.capacity_pages
+        held = len(PATHS) * self.PAGES_PER_PATH
+        assert pagecache._free == capacity - held
+        run(engine, pagecache.drop_path(PATHS[0]))
+        room = capacity - held + self.PAGES_PER_PATH
+        assert pagecache._free == room
+        make_file(engine, mount, "/idx/d", CHUNK_SIZE)
+        synced = pagecache.stats.writeback_bytes  # the drop's own sync
+
+        def write(page):
+            yield from pagecache.write("/idx/d", page * PAGE_SIZE, b"d" * PAGE_SIZE)
+
+        for page in range(room):
+            run(engine, write(page))
+        assert (len(pagecache), pagecache._free) == (capacity, 0)
+        assert pagecache.stats.writeback_bytes == synced  # nothing evicted
+        run(engine, write(room))
+        assert (len(pagecache), pagecache._free) == (capacity, 0)
+        assert pagecache.stats.writeback_bytes == synced + PAGE_SIZE  # the LRU page
 
     def test_sync_path_skips_other_paths(self, engine, mount):
         pagecache = PageCache(mount, capacity_bytes=256 * KiB)

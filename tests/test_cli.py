@@ -254,6 +254,24 @@ class TestBenchPairs:
         (change / "src" / "pkg" / "mod.py").rename(change / "src" / "pkg" / "nod.py")
         assert tool.src_hash(change) != differ["change"]  # paths count too
 
+    def test_both_trees_are_byte_compiled_before_any_run(self, tool, tmp_path, monkeypatch):
+        """A side whose first run writes its ``__pycache__`` pays for it in
+        ``setup_s``: both trees are compiled before the traced runs."""
+        run_py = FAKE_RUN.format(value=1.0).replace(
+            "import json, sys",
+            "import json, sys\nfrom pathlib import Path\n"
+            "assert list(Path('src/pkg/__pycache__').glob('mod.*.pyc'))",
+        )
+        trees = [self.tree(tmp_path, name, run_py) for name in ("parent", "change")]
+        for tree in trees:
+            (tree / "src" / "pkg").mkdir(parents=True)
+            (tree / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+        argv = ["bench_pairs.py", *map(str, trees), "--workload", "fake", "--pairs", "1"]
+        monkeypatch.setattr("sys.argv", argv)
+        assert tool.main() == 0
+        for tree in trees:
+            assert list((tree / "bench" / "__pycache__").glob("run.*.pyc"))
+
     def test_a_traced_run_per_side_gates_what_must_not_move(
         self, tool, tmp_path, monkeypatch, capsys
     ):

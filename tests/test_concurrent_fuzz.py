@@ -21,7 +21,7 @@ from repro.core import NVMalloc
 from repro.sim import Engine
 from repro.store import CHUNK_SIZE, Benefactor, Manager
 from repro.util.units import KiB, MiB
-from tests.conftest import fuzz_settings
+from tests.conftest import check_free_slots, fuzz_settings
 
 NRANKS = 4
 VAR_ELEMENTS = 24 * 1024  # 192 KiB per rank: spans pages and chunks
@@ -128,3 +128,4 @@ def test_concurrent_ranks_never_corrupt(scripts, seed):
     assert all(engine.run_all(procs))
     for cache in (lib.mount.cache, lib.pagecache):
         assert not cache._inflight, "in-flight op survived quiescence"
+    check_free_slots(lib)

@@ -8,8 +8,8 @@ flag until one does (``sim/events.py``, INTERNALS "Events nobody can
 observe"): the first waiter swaps in the ``Event`` every waiter yields,
 and the owner succeeds only an ``Event`` it finds.  And a chunk
 eviction finds its victim by ``in`` and a subscript, tests its page
-mask against 0 and re-tests the cache's length only after each
-eviction.
+mask against 0 and re-tests the cache's free-slot count only after
+each eviction.
 
 A lone rank's dirty evictions are profiled with ``cProfile`` (the
 counter behind the benchmark's ``host_calls_per_op``) and pinned by
@@ -32,7 +32,9 @@ Hand mutants of ``src/repro`` these tests kill:
   profile shows an ``Event.__init__`` frame (and
   ``tests/test_source_guards.py`` rejects the source);
 - ``_make_room``'s victim search back on ``items()``, or its removal on
-  ``pop``: the frame shows in the chunk eviction's profile.
+  ``pop``: the frame shows in the chunk eviction's profile;
+- ``len(pages)`` back in ``_insert``'s eviction test, or ``len(entries)``
+  in ``_load``'s room guard: ``PAGE_EVICTION``'s ``len`` count rises.
 """
 
 import cProfile
@@ -58,13 +60,14 @@ EVENT_INIT = (
 #: A lone rank's write of a full page that evicts a dirty page: the two
 #: layers, the page's eviction, its FUSE write into a chunk the chunk
 #: cache had not held (a new entry; its page mask is int arithmetic), the
-#: clock moves and the DRAM grants.
+#: clock moves and the DRAM grants.  Neither cache's room test calls
+#: ``len``: each reads its free-slot count.
 PAGE_EVICTION = {
     "pagecache.write": 1, "pagecache._insert": 1, "cache.write_ranges": 1,
     "cache._load": 1, "engine.advance": 3, "resources.acquire_now": 2,
     "resources.release": 2,
     "<method 'popitem' of 'collections.OrderedDict' objects>": 1,
-    "<built-in method builtins.len>": 5,
+    "<built-in method builtins.len>": 2,
 }
 DISABLE = "<method 'disable' of '_lsprof.Profiler' objects>"
 

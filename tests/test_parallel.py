@@ -26,6 +26,30 @@ class TestPayloadBytes:
     def test_object_default(self):
         assert payload_bytes(42) == 64
 
+    @pytest.mark.parametrize(
+        ("payload", "wire"),
+        [
+            (np.zeros((3, 4), dtype=np.int32), 48),
+            (bytearray(7), 7),
+            (memoryview(b"abcdef")[2:], 4),
+            (True, 64),
+            (np.int64(5), 64),
+            (None, 64),
+            ("text", 64),
+            ([], 16),
+            ((), 16),
+            ([1, 2, 3], 16 + 3 * 64),
+            ((7, None), 16 + 64 + 64),
+            ([b"ab", bytearray(3), np.zeros(2, dtype=np.float64)], 16 + 2 + 3 + 16),
+            ([1, [2, (b"xyz", 3)], None], 16 + 64 + (16 + 64 + (16 + 3 + 64)) + 64),
+        ],
+    )
+    def test_wire_sizes(self, payload, wire):
+        """Every payload kind, nested lists and tuples included: a list or
+        tuple is 16 bytes plus its items, an int item priced inline at
+        the 64 bytes of any small control payload."""
+        assert payload_bytes(payload) == wire
+
 
 @pytest.fixture
 def comm(engine, small_cluster):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Engine, Event, Timeout
+from repro.sim import AllOf, AnyOf, Engine, Event
 from tests.conftest import fuzz_settings
 
 
@@ -65,7 +65,7 @@ class TestClock:
 
     def test_negative_timeout_rejected(self, engine):
         with pytest.raises(SimulationError):
-            Timeout(engine, -1.0)
+            engine.timeout(-1.0)
         with pytest.raises(SimulationError):
             engine.timeout(-1)
 

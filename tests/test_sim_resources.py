@@ -1,5 +1,9 @@
 """Tests for resources and channels."""
 
+import cProfile
+import pstats
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SimulationError
@@ -205,6 +209,52 @@ class TestInlineGrant:
         res.cancel(INLINE_GRANT)
         assert res.in_use == 0
         assert res.acquire_now() is INLINE_GRANT
+
+
+class TestBuildersRunNoFrame:
+    """``Engine.timeout`` builds every ``Timeout`` and ``Resource.request``
+    every ``Request``, each setting all the slots itself; both classes
+    opt out of ``Event.__init__``, so a declined sleep and a parked grant
+    cost their builder's frame and no constructor frame.  Kills an
+    ``__init__`` restored on either class (or a builder that calls one):
+    the profile shows its frame."""
+
+    def test_a_parked_grant_and_a_declined_sleep_run_no_constructor(self, engine):
+        res = Resource(engine, capacity=1)
+        seen = []
+
+        def user(name):
+            yield from res.use(1.0)
+            seen.append((name, engine.now))
+
+        def sleeper():
+            if not engine.advance(0.5):
+                yield engine.timeout(0.5)
+            seen.append(("sleeper", engine.now, res.queue_length))
+
+        # "a" is granted on the ring (the others' starts are queued), "b"
+        # parks behind it, and every sleep declines: a grant, a timeout or
+        # a finished process is always queued ahead of it.
+        last = [engine.process(p) for p in (user("a"), user("b"), sleeper())][1]
+        profile = cProfile.Profile()
+        profile.enable()
+        engine.run(last)
+        profile.disable()
+        assert seen == [("sleeper", 0.5, 1), ("a", 1.0), ("b", 2.0)]
+        calls = {}
+        for (filename, _, function), (_, ncalls, _, _, _) in (
+            pstats.Stats(profile).stats.items()
+        ):
+            path = Path(filename)
+            calls[f"{path.parent.name}/{path.stem}.{function}"] = ncalls
+        assert calls["sim/resources.request"] == 2
+        assert calls["sim/engine.timeout"] == 3
+        constructors = [
+            label for label in calls
+            if label.startswith(("sim/events.", "sim/resources."))
+            and label.endswith(".__init__")
+        ]  # fmt: skip
+        assert constructors == []
 
 
 class TestChannel:

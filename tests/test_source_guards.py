@@ -12,6 +12,12 @@
   path: ``done = slot = Event(...)`` (or ``engine.event()``) as the body
   of an ``if done is True:``.  An owner that publishes an ``Event`` —
   directly or through a local it built one in — fails here.
+- A ``Timeout`` or a ``Request`` has one builder (INTERNALS "Fast path
+  and batching invariants").  Both classes opt out of ``Event.__init__``
+  so that building one runs no Python frame, which leaves a slot unset
+  wherever another site calls the class: ``Timeout(`` is called only in
+  ``Engine.timeout``, ``Request(`` only in ``Resource.request`` and for
+  the module's ``INLINE_GRANT``, and neither class's ``__new__`` at all.
 """
 
 import ast
@@ -199,3 +205,57 @@ def test_the_marker_guard_rejects_an_eager_owner():
         ], source
     waiter = "if done is True:\n    done = entry.writeback = Event(engine)"
     assert [kind for _, kind in marker_stores(ast.parse(waiter))] == ["waiter"]
+
+
+#: The one builder of each class with no constructor frame.
+BUILDERS = {
+    "Timeout": {f"{Path('sim') / 'engine.py'}:Engine.timeout"},
+    "Request": {
+        f"{Path('sim') / 'resources.py'}:Resource.request",
+        f"{Path('sim') / 'resources.py'}:<module>",
+    },
+}
+
+
+def builder_calls(tree, path):
+    """``{class: {"path:Class.function"}}`` for every call of a class in
+    ``BUILDERS``, or of its ``__new__``, with the function it sits in."""
+    found = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "__new__":
+                func = func.value
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in BUILDERS:
+                found.setdefault(name, set()).add(f"{path}:{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_a_timeout_or_request_is_built_by_its_one_builder():
+    found = {}
+    for path, tree in _trees():
+        for name, sites in builder_calls(tree, path).items():
+            found.setdefault(name, set()).update(sites)
+    assert found == BUILDERS
+
+
+def test_the_builder_guard_rejects_a_second_builder():
+    """The rule above on the shapes it must reject: a direct call, a call
+    through the module, and ``__new__``, each outside the builder."""
+    for source in (
+        "def sleep(engine):\n    return Timeout(engine, 1.0)",
+        "class Engine:\n    def sleep(self):\n        return events.Timeout()",
+        "def park(resource):\n    return Request.__new__(Request)",
+    ):
+        assert builder_calls(ast.parse(source), "x.py"), source
+    assert builder_calls(ast.parse(
+        "class Engine:\n    def timeout(self):\n        return Timeout()"
+    ), Path("sim") / "engine.py") == {"Timeout": BUILDERS["Timeout"]}

@@ -6,7 +6,10 @@
 Runs ``bench/run.py --workload W --trace 0`` in two *exported* trees
 (``git archive`` / ``git checkout-index``, never the working tree),
 alternating which side goes first, and prints every run.  Before the
-pairs, one ``--trace 1`` run per side: the "must not move" gate.  Every
+pairs, both trees' ``src/`` and ``bench/`` are byte-compiled
+(``compileall``), so neither side's first run pays for writing its
+``__pycache__`` and both start from the same bytecode state; then one
+``--trace 1`` run per side: the "must not move" gate.  Every
 per-layer metric that is not read off the host's clock (``virt_self_s.*``
 and ``virt_crit_share.*`` included) must be bit-equal across the sides;
 ``sim.events*`` is printed per side instead, the one count a change may
@@ -51,6 +54,7 @@ can be compared on.
 """
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -101,6 +105,13 @@ def identity(tree: Path) -> str:
         if head.returncode == 0:
             return head.stdout.strip()
     return str(tree)
+
+
+def precompile(tree: Path) -> None:
+    """Byte-compile the tree's ``src/`` and ``bench/`` with this interpreter."""
+    for part in ("src", "bench"):
+        if (tree / part).is_dir() and not compileall.compile_dir(str(tree / part), quiet=1):
+            raise SystemExit(f"{tree / part}: does not compile")
 
 
 def src_hash(tree: Path) -> str:
@@ -180,6 +191,8 @@ def main() -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     sources = {side: src_hash(tree) for side, tree in trees.items()}
     print(f"src/: parent {sources['parent']} change {sources['change']}")
+    for tree in trees.values():
+        precompile(tree)
     traced = {side: run_once(tree, extra, "1")["values"] for side, tree in trees.items()}
     moved = sorted(
         name for name in traced["parent"].keys() | traced["change"].keys()

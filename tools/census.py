@@ -81,7 +81,7 @@ PACKAGE = ROOT / "src" / "repro"
 MAX_UNREACHED = 81
 
 #: Ceiling on knobs every root leaves at one value.  Lower it likewise.
-MAX_SINGLE_VALUED = 63
+MAX_SINGLE_VALUED = 62
 
 #: Distinct values after which a knob is plainly turned and is dropped
 #: from the hook.
