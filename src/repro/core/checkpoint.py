@@ -35,6 +35,10 @@ if TYPE_CHECKING:
 #: Checkpoint modes accepted by :meth:`NVMalloc.ssdcheckpoint`.
 CHECKPOINT_MODES = ("incremental", "full")
 
+# How ``take`` opens its file, combined once: ``IntFlag`` arithmetic runs
+# enum.py frames.
+_RDWR_CREAT = OpenFlags.O_RDWR | OpenFlags.O_CREAT
+
 
 @dataclass(frozen=True)
 class CheckpointSection:
@@ -235,9 +239,7 @@ class Checkpointer:
             var_map, section_order = self._preflight(tag, timestep, variables, layout)
             me = self.node.name
             dram_len = len(dram_state)
-            fd = yield from self.mount.open(
-                path, OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=0
-            )
+            fd = yield from self.mount.open(path, _RDWR_CREAT, size=0)
             # Metadata-only; piggybacks on the create RPC the open just paid.
             epoch = self.manager.begin_epoch(tag, timestep, path)
             record = CheckpointRecord(

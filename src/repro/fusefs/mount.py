@@ -23,13 +23,25 @@ from repro.store.manager import Manager
 from repro.util.recorder import MetricsRecorder
 from repro.util.units import MiB
 
+# An open tests plain ints: ``IntFlag`` arithmetic runs enum.py frames.  The
+# access mode of each value of the two mode bits is read off ``OpenFlags``
+# once, here.
+_O_CREAT = int(OpenFlags.O_CREAT)
+_ACCMODE = int(OpenFlags.O_WRONLY | OpenFlags.O_RDWR)
+_ACCESS = {
+    mode: (OpenFlags(mode).readable, OpenFlags(mode).writable)
+    for mode in range(_ACCMODE + 1)
+}
+
 
 @dataclass
 class _OpenFile:
-    """State of one open file descriptor."""
+    """State of one open file descriptor: its access mode, decided at open
+    as ``OpenFlags.readable`` / ``writable`` decide it."""
 
     path: str
-    flags: OpenFlags
+    readable: bool
+    writable: bool
     position: int = 0
 
 
@@ -87,14 +99,15 @@ class FuseMount:
         Creation requires ``size`` because the store reserves space up
         front (``posix_fallocate`` semantics).
         """
-        if flags & OpenFlags.O_CREAT and not self.client.manager.exists(path):
+        bits = int(flags)
+        if bits & _O_CREAT and not self.client.manager.exists(path):
             if size is None:
                 raise FuseError(f"O_CREAT open of {path!r} requires a size")
             yield from self.client.create(path, size)
         else:
             yield from self.client.open(path)
         fd = next(self._next_fd)
-        self._fds[fd] = _OpenFile(path=path, flags=flags)
+        self._fds[fd] = _OpenFile(path, *_ACCESS[bits & _ACCMODE])
         self.metrics.add("fuse.opens")
         return fd
 
@@ -147,7 +160,7 @@ class FuseMount:
         it.
         """
         state = self._state(fd)
-        if not state.flags.readable:
+        if not state.readable:
             raise FuseError(f"fd {fd} not open for reading")
         self._check_range(state.path, offset, length)
         out = bytearray(length)
@@ -164,7 +177,7 @@ class FuseMount:
     ) -> Generator[Event, object, int]:
         """Positional write through the chunk cache (write-back)."""
         state = self._state(fd)
-        if not state.flags.writable:
+        if not state.writable:
             raise FuseError(f"fd {fd} not open for writing")
         self._check_range(state.path, offset, len(data))
         cursor = 0

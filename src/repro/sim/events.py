@@ -144,6 +144,20 @@ class Timeout(Event):
     __init__ = object.__init__
 
 
+class Trigger(Event):
+    """A pre-triggered event with one callback, built where it is queued.
+
+    Two builders set every slot themselves and put it on a queue:
+    ``Process.__init__`` (the bootstrap that starts a process) and
+    ``ClientSwarm.open_loop`` (a request's arrival).  One of each is
+    built per open-loop request, so, like :class:`Timeout`, the class
+    opts out of ``Event.__init__`` and building one runs no Python frame.
+    """
+
+    __slots__ = ()
+    __init__ = object.__init__
+
+
 class _Condition(Event):
     """Base for AllOf / AnyOf composite events."""
 

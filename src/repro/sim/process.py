@@ -7,7 +7,7 @@ from collections.abc import Generator
 from types import GeneratorType
 
 from repro.errors import SimulationError
-from repro.sim.events import _PENDING, _PROCESSED, Event
+from repro.sim.events import _PENDING, _PROCESSED, Event, Trigger
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
@@ -57,10 +57,12 @@ class Process(Event):
             self._resume_cb = resume = self._traced_resume
         # Kick off at the current simulation time: a pre-triggered
         # single-callback event straight onto the now ring.
-        bootstrap = Event(engine)
-        bootstrap._value = None
-        bootstrap._scheduled = True
+        bootstrap = Trigger()
+        bootstrap.engine = engine
         bootstrap.callbacks = resume
+        bootstrap._value = None
+        bootstrap._ok = True
+        bootstrap._scheduled = True
         engine._ring.append(bootstrap)
 
     # ------------------------------------------------------------------
@@ -94,7 +96,13 @@ class Process(Event):
                 try:
                     target = send(event._value)
                 except StopIteration as stop:
-                    self.succeed(stop.value)
+                    # succeed() written out: one completion per process.
+                    if self._scheduled:
+                        raise SimulationError(f"{self!r} has already been triggered")
+                    self._value = stop.value
+                    self._ok = True
+                    self._scheduled = True
+                    engine._ring.append(self)
                     return
                 except BaseException as exc:  # noqa: BLE001 - propagate via event
                     self.fail(exc)

@@ -508,15 +508,17 @@ class Manager:
     # ------------------------------------------------------------------
     def rpc(self, client: str) -> Generator[Event, object, None]:
         """Process generator: one control round trip client <-> manager."""
-        tracer = self.node.engine.tracer
+        node = self.node
+        name, network = node.name, node.network  # not the ``name`` property
+        tracer = node.engine.tracer
         span = (
             tracer.begin("store.manager", "rpc", client=client)
             if tracer is not None
             else None
         )
         try:
-            yield from self.node.network.transfer(client, self.name, CONTROL_MESSAGE_BYTES)
-            yield from self.node.network.transfer(self.name, client, CONTROL_MESSAGE_BYTES)
+            yield from network.transfer(client, name, CONTROL_MESSAGE_BYTES)
+            yield from network.transfer(name, client, CONTROL_MESSAGE_BYTES)
             self.metrics.add("store.manager.rpcs")
         finally:
             if span is not None:

@@ -5,13 +5,17 @@ RequestSchedule` against a launched :class:`~repro.parallel.job.Job`'s
 mmap → page-cache → chunk-cache → store stack, two ways:
 
 - :meth:`ClientSwarm.open_loop` — the tentpole mode.  Every request gets
-  a pre-triggered :class:`~repro.sim.events.Event` carrying its index,
+  a pre-triggered :class:`~repro.sim.events.Trigger` carrying its index,
   bulk-inserted via ``Engine.schedule_batch`` at its *scheduled* virtual
   arrival time; when the event fires, a fresh request process starts
   **regardless of whether earlier requests finished**.  Queueing delay
   behind a saturated device or a crashed benefactor therefore lands in
   the request's measured latency instead of silently throttling the
-  offered load.
+  offered load.  A request costs only its own work: the arrival and the
+  process's bootstrap are built with no constructor frame, the process
+  is built directly with the completion counter in its ``callbacks``
+  slot, and the per-request clipping is comparisons, not ``len`` /
+  ``min`` calls.
 - :meth:`ClientSwarm.closed_loop` — the calibration mode:
   :data:`CLOSED_LOOP_WORKERS` processes drain the same request sequence
   back-to-back.  Sustained completions per virtual second under closed
@@ -36,7 +40,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import NVMallocError, ReproError, SimulationError
 from repro.parallel.job import Job
-from repro.sim.events import Event
+from repro.sim.events import Event, Trigger
+from repro.sim.process import Process
 from repro.traffic.arrivals import OP_READ, OP_WRITE, RequestSchedule
 from repro.traffic.slo import RequestRecord
 from repro.util.units import MiB
@@ -90,6 +95,7 @@ class ClientSwarm:
         # lazily by the first run so construction stays event-free.
         self._libs: list[object] | None = None
         self._vars: list[object] | None = None
+        self._nodes = 0  # len(self._vars), read per request
         # Distinguishes checkpoint tags across runs on one swarm (the
         # calibration pass and the open-loop pass share a testbed).
         self._run_seq = itertools.count()
@@ -109,6 +115,7 @@ class ClientSwarm:
             libs.append(lib)
             variables.append(variable)
         self._libs, self._vars = libs, variables
+        self._nodes = len(variables)
 
     def _ensure_setup(self) -> None:
         if self._vars is None:
@@ -127,9 +134,11 @@ class ClientSwarm:
     ) -> Generator[Event, object, None]:
         client = int(schedule.clients[index])
         op = int(schedule.ops[index])
-        slot = client % len(self._vars)
+        slot = client % self._nodes
         variable = self._vars[slot]
-        size = min(int(schedule.sizes[index]), variable.nbytes)
+        size = int(schedule.sizes[index])
+        if size > variable.nbytes:
+            size = variable.nbytes
         offset = (
             int(schedule.keys[index]) * self.config.key_stride
         ) % (variable.nbytes - size + 1)
@@ -140,7 +149,9 @@ class ClientSwarm:
             elif op == OP_WRITE:
                 yield from variable.write(offset, bytes(size))
             else:  # OP_CKPT: checkpoint a DRAM image, then restore it
-                nbytes = min(size, self.config.checkpoint_bytes)
+                nbytes = self.config.checkpoint_bytes
+                if size < nbytes:
+                    nbytes = size
                 tag = f"{self.config.owner}.{run_id}.{index}"
                 lib = self._libs[slot]
                 yield from lib.ssdcheckpoint(tag, 0, bytes(nbytes))
@@ -193,21 +204,22 @@ class ClientSwarm:
 
         def launch(event: Event) -> None:
             index = event._value  # the int written below
-            proc = engine.process(
+            proc = Process(
+                engine,
                 self._execute(
                     run_id, index, schedule, base + float(schedule.times[index]),
                     records,
-                )
+                ),
             )
-            proc.add_callback(finished)
+            proc.callbacks = finished  # a fresh process has no waiters yet
 
-        arrivals = []
-        for index in range(n):
-            event = Event(engine)
-            event._value = index
-            event._scheduled = True
+        arrivals = [Trigger() for _ in range(n)]
+        for index, event in enumerate(arrivals):
+            event.engine = engine
             event.callbacks = launch
-            arrivals.append(event)
+            event._value = index
+            event._ok = True
+            event._scheduled = True
         engine.schedule_batch(arrivals, schedule.times)
         engine.run(done)
         return SwarmResult(

@@ -226,6 +226,7 @@ class TestBenchPairs:
         }  # fmt: skip
         assert set(first) >= {"setup_s", "peak_rss_mib", "host", "cpus", "attempted"}
         assert first["host_calls_per_op"] == {"parent": [2.0], "change": [1.0]}
+        assert first["count_varied"] == []
         # How fast the machine ran each side: rows of two sessions compare.
         assert first["bench.machine_slowdown"] == {"parent": 2.0, "change": 1.0}
         assert first["failed"] == {"parent": 0, "change": 0}
@@ -309,6 +310,29 @@ class TestBenchPairs:
         }  # fmt: skip
         # Read off the traced runs, the only records that carry it.
         assert rows[1]["bench.machine_slowdown"] == {"parent": 1, "change": 3}
+
+    def test_a_side_that_read_two_counts_is_marked(self, tool, tmp_path, monkeypatch, capsys):
+        """A side whose runs read more than one ``host_calls_per_op`` is
+        named in the row's ``count_varied`` and on its own line."""
+        parent = self.tree(tmp_path, "parent", FAKE_RUN.format(value=1.0))
+        # The traced run is the first, so the second pair's run is the third.
+        change = self.tree(tmp_path, "change", FAKE_RUN.format(value=1.0) + (
+            "from pathlib import Path\n"
+            "runs = Path('runs')\n"
+            "runs.write_text(runs.read_text() + '.' if runs.exists() else '.')\n"
+            "if runs.read_text() == '...':\n"
+            "    print(json.dumps({'correct': True, 'attempted': 10, 'failed': 0, 'metrics':"
+            " {n: {'value': 1.5 if n == 'host_calls_per_op' else 1.0} for n in names}}))\n"
+        ))
+        argv = ["bench_pairs.py", str(parent), str(change), "--workload", "fake", "--pairs", "2"]
+        monkeypatch.setattr("sys.argv", argv)
+        assert tool.main() == 0
+        (row,) = map(json.loads, tool.HISTORY.read_text().splitlines())
+        assert row["host_calls_per_op"] == {"parent": [1.0], "change": [1.0, 1.5]}
+        assert row["count_varied"] == ["change"]
+        assert "host_calls_per_op: VARIED on change; not an exact count" in (
+            capsys.readouterr().out.splitlines()
+        )
 
     def test_history_prints_the_ledger_and_runs_nothing(self, tool, monkeypatch, capsys):
         """``--history`` reads the ledger alone: rows per workload and seed

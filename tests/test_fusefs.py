@@ -1,5 +1,8 @@
 """Tests for the FUSE-like layer: mount, chunk cache, dirty tracking."""
 
+import functools
+import itertools
+import operator
 import tracemalloc
 
 import pytest
@@ -33,6 +36,43 @@ class TestOpenFlags:
     def test_wronly(self):
         assert not OpenFlags.O_WRONLY.readable
         assert OpenFlags.O_WRONLY.writable
+
+    def test_an_open_decides_the_access_mode_as_the_flags_do(self, engine, mount):
+        """The mount decides an fd's access mode once, at open, on the
+        flags' int bits: for each of the 32 combinations of the five
+        flags, it equals ``OpenFlags.readable`` / ``writable``."""
+        five = list(OpenFlags.__members__.values())  # iteration skips O_RDONLY
+        combos = [
+            functools.reduce(operator.or_, chosen, OpenFlags.O_RDONLY)
+            for r in range(len(five) + 1)
+            for chosen in itertools.combinations(five, r)
+        ]
+        assert len(combos) == 32
+
+        def proc():
+            yield from mount.open("/f", OpenFlags.O_CREAT, size=10)
+            for flags in combos:
+                fd = yield from mount.open("/f", flags, size=10)
+                state = mount._fds[fd]
+                assert (state.readable, state.writable) == (
+                    flags.readable, flags.writable
+                ), flags
+
+        run(engine, proc())
+
+    def test_the_access_mode_is_enforced(self, engine, mount):
+        def proc():
+            wronly = yield from mount.open(
+                "/f", OpenFlags.O_CREAT | OpenFlags.O_WRONLY, size=10
+            )
+            rdonly = yield from mount.open("/f", OpenFlags.O_RDONLY)
+            for request in (mount.pread(wronly, 0, 1), mount.pwrite(rdonly, 0, b"x")):
+                with pytest.raises(FuseError):
+                    yield from request
+            yield from mount.pwrite(wronly, 0, b"x")
+            assert (yield from mount.pread(rdonly, 0, 1)) == b"x"
+
+        run(engine, proc())
 
 
 class TestMountLifecycle:

@@ -49,10 +49,10 @@ WRITE_HIT = {
     "resources.acquire_now": 1, "engine.advance": 1,
     "resources.release": 1, MOVE: 2, LEN: 2,
 }
-#: A process start: the engine's factory, the process, its bootstrap
-#: event and the bootstrap's place on the now ring.
+#: A process start: the engine's factory, the process and its bootstrap
+#: event's place on the now ring (the bootstrap is built without a frame).
 PROCESS_START = {
-    "engine.process": 1, "process.__init__": 1, "events.__init__": 1,
+    "engine.process": 1, "process.__init__": 1,
     "<method 'append' of 'collections.deque' objects>": 1,
 }
 
@@ -176,6 +176,63 @@ class TestPerRequest:
         assert dict(calls) == PROCESS_START
         assert process.name == "read"
         assert engine.run(process) == bytearray(64)
+
+    def test_an_open_loop_request_calls_no_scaffold(self):
+        """Three open-loop requests (a read, a write, a checkpoint-restore)
+        make no call that does no modelling work.  Kills, each by hand:
+
+        - ``Event(engine)`` restored for the bootstrap in
+          ``Process.__init__`` or for the arrival in ``open_loop``
+          (an ``events.__init__`` frame beside the run's ``done`` event);
+        - ``engine.process`` restored in ``launch`` (an
+          ``Engine.process`` frame) and ``proc.add_callback(finished)``
+          restored there (an ``add_callback`` frame);
+        - ``self.succeed(stop.value)`` restored in ``_resume``;
+        - ``len(self._vars)`` or either ``min`` restored in ``_execute``;
+        - ``flags & OpenFlags.O_CREAT`` restored in ``FuseMount.open``,
+          ``state.flags.readable`` / ``writable`` restored in ``pread`` /
+          ``pwrite``, or ``OpenFlags.O_RDWR | OpenFlags.O_CREAT`` restored
+          in ``take`` (``enum.py`` frames);
+        - ``self.name`` restored in ``Manager.rpc`` (a property frame).
+        """
+        import numpy as np
+
+        from repro.experiments import TINY
+        from repro.experiments.runner import Testbed
+        from repro.traffic import ClientSwarm, SwarmConfig
+        from repro.traffic.arrivals import OP_CKPT, OP_READ, OP_WRITE, RequestSchedule
+
+        swarm = ClientSwarm(
+            Testbed(TINY).job(1, 2, 4, remote_ssd=True),
+            SwarmConfig(region_bytes=TINY.slo_region_bytes),
+        )
+        schedule = RequestSchedule(
+            times=np.array([0.0, 0.001, 0.002]), clients=np.array([0, 1, 2]),
+            keys=np.array([1, 2, 3]), sizes=np.array([4096, 8192, 4096]),
+            ops=np.array([OP_READ, OP_WRITE, OP_CKPT]),
+        )
+        swarm._ensure_setup()  # the per-node regions: set-up, not requests
+        profile = cProfile.Profile()
+        profile.enable()
+        result = swarm.open_loop(schedule)
+        profile.disable()
+        assert sorted((r.op, r.ok) for r in result.records) == [
+            (OP_READ, True), (OP_WRITE, True), (OP_CKPT, True),
+        ]
+        callers = {}
+        for (filename, _, function), row in pstats.Stats(profile).stats.items():
+            if filename != "~":
+                function = f"{Path(filename).name}:{function}"
+            callers[function] = {
+                f"{Path(f).stem}.{fn}": count[0] for (f, _, fn), count in row[4].items()
+            }
+        assert callers["events.py:__init__"] == {"engine.event": 1}  # ``done``
+        for absent in ("engine.py:process", "events.py:add_callback", "manager.py:name"):
+            assert absent not in callers, absent
+        assert "process._resume" not in callers.get("events.py:succeed", {})
+        assert not [f for f in callers if f.startswith("enum.py:")]
+        for builtin in ("<built-in method builtins.len>", "<built-in method builtins.min>"):
+            assert "clients._execute" not in callers.get(builtin, {}), builtin
 
     def test_a_variables_size_is_an_attribute(self):
         """The open-loop client sizes every request by ``nbytes``."""

@@ -12,12 +12,14 @@
   path: ``done = slot = Event(...)`` (or ``engine.event()``) as the body
   of an ``if done is True:``.  An owner that publishes an ``Event`` —
   directly or through a local it built one in — fails here.
-- A ``Timeout`` or a ``Request`` has one builder (INTERNALS "Fast path
-  and batching invariants").  Both classes opt out of ``Event.__init__``
-  so that building one runs no Python frame, which leaves a slot unset
-  wherever another site calls the class: ``Timeout(`` is called only in
-  ``Engine.timeout``, ``Request(`` only in ``Resource.request`` and for
-  the module's ``INLINE_GRANT``, and neither class's ``__new__`` at all.
+- A ``Timeout``, a ``Request`` or a ``Trigger`` is built only by its
+  builders (INTERNALS "Fast path and batching invariants").  The classes
+  opt out of ``Event.__init__`` so that building one runs no Python
+  frame, which leaves a slot unset wherever another site calls the
+  class: ``Timeout(`` is called only in ``Engine.timeout``, ``Request(``
+  only in ``Resource.request`` and for the module's ``INLINE_GRANT``,
+  ``Trigger(`` only in ``Process.__init__`` and ``ClientSwarm.open_loop``,
+  and no class's ``__new__`` at all.
 """
 
 import ast
@@ -207,12 +209,18 @@ def test_the_marker_guard_rejects_an_eager_owner():
     assert [kind for _, kind in marker_stores(ast.parse(waiter))] == ["waiter"]
 
 
-#: The one builder of each class with no constructor frame.
+#: The builders of each class with no constructor frame: one each, and a
+#: ``Trigger`` (a pre-triggered event with one callback) is built by the
+#: two sites that queue one per open-loop request.
 BUILDERS = {
     "Timeout": {f"{Path('sim') / 'engine.py'}:Engine.timeout"},
     "Request": {
         f"{Path('sim') / 'resources.py'}:Resource.request",
         f"{Path('sim') / 'resources.py'}:<module>",
+    },
+    "Trigger": {
+        f"{Path('sim') / 'process.py'}:Process.__init__",
+        f"{Path('traffic') / 'clients.py'}:ClientSwarm.open_loop",
     },
 }
 
@@ -254,6 +262,7 @@ def test_the_builder_guard_rejects_a_second_builder():
         "def sleep(engine):\n    return Timeout(engine, 1.0)",
         "class Engine:\n    def sleep(self):\n        return events.Timeout()",
         "def park(resource):\n    return Request.__new__(Request)",
+        "def arrive(engine):\n    return [events.Trigger() for _ in range(3)]",
     ):
         assert builder_calls(ast.parse(source), "x.py"), source
     assert builder_calls(ast.parse(

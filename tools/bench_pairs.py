@@ -31,7 +31,9 @@ Every campaign also appends one JSON line to the repo's top-level
 ``BENCH_history.jsonl`` — the ledger CHANGES.md cites instead of
 reprinting runs: workload, seed, seconds, pairs, per host metric both
 medians, the parent's quartiles, pairs won and lost and the verdict,
-``host_calls_per_op`` per side, each side's ``bench.machine_slowdown``
+``host_calls_per_op`` per side (every distinct value a side read, and in
+``count_varied`` each side that read more than one: its count is not
+exact, so a claim on it says so), each side's ``bench.machine_slowdown``
 from its traced run (the median calibration-kernel time of that run over
 its reference: how fast the machine was, so rows of different sessions
 can be compared), failures, the virtual verdict of the
@@ -251,6 +253,12 @@ def main() -> int:
               f"change won {won}/{len(ps)} lost {lost}: {word}")
     calls = {side: sorted({r["values"][COUNT] for r in runs[side]}) for side in runs}
     print(f"{COUNT} (a count): parent {calls['parent']} change {calls['change']}")
+    # cProfile keeps one entry per (file, line, name) label, and every
+    # dataclass-generated ``__init__`` is ("<string>", 2, "__init__"): which
+    # one's calls survive depends on where the interpreter put the code.
+    varied = sorted(side for side, counts in calls.items() if len(counts) > 1)
+    if varied:
+        print(f"{COUNT}: VARIED on {', '.join(varied)}; not an exact count")
     failed = {s: sum(r["failed"] or not r["correct"] for r in runs[s]) for s in runs}
     print(f"failed: parent {failed['parent']} change {failed['change']} "
           f"of {runs['parent'][0]['attempted']} attempted per run")
@@ -261,7 +269,7 @@ def main() -> int:
         "seconds": float(args.seconds or manifest["run_seconds"]), "pairs": args.pairs,
         "parent": identity(trees["parent"]), "change": identity(trees["change"]),
         "src": sources,
-        **host, COUNT: calls, SPEED: speed, "failed": failed,
+        **host, COUNT: calls, "count_varied": varied, SPEED: speed, "failed": failed,
         "attempted": runs["parent"][0]["attempted"], "virtual": drift or "bit-equal",
         "traced": moved or "bit-equal", "host_calls": calls_by_layer, "calls_rose": rose,
         "host": platform.node(), "cpus": os.cpu_count(),
