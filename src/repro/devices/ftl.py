@@ -220,26 +220,38 @@ class FlashTranslationLayer:
         self._write_ptr[block] += 1
         return ppn
 
+    def _victim(self) -> int:
+        """The full block with the fewest valid pages, first in block order
+        among equals — ``min(candidates, key=...)``'s choice, with no key
+        frame per block.  With wear leveling, greedy on reclaimed space
+        and wear-aware on ties: equally stale blocks are reclaimed
+        least-worn-first so victims rotate."""
+        frontier = self._frontier
+        free = self._free_set
+        write_ptr = self._write_ptr
+        per_block = self.pages_per_block
+        valid = self._valid_counts
+        erases = self._erase_counts
+        wear_leveling = self.wear_leveling
+        victim = -1
+        for b in range(self.num_blocks):
+            if b == frontier or b in free or write_ptr[b] < per_block:
+                continue
+            if victim < 0:
+                victim, best_valid, best_erases = b, valid[b], erases[b]
+                continue
+            v = valid[b]
+            if v < best_valid or (
+                wear_leveling and v == best_valid and erases[b] < best_erases
+            ):
+                victim, best_valid, best_erases = b, v, erases[b]
+        if victim < 0:
+            raise CapacityError("FTL garbage collection found no victim block")
+        return victim
+
     def _garbage_collect(self) -> None:
         """Greedy GC: reclaim the full block with the fewest valid pages."""
-        candidates = [
-            b
-            for b in range(self.num_blocks)
-            if b != self._frontier
-            and b not in self._free_set
-            and self._write_ptr[b] >= self.pages_per_block
-        ]
-        if not candidates:
-            raise CapacityError("FTL garbage collection found no victim block")
-        if self.wear_leveling:
-            # Greedy on reclaimed space, wear-aware on ties: equally stale
-            # blocks are reclaimed least-worn-first so victims rotate.
-            victim = min(
-                candidates,
-                key=lambda b: (self._valid_counts[b], self._erase_counts[b]),
-            )
-        else:
-            victim = min(candidates, key=lambda b: self._valid_counts[b])
+        victim = self._victim()
         # Relocate valid pages. They go through the normal allocation path,
         # which may consume the reserve block but never recurses into GC
         # (the victim frees at least as many pages as it relocates thanks

@@ -50,7 +50,7 @@ from repro.fusefs.localtier import LocalCacheTier
 from repro.fusefs.policy import make_policy
 from repro.fusefs.prefetch import PatternPrefetcher
 from repro.sim.events import Event
-from repro.sim.resources import Resource
+from repro.sim.resources import INLINE_GRANT, Resource
 from repro.store.chunk import CHUNK_SIZE, PAGE_SIZE
 from repro.store.client import StoreClient
 
@@ -916,21 +916,22 @@ class ChunkCache:
             # Inlined StorageDevice.access (DRAM has no _pre_access hook;
             # event-for-event identical, one generator hop less).
             dram = self._dram
-            req = dram._acquire_now()
-            if req is None:
-                req = dram._acquire()
-                yield req
-            try:
-                bytes_counter, time_counter, latency, bw = dram._read_stats
-                duration = latency + length / bw
-                bytes_counter.total += length
-                bytes_counter.count += 1
-                time_counter.total += duration
-                time_counter.count += 1
-                if not self._engine.advance(duration):
-                    yield self._engine.timeout(duration)
-            finally:
-                dram._release(req)
+            bytes_counter, time_counter, latency, bw = dram._read_stats
+            duration = latency + length / bw
+            bytes_counter.total += length
+            bytes_counter.count += 1
+            time_counter.total += duration
+            time_counter.count += 1
+            engine = self._engine
+            req = engine.hold(dram._channel, duration)
+            if req is not None:
+                if req is not INLINE_GRANT:
+                    yield req
+                try:
+                    if not engine.advance(duration):
+                        yield engine.timeout(duration)
+                finally:
+                    dram._release(req)
             # Copy after the DRAM wait: a write landing while we waited
             # must be visible in the returned bytes.
             out[out_offset : out_offset + length] = memoryview(entry.data)[
@@ -1062,21 +1063,21 @@ class ChunkCache:
                 counter.count += 1
                 # Inlined StorageDevice.access (DRAM has no _pre_access
                 # hook; event-for-event identical, one hop less).
-                req = dram._acquire_now()
-                if req is None:
-                    req = dram._acquire()
-                    yield req
-                try:
-                    bytes_counter, time_counter, latency, bw = dram._write_stats
-                    duration = latency + length / bw
-                    bytes_counter.total += length
-                    bytes_counter.count += 1
-                    time_counter.total += duration
-                    time_counter.count += 1
-                    if not engine.advance(duration):
-                        yield engine.timeout(duration)
-                finally:
-                    dram._release(req)
+                bytes_counter, time_counter, latency, bw = dram._write_stats
+                duration = latency + length / bw
+                bytes_counter.total += length
+                bytes_counter.count += 1
+                time_counter.total += duration
+                time_counter.count += 1
+                req = engine.hold(dram._channel, duration)
+                if req is not None:
+                    if req is not INLINE_GRANT:
+                        yield req
+                    try:
+                        if not engine.advance(duration):
+                            yield engine.timeout(duration)
+                    finally:
+                        dram._release(req)
             finally:
                 entry.pins -= 1
 

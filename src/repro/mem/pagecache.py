@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from repro.errors import MmapError
 from repro.fusefs.mount import FuseMount
 from repro.sim.events import Event
+from repro.sim.resources import INLINE_GRANT
 from repro.store.chunk import PAGE_SIZE
 from repro.util.recorder import MetricsRecorder
 
@@ -430,23 +431,24 @@ class PageCache:
             # event-for-event identical, one generator hop less).
             nbytes = resident * page_size
             dram = self._dram
-            req = dram._acquire_now()
-            if req is None:
-                req = dram._acquire()
-                yield req
-                retouch = True
-            try:
-                bytes_counter, time_counter, latency, bw = dram._read_stats
-                duration = latency + nbytes / bw
-                bytes_counter.total += nbytes
-                bytes_counter.count += 1
-                time_counter.total += duration
-                time_counter.count += 1
-                if not self._engine.advance(duration):
-                    yield self._engine.timeout(duration)
+            bytes_counter, time_counter, latency, bw = dram._read_stats
+            duration = latency + nbytes / bw
+            bytes_counter.total += nbytes
+            bytes_counter.count += 1
+            time_counter.total += duration
+            time_counter.count += 1
+            engine = self._engine
+            req = engine.hold(dram._channel, duration)
+            if req is not None:
+                if req is not INLINE_GRANT:
+                    yield req
                     retouch = True
-            finally:
-                dram._release(req)
+                try:
+                    if not engine.advance(duration):
+                        yield engine.timeout(duration)
+                        retouch = True
+                finally:
+                    dram._release(req)
         # Assemble the requested bytes from resident pages.  Only the
         # first page can start mid-page, so the page index advances by
         # one per iteration instead of re-dividing the cursor.
@@ -559,21 +561,22 @@ class PageCache:
             # Inlined StorageDevice.access (DRAM has no _pre_access hook;
             # event-for-event identical, one generator hop less).
             dram = self._dram
-            req = dram._acquire_now()
-            if req is None:
-                req = dram._acquire()
-                yield req
-            try:
-                bytes_counter, time_counter, latency, bw = dram._write_stats
-                duration = latency + written_resident / bw
-                bytes_counter.total += written_resident
-                bytes_counter.count += 1
-                time_counter.total += duration
-                time_counter.count += 1
-                if not self._engine.advance(duration):
-                    yield self._engine.timeout(duration)
-            finally:
-                dram._release(req)
+            bytes_counter, time_counter, latency, bw = dram._write_stats
+            duration = latency + written_resident / bw
+            bytes_counter.total += written_resident
+            bytes_counter.count += 1
+            time_counter.total += duration
+            time_counter.count += 1
+            engine = self._engine
+            req = engine.hold(dram._channel, duration)
+            if req is not None:
+                if req is not INLINE_GRANT:
+                    yield req
+                try:
+                    if not engine.advance(duration):
+                        yield engine.timeout(duration)
+                finally:
+                    dram._release(req)
         counter = self._write_counter
         counter.total += length
         counter.count += 1

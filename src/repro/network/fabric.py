@@ -8,6 +8,7 @@ from repro.errors import NetworkError
 from repro.network.link import NIC, LinkSpec
 from repro.sim.engine import Engine
 from repro.sim.events import Event
+from repro.sim.resources import INLINE_GRANT
 from repro.util.recorder import MetricsRecorder
 
 
@@ -63,7 +64,8 @@ class Network:
         """Process generator: move ``nbytes`` from ``src`` to ``dst``.
 
         Ports are acquired TX-then-RX (a fixed global order, so concurrent
-        transfers cannot deadlock) and held together for the wire time.
+        transfers cannot deadlock) and held together for the wire time: the
+        wire time is known before the RX grant, so the RX port is a hold.
         Node-local transfers (``src == dst``) involve no network, yield no
         events and are never spanned.
         """
@@ -97,24 +99,25 @@ class Network:
             if tx_req is None:
                 tx_req = tx.request()
                 yield tx_req
-            rx_req = rx.acquire_now()
             try:
-                if rx_req is None:
-                    rx_req = rx.request()
-                    yield rx_req
-                try:
-                    c_net, c_tx, c_rx = counters
-                    c_net.total += nbytes
-                    c_net.count += 1
-                    c_tx.total += nbytes
-                    c_tx.count += 1
-                    c_rx.total += nbytes
-                    c_rx.count += 1
-                    duration = self._latency + nbytes / self._bandwidth
-                    if not self.engine.advance(duration):
-                        yield self._timeout(duration)
-                finally:
-                    rx.release(rx_req)
+                c_net, c_tx, c_rx = counters
+                c_net.total += nbytes
+                c_net.count += 1
+                c_tx.total += nbytes
+                c_tx.count += 1
+                c_rx.total += nbytes
+                c_rx.count += 1
+                duration = self._latency + nbytes / self._bandwidth
+                engine = self.engine
+                rx_req = engine.hold(rx, duration)
+                if rx_req is not None:
+                    if rx_req is not INLINE_GRANT:
+                        yield rx_req
+                    try:
+                        if not engine.advance(duration):
+                            yield self._timeout(duration)
+                    finally:
+                        rx.release(rx_req)
             finally:
                 tx.release(tx_req)
         finally:

@@ -12,6 +12,7 @@ from repro.errors import CommError
 from repro.sim.channel import Channel
 from repro.sim.engine import Engine
 from repro.sim.events import Event
+from repro.sim.resources import INLINE_GRANT
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.core.nvmalloc import NVMalloc
@@ -108,21 +109,22 @@ class Communicator:
                 # StorageDevice.access (DRAM has no _pre_access hook;
                 # event-for-event identical, one generator hop less).
                 dram = src_node.dram
-                req = dram._acquire_now()
-                if req is None:
-                    req = dram._acquire()
-                    yield req
-                try:
-                    bytes_counter, time_counter, latency, bw = dram._write_stats
-                    duration = latency + nbytes / bw
-                    bytes_counter.total += nbytes
-                    bytes_counter.count += 1
-                    time_counter.total += duration
-                    time_counter.count += 1
-                    if not self.engine.advance(duration):
-                        yield self.engine.timeout(duration)
-                finally:
-                    dram._release(req)
+                bytes_counter, time_counter, latency, bw = dram._write_stats
+                duration = latency + nbytes / bw
+                bytes_counter.total += nbytes
+                bytes_counter.count += 1
+                time_counter.total += duration
+                time_counter.count += 1
+                engine = self.engine
+                req = engine.hold(dram._channel, duration)
+                if req is not None:
+                    if req is not INLINE_GRANT:
+                        yield req
+                    try:
+                        if not engine.advance(duration):
+                            yield engine.timeout(duration)
+                    finally:
+                        dram._release(req)
             else:
                 yield from src_node.network.transfer(
                     src_node.name, dst_node.name, nbytes

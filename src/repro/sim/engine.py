@@ -42,6 +42,7 @@ from math import inf
 from repro.errors import SimulationError
 from repro.sim.events import _PROCESSED, AllOf, Event, Timeout
 from repro.sim.process import Process
+from repro.sim.resources import INLINE_GRANT, Request, Resource
 
 
 class Engine:
@@ -66,9 +67,10 @@ class Engine:
         self._seq = 0
         self._events = 0
         self._active_processes = 0
-        # For ``advance`` and ``Resource.acquire_now``: how far the running
-        # ``run()`` may move the clock (``-inf``: none is running), the event
-        # it stops at, and whether the event in dispatch has waiters left.
+        # For ``advance``, ``hold`` and ``Resource.acquire_now``: how far
+        # the running ``run()`` may move the clock (``-inf``: none is
+        # running), the event it stops at, and whether the event in
+        # dispatch has waiters left.
         self._horizon = -inf
         self._stop: Event | None = None
         self._fanout = False
@@ -192,6 +194,59 @@ class Engine:
             return False
         self.now = time
         return True
+
+    def hold(self, resource: Resource, delay: float) -> Request | None:
+        """Hold one slot of ``resource`` for ``delay`` in place, or say how
+        to wait instead.  Every caller's idiom::
+
+            req = engine.hold(resource, d)
+            if req is not None:
+                if req is not INLINE_GRANT:
+                    yield req
+                try:
+                    if not engine.advance(d):
+                        yield engine.timeout(d)
+                finally:
+                    resource.release(req)
+
+        Returns ``None`` when both ``Resource.acquire_now``'s proof and
+        :meth:`advance`'s hold: the slot was granted, the clock moved to
+        ``now + delay`` and the slot released, with the busy-time updates
+        the grant and the release would have made.  Otherwise returns what
+        ``acquire_now`` then ``advance`` leave the caller with:
+        ``INLINE_GRANT`` (the grant's proof held, the sleep's did not) or
+        a parked ``resource.request()``.  Only for a hold whose ``delay``
+        is fixed before the grant (INTERNALS, "Events nobody can observe").
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        held = resource._held
+        heap = self._heap
+        now = self.now
+        if (
+            held >= resource.capacity or self._ring or self._fanout
+            or (heap and heap[0][0] <= now)
+        ):
+            return resource.request()
+        # Granted: the busy-time update ``acquire_now`` makes.
+        last = resource._last_change
+        if now != last:
+            resource._busy_time += held * (now - last)
+            resource._last_change = now
+        time = now + delay
+        stop = self._stop
+        if (
+            time > self._horizon or (heap and heap[0][0] <= time)
+            or (stop is not None and stop.callbacks is _PROCESSED)
+        ):
+            resource._held = held + 1
+            return INLINE_GRANT
+        # Slept and released: the update ``release`` makes at ``time``.
+        if time != now:
+            resource._busy_time += (held + 1) * (time - now)
+            resource._last_change = time
+        self.now = time
+        return None
 
     def process(self, generator: Generator[Event, object, object]) -> Process:
         """Register ``generator`` as a simulation process and start it."""

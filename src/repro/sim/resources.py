@@ -3,7 +3,7 @@
 Devices, network links, and CPU cores are modelled as resources: a request
 is granted when a slot frees up, in arrival order.  Service time is imposed
 by the holder (request -> timeout -> release), for which :meth:`Resource.use`
-provides the common pattern.
+provides the common pattern and ``Engine.hold`` the one-call fast path.
 
 Grant events ride the engine's zero-delay now ring: a grant always fires
 at the instant of the request or release that produced it, so it never
@@ -203,13 +203,15 @@ class Resource:
         Usage inside a process: ``yield from resource.use(t)``.  The slot
         (or queue position) is given back however the caller is aborted.
         """
-        req = self.acquire_now()
+        engine = self.engine
+        req = engine.hold(self, duration)
+        if req is None:
+            return
         try:
-            if req is None:
-                req = self.request()
+            if req is not INLINE_GRANT:
                 yield req
-            if not self.engine.advance(duration):
-                yield self.engine.timeout(duration)
+            if not engine.advance(duration):
+                yield engine.timeout(duration)
         except BaseException:
             # Broad: a thrown failure or GeneratorExit (closed while
             # queued or holding) — a request left behind would hold its slot.

@@ -45,13 +45,18 @@ class StripingPolicy(abc.ABC):
         if replication <= 1:
             return [[b] for b in self.place(benefactors, num_chunks, chunk_size, client)]
         online = [b for b in benefactors if b.online]
-        if len(online) < replication:
+        n_online = len(online)
+        if n_online < replication:
             raise ReplicationError(
                 f"replication={replication} needs that many distinct online "
-                f"benefactors, only {len(online)} available"
+                f"benefactors, only {n_online} available"
             )
         primaries = self.place(benefactors, num_chunks, chunk_size, client)
-        budgets = {b.name: b.available // chunk_size for b in online}
+        # Each budget is ``available // chunk_size``, read off the two
+        # fields: no property frame per benefactor on every file creation.
+        budgets = {
+            b.name: (b.contribution - b._reserved) // chunk_size for b in online
+        }
         placement: list[list[Benefactor]] = []
         cursor = 0
         for primary in primaries:
@@ -64,8 +69,8 @@ class StripingPolicy(abc.ABC):
             replicas = [primary]
             chosen = {primary.name}
             for _ in range(replication - 1):
-                for _attempt in range(len(online)):
-                    candidate = online[cursor % len(online)]
+                for _attempt in range(n_online):
+                    candidate = online[cursor % n_online]
                     cursor += 1
                     if candidate.name in chosen or budgets[candidate.name] <= 0:
                         continue
@@ -87,12 +92,15 @@ def _spread(
     candidates: list[Benefactor], num_chunks: int, chunk_size: int
 ) -> list[Benefactor]:
     """Round-robin over ``candidates``, skipping full benefactors."""
-    budgets = {b.name: b.available // chunk_size for b in candidates}
+    budgets = {
+        b.name: (b.contribution - b._reserved) // chunk_size for b in candidates
+    }
+    n_candidates = len(candidates)
     placement: list[Benefactor] = []
     cursor = 0
     for _ in range(num_chunks):
-        for _attempt in range(len(candidates)):
-            benefactor = candidates[cursor % len(candidates)]
+        for _attempt in range(n_candidates):
+            benefactor = candidates[cursor % n_candidates]
             cursor += 1
             if budgets[benefactor.name] > 0:
                 budgets[benefactor.name] -= 1
@@ -138,7 +146,7 @@ class LocalFirstStriping(StripingPolicy):
         local = [b for b in online if b.name == client]
         placement: list[Benefactor] = []
         if local:
-            budget = local[0].available // chunk_size
+            budget = (local[0].contribution - local[0]._reserved) // chunk_size
             placement.extend(local[0] for _ in range(min(budget, num_chunks)))
         remaining = num_chunks - len(placement)
         if remaining:

@@ -25,7 +25,7 @@ def load_tool(name):
     return module
 
 
-#: Context manager: the kernel with its two shortcuts for unobservable
+#: Context manager: the kernel with its shortcuts for unobservable
 #: events patched out — the reference side of every differential test.
 reference_kernel = load_tool("reference_kernel").reference_kernel
 

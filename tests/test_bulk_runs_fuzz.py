@@ -1,12 +1,14 @@
 """Fuzzed identity of the stack's batched fast paths vs their references.
 
-Two kernel shortcuts remove events no process can observe, and neither
+Three kernel shortcuts remove events no process can observe, and none
 has a gate: ``Resource.acquire_now`` grants a free resource inline when
-nothing else is queued at the instant, and ``Engine.advance`` moves the
+nothing else is queued at the instant, ``Engine.advance`` moves the
 clock in place when the timeout it stands for would have been dispatched
-next with nothing running in between.  The reference run patches both
-out (``tools/reference_kernel.py``: the first declines, the second
-returns ``False``) before its world is built, so every grant and sleep
+next with nothing running in between, and ``Engine.hold`` does both and
+releases the slot for a hold of a fixed time (every DRAM copy).  The
+reference run patches all three out (``tools/reference_kernel.py``: the
+first declines, the second returns ``False``, the third parks a
+``request()``) before its world is built, so every grant and sleep
 rides the queues.  Each shortcut is taken only where the queued form
 would have behaved identically, so the whole stack must produce
 byte-identical data, a bit-identical virtual timeline, identical counters
@@ -324,8 +326,9 @@ def test_a_rank_woken_beside_another_sleeps_on_a_real_timeout(crash_after):
     two ranks wait on one page's in-flight flush and the first to wake
     sleeps on at once (``_fault_range``'s FUSE crossing).  That is
     the only place this stack meets ``advance``'s fan-out condition bare
-    — everywhere else a woken rank reaches an ``acquire_now`` first, which
-    declines on the same flag and queues a grant — and the spy shows the
+    — everywhere else a woken rank reaches a grant (``acquire_now`` or
+    ``Engine.hold``) first, which declines on the same flag and queues
+    it — and the spy shows the
     schedule gets there: some sleep is declined by that flag alone."""
     ranks = _fixed_schedule(128)
     bare = 0

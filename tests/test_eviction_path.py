@@ -60,12 +60,12 @@ EVENT_INIT = (
 #: A lone rank's write of a full page that evicts a dirty page: the two
 #: layers, the page's eviction, its FUSE write into a chunk the chunk
 #: cache had not held (a new entry; its page mask is int arithmetic), the
-#: clock moves and the DRAM grants.  Neither cache's room test calls
-#: ``len``: each reads its free-slot count.
+#: FUSE overhead's clock move and the two DRAM copies, each one
+#: ``Engine.hold``.  Neither cache's room test calls ``len``: each reads
+#: its free-slot count.
 PAGE_EVICTION = {
     "pagecache.write": 1, "pagecache._insert": 1, "cache.write_ranges": 1,
-    "cache._load": 1, "engine.advance": 3, "resources.acquire_now": 2,
-    "resources.release": 2,
+    "cache._load": 1, "engine.advance": 1, "engine.hold": 2,
     "<method 'popitem' of 'collections.OrderedDict' objects>": 1,
     "<built-in method builtins.len>": 2,
 }

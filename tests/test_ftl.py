@@ -1,5 +1,7 @@
 """Tests for the flash translation layer."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -113,6 +115,49 @@ class TestGarbageCollection:
         with pytest.raises(CapacityError):
             for _ in range(3):
                 ftl.write_pages(list(range(ftl.logical_pages)))
+
+
+def _min_victim(ftl):
+    """The victim as ``min`` over a key picks it: the first minimum."""
+    candidates = [
+        b for b in range(ftl.num_blocks)
+        if b != ftl._frontier and b not in ftl._free_set
+        and ftl._write_ptr[b] >= ftl.pages_per_block
+    ]  # fmt: skip
+    if ftl.wear_leveling:
+        return min(
+            candidates, key=lambda b: (ftl._valid_counts[b], ftl._erase_counts[b])
+        )
+    return min(candidates, key=lambda b: ftl._valid_counts[b])
+
+
+class TestVictim:
+    @pytest.mark.parametrize("wear_leveling", [True, False])
+    def test_the_victim_is_mins_first_minimum(self, wear_leveling):
+        """Random block states with few distinct valid and erase counts,
+        so ties on both are common: the loop picks ``min``'s block."""
+        rng = random.Random(17 if wear_leveling else 18)
+        ftl = make_ftl(wear_leveling=wear_leveling)
+        n, per_block = ftl.num_blocks, ftl.pages_per_block
+        tied = 0
+        for _ in range(400):
+            ftl._valid_counts = [rng.randrange(3) for _ in range(n)]
+            ftl._erase_counts = [rng.randrange(3) for _ in range(n)]
+            ftl._write_ptr = [
+                per_block if rng.random() < 0.7 else rng.randrange(per_block)
+                for _ in range(n)
+            ]
+            ftl._free_set = {b for b in range(n) if rng.random() < 0.2}
+            ftl._frontier = rng.choice([None, rng.randrange(n)])
+            expected = _min_victim(ftl)
+            assert ftl._victim() == expected
+            tied += ftl._valid_counts.count(ftl._valid_counts[expected]) > 1
+        assert tied > 300
+
+    def test_no_full_block_is_no_victim(self):
+        ftl = make_ftl()
+        with pytest.raises(CapacityError, match="no victim"):
+            ftl._victim()
 
 
 class TestWearLeveling:

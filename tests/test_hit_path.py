@@ -4,7 +4,7 @@ NVMalloc's premise (paper §III-D) is that a mapped access which hits the
 OS page cache runs at DRAM speed and only a miss crosses FUSE, so the hit
 is the common case.  INTERNALS "Fast path and batching invariants" keeps
 the simulator's hit to the calls that do work (the layers it passes
-through, the DRAM grant, the clock move, the LRU touch):
+through, the DRAM copy's hold of its slot, the LRU touch):
 
 - the clock is the engine's ``now`` slot, not a property;
 - a per-access or per-page lookup is ``key in d``, then ``d[key]`` where
@@ -35,19 +35,17 @@ MOVE = "<method 'move_to_end' of 'collections.OrderedDict' objects>"
 LEN = "<built-in method builtins.len>"
 DISABLE = "<method 'disable' of '_lsprof.Profiler' objects>"
 
-#: The one read hit: three layers, the DRAM grant and its release, the
-#: clock move and the LRU touch.
+#: The one read hit: three layers, the DRAM copy (grant, clock move and
+#: release, held in place by one ``Engine.hold``) and the LRU touch.
 READ_HIT = {
     "variable.read": 1, "mmap.read": 1, "pagecache.read": 1,
-    "resources.acquire_now": 1, "engine.advance": 1,
-    "resources.release": 1, MOVE: 1,
+    "engine.hold": 1, MOVE: 1,
 }
 #: The one write hit, over two pages: the same, with one LRU touch per
 #: page, plus the payload's length at two layers.
 WRITE_HIT = {
     "variable.write": 1, "mmap.write": 1, "pagecache.write": 1,
-    "resources.acquire_now": 1, "engine.advance": 1,
-    "resources.release": 1, MOVE: 2, LEN: 2,
+    "engine.hold": 1, MOVE: 2, LEN: 2,
 }
 #: A process start: the engine's factory, the process and its bootstrap
 #: event's place on the now ring (the bootstrap is built without a frame).
@@ -146,7 +144,7 @@ class TestPageCacheHit:
         assert not [name for name in calls if "'get' of" in name]
         assert "<built-in method builtins.isinstance>" not in calls
         assert dict(calls) == READ_HIT
-        assert sum(calls.values()) == 7
+        assert sum(calls.values()) == 5
 
     def test_a_write_hit_calls_only_what_does_work(self, hits):
         """Kills the same clock mutant and ``.get`` restored in
@@ -156,7 +154,7 @@ class TestPageCacheHit:
         assert not [name for name in calls if "'get' of" in name]
         assert "<built-in method builtins.isinstance>" not in calls
         assert dict(calls) == WRITE_HIT
-        assert sum(calls.values()) == 10
+        assert sum(calls.values()) == 8
 
 
 class TestPerRequest:

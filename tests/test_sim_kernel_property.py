@@ -538,8 +538,8 @@ def _resource_script_run(seed: int):
     each taking a slot a few times after random gaps for random holds —
     half through the inline-site idiom (``acquire_now``, else ``request()``
     + ``yield``, then ``try``/``finally: release``), half through
-    ``Resource.use``.  Returns the observable outcome and, apart, how
-    many grants were inline."""
+    ``Resource.use`` (``Engine.hold``).  Returns the observable outcome
+    and, apart, how many ``acquire_now`` grants were inline."""
     rng = random.Random(seed)
     engine = Engine()
     resource = Resource(engine, capacity=rng.randint(1, 3))

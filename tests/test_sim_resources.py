@@ -100,15 +100,15 @@ class TestResource:
         assert res.busy_seconds() == pytest.approx(4.0)
 
     def test_use_releases_on_exception(self, engine):
+        """Driven by hand (no ``run()``), the hold is granted inline and
+        sleeps on a real timeout, holding the slot; a failure thrown in
+        there gives the slot back."""
         res = Resource(engine, capacity=1)
-
-        def bad():
-            gen = res.use(10.0)
-            yield next(gen)  # acquire
+        gen = res.use(10.0)
+        next(gen)
+        assert res.in_use == 1
+        with pytest.raises(RuntimeError, match="abort"):
             gen.throw(RuntimeError("abort"))
-
-        with pytest.raises(RuntimeError):
-            engine.run(engine.process(bad()))
         assert res.in_use == 0
 
     def test_use_closed_while_queued_leaves_the_queue(self, engine):
@@ -209,6 +209,255 @@ class TestInlineGrant:
         res.cancel(INLINE_GRANT)
         assert res.in_use == 0
         assert res.acquire_now() is INLINE_GRANT
+
+
+def _held_in_place(engine, res, d, taken):
+    """The hold idiom of every fixed-time site; ``taken`` records what
+    ``Engine.hold`` returned: ``None``, ``INLINE_GRANT`` or ``"parked"``."""
+    req = engine.hold(res, d)
+    taken.append(req if req is None or req is INLINE_GRANT else "parked")
+    if req is not None:
+        if req is not INLINE_GRANT:
+            yield req
+        try:
+            if not engine.advance(d):
+                yield engine.timeout(d)
+        finally:
+            res.release(req)
+
+
+def _granted_then_slept(engine, res, d, taken):
+    """The sequence a hold fuses: ``acquire_now`` (else a parked
+    ``request()``), ``advance`` (else a timeout), ``release``."""
+    req = res.acquire_now()
+    if req is None:
+        req = res.request()
+        yield req
+    try:
+        if not engine.advance(d):
+            yield engine.timeout(d)
+    finally:
+        res.release(req)
+
+
+def _state(engine, res):
+    return (engine.now, res._held, res.queue_length, res.busy_seconds())
+
+
+def _busy(engine, res, idiom, taken, states):
+    """The only slot is held by another process until 1.0."""
+
+    def holder():
+        req = res.request()
+        yield req
+        yield engine.timeout(1.0)
+        res.release(req)
+
+    def user():
+        yield engine.timeout(0.25)
+        yield from idiom(engine, res, 0.5, taken)
+        states.append(_state(engine, res))
+
+    engine.process(holder())
+    engine.process(user())
+    engine.run()
+
+
+def _ring(engine, res, idiom, taken, states):
+    """Another process's bootstrap is queued on the ring at the instant."""
+
+    def other():
+        yield engine.timeout(2.0)
+
+    def user():
+        states.append(_state(engine, res))
+        yield from idiom(engine, res, 0.5, taken)
+        states.append(_state(engine, res))
+
+    engine.process(user())
+    engine.process(other())
+    engine.run()
+
+
+def _due_now(engine, res, idiom, taken, states):
+    """Another process's timeout is due on the heap at this instant."""
+
+    def user():
+        yield engine.timeout(0.25)
+        yield from idiom(engine, res, 0.5, taken)
+        states.append(("user", _state(engine, res)))
+
+    def other():
+        yield engine.timeout(0.25)
+        states.append(("other", _state(engine, res)))
+
+    engine.process(user())
+    engine.process(other())
+    engine.run()
+
+
+def _tie(engine, res, idiom, taken, states):
+    """Another process's timeout is due exactly at ``now + d``: it is
+    older and fires first."""
+
+    def other():
+        yield engine.timeout(0.75)
+        states.append(("other", _state(engine, res)))
+
+    def user():
+        yield engine.timeout(0.25)
+        yield from idiom(engine, res, 0.5, taken)
+        states.append(("user", _state(engine, res)))
+
+    engine.process(other())
+    engine.process(user())
+    engine.run()
+
+
+def _fanout(engine, res, idiom, taken, states):
+    """Two processes wake from one shared timeout; the first to resume
+    holds while the second is still owed its wake-up."""
+    shared = engine.timeout(0.25)
+
+    def user(pid):
+        yield shared
+        states.append((pid, _state(engine, res)))
+        yield from idiom(engine, res, 0.5, taken)
+        states.append((pid, _state(engine, res)))
+
+    engine.process(user(1))
+    engine.process(user(2))
+    engine.run()
+
+
+def _horizon(engine, res, idiom, taken, states):
+    """The target lies past the horizon of ``run(until=1.0)``."""
+
+    def user():
+        yield engine.timeout(0.25)
+        yield from idiom(engine, res, 1.0, taken)
+        states.append(_state(engine, res))
+
+    engine.process(user())
+    engine.run(until=1.0)
+    states.append(_state(engine, res))
+    engine.run()
+
+
+def _no_run(engine, res, idiom, taken, states):
+    """A generator driven by hand: no ``run()`` is in progress."""
+    engine.run(until=0.5)
+    gen = idiom(engine, res, 0.5, taken)
+    next(gen)
+    states.append(_state(engine, res))
+    engine.run()
+    with pytest.raises(StopIteration):
+        next(gen)
+    states.append(_state(engine, res))
+
+
+def _stopped(engine, res, idiom, taken, states):
+    """The hold's process is the one waiter of ``run(until=event)``'s
+    event, so the run returns at this instant."""
+    marker = engine.timeout(0.25)
+
+    def user():
+        yield marker
+        yield from idiom(engine, res, 0.5, taken)
+        states.append(_state(engine, res))
+
+    engine.process(user())
+    engine.run(until=0.0)  # the bootstrap: the process waits on the marker
+    engine.run(marker)
+    states.append(_state(engine, res))
+    engine.run()
+
+
+def _quiet(engine, res, idiom, taken, states):
+    """Nothing else is queued: the hold is taken in place."""
+
+    def user():
+        yield engine.timeout(0.25)
+        yield from idiom(engine, res, 0.5, taken)
+        states.append(_state(engine, res))
+
+    engine.process(user())
+    engine.run()
+
+
+class TestHold:
+    """``Engine.hold`` grants, sleeps and releases in place only when
+    ``acquire_now``'s proof and ``advance``'s both hold, and otherwise
+    returns what that sequence continues with.  Per condition: what the
+    hold returned, and the clock, ``_held``, queue and ``busy_seconds()``
+    bit-equal to ``acquire_now`` + ``advance`` + ``release`` at every
+    point the scenario looks.  Each decline case fails with its condition
+    deleted from ``hold``."""
+
+    @pytest.mark.parametrize(
+        ("scenario", "expected"),
+        [
+            (_busy, ["parked"]),
+            (_ring, ["parked"]),
+            (_due_now, ["parked"]),
+            (_tie, [INLINE_GRANT]),
+            (_fanout, ["parked", "parked"]),
+            (_horizon, [INLINE_GRANT]),
+            (_no_run, [INLINE_GRANT]),
+            (_stopped, [INLINE_GRANT]),
+            (_quiet, [None]),
+        ],
+        ids=lambda value: getattr(value, "__name__", "").strip("_") or None,
+    )
+    def test_a_hold_matches_grant_sleep_release(self, scenario, expected):
+        outcomes = []
+        for idiom in (_held_in_place, _granted_then_slept):
+            engine = Engine()
+            res = Resource(engine, capacity=2 if scenario is _fanout else 1)
+            res.busy_seconds()
+            taken, states = [], []
+            scenario(engine, res, idiom, taken, states)
+            states.append(_state(engine, res))
+            outcomes.append((taken, states))
+        (taken, states), (_, reference) = outcomes
+        assert taken == expected
+        assert states == reference
+        assert states[-1][1:3] == (0, 0)
+
+    def test_a_hold_in_place_beside_a_held_slot_keeps_busy_time(self):
+        """One slot of two is held from 0.1 to 5.0; another is held in
+        place from 0.3 for 0.7.  Busy time over two held counts, at
+        instants that do not add exactly, is the same float."""
+        outcomes = []
+        for idiom in (_held_in_place, _granted_then_slept):
+            engine = Engine()
+            res = Resource(engine, capacity=2)
+            taken, states = [], []
+
+            def holder():
+                yield engine.timeout(0.1)
+                req = res.request()
+                yield req
+                yield engine.timeout(4.9)
+                res.release(req)
+
+            def user():
+                yield engine.timeout(0.3)
+                yield from idiom(engine, res, 0.7, taken)
+                states.append(_state(engine, res))
+
+            engine.process(holder())
+            engine.process(user())
+            engine.run()
+            outcomes.append((taken, states, _state(engine, res)))
+        assert outcomes[0][0] == [None]
+        assert outcomes[0][1:] == outcomes[1][1:]
+
+    def test_a_negative_hold_raises(self, engine):
+        res = Resource(engine, capacity=1)
+        with pytest.raises(SimulationError, match="negative timeout delay"):
+            engine.hold(res, -1.0)
+        assert _state(engine, res) == (0.0, 0, 0, 0.0)
 
 
 class TestBuildersRunNoFrame:

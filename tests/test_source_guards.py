@@ -20,6 +20,12 @@
   only in ``Resource.request`` and for the module's ``INLINE_GRANT``,
   ``Trigger(`` only in ``Process.__init__`` and ``ClientSwarm.open_loop``,
   and no class's ``__new__`` at all.
+- A slot held for a time fixed before its grant is one ``Engine.hold``
+  (INTERNALS "Events nobody can observe").  ``acquire_now`` is taken
+  only where the hold time or a hook is decided at the grant: a device
+  access (``_pre_access``, the degrade window, an HDD's seek), the FUSE
+  daemon's fill and write-back, and the wire's TX port, which is held
+  across the RX port's wait.
 """
 
 import ast
@@ -268,3 +274,55 @@ def test_the_builder_guard_rejects_a_second_builder():
     assert builder_calls(ast.parse(
         "class Engine:\n    def timeout(self):\n        return Timeout()"
     ), Path("sim") / "engine.py") == {"Timeout": BUILDERS["Timeout"]}
+
+
+#: The functions that may take an inline grant (``acquire_now``, or the
+#: device's bound ``_acquire_now``), with where each decides its time.
+GRANT_TIME_SITES = {
+    f"{Path('devices') / 'base.py'}:StorageDevice.__init__",  # binds it
+    f"{Path('devices') / 'base.py'}:StorageDevice.access",  # hook, degrade
+    f"{Path('devices') / 'ssd.py'}:SSD.write_extent",  # degrade window
+    f"{Path('devices') / 'hdd.py'}:HDD.access_extent",  # seek
+    f"{Path('fusefs') / 'cache.py'}:ChunkCache._fill",  # held over a fetch
+    f"{Path('fusefs') / 'cache.py'}:ChunkCache._writeback",  # over a store write
+    f"{Path('network') / 'fabric.py'}:Network.transfer",  # TX, over the RX wait
+}
+
+
+def inline_grant_sites(tree, path):
+    """``{"path:Class.function"}`` for every reference to ``acquire_now``
+    or ``_acquire_now``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if isinstance(node, ast.Attribute) and node.attr in (
+            "acquire_now", "_acquire_now",
+        ):
+            found.add(f"{path}:{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_a_fixed_time_hold_takes_no_inline_grant():
+    found = set()
+    for path, tree in _trees():
+        found |= inline_grant_sites(tree, path)
+    assert found == GRANT_TIME_SITES
+
+
+def test_the_grant_guard_rejects_a_dram_copy_by_grant():
+    """The rule above on the shape it must reject: a DRAM copy back on
+    ``_acquire_now`` + ``advance`` + ``release``."""
+    source = (
+        "class PageCache:\n"
+        "    def read(self):\n"
+        "        req = self._dram._acquire_now()\n"
+    )
+    assert inline_grant_sites(ast.parse(source), "mem/pagecache.py") == {
+        "mem/pagecache.py:PageCache.read"
+    }

@@ -10,6 +10,7 @@ from repro.errors import (
     ChunkNotFoundError,
     FileExistsInStoreError,
     FileNotFoundInStoreError,
+    ReplicationError,
     StoreError,
 )
 from repro.store import (
@@ -338,6 +339,56 @@ class TestStriping:
     def test_no_online_benefactors(self):
         with pytest.raises(StoreError):
             RoundRobinStriping().place([], 1, CHUNK_SIZE, "x")
+
+    #: ``(contribution, reserved)`` in chunks, per node: budgets that run
+    #: out mid-placement, so the round-robin cursor skips full benefactors.
+    SHAPE = [(6, 0), (8, 2), (2, 0), (5, 1)]
+
+    @pytest.mark.parametrize(
+        ("policy", "replication", "client", "chunks", "offline", "expected"),
+        [
+            ("rr", 1, 1, 5, None, ["0", "1", "2", "3", "0"]),
+            ("rr", 1, 3, 7, 0, ["1", "2", "3", "1", "2", "3", "1"]),
+            ("rr", 1, 0, 9, 1, ["0", "2", "3", "0", "2", "3", "0", "3", "0"]),
+            ("rr", 2, 1, 5, None, ["01", "12", "23", "30", "01"]),
+            ("rr", 2, 2, 3, None, ["01", "12", "23"]),
+            ("rr", 2, 3, 7, 0, ReplicationError),
+            ("local", 1, 1, 5, None, ["1", "1", "1", "1", "1"]),
+            ("local", 1, 3, 7, 0, ["3", "3", "3", "3", "1", "2", "1"]),
+            ("local", 1, 0, 9, 1, ["0", "0", "0", "0", "0", "0", "2", "3", "2"]),
+            ("local", 2, 1, 5, None, ["10", "12", "13", "10", "12"]),
+            ("local", 2, 2, 3, None, ["20", "21", "03"]),
+            ("local", 2, 0, 9, 1, ReplicationError),
+        ],
+    )
+    def test_placement_table(
+        self, small_cluster, policy, replication, client, chunks, offline, expected
+    ):
+        """Replica groups by node digit, primary first, for both policies
+        at replication 1 and 2: a budget is ``available // chunk_size``
+        however it is read."""
+        benefactors = []
+        for index, (node, (contribution, reserved)) in enumerate(
+            zip(small_cluster.nodes, self.SHAPE)
+        ):
+            b = Benefactor(node, contribution=contribution * CHUNK_SIZE)
+            if reserved:
+                b.reserve(reserved * CHUNK_SIZE)
+            b.online = index != offline
+            benefactors.append(b)
+        striping = RoundRobinStriping() if policy == "rr" else LocalFirstStriping()
+
+        def place():
+            return striping.place_replicas(
+                benefactors, chunks, CHUNK_SIZE, f"node00{client}", replication
+            )
+
+        if expected is ReplicationError:
+            with pytest.raises(ReplicationError):
+                place()
+        else:
+            groups = ["".join(b.name[-1] for b in group) for group in place()]
+            assert groups == expected
 
 
 # ----------------------------------------------------------------------

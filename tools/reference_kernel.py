@@ -5,13 +5,16 @@
     python tools/check_digests.py ref.json benchmarks/EXPERIMENT_digests_tiny.json
 
 The kernel removes two kinds of event no process can observe
-(INTERNALS, "Events nobody can observe"): ``Resource.acquire_now`` grants
-inline and ``Engine.advance`` sleeps in place.  Each is a shortcut beside
-a fallback that *is* the definition, so patching both to decline — every
-grant and sleep rides the queues — must change nothing but
-``Engine.events_processed``.  (The third kind, a completion marker nobody
-waits for, is no event at all: the model builds a marker's ``Event`` only
-for a waiter, so there is no shortcut to patch.)  Running the digest
+(INTERNALS, "Events nobody can observe") through three shortcuts:
+``Resource.acquire_now`` grants inline, ``Engine.advance`` sleeps in
+place, and ``Engine.hold`` does both and releases the slot in one call.
+Each is a shortcut beside a fallback that *is* the definition, so
+patching all three to decline — every grant parks (``hold`` returns a
+``resource.request()``) and every sleep rides the queues — must change
+nothing but ``Engine.events_processed``.  (A third kind of event, a
+completion marker nobody waits for, is no event at all: the model builds
+a marker's ``Event`` only for a waiter, so there is no shortcut to
+patch.)  Running the digest
 matrix that way turns "no digest folds ``events_processed``" from an
 argument into a gate: a shortcut, present or future, that is observable
 in any experiment fails that experiment's pin here while passing it
@@ -36,13 +39,14 @@ def reference_kernel():
     """Nothing granted inline or slept in place."""
     from repro.sim import Engine, Resource
 
-    saved = Resource.acquire_now, Engine.advance
+    saved = Resource.acquire_now, Engine.advance, Engine.hold
     Resource.acquire_now = lambda self: None
     Engine.advance = lambda self, delay: False
+    Engine.hold = lambda self, resource, delay: resource.request()
     try:
         yield
     finally:
-        Resource.acquire_now, Engine.advance = saved
+        Resource.acquire_now, Engine.advance, Engine.hold = saved
 
 
 if __name__ == "__main__":
