@@ -3,7 +3,7 @@
 # Every target runs the checkout's own sources, installed or not.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test fuzz-long determinism cache-ablation slo-curve bench bench-selfcheck bench-pairs census trace experiments experiments-par examples clean
+.PHONY: install test fuzz-long determinism cache-ablation slo-curve bench bench-selfcheck bench-pairs sample-layers census trace experiments experiments-par examples clean
 
 install:
 	pip install -e .
@@ -55,6 +55,13 @@ bench-selfcheck:
 bench-pairs:
 	python3 tools/bench_pairs.py $(PARENT) $(CHANGE) --workload $(W) \
 		--pairs $(N) $(if $(S),--seconds $(S))
+
+# Wall self-time per layer of one workload from an ITIMER_PROF stack
+# sampler (6 000 ticks, 30-60 s; a bootstrap interval per layer, top
+# functions and lines, time in garbage collection):
+#   make sample-layers W=rand_read_miss
+sample-layers:
+	python3 tools/sample_layers.py --workload $(W)
 
 # Reachability census: every experiment, CLI path, example, bench workload
 # and paper-shape test under a call hook, two at a time (about 9 minutes).

@@ -9,7 +9,7 @@ from repro.devices.specs import DeviceSpec
 from repro.errors import DeviceError
 from repro.sim.engine import Engine
 from repro.sim.events import Event
-from repro.sim.resources import Resource
+from repro.sim.resources import INLINE_GRANT, Resource
 from repro.util.recorder import MetricsRecorder
 
 
@@ -59,14 +59,8 @@ class StorageDevice:
             spec.latency,
             spec.write_bw,
         )
-        # Pre-bound slot acquire/release: one attribute hop less per call.
-        self._acquire = self._channel.request
-        self._acquire_now = self._channel.acquire_now
+        # Pre-bound slot release: one attribute hop less per call.
         self._release = self._channel.release
-        # Only call the _pre_access hook when a subclass actually has one.
-        self._custom_pre_access = (
-            type(self)._pre_access is not StorageDevice._pre_access
-        )
         # Transient service-rate degradation (fault injection): until the
         # virtual clock passes the mark, every access's service time is
         # multiplied by the factor.  0.0 means "never degraded" and keeps
@@ -91,36 +85,35 @@ class StorageDevice:
         self._degrade_factor = factor
 
     # ------------------------------------------------------------------
-    def _pre_access(self, kind: AccessKind, nbytes: int) -> None:
-        """Hook for subclasses (FTL accounting etc.); runs at grant time."""
-
     def access(
         self, kind: AccessKind, nbytes: int
     ) -> Generator[Event, object, None]:
-        """Process generator: perform one access of ``nbytes``."""
+        """Process generator: one access of ``nbytes``, timed at its grant."""
         if nbytes < 0:
             raise DeviceError(f"{self.name}: negative access size {nbytes}")
-        req = self._acquire_now()
-        if req is None:
-            req = self._acquire()
+        bytes_counter, time_counter, latency, bw = (
+            self._read_stats if kind is AccessKind.READ else self._write_stats
+        )
+        engine = self.engine
+        duration = latency + nbytes / bw
+        if self._degrade_until > engine.now:
+            duration *= self._degrade_factor
+        req = engine.hold(self._channel, duration)
+        if req is not None and req is not INLINE_GRANT:
             yield req
-        try:
-            if self._custom_pre_access:
-                self._pre_access(kind, nbytes)
-            bytes_counter, time_counter, latency, bw = (
-                self._read_stats if kind is AccessKind.READ else self._write_stats
-            )
             duration = latency + nbytes / bw
-            if self._degrade_until > self.engine.now:
+            if self._degrade_until > engine.now:
                 duration *= self._degrade_factor
-            bytes_counter.total += nbytes
-            bytes_counter.count += 1
-            time_counter.total += duration
-            time_counter.count += 1
-            if not self.engine.advance(duration):
-                yield self.engine.timeout(duration)
-        finally:
-            self._release(req)
+        bytes_counter.total += nbytes
+        bytes_counter.count += 1
+        time_counter.total += duration
+        time_counter.count += 1
+        if req is not None:
+            try:
+                if not engine.advance(duration):
+                    yield engine.timeout(duration)
+            finally:
+                self._release(req)
 
     def read(self, nbytes: int) -> Generator[Event, object, None]:
         """Process generator: one read access."""

@@ -10,6 +10,7 @@ from repro.devices.specs import INTEL_X25E, DeviceSpec
 from repro.errors import DeviceError
 from repro.sim.engine import Engine
 from repro.sim.events import Event
+from repro.sim.resources import INLINE_GRANT
 from repro.util.recorder import MetricsRecorder
 
 #: Seconds per block erase, for every SSD of the catalog (the flash
@@ -100,24 +101,26 @@ class SSD(StorageDevice):
                 counter = self._gc_counter
                 counter.total += gc_penalty
                 counter.count += 1
-        req = self._acquire_now()
-        if req is None:
-            req = self._acquire()
+        bytes_counter, time_counter, latency, bw = self._write_stats
+        duration = latency + nbytes / bw + gc_penalty
+        if self._degrade_until > self.engine.now:
+            duration *= self._degrade_factor
+        req = self.engine.hold(self._channel, duration)
+        if req is not None and req is not INLINE_GRANT:
             yield req
-        try:
-            # Same Counter objects the size-only write path uses.
-            bytes_counter, time_counter, latency, bw = self._write_stats
             duration = latency + nbytes / bw + gc_penalty
             if self._degrade_until > self.engine.now:
                 duration *= self._degrade_factor
-            bytes_counter.total += nbytes
-            bytes_counter.count += 1
-            time_counter.total += duration
-            time_counter.count += 1
-            if not self.engine.advance(duration):
-                yield self.engine.timeout(duration)
-        finally:
-            self._release(req)
+        bytes_counter.total += nbytes
+        bytes_counter.count += 1
+        time_counter.total += duration
+        time_counter.count += 1
+        if req is not None:
+            try:
+                if not self.engine.advance(duration):
+                    yield self.engine.timeout(duration)
+            finally:
+                self._release(req)
 
     def trim_extent(self, offset: int, nbytes: int) -> None:
         """Discard a logical extent (frees flash, no time charged)."""

@@ -913,8 +913,8 @@ class ChunkCache:
             elif self._prefetcher is not None:
                 self._issue_prefetches(path, index)
             # Serving from the cache is still a DRAM copy, not free.
-            # Inlined StorageDevice.access (DRAM has no _pre_access hook;
-            # event-for-event identical, one generator hop less).
+            # Inlined StorageDevice.access (event-for-event identical,
+            # one generator hop less).
             dram = self._dram
             bytes_counter, time_counter, latency, bw = dram._read_stats
             duration = latency + length / bw
@@ -1061,8 +1061,8 @@ class ChunkCache:
                 counter = self._write_counter
                 counter.total += length
                 counter.count += 1
-                # Inlined StorageDevice.access (DRAM has no _pre_access
-                # hook; event-for-event identical, one hop less).
+                # Inlined StorageDevice.access (event-for-event
+                # identical, one hop less).
                 bytes_counter, time_counter, latency, bw = dram._write_stats
                 duration = latency + length / bw
                 bytes_counter.total += length

@@ -427,8 +427,8 @@ class PageCache:
         # (INTERNALS "The cache hierarchy and its races", rule 10).
         retouch = misses != 0
         if resident:
-            # Inlined StorageDevice.access (DRAM has no _pre_access hook;
-            # event-for-event identical, one generator hop less).
+            # Inlined StorageDevice.access (event-for-event identical,
+            # one generator hop less).
             nbytes = resident * page_size
             dram = self._dram
             bytes_counter, time_counter, latency, bw = dram._read_stats
@@ -558,8 +558,8 @@ class PageCache:
         self.stats.hits += hits
         self.stats.misses += misses
         if written_resident:
-            # Inlined StorageDevice.access (DRAM has no _pre_access hook;
-            # event-for-event identical, one generator hop less).
+            # Inlined StorageDevice.access (event-for-event identical,
+            # one generator hop less).
             dram = self._dram
             bytes_counter, time_counter, latency, bw = dram._write_stats
             duration = latency + written_resident / bw

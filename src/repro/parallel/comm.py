@@ -106,8 +106,8 @@ class Communicator:
             dst_node = nodes[dest]
             if src_node is dst_node:
                 # Same node: shared-memory copy at DRAM speed.  Inlined
-                # StorageDevice.access (DRAM has no _pre_access hook;
-                # event-for-event identical, one generator hop less).
+                # StorageDevice.access (event-for-event identical, one
+                # generator hop less).
                 dram = src_node.dram
                 bytes_counter, time_counter, latency, bw = dram._write_stats
                 duration = latency + nbytes / bw

@@ -215,8 +215,11 @@ class Engine:
         the grant and the release would have made.  Otherwise returns what
         ``acquire_now`` then ``advance`` leave the caller with:
         ``INLINE_GRANT`` (the grant's proof held, the sleep's did not) or
-        a parked ``resource.request()``.  Only for a hold whose ``delay``
-        is fixed before the grant (INTERNALS, "Events nobody can observe").
+        a parked ``resource.request()``.  ``delay`` must be the hold's
+        length as of the grant whenever this returns ``None`` or
+        ``INLINE_GRANT`` (both grant at ``now``); a caller whose length
+        depends on the grant instant recomputes it after a parked grant
+        (INTERNALS, "Events nobody can observe").
         """
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")

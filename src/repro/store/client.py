@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Generator
 
 from repro.cluster.node import Node
-from repro.errors import BenefactorDownError, ChunkUnavailableError
+from repro.errors import BenefactorDownError, ChunkUnavailableError, StoreError
 from repro.sim.events import Event
 from repro.store.benefactor import Benefactor
 from repro.store.manager import FileMeta, Manager
@@ -40,6 +40,8 @@ class StoreClient:
     ) -> None:
         self.node = node
         self.manager = manager
+        #: The manager's live file table, read in place on the data path.
+        self._files = manager.files
         self.chunk_size = manager.chunk_size
         self.metrics = metrics if metrics is not None else node.metrics
         # file -> (generation, read map {index: (chunk_id, benefactor)},
@@ -101,7 +103,7 @@ class StoreClient:
 
         The warm test is written at both callers: the file's generation
         against the cached one, so a fetch or write-back that hits the map
-        pays one ``lookup`` and no call of this layer's own.
+        pays no call of this layer's own.
         """
         yield from self.manager.rpc(self.client_name)
         cached = (meta.generation, {}, {})
@@ -195,8 +197,9 @@ class StoreClient:
         try:
             attempt = 0
             started = None
+            files = self._files
             while True:
-                meta = self.manager.lookup(name)
+                meta = files[name] if name in files else self.manager.lookup(name)
                 map_cache = self._map_cache
                 if name in map_cache and map_cache[name][0] == meta.generation:
                     mapping = map_cache[name][1]
@@ -255,7 +258,9 @@ class StoreClient:
         tracing is on ("demand"/"prefetch"); it changes no simulated
         behaviour.
         """
-        length = self.manager.lookup(name).size - index * self.chunk_size
+        files = self._files
+        meta = files[name] if name in files else self.manager.lookup(name)
+        length = meta.size - index * self.chunk_size
         if length > self.chunk_size:
             length = self.chunk_size
         data = yield from self._fetch_failover(name, index, 0, length, purpose)
@@ -303,8 +308,9 @@ class StoreClient:
         try:
             attempt = 0
             started = None
+            files = self._files
             while True:
-                meta = self.manager.lookup(name)
+                meta = files[name] if name in files else self.manager.lookup(name)
                 map_cache = self._map_cache
                 if name in map_cache and map_cache[name][0] == meta.generation:
                     mapping = map_cache[name][2]
@@ -322,7 +328,7 @@ class StoreClient:
                     yield from self._cow_copy(name, old_id, chunk_id)
                     # We initiated the COW, so our map stays warm at the new
                     # generation; other sharers will refresh on their next access.
-                    meta = self.manager.lookup(name)
+                    meta = files[name] if name in files else self.manager.lookup(name)
                     cached = self._map_cache.get(name)
                     read_map = dict(cached[1]) if cached is not None else {}
                     write_map = dict(cached[2]) if cached is not None else {}
@@ -407,8 +413,6 @@ class StoreClient:
     def _check_range(self, name: str, offset: int, length: int) -> None:
         meta = self.manager.lookup(name)
         if offset < 0 or length < 0 or offset + length > meta.size:
-            from repro.errors import StoreError
-
             raise StoreError(
                 f"range [{offset}, {offset + length}) outside {name!r} "
                 f"of size {meta.size}"

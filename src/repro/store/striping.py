@@ -40,7 +40,10 @@ class StripingPolicy(abc.ABC):
 
         Capacity is accounted per replica — every copy of a chunk debits
         its benefactor's budget.  ``replication=1`` degenerates to
-        exactly :meth:`place` (the seed's bit-identical behaviour).
+        exactly :meth:`place` (the seed's bit-identical behaviour).  The
+        greedy placement in chunk order is kept whenever it fits; when it
+        runs out of room, every chunk goes where the most room is left,
+        which fits whenever any placement does.
         """
         if replication <= 1:
             return [[b] for b in self.place(benefactors, num_chunks, chunk_size, client)]
@@ -57,14 +60,14 @@ class StripingPolicy(abc.ABC):
         budgets = {
             b.name: (b.contribution - b._reserved) // chunk_size for b in online
         }
+        # Greedy, in chunk order: charge each primary, then its replicas
+        # round-robin.  A replica of an early chunk can take the slot a
+        # later chunk's primary was placed in; the pass then stops.
         placement: list[list[Benefactor]] = []
         cursor = 0
         for primary in primaries:
             if budgets[primary.name] <= 0:
-                raise ReplicationError(
-                    f"aggregate store full: no room for primary of chunk "
-                    f"{len(placement)} once replicas are accounted"
-                )
+                break
             budgets[primary.name] -= 1
             replicas = [primary]
             chosen = {primary.name}
@@ -79,12 +82,40 @@ class StripingPolicy(abc.ABC):
                     chosen.add(candidate.name)
                     break
                 else:
-                    raise ReplicationError(
-                        f"aggregate store full: cannot place replica "
-                        f"{len(replicas)} of chunk {len(placement)} "
-                        f"({num_chunks} chunks at replication={replication})"
-                    )
-            placement.append(replicas)
+                    break  # no room for this replica
+            else:
+                placement.append(replicas)
+                continue
+            break
+        else:
+            return placement
+        # A benefactor holds at most one copy of a chunk, so the copies fit
+        # iff ``sum(min(room, chunks)) >= chunks * replication``; putting
+        # each chunk on the benefactors with the most room left keeps that
+        # true chunk by chunk, so this finds a placement whenever one
+        # exists.  The policy's primary wins a tie and leads its group
+        # when it is in it.
+        budgets = {
+            b.name: (b.contribution - b._reserved) // chunk_size for b in online
+        }
+        placement = []
+        for index, primary in enumerate(primaries):
+            ranked = sorted(
+                [primary] + [b for b in online if b is not primary],
+                key=lambda b: -budgets[b.name],
+            )
+            group = ranked[:replication]
+            if budgets[group[-1].name] <= 0:
+                raise ReplicationError(
+                    f"aggregate store full: cannot place chunk {index} of "
+                    f"{num_chunks} at replication={replication} on distinct "
+                    f"benefactors"
+                )
+            for benefactor in group:
+                budgets[benefactor.name] -= 1
+            if primary in group:
+                group = [primary] + [b for b in group if b is not primary]
+            placement.append(group)
         return placement
 
 
@@ -150,6 +181,7 @@ class LocalFirstStriping(StripingPolicy):
             placement.extend(local[0] for _ in range(min(budget, num_chunks)))
         remaining = num_chunks - len(placement)
         if remaining:
-            others = [b for b in online if b.name != client] or online
+            # The local benefactor is full by now: the rest go elsewhere.
+            others = [b for b in online if b.name != client]
             placement.extend(_spread(others, remaining, chunk_size))
         return placement

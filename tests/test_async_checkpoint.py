@@ -209,3 +209,67 @@ class TestAsyncCheckpoint:
         for lost in excinfo.value.lost_chunks:
             assert lost.epoch == 0
             assert lost.replicas
+
+
+class TestWritesInTheSnapshotWindow:
+    """A write that lands while a :class:`SnapshotGuard` is on the write
+    path survives: the live bytes and the store hold it once the drain is
+    done, and only the epoch keeps the bytes from initiation.  Staging
+    has room for one chunk, and each way a write can wait inside the
+    guard is taken: its own copy-on-write capture (chunk 3, at once),
+    backpressure until the drainer has captured its chunk itself (chunk
+    2, written once chunk 3's capture fills the bound), and another
+    process's capture in flight (chunk 1, written while the drainer's
+    ``pagecache.read`` of it runs)."""
+
+    def test_every_write_in_the_window_lands(self, engine, nvmalloc):
+        size = 4 * CHUNK_SIZE
+        seen = {"pending": {}, "landed": []}
+
+        def writer(var, index, ready):
+            while not ready():
+                yield engine.timeout(1e-7)
+            guard = seen["guard"]
+            seen["pending"][index] = index in guard.pending
+            yield from var.write(index * CHUNK_SIZE + 5, b"new-%d" % index)
+            seen["landed"].append(index)
+
+        def proc():
+            var = yield from nvmalloc.ssdmalloc(size)
+            yield from var.write(0, b"a" * size)
+            handle = yield from nvmalloc.ssdcheckpoint_async(
+                "app", 0, b"", [("v", var)], staging_bytes=CHUNK_SIZE
+            )
+            guard = seen["guard"] = handle.guards[var.backing_path]
+            writers = [
+                engine.process(writer(var, 3, lambda: True)),
+                engine.process(writer(var, 2, lambda: 3 in guard.staged)),
+                engine.process(writer(var, 1, lambda: 1 in guard._capturing)),
+            ]
+            for process in writers:
+                yield process
+            record = yield from handle.wait()
+            seen["hooks"] = nvmalloc.pagecache._write_hooks.get(var.backing_path, [])
+            live = yield from var.read(0, size)
+            yield from var.region.msync()
+            yield from nvmalloc.mount.cache.flush_path(var.backing_path)
+            stored = yield from nvmalloc.mount.client.read(var.backing_path, 0, size)
+            _, variables = yield from nvmalloc.restore("app", 0)
+            return handle, record, live, stored, variables["v"]
+
+        handle, record, live, stored, restored = run(engine, proc())
+        expected = bytearray(b"a" * size)
+        for index in (1, 2, 3):
+            offset = index * CHUNK_SIZE + 5
+            expected[offset : offset + 5] = b"new-%d" % index
+        assert live == stored == bytes(expected)
+        assert restored == b"a" * size
+        assert record.bytes_written == size
+        # Inside the window: chunks 3 and 2 were pending when written, 1
+        # mid-capture.  Only chunk 3's write captured; chunk 2's waited for
+        # room until the drainer took its chunk, so it landed last.
+        assert seen["pending"] == {3: True, 2: True, 1: False}
+        assert seen["landed"] == [3, 1, 2]
+        assert handle.cow_captures == 1
+        assert handle.staging_peak == 2 * CHUNK_SIZE
+        assert all(hook is not seen["guard"] for hook in seen["hooks"])

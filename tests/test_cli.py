@@ -191,6 +191,12 @@ class TestBenchPairs:
 
         module = load_tool("bench_pairs")
         monkeypatch.setattr(module, "HISTORY", tmp_path / "history.jsonl")
+        # The fake trees have no workloads to sample: each side gets shares
+        # of its own, named by its tree.
+        shares = {"parent": {"sim": 0.25, "bench": 0.75}, "change": {"sim": 0.5, "bench": 0.5}}
+        monkeypatch.setattr(
+            module, "sampled_shares", lambda tree, workload, seed: shares[tree.name]
+        )
         return module
 
     @staticmethod
@@ -230,6 +236,10 @@ class TestBenchPairs:
         # How fast the machine ran each side: rows of two sessions compare.
         assert first["bench.machine_slowdown"] == {"parent": 2.0, "change": 1.0}
         assert first["failed"] == {"parent": 0, "change": 0}
+        # Each side's sampled wall share per layer, from its own tree.
+        assert first["sampled"] == {
+            "parent": {"sim": 0.25, "bench": 0.75}, "change": {"sim": 0.5, "bench": 0.5},
+        }  # fmt: skip
         assert "virt_makespan_s" in first["virtual"]  # the differing names
         assert "bench.machine_slowdown" not in first["virtual"]  # host-clocked
 

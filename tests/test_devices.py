@@ -14,8 +14,10 @@ from repro.devices import (
     DeviceSpec,
     StorageDevice,
 )
+from repro.devices.ssd import ERASE_LATENCY
 from repro.errors import CapacityError, DeviceError
 from repro.sim import Engine
+from repro.sim.resources import INLINE_GRANT
 from repro.util.units import GB, KiB, MB, MiB
 
 
@@ -278,3 +280,164 @@ class TestHDD:
         total_time = engine.now
         expected = 2 * HDD_7200RPM.latency + 8 * MB / HDD_7200RPM.read_bw
         assert total_time == pytest.approx(expected)
+
+
+# ----------------------------------------------------------------------
+# A device access is one ``Engine.hold``: the same grants, clock and
+# counters as the grant-then-time sequence it replaced.
+# ----------------------------------------------------------------------
+
+def _by_grant(device, stats, nbytes, penalty=0.0):
+    """A device access the way it was written before ``Engine.hold``:
+    take the channel (inline or parked), read the service time and the
+    degrade window at the grant, count, sleep, release."""
+    engine, channel = device.engine, device._channel
+    req = channel.acquire_now()
+    if req is None:
+        req = channel.request()
+        yield req
+    try:
+        bytes_counter, time_counter, latency, bw = stats
+        duration = latency + nbytes / bw + penalty
+        if device._degrade_until > engine.now:
+            duration *= device._degrade_factor
+        bytes_counter.total += nbytes
+        bytes_counter.count += 1
+        time_counter.total += duration
+        time_counter.count += 1
+        if not engine.advance(duration):
+            yield engine.timeout(duration)
+    finally:
+        channel.release(req)
+
+
+def _access_by_grant(device, kind, nbytes):
+    if nbytes < 0:
+        raise DeviceError(f"{device.name}: negative access size {nbytes}")
+    stats = device._read_stats if kind is AccessKind.READ else device._write_stats
+    yield from _by_grant(device, stats, nbytes)
+
+
+def _write_extent_by_grant(ssd, offset, nbytes):
+    relocated, erases = ssd.ftl.write_pages(ssd._page_range(offset, nbytes))
+    penalty = relocated * ssd.ftl.page_size / ssd.spec.write_bw + erases * ERASE_LATENCY
+    if penalty:
+        ssd._gc_counter.total += penalty
+        ssd._gc_counter.count += 1
+    yield from _by_grant(ssd, ssd._write_stats, nbytes, penalty)
+
+
+#: ``(shipped, by grant)`` per operation, each building the generator
+#: from a device.
+OPS = {
+    "read": (
+        lambda d, n: d.access(AccessKind.READ, n),
+        lambda d, n: _access_by_grant(d, AccessKind.READ, n),
+    ),
+    "write": (
+        lambda d, n: d.access(AccessKind.WRITE, n),
+        lambda d, n: _access_by_grant(d, AccessKind.WRITE, n),
+    ),
+    "write_extent": (
+        lambda d, n: d.write_extent(0, n),
+        lambda d, n: _write_extent_by_grant(d, 0, n),
+    ),
+}
+
+
+def _hold_scenario(case, build, monkeypatch):
+    """Run one access of ``case`` on a fresh one-channel SSD, the access
+    built by ``build(device, nbytes)``; returns what ``Engine.hold``
+    returned, the access's start and end, the clock, the device's
+    counters and its busy time."""
+    engine = Engine()
+    ssd = SSD(engine, INTEL_X25E, capacity=4 * MiB)
+    if case == "gc":
+        # A full logical space: the next write must collect.
+        ssd.ftl.write_pages(range(ssd.ftl.logical_pages))
+    holds = []
+    hold = Engine.hold
+
+    def recording(self, resource, delay):
+        req = hold(self, resource, delay)
+        holds.append(req)
+        return req
+
+    monkeypatch.setattr(Engine, "hold", recording)
+    nbytes = -1 if case == "negative" else 64 * KiB
+    span = []
+
+    def holder():
+        req = ssd._channel.request()
+        yield req
+        yield engine.timeout(1e-3)
+        ssd._channel.release(req)
+
+    def sleeper():
+        yield engine.timeout(1e-6)
+
+    def access():
+        if case in ("busy", "degrade-ends"):
+            yield engine.timeout(1e-6)  # the holder has the channel
+        span.append(engine.now)
+        try:
+            yield from build(ssd, nbytes)
+        except DeviceError as error:
+            span.append(str(error))
+        span.append(engine.now)
+
+    if case in ("busy", "degrade-ends"):
+        engine.process(holder())
+    if case == "degrade-ends":
+        ssd.degrade(until=0.5e-3, factor=4.0)  # over before the grant
+    if case == "heap-inside":
+        engine.process(sleeper())
+    engine.run(engine.process(access()))
+    arms = [
+        "in place" if req is None else "inline" if req is INLINE_GRANT else "parked"
+        for req in holds
+    ]
+    return arms, span, engine.now, ssd.metrics.snapshot(), ssd.busy_seconds()
+
+
+class TestAccessIsOneHold:
+    """Each row runs an access the shipped way and the grant-then-time
+    way on identical fresh devices: the clock, the access's span, every
+    device counter and the channel's busy time agree, and the hold took
+    the arm the row is about."""
+
+    @pytest.mark.parametrize(
+        ("op", "case", "arm"),
+        [
+            (op, case, arm)
+            for op in sorted(OPS)
+            for case, arm in [
+                ("quiet", ["in place"]),
+                ("busy", ["parked"]),
+                ("heap-inside", ["inline"]),
+                ("degrade-ends", ["parked"]),
+                ("gc", ["in place"]),
+                ("negative", []),
+            ]
+            if case != "gc" or op == "write_extent"  # only a write collects
+        ],
+    )
+    def test_same_grants_as_by_grant(self, monkeypatch, op, case, arm):
+        shipped, by_grant = OPS[op]
+        arms, *observed = _hold_scenario(case, shipped, monkeypatch)
+        by_grant_arms, *expected = _hold_scenario(case, by_grant, monkeypatch)
+        assert observed == expected
+        assert arms == arm
+        assert by_grant_arms == []
+        span, _, counters, _ = observed
+        if case == "negative":
+            assert "negative" in span[1] or "bad extent" in span[1]
+            assert counters == {}
+        if case == "gc":
+            assert counters["device.Intel X25-E.gc.time"] > 0
+        if case == "degrade-ends":
+            # Read at the grant: the nominal time, not four times it.
+            latency, bw = INTEL_X25E.latency, INTEL_X25E.read_bw
+            if op != "read":
+                bw = INTEL_X25E.write_bw
+            assert span[-1] - 1e-3 == pytest.approx(latency + 64 * KiB / bw)

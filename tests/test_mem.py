@@ -349,7 +349,7 @@ class TestReadTouchesEachPageOnce:
             held = []
             if wait == "parked":
                 for _ in range(dram.spec.channels):
-                    req = dram._acquire()
+                    req = dram._channel.request()
                     yield req
                     held.append(req)
             seen = []

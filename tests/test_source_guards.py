@@ -20,12 +20,17 @@
   only in ``Resource.request`` and for the module's ``INLINE_GRANT``,
   ``Trigger(`` only in ``Process.__init__`` and ``ClientSwarm.open_loop``,
   and no class's ``__new__`` at all.
-- A slot held for a time fixed before its grant is one ``Engine.hold``
-  (INTERNALS "Events nobody can observe").  ``acquire_now`` is taken
-  only where the hold time or a hook is decided at the grant: a device
-  access (``_pre_access``, the degrade window, an HDD's seek), the FUSE
-  daemon's fill and write-back, and the wire's TX port, which is held
-  across the RX port's wait.
+- A slot held for a time known at its grant is one ``Engine.hold``
+  (INTERNALS "Events nobody can observe"): the DRAM copies, the wire's
+  RX port, ``Resource.use`` and an SSD or DRAM device access (which reads
+  its degrade window again after a parked grant).  ``acquire_now`` is
+  taken only where the grant itself changes what is held or for how
+  long: an HDD's seek state, the FUSE daemon's fill and write-back, and
+  the wire's TX port, which is held across the RX port's wait.
+- The store client's data path reads the manager's file table in place
+  (``files[name] if name in files else manager.lookup(name)``): a chunk
+  fetch or write-back calls ``Manager.lookup`` only to raise the typed
+  error of a missing file.
 """
 
 import ast
@@ -276,12 +281,9 @@ def test_the_builder_guard_rejects_a_second_builder():
     ), Path("sim") / "engine.py") == {"Timeout": BUILDERS["Timeout"]}
 
 
-#: The functions that may take an inline grant (``acquire_now``, or the
-#: device's bound ``_acquire_now``), with where each decides its time.
+#: The functions that may take an inline grant (``acquire_now``, or a
+#: bound ``_acquire_now``), with what each decides at the grant.
 GRANT_TIME_SITES = {
-    f"{Path('devices') / 'base.py'}:StorageDevice.__init__",  # binds it
-    f"{Path('devices') / 'base.py'}:StorageDevice.access",  # hook, degrade
-    f"{Path('devices') / 'ssd.py'}:SSD.write_extent",  # degrade window
     f"{Path('devices') / 'hdd.py'}:HDD.access_extent",  # seek
     f"{Path('fusefs') / 'cache.py'}:ChunkCache._fill",  # held over a fetch
     f"{Path('fusefs') / 'cache.py'}:ChunkCache._writeback",  # over a store write
@@ -326,3 +328,61 @@ def test_the_grant_guard_rejects_a_dram_copy_by_grant():
     assert inline_grant_sites(ast.parse(source), "mem/pagecache.py") == {
         "mem/pagecache.py:PageCache.read"
     }
+
+
+#: The store client's data-path functions, which read the file table in
+#: place.
+CLIENT_DATA_PATH = ("_fetch_failover", "read_chunk", "write_chunk_ranges")
+
+
+def lookups_outside_the_raise_arm(tree, functions):
+    """``{"function:lineno"}`` for every ``.lookup(...)`` call in one of
+    ``functions`` that is not the ``else`` arm of a ``... if <name> in
+    <table> else ...`` expression."""
+    parents = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+    found = set()
+    for function in ast.walk(tree):
+        if not (isinstance(function, ast.FunctionDef) and function.name in functions):
+            continue
+        for node in ast.walk(function):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "lookup"
+            ):
+                continue
+            parent = parents[node]
+            if not (
+                isinstance(parent, ast.IfExp)
+                and parent.orelse is node
+                and isinstance(parent.test, ast.Compare)
+                and [type(op) for op in parent.test.ops] == [ast.In]
+            ):
+                found.add(f"{function.name}:{node.lineno}")
+    return found
+
+
+def test_the_client_data_path_reads_the_file_table_in_place():
+    tree = ast.parse((SRC / "store" / "client.py").read_text())
+    defined = {
+        node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    assert set(CLIENT_DATA_PATH) <= defined
+    assert lookups_outside_the_raise_arm(tree, CLIENT_DATA_PATH) == set()
+
+
+def test_the_lookup_guard_rejects_a_lookup_on_the_data_path():
+    """The rule above on the shapes it must reject: a plain ``lookup``,
+    and one in the taken arm of the membership test."""
+    for source in (
+        "def read_chunk(self, name):\n    return self.manager.lookup(name).size",
+        "def read_chunk(self, name):\n"
+        "    return self.manager.lookup(name) if name in files else None",
+    ):
+        assert lookups_outside_the_raise_arm(
+            ast.parse(source), CLIENT_DATA_PATH
+        ) == {"read_chunk:2"}, source
+    kept = "def read_chunk(self, name):\n    return files[name] if name in files else m.lookup(name)"
+    assert lookups_outside_the_raise_arm(ast.parse(kept), CLIENT_DATA_PATH) == set()

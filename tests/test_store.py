@@ -1,9 +1,13 @@
 """Tests for the aggregate NVM store: benefactor, manager, client."""
 
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, given
 from hypothesis import strategies as st
 
+from repro.cluster import make_hal_cluster
+from repro.cluster.hal import HalConfig
 from repro.errors import (
     BenefactorDownError,
     CapacityError,
@@ -22,6 +26,7 @@ from repro.store import (
     StoreClient,
     chunk_count,
 )
+from repro.sim.engine import Engine
 from repro.util.units import KiB, MiB
 from tests.conftest import fuzz_settings, run
 
@@ -336,6 +341,22 @@ class TestStriping:
         local = next(b for b in manager.benefactors() if b.name == "node001")
         assert local.reserved == 2 * CHUNK_SIZE  # filled, rest spread
 
+    def test_a_local_first_overflow_reserves_nothing(self, small_cluster):
+        """Only the client's own benefactor online, with room for 2 of 3
+        chunks: placement refuses the file before any reservation.  It
+        used to spread the rest over that same full benefactor, and the
+        third reservation failed after two chunks were admitted, leaving
+        their space reserved and their rows owned by no file."""
+        manager = Manager(small_cluster.node(0))
+        manager.striping = LocalFirstStriping()
+        local = Benefactor(small_cluster.node(1), contribution=2 * CHUNK_SIZE)
+        manager.register_benefactor(local)
+        with pytest.raises(StoreError, match="aggregate store full"):
+            manager.create_file("/f", 3 * CHUNK_SIZE, client="node001")
+        assert local.reserved == 0
+        assert not manager.exists("/f")
+        assert manager._chunks == {}
+
     def test_no_online_benefactors(self):
         with pytest.raises(StoreError):
             RoundRobinStriping().place([], 1, CHUNK_SIZE, "x")
@@ -389,6 +410,111 @@ class TestStriping:
         else:
             groups = ["".join(b.name[-1] for b in group) for group in place()]
             assert groups == expected
+
+    def test_a_tight_placement_places(self, small_cluster):
+        """Room for 3, 4, 1 and 3 chunks, round-robin at replication 2, 3
+        chunks from node 2: 6 slots needed, 11 free.  The greedy pass in
+        chunk order gives node 2's one slot to chunk 1's replica, and
+        chunk 2's primary was placed there; every chunk then goes where
+        the most room is left, its primary first when it is there.  Its
+        own test, not a row: ``test_placement_table``'s budgets are one
+        shape for every row, and were chosen to avoid this one."""
+        benefactors = [
+            Benefactor(node, contribution=room * CHUNK_SIZE)
+            for node, room in zip(small_cluster.nodes, (3, 4, 1, 3))
+        ]
+        groups = RoundRobinStriping().place_replicas(
+            benefactors, 3, CHUNK_SIZE, "node002", 2
+        )
+        assert ["".join(b.name[-1] for b in group) for group in groups] == [
+            "01", "13", "01",
+        ]  # fmt: skip
+
+
+def _exhaustive_placement(rooms, chunks, replication):
+    """Some replica groups (index tuples) for ``chunks`` chunks on bins of
+    ``rooms`` free slots, found by trying every group for every chunk, or
+    None when no placement fits."""
+    groups = list(itertools.combinations(range(len(rooms)), replication))
+
+    def search(left, rooms):
+        if left == 0:
+            return []
+        for group in groups:
+            if all(rooms[i] > 0 for i in group):
+                rest = search(
+                    left - 1, [room - (i in group) for i, room in enumerate(rooms)]
+                )
+                if rest is not None:
+                    return [group, *rest]
+        return None
+
+    return search(chunks, list(rooms))
+
+
+@pytest.fixture(scope="module")
+def five_nodes():
+    """Five SSD-equipped nodes to stand benefactors on (placement only)."""
+    config = HalConfig(
+        num_nodes=5, cores_per_node=1, dram_per_node=16 * MiB, ssd_per_node=64 * MiB
+    )
+    return make_hal_cluster(Engine(), config).nodes
+
+
+@fuzz_settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    bins=st.lists(
+        st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=5
+    ),
+    chunks=st.integers(1, 4),
+    replication=st.integers(1, 3),
+    policy=st.sampled_from(["rr", "local"]),
+    client=st.integers(0, 4),
+)
+def test_placement_fits_whenever_an_exhaustive_search_does(
+    five_nodes, bins, chunks, replication, policy, client
+):
+    """Up to 5 benefactors (``(room in chunks, online)``) x 4 chunks x
+    replication 3: ``place_replicas`` finds a placement exactly when
+    trying every replica group of every chunk finds one, and what it
+    finds keeps the groups distinct, online and within each budget."""
+    benefactors = []
+    for node, (room, online) in zip(five_nodes, bins):
+        b = Benefactor(node, contribution=(room + 1) * CHUNK_SIZE)
+        b.reserve(CHUNK_SIZE)
+        b.online = online
+        benefactors.append(b)
+    up = [b for b in benefactors if b.online]
+    rooms = {b.name: room for b, (room, online) in zip(benefactors, bins) if online}
+    exhaustive = (
+        _exhaustive_placement(list(rooms.values()), chunks, replication)
+        if len(up) >= replication
+        else None
+    )
+    striping = RoundRobinStriping() if policy == "rr" else LocalFirstStriping()
+
+    def place():
+        return striping.place_replicas(
+            benefactors, chunks, CHUNK_SIZE, f"node00{client}", replication
+        )
+
+    if exhaustive is None:
+        with pytest.raises(StoreError):
+            place()
+        return
+    groups = place()
+    assert len(groups) == chunks
+    used = dict.fromkeys(rooms, 0)
+    for group in groups:
+        assert len({b.name for b in group}) == len(group) == replication
+        for b in group:
+            assert b.online
+            used[b.name] += 1
+    assert all(used[name] <= rooms[name] for name in rooms)
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,10 @@ medians, the parent's quartiles, pairs won and lost and the verdict,
 exact, so a claim on it says so), each side's ``bench.machine_slowdown``
 from its traced run (the median calibration-kernel time of that run over
 its reference: how fast the machine was, so rows of different sessions
-can be compared), failures, the virtual verdict of the
+can be compared), each side's sampled wall share per layer
+(``sampled``, from ``tools/sample_layers.py`` run on each tree: a
+share of ``ITIMER_PROF`` ticks, not of profiled calls), failures, the
+virtual verdict of the
 pairs (``virtual``) and of the traced runs (``traced``), the traced runs'
 ``host_calls`` per layer and side and the layers whose count rose
 (``calls_rose``), what each tree
@@ -97,6 +100,19 @@ def run_once(tree: Path, extra: list[str], trace: str = "0") -> dict:
     record["values"] = {k: m["value"] for k, m in record.pop("metrics").items()}
     record["seed"] = int(re.search(r"seed=(\d+)", proc.stdout).group(1))
     return record
+
+
+def sampled_shares(tree: Path, workload: str, seed: str | None) -> dict[str, float]:
+    """Each layer's share of ``tools/sample_layers.py``'s ticks on ``tree``."""
+    command = [sys.executable, str(Path(__file__).resolve().parent / "sample_layers.py"),
+               "--tree", str(tree), "--workload", workload]
+    if seed is not None:
+        command += ["--seed", seed]
+    proc = subprocess.run(command, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench_pairs: sample_layers.py on {tree} exited {proc.returncode}")
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {layer: row["share"] for layer, row in report["layers"].items()}
 
 
 def identity(tree: Path) -> str:
@@ -223,6 +239,13 @@ def main() -> int:
     speed = {side: values[SPEED] for side, values in traced.items()}
     print(f"{SPEED} (machine speed): parent {speed['parent']:.4g} "
           f"change {speed['change']:.4g}")
+    sampled = {side: sampled_shares(tree, args.workload, args.seed)
+               for side, tree in trees.items()}
+    print("sampled wall share per layer (tools/sample_layers.py): parent>change")
+    for layer in sampled["parent"]:
+        p, c = sampled["parent"][layer], sampled["change"].get(layer, 0.0)
+        if p or c:
+            print(f"  {layer:<18s} {p:6.1%}>{c:6.1%}")
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             runs[side].append(run_once(trees[side], extra))
@@ -272,6 +295,7 @@ def main() -> int:
         **host, COUNT: calls, "count_varied": varied, SPEED: speed, "failed": failed,
         "attempted": runs["parent"][0]["attempted"], "virtual": drift or "bit-equal",
         "traced": moved or "bit-equal", "host_calls": calls_by_layer, "calls_rose": rose,
+        "sampled": sampled,
         "host": platform.node(), "cpus": os.cpu_count(),
     }
     with HISTORY.open("a") as ledger:
