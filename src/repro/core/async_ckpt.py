@@ -152,14 +152,21 @@ class SnapshotGuard:
                 return
         self._capturing[index] = True
         self.pending.discard(index)
+        # Take the room before the read yields: a capture issued meanwhile
+        # must find it taken, not pass the test above too.
+        self.staging_used += length
+        if self.staging_used > self.staging_peak:
+            self.staging_peak = self.staging_used
         try:
             data = yield from self._pagecache.read(
                 self.path, index * self.chunk_size, length
             )
+        except BaseException:
+            self.staging_used -= length
+            self._wake_room()
+            raise
+        else:
             self.staged[index] = data
-            self.staging_used += length
-            if self.staging_used > self.staging_peak:
-                self.staging_peak = self.staging_used
             if bounded:
                 self.cow_captures += 1
         finally:

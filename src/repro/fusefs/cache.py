@@ -144,7 +144,7 @@ class _Entry:
         # Fill and write-back on one entry must mutually exclude: a fill
         # merging a fetch that predates a concurrent write-back would
         # resurrect stale bytes after the write-back stole the dirty
-        # markers that protect fresh data.
+        # markers that protect fresh data.  Two write-backs too (rule 12).
         "writeback",
         # True from a prefetch fill until the first demand hit consumes
         # it — that hit is what makes the prefetch "useful".
@@ -570,13 +570,18 @@ class ChunkCache:
             else None
         )
         try:
-            # Wait out an in-flight fill: its merge must see the dirty
-            # markers we are about to consume, or fetched (stale) bytes
-            # would overwrite the freshly written ones.
-            while entry.filling is not None:
-                event = entry.filling
-                if event is True:
-                    event = entry.filling = Event(self._engine)
+            # Wait out an in-flight fill, whose merge must see the dirty
+            # markers we consume (race rule 7), and the entry's previous
+            # write-back: one in flight, landing in order (rule 12).
+            while entry.filling is not None or entry.writeback is not None:
+                if entry.filling is not None:
+                    event = entry.filling
+                    if event is True:
+                        event = entry.filling = Event(self._engine)
+                else:
+                    event = entry.writeback
+                    if event is True:
+                        event = entry.writeback = Event(self._engine)
                 yield event
             dirty = entry.dirty
             if not dirty:
@@ -599,11 +604,8 @@ class ChunkCache:
                 finally:
                     self.daemon.release(req)
             finally:
-                # None when two write-backs of this entry overlapped (two
-                # ``flush_path``s): the slot holds one marker for both, and
-                # the other one finished first and cleared it.
                 event, entry.writeback = entry.writeback, None
-                if event is not True and event is not None:
+                if event is not True:
                     event.succeed()
             self._wrote_back(nbytes)
         finally:

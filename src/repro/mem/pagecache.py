@@ -12,7 +12,8 @@ of pages move through the stack in batch: faults pull each chunk piece
 with one ``read_into`` call, and msync flushes runs of contiguous dirty
 pages with one ``write_ranges`` call that charges the same per-page FUSE
 overhead the page-by-page path would have — the simulated event
-sequence is identical, only the Python work per page shrinks.  The
+sequence is identical, only the Python work per page shrinks.  A page
+has one write-back in flight at a time (INTERNALS race rule 12).  The
 cache counts its free page slots (``_free``), changed only where a page
 is added or removed, so the eviction test of every inserted page reads
 an int instead of calling ``len``.
@@ -57,16 +58,16 @@ class _Page:
       in hand passes it directly, skipping the zero-fill that a copy
       would immediately overwrite.
     - ``dirty``: written since its last write-back.
-    - ``syncing``: True while an msync's payload of this page is on its
-      way to FUSE (un-dirtied already, not written back yet); None once
-      the page is evicted in that state, its key's in-flight marker then
-      being in ``_inflight``, where the msync finds it.
+    - ``writeback``: an msync's marker (rule 8's shape): ``True`` from
+      its payload's snapshot until the payload is in the chunk cache, or
+      the ``Event`` a first waiter swapped in; None otherwise.  The key's
+      next write-back, an msync or an eviction, waits it out (rule 12).
     """
 
-    __slots__ = ("data", "dirty", "syncing")
+    __slots__ = ("data", "dirty", "writeback")
     data: bytearray
     dirty: bool
-    syncing: bool | None
+    writeback: bool | Event | None
 
 
 class PageCache:
@@ -191,27 +192,30 @@ class PageCache:
                 pages.move_to_end(key)
                 return page, False
             while self._free <= 0:
-                # Evict the LRU page, flushing a dirty victim through
-                # FUSE first.  This is the one-page flush (msync batches
-                # its pages through ``write_ranges`` too); it sits in this
-                # frame rather than in a helper generator because every
-                # event of every flush resumes through here, so a
-                # ``yield from`` hop would be paid hundreds of thousands
-                # of times per run.  Only this method adds to ``pages``
-                # and it makes room first, so ``_free >= 0`` always
-                # holds: one pop frees the slot, and only a victim whose
-                # flush yielded (others may have inserted meanwhile)
-                # sends the loop round again.
+                # Evict the LRU page.  Only this method adds to ``pages``
+                # and it makes room first, so ``_free >= 0`` always holds:
+                # one pop frees the slot, and only a victim whose eviction
+                # yielded sends the loop round again.  The key stays in
+                # flight until the victim's msync payload (rule 12), then
+                # its own dirty bytes, are in the chunk cache.  The flush
+                # is inline: a helper generator's hop per flush and per
+                # resume cost +5 % ``host_calls_per_op``.
                 vkey, victim = pages.popitem(last=False)
                 self._free += 1
-                if victim.dirty:
-                    mount = self.mount
-                    engine = self._engine
-                    page_size = self.page_size
-                    chunk_size = mount.chunk_size
-                    inflight[vkey] = True
-                    vpath, vidx = vkey
-                    try:
+                if not victim.dirty and victim.writeback is None:
+                    break
+                inflight[vkey] = True
+                try:
+                    while victim.writeback is not None:
+                        done = victim.writeback
+                        if done is True:
+                            done = victim.writeback = Event(self._engine)
+                        yield done
+                    if victim.dirty:
+                        mount = self.mount
+                        page_size = self.page_size
+                        chunk_size = mount.chunk_size
+                        vpath, vidx = vkey
                         offset = vidx * page_size
                         files = self._files
                         size = files[vpath].size if vpath in files else mount.stat_size(vpath)
@@ -223,15 +227,14 @@ class PageCache:
                         # Un-dirty before yielding: writes landing while
                         # the payload is in flight re-dirty the page.  A
                         # page's buffer is always one page long.
-                        vdata = victim.data
                         payload = (
-                            bytes(vdata) if length == page_size
-                            else bytes(memoryview(vdata)[:length])
+                            bytes(victim.data) if length == page_size
+                            else bytes(memoryview(victim.data)[:length])
                         )
                         victim.dirty = False
                         overhead = self.fuse_op_overhead
-                        if overhead and not engine.advance(overhead):
-                            yield engine.timeout(overhead)
+                        if overhead and not self._engine.advance(overhead):
+                            yield self._engine.timeout(overhead)
                         yield from mount.cache.write_ranges(
                             vpath, chunk_index, ((chunk_off, payload),)
                         )
@@ -239,23 +242,14 @@ class PageCache:
                         counter = self._writeback_counter
                         counter.total += length
                         counter.count += 1
-                    finally:
-                        done = inflight[vkey]
-                        del inflight[vkey]
-                        faults = self._faults
-                        for serial in faults:
-                            faults[serial][vkey] = None
-                        if done is not True:
-                            done.succeed()
-                else:
-                    if victim.syncing:
-                        # Clean, but its msync payload has not landed: the
-                        # key stays in flight until it has (``sync_path``
-                        # finishes this marker), or a fetch could come
-                        # before the bytes and be installed after them.
-                        victim.syncing = None
-                        inflight[vkey] = True
-                    break
+                finally:
+                    done = inflight[vkey]
+                    del inflight[vkey]
+                    faults = self._faults
+                    for serial in faults:
+                        faults[serial][vkey] = None
+                    if done is not True:
+                        done.succeed()
             if key in pages or key in inflight:
                 continue  # appeared (or re-entered eviction) while evicting
             if flushed and key in flushed:
@@ -266,7 +260,7 @@ class PageCache:
             page = _Page()
             page.data = bytearray(self.page_size) if data is None else data
             page.dirty = False
-            page.syncing = False
+            page.writeback = None
             pages[key] = page
             self._free -= 1
             return page, True
@@ -646,9 +640,10 @@ class PageCache:
         eviction flush pays; each page's payload is snapshotted (and its
         dirty bit cleared) lazily right before its range goes out, so
         writes racing the sync re-dirty exactly the pages they would
-        have.  Until its range has landed a page is ``syncing``: evicted
-        meanwhile, its key stays in flight till then (``_insert``).  The
-        file's tail page ships only its bytes below EOF.
+        have.  A page's next write-back waits out its ``writeback`` marker
+        (rule 12): the walk at a batch's first page, and a batch ends at a
+        dirty page another msync holds.  The tail page ships only its
+        bytes below EOF.
         """
         tracer = self._engine.tracer
         span = (
@@ -676,11 +671,15 @@ class PageCache:
                 cache = self.mount.cache
                 overhead = self.fuse_op_overhead or None
                 faults = self._faults
-                inflight = self._inflight
                 j = 0
                 total = len(snapshot)
                 while j < total:
                     page_idx, page = snapshot[j]
+                    while page.writeback is not None:
+                        done = page.writeback
+                        if done is True:
+                            done = page.writeback = Event(self._engine)
+                        yield done
                     if not page.dirty:
                         j += 1
                         continue
@@ -701,16 +700,18 @@ class PageCache:
                             break
                         batch.append((nxt_idx, nxt_page))
                         k += 1
-                    flushed = 0
-                    flushed_bytes = 0
+                    flushed = flushed_bytes = 0
 
                     def _ranges() -> Generator[tuple[int, bytes], None, None]:
                         # Consumed lazily by write_ranges: page m's payload
                         # is snapshotted (and un-dirtied) only after page
                         # m-1's write completed — the same instant a
                         # page-by-page loop would have snapshotted it.
-                        nonlocal flushed, flushed_bytes
+                        nonlocal flushed, flushed_bytes, j
                         for idx2, pg in batch:
+                            if pg.dirty and pg.writeback is not None:
+                                return
+                            j += 1
                             if not pg.dirty:
                                 continue  # flushed meanwhile (e.g. evicted)
                             start = idx2 * page_size
@@ -719,7 +720,7 @@ class PageCache:
                                 else bytes(memoryview(pg.data)[: size - start])
                             )
                             pg.dirty = False
-                            pg.syncing = True
+                            pg.writeback = True
                             flushed += 1
                             flushed_bytes += len(payload)
                             try:
@@ -730,12 +731,9 @@ class PageCache:
                                 key = (path, idx2)
                                 for serial in faults:
                                     faults[serial][key] = None
-                                if pg.syncing is None:  # evicted on the way
-                                    done = inflight[key]
-                                    del inflight[key]
-                                    if done is not True:
-                                        done.succeed()
-                                pg.syncing = False
+                                done, pg.writeback = pg.writeback, None
+                                if done is not True:
+                                    done.succeed()
 
                     yield from cache.write_ranges(
                         path, chunk_index, _ranges(), pre_range_delay=overhead
@@ -745,7 +743,6 @@ class PageCache:
                         counter = self._writeback_counter
                         counter.total += flushed_bytes
                         counter.count += flushed
-                    j = k
             yield from self.drain_path(path)
         finally:
             if span is not None:

@@ -2,7 +2,7 @@
 
 import importlib.util
 from collections import Counter, OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import pytest
@@ -28,6 +28,10 @@ def load_tool(name):
 #: Context manager: the kernel with its shortcuts for unobservable
 #: events patched out — the reference side of every differential test.
 reference_kernel = load_tool("reference_kernel").reference_kernel
+
+#: The two kernels a race pin runs under, by test id: build the testbed
+#: inside the block, so that its devices bind the patched methods.
+KERNELS = {"shipped": nullcontext, "reference": reference_kernel}
 
 #: How many times its tier-1 examples a property or stateful test draws
 #: under ``pytest --fuzz-long`` (``make fuzz-long``).

@@ -75,6 +75,32 @@ class TestAsyncCheckpoint:
         # most one extra in-flight chunk beyond it.
         assert handle.staging_peak <= 2 * CHUNK_SIZE
 
+    def test_captures_issued_at_one_instant_share_the_bound(self, engine, nvmalloc):
+        """Two app writes to two pending chunks at one instant, with room
+        for one chunk: a capture takes its room before its read yields,
+        so the second one waits for it.  Both used to pass the room test
+        and then charge for it, and staging held three chunks."""
+
+        def write(var, index):
+            yield from var.write(index * CHUNK_SIZE, b"b" * 100)
+
+        def proc():
+            var = yield from nvmalloc.ssdmalloc(4 * CHUNK_SIZE)
+            yield from var.write(0, b"a" * (4 * CHUNK_SIZE))
+            handle = yield from nvmalloc.ssdcheckpoint_async(
+                "app", 0, b"", [("v", var)], staging_bytes=CHUNK_SIZE
+            )
+            writers = [engine.process(write(var, index)) for index in (2, 3)]
+            for process in writers:
+                yield process
+            yield from handle.wait()
+            _, variables = yield from nvmalloc.restore("app", 0)
+            return handle, variables["v"]
+
+        handle, restored = run(engine, proc())
+        assert restored == b"a" * (4 * CHUNK_SIZE)
+        assert handle.staging_peak <= 2 * CHUNK_SIZE
+
     def test_chain_links_unchanged_chunks_to_prior_epoch(self, engine, nvmalloc):
         def proc():
             var = yield from nvmalloc.ssdmalloc(4 * CHUNK_SIZE)

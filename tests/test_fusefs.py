@@ -14,9 +14,10 @@ from repro.errors import (
     StoreError,
 )
 from repro.fusefs import FuseMount, OpenFlags
+from repro.sim import AllOf, Engine
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.units import KiB, MiB
-from tests.conftest import fuzz_settings, run, small_testbed
+from tests.conftest import KERNELS, fuzz_settings, make_small_cluster, run, small_testbed
 
 
 @pytest.fixture
@@ -559,6 +560,64 @@ class TestConcurrentCacheIntegrity:
         assert landed == [False], "the write overtook the write-back"
         assert got == b"a" * 10 + b"BBB" + b"a" * (PAGE_SIZE - 13)
         assert not cache._inflight
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_a_fill_waits_for_every_write_back_of_its_chunk(self, kernel):
+        """Race rule 12's chunk-cache pin, found by reading: two write-backs
+        of one entry used to run at once and share its one marker, and the
+        first to land cleared it.  Rank 1 fsyncs page 0 of a write-allocated
+        chunk; while that payload is in flight rank 2 writes the chunk's
+        other 63 pages and fsyncs them; rank 3's read of those pages fills
+        the entry.  The store keeps two replicas, written in turn, and a
+        fill reads the one on the mount's own node, so the second payload
+        reaches that replica long after the first write-back lands.  The
+        fill, woken when it landed, fetched the chunk without rank 2's
+        pages and installed it (their dirty bits had gone with the
+        snapshot), and every rank on the node read zeros there.  With two
+        daemon threads the second write-back does not queue behind the
+        first; now it waits for it to land, and the fill goes first."""
+        with KERNELS[kernel]():
+            engine = Engine()
+            cluster = make_small_cluster(engine)
+            store = Manager(cluster.node(0), replication=2)
+            for node in cluster.nodes:
+                store.register_benefactor(Benefactor(node, contribution=16 * MiB))
+            mount = FuseMount(
+                cluster.node(1), store, cache_bytes=1 * MiB, daemon_threads=2
+            )
+            cache = mount.cache
+            theirs = b"b" * (CHUNK_SIZE - PAGE_SIZE)
+            wrote = []
+
+            def rank(me):
+                fd = yield from mount.open("/f", OpenFlags.O_RDWR)
+                if me == 1:
+                    yield from mount.pwrite(fd, 0, b"a" * PAGE_SIZE)
+                    yield from mount.fsync(fd)
+                elif me == 2:
+                    key = ("/f", 0)
+                    while not (key in cache._entries and cache._entries[key].writeback):
+                        yield engine.timeout(1e-7)
+                    yield from mount.pwrite(fd, PAGE_SIZE, theirs)
+                    wrote.append(me)
+                    yield from mount.fsync(fd)
+                else:
+                    while not wrote:
+                        yield engine.timeout(1e-7)
+                return (yield from mount.pread(fd, PAGE_SIZE, len(theirs)))
+
+            def main():
+                yield from mount.client.create("/f", CHUNK_SIZE)
+                ranks = [engine.process(rank(me)) for me in (1, 2, 3)]
+                yield AllOf(engine, ranks)
+                fresh = FuseMount(cluster.node(3), store, cache_bytes=1 * MiB)
+                fd = yield from fresh.open("/f", OpenFlags.O_RDONLY)
+                stored = yield from fresh.pread(fd, PAGE_SIZE, len(theirs))
+                return [bytes(r.value) == theirs for r in ranks], stored
+
+            read_theirs, stored = run(engine, main())
+        assert read_theirs == [True] * 3
+        assert stored == theirs
 
 
 class TestFailedFillUnpins:

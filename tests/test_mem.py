@@ -13,6 +13,7 @@ from repro.sim import AllOf, Engine
 from repro.store import CHUNK_SIZE, PAGE_SIZE, Benefactor, Manager
 from repro.util.units import KiB, MiB
 from tests.conftest import (
+    KERNELS,
     CountingDict,
     fuzz_settings,
     reference_kernel,
@@ -237,7 +238,7 @@ def test_write_during_a_shared_munmap_sync_survives_the_drop(engine, nvmalloc):
     size = 4 * PAGE_SIZE
 
     def b_writes_during_a_sync(variable):
-        while not any(p.syncing for p in pagecache._pages.values()):  # noqa: SLF001
+        while not any(p.writeback for p in pagecache._pages.values()):  # noqa: SLF001
             yield engine.timeout(1e-6)
         yield from variable.write(0, b"b" * 100)
 
@@ -256,6 +257,86 @@ def test_write_during_a_shared_munmap_sync_survives_the_drop(engine, nvmalloc):
         return first, (yield from fresh.read(0, 100))
 
     assert run(engine, main()) == (b"b" * 100, b"b" * 100)
+
+
+def _while_an_msync_parks(kernel, then, pages=1):
+    """Race rule 12's page-cache pins, on a fresh testbed under ``kernel``
+    whose page cache holds ``pages`` pages: rank A writes the last of
+    ``/f``'s first ``pages`` pages and msyncs it, and its payload parks in
+    the one-chunk FUSE cache's ``_make_room``, which writes a dirty chunk
+    of ``/h`` back to a benefactor.  Meanwhile rank B writes all those
+    pages and ``then(pagecache)`` writes them back again.  Returns what a
+    read of them through the page cache and through a fresh mount on
+    another node see once everything is flushed."""
+    mine = pages * PAGE_SIZE
+    with KERNELS[kernel]():
+        engine, cluster, store = small_testbed()
+        mount = FuseMount(cluster.node(1), store, cache_bytes=CHUNK_SIZE)
+        pagecache = PageCache(mount, capacity_bytes=mine)
+
+        def rank_a():
+            yield from pagecache.write("/f", mine - PAGE_SIZE, b"a" * PAGE_SIZE)
+            yield from pagecache.sync_path("/f")
+
+        def rank_b():
+            while not mount.cache._inflight:  # noqa: SLF001 - A is making room
+                yield engine.timeout(1e-6)
+            for offset in range(0, mine, PAGE_SIZE):
+                yield from pagecache.write("/f", offset, b"b" * PAGE_SIZE)
+            yield from then(pagecache)
+
+        def main():
+            for name in ("/f", "/g", "/h"):
+                yield from mount.client.create(name, CHUNK_SIZE)
+            fd = yield from mount.open("/h", OpenFlags.O_RDWR)
+            yield from mount.pwrite(fd, 0, b"h" * 100)  # the chunk cache's victim
+            yield AllOf(engine, [engine.process(rank_a()), engine.process(rank_b())])
+            yield from pagecache.sync_path("/f")
+            yield from mount.cache.flush_all()
+            fresh = FuseMount(cluster.node(2), store, cache_bytes=CHUNK_SIZE)
+            fd = yield from fresh.open("/f", OpenFlags.O_RDONLY)
+            stored = yield from fresh.pread(fd, 0, mine)
+            return (yield from pagecache.read("/f", 0, mine)), stored
+
+        return run(engine, main())
+
+
+def _msync(pagecache):
+    yield from pagecache.sync_path("/f")
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_an_eviction_flush_lands_after_the_msync_before_it(kernel):
+    """Found by ``make fuzz-long`` (the ``@example`` on
+    ``test_sync_grants_match_queued_grants``): B's write of ``/g`` evicts
+    the page dirty.  The evictor used to ship B's bytes at once, into a
+    fresh chunk entry, and A's older msync payload then landed over them.
+    The evictor now waits out the page's msync marker before it ships
+    (race rule 12)."""
+
+    def evict(pagecache):
+        yield from pagecache.write("/g", 0, b"g" * PAGE_SIZE)
+
+    assert _while_an_msync_parks(kernel, evict) == (b"b" * PAGE_SIZE,) * 2
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_an_msync_lands_after_another_ranks_msync_of_the_page(kernel):
+    """The same race with B msyncing the page itself.  Its msync used to
+    snapshot and ship the page while A's payload of it was parked, and
+    A's older bytes then landed over B's.  B's msync now waits out A's
+    marker before it snapshots the page (race rule 12)."""
+
+    assert _while_an_msync_parks(kernel, _msync) == (b"b" * PAGE_SIZE,) * 2
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_an_msync_batch_ends_at_a_page_another_msync_is_writing_back(kernel):
+    """B's msync ships pages 0 and 1 as one batch, and page 1 is the one
+    A's payload is writing back: the batch must end before page 1 and
+    the walk wait for A's payload there, or B's page 1 lands first."""
+    got = _while_an_msync_parks(kernel, _msync, pages=2)
+    assert got == (b"b" * 2 * PAGE_SIZE,) * 2
 
 
 def _in_eight_page_cache(scenario):

@@ -7,7 +7,7 @@
 - A completion marker nobody waits for is never built (INTERNALS "Events
   nobody can observe").  There is no ``Event.conclude`` to call, and a
   marker slot (an ``_inflight`` or ``_capturing`` key, a ``filling``,
-  ``writeback``, ``syncing`` or ``_done`` attribute) is given ``True``,
+  ``writeback`` or ``_done`` attribute) is given ``True``,
   ``False`` or ``None`` by its owner and an ``Event`` only on the waiter
   path: ``done = slot = Event(...)`` (or ``engine.event()``) as the body
   of an ``if done is True:``.  An owner that publishes an ``Event`` —
@@ -27,6 +27,12 @@
   taken only where the grant itself changes what is held or for how
   long: an HDD's seek state, the FUSE daemon's fill and write-back, and
   the wire's TX port, which is held across the RX port's wait.
+- A key has one write-back path per cache (INTERNALS race rule 12): the
+  store's ``write_chunk_ranges`` is called in ``fusefs/cache.py`` only
+  from ``ChunkCache._writeback``, and ``ChunkCache.write_ranges`` in
+  ``mem/pagecache.py`` only from ``PageCache._insert`` (the eviction
+  flush) and ``PageCache.sync_path`` (msync), each of which waits out the
+  key's previous write-back before it snapshots.
 - The store client's data path reads the manager's file table in place
   (``files[name] if name in files else manager.lookup(name)``): a chunk
   fetch or write-back calls ``Manager.lookup`` only to raise the typed
@@ -89,7 +95,7 @@ def test_only_the_engine_moves_the_clock():
 #: Containers whose keys are marker slots (and the locals that alias
 #: them), and attributes that are marker slots.
 MARKER_MAPS = {"_inflight", "inflight", "_capturing", "capturing"}
-MARKER_ATTRS = {"filling", "writeback", "syncing", "_done"}
+MARKER_ATTRS = {"filling", "writeback", "_done"}
 
 
 def _is_marker_slot(target):
@@ -291,17 +297,15 @@ GRANT_TIME_SITES = {
 }
 
 
-def inline_grant_sites(tree, path):
-    """``{"path:Class.function"}`` for every reference to ``acquire_now``
-    or ``_acquire_now``."""
+def attribute_sites(tree, path, names=("acquire_now", "_acquire_now")):
+    """``{"path:Class.function"}`` for every reference to an attribute in
+    ``names``, by default the inline grant's."""
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
-        if isinstance(node, ast.Attribute) and node.attr in (
-            "acquire_now", "_acquire_now",
-        ):
+        if isinstance(node, ast.Attribute) and node.attr in names:
             found.add(f"{path}:{scope}")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -313,7 +317,7 @@ def inline_grant_sites(tree, path):
 def test_a_fixed_time_hold_takes_no_inline_grant():
     found = set()
     for path, tree in _trees():
-        found |= inline_grant_sites(tree, path)
+        found |= attribute_sites(tree, path)
     assert found == GRANT_TIME_SITES
 
 
@@ -325,9 +329,47 @@ def test_the_grant_guard_rejects_a_dram_copy_by_grant():
         "    def read(self):\n"
         "        req = self._dram._acquire_now()\n"
     )
-    assert inline_grant_sites(ast.parse(source), "mem/pagecache.py") == {
+    assert attribute_sites(ast.parse(source), "mem/pagecache.py") == {
         "mem/pagecache.py:PageCache.read"
     }
+
+
+#: Each cache's write-back call and the functions that may make it.
+WRITE_BACK_CALLERS = {
+    Path("fusefs") / "cache.py": ("write_chunk_ranges", {"ChunkCache._writeback"}),
+    Path("mem") / "pagecache.py": (
+        "write_ranges", {"PageCache._insert", "PageCache.sync_path"},
+    ),
+}
+
+
+def test_each_cache_writes_a_key_back_from_its_write_back_sites():
+    for path, (name, sites) in WRITE_BACK_CALLERS.items():
+        tree = ast.parse((SRC / path).read_text())
+        assert attribute_sites(tree, path, (name,)) == {
+            f"{path}:{site}" for site in sites
+        }
+
+
+def test_the_write_back_guard_rejects_a_second_path():
+    """The rule above on the shapes it must reject: a flush helper beside
+    the eviction, and a ship from inside msync's lazy range generator."""
+    for source, found in (
+        (
+            "class PageCache:\n"
+            "    def _flush(self):\n"
+            "        yield from self.mount.cache.write_ranges(p, 0, r)\n",
+            {"x.py:PageCache._flush"},
+        ),
+        (
+            "class PageCache:\n"
+            "    def sync_path(self):\n"
+            "        def _ranges():\n"
+            "            yield from cache.write_ranges(p, 0, r)\n",
+            {"x.py:PageCache.sync_path._ranges"},
+        ),
+    ):
+        assert attribute_sites(ast.parse(source), "x.py", ("write_ranges",)) == found
 
 
 #: The store client's data-path functions, which read the file table in
