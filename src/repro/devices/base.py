@@ -9,7 +9,7 @@ from repro.devices.specs import DeviceSpec
 from repro.errors import DeviceError
 from repro.sim.engine import Engine
 from repro.sim.events import Event
-from repro.sim.resources import INLINE_GRANT, Resource
+from repro.sim.resources import Resource
 from repro.util.recorder import MetricsRecorder
 
 
@@ -61,12 +61,6 @@ class StorageDevice:
         )
         # Pre-bound slot release: one attribute hop less per call.
         self._release = self._channel.release
-        # Transient service-rate degradation (fault injection): until the
-        # virtual clock passes the mark, every access's service time is
-        # multiplied by the factor.  0.0 means "never degraded" and keeps
-        # the hot path to one float compare.
-        self._degrade_until = 0.0
-        self._degrade_factor = 1.0
 
     # ------------------------------------------------------------------
     def degrade(self, until: float, factor: float) -> None:
@@ -77,12 +71,12 @@ class StorageDevice:
         (background GC, thermal throttling) but still correct.  Distinct
         from :meth:`~repro.store.benefactor.Benefactor.slow_down`'s flat
         per-op surcharge: a rate factor scales *with* transfer size, so
-        large transfers hurt proportionally more.
+        large transfers hurt proportionally more.  The window belongs to
+        the device's channel: ``Engine.hold`` reads it at each grant.
         """
         if factor < 1.0:
             raise DeviceError(f"{self.name}: degrade factor {factor} < 1")
-        self._degrade_until = until
-        self._degrade_factor = factor
+        self._channel.degrade(until, factor)
 
     # ------------------------------------------------------------------
     def access(
@@ -94,26 +88,20 @@ class StorageDevice:
         bytes_counter, time_counter, latency, bw = (
             self._read_stats if kind is AccessKind.READ else self._write_stats
         )
-        engine = self.engine
         duration = latency + nbytes / bw
-        if self._degrade_until > engine.now:
-            duration *= self._degrade_factor
-        req = engine.hold(self._channel, duration)
-        if req is not None and req is not INLINE_GRANT:
-            yield req
-            duration = latency + nbytes / bw
-            if self._degrade_until > engine.now:
-                duration *= self._degrade_factor
+        end = self.engine.hold(self._channel, duration)
+        if end is not None:
+            try:
+                yield end
+            except BaseException:
+                self._channel.cancel(end)
+                raise
+            self._release(end)
+            duration = end.delay  # as charged at the grant
         bytes_counter.total += nbytes
         bytes_counter.count += 1
         time_counter.total += duration
         time_counter.count += 1
-        if req is not None:
-            try:
-                if not engine.advance(duration):
-                    yield engine.timeout(duration)
-            finally:
-                self._release(req)
 
     def read(self, nbytes: int) -> Generator[Event, object, None]:
         """Process generator: one read access."""

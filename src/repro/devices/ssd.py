@@ -10,7 +10,6 @@ from repro.devices.specs import INTEL_X25E, DeviceSpec
 from repro.errors import DeviceError
 from repro.sim.engine import Engine
 from repro.sim.events import Event
-from repro.sim.resources import INLINE_GRANT
 from repro.util.recorder import MetricsRecorder
 
 #: Seconds per block erase, for every SSD of the catalog (the flash
@@ -103,24 +102,19 @@ class SSD(StorageDevice):
                 counter.count += 1
         bytes_counter, time_counter, latency, bw = self._write_stats
         duration = latency + nbytes / bw + gc_penalty
-        if self._degrade_until > self.engine.now:
-            duration *= self._degrade_factor
-        req = self.engine.hold(self._channel, duration)
-        if req is not None and req is not INLINE_GRANT:
-            yield req
-            duration = latency + nbytes / bw + gc_penalty
-            if self._degrade_until > self.engine.now:
-                duration *= self._degrade_factor
+        end = self.engine.hold(self._channel, duration)
+        if end is not None:
+            try:
+                yield end
+            except BaseException:
+                self._channel.cancel(end)
+                raise
+            self._release(end)
+            duration = end.delay  # as charged at the grant
         bytes_counter.total += nbytes
         bytes_counter.count += 1
         time_counter.total += duration
         time_counter.count += 1
-        if req is not None:
-            try:
-                if not self.engine.advance(duration):
-                    yield self.engine.timeout(duration)
-            finally:
-                self._release(req)
 
     def trim_extent(self, offset: int, nbytes: int) -> None:
         """Discard a logical extent (frees flash, no time charged)."""

@@ -50,7 +50,7 @@ from repro.fusefs.localtier import LocalCacheTier
 from repro.fusefs.policy import make_policy
 from repro.fusefs.prefetch import PatternPrefetcher
 from repro.sim.events import Event
-from repro.sim.resources import INLINE_GRANT, Resource
+from repro.sim.resources import Resource
 from repro.store.chunk import CHUNK_SIZE, PAGE_SIZE
 from repro.store.client import StoreClient
 
@@ -409,10 +409,14 @@ class ChunkCache:
             if policy is not None:
                 policy.record_evict(victim_key)
             was_dirty = entry.dirty != 0
-            if was_dirty or l2 is not None:
+            # A clean victim whose write-back (a flush of it) is still in
+            # flight is waited out like a dirty one: a miss on the key
+            # must not refill before that payload lands (race rule 12).
+            writing = was_dirty or entry.writeback is not None
+            if writing or l2 is not None:
                 # The marker exists only around work that can yield: an
                 # unpinned victim is not filling, so a clean one in the
-                # flat cache is dropped with nothing to wait for.
+                # flat cache with no write-back is dropped at once.
                 inflight[victim_key] = True
             if l2 is not None:
                 # Tiered eviction is fully asynchronous: the spill into
@@ -441,11 +445,11 @@ class ChunkCache:
                 else None
             )
             try:
-                if was_dirty:
+                if writing:
                     # Unspanned: the span above names this write-back.
                     yield from self._writeback(victim_key, entry, None)
             finally:
-                if was_dirty:
+                if writing:
                     done = inflight[victim_key]
                     del inflight[victim_key]
                     if done is not True:
@@ -924,16 +928,15 @@ class ChunkCache:
             bytes_counter.count += 1
             time_counter.total += duration
             time_counter.count += 1
-            engine = self._engine
-            req = engine.hold(dram._channel, duration)
-            if req is not None:
-                if req is not INLINE_GRANT:
-                    yield req
+            channel = dram._channel
+            end = self._engine.hold(channel, duration)
+            if end is not None:
                 try:
-                    if not engine.advance(duration):
-                        yield engine.timeout(duration)
-                finally:
-                    dram._release(req)
+                    yield end
+                except BaseException:
+                    channel.cancel(end)
+                    raise
+                dram._release(end)
             # Copy after the DRAM wait: a write landing while we waited
             # must be visible in the returned bytes.
             out[out_offset : out_offset + length] = memoryview(entry.data)[
@@ -1005,7 +1008,8 @@ class ChunkCache:
         """Write byte ranges into chunk ``index`` of ``path``, in order.
 
         A range that does not cover whole pages of a not-yet-cached chunk
-        triggers a read-modify-write fetch, exactly as the paper describes
+        (with whole-chunk write-back, the whole chunk) triggers a
+        read-modify-write fetch, exactly as the paper describes
         ("the corresponding chunk ... is read from the benefactor to the
         FUSE client's cache in case of a miss").  When ``pre_range_delay``
         is given, that timeout is charged before each range, so a batched
@@ -1019,30 +1023,35 @@ class ChunkCache:
         dram = self._dram
         entries = self._entries
         page_size = self.page_size
+        chunk_size = self.chunk_size
+        whole = not self.dirty_page_writeback
         key = (path, index)
         for offset, data in ranges:
             length = len(data)
-            if offset < 0 or offset + length > self.chunk_size:
+            if offset < 0 or offset + length > chunk_size:
                 raise FuseError(
                     f"access [{offset}, {offset + length}) outside chunk of "
-                    f"{self.chunk_size}"
+                    f"{chunk_size}"
                 )
             if pre_range_delay is not None and not engine.advance(pre_range_delay):
                 yield engine.timeout(pre_range_delay)
-            covers_whole_pages = (
-                offset % page_size == 0 and (offset + length) % page_size == 0
-            )
+            if whole:
+                # A whole-chunk write-back ships every byte of the entry,
+                # so only a write of all of them may skip the fetch.
+                allocates = length == chunk_size
+            else:
+                allocates = (
+                    offset % page_size == 0 and (offset + length) % page_size == 0
+                )
             entry = entries[key] if key in entries else None
-            if entry is not None and (covers_whole_pages or entry.valid):
+            if entry is not None and (allocates or entry.valid):
                 self._hit(key, entry)
             else:
-                entry = yield from self._load(
-                    path, index, fetch=not covers_whole_pages
-                )
+                entry = yield from self._load(path, index, fetch=not allocates)
             try:
                 buf = entry.data
                 if buf is None:
-                    buf = entry.data = bytearray(self.chunk_size)
+                    buf = entry.data = bytearray(chunk_size)
                 elif entry.shared:
                     # Unshare a buffer the store holds before mutating it.
                     buf = entry.data = bytearray(buf)
@@ -1071,15 +1080,15 @@ class ChunkCache:
                 bytes_counter.count += 1
                 time_counter.total += duration
                 time_counter.count += 1
-                req = engine.hold(dram._channel, duration)
-                if req is not None:
-                    if req is not INLINE_GRANT:
-                        yield req
+                channel = dram._channel
+                end = engine.hold(channel, duration)
+                if end is not None:
                     try:
-                        if not engine.advance(duration):
-                            yield engine.timeout(duration)
-                    finally:
-                        dram._release(req)
+                        yield end
+                    except BaseException:
+                        channel.cancel(end)
+                        raise
+                    dram._release(end)
             finally:
                 entry.pins -= 1
 

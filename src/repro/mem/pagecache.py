@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from repro.errors import MmapError
 from repro.fusefs.mount import FuseMount
 from repro.sim.events import Event
-from repro.sim.resources import INLINE_GRANT
 from repro.store.chunk import PAGE_SIZE
 from repro.util.recorder import MetricsRecorder
 
@@ -431,18 +430,16 @@ class PageCache:
             bytes_counter.count += 1
             time_counter.total += duration
             time_counter.count += 1
-            engine = self._engine
-            req = engine.hold(dram._channel, duration)
-            if req is not None:
-                if req is not INLINE_GRANT:
-                    yield req
-                    retouch = True
+            channel = dram._channel
+            end = self._engine.hold(channel, duration)
+            if end is not None:
                 try:
-                    if not engine.advance(duration):
-                        yield engine.timeout(duration)
-                        retouch = True
-                finally:
-                    dram._release(req)
+                    yield end
+                except BaseException:
+                    channel.cancel(end)
+                    raise
+                dram._release(end)
+                retouch = True
         # Assemble the requested bytes from resident pages.  Only the
         # first page can start mid-page, so the page index advances by
         # one per iteration instead of re-dividing the cursor.
@@ -561,16 +558,15 @@ class PageCache:
             bytes_counter.count += 1
             time_counter.total += duration
             time_counter.count += 1
-            engine = self._engine
-            req = engine.hold(dram._channel, duration)
-            if req is not None:
-                if req is not INLINE_GRANT:
-                    yield req
+            channel = dram._channel
+            end = self._engine.hold(channel, duration)
+            if end is not None:
                 try:
-                    if not engine.advance(duration):
-                        yield engine.timeout(duration)
-                finally:
-                    dram._release(req)
+                    yield end
+                except BaseException:
+                    channel.cancel(end)
+                    raise
+                dram._release(end)
         counter = self._write_counter
         counter.total += length
         counter.count += 1

@@ -8,7 +8,6 @@ from repro.errors import NetworkError
 from repro.network.link import NIC, LinkSpec
 from repro.sim.engine import Engine
 from repro.sim.events import Event
-from repro.sim.resources import INLINE_GRANT
 from repro.util.recorder import MetricsRecorder
 
 
@@ -40,7 +39,6 @@ class Network:
         # Bound once: the wire time is computed inline per transfer.
         self._latency = spec.latency
         self._bandwidth = spec.bandwidth
-        self._timeout = engine.timeout
 
     def attach(self, endpoint: str) -> NIC:
         """Register ``endpoint`` and give it a NIC."""
@@ -108,16 +106,14 @@ class Network:
                 c_rx.total += nbytes
                 c_rx.count += 1
                 duration = self._latency + nbytes / self._bandwidth
-                engine = self.engine
-                rx_req = engine.hold(rx, duration)
-                if rx_req is not None:
-                    if rx_req is not INLINE_GRANT:
-                        yield rx_req
+                end = self.engine.hold(rx, duration)
+                if end is not None:
                     try:
-                        if not engine.advance(duration):
-                            yield self._timeout(duration)
-                    finally:
-                        rx.release(rx_req)
+                        yield end
+                    except BaseException:
+                        rx.cancel(end)
+                        raise
+                    rx.release(end)
             finally:
                 tx.release(tx_req)
         finally:

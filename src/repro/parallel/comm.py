@@ -12,7 +12,6 @@ from repro.errors import CommError
 from repro.sim.channel import Channel
 from repro.sim.engine import Engine
 from repro.sim.events import Event
-from repro.sim.resources import INLINE_GRANT
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.core.nvmalloc import NVMalloc
@@ -115,16 +114,15 @@ class Communicator:
                 bytes_counter.count += 1
                 time_counter.total += duration
                 time_counter.count += 1
-                engine = self.engine
-                req = engine.hold(dram._channel, duration)
-                if req is not None:
-                    if req is not INLINE_GRANT:
-                        yield req
+                channel = dram._channel
+                end = self.engine.hold(channel, duration)
+                if end is not None:
                     try:
-                        if not engine.advance(duration):
-                            yield engine.timeout(duration)
-                    finally:
-                        dram._release(req)
+                        yield end
+                    except BaseException:
+                        channel.cancel(end)
+                        raise
+                    dram._release(end)
             else:
                 yield from src_node.network.transfer(
                     src_node.name, dst_node.name, nbytes

@@ -40,9 +40,9 @@ from heapq import heappop, heappush
 from math import inf
 
 from repro.errors import SimulationError
-from repro.sim.events import _PROCESSED, AllOf, Event, Timeout
+from repro.sim.events import _PENDING, _PROCESSED, AllOf, Event, Timeout, Trigger
 from repro.sim.process import Process
-from repro.sim.resources import INLINE_GRANT, Request, Resource
+from repro.sim.resources import Hold, Resource
 
 
 class Engine:
@@ -195,31 +195,40 @@ class Engine:
         self.now = time
         return True
 
-    def hold(self, resource: Resource, delay: float) -> Request | None:
-        """Hold one slot of ``resource`` for ``delay`` in place, or say how
-        to wait instead.  Every caller's idiom::
+    def hold(self, resource: Resource, delay: float) -> Hold | None:
+        """Hold one slot of ``resource`` for ``delay`` in place, or hand
+        back the one event that ends the hold.  Every caller's idiom::
 
-            req = engine.hold(resource, d)
-            if req is not None:
-                if req is not INLINE_GRANT:
-                    yield req
+            end = engine.hold(resource, d)
+            if end is not None:
                 try:
-                    if not engine.advance(d):
-                        yield engine.timeout(d)
-                finally:
-                    resource.release(req)
+                    yield end
+                except BaseException:
+                    resource.cancel(end)  # given up before or during it
+                    raise
+                resource.release(end)
 
         Returns ``None`` when both ``Resource.acquire_now``'s proof and
         :meth:`advance`'s hold: the slot was granted, the clock moved to
         ``now + delay`` and the slot released, with the busy-time updates
-        the grant and the release would have made.  Otherwise returns what
-        ``acquire_now`` then ``advance`` leave the caller with:
-        ``INLINE_GRANT`` (the grant's proof held, the sleep's did not) or
-        a parked ``resource.request()``.  ``delay`` must be the hold's
-        length as of the grant whenever this returns ``None`` or
-        ``INLINE_GRANT`` (both grant at ``now``); a caller whose length
-        depends on the grant instant recomputes it after a parked grant
-        (INTERNALS, "Events nobody can observe").
+        the grant and the release would have made.  Otherwise the slot is
+        held from its grant until the caller releases the returned
+        :class:`Hold`, which fires at the grant plus ``delay``:
+
+        - *inline*: the grant's proof held and the sleep's did not — the
+          slot is granted now and the end scheduled as
+          ``engine.timeout(delay)`` would be;
+        - *parked*: the grant is queued, behind the instant's work or
+          behind the holders, and :meth:`_granted` times it when it is
+          dispatched.
+
+        The resource's degrade window is read at the grant, by
+        :meth:`_granted`, and ``delay`` on the returned event is the
+        length charged.  While a window may be open every hold parks
+        (``Resource.degrade`` lowers ``_inplace_limit`` to 0, the bound
+        the in-place test already reads), so ``None`` and an inline end
+        always mean ``delay`` as asked (INTERNALS, "Events nobody can
+        observe").
         """
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
@@ -227,10 +236,36 @@ class Engine:
         heap = self._heap
         now = self.now
         if (
-            held >= resource.capacity or self._ring or self._fanout
+            held >= resource._inplace_limit or self._ring or self._fanout
             or (heap and heap[0][0] <= now)
         ):
-            return resource.request()
+            end = Hold()
+            end.engine = self
+            end.callbacks = None
+            end._ok = True
+            end.resource = resource
+            end.delay = delay
+            if held >= resource.capacity:
+                end._value = _PENDING
+                end._scheduled = False
+                resource._queue.append(end)
+                return end
+            # Granted now, behind the instant's work or inside a degrade
+            # window: timed when the grant is dispatched.
+            last = resource._last_change
+            if now != last:
+                resource._busy_time += held * (now - last)
+                resource._last_change = now
+            resource._held = held + 1
+            end._value = None
+            end._scheduled = True
+            grant = Trigger()
+            grant.engine = self
+            grant.callbacks = self._granted
+            grant._value = end
+            grant._ok = grant._scheduled = True
+            self._ring.append(grant)
+            return end
         # Granted: the busy-time update ``acquire_now`` makes.
         last = resource._last_change
         if now != last:
@@ -242,14 +277,73 @@ class Engine:
             time > self._horizon or (heap and heap[0][0] <= time)
             or (stop is not None and stop.callbacks is _PROCESSED)
         ):
+            # Inline: the end is scheduled as ``engine.timeout`` would.
             resource._held = held + 1
-            return INLINE_GRANT
+            end = Hold()
+            end.engine = self
+            end.callbacks = None
+            end._value = None
+            end._ok = end._scheduled = True
+            end.resource = resource
+            end.delay = delay
+            if time <= now:
+                self._ring.append(end)
+            else:
+                self._seq += 1
+                heappush(heap, (time, self._seq, end))
+            return end
         # Slept and released: the update ``release`` makes at ``time``.
         if time != now:
             resource._busy_time += (held + 1) * (time - now)
             resource._last_change = time
         self.now = time
         return None
+
+    def _granted(self, grant: Trigger) -> None:
+        """Time a parked hold at its grant: the callback of the grant
+        that ``hold`` or ``Resource.release`` queued for it.
+
+        Reads the degrade window (once it has closed, holds of the
+        resource may complete in place again), then takes
+        :meth:`advance`'s proof as the woken holder would have taken it
+        first thing: when it holds the clock moves to the end and the
+        waiter continues here, else the end is scheduled as
+        ``engine.timeout(delay)`` would be, with the same sequence
+        number.  A hold withdrawn since its grant (``Resource.cancel``)
+        is left alone.  The waiter is always there: a site yields its end
+        in the step ``hold`` returned it, before the grant is dispatched;
+        and no other waiter is owed the grant (``_fanout``), a
+        one-callback ``Trigger``.
+        """
+        end = grant._value
+        resource = end.resource
+        if resource is None:
+            return
+        now = self.now
+        delay = end.delay
+        if resource._degrade_until > now:
+            delay *= resource._degrade_factor
+            end.delay = delay
+        else:
+            resource._inplace_limit = resource.capacity
+        time = now + delay
+        heap = self._heap
+        stop = self._stop
+        if (
+            self._ring or time > self._horizon
+            or (heap and heap[0][0] <= time)
+            or (stop is not None and stop.callbacks is _PROCESSED)
+        ):
+            if time <= now:
+                self._ring.append(end)
+            else:
+                self._seq += 1
+                heappush(heap, (time, self._seq, end))
+            return
+        self.now = time
+        waiter = end.callbacks
+        end.callbacks = _PROCESSED
+        waiter(end)
 
     def process(self, generator: Generator[Event, object, object]) -> Process:
         """Register ``generator`` as a simulation process and start it."""

@@ -135,9 +135,9 @@ class Timeout(Event):
 
     :meth:`Engine.timeout` is the one builder: it sets every slot and
     schedules the event pre-triggered.  Timeouts are the hottest event
-    type (every device access, FUSE crossing and compute step that
-    cannot ``advance`` in place builds one), so the class opts out of
-    ``Event.__init__`` and building one runs no Python frame.
+    type (every FUSE crossing and compute step that cannot ``advance`` in
+    place builds one; a held slot's end is a ``Hold``), so the class opts
+    out of ``Event.__init__`` and building one runs no Python frame.
     """
 
     __slots__ = ("delay",)
@@ -147,11 +147,13 @@ class Timeout(Event):
 class Trigger(Event):
     """A pre-triggered event with one callback, built where it is queued.
 
-    Two builders set every slot themselves and put it on a queue:
-    ``Process.__init__`` (the bootstrap that starts a process) and
-    ``ClientSwarm.open_loop`` (a request's arrival).  One of each is
-    built per open-loop request, so, like :class:`Timeout`, the class
-    opts out of ``Event.__init__`` and building one runs no Python frame.
+    Its builders set every slot themselves and put it on a queue:
+    ``Process.__init__`` (the bootstrap that starts a process),
+    ``ClientSwarm.open_loop`` (a request's arrival), and ``Engine.hold``
+    and ``Resource.release`` (the grant of a parked hold, whose callback
+    is ``Engine._granted``).  One bootstrap and one arrival are built per
+    open-loop request, so, like :class:`Timeout`, the class opts out of
+    ``Event.__init__`` and building one runs no Python frame.
     """
 
     __slots__ = ()

@@ -1,9 +1,12 @@
 """Capacity-limited resources with FIFO queueing.
 
 Devices, network links, and CPU cores are modelled as resources: a request
-is granted when a slot frees up, in arrival order.  Service time is imposed
-by the holder (request -> timeout -> release), for which :meth:`Resource.use`
-provides the common pattern and ``Engine.hold`` the one-call fast path.
+is granted when a slot frees up, in arrival order.  A slot held for a time
+known at its grant is one ``Engine.hold`` (grant, sleep and release, or
+one end-of-hold event to wait for), of which :meth:`Resource.use` is the
+generator form; a holder whose grant decides what it holds or for how
+long takes :meth:`Resource.acquire_now`, else ``request()``, and releases
+the slot itself.
 
 Grant events ride the engine's zero-delay now ring: a grant always fires
 at the instant of the request or release that produced it, so it never
@@ -22,7 +25,7 @@ from collections import deque
 from collections.abc import Generator
 
 from repro.errors import SimulationError
-from repro.sim.events import _PENDING, _PROCESSED, Event
+from repro.sim.events import _PENDING, _PROCESSED, Event, Trigger
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
@@ -38,8 +41,26 @@ class Request(Event):
     ``Event.__init__`` and parking a request runs no constructor frame.
     """
 
-    __slots__ = ("resource",)
+    __slots__ = ("resource", "delay")
     __init__ = object.__init__
+
+
+class Hold(Request):
+    """The end of a slot held for ``delay``: what ``Engine.hold``, its one
+    builder, hands back when the hold cannot complete in place.
+
+    It is the holder's place in the queue, granted like any request, but
+    its grant wakes nobody: the grant queues a :class:`Trigger` that runs
+    ``Engine._granted``, which fixes ``delay`` (the resource's degrade
+    window is read there) and either continues the waiter in place or
+    schedules this event at the grant plus ``delay``.  The waiter yields
+    it once, then releases it (or cancels it, if it is given up early).
+    ``delay`` is a slot of :class:`Request`, unset on a plain one, so
+    that the reference kernel (``tools/reference_kernel.py``) can end a
+    hold on a plain request.
+    """
+
+    __slots__ = ()
 
 
 #: What every inline grant returns: one shared token, already processed,
@@ -56,7 +77,8 @@ class Resource:
 
     __slots__ = (
         "engine", "capacity", "name", "_queue", "_held",
-        "_busy_time", "_last_change",
+        "_busy_time", "_last_change", "_degrade_until", "_degrade_factor",
+        "_inplace_limit",
     )
 
     def __init__(self, engine: "Engine", capacity: int = 1, name: str = "") -> None:
@@ -70,6 +92,15 @@ class Resource:
         # Utilization accounting: ``_held`` slots busy since ``_last_change``.
         self._busy_time = 0.0
         self._last_change = engine.now
+        # Until the clock passes ``_degrade_until`` a hold granted lasts
+        # ``_degrade_factor`` times its length (``degrade``).
+        self._degrade_until = 0.0
+        self._degrade_factor = 1.0
+        # ``Engine.hold`` completes in place only below this many held
+        # slots: ``capacity``, or 0 from a ``degrade`` until a grant past
+        # its window, so that every hold meanwhile parks and is timed at
+        # its grant.
+        self._inplace_limit = capacity
 
     # ------------------------------------------------------------------
     @property
@@ -88,6 +119,15 @@ class Resource:
         self._busy_time += self._held * (now - self._last_change)
         self._last_change = now
         return self._busy_time
+
+    def degrade(self, until: float, factor: float) -> None:
+        """Until virtual time ``until``, every ``Engine.hold`` of a slot
+        lasts ``factor`` times the length it asks for, read at its grant
+        (``Engine._granted``; every hold parks until one is granted past
+        the window)."""
+        self._degrade_until = until
+        self._degrade_factor = factor
+        self._inplace_limit = 0
 
     # ------------------------------------------------------------------
     def request(self) -> Request:
@@ -180,6 +220,14 @@ class Resource:
             nxt = queue.popleft()
             nxt._value = None
             nxt._scheduled = True
+            if nxt.__class__ is Hold:
+                # A hold's grant wakes nobody: the kernel times it.
+                grant = Trigger()
+                grant.engine = engine
+                grant.callbacks = engine._granted
+                grant._value = nxt
+                grant._ok = grant._scheduled = True
+                nxt = grant
             engine._ring.append(nxt)
         else:
             self._held -= 1
@@ -203,23 +251,16 @@ class Resource:
         Usage inside a process: ``yield from resource.use(t)``.  The slot
         (or queue position) is given back however the caller is aborted.
         """
-        engine = self.engine
-        req = engine.hold(self, duration)
-        if req is None:
-            return
-        try:
-            if req is not INLINE_GRANT:
-                yield req
-            if not engine.advance(duration):
-                yield engine.timeout(duration)
-        except BaseException:
-            # Broad: a thrown failure or GeneratorExit (closed while
-            # queued or holding) — a request left behind would hold its slot.
-            self.cancel(req)
-            raise
-        else:
-            # The grant fired, so the slot is held: no need for cancel().
-            self.release(req)
+        end = self.engine.hold(self, duration)
+        if end is not None:
+            try:
+                yield end
+            except BaseException:
+                # Broad: a thrown failure or GeneratorExit (closed while
+                # queued or holding) — a hold left behind keeps its slot.
+                self.cancel(end)
+                raise
+            self.release(end)
 
     def __repr__(self) -> str:
         return (

@@ -17,7 +17,6 @@ from repro.devices import (
 from repro.devices.ssd import ERASE_LATENCY
 from repro.errors import CapacityError, DeviceError
 from repro.sim import Engine
-from repro.sim.resources import INLINE_GRANT
 from repro.util.units import GB, KiB, MB, MiB
 
 
@@ -299,8 +298,8 @@ def _by_grant(device, stats, nbytes, penalty=0.0):
     try:
         bytes_counter, time_counter, latency, bw = stats
         duration = latency + nbytes / bw + penalty
-        if device._degrade_until > engine.now:
-            duration *= device._degrade_factor
+        if channel._degrade_until > engine.now:
+            duration *= channel._degrade_factor
         bytes_counter.total += nbytes
         bytes_counter.count += 1
         time_counter.total += duration
@@ -359,9 +358,13 @@ def _hold_scenario(case, build, monkeypatch):
     hold = Engine.hold
 
     def recording(self, resource, delay):
-        req = hold(self, resource, delay)
-        holds.append(req)
-        return req
+        end = hold(self, resource, delay)
+        holds.append(
+            "in place" if end is None
+            else "inline" if any(e is end for _, _, e in self._heap)
+            else "parked"
+        )  # fmt: skip
+        return end
 
     monkeypatch.setattr(Engine, "hold", recording)
     nbytes = -1 if case == "negative" else 64 * KiB
@@ -376,8 +379,12 @@ def _hold_scenario(case, build, monkeypatch):
     def sleeper():
         yield engine.timeout(1e-6)
 
+    def degrader():
+        yield engine.timeout(0.5e-3)
+        ssd.degrade(until=1.0, factor=4.0)  # opens before the grant
+
     def access():
-        if case in ("busy", "degrade-ends"):
+        if case in ("busy", "degrade-ends", "degrade-starts"):
             yield engine.timeout(1e-6)  # the holder has the channel
         span.append(engine.now)
         try:
@@ -386,18 +393,18 @@ def _hold_scenario(case, build, monkeypatch):
             span.append(str(error))
         span.append(engine.now)
 
-    if case in ("busy", "degrade-ends"):
+    if case in ("busy", "degrade-ends", "degrade-starts"):
         engine.process(holder())
     if case == "degrade-ends":
         ssd.degrade(until=0.5e-3, factor=4.0)  # over before the grant
+    if case == "degrade-starts":
+        engine.process(degrader())
+    if case == "degraded":
+        ssd.degrade(until=1.0, factor=4.0)  # quiet, but never in place
     if case == "heap-inside":
         engine.process(sleeper())
     engine.run(engine.process(access()))
-    arms = [
-        "in place" if req is None else "inline" if req is INLINE_GRANT else "parked"
-        for req in holds
-    ]
-    return arms, span, engine.now, ssd.metrics.snapshot(), ssd.busy_seconds()
+    return holds, span, engine.now, ssd.metrics.snapshot(), ssd.busy_seconds()
 
 
 class TestAccessIsOneHold:
@@ -423,6 +430,19 @@ class TestAccessIsOneHold:
         ],
     )
     def test_same_grants_as_by_grant(self, monkeypatch, op, case, arm):
+        self._compare(monkeypatch, op, case, arm)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize(
+        ("case", "arm"), [("degrade-starts", ["parked"]), ("degraded", ["parked"])]
+    )
+    def test_a_window_open_at_the_grant_is_charged(self, monkeypatch, op, case, arm):
+        """The kernel reads the window at the grant: one that opens while
+        the access is parked is charged, and on a quiet channel an open
+        window parks the hold's grant, never completes it in place."""
+        self._compare(monkeypatch, op, case, arm)
+
+    def _compare(self, monkeypatch, op, case, arm):
         shipped, by_grant = OPS[op]
         arms, *observed = _hold_scenario(case, shipped, monkeypatch)
         by_grant_arms, *expected = _hold_scenario(case, by_grant, monkeypatch)
@@ -435,9 +455,18 @@ class TestAccessIsOneHold:
             assert counters == {}
         if case == "gc":
             assert counters["device.Intel X25-E.gc.time"] > 0
-        if case == "degrade-ends":
-            # Read at the grant: the nominal time, not four times it.
+        if case.startswith("degrade"):
+            # Read at the grant: nominal if the window closed while the
+            # access was parked, four times that if it opened meanwhile
+            # or was open on a quiet channel (whose hold then parks); the
+            # time counter holds what was charged.
             latency, bw = INTEL_X25E.latency, INTEL_X25E.read_bw
+            kind = "read"
             if op != "read":
-                bw = INTEL_X25E.write_bw
-            assert span[-1] - 1e-3 == pytest.approx(latency + 64 * KiB / bw)
+                bw, kind = INTEL_X25E.write_bw, "write"
+            charged = (latency + 64 * KiB / bw) * (
+                1.0 if case == "degrade-ends" else 4.0
+            )
+            start = 0.0 if case == "degraded" else 1e-3
+            assert span[-1] - start == pytest.approx(charged)
+            assert counters[f"device.Intel X25-E.{kind}.time"] == pytest.approx(charged)

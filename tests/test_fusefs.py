@@ -302,6 +302,42 @@ class TestChunkCacheBehaviour:
 
         assert run(engine, proc()) == CHUNK_SIZE
 
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_a_page_write_keeps_the_chunks_other_pages(
+        self, engine, small_cluster, store, whole
+    ):
+        """A whole-page write to a chunk that is not cached write-allocates;
+        with whole-chunk write-back (``dirty_page_writeback=False``, Table
+        VII "w/o Optimization") the entry used to skip the fetch too, so
+        its write-back shipped a zero-filled buffer over the store's other
+        pages: page 0 read back as zeros.  Whole mode now fetches before
+        any write-allocate short of the whole chunk."""
+        mount = FuseMount(
+            small_cluster.node(2), store, cache_bytes=1 * MiB,
+            dirty_page_writeback=not whole,
+        )
+        cache = mount.cache
+        pattern = bytes(i % 251 for i in range(CHUNK_SIZE))
+        page = b"P" * PAGE_SIZE
+
+        def settle(fd):
+            yield from mount.fsync(fd)
+            yield from cache.flush_all()
+            cache.invalidate_path("/w")
+
+        def proc():
+            fd = yield from mount.open(
+                "/w", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=CHUNK_SIZE
+            )
+            yield from mount.pwrite(fd, 0, pattern)
+            yield from settle(fd)
+            yield from mount.pwrite(fd, PAGE_SIZE, page)
+            yield from settle(fd)
+            return bytes((yield from mount.pread(fd, 0, CHUNK_SIZE)))
+
+        got = run(engine, proc())
+        assert got == pattern[:PAGE_SIZE] + page + pattern[2 * PAGE_SIZE :]
+
     def test_readahead_prefetches(self, engine, small_cluster, store):
         mount = FuseMount(
             small_cluster.node(3), store, cache_bytes=1 * MiB,
@@ -608,6 +644,64 @@ class TestConcurrentCacheIntegrity:
 
             def main():
                 yield from mount.client.create("/f", CHUNK_SIZE)
+                ranks = [engine.process(rank(me)) for me in (1, 2, 3)]
+                yield AllOf(engine, ranks)
+                fresh = FuseMount(cluster.node(3), store, cache_bytes=1 * MiB)
+                fd = yield from fresh.open("/f", OpenFlags.O_RDONLY)
+                stored = yield from fresh.pread(fd, PAGE_SIZE, len(theirs))
+                return [bytes(r.value) == theirs for r in ranks], stored
+
+            read_theirs, stored = run(engine, main())
+        assert read_theirs == [True] * 3
+        assert stored == theirs
+
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_an_eviction_waits_for_the_write_back_of_a_clean_victim(self, kernel):
+        """ROADMAP 6(e): ``_make_room`` dropped a clean victim whose
+        write-back (an fsync's flush) was still in flight and published no
+        marker for it, so a miss on the key refilled from the store before
+        the payload landed.  Rank 1 writes pages 1-63 of a write-allocated
+        chunk and fsyncs; while that payload is in flight rank 2 misses on
+        the file's other chunk, and the one-chunk cache evicts the entry;
+        rank 3 then rereads pages 1-63.  With two replicas written in turn
+        and the fill reading the mount's own node's one, rank 3's fill
+        read zeros there; with two daemon threads it does not queue behind
+        the write-back.  Now the eviction publishes the key's marker and
+        waits the write-back out, and the refill waits for the marker."""
+        with KERNELS[kernel]():
+            engine = Engine()
+            cluster = make_small_cluster(engine)
+            store = Manager(cluster.node(0), replication=2)
+            for node in cluster.nodes:
+                store.register_benefactor(Benefactor(node, contribution=16 * MiB))
+            mount = FuseMount(
+                cluster.node(1), store, cache_bytes=CHUNK_SIZE, daemon_threads=2
+            )
+            cache = mount.cache
+            assert cache.capacity_chunks == 1
+            theirs = b"b" * (CHUNK_SIZE - PAGE_SIZE)
+            key = ("/f", 0)
+            missed = []
+
+            def rank(me):
+                fd = yield from mount.open("/f", OpenFlags.O_RDWR)
+                if me == 1:
+                    yield from mount.pwrite(fd, PAGE_SIZE, theirs)
+                    yield from mount.fsync(fd)
+                elif me == 2:
+                    while not (key in cache._entries and cache._entries[key].writeback):
+                        yield engine.timeout(1e-7)
+                    missed.append(me)
+                    yield from mount.pread(fd, CHUNK_SIZE, PAGE_SIZE)
+                    return theirs
+                else:
+                    while not missed or key in cache._entries:
+                        yield engine.timeout(1e-7)
+                return (yield from mount.pread(fd, PAGE_SIZE, len(theirs)))
+
+            def main():
+                yield from mount.client.create("/f", 2 * CHUNK_SIZE)
                 ranks = [engine.process(rank(me)) for me in (1, 2, 3)]
                 yield AllOf(engine, ranks)
                 fresh = FuseMount(cluster.node(3), store, cache_bytes=1 * MiB)

@@ -67,3 +67,26 @@ def test_a_tick_on_a_functions_first_line_is_the_callers():
         ("test", "caller", HERE, 42): 1,
         ("test", "callee", HERE, 11): 1,
     }
+
+
+def test_lines_of_named_functions_share_all_ticks():
+    """``--lines``: the named functions' ticks line by line, as shares of
+    every tick (other functions' included), sorted by function and line;
+    a name nobody ticked in has no rows."""
+    from collections import Counter
+    from pathlib import Path
+
+    tree = Path("/tree")
+    src = "/tree/src/repro/sim/engine.py"
+    ticks = Counter({
+        ("sim", "Engine.hold", src, 240): 3,
+        ("sim", "Engine.hold", src, 236): 1,
+        ("sim", "Engine._granted", src, 320): 2,
+        ("sim", "Engine.run", src, 400): 4,
+    })  # fmt: skip
+    rows = sample_layers.function_lines(ticks, ["Engine.hold", "Engine.timeout"], tree)
+    assert rows == [
+        {"function": "Engine.hold", "file": "repro/sim/engine.py", "line": 236, "share": 0.1},
+        {"function": "Engine.hold", "file": "repro/sim/engine.py", "line": 240, "share": 0.3},
+    ]
+    assert sample_layers.function_lines(ticks, [], tree) == []

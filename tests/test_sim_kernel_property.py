@@ -595,6 +595,84 @@ def test_resource_scripts_match_the_reference_kernel() -> None:
     assert inline > 0
 
 
+def _hold_script_run(seed: int):
+    """Random hold interleavings: two resources of capacity 1-2, three to
+    eight processes each holding one of them a few times after random
+    gaps, through the hold idiom every site takes, and a process that
+    opens and closes the first resource's degrade window at random
+    instants (so grants land inside, outside and across windows).  Some
+    holders share a wake-up (one timeout, two waiters), which is where a
+    grant's dispatch owes another waiter.  Returns the observable outcome
+    and how many resumes each holder took."""
+    rng = random.Random(seed)
+    engine = Engine()
+    resources = [Resource(engine, capacity=rng.randint(1, 2)) for _ in range(2)]
+    log: list[tuple[float, int, str]] = []
+    resumes: dict[int, int] = {}
+    shared = engine.timeout(rng.choice(SPREAD_POOL))
+
+    def holder(pid: int, steps):
+        if pid % 3 == 0:
+            yield shared
+        for gap, which, hold in steps:
+            yield from _sleep(engine, gap)
+            res = resources[which]
+            end = engine.hold(res, hold)
+            if end is not None:
+                try:
+                    yield end
+                except BaseException:
+                    res.cancel(end)
+                    raise
+                res.release(end)
+                resumes[pid] = resumes.get(pid, 0) + 1
+            log.append((engine.now, pid, f"held {which}"))
+
+    def degrader(windows):
+        for gap, length, factor in windows:
+            yield from _sleep(engine, gap)
+            resources[0].degrade(engine.now + length, factor)
+            log.append((engine.now, -1, f"x{factor}"))
+
+    for pid in range(rng.randrange(3, 9)):
+        engine.process(holder(pid, [
+            (rng.choice(SPREAD_POOL), rng.randrange(2), rng.choice(SPREAD_POOL))
+            for _ in range(rng.randrange(2, 7))
+        ]))  # fmt: skip
+    engine.process(degrader([
+        (rng.choice(SPREAD_POOL), rng.choice(SPREAD_POOL), rng.choice([2.0, 4.0]))
+        for _ in range(rng.randrange(1, 4))
+    ]))  # fmt: skip
+    engine.run()
+    outcome = (
+        log, engine.now,
+        [(r.busy_seconds(), r.in_use, r.queue_length) for r in resources],
+    )  # fmt: skip
+    return outcome, resumes, engine.events_processed
+
+
+def test_hold_scripts_match_the_reference_kernel() -> None:
+    """``Engine.hold`` and the grant that times a parked hold
+    (``Engine._granted``) against the kernel in which every hold parks
+    and every hold's end is an event: grant order, wake-up times, degrade
+    windows read at the grant, and ``busy_seconds()`` are bit-equal, every
+    slot is free at quiescence, every hold hands back its end under the
+    reference kernel, and the shipped kernel dispatches no more events
+    (``TestHoldProtocol`` in ``test_sim_resources.py`` counts resumes)."""
+    in_place = 0
+    for seed in range(32):
+        outcome, resumes, events = _hold_script_run(9000 + seed)
+        with reference_kernel():
+            ref_outcome, ref_resumes, ref_events = _hold_script_run(9000 + seed)
+        assert outcome == ref_outcome, seed
+        assert [state[1:] for state in outcome[2]] == [(0, 0), (0, 0)], seed
+        holds = sum(1 for _, pid, what in outcome[0] if pid >= 0)
+        assert sum(ref_resumes.values()) == holds, seed
+        assert events <= ref_events, seed
+        in_place += holds - sum(resumes.values())
+    assert in_place > 0
+
+
 def test_advance_declines_once_the_awaited_event_is_processed() -> None:
     """``run(until=marker)`` polls its marker.  The marker's one waiter,
     woken by it, sleeps on with the ring empty and nothing due on the
@@ -750,20 +828,27 @@ def _lone_rank_on_the_miss_path():
     """Through the public API: one rank, 1 MiB caches, random 4 KiB reads
     and writes over 8 MiB, closing ``msync`` and ``flush_all``.  Returns
     ``(timeouts built, events dispatched)`` and ``(engine.now, every byte
-    read, the shadow image, all counters)``."""
+    read, the shadow image, all counters)``; the first also counts the
+    holds that handed back an end to wait for, as the second element."""
     from repro.cluster import make_hal_cluster
     from repro.cluster.hal import HalConfig
     from repro.core import NVMalloc
     from repro.store import Benefactor, Manager
     from repro.util.units import KiB, MiB
 
-    timeouts = 0
-    timeout = Engine.timeout
+    timeouts = holds = 0
+    timeout, hold = Engine.timeout, Engine.hold
 
     def counting_timeout(self, *args, **kwargs):
         nonlocal timeouts
         timeouts += 1
         return timeout(self, *args, **kwargs)
+
+    def counting_hold(self, resource, delay):
+        nonlocal holds
+        end = hold(self, resource, delay)
+        holds += end is not None
+        return end
 
     engine = Engine()
     cluster = make_hal_cluster(
@@ -797,13 +882,13 @@ def _lone_rank_on_the_miss_path():
         yield from var.region.msync()
         yield from lib.mount.cache.flush_all()
 
-    Engine.timeout = counting_timeout
+    Engine.timeout, Engine.hold = counting_timeout, counting_hold
     try:
         engine.run(engine.process(driver()))
     finally:
-        Engine.timeout = timeout
+        Engine.timeout, Engine.hold = timeout, hold
     assert lib.mount.cache.stats.dirty_evictions and lib.pagecache.stats.writeback_bytes
-    return (timeouts, engine.events_processed), (
+    return (timeouts, holds, engine.events_processed), (
         engine.now, reads, bytes(shadow), cluster.metrics.snapshot(),
     )  # fmt: skip
 
@@ -811,7 +896,8 @@ def _lone_rank_on_the_miss_path():
 def test_every_dispatched_event_had_a_waiter() -> None:
     """With nobody to contend with, nothing on the miss path is worth an
     event: no completion marker (nobody waits, so none is built), no
-    grant (nobody contends), no timeout (nobody can overtake the sleep) —
+    grant (nobody contends), no timeout and no hold's end (nobody can
+    overtake the sleep) —
     the ``driver()`` process's bootstrap and its completion are the only two, at
     the clock, bytes and counters of the kernel that queues every grant
     and sleep (markers and the grants they forced used to be half the
@@ -819,11 +905,15 @@ def test_every_dispatched_event_had_a_waiter() -> None:
     that forgets ``Engine.advance``, or a marker site that builds its
     ``Event`` up front and succeeds it, shows up here as a non-zero
     count."""
-    (timeouts, events), outcome = _lone_rank_on_the_miss_path()
+    (timeouts, holds, events), outcome = _lone_rank_on_the_miss_path()
     with reference_kernel():
-        (ref_timeouts, ref_events), ref_outcome = _lone_rank_on_the_miss_path()
-    assert (timeouts, events) == (0, 2)
-    assert ref_events > ref_timeouts > 1000  # the reference does sleep
+        (ref_timeouts, ref_holds, ref_events), ref_outcome = (
+            _lone_rank_on_the_miss_path()
+        )
+    assert (timeouts, holds, events) == (0, 0, 2)
+    # The reference does sleep, on timeouts and on holds' ends, and each
+    # hold's end is a second dispatch after its grant.
+    assert ref_events > ref_timeouts + ref_holds > 1000
     assert outcome == ref_outcome
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Channel, Engine, Resource
+from repro.sim import Channel, Engine, Process, Resource
 from repro.sim.resources import INLINE_GRANT
 
 
@@ -211,19 +211,25 @@ class TestInlineGrant:
         assert res.acquire_now() is INLINE_GRANT
 
 
+def _queued_to_fire(engine, event):
+    return event in engine._ring or any(e is event for _, _, e in engine._heap)
+
+
 def _held_in_place(engine, res, d, taken):
     """The hold idiom of every fixed-time site; ``taken`` records what
-    ``Engine.hold`` returned: ``None``, ``INLINE_GRANT`` or ``"parked"``."""
-    req = engine.hold(res, d)
-    taken.append(req if req is None or req is INLINE_GRANT else "parked")
-    if req is not None:
-        if req is not INLINE_GRANT:
-            yield req
-        try:
-            if not engine.advance(d):
-                yield engine.timeout(d)
-        finally:
-            res.release(req)
+    ``Engine.hold`` returned: ``None``, ``"inline"`` (an end already
+    scheduled) or ``"parked"`` (an end whose grant is still queued)."""
+    end = engine.hold(res, d)
+    if end is None:
+        taken.append(None)
+        return
+    taken.append("inline" if _queued_to_fire(engine, end) else "parked")
+    try:
+        yield end
+    except BaseException:
+        res.cancel(end)
+        raise
+    res.release(end)
 
 
 def _granted_then_slept(engine, res, d, taken):
@@ -400,11 +406,11 @@ class TestHold:
             (_busy, ["parked"]),
             (_ring, ["parked"]),
             (_due_now, ["parked"]),
-            (_tie, [INLINE_GRANT]),
+            (_tie, ["inline"]),
             (_fanout, ["parked", "parked"]),
-            (_horizon, [INLINE_GRANT]),
-            (_no_run, [INLINE_GRANT]),
-            (_stopped, [INLINE_GRANT]),
+            (_horizon, ["inline"]),
+            (_no_run, ["inline"]),
+            (_stopped, ["inline"]),
             (_quiet, [None]),
         ],
         ids=lambda value: getattr(value, "__name__", "").strip("_") or None,
@@ -460,13 +466,135 @@ class TestHold:
         assert _state(engine, res) == (0.0, 0, 0, 0.0)
 
 
+class TestHoldProtocol:
+    """What a parked or inline hold hands back: one end-of-hold event,
+    which wakes its waiter once, and which a holder closed at any point
+    gives back so that the resource is as if it had never asked."""
+
+    @pytest.mark.parametrize("quiet_grant", [False, True])
+    def test_a_parked_hold_resumes_its_waiter_once(self, monkeypatch, quiet_grant):
+        """The waiter is resumed at its start and once more for the hold:
+        at its end, or — nothing else queued at the grant — inside the
+        grant's dispatch, which carries it on at the end in place."""
+        resumes = []
+        resume = Process._resume
+
+        def counting(self, event):
+            resumes.append(self.name)
+            resume(self, event)
+
+        carried = []
+        granted = Engine._granted
+
+        def timing(self, grant):
+            before = len(resumes)
+            granted(self, grant)
+            carried.append(len(resumes) - before)
+
+        monkeypatch.setattr(Process, "_resume", counting)
+        monkeypatch.setattr(Engine, "_granted", timing)
+        engine = Engine()
+        res = Resource(engine, capacity=1)
+        seen = []
+
+        def holder():
+            req = res.request()
+            yield req
+            yield engine.timeout(1.0)
+            res.release(req)
+            if quiet_grant:
+                yield engine.timeout(5.0)  # nothing left queued at the grant
+
+        def user():
+            yield from res.use(0.5)
+            seen.append(engine.now)
+
+        engine.process(holder())
+        engine.process(user())
+        engine.run()
+        assert seen == [1.5]
+        assert resumes.count("user") == 2  # the start, then the hold
+        assert carried == [1 if quiet_grant else 0]
+
+    def test_holds_complete_in_place_again_once_a_window_closes(self):
+        """A degrade window parks every hold on a quiet slot (timed at
+        the grant, carried on in place there); the first grant past the
+        window lets the next hold complete in place again."""
+        engine = Engine()
+        res = Resource(engine, capacity=1)
+        res.degrade(until=1.0, factor=2.0)
+        taken = []
+
+        def user():
+            for _ in range(3):
+                end = engine.hold(res, 0.75)
+                taken.append((engine.now, end is None))
+                if end is not None:
+                    yield end
+                    res.release(end)
+            yield engine.timeout(0.0)
+
+        engine.run(engine.process(user()))
+        # 0.75 doubled inside the window, nominal from 1.5 on.
+        assert taken == [(0.0, False), (1.5, False), (3.0, True)]
+        assert engine.now == 3.0 and engine.events_processed == 5
+
+    @pytest.mark.parametrize("stage", ["queued", "granted", "sleeping"])
+    def test_a_hold_closed_early_gives_everything_back(self, stage):
+        """A holder closed (``GeneratorExit``) while its hold is queued,
+        granted with the grant not yet dispatched, or sleeping leaves
+        ``_held``, the queue and ``busy_seconds()`` as if it had never
+        asked, then and after the run (``Resource.cancel``)."""
+        outcomes = []
+        for asks in (True, False):
+            engine = Engine()
+            res = Resource(engine, capacity=1)
+            states = []
+            held_until = 0.0 if stage == "sleeping" else 1.0
+            user = res.use(1.0)
+
+            def holder():
+                req = res.request()
+                yield req
+                yield engine.timeout(held_until)
+                res.release(req)
+                if stage == "granted":
+                    if asks:
+                        assert not res._queue  # granted: its grant is queued
+                        user.close()
+                    states.append(_state(engine, res))
+                yield engine.timeout(2.0)
+
+            if stage != "sleeping":
+                engine.process(holder())
+            engine.run(until=0.5)
+            if asks:
+                end = next(user)
+                if stage == "sleeping":
+                    assert _queued_to_fire(engine, end) and res._held == 1
+                if stage != "granted":
+                    user.close()
+                    states.append(_state(engine, res))
+            else:
+                user.close()
+                if stage != "granted":
+                    states.append(_state(engine, res))
+            engine.run()
+            states.append((res._held, res.queue_length, res.busy_seconds()))
+            outcomes.append(states)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][-1][:2] == (0, 0)
+
+
 class TestBuildersRunNoFrame:
-    """``Engine.timeout`` builds every ``Timeout`` and ``Resource.request``
-    every ``Request``, each setting all the slots itself; both classes
-    opt out of ``Event.__init__``, so a declined sleep and a parked grant
-    cost their builder's frame and no constructor frame.  Kills an
-    ``__init__`` restored on either class (or a builder that calls one):
-    the profile shows its frame."""
+    """``Engine.timeout`` builds every ``Timeout``, ``Engine.hold`` every
+    ``Hold`` and the ``Trigger`` of its grant (``Resource.release`` the
+    grant of one that queued), each setting all the slots itself; the
+    classes opt out of ``Event.__init__``, so a declined sleep costs its
+    builder's frame, a parked hold ``hold``'s and ``_granted``'s, and
+    neither a constructor frame.  Kills an ``__init__`` restored on any
+    of the classes (or a builder that calls one): the profile shows its
+    frame."""
 
     def test_a_parked_grant_and_a_declined_sleep_run_no_constructor(self, engine):
         res = Resource(engine, capacity=1)
@@ -496,8 +624,9 @@ class TestBuildersRunNoFrame:
         ):
             path = Path(filename)
             calls[f"{path.parent.name}/{path.stem}.{function}"] = ncalls
-        assert calls["sim/resources.request"] == 2
-        assert calls["sim/engine.timeout"] == 3
+        assert "sim/resources.request" not in calls
+        assert calls["sim/engine.hold"] == calls["sim/engine._granted"] == 2
+        assert calls["sim/engine.timeout"] == 1
         constructors = [
             label for label in calls
             if label.startswith(("sim/events.", "sim/resources."))

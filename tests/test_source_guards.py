@@ -12,18 +12,23 @@
   path: ``done = slot = Event(...)`` (or ``engine.event()``) as the body
   of an ``if done is True:``.  An owner that publishes an ``Event`` —
   directly or through a local it built one in — fails here.
-- A ``Timeout``, a ``Request`` or a ``Trigger`` is built only by its
-  builders (INTERNALS "Fast path and batching invariants").  The classes
-  opt out of ``Event.__init__`` so that building one runs no Python
-  frame, which leaves a slot unset wherever another site calls the
-  class: ``Timeout(`` is called only in ``Engine.timeout``, ``Request(``
-  only in ``Resource.request`` and for the module's ``INLINE_GRANT``,
-  ``Trigger(`` only in ``Process.__init__`` and ``ClientSwarm.open_loop``,
-  and no class's ``__new__`` at all.
+- A ``Timeout``, a ``Request``, a ``Hold`` or a ``Trigger`` is built
+  only by its builders (INTERNALS "Fast path and batching invariants").
+  The classes opt out of ``Event.__init__`` so that building one runs no
+  Python frame, which leaves a slot unset wherever another site calls
+  the class: ``Timeout(`` is called only in ``Engine.timeout``,
+  ``Request(`` only in ``Resource.request`` and for the module's
+  ``INLINE_GRANT``, ``Hold(`` (a hold's end) only in ``Engine.hold``,
+  ``Trigger(`` only in ``Process.__init__``, ``ClientSwarm.open_loop``
+  and, for a parked hold's grant, ``Engine.hold`` and
+  ``Resource.release``, and no class's ``__new__`` at all.
 - A slot held for a time known at its grant is one ``Engine.hold``
   (INTERNALS "Events nobody can observe"): the DRAM copies, the wire's
-  RX port, ``Resource.use`` and an SSD or DRAM device access (which reads
-  its degrade window again after a parked grant).  ``acquire_now`` is
+  RX port, ``Resource.use`` and an SSD or DRAM device access.  Each
+  site takes the one idiom — yield the end ``hold`` hands back inside a
+  ``try`` whose ``except BaseException`` cancels it, then release it —
+  with no ``INLINE_GRANT`` branch and no sleep of its own, and only the
+  kernel (``sim/``) reads a degrade window.  ``acquire_now`` is
   taken only where the grant itself changes what is held or for how
   long: an HDD's seek state, the FUSE daemon's fill and write-back, and
   the wire's TX port, which is held across the RX port's wait.
@@ -235,9 +240,12 @@ BUILDERS = {
         f"{Path('sim') / 'resources.py'}:Resource.request",
         f"{Path('sim') / 'resources.py'}:<module>",
     },
+    "Hold": {f"{Path('sim') / 'engine.py'}:Engine.hold"},
     "Trigger": {
         f"{Path('sim') / 'process.py'}:Process.__init__",
         f"{Path('traffic') / 'clients.py'}:ClientSwarm.open_loop",
+        f"{Path('sim') / 'engine.py'}:Engine.hold",
+        f"{Path('sim') / 'resources.py'}:Resource.release",
     },
 }
 
@@ -277,6 +285,7 @@ def test_the_builder_guard_rejects_a_second_builder():
     through the module, and ``__new__``, each outside the builder."""
     for source in (
         "def sleep(engine):\n    return Timeout(engine, 1.0)",
+        "class Resource:\n    def request(self):\n        return Hold()",
         "class Engine:\n    def sleep(self):\n        return events.Timeout()",
         "def park(resource):\n    return Request.__new__(Request)",
         "def arrive(engine):\n    return [events.Trigger() for _ in range(3)]",
@@ -331,6 +340,156 @@ def test_the_grant_guard_rejects_a_dram_copy_by_grant():
     )
     assert attribute_sites(ast.parse(source), "mem/pagecache.py") == {
         "mem/pagecache.py:PageCache.read"
+    }
+
+
+#: The functions that hold a slot through ``Engine.hold``.
+HOLD_SITES = {
+    f"{Path('devices') / 'base.py'}:StorageDevice.access",
+    f"{Path('devices') / 'ssd.py'}:SSD.write_extent",
+    f"{Path('fusefs') / 'cache.py'}:ChunkCache.read_into",
+    f"{Path('fusefs') / 'cache.py'}:ChunkCache.write_ranges",
+    f"{Path('mem') / 'pagecache.py'}:PageCache.read",
+    f"{Path('mem') / 'pagecache.py'}:PageCache.write",
+    f"{Path('network') / 'fabric.py'}:Network.transfer",
+    f"{Path('parallel') / 'comm.py'}:Communicator.send",
+    f"{Path('sim') / 'resources.py'}:Resource.use",
+}
+
+
+def _is_idiom(node, name):
+    """``if name is not None: try: yield name / except BaseException:
+    ...cancel(name); raise`` and then ``...release(name)``."""
+    if not (
+        isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+        and ast.unparse(node.test) == f"{name} is not None"
+        and len(node.body) >= 2 and isinstance(node.body[0], ast.Try)
+    ):
+        return False
+    guarded, released = node.body[0], ast.unparse(node.body[1])
+    return (
+        [ast.unparse(stmt) for stmt in guarded.body] == [f"yield {name}"]
+        and len(guarded.handlers) == 1 and not guarded.orelse
+        and not guarded.finalbody
+        and ast.unparse(guarded.handlers[0].type) == "BaseException"
+        and [ast.unparse(stmt) for stmt in guarded.handlers[0].body][-1] == "raise"
+        and ast.unparse(guarded.handlers[0].body[0]).endswith(f"cancel({name})")
+        and released.endswith(f"release({name})")
+    )
+
+
+def hold_sites(tree, path):
+    """``{"path:Class.function": ok}`` for every ``X = ....hold(...)``:
+    ``ok`` when the statement after it is the idiom on ``X`` and the
+    function names no ``INLINE_GRANT`` and makes no sleep of its own on
+    ``X``'s resource (no ``advance`` or ``timeout`` after the hold)."""
+    found = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                check(node, f"{path}:{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    def check(function, site):
+        inline = any(
+            isinstance(node, ast.Name) and node.id == "INLINE_GRANT"
+            for node in ast.walk(function)
+        )
+        for block in ast.walk(function):
+            body = getattr(block, "body", None)
+            if not isinstance(body, list):
+                continue
+            for number, stmt in enumerate(body):
+                if not (
+                    isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)
+                    and isinstance(stmt.value.func, ast.Attribute)
+                    and stmt.value.func.attr == "hold"
+                ):
+                    continue
+                name = ast.unparse(stmt.targets[0])
+                after = body[number + 1 :]
+                slept = any(
+                    isinstance(node, ast.Attribute) and node.attr in ("advance", "timeout")
+                    for rest in after for node in ast.walk(rest)
+                )
+                found[site] = (
+                    not inline and not slept and bool(after)
+                    and _is_idiom(after[0], name)
+                )
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_hold_site_takes_the_one_idiom():
+    found = {}
+    for path, tree in _trees():
+        found.update(hold_sites(tree, path))
+    assert found == dict.fromkeys(HOLD_SITES, True)
+
+
+def test_the_hold_guard_rejects_a_grant_then_sleep():
+    """The rule above on the shapes it must reject: the old three-way
+    continuation, an end released in a ``finally`` (raises for a hold
+    closed while queued), and a device reading its window again."""
+    old = (
+        "def read(engine, res, d):\n"
+        "    req = engine.hold(res, d)\n"
+        "    if req is not None:\n"
+        "        if req is not INLINE_GRANT:\n"
+        "            yield req\n"
+        "        try:\n"
+        "            if not engine.advance(d):\n"
+        "                yield engine.timeout(d)\n"
+        "        finally:\n"
+        "            res.release(req)\n"
+    )
+    in_finally = (
+        "def read(engine, res, d):\n"
+        "    end = engine.hold(res, d)\n"
+        "    if end is not None:\n"
+        "        try:\n"
+        "            yield end\n"
+        "        finally:\n"
+        "            res.release(end)\n"
+    )
+    idiom = (
+        "def read(engine, res, d):\n"
+        "    end = engine.hold(res, d)\n"
+        "    if end is not None:\n"
+        "        try:\n"
+        "            yield end\n"
+        "        except BaseException:\n"
+        "            res.cancel(end)\n"
+        "            raise\n"
+        "        res.release(end)\n"
+    )
+    for source in (old, in_finally):
+        assert hold_sites(ast.parse(source), "x.py") == {"x.py:read": False}, source
+    assert hold_sites(ast.parse(idiom), "x.py") == {"x.py:read": True}
+    resleep = idiom + "    if not engine.advance(d):\n        yield engine.timeout(d)\n"
+    assert hold_sites(ast.parse(resleep), "x.py") == {"x.py:read": False}
+    window = "def access(self):\n    return self._degrade_until\n"
+    assert attribute_sites(ast.parse(window), "x.py", WINDOW) == {"x.py:access"}
+
+
+#: The degrade window's attributes, which only the kernel reads, and the
+#: bound that makes every hold park while a window may be open.
+WINDOW = ("_degrade_until", "_degrade_factor", "_inplace_limit")
+
+
+def test_only_the_kernel_reads_a_degrade_window():
+    found = set()
+    for path, tree in _trees():
+        found |= attribute_sites(tree, path, WINDOW)
+    assert found == {
+        f"{Path('sim') / 'engine.py'}:Engine.hold",
+        f"{Path('sim') / 'engine.py'}:Engine._granted",
+        f"{Path('sim') / 'resources.py'}:Resource.__init__",
+        f"{Path('sim') / 'resources.py'}:Resource.degrade",
     }
 
 

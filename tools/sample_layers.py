@@ -2,6 +2,7 @@
 """Wall self-time per layer of one benchmark workload, from a stack sampler.
 
     python tools/sample_layers.py --workload rand_read_miss [--seed 11] [--tree DIR]
+        [--lines Engine.hold,Engine._granted]
 
 ``host_self_share.*`` comes from one cProfile repeat, which charges every
 call a fixed cost: a layer whose calls fall looks cheaper than it is.
@@ -27,8 +28,11 @@ layer shares are the result; line shares are indicative only, since the
 body of a function that makes no call (``Engine.hold``, say) is charged
 to the next check in its caller.
 
-``--tree`` measures another checkout or exported tree (its ``bench/``
-and ``src/``); by default the one this file sits in.  The hash seed is
+``--lines`` names functions by qualified name (``Class.method``) and
+prints each one's ticks line by line, as shares of all ticks, whatever
+layer they sit in.  ``--tree`` measures another checkout or exported
+tree (its ``bench/`` and ``src/``); by default the one this file sits
+in.  The hash seed is
 pinned to 0, as ``bench/run.py`` pins it.
 """
 
@@ -127,9 +131,26 @@ def bootstrap(per_repeat: list[Counter], key, rng: random.Random) -> tuple[float
     return shares[int(0.025 * BOOTSTRAP)], shares[int(0.975 * BOOTSTRAP) - 1]
 
 
-def sample(tree: Path, workload_name: str, seed: int, target: int) -> dict:
+def function_lines(ticks: Counter, names, tree: Path) -> list[dict]:
+    """Each line of the functions named in ``names`` (qualified names),
+    with its share of all ``ticks``, by function and then line."""
+    total = sum(ticks.values())
+    lines = Counter()
+    for (_layer, function, filename, line), n in ticks.items():
+        if function in names:
+            lines[function, _short(filename, tree), line] += n
+    return [
+        {"function": function, "file": filename, "line": line, "share": n / total}
+        for (function, filename, line), n in sorted(lines.items())
+    ]
+
+
+def sample(
+    tree: Path, workload_name: str, seed: int, target: int, named=()
+) -> dict:
     """Run ``workload_name``'s timed region of ``tree`` under the sampler
-    until ``target`` ticks are in; the report as a dict."""
+    until ``target`` ticks are in; the report as a dict, with the lines
+    of the functions in ``named`` under ``"function_lines"``."""
     sys.path[:0] = [str(tree / "bench"), str(tree / "src")]
     import harness
     from layers import LAYERS, layer_of_file
@@ -198,6 +219,7 @@ def sample(tree: Path, workload_name: str, seed: int, target: int) -> dict:
             for (layer, function, filename, line), n in lines.most_common()
             if layer == top
         ][:10],
+        "function_lines": function_lines(ticks, named, tree),
         "gc": {
             "share": clock.seconds / host_s if host_s else 0.0,
             "per_repeat": {
@@ -222,11 +244,14 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--tree", type=Path, default=ROOT,
                         help="checkout or exported tree whose bench/ and src/ to run")
+    parser.add_argument("--lines", metavar="FUNC[,FUNC]", default="",
+                        help="print the per-line tick shares of these functions")
     args = parser.parse_args()
     if not os.environ.get("PYTHONHASHSEED", "").isdigit():
         os.environ["PYTHONHASHSEED"] = "0"
         os.execv(sys.executable, [sys.executable, __file__, *sys.argv[1:]])
-    report = sample(args.tree.resolve(), args.workload, args.seed, SAMPLES)
+    named = [name for name in args.lines.split(",") if name]
+    report = sample(args.tree.resolve(), args.workload, args.seed, SAMPLES, named)
     print(f"{report['workload']}  seed={report['seed']}  {report['samples']} ticks "
           f"over {report['repeats']} repeats ({report['missed']} outside the program)")
     print("  layer               share   95% bootstrap over repeats")
@@ -240,6 +265,12 @@ def main() -> int:
           f"charged to its caller's next check)")
     for row in report["lines"]:
         print(f"    {row['share']:6.1%}  {row['file']}:{row['line']}  {row['function']}")
+    for name in named:
+        rows = [row for row in report["function_lines"] if row["function"] == name]
+        print(f"  lines of {name}: {sum(row['share'] for row in rows):.1%}"
+              + ("" if rows else " (no ticks)"))
+        for row in rows:
+            print(f"    {row['share']:6.1%}  {row['file']}:{row['line']}")
     collections = ", ".join(f"{k} {v:g}" for k, v in report["gc"]["per_repeat"].items())
     print(f"  garbage collection: {report['gc']['share']:.1%} of timed host time; "
           f"per repeat {collections or 'none'}")
