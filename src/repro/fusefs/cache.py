@@ -19,6 +19,11 @@ only where an entry is added or removed, and each miss's room test reads
 that count; it is negative while every entry is pinned and a miss
 overshoots capacity.
 
+A key's every write-back, an fsync's or an eviction's, with the local
+tier on or off, runs through one routine, ``ChunkCache._writeback``: it
+waits out the chunk's fill and its previous write-back (INTERNALS race
+rules 7 and 12) before it spills, ships or lets the key go.
+
 Three opt-in features form a tiered adaptive hierarchy (see INTERNALS.md
 "Client cache hierarchy"):
 
@@ -378,7 +383,14 @@ class ChunkCache:
         """Evict until there is room for one more entry, or every entry
         is pinned.  The one caller, :meth:`_load`, has just found the
         cache full, so the first victim is taken without a test and
-        ``_free`` is re-tested after each eviction."""
+        ``_free`` is re-tested after each eviction.
+
+        Victim selection and one dispatch: a victim with work to do gets
+        its key's ``_inflight`` marker here and is handed to
+        :meth:`_writeback` with the path's invalidation generation.  With
+        the local tier on that runs as its own process, so the evicting
+        rank never waits (only the marker ties readers to it); in the
+        flat cache the evicting rank runs it in line."""
         policy = self._policy
         l2 = self._l2
         entries = self._entries
@@ -405,130 +417,36 @@ class ChunkCache:
             entry = entries[victim_key]
             del entries[victim_key]
             self._free += 1
-            vpath, vindex = victim_key
             if policy is not None:
                 policy.record_evict(victim_key)
             was_dirty = entry.dirty != 0
-            # A clean victim whose write-back (a flush of it) is still in
+            # The marker exists only around work that can yield: an
+            # unpinned victim is not filling, so a clean one in the flat
+            # cache with no write-back in flight is dropped at once.  A
+            # clean victim whose write-back (a flush of it) is still in
             # flight is waited out like a dirty one: a miss on the key
             # must not refill before that payload lands (race rule 12).
-            writing = was_dirty or entry.writeback is not None
-            if writing or l2 is not None:
-                # The marker exists only around work that can yield: an
-                # unpinned victim is not filling, so a clean one in the
-                # flat cache with no write-back is dropped at once.
+            if was_dirty or entry.writeback is not None or l2 is not None:
                 inflight[victim_key] = True
-            if l2 is not None:
-                # Tiered eviction is fully asynchronous: the spill into
-                # the local tier and the store drain run as their own
-                # simulation process, so the evicting rank never waits —
-                # only the ``_inflight`` marker ties readers to it.
-                # Until that process patches (or drops) the tier's
-                # shadow copy, the local bytes may lag this entry's
-                # writes and must not be promoted.
-                self._l2_unsettled.add(victim_key)
-                self._engine.process(
-                    self._evict_tiered(
-                        victim_key, entry, self._inval_gen.get(vpath, 0)
+                if l2 is None:
+                    # The flat cache never bumps ``_inval_gen``: every
+                    # path's generation is 0.
+                    yield from self._writeback(victim_key, entry, 0)
+                else:
+                    # Until the eviction patches (or drops) the tier's
+                    # shadow copy, the local bytes may lag this entry's
+                    # writes and must not be promoted.
+                    self._l2_unsettled.add(victim_key)
+                    self._engine.process(
+                        self._writeback(
+                            victim_key, entry, self._inval_gen.get(victim_key[0], 0)
+                        )
                     )
-                )
-                self.stats.evictions += 1
-                if was_dirty:
-                    self.stats.dirty_evictions += 1
-                if self._free > 0:
-                    return
-                continue
-            tracer = self._engine.tracer
-            span = (
-                tracer.begin("fuse", "evict_writeback", path=vpath, index=vindex)
-                if tracer is not None
-                else None
-            )
-            try:
-                if writing:
-                    # Unspanned: the span above names this write-back.
-                    yield from self._writeback(victim_key, entry, None)
-            finally:
-                if writing:
-                    done = inflight[victim_key]
-                    del inflight[victim_key]
-                    if done is not True:
-                        done.succeed()
-                if span is not None:
-                    tracer.end(span)
             self.stats.evictions += 1
             if was_dirty:
                 self.stats.dirty_evictions += 1
             if self._free > 0:
                 return
-
-    def _evict_tiered(
-        self, key: tuple[str, int], entry: _Entry, gen_at: int
-    ) -> Generator[Event, object, None]:
-        """Background eviction with the local tier on.
-
-        Brings the local tier current for the departing chunk (see
-        :meth:`_spill`), then — for dirty entries — drains the dirty
-        page ranges to the store.  The local copy is *staged* while the
-        drain is in flight: it is the durable one readers may promote
-        meanwhile, and ``mark_drained`` releases it to age out normally
-        once the store holds the bytes.
-
-        Consistency: an entry that is not fully valid (write-allocate
-        holes) must never become a resident local-tier copy — its buffer
-        is not the chunk's true contents — so those drop the key from
-        the tier instead.  The same applies when the tier is wedged full
-        of staged entries and the insert fails.
-        """
-        l2 = self._l2
-        path, index = key
-        tracer = self._engine.tracer
-        span = (
-            tracer.begin(
-                "fuse.l2", "evict",
-                path=path, index=index, dirty=entry.dirty != 0,
-            )
-            if tracer is not None
-            else None
-        )
-        try:
-            while entry.filling is not None:
-                event = entry.filling
-                if event is True:
-                    event = entry.filling = Event(self._engine)
-                yield event
-            if entry.dirty:
-                if entry.valid and self._inval_gen.get(path, 0) == gen_at:
-                    ok = yield from self._spill(key, entry, staged=True)
-                    if not ok:
-                        l2.drop(key)
-                else:
-                    l2.drop(key)
-                self._l2_unsettled.discard(key)
-                # The victim is out of ``_entries`` with ``pins == 0``:
-                # nothing can write it between the spill above and the
-                # payload snapshot the write-back takes.
-                yield from self._writeback(key, entry, None)
-                l2.mark_drained(key)
-            elif (
-                entry.valid
-                and entry.data is not None
-                and self._inval_gen.get(path, 0) == gen_at
-            ):
-                ok = yield from self._spill(key, entry, staged=False)
-                if not ok:
-                    l2.drop(key)
-            else:
-                l2.drop(key)
-        finally:
-            self._l2_unsettled.discard(key)
-            inflight = self._inflight
-            done = inflight[key]
-            del inflight[key]
-            if done is not True:
-                done.succeed()
-            if span is not None:
-                tracer.end(span)
 
     def _spill(
         self, key: tuple[str, int], entry: _Entry, *, staged: bool
@@ -559,20 +477,37 @@ class ChunkCache:
         return True
 
     def _writeback(
-        self, key: tuple[str, int], entry: _Entry,
-        span_name: str | None = "writeback",
+        self, key: tuple[str, int], entry: _Entry, gen_at: int | None = None
     ) -> Generator[Event, object, None]:
-        """Ship the entry's dirty ranges to the store.
+        """Ship the entry's dirty ranges to the store: the one routine a
+        key's write-back runs through, a flush's (no ``gen_at``) or an
+        eviction's.
 
-        Traced as ``fuse.<span_name>``; an eviction passes ``None``
-        because it already holds the span that names this write-back.
+        An eviction passes the path's invalidation generation at eviction
+        time and hands over the key's ``_inflight`` marker, which only
+        this routine finishes.  With the local tier on it first brings
+        the tier current (:meth:`_spill`): a dirty chunk's copy is
+        *staged*, the durable one readers may promote, until
+        ``mark_drained`` releases it once the store holds the bytes.  A
+        chunk with write-allocate holes (its buffer is not the chunk's
+        true contents), one whose path was invalidated since, and one the
+        tier, wedged full of staged entries, failed to insert are dropped
+        from the tier instead.
+
+        Traced as ``fuse.writeback``, or ``fuse.evict_writeback`` for an
+        eviction.
         """
         tracer = self._engine.tracer
         span = (
-            tracer.begin("fuse", span_name, path=key[0], index=key[1])
-            if tracer is not None and span_name is not None
+            tracer.begin(
+                "fuse", "writeback" if gen_at is None else "evict_writeback",
+                path=key[0], index=key[1],
+            )
+            if tracer is not None
             else None
         )
+        # The tier an eviction brings current; a flush leaves it alone.
+        l2 = self._l2 if gen_at is not None else None
         try:
             # Wait out an in-flight fill, whose merge must see the dirty
             # markers we consume (race rule 7), and the entry's previous
@@ -588,17 +523,33 @@ class ChunkCache:
                         event = entry.writeback = Event(self._engine)
                 yield event
             dirty = entry.dirty
-            if not dirty:
+            if not dirty and l2 is None:
                 return
             path, index = key
-            entry.writeback = True
-            ranges, nbytes = self._payloads(
-                entry, dirty, not self.dirty_page_writeback
-            )
-            # Clear dirtiness before yielding: writes landing while the
-            # payload is in flight re-dirty the entry and flush later.
-            entry.dirty = 0
+            if dirty:
+                # Claimed before the spill below can yield: a flush of
+                # this entry waits for the whole eviction.
+                entry.writeback = True
             try:
+                if l2 is not None:
+                    if entry.valid and self._inval_gen.get(path, 0) == gen_at:
+                        ok = yield from self._spill(key, entry, staged=dirty != 0)
+                        if not ok:
+                            l2.drop(key)
+                    else:
+                        l2.drop(key)
+                    self._l2_unsettled.discard(key)
+                    if not dirty:
+                        return
+                # An evicted entry is out of ``_entries`` with ``pins ==
+                # 0``: nothing writes it between the spill above and this
+                # snapshot.
+                ranges, nbytes = self._payloads(
+                    entry, dirty, not self.dirty_page_writeback
+                )
+                # Clear dirtiness before yielding: writes landing while the
+                # payload is in flight re-dirty the entry and flush later.
+                entry.dirty = 0
                 req = self.daemon.acquire_now()
                 if req is None:
                     req = self.daemon.request()
@@ -608,11 +559,23 @@ class ChunkCache:
                 finally:
                     self.daemon.release(req)
             finally:
-                event, entry.writeback = entry.writeback, None
-                if event is not True:
-                    event.succeed()
+                if dirty:
+                    event, entry.writeback = entry.writeback, None
+                    if event is not True:
+                        event.succeed()
             self._wrote_back(nbytes)
+            if l2 is not None:
+                l2.mark_drained(key)
         finally:
+            if gen_at is not None:
+                if l2 is not None:
+                    # A failed spill or drain settles the key too.
+                    self._l2_unsettled.discard(key)
+                inflight = self._inflight
+                done = inflight[key]
+                del inflight[key]
+                if done is not True:
+                    done.succeed()
             if span is not None:
                 tracer.end(span)
 

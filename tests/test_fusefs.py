@@ -657,18 +657,34 @@ class TestConcurrentCacheIntegrity:
 
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_an_eviction_waits_for_the_write_back_of_a_clean_victim(self, kernel):
-        """ROADMAP 6(e): ``_make_room`` dropped a clean victim whose
-        write-back (an fsync's flush) was still in flight and published no
-        marker for it, so a miss on the key refilled from the store before
-        the payload landed.  Rank 1 writes pages 1-63 of a write-allocated
-        chunk and fsyncs; while that payload is in flight rank 2 misses on
-        the file's other chunk, and the one-chunk cache evicts the entry;
-        rank 3 then rereads pages 1-63.  With two replicas written in turn
-        and the fill reading the mount's own node's one, rank 3's fill
-        read zeros there; with two daemon threads it does not queue behind
-        the write-back.  Now the eviction publishes the key's marker and
-        waits the write-back out, and the refill waits for the marker."""
+    @pytest.mark.parametrize(
+        "tiering",
+        [
+            {},
+            {"local_cache_bytes": 4 * CHUNK_SIZE},
+            {"cache_policy": "arc", "local_cache_bytes": 4 * CHUNK_SIZE},
+        ],
+        ids=["flat", "tiered", "arc-tiered"],
+    )
+    def test_an_eviction_waits_for_the_write_back_of_a_clean_victim(
+        self, tiering, kernel
+    ):
+        """ROADMAP 6(e) and 6(f): an eviction dropped a clean victim whose
+        write-back (an fsync's flush) was still in flight and unpublished
+        its marker at once, so a miss on the key refilled from the store
+        before the payload landed.  Rank 1 writes pages 1-63 of a
+        write-allocated chunk and fsyncs; while that payload is in flight
+        rank 2 misses on the file's other chunk, and the one-chunk cache
+        evicts the entry; rank 3 then rereads pages 1-63.  With two
+        replicas written in turn and the fill reading the mount's own
+        node's one, rank 3's fill read zeros there; with two daemon
+        threads it does not queue behind the write-back.  The flat
+        cache's ``_make_room`` published no marker (6(e)); with the local
+        tier on, the eviction waited out the fill but not the write-back
+        and, the chunk not being fully valid, dropped it from the tier
+        and unpublished (6(f)).  Now every eviction waits the write-back
+        out before it lets the marker go, and the refill waits for the
+        marker."""
         with KERNELS[kernel]():
             engine = Engine()
             cluster = make_small_cluster(engine)
@@ -676,7 +692,8 @@ class TestConcurrentCacheIntegrity:
             for node in cluster.nodes:
                 store.register_benefactor(Benefactor(node, contribution=16 * MiB))
             mount = FuseMount(
-                cluster.node(1), store, cache_bytes=CHUNK_SIZE, daemon_threads=2
+                cluster.node(1), store, cache_bytes=CHUNK_SIZE, daemon_threads=2,
+                **tiering,
             )
             cache = mount.cache
             assert cache.capacity_chunks == 1
@@ -712,6 +729,73 @@ class TestConcurrentCacheIntegrity:
             read_theirs, stored = run(engine, main())
         assert read_theirs == [True] * 3
         assert stored == theirs
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_a_dirty_tiered_eviction_spills_after_the_flush_in_flight(self, kernel):
+        """The local tier on: a rank fills chunk 0 and writes page 1, and
+        while its fsync's payload is in flight it rewrites page 1 and
+        misses on chunk 1, which evicts chunk 0 dirty.  The eviction's one
+        wait outlasts the flush (race rule 12) before the spill stages the
+        chunk and the rewrite ships; the store and the tier's copy both
+        end with the rewrite, and a reread promoted from the tier returns
+        it."""
+        with KERNELS[kernel]():
+            engine = Engine()
+            cluster = make_small_cluster(engine)
+            store = Manager(cluster.node(0))
+            for node in cluster.nodes:
+                store.register_benefactor(Benefactor(node, contribution=16 * MiB))
+            mount = FuseMount(
+                cluster.node(1), store, cache_bytes=CHUNK_SIZE, daemon_threads=2,
+                local_cache_bytes=4 * CHUNK_SIZE,
+            )
+            cache = mount.cache
+            key = ("/f", 0)
+            first, last = b"a" * PAGE_SIZE, b"b" * PAGE_SIZE
+            landed, spilled = [], []
+            ship, spill = cache.client.write_chunk_ranges, cache._spill
+
+            def recording_ship(path, index, ranges):
+                yield from ship(path, index, ranges)
+                landed.append(engine.now)
+
+            def recording_spill(key, entry, *, staged):
+                spilled.append((key[1], engine.now, staged))
+                return (yield from spill(key, entry, staged=staged))
+
+            cache.client.write_chunk_ranges = recording_ship
+            cache._spill = recording_spill
+
+            def main():
+                fd = yield from mount.open(
+                    "/f", OpenFlags.O_RDWR | OpenFlags.O_CREAT, size=2 * CHUNK_SIZE
+                )
+                yield from mount.pread(fd, 0, 1)  # a filled, valid chunk 0
+                yield from mount.pwrite(fd, PAGE_SIZE, first)
+                syncing = engine.process(mount.fsync(fd))
+                while not cache._entries[key].writeback:
+                    yield engine.timeout(1e-7)
+                yield from mount.pwrite(fd, PAGE_SIZE, last)
+                yield from mount.pread(fd, CHUNK_SIZE, 1)  # evicts chunk 0
+                yield syncing
+                staged = cache.local_tier._entries[key].data
+                copy = bytes(staged[PAGE_SIZE : 2 * PAGE_SIZE])
+                promotes = cache.stats.l2_fills
+                reread = yield from mount.pread(fd, PAGE_SIZE, PAGE_SIZE)
+                promoted = cache.stats.l2_fills - promotes
+                fresh = FuseMount(cluster.node(3), store, cache_bytes=1 * MiB)
+                fd = yield from fresh.open("/f", OpenFlags.O_RDONLY)
+                stored = yield from fresh.pread(fd, PAGE_SIZE, PAGE_SIZE)
+                return copy, bytes(reread), promoted, bytes(stored)
+
+            copy, reread, promoted, stored = run(engine, main())
+        # Chunk 0 staged, then chunk 1 spilled clean by the reread's miss.
+        assert [(index, staged) for index, _, staged in spilled] == [
+            (0, True), (1, False),
+        ]
+        assert len(landed) == 2 and spilled[0][1] >= landed[0]
+        assert (copy, reread, stored) == (last, last, last)
+        assert promoted == 1
 
 
 class TestFailedFillUnpins:

@@ -37,7 +37,10 @@
   from ``ChunkCache._writeback``, and ``ChunkCache.write_ranges`` in
   ``mem/pagecache.py`` only from ``PageCache._insert`` (the eviction
   flush) and ``PageCache.sync_path`` (msync), each of which waits out the
-  key's previous write-back before it snapshots.
+  key's previous write-back before it snapshots.  The chunk cache's
+  eviction is that one routine too: ``_spill`` and the tier's
+  ``mark_drained`` are called, and a key's ``_inflight`` marker is
+  deleted, only in ``ChunkCache._writeback``.
 - The store client's data path reads the manager's file table in place
   (``files[name] if name in files else manager.lookup(name)``): a chunk
   fetch or write-back calls ``Manager.lookup`` only to raise the typed
@@ -493,31 +496,84 @@ def test_only_the_kernel_reads_a_degrade_window():
     }
 
 
-#: Each cache's write-back call and the functions that may make it.
-WRITE_BACK_CALLERS = {
-    Path("fusefs") / "cache.py": ("write_chunk_ranges", {"ChunkCache._writeback"}),
-    Path("mem") / "pagecache.py": (
+#: Each cache's write-back calls, one name a row, and the functions that
+#: may make them; in the chunk cache an eviction's spill into the local
+#: tier and the release of its staged copy are write-back calls too.
+CHUNK_CACHE = Path("fusefs") / "cache.py"
+WRITE_BACK_CALLERS = (
+    (CHUNK_CACHE, "write_chunk_ranges", {"ChunkCache._writeback"}),
+    (CHUNK_CACHE, "_spill", {"ChunkCache._writeback"}),
+    (CHUNK_CACHE, "mark_drained", {"ChunkCache._writeback"}),
+    (
+        Path("mem") / "pagecache.py",
         "write_ranges", {"PageCache._insert", "PageCache.sync_path"},
     ),
-}
+)
+
+
+def deletion_sites(tree, path, name):
+    """``{"path:Class.function"}`` for every ``del table[key]`` and
+    ``table.pop(...)`` whose table is the attribute ``name`` or a local
+    bound to it in the same function."""
+    found = set()
+
+    def is_table(node, aliases):
+        return (isinstance(node, ast.Attribute) and node.attr == name) or (
+            isinstance(node, ast.Name) and node.id in aliases
+        )
+
+    def visit(node, scope, aliases):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+            aliases = {
+                target.id
+                for stmt in ast.walk(node)
+                if isinstance(stmt, ast.Assign) and is_table(stmt.value, ())
+                for target in stmt.targets
+                if isinstance(target, ast.Name)
+            }
+        if isinstance(node, ast.Delete) and any(
+            isinstance(target, ast.Subscript) and is_table(target.value, aliases)
+            for target in node.targets
+        ):
+            found.add(f"{path}:{scope}")
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop"
+            and is_table(node.func.value, aliases)
+        ):
+            found.add(f"{path}:{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, aliases)
+
+    visit(tree, "<module>", set())
+    return found
 
 
 def test_each_cache_writes_a_key_back_from_its_write_back_sites():
-    for path, (name, sites) in WRITE_BACK_CALLERS.items():
+    for path, name, sites in WRITE_BACK_CALLERS:
         tree = ast.parse((SRC / path).read_text())
         assert attribute_sites(tree, path, (name,)) == {
             f"{path}:{site}" for site in sites
-        }
+        }, name
+    tree = ast.parse((SRC / CHUNK_CACHE).read_text())
+    assert deletion_sites(tree, CHUNK_CACHE, "_inflight") == {
+        f"{CHUNK_CACHE}:ChunkCache._writeback"
+    }
 
 
 def test_the_write_back_guard_rejects_a_second_path():
-    """The rule above on the shapes it must reject: a flush helper beside
-    the eviction, and a ship from inside msync's lazy range generator."""
-    for source, found in (
+    """The rules above on the shapes they must reject: a flush helper
+    beside the eviction, a ship from inside msync's lazy range generator,
+    a second eviction routine that spills, and a marker finished outside
+    the write-back, through a local or in place."""
+    for source, name, found in (
         (
             "class PageCache:\n"
             "    def _flush(self):\n"
             "        yield from self.mount.cache.write_ranges(p, 0, r)\n",
+            "write_ranges",
             {"x.py:PageCache._flush"},
         ),
         (
@@ -525,10 +581,32 @@ def test_the_write_back_guard_rejects_a_second_path():
             "    def sync_path(self):\n"
             "        def _ranges():\n"
             "            yield from cache.write_ranges(p, 0, r)\n",
+            "write_ranges",
             {"x.py:PageCache.sync_path._ranges"},
         ),
+        (
+            "class ChunkCache:\n"
+            "    def _evict_tiered(self, key, entry):\n"
+            "        ok = yield from self._spill(key, entry, staged=False)\n",
+            "_spill",
+            {"x.py:ChunkCache._evict_tiered"},
+        ),
     ):
-        assert attribute_sites(ast.parse(source), "x.py", ("write_ranges",)) == found
+        assert attribute_sites(ast.parse(source), "x.py", (name,)) == found
+    for source in (
+        "class ChunkCache:\n"
+        "    def _make_room(self):\n"
+        "        inflight = self._inflight\n"
+        "        del inflight[key]\n",
+        "class ChunkCache:\n"
+        "    def _make_room(self):\n"
+        "        done = self._inflight.pop(key)\n",
+    ):
+        assert deletion_sites(ast.parse(source), "x.py", "_inflight") == {
+            "x.py:ChunkCache._make_room"
+        }, source
+    kept = "class ChunkCache:\n    def _load(self):\n        inflight[key] = True\n"
+    assert deletion_sites(ast.parse(kept), "x.py", "_inflight") == set()
 
 
 #: The store client's data-path functions, which read the file table in

@@ -77,29 +77,21 @@ def test_faults_retry_failover_replica_share_one_trace(restore_tracing):
 #: --trace-out OUT.json``.  A change that moves one re-pins it and says
 #: which spans moved.
 TRACE_PINS = {
-    "cache_tiering": "1f1ced31690061df91066d3fcbee2f65e7688910cc8010f69dc0d25440fdcb54",
-    "faults": "031aa6ee25b34c29414dc2b75c79fb4083a9e01eed2b3eeb3a2026c18e53bb0e",
-    "ckpt_lifecycle": "33cf6848b3414cfd72cef4ae2db2f34b24c831664d3c14202eecce6664e13649",
+    "cache_tiering": "f1a1d3a8a9262638c3664b56e080e2cfa0abcbf5f1882e5413f57e0683f1b0ab",
+    "faults": "32b09501862428b848905ed7e4f2576bb7cb4fc1a63c752c0f1531980d049ec2",
+    "ckpt_lifecycle": "fe253033a12d89f25b279eeba7bb36f08d5294022b8509157d52a53f94f0ac0e",
 }
 
 
 def _source_spans():
     """Every ``(layer, name)`` a ``tracer.begin`` / ``tracer.wrap`` call in
     ``src/repro`` can open: literal names, both arms of a conditional
-    name, a name parameter's default, and a ``span.name = "..."``
-    rename in the same function."""
+    name, and a ``span.name = "..."`` rename in the same function."""
     found = set()
     for path in Path(repro.__file__).parent.rglob("*.py"):
         for func in ast.walk(ast.parse(path.read_text())):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            params = func.args.args + func.args.kwonlyargs
-            defaults = dict(
-                zip([a.arg for a in func.args.args][::-1], func.args.defaults[::-1])
-            )
-            defaults.update(
-                (a.arg, d) for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults)
-            )
             layers, names = set(), set()
             for node in ast.walk(func):
                 if (
@@ -113,9 +105,6 @@ def _source_spans():
                     layers.add(layer.value)
                     if isinstance(name, ast.IfExp):
                         names.update((name.body.value, name.orelse.value))
-                    elif isinstance(name, ast.Name):
-                        assert name.id in {a.arg for a in params}
-                        names.add(defaults[name.id].value)
                     else:
                         names.add(name.value)
                 elif (
@@ -146,5 +135,5 @@ def test_traces_are_pinned_and_cover_every_span(tmp_path, restore_tracing):
             for span in tracer.spans
         )
     source = _source_spans()
-    assert len(source) == 27
+    assert len(source) == 26
     assert seen == source
