@@ -64,8 +64,8 @@ class CheckpointRecord:
     bytes_linked: int = 0
     # Epoch-chain accounting: how this epoch was taken ("incremental",
     # "full" or "async"), the committed epoch it chains to, and how many
-    # of the variables' chunks were dirty since that parent (the rest
-    # were linked without any data movement).
+    # of the variables' chunks this epoch copied into its own file (the
+    # rest it linked without any data movement).
     mode: str = "incremental"
     parent: int | None = None
     dirty_chunks: int = 0
@@ -99,8 +99,9 @@ class Checkpointer:
     The *record* of a checkpoint is the manager's (from commit on its epoch
     record carries the :class:`CheckpointRecord` built here), so any context
     on any node can restore, drain or delete what another one took.  Kept
-    here are only this context's chain-diff caches: a context without them
-    (a cold restart, another node) takes its first epoch of a chain in full.
+    here is only this context's async chain state: a context without it
+    (a cold restart, another node) takes its first async epoch of a chain
+    in full.
     """
 
     def __init__(self, lib: "NVMalloc") -> None:
@@ -113,11 +114,6 @@ class Checkpointer:
         self.pagecache = lib.pagecache
         self.metrics = lib.metrics
         self.chunk_size = lib.chunk_size
-        # (tag, section label) -> the chunk ids frozen into the last
-        # epoch of the chain (None marks a chunk whose snapshot went to a
-        # fresh checkpoint chunk, i.e. always dirty next time).  Drives
-        # the dirty-chunk diff of incremental/async checkpoints.
-        self._last_epoch_chunks: dict[tuple[str, str], list[int | None]] = {}
         # Async chain state: per backing path, a write hook recording the
         # chunks touched since the last async epoch's initiation; per
         # (tag, section label), the chunk ids of the last async epoch
@@ -267,10 +263,9 @@ class Checkpointer:
                 variable = var_map[name]
                 backing = variable.backing_path
                 live_ids = list(self.manager.lookup(backing).chunk_ids)
-                dirty = (self._touched_chunks if background else self._dirty_chunks)(
-                    tag, name, backing, live_ids
-                )
-                record.dirty_chunks += len(dirty)
+                if background:
+                    dirty = self._touched_chunks(tag, name, backing, live_ids)
+                    record.dirty_chunks += len(dirty)
                 record.total_chunks += len(live_ids)
                 if mode == "incremental":
                     # Flush app-side caches so the store holds current bytes
@@ -281,11 +276,6 @@ class Checkpointer:
                     offset = self.manager.lookup(path).num_chunks * self.chunk_size
                     self.manager.link_chunks(path, backing)
                     record.bytes_linked += variable.nbytes
-                    # Freeze the post-flush chunk ids: these are exactly the
-                    # ids the epoch linked.
-                    self._last_epoch_chunks[(tag, name)] = list(
-                        self.manager.lookup(backing).chunk_ids
-                    )
                     linked = True
                 else:
                     # One metadata round trip covers the layout ops.
@@ -309,9 +299,7 @@ class Checkpointer:
                             data = yield from self.pagecache.read(backing, rel, piece)
                             yield from self.mount.pwrite(fd, offset + rel, data)
                         record.bytes_written += variable.nbytes
-                        # A full epoch shares nothing: the next incremental
-                        # diff has no frozen ids to compare against.
-                        self._last_epoch_chunks.pop((tag, name), None)
+                        record.dirty_chunks += len(live_ids)
                         linked = False
                 record.sections.append(
                     CheckpointSection(name, offset, variable.nbytes, linked)
@@ -338,30 +326,6 @@ class Checkpointer:
         self.manager.commit_epoch(record.tag, record.timestep, record)
         self.metrics.add("nvmalloc.checkpoint.bytes_written", record.bytes_written)
         self.metrics.add("nvmalloc.checkpoint.bytes_linked", record.bytes_linked)
-
-    def _dirty_chunks(
-        self, tag: str, label: str, backing: str, live_ids: list[int]
-    ) -> set[int]:
-        """Chunk indices of a variable that changed since the last epoch.
-
-        A chunk is dirty when (a) no prior epoch froze it (first epoch,
-        or its last snapshot went to a fresh checkpoint chunk), (b) the
-        live chunk id diverged from the frozen one (a flush already
-        copy-on-wrote it), or (c) either client cache holds unflushed
-        dirty bytes for it.  Pure metadata — no simulated events.
-        """
-        num = len(live_ids)
-        prev = self._last_epoch_chunks.get((tag, label))
-        if prev is None:
-            return set(range(num))
-        dirty = {
-            i
-            for i in range(num)
-            if i >= len(prev) or prev[i] is None or prev[i] != live_ids[i]
-        }
-        dirty |= self.pagecache.dirty_chunk_indices(backing, self.chunk_size)
-        dirty |= self.mount.cache.dirty_chunk_indices(backing)
-        return {i for i in dirty if i < num}
 
     def _touched_chunks(
         self, tag: str, label: str, backing: str, live_ids: list[int]
@@ -410,7 +374,6 @@ class Checkpointer:
         first_chunk = meta.num_chunks
         chunk_lengths: dict[int, int] = {}
         file_offsets: dict[int, int] = {}
-        frozen: list[int | None] = []
         for i in range(num_chunks):
             length_i = min(self.chunk_size, variable.nbytes - i * self.chunk_size)
             if i in dirty:
@@ -418,16 +381,13 @@ class Checkpointer:
                     path, length_i, client=self.node.name
                 )
                 chunk_lengths[i] = length_i
-                frozen.append(None)
             else:
                 assert prev_file is not None
                 self.manager.link_chunk(path, prev_file[i], length_i)
                 record.bytes_linked += length_i
-                frozen.append(prev_file[i])
         # The new epoch file's chunks for this section are the next
         # epoch's link targets.
         self._epoch_file_chunks[(record.tag, label)] = meta.chunk_ids[first_chunk:]
-        self._last_epoch_chunks[(record.tag, label)] = frozen
         guard = SnapshotGuard(
             self.engine,
             self.pagecache,

@@ -43,7 +43,6 @@ class SSD(StorageDevice):
         if capacity is not None:
             spec = spec.scaled(capacity=capacity)
         super().__init__(engine, spec, name=name, metrics=metrics)
-        self.track_ftl = track_ftl
         self.ftl: FlashTranslationLayer | None = None
         #: Usable bytes (after FTL overprovisioning, when tracked); the
         #: FTL geometry never changes, so this is fixed here.

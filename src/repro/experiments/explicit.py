@@ -33,7 +33,6 @@ from repro.util.units import KiB, MiB
 
 SWEEP_ELEMENTS = 1 << 20  # 8 MiB
 HOT_ELEMENTS = 1 << 16  # 512 KiB
-HOT_PASSES = 30
 BLOCK = 1 << 13
 
 

@@ -1,10 +1,10 @@
 """Checkpoint-lifecycle experiment: chains, async drain, crash-restart.
 
 Runs the checkpoint loop in three flavours — ``full`` (physical copy
-every epoch), ``incremental`` (the chain: dirty chunks written, the rest
-linked to the prior epoch), and ``async`` (CoW snapshot + background
-drain) — at replication r ∈ {1, 2}, then replays the interesting legs
-under seeded faults:
+every epoch), ``incremental`` (dirty pages flushed, every chunk linked:
+the store's copy-on-write keeps the chain), and ``async`` (CoW snapshot
++ background drain) — at replication r ∈ {1, 2}, then replays the
+interesting legs under seeded faults:
 
 - **mid-checkpoint crash at r=2** (incremental and async): the epoch must
   ride through on the client's retry/failover path and a cold-cache
@@ -81,8 +81,6 @@ class _LegOutcome:
     restore_seconds: float
     bytes_written: float
     bytes_linked: float
-    dirty_chunks: int
-    total_chunks: int
     cow_captures: int
     chain_length: int
     gc_reclaimed: float
@@ -160,8 +158,6 @@ def _lifecycle_rank(
     expected: list[bytes] = []
     bytes_written = 0.0
     bytes_linked = 0.0
-    dirty_chunks = 0
-    total_chunks = 0
     cow_captures = 0
     loop_start = engine.now
     for t in range(config.timesteps):
@@ -176,8 +172,6 @@ def _lifecycle_rank(
         windows[f"ckpt{t}"] = (start, engine.now)
         bytes_written += record.bytes_written
         bytes_linked += record.bytes_linked
-        dirty_chunks += record.dirty_chunks
-        total_chunks += record.total_chunks
         cow_captures += cow
     ckpt_seconds = engine.now - loop_start
 
@@ -251,8 +245,6 @@ def _lifecycle_rank(
         "restore_seconds": restore_seconds,
         "bytes_written": bytes_written,
         "bytes_linked": bytes_linked,
-        "dirty_chunks": dirty_chunks,
-        "total_chunks": total_chunks,
         "cow_captures": cow_captures,
         "restored_epoch": restored_epoch,
         "fallback": fallback,
@@ -316,8 +308,6 @@ def _run_leg(
         restore_seconds=float(outcome.get("restore_seconds", 0.0)),
         bytes_written=float(outcome.get("bytes_written", 0.0)),
         bytes_linked=float(outcome.get("bytes_linked", 0.0)),
-        dirty_chunks=int(outcome.get("dirty_chunks", 0)),
-        total_chunks=int(outcome.get("total_chunks", 0)),
         cow_captures=int(outcome.get("cow_captures", 0)),
         chain_length=manager.chain_length(_TAG),
         gc_reclaimed=metrics.value("store.manager.gc_reclaimed_bytes"),

@@ -226,7 +226,6 @@ class ChunkCache:
         self.readahead_chunks = readahead_chunks
         self.metrics = client.metrics
         self.stats = CacheStats()
-        self.policy_name = policy
         # None for "lru": plain LRU is the entry dict's own order, so the
         # default path keeps its inline victim scan with zero hook cost.
         self._policy = make_policy(policy, self.capacity_chunks)
@@ -312,19 +311,6 @@ class ChunkCache:
     def prefetcher(self) -> PatternPrefetcher | None:
         """The adaptive pattern detector (None in fixed mode)."""
         return self._prefetcher
-
-    def dirty_chunk_indices(self, path: str) -> set[int]:
-        """Chunk indices of ``path`` with unflushed dirty ranges.
-
-        Pure metadata (no events): used by incremental checkpoints to
-        find chunks whose store copy is behind the cached view.
-        """
-        entries = self._entries
-        dirty: list[int] = []
-        for key in entries:
-            if key[0] == path and entries[key].dirty:
-                dirty += (key[1],)
-        return set(dirty)
 
     # ------------------------------------------------------------------
     # Core access

@@ -149,30 +149,25 @@ class LocalCacheTier:
     def put(
         self, key: tuple[str, int], data: bytes, *, staged: bool = False
     ) -> Generator[Event, object, bool]:
-        """Insert (or overwrite) ``key`` with ``data``; charge the write.
+        """Insert ``key``, which the tier does not hold, with ``data``;
+        charge the write.  A chunk the tier already shadows is brought
+        current with :meth:`patch` or :meth:`touch` instead.
 
         Returns False when the tier is wedged full of staged entries and
         the chunk could not be inserted — the caller must then make sure
-        no stale copy of ``key`` lingers (an overwrite never fails).
+        no stale copy of ``key`` lingers.
         """
-        existing = self._entries.get(key)
-        if existing is None:
-            while len(self._entries) >= self.capacity_chunks:
-                victim = None
-                for vkey, ventry in self._entries.items():
-                    if not ventry.staged:
-                        victim = vkey
-                        break
-                if victim is None:
-                    return False
-                del self._entries[victim]
-            yield from self.device.access(AccessKind.WRITE, len(data))
-            self._entries[key] = _L2Entry(bytearray(data), staged)
-            return True
+        while len(self._entries) >= self.capacity_chunks:
+            victim = None
+            for vkey, ventry in self._entries.items():
+                if not ventry.staged:
+                    victim = vkey
+                    break
+            if victim is None:
+                return False
+            del self._entries[victim]
         yield from self.device.access(AccessKind.WRITE, len(data))
-        existing.data = bytearray(data)
-        existing.staged = staged
-        self._entries.move_to_end(key)
+        self._entries[key] = _L2Entry(bytearray(data), staged)
         return True
 
     def mark_drained(self, key: tuple[str, int]) -> None:

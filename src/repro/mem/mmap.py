@@ -52,7 +52,6 @@ class MmapRegion:
         self.pagecache = pagecache
         self.path = path
         self.length = length
-        self.prot = prot
         # Decided once: a Flag ``&`` per access is three interpreter calls.
         self._readable = bool(prot & Protection.PROT_READ)
         self._writable = bool(prot & Protection.PROT_WRITE)

@@ -613,20 +613,6 @@ class PageCache:
         if not self._write_hooks[path]:
             del self._write_hooks[path]
 
-    def dirty_chunk_indices(self, path: str, chunk_size: int) -> set[int]:
-        """Chunk indices of ``path`` covered by at least one dirty page.
-
-        Pure metadata (no events): used by incremental checkpoints to
-        find chunks whose store copy is behind the mapped view.
-        """
-        pages = self._pages
-        pages_per_chunk = max(1, chunk_size // self.page_size)
-        dirty: list[int] = []
-        for key in pages:
-            if key[0] == path and pages[key].dirty:
-                dirty += (key[1] // pages_per_chunk,)
-        return set(dirty)
-
     def sync_path(self, path: str) -> Generator[Event, object, None]:
         """Flush all dirty pages of ``path`` to FUSE (msync).
 

@@ -5,6 +5,7 @@
   to trace microseconds, each exported tracer becomes one "process" and
   each layer one "thread".
 - :func:`latency_summary` — per-(layer, op) virtual-latency percentiles.
+- :func:`percentile` — the nearest-rank percentile every latency fold uses.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import json
 from repro.obs.tracer import Span, Tracer
 
 
-def _percentile(durations: list[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample list."""
-    if not durations:
+def percentile(sorted_values: list[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending-sorted sample (0 if empty)."""
+    if not sorted_values:
         return 0.0
-    rank = min(len(durations) - 1, max(0, int(q * len(durations))))
-    return durations[rank]
+    rank = min(len(sorted_values) - 1, max(0, int(q * len(sorted_values))))
+    return sorted_values[rank]
 
 
 def latency_summary(
@@ -34,9 +35,9 @@ def latency_summary(
         durations = sorted(buckets[key])
         summary[key] = {
             "count": float(len(durations)),
-            "p50": _percentile(durations, 0.50),
-            "p95": _percentile(durations, 0.95),
-            "p99": _percentile(durations, 0.99),
+            "p50": percentile(durations, 0.50),
+            "p95": percentile(durations, 0.95),
+            "p99": percentile(durations, 0.99),
             "max": durations[-1],
             "total": sum(durations),
         }

@@ -46,7 +46,6 @@ class Communicator:
         self._inboxes: dict[tuple[int, int, int], Channel] = {}
         self._barrier_count = 0
         self._barrier_waiters: list[Event] = []
-        self._barrier_generation = 0
 
     @property
     def size(self) -> int:
@@ -216,7 +215,6 @@ class Communicator:
         self._barrier_count += 1
         if self._barrier_count == self.size:
             self._barrier_count = 0
-            self._barrier_generation += 1
             waiters, self._barrier_waiters = self._barrier_waiters, []
             for event in waiters:
                 event.succeed(None)

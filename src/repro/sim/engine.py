@@ -55,7 +55,7 @@ class Engine:
 
     __slots__ = (
         "now", "_heap", "_ring", "_seq", "_events",
-        "_active_processes", "tracer", "_horizon", "_stop", "_fanout",
+        "tracer", "_horizon", "_stop", "_fanout",
     )
 
     def __init__(self) -> None:
@@ -66,7 +66,6 @@ class Engine:
         self._ring: deque[Event] = deque()
         self._seq = 0
         self._events = 0
-        self._active_processes = 0
         # For ``advance``, ``hold`` and ``Resource.acquire_now``: how far
         # the running ``run()`` may move the clock (``-inf``: none is
         # running), the event it stops at, and whether the event in

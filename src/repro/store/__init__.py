@@ -12,7 +12,7 @@ directly to/from the owning benefactor.  Payload bytes are real; device and
 network time is charged through the simulation substrate.
 """
 
-from repro.store.chunk import CHUNK_SIZE, PAGE_SIZE, ChunkLocation, chunk_count
+from repro.store.chunk import CHUNK_SIZE, PAGE_SIZE, chunk_count
 from repro.store.benefactor import Benefactor
 from repro.store.manager import FileMeta, Manager
 from repro.store.client import (
@@ -30,7 +30,6 @@ from repro.store.striping import (
 __all__ = [
     "Benefactor",
     "CHUNK_SIZE",
-    "ChunkLocation",
     "FileMeta",
     "LocalFirstStriping",
     "Manager",

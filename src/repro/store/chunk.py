@@ -7,13 +7,10 @@ network round trips; the OS page cache and the FUSE dirty-tracking work at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.util.units import KiB
 
 CHUNK_SIZE: int = 256 * KiB
 PAGE_SIZE: int = 4 * KiB
-PAGES_PER_CHUNK: int = CHUNK_SIZE // PAGE_SIZE  # 64
 
 # Size of a control (RPC) message between client, manager, and benefactor.
 CONTROL_MESSAGE_BYTES: int = 256
@@ -24,11 +21,3 @@ def chunk_count(size: int, chunk_size: int = CHUNK_SIZE) -> int:
     if size < 0:
         raise ValueError(f"negative size {size}")
     return (size + chunk_size - 1) // chunk_size
-
-
-@dataclass(frozen=True)
-class ChunkLocation:
-    """Where one chunk of a logical file lives."""
-
-    chunk_id: int
-    benefactor: str  # benefactor (node) name

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.obs.export import percentile
 from repro.traffic.arrivals import OP_CKPT, OP_READ, OP_WRITE
 
 #: Human-readable operation names, indexed by schedule op code.
@@ -49,14 +50,6 @@ class RequestRecord:
         """Virtual seconds from scheduled arrival to completion,
         queueing delay included."""
         return self.completion - self.arrival
-
-
-def percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted sample (0 if empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = min(len(sorted_values) - 1, max(0, int(q * len(sorted_values))))
-    return sorted_values[rank]
 
 
 @dataclass(frozen=True)

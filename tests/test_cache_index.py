@@ -42,6 +42,25 @@ CHUNKS_PER_PATH = 3
 ALL_CHUNKS = set(range(CHUNKS_PER_PATH))
 
 
+def dirty_chunks(cache, path):
+    """The chunk indices of ``path`` the chunk cache holds dirty."""
+    return {
+        index
+        for (p, index), entry in cache._entries.items()
+        if p == path and entry.dirty
+    }
+
+
+def dirty_page_chunks(pagecache, path):
+    """The chunk indices of ``path`` the page cache holds a dirty page of."""
+    per_chunk = CHUNK_SIZE // PAGE_SIZE
+    return {
+        index // per_chunk
+        for (p, index), page in pagecache._pages.items()
+        if p == path and page.dirty
+    }
+
+
 def _populate_chunk_cache(engine, mount):
     """Dirty CHUNKS_PER_PATH chunks of every path in the chunk cache."""
     for name in PATHS:
@@ -62,9 +81,9 @@ class TestChunkCacheVisitsOnlyItsPath:
         cache = mount.cache
         run(engine, cache.flush_path(PATHS[0]))
         assert len(cache._entries) == len(PATHS) * CHUNKS_PER_PATH
-        assert cache.dirty_chunk_indices(PATHS[0]) == set()
+        assert dirty_chunks(cache, PATHS[0]) == set()
         for other in PATHS[1:]:
-            assert cache.dirty_chunk_indices(other) == ALL_CHUNKS
+            assert dirty_chunks(cache, other) == ALL_CHUNKS
 
     def test_invalidate_path_skips_other_paths(self, engine, mount):
         _populate_chunk_cache(engine, mount)
@@ -74,7 +93,7 @@ class TestChunkCacheVisitsOnlyItsPath:
         assert remaining == {PATHS[0], PATHS[2]}
         assert len(cache._entries) == 2 * CHUNKS_PER_PATH
         for other in (PATHS[0], PATHS[2]):
-            assert cache.dirty_chunk_indices(other) == ALL_CHUNKS
+            assert dirty_chunks(cache, other) == ALL_CHUNKS
 
     def test_invalidate_path_gives_its_slots_back(self, engine, mount):
         """The cache counts its free slots (``_free``, capacity less
@@ -160,10 +179,10 @@ class TestPageCacheVisitsOnlyItsPath:
         assert remaining == {PATHS[1], PATHS[2]}
         assert len(pagecache._pages) == 2 * self.PAGES_PER_PATH
         # The dropped path was synced first; the others are still dirty.
-        assert mount.cache.dirty_chunk_indices(PATHS[0]) == {0}
+        assert dirty_chunks(mount.cache, PATHS[0]) == {0}
         for other in PATHS[1:]:
-            assert pagecache.dirty_chunk_indices(other, CHUNK_SIZE) == {0}
-            assert mount.cache.dirty_chunk_indices(other) == set()
+            assert dirty_page_chunks(pagecache, other) == {0}
+            assert dirty_chunks(mount.cache, other) == set()
 
     def test_drop_path_gives_its_slots_back(self, engine, mount):
         """As ``invalidate_path`` above, for munmap: kills a dropped
@@ -198,7 +217,7 @@ class TestPageCacheVisitsOnlyItsPath:
         assert len(pagecache._pages) == len(PATHS) * self.PAGES_PER_PATH
         dirty = {path for (path, _), page in pagecache._pages.items() if page.dirty}
         assert dirty == {PATHS[0], PATHS[1]}
-        assert pagecache.dirty_chunk_indices(PATHS[2], CHUNK_SIZE) == set()
+        assert dirty_page_chunks(pagecache, PATHS[2]) == set()
 
     def test_hits_reorder_the_lru_and_msync_ships_in_lru_order(
         self, engine, mount

@@ -117,18 +117,35 @@ class TestCheckpointModes:
         assert inc.bytes_linked == 4 * CHUNK_SIZE
         assert full.bytes_linked == 0
 
-    def test_dirty_chunk_accounting(self, engine, nvmalloc):
+    @staticmethod
+    def _two_epochs(engine, nvmalloc, **kwargs):
         def proc():
             var = yield from nvmalloc.ssdmalloc(4 * CHUNK_SIZE)
             yield from var.write(0, b"y" * (4 * CHUNK_SIZE))
-            first = yield from nvmalloc.ssdcheckpoint("app", 0, b"", [("v", var)])
+            first = yield from nvmalloc.ssdcheckpoint(
+                "app", 0, b"", [("v", var)], **kwargs
+            )
             yield from var.write(2 * CHUNK_SIZE, b"one chunk")
-            second = yield from nvmalloc.ssdcheckpoint("app", 1, b"", [("v", var)])
+            second = yield from nvmalloc.ssdcheckpoint(
+                "app", 1, b"", [("v", var)], **kwargs
+            )
             return first, second
 
-        first, second = run(engine, proc())
+        return run(engine, proc())
+
+    def test_dirty_chunk_accounting(self, engine, nvmalloc):
+        """``dirty_chunks`` counts the chunks an epoch copied into its own
+        file: a synchronous epoch in the default (incremental) mode links
+        every chunk, whatever was written in between."""
+        first, second = self._two_epochs(engine, nvmalloc)
+        assert (first.dirty_chunks, first.total_chunks) == (0, 4)
+        assert (second.dirty_chunks, second.total_chunks) == (0, 4)
+
+    def test_dirty_chunk_accounting_full_mode(self, engine, nvmalloc):
+        """A ``full`` epoch copies every chunk, so all of them count."""
+        first, second = self._two_epochs(engine, nvmalloc, mode="full")
         assert (first.dirty_chunks, first.total_chunks) == (4, 4)
-        assert (second.dirty_chunks, second.total_chunks) == (1, 4)
+        assert (second.dirty_chunks, second.total_chunks) == (4, 4)
 
     def test_unknown_mode_rejected(self, engine, nvmalloc):
         with pytest.raises(CheckpointError, match="unknown checkpoint mode"):

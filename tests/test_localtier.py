@@ -86,7 +86,7 @@ class TestTierBookkeeping:
             patch_t = yield from timed(
                 tier.patch(("/f", 0), [(0, b"x" * PAGE_SIZE)])
             )
-            put_t = yield from timed(tier.put(("/f", 0), chunk_of(1)))
+            put_t = yield from timed(tier.put(("/f", 1), chunk_of(1)))
             return patch_t, put_t
 
         patch_t, put_t = run(engine, proc())

@@ -45,6 +45,11 @@
   (``files[name] if name in files else manager.lookup(name)``): a chunk
   fetch or write-back calls ``Manager.lookup`` only to raise the typed
   error of a missing file.
+- No attribute is only written.  Every ``self.<name>`` that ``src/repro``
+  stores is read somewhere in the program or in what drives it (tests,
+  bench, examples, tools, benchmarks): as an attribute load, or as a
+  string constant outside a ``__slots__`` literal (a ``getattr`` name).
+  A slot or attribute nobody reads is state kept for no one.
 """
 
 import ast
@@ -665,3 +670,72 @@ def test_the_lookup_guard_rejects_a_lookup_on_the_data_path():
         ) == {"read_chunk:2"}, source
     kept = "def read_chunk(self, name):\n    return files[name] if name in files else m.lookup(name)"
     assert lookups_outside_the_raise_arm(ast.parse(kept), CLIENT_DATA_PATH) == set()
+
+
+#: The trees whose reads keep an attribute alive, relative to the repo.
+READERS = ("tests", "bench", "examples", "tools", "benchmarks")
+
+
+def self_stores(tree, path):
+    """``{name: "path:lineno"}`` for every ``self.<name>`` a module stores
+    (an augmented assignment counts as a store, not a read)."""
+    return {
+        target.attr: f"{path}:{target.lineno}"
+        for node in ast.walk(tree)
+        for target in _targets(node)
+        if isinstance(target.value, ast.Name) and target.value.id == "self"
+    }
+
+
+def attribute_reads(tree):
+    """Every name a module reads: attribute loads, and string constants
+    outside a ``__slots__`` literal."""
+    slots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            slots.update(id(child) for child in ast.walk(node.value))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in slots
+        ):
+            names.add(node.value)
+    return names
+
+
+def test_no_attribute_is_only_written():
+    root = Path(__file__).resolve().parent.parent
+    stored, read = {}, set()
+    for path, tree in _trees():
+        stored.update(self_stores(tree, path))
+        read |= attribute_reads(tree)
+    for reader in READERS:
+        for path in sorted((root / reader).rglob("*.py")):
+            read |= attribute_reads(ast.parse(path.read_text()))
+    only_written = {name: site for name, site in stored.items() if name not in read}
+    assert only_written == {}
+
+
+def test_the_attribute_guard_rejects_a_write_only_slot():
+    """The rule above on the shapes it must tell apart: a slot named only
+    in ``__slots__`` and bumped in place is write-only; one read by
+    ``getattr`` or by an attribute load is not."""
+    tree = ast.parse(
+        "class A:\n"
+        "    __slots__ = ('kept', 'bumped', 'named')\n"
+        "    def __init__(self):\n"
+        "        self.kept = self.bumped = self.named = 0\n"
+        "        self.bumped += 1\n"
+        "    def get(self):\n"
+        "        return self.kept, getattr(self, 'named')\n"
+    )
+    stored = self_stores(tree, "x.py")
+    read = attribute_reads(tree)
+    assert sorted(stored) == ["bumped", "kept", "named"]
+    assert {name for name in stored if name not in read} == {"bumped"}
