@@ -4,13 +4,13 @@ Runs the checkpoint loop in three flavours — ``full`` (physical copy
 every epoch), ``incremental`` (dirty pages flushed, every chunk linked:
 the store's copy-on-write keeps the chain), and ``async`` (CoW snapshot
 + background drain) — at replication r ∈ {1, 2}, then replays the
-interesting legs under seeded faults:
+interesting legs under faults:
 
-- **mid-checkpoint crash at r=2** (incremental and async): the epoch must
+- **crash at a checkpoint, r=2** (incremental and async): the epoch must
   ride through on the client's retry/failover path and a cold-cache
   restart must restore bit-identical bytes (same digest as the no-fault
   baseline at the same mode);
-- **mid-restore crash at r=1**: the restart must fail *cleanly* with a
+- **crash at the restore, r=1**: the restart must fail *cleanly* with a
   typed :class:`~repro.errors.RestoreError` naming the lost chunks;
 - **abandoned async epoch at r=1**: a restart that targets an epoch whose
   drain never committed must fall back along the chain's parent link to
@@ -19,9 +19,10 @@ interesting legs under seeded faults:
 
 Every restore goes through a *fresh* NVMalloc context (cold caches), so
 "restart latency" measures what a restarted node would actually pay.
-All fault times derive from no-fault baseline phase windows via
-:meth:`~repro.faults.FaultPlan.crash_in_phase` and a fixed seed; the
-whole report digests bit-identically across repeats, hash seeds, and the
+A crash is keyed to a program point, not to a virtual time: the rank
+itself crashes benefactor :data:`CRASH_VICTIM` as it enters the named
+phase, so the leg tests what its row says on any schedule.  The whole
+report digests bit-identically across repeats, hash seeds, and the
 serial/parallel orchestrators.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Generator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +38,13 @@ from repro.core.nvmalloc import NVMalloc
 from repro.errors import CheckpointError, ChunkUnavailableError, RestoreError
 from repro.experiments.configs import SMALL, ExperimentScale
 from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import Testbed, benefactor_names, start_services
-from repro.faults import FaultPlan
+from repro.experiments.runner import Testbed, start_services
 from repro.parallel.comm import RankContext
 from repro.sim.events import Event
 from repro.util.units import KiB
 
-#: Seed for every crash schedule in this experiment (distinct from the
-#: faults experiment's seed so the two draw independent victims).
-LIFECYCLE_SEED = 4321
+#: The benefactor a crash leg kills: an index in registration order.
+CRASH_VICTIM = 0
 
 #: Epochs the GC pass keeps (newest N of the chain).
 GC_KEEP_LAST = 2
@@ -69,6 +68,10 @@ class _LegConfig:
     #: Initiate one extra async epoch and restore *before* its drain
     #: commits: the restart must fall back to the parent epoch.
     abandon_final: bool = False
+    #: The phase whose entry crashes :data:`CRASH_VICTIM`: ``"ckpt{t}"``
+    #: (right before epoch ``t``) or ``"restore"`` (right before the
+    #: cold-cache restart's first restore).
+    crash_at: str | None = None
 
 
 @dataclass
@@ -92,18 +95,13 @@ class _LegOutcome:
     digest8: str
     error_epoch: int | None = None
     error_lost: int = 0
-    windows: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
 def _lifecycle_rank(
     ctx: RankContext, config: _LegConfig
 ) -> Generator[Event, object, dict[str, object]]:
-    """The checkpoint loop, with per-phase windows for fault placement.
-
-    Phases recorded in the returned ``windows``: ``ckpt{t}`` spans each
-    epoch's checkpoint (initiation through drain for async), ``restore``
-    spans the cold-cache restart restores at the end.
-    """
+    """The checkpoint loop; entering phase ``config.crash_at`` (see
+    :class:`_LegConfig`) crashes :data:`CRASH_VICTIM` first."""
     assert ctx.nvmalloc is not None
     lib = ctx.nvmalloc
     engine = ctx.engine
@@ -111,7 +109,10 @@ def _lifecycle_rank(
     chunk = lib.chunk_size
     nbytes = config.variable_bytes
     nchunks = -(-nbytes // chunk)
-    windows: dict[str, tuple[float, float]] = {}
+
+    def enter(phase: str) -> None:
+        if phase == config.crash_at:
+            lib.manager.benefactors()[CRASH_VICTIM].crash()
 
     variable = yield from lib.ssdmalloc(nbytes, owner="ckpt")
     for i in range(nchunks):
@@ -167,9 +168,8 @@ def _lifecycle_rank(
         # initiation (an async drain snapshots initiation-time bytes).
         snapshot = yield from variable.read(0, nbytes)
         expected.append(bytes(snapshot))
-        start = engine.now
+        enter(f"ckpt{t}")
         record, cow = yield from take_checkpoint(t)
-        windows[f"ckpt{t}"] = (start, engine.now)
         bytes_written += record.bytes_written
         bytes_linked += record.bytes_linked
         cow_captures += cow
@@ -203,6 +203,7 @@ def _lifecycle_rank(
     newest = config.timesteps - 1
     target = config.timesteps if config.abandon_final else None
     restore_start = engine.now
+    enter("restore")
     dram_state, variables = yield from restarted.restore(_TAG, target)
     restored_epoch = restarted.last_restore_epoch
     fallback = restarted.last_restore_fallback
@@ -221,7 +222,6 @@ def _lifecycle_rank(
             prior == bytes([(newest - 1) % 251]) * config.dram_state_bytes
             and prior_vars["var"] == expected[newest - 1]
         )
-    windows["restore"] = (restore_start, engine.now)
     restore_seconds = engine.now - restore_start
 
     if extra_handle is not None:
@@ -249,7 +249,6 @@ def _lifecycle_rank(
         "restored_epoch": restored_epoch,
         "fallback": fallback,
         "digest8": digest8,
-        "windows": windows,
     }
 
 
@@ -267,18 +266,17 @@ def _run_leg(
     scale: ExperimentScale,
     mode: str,
     replication: int,
-    plan: FaultPlan | None,
     *,
     abandon_final: bool = False,
+    crash_at: str | None = None,
 ) -> _LegOutcome:
     """One fresh-testbed run of the lifecycle workload."""
     testbed = Testbed(scale)
     job = testbed.job(1, 1, 4, remote_ssd=True, replication=replication)
     start_services(job)
-    if plan is not None:
-        assert job.manager is not None
-        testbed.engine.process(plan.inject(job.manager))
-    config = _leg_config(scale, mode, abandon_final=abandon_final)
+    config = _leg_config(
+        scale, mode, abandon_final=abandon_final, crash_at=crash_at
+    )
     ctx = job.rank_context(0)
     outcome: dict[str, object] = {}
     status = "ok"
@@ -319,7 +317,6 @@ def _run_leg(
         digest8=str(outcome.get("digest8", "-")),
         error_epoch=error_epoch,
         error_lost=error_lost,
-        windows=dict(outcome.get("windows", {})),  # type: ignore[arg-type]
     )
 
 
@@ -356,14 +353,13 @@ def ckpt_lifecycle(scale: ExperimentScale = SMALL) -> ExperimentReport:
             "Retries", "Failovers", "Digest",
         ],
     )
-    names = benefactor_names(scale, 1)
     mid = scale.lifecycle_timesteps // 2
 
     # --- no-fault grid: mode x replication -----------------------------
     base: dict[tuple[str, int], _LegOutcome] = {}
     for mode in ("full", "incremental", "async"):
         for replication in (1, 2):
-            leg = _run_leg(scale, mode, replication, None)
+            leg = _run_leg(scale, mode, replication)
             base[(mode, replication)] = leg
             report.verified &= leg.status == "ok" and leg.verified
             # Chain bookkeeping: GC kept exactly the newest epochs, every
@@ -388,38 +384,29 @@ def ckpt_lifecycle(scale: ExperimentScale = SMALL) -> ExperimentReport:
         # Overlap writes raced the drain and forced CoW captures.
         report.verified &= base[("async", replication)].cow_captures >= 1
 
-    # --- mid-checkpoint crash at r=2: ride through, same digest --------
+    # --- crash at a checkpoint, r=2: ride through, same digest ---------
     for mode in ("incremental", "async"):
         baseline = base[(mode, 2)]
-        plan = FaultPlan.crash_in_phase(
-            LIFECYCLE_SEED, names, baseline.windows, f"ckpt{mid}",
-            position=(0.25, 0.75),
-        )
-        leg = _run_leg(scale, mode, 2, plan)
+        leg = _run_leg(scale, mode, 2, crash_at=f"ckpt{mid}")
         report.verified &= (
             leg.status == "ok"
             and leg.verified
             and leg.failovers >= 1
             and leg.digest8 == baseline.digest8
         )
-        _add_row(report, mode, 2, plan.describe(), leg)
+        _add_row(report, mode, 2, f"crash at ckpt{mid}", leg)
 
-    # --- mid-restore crash at r=1: clean typed failure ------------------
-    baseline = base[("incremental", 1)]
-    plan = FaultPlan.crash_in_phase(
-        LIFECYCLE_SEED, names, baseline.windows, "restore",
-        position=(0.0, 0.05),
-    )
-    leg = _run_leg(scale, "incremental", 1, plan)
+    # --- crash at the restore, r=1: clean typed failure -----------------
+    leg = _run_leg(scale, "incremental", 1, crash_at="restore")
     report.verified &= (
         leg.status == "RestoreError"
         and leg.error_epoch is not None
         and leg.error_lost >= 1
     )
-    _add_row(report, "incremental", 1, plan.describe(), leg)
+    _add_row(report, "incremental", 1, "crash at restore", leg)
 
     # --- abandoned async epoch at r=1: truncated-chain fallback ---------
-    leg = _run_leg(scale, "async", 1, None, abandon_final=True)
+    leg = _run_leg(scale, "async", 1, abandon_final=True)
     report.verified &= (
         leg.status == "ok"
         and leg.verified

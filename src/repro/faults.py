@@ -71,12 +71,11 @@ FaultEvent = BenefactorCrash | TransientSlowdown
 class FaultPlan:
     """A reproducible schedule of fault events.
 
-    ``seed`` is provenance only (``None`` for hand-written plans): the
-    events tuple *is* the plan, and :meth:`inject` replays it verbatim.
+    The events tuple *is* the plan, and :meth:`inject` replays it
+    verbatim.
     """
 
     events: tuple[FaultEvent, ...] = ()
-    seed: int | None = None
 
     @classmethod
     def seeded(
@@ -124,50 +123,7 @@ class FaultPlan:
                     rate_factor=slow_rate_factor,
                 )
             )
-        return cls(events=tuple(events), seed=seed)
-
-    @classmethod
-    def crash_in_phase(
-        cls,
-        seed: int,
-        benefactor_names: Iterable[str],
-        windows: "dict[str, tuple[float, float]]",
-        phase: str,
-        *,
-        position: tuple[float, float] = (0.25, 0.75),
-    ) -> "FaultPlan":
-        """One seeded crash inside a *named phase window*.
-
-        ``windows`` maps phase names to ``(start, stop)`` virtual-time
-        intervals, typically measured from a fault-free baseline run
-        (e.g. ``{"ckpt3": (t0, t1), "restore": (r0, r1)}``), so "crash a
-        benefactor during epoch 3's drain" is expressible without
-        hand-tuned times.  ``position`` narrows the strike to a relative
-        slice of the window — ``(0.25, 0.75)`` keeps it mid-phase;
-        ``(0.0, 0.0)`` pins it to the phase's first instant (useful to
-        guarantee a mid-restore crash lands before any chunk is read).
-        Victim choice and timing come from the seeded generator exactly
-        as in :meth:`seeded`.
-        """
-        try:
-            start, stop = windows[phase]
-        except KeyError:
-            raise StoreError(
-                f"unknown phase {phase!r}; have {sorted(windows)}"
-            ) from None
-        if stop < start:
-            raise StoreError(f"phase {phase!r} window {start, stop} is inverted")
-        lo, hi = position
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise StoreError(f"position {position} must satisfy 0 <= lo <= hi <= 1")
-        span = stop - start
-        return cls.seeded(
-            seed,
-            benefactor_names,
-            crashes=1,
-            slowdowns=0,
-            window=(start + lo * span, start + hi * span),
-        )
+        return cls(events=tuple(events))
 
     def scheduled(self) -> list[FaultEvent]:
         """Events in firing order: by time, plan order breaking ties."""

@@ -164,11 +164,6 @@ class RequestSchedule:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def duration(self) -> float:
-        """Span of the (unit-rate) arrival window."""
-        return float(self.times[-1]) if len(self.times) else 0.0
-
     def at_rate(self, rate: float) -> "RequestSchedule":
         """The same request sequence offered at ``rate`` requests/second.
 

@@ -72,7 +72,6 @@ class SwarmResult:
     records: list[RequestRecord] = field(default_factory=list)
     issued: int = 0
     duration: float = 0.0  # first scheduled arrival to last completion
-    offered_duration: float = 0.0  # span of the arrival schedule alone
 
     @property
     def completed_ok(self) -> int:
@@ -226,7 +225,6 @@ class ClientSwarm:
             records=records,
             issued=n,
             duration=engine.now - base,
-            offered_duration=schedule.duration,
         )
 
     # ------------------------------------------------------------------
@@ -260,7 +258,6 @@ class ClientSwarm:
             records=records,
             issued=n,
             duration=engine.now - base,
-            offered_duration=schedule.duration,
         )
 
 

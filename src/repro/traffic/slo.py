@@ -65,7 +65,6 @@ class SloSummary:
     p99: float
     p999: float
     max_latency: float
-    slo_target: float  # the latency target, virtual seconds
     within_slo: int  # successful AND within target
 
     @property
@@ -93,7 +92,7 @@ def summarize(
         return SloSummary(
             count=0, ok=0, errors=0, duration=duration or 0.0,
             p50=0.0, p95=0.0, p99=0.0, p999=0.0, max_latency=0.0,
-            slo_target=slo_target, within_slo=0,
+            within_slo=0,
         )
     latencies = sorted(r.latency for r in records)
     ok = sum(1 for r in records if r.ok)
@@ -112,7 +111,6 @@ def summarize(
         p99=percentile(latencies, 0.99),
         p999=percentile(latencies, 0.999),
         max_latency=latencies[-1],
-        slo_target=slo_target,
         within_slo=within,
     )
 

@@ -692,36 +692,3 @@ class TestFaultPlan:
 
         slow, fast = run(engine, proc())
         assert slow - fast == pytest.approx(0.25)
-
-
-class TestCrashInPhase:
-    NAMES = ["node000", "node001", "node002", "node003"]
-    WINDOWS = {"ckpt1": (10.0, 20.0), "restore": (30.0, 31.0)}
-
-    def test_events_land_inside_named_phase(self):
-        plan = FaultPlan.crash_in_phase(
-            7, self.NAMES, self.WINDOWS, "ckpt1", position=(0.5, 1.0)
-        )
-        assert len(plan.events) == 1
-        (event,) = plan.events
-        assert isinstance(event, BenefactorCrash)
-        assert 15.0 <= event.at <= 20.0  # narrowed to the back half
-
-    def test_deterministic_for_seed(self):
-        one = FaultPlan.crash_in_phase(42, self.NAMES, self.WINDOWS, "restore")
-        two = FaultPlan.crash_in_phase(42, self.NAMES, self.WINDOWS, "restore")
-        assert one == two
-
-    def test_unknown_phase_rejected(self):
-        with pytest.raises(StoreError, match="unknown phase"):
-            FaultPlan.crash_in_phase(1, self.NAMES, self.WINDOWS, "ghost")
-
-    def test_inverted_window_rejected(self):
-        with pytest.raises(StoreError, match="inverted"):
-            FaultPlan.crash_in_phase(1, self.NAMES, {"p": (5.0, 4.0)}, "p")
-
-    def test_bad_position_rejected(self):
-        with pytest.raises(StoreError):
-            FaultPlan.crash_in_phase(
-                1, self.NAMES, self.WINDOWS, "ckpt1", position=(0.9, 0.1)
-            )

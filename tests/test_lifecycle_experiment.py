@@ -9,9 +9,15 @@ two-process PYTHONHASHSEED digest comparison.
 
 import pytest
 
-from repro.experiments import TINY, ckpt_lifecycle
+from repro.experiments import TINY, ckpt_lifecycle, parallel
+from tests.conftest import load_tool
 
 pytestmark = pytest.mark.lifecycle
+
+jitter_kernel = load_tool("jitter_kernel").jitter_kernel
+
+#: Column indices of a report row.
+STATUS, RETRIES, DIGEST = 3, 11, 13
 
 
 def test_lifecycle_report_verified_and_digest_stable():
@@ -37,6 +43,28 @@ def test_lifecycle_report_verified_and_digest_stable():
     ]
     assert restore_crash[1] == 1
 
-    # Identical seed + identical FaultPlan => identical digest.
+    # The crash at a checkpoint reaches the client: the epoch retried
+    # past the dead benefactor instead of only the heartbeat seeing it.
+    for mode in ("incremental", "async"):
+        assert legs[(mode, 2, "crash at ckpt1")][RETRIES] >= 1
+
+    # Two runs of one build digest identically.
     second = ckpt_lifecycle(TINY)
     assert second.digest() == first.digest()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4, 5])
+def test_crash_legs_hold_under_jitter(seed):
+    """Every delay stretched by up to 20 %: each crash still lands in the
+    phase its row names, since the rank crashes the victim as it enters
+    that phase.  (At a crash time measured off the baseline's phase
+    windows these seeds crashed after the restore, which read ``ok``.)"""
+    with jitter_kernel(seed, 0.2):
+        report, _ = parallel.execute_experiment("ckpt_lifecycle", TINY)
+    assert report.verified
+    legs = {(row[0], row[1], row[2]): row for row in report.rows}
+    assert legs[("incremental", 1, "crash at restore")][STATUS] == "RestoreError"
+    for mode in ("incremental", "async"):
+        crash = legs[(mode, 2, "crash at ckpt1")]
+        assert crash[STATUS] == "ok"
+        assert crash[DIGEST] == legs[(mode, 2, "none")][DIGEST]

@@ -46,7 +46,8 @@
   fetch or write-back calls ``Manager.lookup`` only to raise the typed
   error of a missing file.
 - No attribute is only written.  Every ``self.<name>`` that ``src/repro``
-  stores is read somewhere in the program or in what drives it (tests,
+  stores, and every field of its dataclasses and ``NamedTuple`` classes
+  (the generated constructor stores it), is read somewhere in the program or in what drives it (tests,
   bench, examples, tools, benchmarks): as an attribute load, or as a
   string constant outside a ``__slots__`` literal (a ``getattr`` name).
   A slot or attribute nobody reads is state kept for no one.
@@ -687,6 +688,26 @@ def self_stores(tree, path):
     }
 
 
+def _is_record_class(node):
+    """A ``@dataclass`` (bare or called) or a ``NamedTuple`` subclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(
+        getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators
+    ) or any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple" for b in node.bases)
+
+
+def field_stores(tree, path):
+    """``{name: "path:lineno"}`` for every annotated class-body field of a
+    dataclass or ``NamedTuple``: its constructor stores it."""
+    return {
+        item.target.id: f"{path}:{item.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_record_class(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+
+
 def attribute_reads(tree):
     """Every name a module reads: attribute loads, and string constants
     outside a ``__slots__`` literal."""
@@ -714,6 +735,7 @@ def test_no_attribute_is_only_written():
     stored, read = {}, set()
     for path, tree in _trees():
         stored.update(self_stores(tree, path))
+        stored.update(field_stores(tree, path))
         read |= attribute_reads(tree)
     for reader in READERS:
         for path in sorted((root / reader).rglob("*.py")):
@@ -739,3 +761,25 @@ def test_the_attribute_guard_rejects_a_write_only_slot():
     read = attribute_reads(tree)
     assert sorted(stored) == ["bumped", "kept", "named"]
     assert {name for name in stored if name not in read} == {"bumped"}
+
+
+def test_the_attribute_guard_counts_record_fields_as_stores():
+    """A dataclass or ``NamedTuple`` field is stored by its generated
+    constructor; a plain class's annotation stores nothing."""
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    kept: int\n"
+        "    unread: int = 0\n"
+        "class B(typing.NamedTuple):\n"
+        "    also_unread: int\n"
+        "class C:\n"
+        "    hint: int\n"
+        "def get(a):\n"
+        "    return a.kept\n"
+    )
+    stored = field_stores(tree, "x.py")
+    assert sorted(stored) == ["also_unread", "kept", "unread"]
+    assert {n for n in stored if n not in attribute_reads(tree)} == {
+        "also_unread", "unread",
+    }

@@ -79,7 +79,7 @@ def test_faults_retry_failover_replica_share_one_trace(restore_tracing):
 TRACE_PINS = {
     "cache_tiering": "f1a1d3a8a9262638c3664b56e080e2cfa0abcbf5f1882e5413f57e0683f1b0ab",
     "faults": "32b09501862428b848905ed7e4f2576bb7cb4fc1a63c752c0f1531980d049ec2",
-    "ckpt_lifecycle": "fe253033a12d89f25b279eeba7bb36f08d5294022b8509157d52a53f94f0ac0e",
+    "ckpt_lifecycle": "77dc0c80cc82e8ebdbcd3295af39dd16be0b657de49a5eefcac5e3f1b840ff2f",
 }
 
 
